@@ -498,6 +498,8 @@ func (e *Engine) allSubkeysNDStatus(key Key, status map[Key]KeyStatus) bool {
 
 // forEachLimit invokes fn(0..n-1) from at most limit concurrent
 // goroutines; fn instances must touch disjoint state or synchronize.
+// The caller is one of the workers — it would otherwise only park in
+// Wait — so limit-1 goroutines are spawned and n=1 or limit=1 spawn none.
 func forEachLimit(n, limit int, fn func(i int)) {
 	if limit > n {
 		limit = n
@@ -509,20 +511,24 @@ func forEachLimit(n, limit int, fn func(i int)) {
 		return
 	}
 	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
 	var wg sync.WaitGroup
-	wg.Add(limit)
-	for w := 0; w < limit; w++ {
+	for w := 1; w < limit; w++ {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 }
 

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,7 +17,8 @@ import (
 // followed by the payload. Connections are pooled per remote address with
 // idle reuse, so a multi-process deployment pays the dial cost once per
 // (caller, owner) pair instead of once per RPC; concurrent callers to the
-// same address each check out their own connection. Stats accounting
+// same address each check out their own connection. A frame costs one
+// write and normally one read per side (see frameConn). Stats accounting
 // matches InProc exactly (payload bytes both directions, one message per
 // Call), keeping the paper's traffic analysis comparable across fabrics.
 type TCP struct {
@@ -25,9 +27,9 @@ type TCP struct {
 
 	mu        sync.Mutex
 	listeners []net.Listener
-	idle      map[string][]net.Conn // per-address idle connections
-	inflight  map[net.Conn]struct{} // client-side connections checked out by a Call
-	accepted  map[net.Conn]struct{} // server-side connections in flight
+	idle      map[string][]*frameConn // per-address idle connections
+	inflight  map[*frameConn]struct{} // client-side connections checked out by a Call
+	accepted  map[net.Conn]struct{}   // server-side connections in flight
 	closed    bool
 	wg        sync.WaitGroup
 
@@ -80,8 +82,8 @@ func NewTCP() *TCP { return NewTCPConfig(TCPConfig{}) }
 func NewTCPConfig(cfg TCPConfig) *TCP {
 	return &TCP{
 		cfg:      cfg.withDefaults(),
-		idle:     make(map[string][]net.Conn),
-		inflight: make(map[net.Conn]struct{}),
+		idle:     make(map[string][]*frameConn),
+		inflight: make(map[*frameConn]struct{}),
 		accepted: make(map[net.Conn]struct{}),
 	}
 }
@@ -168,20 +170,27 @@ func (t *TCP) serve(ln net.Listener, h Handler) {
 // fails. Handler errors are reported to the caller in an error frame and
 // the connection stays usable (the client keeps it pooled); transport
 // errors close the connection via the deferred Close in serve — no path
-// leaks the conn.
+// leaks the conn. A response over MaxFrameSize is a handler-side failure
+// too: closing the conn instead would look like a stale pooled socket to
+// the client, whose retry would run the (possibly non-idempotent)
+// request a second time.
 func (t *TCP) handleConn(conn net.Conn, h Handler) {
+	fc := newFrameConn(conn)
 	for {
-		req, err := readFrame(conn)
+		_, req, err := fc.readFrame()
 		if err != nil {
 			return // io.EOF on clean close
 		}
 		resp, herr := h(req)
+		if herr == nil && len(resp) > MaxFrameSize {
+			herr = fmt.Errorf("response of %d bytes exceeds frame limit", len(resp))
+		}
 		status := byte(statusOK)
 		if herr != nil {
 			status = statusErr
 			resp = []byte(herr.Error())
 		}
-		if err := writeFrame(conn, status, resp); err != nil {
+		if err := fc.writeFrame(status, resp); err != nil {
 			return
 		}
 	}
@@ -192,7 +201,7 @@ func (t *TCP) handleConn(conn net.Conn, h Handler) {
 // (an untracked checked-out conn would survive Close and block its
 // caller until CallTimeout). reused reports which source the connection
 // came from.
-func (t *TCP) getConn(addr string) (conn net.Conn, reused bool, err error) {
+func (t *TCP) getConn(addr string) (conn *frameConn, reused bool, err error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -209,11 +218,12 @@ func (t *TCP) getConn(addr string) (conn net.Conn, reused bool, err error) {
 	}
 	t.mu.Unlock()
 	dialStart := time.Now()
-	conn, err = net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
+	raw, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
 	if err != nil {
 		return nil, false, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 	t.observeDial(time.Since(dialStart))
+	conn = newFrameConn(raw)
 	t.mu.Lock()
 	if t.closed {
 		// Close ran between the check above and the dial completing; the
@@ -230,7 +240,7 @@ func (t *TCP) getConn(addr string) (conn net.Conn, reused bool, err error) {
 
 // release drops a connection from the in-flight set once its Call is
 // done with it (pooled, handed back, or closed on error).
-func (t *TCP) release(conn net.Conn) {
+func (t *TCP) release(conn *frameConn) {
 	t.mu.Lock()
 	delete(t.inflight, conn)
 	t.mu.Unlock()
@@ -256,7 +266,7 @@ func (t *TCP) dropIdle(addr string) {
 // putConn returns a healthy connection to the idle pool (clearing its
 // in-flight registration in the same critical section), or closes it
 // when the pool is full, pooling is disabled, or the transport closed.
-func (t *TCP) putConn(addr string, conn net.Conn) {
+func (t *TCP) putConn(addr string, conn *frameConn) {
 	if t.cfg.MaxIdlePerHost < 0 {
 		t.release(conn)
 		conn.Close()
@@ -284,23 +294,20 @@ func (e errRemote) Error() string { return "transport: remote error: " + e.msg }
 // roundTrip performs one framed request/response on conn under the call
 // deadline. A returned error of type errRemote means the connection is
 // still healthy; any other error means the connection must be discarded.
-func (t *TCP) roundTrip(conn net.Conn, req []byte) ([]byte, error) {
+// The deadline is not cleared afterwards: nothing touches an idle pooled
+// conn, and the next roundTrip re-arms it before its first I/O.
+func (t *TCP) roundTrip(conn *frameConn, req []byte) ([]byte, error) {
 	if t.cfg.CallTimeout > 0 {
 		if err := conn.SetDeadline(time.Now().Add(t.cfg.CallTimeout)); err != nil {
 			return nil, err
 		}
 	}
-	if err := writeFrame(conn, statusOK, req); err != nil {
+	if err := conn.writeFrame(statusOK, req); err != nil {
 		return nil, err
 	}
-	status, resp, err := readResponse(conn)
+	status, resp, err := conn.readFrame()
 	if err != nil {
 		return nil, err
-	}
-	if t.cfg.CallTimeout > 0 {
-		if err := conn.SetDeadline(time.Time{}); err != nil {
-			return nil, err
-		}
 	}
 	if status == statusErr {
 		return nil, errRemote{msg: string(resp)}
@@ -315,7 +322,17 @@ func (t *TCP) roundTrip(conn net.Conn, req []byte) ([]byte, error) {
 // an immediate write/read failure. Calls that fail on a freshly dialed
 // connection are reported to the caller (CallRetry handles transient
 // policies above this layer).
+//
+// A request over MaxFrameSize is refused before a connection is checked
+// out: the server would drop the conn on the oversized prefix, burning a
+// healthy pooled connection (and, through the stale-conn retry, its idle
+// siblings) on a call that can never succeed.
 func (t *TCP) Call(addr string, req []byte) ([]byte, error) {
+	if len(req) > MaxFrameSize {
+		err := fmt.Errorf("transport: call %s: request of %d bytes exceeds frame limit", addr, len(req))
+		t.observeCall(0, err)
+		return nil, err
+	}
 	callStart := time.Now()
 	for attempt := 0; ; attempt++ {
 		conn, reused, err := t.getConn(addr)
@@ -417,42 +434,104 @@ func (t *TCP) IdleConns() int {
 // can separate protocol payload from wire overhead.
 const FrameOverhead = 1 + 4 + 4
 
-func writeFrame(w io.Writer, status byte, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(payload))
-	}
-	hdr := make([]byte, 5)
-	hdr[0] = status
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr); err != nil {
+const (
+	frameHeaderSize = 5
+
+	// frameBufSize sizes both per-connection buffers: a frame of at most
+	// this many bytes (header included) is copied behind its header and
+	// leaves in one write, and arrives — header and payload — in one read.
+	// Every search-path frame (requests, fetchBatch responses of ≤ DFmax
+	// postings per key, top-k answers) fits.
+	frameBufSize = 16 << 10
+
+	// readStep is a frame reader's first allocation when the header
+	// announces more; hdk.ingest chunks (256 KiB) fit in one step.
+	readStep = 1 << 20
+)
+
+// frameConn is one TCP connection with the buffers that make a small
+// frame one write and (normally) one read per side. A connection has one
+// user at a time — the Call that checked it out of the pool, or the
+// server goroutine that accepted it — so the buffers need no lock.
+//
+// Ownership rule: payloads returned by readFrame are freshly allocated
+// and never recycled. Decoders alias the frame they decode, the durable
+// log appends raw request payloads and the result cache keeps response
+// bodies; only the header/coalescing scratch is reused.
+type frameConn struct {
+	net.Conn
+	br   *bufio.Reader
+	wbuf []byte // header + small payload, reused across frames
+}
+
+func newFrameConn(c net.Conn) *frameConn {
+	return &frameConn{Conn: c, br: bufio.NewReaderSize(c, frameBufSize)}
+}
+
+// writeFrame sends one frame; the caller has checked len(payload) against
+// MaxFrameSize. Small frames are coalesced into one Write; larger ones
+// go out as a header+payload vector (writev on a TCP socket), so a
+// multi-MB hdk.insert or hdk.ingest payload is never copied.
+func (c *frameConn) writeFrame(status byte, payload []byte) error {
+	c.wbuf = binary.BigEndian.AppendUint32(append(c.wbuf[:0], status), uint32(len(payload)))
+	if frameHeaderSize+len(payload) <= frameBufSize {
+		c.wbuf = append(c.wbuf, payload...)
+		_, err := c.Conn.Write(c.wbuf)
 		return err
 	}
-	_, err := w.Write(payload)
+	bufs := net.Buffers{c.wbuf, payload}
+	_, err := bufs.WriteTo(c.Conn)
 	return err
 }
 
-// readFrame reads a request frame (status byte ignored on requests).
-func readFrame(r io.Reader) ([]byte, error) {
-	_, payload, err := readRaw(r)
-	return payload, err
-}
-
-func readResponse(r io.Reader) (byte, []byte, error) {
-	return readRaw(r)
-}
-
-func readRaw(r io.Reader) (byte, []byte, error) {
-	hdr := make([]byte, 5)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+// readFrame reads one frame (the status byte is meaningful on responses
+// only).
+func (c *frameConn) readFrame() (status byte, payload []byte, err error) {
+	hdr, err := c.br.Peek(frameHeaderSize)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return 0, nil, err
 	}
+	status = hdr[0]
 	n := binary.BigEndian.Uint32(hdr[1:])
 	if n > MaxFrameSize {
 		return 0, nil, errors.New("transport: oversized frame")
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	c.br.Discard(frameHeaderSize) // cannot fail: Peek buffered these bytes
+	payload, err = readPayload(c.br, int(n))
+	if err != nil {
 		return 0, nil, err
 	}
-	return hdr[0], payload, nil
+	return status, payload, nil
+}
+
+// readPayload reads exactly n bytes into a fresh slice. The length came
+// off the wire before a single payload byte did, so the slice grows with
+// the bytes that actually arrive — one readStep first, then to four
+// times what has been read — and a corrupt or hostile prefix costs a
+// small multiple of what it sends, not the 64 MiB it announces. Growing
+// by four rather than two keeps an honest multi-MB frame's extra
+// allocation and copying to a third of its size. On error the bytes read
+// so far are returned alongside it.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, readStep))
+	got := 0
+	for {
+		m, err := io.ReadFull(r, buf[got:])
+		got += m
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf[:got], err
+		}
+		if got == n {
+			return buf, nil
+		}
+		grown := make([]byte, min(n, 4*got))
+		copy(grown, buf)
+		buf = grown
+	}
 }

@@ -2,9 +2,11 @@
 // a request/response abstraction with two implementations — a
 // deterministic in-process network with exact byte/message accounting
 // (used by the experiments, which measure traffic rather than wall-clock
-// throughput) and a real TCP transport with length-prefixed frames (used
-// by the tcpcluster example to demonstrate the same engine code speaking a
-// real network).
+// throughput) and a pooled TCP transport with length-prefixed frames,
+// which carries every RPC between hdknode daemons and their clients:
+// store fetches and inserts, streamed ingest and build, hdk.search,
+// membership and repair. ARCHITECTURE.md ("The TCP frame path") has the
+// frame format and the two rules its hot path keeps.
 package transport
 
 import (

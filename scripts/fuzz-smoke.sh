@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Short native-fuzz pass over every codec fuzz target, exactly the way
+# Short native-fuzz pass over every codec and framing fuzz target, exactly the way
 # CI runs it. Each target starts from its committed seed corpus
 # (testdata/fuzz/) and fuzzes for FUZZTIME (default 30s); any crash or
 # roundtrip violation fails the script.
@@ -17,6 +17,7 @@ targets="
 ./internal/core FuzzDecodeSearchResponse
 ./internal/postings FuzzDecodeKeyList
 ./internal/postings FuzzDecodeKeyedBatch
+./internal/transport FuzzReadFrame
 ./internal/transport/cluster FuzzDecodeIngestBegin
 ./internal/transport/cluster FuzzDecodeIngestChunk
 ./internal/transport/cluster FuzzDecodeIngestCommit
