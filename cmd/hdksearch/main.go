@@ -56,7 +56,7 @@ func main() {
 	connect := flag.String("connect", "", "address of any hdknode daemon: build and query a running multi-process cluster")
 	coordinator := flag.Bool("coordinator", false, "with -connect: send each query as ONE hdk.search RPC and let the daemon coordinate the traversal")
 	trace := flag.Bool("trace", false, "with -coordinator: ask the daemon for a per-query span tree (admission, cache, per-level fetch waves) and print it under each answer")
-	forget := flag.String("forget", "", "with -connect: drop this dead member's address from the cluster membership before building")
+	forget := flag.String("forget", "", "with -connect: drop this dead member's address from the cluster membership and re-replicate what it held, before building")
 	chunkBytes := flag.Int("build-chunk-bytes", 0, "with -connect: hdk.ingest chunk payload target in bytes (0 = cluster default)")
 	flag.Parse()
 	replicasSet := false
@@ -119,7 +119,15 @@ func run(docs, peers, dfmax, topk, fanout, replicas, chunkBytes int, connect, fo
 			if err := clu.Forget(forget); err != nil {
 				return err
 			}
-			fmt.Printf("forgot dead member %s on all live daemons\n", forget)
+			// The replica sets the dead member belonged to are one copy
+			// short (unless someone already swept), and the daemons read
+			// primary-first until a sweep over the new membership says
+			// they are whole.
+			st, err := clu.Repairer(replicas).Repair()
+			if err != nil {
+				return fmt.Errorf("repair after forgetting %s: %w", forget, err)
+			}
+			fmt.Printf("forgot dead member %s on all live daemons; repair sweep shipped %d copies\n", forget, st.CopiesSent)
 		}
 		peers = clu.Size()
 		fabric = clu

@@ -25,7 +25,50 @@ const (
 	metricQueryPostings   = "hdk_query_postings_total"
 	metricQueryLevelNanos = "hdk_query_level_nanoseconds"
 	metricQueryFailovers  = "hdk_query_failovers_total"
+	// Found keys per level: with the probes series, a level's absent-probe
+	// ratio (1 - found/probes) is derivable from any scrape.
+	metricQueryFoundKeys = "hdk_query_found_keys_total"
+	// Fetch batches answered from the coordinator's own store: with the
+	// fetch-RPC series, the local/remote split of a query's batches.
+	metricQueryLocalFetches = "hdk_query_local_fetches_total"
 )
+
+// QueryMetrics is the set of registry series a coordinator emits, every
+// handle resolved once: a label-keyed registry lookup costs a sort and
+// several allocations, which the traversal would otherwise pay four
+// times per level per query. The daemon builds one at start-up and hands
+// it to every Coordinator it runs.
+type QueryMetrics struct {
+	levels       [MaxKeySize + 1]levelMetrics // indexed by key size; [0] unused
+	failovers    *telemetry.Counter
+	localFetches *telemetry.Counter
+}
+
+// levelMetrics is one lattice level's series.
+type levelMetrics struct {
+	probes, fetchRPCs, postings, found *telemetry.Counter
+	nanos                              *telemetry.Histogram
+}
+
+// NewQueryMetrics registers the coordinator series on reg, one set per
+// lattice level up to MaxKeySize.
+func NewQueryMetrics(reg *telemetry.Registry) *QueryMetrics {
+	m := &QueryMetrics{
+		failovers:    reg.Counter(metricQueryFailovers),
+		localFetches: reg.Counter(metricQueryLocalFetches),
+	}
+	for size := 1; size <= MaxKeySize; size++ {
+		lvl := telemetry.L("level", strconv.Itoa(size))
+		m.levels[size] = levelMetrics{
+			probes:    reg.Counter(metricQueryProbes, lvl),
+			fetchRPCs: reg.Counter(metricQueryFetchRPCs, lvl),
+			postings:  reg.Counter(metricQueryPostings, lvl),
+			found:     reg.Counter(metricQueryFoundKeys, lvl),
+			nanos:     reg.Histogram(metricQueryLevelNanos, lvl),
+		}
+	}
+	return m
+}
 
 // This file hosts the query coordination path as a standalone unit: the
 // level-synchronous, batched, parallel lattice traversal that
@@ -49,15 +92,22 @@ const (
 // cluster daemon instead caches whole results one layer up). Traffic,
 // when non-nil, receives the global counters.
 // Metrics, when non-nil, additionally receives the registry series the
-// live cluster is observed through: per-level probe/RPC/posting
-// counters and per-level latency histograms.
+// live cluster is observed through: per-level probe/found/RPC/posting
+// counters, per-level latency histograms and the local-fetch counter.
+//
+// From is the coordinating member: the origin of Route calls and the
+// replica reads prefer (ReadPlan) — a daemon passes its own member stub
+// with its store attached read-locally. It may be nil on one-hop
+// fabrics, which reads every key primary-first; so does any traversal
+// over a fabric that reports a departure as still Unrepaired
+// (overlay.Churn).
 type Coordinator struct {
 	Net     overlay.Fabric
 	Cfg     Config
-	From    overlay.Member // origin member for Route calls; may be nil on one-hop fabrics
+	From    overlay.Member
 	Cache   *cache.LRU[cachedFetch]
 	Traffic *Traffic
-	Metrics *telemetry.Registry
+	Metrics *QueryMetrics
 }
 
 // Search maps pre-rendered query terms onto the lattice of their
@@ -80,16 +130,9 @@ func (c *Coordinator) SearchTraced(terms []string, k int, tb *telemetry.TraceBui
 	if traffic == nil {
 		traffic = &Traffic{}
 	}
-	ls := &latticeSearch{
-		net:      c.Net,
-		from:     c.From,
-		replicas: replicasOf(c.Cfg),
-		fanout:   fanoutOf(c.Cfg),
-		cache:    c.Cache,
-		traffic:  traffic,
-		reg:      c.Metrics,
-		trace:    tb,
-	}
+	ls := newLatticeSearch(c.Net, c.From, c.Cfg, c.Cache, traffic)
+	ls.metrics = c.Metrics
+	ls.trace = tb
 	maxSize := c.Cfg.SMax
 	if len(terms) < maxSize {
 		maxSize = len(terms)
@@ -132,20 +175,48 @@ func fanoutOf(cfg Config) int {
 // and Coordinator.Search: the fabric to probe, the failover and fan-out
 // parameters, the optional fetch-response cache and the counters.
 type latticeSearch struct {
-	net      overlay.Fabric
-	from     overlay.Member
-	replicas int
-	fanout   int
-	cache    *cache.LRU[cachedFetch]
-	traffic  *Traffic
-	reg      *telemetry.Registry     // nil: no per-level registry series
-	trace    *telemetry.TraceBuilder // nil: tracing off (nil-safe methods)
+	net        overlay.Fabric
+	from       overlay.Member
+	self       string // from's address ("" without a coordinating member)
+	placeReads bool   // every chain member holds a full copy: ReadPlan may choose among them
+	localRoute bool   // ownership resolves from a local table (overlay.LocalResolver)
+	replicas   int
+	fanout     int
+	cache      *cache.LRU[cachedFetch]
+	traffic    *Traffic
+	metrics    *QueryMetrics           // nil: no registry series
+	trace      *telemetry.TraceBuilder // nil: tracing off (nil-safe methods)
+
+	localFetches int // fetch batches served by self, this query
+}
+
+func newLatticeSearch(net overlay.Fabric, from overlay.Member, cfg Config,
+	fetchCache *cache.LRU[cachedFetch], traffic *Traffic) *latticeSearch {
+	ls := &latticeSearch{
+		net:      net,
+		from:     from,
+		replicas: replicasOf(cfg),
+		fanout:   fanoutOf(cfg),
+		cache:    fetchCache,
+		traffic:  traffic,
+	}
+	if from != nil {
+		ls.self = from.Addr()
+	}
+	// After a departure and until a repair sweep completes, the member
+	// promotion added to a replica set holds no (or a partial) copy; only
+	// the primary — an old replica — is safe to read. The fabric knows.
+	churn, ok := net.(overlay.Churn)
+	ls.placeReads = !ok || !churn.Unrepaired()
+	_, ls.localRoute = net.(overlay.LocalResolver)
+	return ls
 }
 
 // run traverses the lattice of term subsets level-synchronously: each
 // level's candidates survive subsumption pruning against the previous
-// level, their owners resolve in one routing pass, and every owner
-// receives a single multi-key fetch RPC — at most fanout in flight.
+// level, their replica chains resolve in one routing pass, and every
+// chosen reader (probeLevel, ReadPlan) receives a single multi-key fetch
+// — at most fanout in flight.
 // Found keys' bounded posting lists are unioned in candidate order (so
 // the ranked answer is identical at any fan-out) and ranked.
 func (ls *latticeSearch) run(terms []string, maxSize, k int) (*SearchResult, error) {
@@ -211,12 +282,13 @@ func (ls *latticeSearch) run(terms []string, maxSize, k int) (*SearchResult, err
 			telemetry.Num("found", uint64(res.FoundKeys-foundBefore)),
 			telemetry.Num("postings", res.FetchedPosts-postsBefore))
 		ls.trace.End(lvlSpan)
-		if ls.reg != nil {
-			lvl := telemetry.L("level", strconv.Itoa(size))
-			ls.reg.Counter(metricQueryProbes, lvl).Add(uint64(len(outcomes)))
-			ls.reg.Counter(metricQueryFetchRPCs, lvl).Add(uint64(res.RPCs - rpcsBefore))
-			ls.reg.Counter(metricQueryPostings, lvl).Add(res.FetchedPosts - postsBefore)
-			ls.reg.Histogram(metricQueryLevelNanos, lvl).ObserveDuration(time.Since(levelStart))
+		if ls.metrics != nil {
+			lvl := &ls.metrics.levels[size]
+			lvl.probes.Add(uint64(len(outcomes)))
+			lvl.found.Add(uint64(res.FoundKeys - foundBefore))
+			lvl.fetchRPCs.Add(uint64(res.RPCs - rpcsBefore))
+			lvl.postings.Add(res.FetchedPosts - postsBefore)
+			lvl.nanos.ObserveDuration(time.Since(levelStart))
 		}
 	}
 	ls.traffic.FetchedPosts.Add(res.FetchedPosts)
@@ -224,8 +296,9 @@ func (ls *latticeSearch) run(terms []string, maxSize, k int) (*SearchResult, err
 	ls.traffic.FetchRPCs.Add(uint64(res.RPCs))
 	ls.traffic.QueryRounds.Add(uint64(res.Rounds))
 	ls.traffic.SearchFailovers.Add(uint64(res.Failovers))
-	if ls.reg != nil && res.Failovers > 0 {
-		ls.reg.Counter(metricQueryFailovers).Add(uint64(res.Failovers))
+	if ls.metrics != nil {
+		ls.metrics.failovers.Add(uint64(res.Failovers))
+		ls.metrics.localFetches.Add(uint64(ls.localFetches))
 	}
 	rankSpan := ls.trace.Start(0, "rank", telemetry.Num("k", uint64(k)))
 	res.Results = rank.TopKByScore(acc, k)
@@ -313,17 +386,26 @@ type probeState struct {
 	owners []string
 }
 
+// ownerBatch is one wave's fetch batch: the keys currently assigned to
+// one replica address, in candidate order.
+type ownerBatch struct {
+	addr   string
+	states []probeState
+	err    error
+}
+
 // replicaChain returns a key's ordered replica addresses — the routed
 // primary first (when routing succeeded), then the resolver's remaining
-// owners. Both the insert fan-out and the fetch failover walk this same
-// chain, so write placement and read failover can never diverge. When
-// routing and the resolver agree (the steady state) the chain is exactly
-// the R-member replica set; a routed address the resolver no longer
-// names (membership changed between the routing walk and the resolver
-// lookup) is kept as an extra leading entry rather than displacing a
-// legitimate owner. An empty routedAddr (route failure) falls back to
-// the placement ground truth alone; the result is empty only on an
-// empty overlay.
+// owners. The insert fan-out writes to every address of this chain and
+// the fetch path reads from one of them (ReadPlan picks which, failover
+// walks the rest), so write placement and read placement can never
+// diverge. When routing and the resolver agree (the steady state) the
+// chain is exactly the R-member replica set; a routed address the
+// resolver no longer names (membership changed between the routing walk
+// and the resolver lookup) is kept as an extra leading entry rather
+// than displacing a legitimate owner. An empty routedAddr (route
+// failure) falls back to the placement ground truth alone; the result is
+// empty only on an empty overlay.
 func replicaChain(net overlay.Fabric, r int, routedAddr, canonical string) []string {
 	if routedAddr != "" && r == 1 {
 		return []string{routedAddr}
@@ -341,15 +423,17 @@ func replicaChain(net overlay.Fabric, r int, routedAddr, canonical string) []str
 }
 
 // probeLevel resolves one lattice level: cache hits answer locally, the
-// remaining keys are routed to their owners in one parallel pass, grouped
-// per owner, and fetched with one batched RPC per owner — at most
-// fanout in flight. A batch whose owner fails (unreachable after
-// transport retries, departed, or answering garbage) is re-sent to the
-// keys' next replica — successive waves walk each key's replica set until
-// a copy answers or every replica is exhausted; each re-sent batch counts
-// one Failover. Workers fill disjoint outcome slots; the slice comes back
-// in candidate order so accumulation stays deterministic regardless of
-// which replica answered.
+// remaining keys' replica chains are resolved in one routing pass,
+// ReadPlan chooses each key's reader — the coordinating member itself
+// when it holds a copy, else the fewest other members that cover the
+// level — and every chosen reader gets one batched fetch, at most fanout
+// in flight. A batch whose reader fails (unreachable after transport
+// retries, departed, or answering garbage) is re-sent to the keys' next
+// replica — successive waves walk each key's chain until a copy answers
+// or every replica is exhausted; each re-sent batch counts one Failover.
+// Workers fill disjoint outcome slots; the slice comes back in candidate
+// order so accumulation stays deterministic regardless of which replica
+// answered.
 func (ls *latticeSearch) probeLevel(level []string, res *SearchResult, lvlSpan int) ([]probeOutcome, error) {
 	outcomes := make([]probeOutcome, len(level))
 	var pending []int // outcome slots needing a network fetch
@@ -370,81 +454,112 @@ func (ls *latticeSearch) probeLevel(level []string, res *SearchResult, lvlSpan i
 	}
 	fanout := ls.fanout
 
-	// One routing pass: resolve every pending key's primary owner
-	// concurrently, and its full replica set for failover. Routing
-	// errors are themselves failed over to the placement ground truth:
-	// the resolver knows the owners without a network walk.
+	// One routing pass: resolve every pending key's primary owner and its
+	// full replica set. Routing errors are themselves failed over to the
+	// placement ground truth: the resolver knows the owners without a
+	// network walk. A fabric resolving from a local table is walked in
+	// this goroutine; one whose Route is transport calls is fanned out.
 	routeSpan := ls.trace.Start(lvlSpan, "route", telemetry.Num("keys", uint64(len(pending))))
-	states := make([]probeState, len(pending))
+	chains := make([][]string, len(pending))
 	routeErrs := make([]error, len(pending))
-	forEachLimit(len(pending), fanout, func(j int) {
+	resolve := func(j int) {
 		canonical := outcomes[pending[j]].canonical
 		routedAddr := ""
 		owner, _, err := ls.net.Route(ls.from, canonical)
 		if err == nil {
 			routedAddr = owner.Addr()
 		}
-		chain := replicaChain(ls.net, ls.replicas, routedAddr, canonical)
-		if len(chain) == 0 {
+		chains[j] = replicaChain(ls.net, ls.replicas, routedAddr, canonical)
+		if len(chains[j]) == 0 {
 			routeErrs[j] = err
-			return
 		}
-		states[j] = probeState{idx: pending[j], owners: chain}
-	})
-	ls.trace.End(routeSpan)
+	}
+	if ls.localRoute {
+		for j := range pending {
+			resolve(j)
+		}
+	} else {
+		forEachLimit(len(pending), fanout, resolve)
+	}
 	for _, err := range routeErrs {
 		if err != nil {
+			ls.trace.End(routeSpan)
 			return nil, err
 		}
 	}
+	if ls.placeReads {
+		ReadPlan(chains, ls.self)
+	}
+	ls.trace.End(routeSpan)
+	states := make([]probeState, len(pending))
+	for j, chain := range chains {
+		states[j] = probeState{idx: pending[j], owners: chain}
+	}
 
-	// Fetch waves: wave 0 contacts every key's current owner; keys whose
+	// Fetch waves: wave 0 contacts every key's chosen reader; keys whose
 	// batch failed advance to their next replica and go into the next
 	// wave. At most len(chain) waves, so the walk always terminates.
 	for wave := 0; len(states) > 0; wave++ {
-		// Group per current owner, preserving candidate order both
-		// across batches and inside each batch.
-		byOwner := make(map[string][]probeState, len(states))
-		var addrs []string
+		// Group per current reader, preserving candidate order both
+		// across batches and inside each batch — except that self's
+		// batch, if any, leads: it is served first, in this goroutine.
+		var batches []ownerBatch
 		for _, st := range states {
 			addr := st.owners[0]
-			if _, ok := byOwner[addr]; !ok {
-				addrs = append(addrs, addr)
+			b := 0
+			for b < len(batches) && batches[b].addr != addr {
+				b++
 			}
-			byOwner[addr] = append(byOwner[addr], st)
+			if b == len(batches) {
+				batches = append(batches, ownerBatch{addr: addr})
+			}
+			batches[b].states = append(batches[b].states, st)
 		}
-
-		fetchErrs := make([]error, len(addrs))
-		forEachLimit(len(addrs), fanout, func(j int) {
-			batch := byOwner[addrs[j]]
-			idxs := make([]int, len(batch))
-			for i, st := range batch {
+		fetch := func(j int) {
+			b := &batches[j]
+			idxs := make([]int, len(b.states))
+			for i, st := range b.states {
 				idxs[i] = st.idx
 			}
 			fetchSpan := ls.trace.Start(lvlSpan, "fetch",
-				telemetry.Str("owner", addrs[j]),
+				telemetry.Str("owner", b.addr),
 				telemetry.Num("keys", uint64(len(idxs))),
-				telemetry.Num("wave", uint64(wave)))
-			fetchErrs[j] = ls.fetchOwnerBatch(addrs[j], idxs, outcomes)
-			if fetchErrs[j] != nil {
-				ls.trace.Annotate(fetchSpan, telemetry.Str("error", fetchErrs[j].Error()))
+				telemetry.Num("wave", uint64(wave)),
+				telemetry.Str("local", strconv.FormatBool(b.addr == ls.self)))
+			b.err = ls.fetchOwnerBatch(b.addr, idxs, outcomes)
+			if b.err != nil {
+				ls.trace.Annotate(fetchSpan, telemetry.Str("error", b.err.Error()))
 			}
 			ls.trace.End(fetchSpan)
-		})
-		res.RPCs += len(addrs)
+		}
+		// Self's batch is a store read on a daemon, not an RPC: serve it
+		// before fanning out, so a wave of {self, one remote reader} — the
+		// common shape once reads are placed — starts no goroutine at all.
+		remote := 0
+		for j := range batches {
+			if batches[j].addr == ls.self {
+				batches[0], batches[j] = batches[j], batches[0]
+				fetch(0)
+				ls.localFetches++
+				remote = 1
+				break
+			}
+		}
+		forEachLimit(len(batches)-remote, fanout, func(j int) { fetch(remote + j) })
+		res.RPCs += len(batches)
 		if wave > 0 {
-			res.Failovers += len(addrs)
+			res.Failovers += len(batches)
 		}
 
 		var retry []probeState
-		for j, addr := range addrs {
-			if fetchErrs[j] == nil {
+		for _, b := range batches {
+			if b.err == nil {
 				continue
 			}
-			for _, st := range byOwner[addr] {
+			for _, st := range b.states {
 				if len(st.owners) <= 1 {
 					return nil, fmt.Errorf("core: fetch %q: all %d replicas failed: %w",
-						outcomes[st.idx].canonical, ls.replicas, fetchErrs[j])
+						outcomes[st.idx].canonical, ls.replicas, b.err)
 				}
 				retry = append(retry, probeState{idx: st.idx, owners: st.owners[1:]})
 			}

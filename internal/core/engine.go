@@ -441,11 +441,13 @@ type SearchResult struct {
 // the global index with a level-synchronous, batched, parallel traversal:
 // each level's candidates survive subsumption pruning against the
 // previous level (supersets of HDKs are never stored; supersets of absent
-// keys cannot exist), their owners are resolved in one routing pass, and
-// every owner receives a single multi-key fetch RPC — at most
-// Config.SearchFanout RPCs in flight. Found keys' bounded posting lists
-// are unioned in candidate order (so the ranked answer is identical at
-// any fan-out) and ranked. The traversal itself (latticeSearch in
+// keys cannot exist), their replica chains are resolved in one routing
+// pass, each key's reader is chosen from its chain (ReadPlan: from's own
+// copy first, then the fewest other members), and every chosen reader
+// receives a single multi-key fetch RPC — at most Config.SearchFanout
+// RPCs in flight. Found keys' bounded posting lists are unioned in
+// candidate order (so the ranked answer is identical at any fan-out and
+// whichever replica answered) and ranked. The traversal itself (latticeSearch in
 // coordinate.go) is shared verbatim with the daemon-side hdk.search
 // coordinator, so a coordinated answer cannot drift from this one.
 func (e *Engine) Search(q corpus.Query, from overlay.Member, k int) (*SearchResult, error) {
@@ -457,15 +459,7 @@ func (e *Engine) Search(q corpus.Query, from overlay.Member, k int) (*SearchResu
 	if len(terms) < maxSize {
 		maxSize = len(terms)
 	}
-	ls := &latticeSearch{
-		net:      e.net,
-		from:     from,
-		replicas: e.replicas(),
-		fanout:   e.searchFanout(),
-		cache:    e.queryCache,
-		traffic:  &e.traffic,
-	}
-	return ls.run(terms, maxSize, k)
+	return newLatticeSearch(e.net, from, e.cfg, e.queryCache, &e.traffic).run(terms, maxSize, k)
 }
 
 // searchFanout returns the effective per-level RPC concurrency.
@@ -667,7 +661,9 @@ func (e *Engine) AuditReplicas() replica.AuditStats {
 // RemoveNode handoff, nothing is copied anywhere. Peers hosted on the
 // node drop out of the build set. With ReplicationFactor >= 2 the
 // surviving replicas keep every key reachable; RepairReplicas restores
-// full coverage afterwards.
+// full coverage afterwards. In between the fabric reports the departure
+// as Unrepaired (overlay.Churn) and every search reads primary-first:
+// the member the crash promoted into a replica set holds no copy yet.
 func (e *Engine) FailNode(node overlay.Member) error {
 	churn, ok := e.net.(overlay.Churn)
 	if !ok {

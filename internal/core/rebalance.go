@@ -112,6 +112,7 @@ func (e *Engine) RemoveNode(node overlay.Member) error {
 	if !ok {
 		return fmt.Errorf("core: fabric does not support node removal")
 	}
+	owed := churn.Unrepaired() // an earlier crash this leave must not paper over
 	if !churn.RemoveNode(node.ID()) {
 		return fmt.Errorf("core: node %x not in overlay", node.ID())
 	}
@@ -138,5 +139,10 @@ func (e *Engine) RemoveNode(node overlay.Member) error {
 	}
 	e.peers = kept
 	e.InvalidateQueryCache()
-	return nil
+	if owed {
+		return nil
+	}
+	// The handoff above filled every replica set the leave reshaped, so
+	// this departure leaves no repair debt behind.
+	return churn.MarkRepaired()
 }

@@ -180,11 +180,18 @@ func TestSearchFailoverGroundTruth(t *testing.T) {
 	before := searchAll(t, eng, col, queries)
 
 	// Block fetches at one node and re-run: every answer must be served
-	// by the second replica, bit-identically.
-	blocker.victim = nodes[3].Addr()
+	// by the second replica, bit-identically. The victim is the origin's
+	// ring successor: read placement (ReadPlan) puts the keys the origin
+	// holds on the origin itself, so of the successor's two chains only
+	// the one it leads, {successor, successor+1}, is ever read remotely —
+	// when the plan picks it, every key of the blocked batch has the same
+	// next replica and the batch is re-sent as exactly one batch. (A
+	// member read for two different chains would split a blocked batch
+	// in two, and blocked batches would no longer equal re-sends.)
+	from := eng.net.Members()[0]
+	blocker.victim = eng.net.Members()[1].Addr()
 	blocker.arm()
 	failovers := 0
-	from := eng.net.Members()[0]
 	for i := 0; i < queries; i++ {
 		q := corpus.Query{Terms: col.Docs[i].Terms[:2]}
 		res, err := eng.Search(q, from, 20)
@@ -205,7 +212,7 @@ func TestSearchFailoverGroundTruth(t *testing.T) {
 	// Ground truth: every blocked batch triggered exactly one re-send to
 	// the next replica, and nothing else did.
 	if failovers == 0 {
-		t.Fatal("victim never owned a probed key — test proves nothing")
+		t.Fatal("victim never chosen as a reader — test proves nothing")
 	}
 	if got := blocker.count(); failovers != got {
 		t.Fatalf("Failovers counted %d, transport blocked %d fetch batches", failovers, got)

@@ -52,8 +52,10 @@ type TCPClusterReport struct {
 	Docs     int
 	Queries  int
 
-	// Deployment parity: pre-crash queries whose ranked answers are NOT
-	// bit-identical to the in-process reference engine (must be 0).
+	// Deployment parity: answers NOT bit-identical to the in-process
+	// reference engine (must be 0) — pre-crash through the client engine,
+	// then coordinated by every survivor after the forget, unrepaired and
+	// repaired.
 	Mismatches int
 
 	// Failure sequence.
@@ -73,8 +75,10 @@ type TCPClusterReport struct {
 	PoolReuses   uint64
 }
 
-// ExactParity reports whether every pre-crash query matched the
-// in-process engine bit for bit.
+// ExactParity reports whether every query matched the in-process engine
+// bit for bit: the pre-crash sweep through the client engine, and every
+// survivor coordinating the whole set after the forget — before the
+// repair sweep and again after it.
 func (r *TCPClusterReport) ExactParity() bool { return r.Mismatches == 0 }
 
 // TCPCluster runs the deployment scenario against an already-running
@@ -157,26 +161,15 @@ func TCPCluster(tr transport.Transport, addrs []string, crash func(i int) error,
 		BuildNanos: time.Since(buildStart).Nanoseconds(),
 	}
 
-	// Pre-crash parity sweep.
-	origin := c.Members()[0]
-	for i, q := range queries {
-		res, err := eng.Search(q, origin, opts.TopK)
-		if err != nil {
-			return nil, fmt.Errorf("cluster query %d: %w", i, err)
-		}
-		if !reflect.DeepEqual(intact[i], res.Results) {
-			rep.Mismatches++
-		}
-	}
-	progress("tcpcluster: %d/%d queries bit-identical to in-process engine", len(queries)-rep.Mismatches, len(queries))
-
-	// Crash one process — the client is NOT told: the next searches must
-	// discover the failure through dead fetches and fail over. The
-	// victim is the member that OWNS the first query's first term, which
-	// guarantees the query set exercises the failover path: with only a
-	// handful of nodes the ring arcs vary wildly, and a position-picked
-	// victim can legitimately own zero probed keys (≈12% of layouts),
-	// turning the failover gate into a coin flip.
+	// The victim is the member that OWNS the first query's first term:
+	// with only a handful of nodes the ring arcs vary wildly, and a
+	// position-picked victim can legitimately own zero probed keys (≈12%
+	// of layouts). Owning a key is not yet being read for it, though:
+	// reads go to the searching member's own copy first and otherwise to
+	// the fewest other members (core.ReadPlan). So the searches originate
+	// at a surviving member whose first-level plan for some query reads
+	// from the victim — the query set then exercises the failover path
+	// by construction instead of by coin flip.
 	victim, ok := c.OwnerOf(col.Vocab[queries[0].Terms[0]])
 	if !ok {
 		return nil, fmt.Errorf("experiments: empty membership")
@@ -190,6 +183,30 @@ func TCPCluster(tr transport.Transport, addrs []string, crash func(i int) error,
 	if victimIdx < 0 {
 		return nil, fmt.Errorf("experiments: victim %s not in address list", victim.Addr())
 	}
+	var origin overlay.Member
+	for _, q := range queries {
+		if origin = c.CoordinatorReading(eng.QueryTerms(q), opts.Replicas, victim.Addr()); origin != nil {
+			break
+		}
+	}
+	if origin == nil {
+		return nil, fmt.Errorf("experiments: no surviving member's read plan names %s — the query set cannot exercise failover", victim.Addr())
+	}
+
+	// Pre-crash parity sweep.
+	for i, q := range queries {
+		res, err := eng.Search(q, origin, opts.TopK)
+		if err != nil {
+			return nil, fmt.Errorf("cluster query %d: %w", i, err)
+		}
+		if !reflect.DeepEqual(intact[i], res.Results) {
+			rep.Mismatches++
+		}
+	}
+	progress("tcpcluster: %d/%d queries bit-identical to in-process engine", len(queries)-rep.Mismatches, len(queries))
+
+	// Crash the victim — the client is NOT told: the next searches must
+	// discover the failure through dead fetches and fail over.
 	progress("tcpcluster: crashing process %d (%s)", victimIdx, victim.Addr())
 	if err := crash(victimIdx); err != nil {
 		return nil, fmt.Errorf("crash process %d: %w", victimIdx, err)
@@ -215,6 +232,15 @@ func TCPCluster(tr transport.Transport, addrs []string, crash func(i int) error,
 		return nil, fmt.Errorf("post-forget discovery via %s: %d members (err %v), want %d",
 			survivor, len(fresh), err, opts.Nodes-1)
 	}
+	// Forgotten but not yet repaired: the daemons' replica sets now name
+	// members the crash promoted, which hold no copy. Every survivor must
+	// still coordinate every query bit-identically — each reports its view
+	// unrepaired and reads primary-first until the sweep below reports in.
+	n, err := coordinatedMismatches(tr, c, eng, queries, intact, opts.TopK, true)
+	if err != nil {
+		return nil, fmt.Errorf("forgotten, unrepaired: %w", err)
+	}
+	rep.Mismatches += n
 	// Audit and repair through the ENGINE's own methods: its inventory
 	// reaches the daemon-hosted stores over the index RPCs, so the same
 	// call an in-process deployment uses restores coverage here too.
@@ -230,6 +256,11 @@ func TCPCluster(tr transport.Transport, addrs []string, crash func(i int) error,
 	if rep.RecallAfterRepair, _, err = availabilityRecall(eng, queries, intact, origin, opts.TopK); err != nil {
 		return nil, fmt.Errorf("post-repair query: %w", err)
 	}
+	// The sweep told the daemons: they place reads again, same answers.
+	if n, err = coordinatedMismatches(tr, c, eng, queries, intact, opts.TopK, false); err != nil {
+		return nil, fmt.Errorf("repaired: %w", err)
+	}
+	rep.Mismatches += n
 
 	st := tr.Stats()
 	rep.WireMessages, rep.WireBytes = st.Messages, st.Bytes
@@ -240,6 +271,34 @@ func TCPCluster(tr transport.Transport, addrs []string, crash func(i int) error,
 	progress("tcpcluster: recall %.4f after crash (%.2f failovers/query), %.4f after repair (%d copies shipped, %d under-replicated left)",
 		rep.RecallAfterCrash, rep.FailoversPerQuery, rep.RecallAfterRepair, rep.CopiesRepaired, rep.UnderAfterRepair)
 	return rep, nil
+}
+
+// coordinatedMismatches has every member of the client's view coordinate
+// every query (result cache off) and counts the answers that differ from
+// the reference; it also holds each daemon's self-reported repair state
+// to what the scenario expects at that point.
+func coordinatedMismatches(tr transport.Transport, c *cluster.Client, eng *core.Engine,
+	queries []corpus.Query, want [][]rank.Result, k int, unrepaired bool) (int, error) {
+	mismatches := 0
+	for _, m := range c.Members() {
+		info, err := cluster.FetchInfo(tr, m.Addr())
+		if err != nil {
+			return 0, err
+		}
+		if info.Unrepaired != unrepaired {
+			return 0, fmt.Errorf("%s reports unrepaired=%t, want %t", m.Addr(), info.Unrepaired, unrepaired)
+		}
+		for i, q := range queries {
+			res, _, err := c.SearchVia(m.Addr(), core.SearchRequest{Terms: eng.QueryTerms(q), K: k, NoCache: true})
+			if err != nil {
+				return 0, fmt.Errorf("query %d via %s: %w", i, m.Addr(), err)
+			}
+			if !reflect.DeepEqual(want[i], res.Results) {
+				mismatches++
+			}
+		}
+	}
+	return mismatches, nil
 }
 
 // buildInProcReference constructs the classic single-process engine.

@@ -24,7 +24,7 @@ import (
 // RPCs anywhere in the cluster; an incremental index update invalidates
 // every cache and the next coordination matches the updated reference;
 // and with the cache forced off, coordinations keep answering
-// bit-identically after the owner of a probed key is SIGKILLed —
+// bit-identically after a daemon their read plans name is SIGKILLed —
 // node-side replica failover. The CI cluster-e2e job runs this against
 // 5 real child processes (TestTCPServeE2E).
 
@@ -263,33 +263,47 @@ func TCPServe(tr transport.Transport, addrs []string, crash func(i int) error,
 		rep.PostUpdateCached, len(queries)-rep.PostUpdateMismatches, len(queries))
 
 	// Phase 4: crash the owner of the first query's first probed term
-	// and coordinate through a surviving daemon with the cache forced
+	// and coordinate through the surviving daemons with the cache forced
 	// off — the traversal must fail over to the replicas and keep
-	// answering bit-identically. (The victim choice guarantees the
-	// query set exercises the failover path; see TCPCluster.)
+	// answering bit-identically. Owning a key is not the same as being
+	// read for it: a coordinator reads its own copy first and covers the
+	// rest with the fewest other members (core.ReadPlan), so a single
+	// survivor may route around the dead process without ever choosing
+	// it. Each query is therefore coordinated by a survivor whose
+	// first-level plan reads from the victim when one exists (the first
+	// level's candidates are the query's terms, so its plan is computable
+	// up front), and by the survivors in rotation otherwise — the crash
+	// is exercised by construction, not by luck.
 	victim, ok := c.OwnerOf(full.Vocab[queries[0].Terms[0]])
 	if !ok {
 		return nil, fmt.Errorf("experiments: empty membership")
 	}
-	victimIdx, coordIdx := -1, -1
+	victimIdx := -1
+	var survivors []string
 	for i, a := range addrs {
 		if a == victim.Addr() {
 			victimIdx = i
-		} else if coordIdx < 0 {
-			coordIdx = i
+		} else {
+			survivors = append(survivors, a)
 		}
 	}
-	if victimIdx < 0 || coordIdx < 0 {
+	if victimIdx < 0 || len(survivors) == 0 {
 		return nil, fmt.Errorf("experiments: victim %s not in address list", victim.Addr())
 	}
-	progress("tcpserve: crashing process %d (%s), coordinating via %s", victimIdx, victim.Addr(), addrs[coordIdx])
+	progress("tcpserve: crashing process %d (%s), coordinating via the %d survivors", victimIdx, victim.Addr(), len(survivors))
 	if err := crash(victimIdx); err != nil {
 		return nil, fmt.Errorf("crash process %d: %w", victimIdx, err)
 	}
+	planned := 0
 	for i := range queries {
+		coord := survivors[i%len(survivors)]
+		if m := c.CoordinatorReading(reqs[i].Terms, opts.Replicas, victim.Addr()); m != nil {
+			coord = m.Addr()
+			planned++
+		}
 		req := reqs[i]
 		req.NoCache = true
-		got, _, err := c.SearchVia(addrs[coordIdx], req)
+		got, _, err := c.SearchVia(coord, req)
 		if err != nil {
 			return nil, fmt.Errorf("post-crash query %d: %w", i, err)
 		}
@@ -297,6 +311,9 @@ func TCPServe(tr transport.Transport, addrs []string, crash func(i int) error,
 			rep.FailoverMismatches++
 		}
 		rep.FailoverBatches += got.Failovers
+	}
+	if planned == 0 {
+		return nil, fmt.Errorf("experiments: no survivor's read plan names the crashed member %s — the query set cannot exercise failover", victim.Addr())
 	}
 	progress("tcpserve: post-crash %d/%d parity, %d failover batches",
 		len(queries)-rep.FailoverMismatches, len(queries), rep.FailoverBatches)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/overlay"
 	"repro/internal/rank"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -26,10 +27,11 @@ import (
 // with what a client actually experienced: every hdk.search response
 // the client saw (fresh, cached, shed) is matched against the summed
 // hdk_search_* counter deltas; traced coordinations are matched
-// span-by-span against the client-fabric engine's deterministic
-// per-level RPC counters; and the -http endpoint's Prometheus
-// exposition must parse, carry a non-empty coordination-latency
-// histogram, a present build_info series and an idle queue depth of 0.
+// against the coordinator's own SearchResult and, level by level,
+// against the client-fabric engine searching from the same member; and
+// the -http endpoint's Prometheus exposition must parse, carry a
+// non-empty coordination-latency histogram, a present build_info series
+// and an idle queue depth of 0.
 // The CI cluster-e2e job runs this against 5 real child processes
 // started with -search-workers 1 -search-queue 0 -http 127.0.0.1:0
 // (TestTCPTelemetryE2E).
@@ -84,11 +86,12 @@ type TelemetryReport struct {
 	CacheMissDelta uint64
 	ShedDelta      uint64
 
-	// Traced coordinations vs the client-fabric engine's deterministic
-	// counters: per-level span rpcs attrs vs Traffic.FetchRPCsBySize
-	// deltas, fetch-span counts vs the same, and bit-identical answers.
+	// Traced coordinations vs the coordinator's own SearchResult (rounds,
+	// RPCs, failovers) and vs the client-fabric engine searching from the
+	// coordinating member: per-level span rpcs attrs vs
+	// Traffic.FetchRPCsBySize deltas, and bit-identical answers.
 	TracedQueries    int
-	TraceMismatches  int // per-level RPC counts diverging from the engine
+	TraceMismatches  int // per-level RPC counts diverging from the engine, or trace totals from the result
 	TraceSpanDefects int // missing root/admission/rank, or fetch spans not matching rpcs
 	ResultMismatches int // traced answers diverging from the engine's
 
@@ -100,6 +103,14 @@ type TelemetryReport struct {
 	CoordP99    float64 // merged coordination p99 (ns); must be > 0
 	QueueDepth  float64 // summed hdk_search_queue_depth at idle; must be 0
 	SlowLogged  uint64  // summed hdk_search_slow_total (daemons run -slow-query 1ns)
+
+	// The coordinator series the absent-probe ratio and the local/remote
+	// batch split are read from, summed over levels and daemons: found
+	// keys out of probes, local fetch batches out of all fetch batches.
+	ScrapedProbes       uint64 // hdk_query_probes_total
+	ScrapedFoundKeys    uint64 // hdk_query_found_keys_total; must be in (0, ScrapedProbes]
+	ScrapedFetchRPCs    uint64 // hdk_query_fetch_rpcs_total
+	ScrapedLocalFetches uint64 // hdk_query_local_fetches_total; must be in (0, ScrapedFetchRPCs]
 }
 
 // Clean reports whether every observability gate held.
@@ -112,7 +123,9 @@ func (r *TelemetryReport) Clean() bool {
 		r.TraceSpanDefects == 0 && r.ResultMismatches == 0 &&
 		r.HealthOK == r.Nodes && r.ScrapeOK == r.Nodes &&
 		r.BuildInfoOK == r.Nodes && r.CoordCount > 0 && r.CoordP99 > 0 &&
-		r.QueueDepth == 0 && r.SlowLogged > 0
+		r.QueueDepth == 0 && r.SlowLogged > 0 &&
+		r.ScrapedFoundKeys > 0 && r.ScrapedFoundKeys <= r.ScrapedProbes &&
+		r.ScrapedLocalFetches > 0 && r.ScrapedLocalFetches <= r.ScrapedFetchRPCs
 }
 
 // Telemetry runs the observability scenario against an already-running
@@ -254,11 +267,15 @@ func Telemetry(tr transport.Transport, addrs, httpAddrs []string,
 	if traced <= 0 || traced > len(queries) {
 		traced = len(queries)
 	}
-	origin := members[0]
+	origins := make(map[string]overlay.Member, len(members))
+	for _, m := range members {
+		origins[m.Addr()] = m
+	}
 	for i := 0; i < traced; i++ {
 		req := reqs[i]
 		req.NoCache = true
-		res, trace, err := c.SearchTraceVia(addrs[i%len(addrs)], req)
+		coord := addrs[i%len(addrs)]
+		res, trace, err := c.SearchTraceVia(coord, req)
 		if err != nil {
 			return nil, fmt.Errorf("traced query %d: %w", i, err)
 		}
@@ -268,8 +285,11 @@ func Telemetry(tr transport.Transport, addrs, httpAddrs []string,
 			rep.TraceSpanDefects++
 			continue
 		}
+		// The engine searches from the coordinating daemon's own member:
+		// which replica a key is read from — and so how a level's keys
+		// group into batches — depends on who coordinates (core.ReadPlan).
 		tb := eng.Traffic().Snapshot()
-		want, err := eng.Search(queries[i], origin, opts.TopK)
+		want, err := eng.Search(queries[i], origins[coord], opts.TopK)
 		if err != nil {
 			return nil, fmt.Errorf("reference query %d: %w", i, err)
 		}
@@ -278,6 +298,7 @@ func Telemetry(tr transport.Transport, addrs, httpAddrs []string,
 			rep.ResultMismatches++
 		}
 		rep.TraceMismatches += traceLevelMismatches(trace, tb, ta)
+		rep.TraceMismatches += traceResultMismatches(trace, res)
 		rep.TraceSpanDefects += traceShapeDefects(trace)
 	}
 	progress("telemetry: %d traced coordinations, %d level mismatches, %d shape defects",
@@ -336,6 +357,35 @@ func traceLevelMismatches(trace *telemetry.Trace, before, after core.TrafficSnap
 		if got[size] != after.FetchRPCsBySize[size]-before.FetchRPCsBySize[size] {
 			mismatches++
 		}
+	}
+	return mismatches
+}
+
+// traceResultMismatches compares a trace against the SearchResult the
+// same coordination returned: one level span per round, and the level
+// spans' rpcs and failovers attributes and the fetch spans themselves
+// summing to the result's own counters.
+func traceResultMismatches(trace *telemetry.Trace, res *core.SearchResult) int {
+	levels := trace.Find("level")
+	var rpcs, failovers uint64
+	for _, id := range levels {
+		r, err1 := strconv.ParseUint(trace.Spans[id].Attr("rpcs"), 10, 64)
+		f, err2 := strconv.ParseUint(trace.Spans[id].Attr("failovers"), 10, 64)
+		if err1 != nil || err2 != nil {
+			return 1
+		}
+		rpcs += r
+		failovers += f
+	}
+	mismatches := 0
+	if len(levels) != res.Rounds {
+		mismatches++
+	}
+	if rpcs != uint64(res.RPCs) || len(trace.Find("fetch")) != res.RPCs {
+		mismatches++
+	}
+	if failovers != uint64(res.Failovers) {
+		mismatches++
 	}
 	return mismatches
 }
@@ -407,6 +457,14 @@ func scrapeCluster(httpAddrs []string, rep *TelemetryReport) {
 				rep.QueueDepth += s.Value
 			case "hdk_search_slow_total":
 				rep.SlowLogged += uint64(s.Value)
+			case "hdk_query_probes_total":
+				rep.ScrapedProbes += uint64(s.Value)
+			case "hdk_query_found_keys_total":
+				rep.ScrapedFoundKeys += uint64(s.Value)
+			case "hdk_query_fetch_rpcs_total":
+				rep.ScrapedFetchRPCs += uint64(s.Value)
+			case "hdk_query_local_fetches_total":
+				rep.ScrapedLocalFetches += uint64(s.Value)
 			}
 		}
 		q99, count := telemetry.PromHistogramQuantile(samples, "hdk_search_coordination_nanoseconds", nil, 0.99)
@@ -429,4 +487,6 @@ func (r *TelemetryReport) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "scrape: %d/%d healthz, %d/%d metrics, %d/%d build_info | coord p99 %.2fms over %d | queue %.0f | %d slow-logged\n",
 		r.HealthOK, r.Nodes, r.ScrapeOK, r.Nodes, r.BuildInfoOK, r.Nodes,
 		r.CoordP99/1e6, r.CoordCount, r.QueueDepth, r.SlowLogged)
+	fmt.Fprintf(w, "coordinator series: %d/%d probes found a key | %d/%d fetch batches served by the coordinator's own store\n",
+		r.ScrapedFoundKeys, r.ScrapedProbes, r.ScrapedLocalFetches, r.ScrapedFetchRPCs)
 }

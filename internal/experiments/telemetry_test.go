@@ -21,11 +21,13 @@ import (
 // 1ns, and -search-workers 1 -search-queue 0 so a burst actually
 // sheds) and runs the telemetry scenario: the daemons' cluster.metrics
 // counter deltas must equal the client-observed served/hit/miss/shed
-// counts EXACTLY, traced coordinations must match the client-fabric
-// engine's deterministic per-level RPC counters span by span, and
-// every /metrics exposition must parse with a non-zero coordination
-// p99. This is a CI cluster-e2e gate; skipped under -short because it
-// compiles a binary and forks children.
+// counts EXACTLY, traced coordinations must match the coordinator's
+// own SearchResult and the client-fabric engine's per-level RPC counters
+// (searching from the coordinating member) span by span, and every
+// /metrics exposition must parse with a non-zero coordination p99 and
+// the found-keys and local-fetches series. This is a CI cluster-e2e
+// gate; skipped under -short because it compiles a binary and forks
+// children.
 func TestTCPTelemetryE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns child processes; skipped in -short mode")
@@ -115,6 +117,14 @@ func TestTCPTelemetryE2E(t *testing.T) {
 	}
 	if rep.SlowLogged == 0 {
 		t.Error("hdk_search_slow_total is 0 with -slow-query 1ns")
+	}
+	// The two series the absent-probe ratio and the local/remote batch
+	// split are derived from must be scrapeable and consistent.
+	if rep.ScrapedFoundKeys == 0 || rep.ScrapedFoundKeys > rep.ScrapedProbes {
+		t.Errorf("hdk_query_found_keys_total %d against hdk_query_probes_total %d", rep.ScrapedFoundKeys, rep.ScrapedProbes)
+	}
+	if rep.ScrapedLocalFetches == 0 || rep.ScrapedLocalFetches > rep.ScrapedFetchRPCs {
+		t.Errorf("hdk_query_local_fetches_total %d against hdk_query_fetch_rpcs_total %d", rep.ScrapedLocalFetches, rep.ScrapedFetchRPCs)
 	}
 	if !rep.Clean() {
 		t.Error("report does not satisfy every telemetry gate")

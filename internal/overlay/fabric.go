@@ -35,8 +35,24 @@ type Fabric interface {
 }
 
 // Churn is optionally implemented by fabrics supporting node departure.
+//
+// A departure leaves every replica set the departed member belonged to
+// one copy short: placement promotes a member into the set that holds
+// nothing (or, after further inserts, a partial entry) until a repair
+// sweep has re-replicated. The fabric remembers that debt, because both
+// transitions pass through it — RemoveNode raises it, and
+// replica.Repairer.Repair settles it with MarkRepaired after a complete
+// sweep — and every read path consults it: while Unrepaired, only a
+// key's primary is known to hold a full copy (promotion makes an old
+// replica the primary), so reads must not be placed on other replicas.
 type Churn interface {
 	RemoveNode(ID) bool
+	// Unrepaired reports that a member departed and no repair sweep has
+	// completed since.
+	Unrepaired() bool
+	// MarkRepaired records that every replica set under the current
+	// membership holds its full complement of copies again.
+	MarkRepaired() error
 }
 
 // RemoteStore is optionally implemented by members whose index store
@@ -66,6 +82,19 @@ func IsRemote(m Member) bool {
 // Fewer than r members are returned when the overlay is smaller than r.
 type MultiOwner interface {
 	OwnersOf(key string, r int) []Member
+}
+
+// LocalResolver is optionally implemented by fabrics whose key
+// ownership resolves from a local membership table: Route, OwnerOf and
+// OwnersOf answer in-process with zero routing hops. A caller resolving
+// many keys at once can then do so in its own loop — fanning table
+// lookups out over goroutines costs more than the lookups. Fabrics whose
+// Route is real per-hop transport calls (the Chord ring, the P-Grid
+// trie) do not implement it and keep the parallel routing pass.
+type LocalResolver interface {
+	// ResolvesLocally is a marker: implementing it is the statement that
+	// ownership resolution never touches the transport.
+	ResolvesLocally()
 }
 
 // Members implements Fabric.

@@ -86,6 +86,9 @@ type Network struct {
 	mu     sync.RWMutex
 	nodes  map[ID]*Node
 	sorted []ID // ring order, maintained on join/leave
+	// unrepaired: a node left and no repair sweep has completed since
+	// (Churn's repair debt).
+	unrepaired bool
 
 	lookupMu      sync.Mutex
 	lookupCount   uint64
@@ -171,7 +174,23 @@ func (n *Network) RemoveNode(id ID) bool {
 		}
 	}
 	n.rebuildRoutingLocked()
+	n.unrepaired = true
 	return true
+}
+
+// Unrepaired implements Churn.
+func (n *Network) Unrepaired() bool {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.unrepaired
+}
+
+// MarkRepaired implements Churn.
+func (n *Network) MarkRepaired() error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.unrepaired = false
+	return nil
 }
 
 // Size returns the number of nodes.

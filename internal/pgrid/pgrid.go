@@ -107,6 +107,9 @@ type Network struct {
 
 	mu    sync.RWMutex
 	peers []*Peer // sorted by path after every rebuild
+	// unrepaired: a peer left and no repair sweep has completed since
+	// (overlay.Churn's repair debt).
+	unrepaired bool
 
 	lookupMu      sync.Mutex
 	lookupCount   uint64
@@ -151,10 +154,26 @@ func (n *Network) RemoveNode(id overlay.ID) bool {
 		if q.id == id {
 			n.peers = append(n.peers[:i], n.peers[i+1:]...)
 			n.rebuildLocked()
+			n.unrepaired = true
 			return true
 		}
 	}
 	return false
+}
+
+// Unrepaired implements overlay.Churn.
+func (n *Network) Unrepaired() bool {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return n.unrepaired
+}
+
+// MarkRepaired implements overlay.Churn.
+func (n *Network) MarkRepaired() error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.unrepaired = false
+	return nil
 }
 
 // rebuildLocked reassigns paths by recursive bisection and rebuilds

@@ -59,29 +59,74 @@ type Result struct {
 	Score float64
 }
 
+// before reports whether a ranks ahead of b: descending score, then
+// ascending doc id. Doc ids are unique within a ranking, so this is a
+// strict total order and every top-k under it is unique.
+func before(a, b Result) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.Doc < b.Doc
+}
+
 // TopKByScore converts a posting list into the k best results, ordered by
 // descending score with doc-id tie-break (deterministic rankings make the
-// Figure 7 overlap measurements reproducible).
+// Figure 7 overlap measurements reproducible). It is a bounded selection:
+// one pass over the list against a k-slot heap whose root is the worst
+// result kept, then an in-place heap sort of those k — O(n log k) and one
+// allocation, where ranking a whole score accumulator to keep ten of it
+// was O(n log n) and an n-sized one.
 func TopKByScore(l postings.List, k int) []Result {
-	res := make([]Result, len(l))
-	for i, p := range l {
-		res[i] = Result{Doc: p.Doc, Score: float64(p.Score)}
+	if k > len(l) {
+		k = len(l)
 	}
-	SortResults(res)
-	if k < len(res) {
-		res = res[:k]
+	res := make([]Result, k)
+	if k == 0 {
+		return res
+	}
+	for i := range res {
+		res[i] = Result{Doc: l[i].Doc, Score: float64(l[i].Score)}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(res, i)
+	}
+	for _, p := range l[k:] {
+		if r := (Result{Doc: p.Doc, Score: float64(p.Score)}); before(r, res[0]) {
+			res[0] = r
+			siftDown(res, 0)
+		}
+	}
+	// Heap sort: the worst result left moves behind the rest, so the
+	// slice ends up best first.
+	for end := k - 1; end > 0; end-- {
+		res[0], res[end] = res[end], res[0]
+		siftDown(res[:end], 0)
 	}
 	return res
 }
 
+// siftDown restores the heap order below h[i]: every parent ranks behind
+// both its children, which keeps the worst result at the root.
+func siftDown(h []Result, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && before(h[c], h[c+1]) {
+			c++ // the worse child
+		}
+		if !before(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
 // SortResults orders results by descending score, ascending doc id.
 func SortResults(res []Result) {
-	sort.Slice(res, func(i, j int) bool {
-		if res[i].Score != res[j].Score {
-			return res[i].Score > res[j].Score
-		}
-		return res[i].Doc < res[j].Doc
-	})
+	sort.Slice(res, func(i, j int) bool { return before(res[i], res[j]) })
 }
 
 // Overlap computes the Figure 7 metric: the fraction (in percent) of the

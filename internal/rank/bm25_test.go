@@ -2,9 +2,12 @@ package rank
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/corpus"
 	"repro/internal/postings"
 )
 
@@ -71,6 +74,64 @@ func TestTopKByScore(t *testing.T) {
 	res := TopKByScore(l, 2)
 	if len(res) != 2 || res[0].Doc != 2 || res[1].Doc != 3 {
 		t.Fatalf("TopKByScore = %v", res)
+	}
+}
+
+// topKFullSort is the reference TopKByScore is held to: convert the whole
+// list, sort all of it, keep the first k.
+func topKFullSort(l postings.List, k int) []Result {
+	res := make([]Result, len(l))
+	for i, p := range l {
+		res[i] = Result{Doc: p.Doc, Score: float64(p.Score)}
+	}
+	SortResults(res)
+	if k < len(res) {
+		res = res[:k]
+	}
+	return res
+}
+
+// randomScoredList is n postings with unique doc ids in random order and
+// scores drawn from `levels` distinct values — few levels means heavy
+// ties, which only the doc-id tie-break orders.
+func randomScoredList(rng *rand.Rand, n, levels int) postings.List {
+	l := make(postings.List, n)
+	for i, doc := range rng.Perm(n) {
+		l[i] = postings.Posting{Doc: corpus.DocID(doc), Score: float32(rng.Intn(levels)) / 4}
+	}
+	return l
+}
+
+// TestTopKByScoreMatchesFullSort: the bounded selection returns exactly
+// what sorting the whole list and truncating does, at every k around the
+// edges and under heavy score ties.
+func TestTopKByScoreMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 300; trial++ {
+		n := rng.Intn(60)
+		if trial == 0 {
+			n = 0 // the empty list
+		}
+		l := randomScoredList(rng, n, 1+rng.Intn(4))
+		for _, k := range []int{0, 1, 10, n, n + 5} {
+			got, want := TopKByScore(l, k), topKFullSort(l, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d k=%d list %v:\n got %v\nwant %v", n, k, l, got, want)
+			}
+		}
+	}
+}
+
+func BenchmarkTopKByScore(b *testing.B) {
+	l := randomScoredList(rand.New(rand.NewSource(1)), 200, 50)
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n += len(TopKByScore(l, 10))
+	}
+	if n != 10*b.N {
+		b.Fatalf("kept %d results over %d runs", n, b.N)
 	}
 }
 

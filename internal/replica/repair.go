@@ -145,7 +145,10 @@ func Audit(f overlay.Fabric, inv Inventory, r int) AuditStats {
 
 // Repair sweeps the inventory and re-replicates every under-replicated
 // key, batching the snapshots per destination member and shipping each
-// batch with one Service RPC over the fabric.
+// batch with one Service RPC over the fabric. Once every batch has
+// landed, the replica sets are whole again under the swept membership,
+// and a fabric that tracks departures (overlay.Churn) is told so — the
+// one place its repair debt is settled, whoever started the sweep.
 func (rp *Repairer) Repair() (RepairStats, error) {
 	r := rp.R
 	if r < 1 {
@@ -175,6 +178,11 @@ func (rp *Repairer) Repair() (RepairStats, error) {
 			return st, fmt.Errorf("replica: repair batch to %s: %w", addr, err)
 		}
 		st.RepairRPCs++
+	}
+	if churn, ok := rp.Fabric.(overlay.Churn); ok {
+		if err := churn.MarkRepaired(); err != nil {
+			return st, fmt.Errorf("replica: repaired, but not recorded: %w", err)
+		}
 	}
 	return st, nil
 }

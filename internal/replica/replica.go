@@ -17,10 +17,16 @@
 // the single-term baseline) can replicate through it.
 //
 // Owners is deliberately the single definition of a key's replica
-// chain: the engine's insert fan-out, the client-side search failover,
-// the repair sweep AND the daemon-side hdk.search coordinator
-// (core.Coordinator over a cluster fabric) all walk the same chain, so
-// write placement and every read path agree on where copies live.
+// chain: the engine's insert fan-out writes to all of it, the repair
+// sweep audits all of it, and every read path — the client-side search
+// and the daemon-side hdk.search coordinator (core.Coordinator over a
+// cluster fabric) — reads ONE member of it and fails over along the
+// rest. Which member is read first is the reader's choice, not this
+// package's: core.ReadPlan prefers the coordinating member's own copy,
+// then the fewest other members, and keeps the chain's order behind the
+// chosen reader. So write placement and every read path agree on where
+// copies live, while the order here promises only failover order and
+// that the first entry is the member OwnerOf names.
 package replica
 
 import (

@@ -31,6 +31,7 @@ import (
 	"math/rand/v2"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -47,6 +48,7 @@ const (
 	ctrlJoin      = "cluster.join"
 	ctrlAnnounce  = "cluster.announce"
 	ctrlForget    = "cluster.forget"
+	ctrlRepaired  = "cluster.repaired"
 	ctrlConfigure = "cluster.configure"
 	ctrlMeta      = "cluster.meta"
 	ctrlMetrics   = "cluster.metrics"
@@ -101,8 +103,10 @@ func (m *Member) localHandler(service string) (transport.Handler, bool) {
 
 // Client is the thin cluster client: an overlay.Fabric over a set of
 // daemon processes. It implements MultiOwner (successor-list placement on
-// the HashNode ring, identical to the Chord overlay's ground truth) and
-// Churn (so core.Engine.FailNode works when a process dies).
+// the HashNode ring, identical to the Chord overlay's ground truth),
+// Churn (so core.Engine.FailNode works when a process dies, and so every
+// traversal over this view knows while a departure is still unrepaired)
+// and LocalResolver (ownership is a lookup in the client's own table).
 type Client struct {
 	tr transport.Transport
 
@@ -111,6 +115,11 @@ type Client struct {
 	byAddr map[string]*Member
 	sorted []overlay.ID
 
+	// unrepaired is overlay.Churn's repair debt for this view: raised by
+	// RemoveNode, adopted from the seed daemon at Dial, settled by
+	// MarkRepaired.
+	unrepaired atomic.Bool
+
 	// Policy, resolved from Options at Dial time (never zero): one
 	// retry/backoff/chunking policy for every call this client makes.
 	retryBudget    int           // transient-retry budget per RPC
@@ -118,9 +127,10 @@ type Client struct {
 	backoffCap     time.Duration // cap on the overload backoff window
 	chunkTarget    int           // ingest chunk payload target, bytes
 
-	lmu           sync.Mutex
-	loopbackMsgs  uint64
-	loopbackBytes uint64
+	// Client-side loopback dispatches (a coordinating daemon's reads of
+	// its own store land here once per level): atomics, not a lock.
+	loopbackMsgs  atomic.Uint64
+	loopbackBytes atomic.Uint64
 }
 
 // Options configures a cluster client. The zero value of every field
@@ -160,13 +170,14 @@ func Dial(o Options) (*Client, error) {
 	if o.Seed != "" && len(o.Addrs) > 0 {
 		return nil, fmt.Errorf("cluster: Dial takes Seed or Addrs, not both")
 	}
-	addrs := o.Addrs
+	seen := view{Members: o.Addrs}
 	if o.Seed != "" {
 		var err error
-		if addrs, err = MembersOf(o.Transport, o.Seed); err != nil {
+		if seen, err = viewOf(o.Transport, o.Seed); err != nil {
 			return nil, err
 		}
 	}
+	addrs := seen.Members
 	c := &Client{
 		tr:             o.Transport,
 		byID:           make(map[overlay.ID]*Member, len(addrs)),
@@ -193,6 +204,7 @@ func Dial(o Options) (*Client, error) {
 			return nil, err
 		}
 	}
+	c.unrepaired.Store(seen.Unrepaired)
 	return c, nil
 }
 
@@ -216,17 +228,31 @@ func Connect(tr transport.Transport, seed string) (*Client, error) {
 // client streams with.
 func (c *Client) ChunkTarget() int { return c.chunkTarget }
 
+// view is a daemon's membership as cluster.members and cluster.join
+// answer it: the member addresses and, travelling with them, whether
+// that membership is still owed a repair sweep — so whoever adopts the
+// view (a dialing client, a joining daemon) adopts the debt too.
+type view struct {
+	Members    []string `json:"members"`
+	Unrepaired bool     `json:"unrepaired,omitempty"`
+}
+
 // MembersOf asks one daemon for the cluster membership.
 func MembersOf(tr transport.Transport, addr string) ([]string, error) {
+	v, err := viewOf(tr, addr)
+	return v.Members, err
+}
+
+func viewOf(tr transport.Transport, addr string) (view, error) {
+	var v view
 	raw, err := transport.CallRetry(tr, addr, overlay.EncodeEnvelope(ctrlMembers, nil), maxTransientRetries)
+	if err == nil {
+		err = json.Unmarshal(raw, &v)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("cluster: members of %s: %w", addr, err)
+		return view{}, fmt.Errorf("cluster: members of %s: %w", addr, err)
 	}
-	var addrs []string
-	if err := json.Unmarshal(raw, &addrs); err != nil {
-		return nil, fmt.Errorf("cluster: members of %s: %w", addr, err)
-	}
-	return addrs, nil
+	return v, nil
 }
 
 func (c *Client) add(addr string) error {
@@ -304,6 +330,36 @@ func (c *Client) OwnersOf(key string, r int) []overlay.Member {
 	return out
 }
 
+// CoordinatorReading returns a member other than target whose read plan
+// for one lattice level of keys — core.ReadPlan, the function every
+// coordinator runs, over the keys' replica sets at factor r — reads some
+// key from target; nil when no member's does. A query's first level is
+// its terms, so its plan is computable before any probe answers:
+// scenarios and tests that must crash a member some query is actually
+// READ from (owning a key is not enough once reads are placed) pick
+// their coordinator with this.
+func (c *Client) CoordinatorReading(keys []string, r int, target string) overlay.Member {
+	chains := make([][]string, len(keys))
+	for _, m := range c.Members() {
+		if m.Addr() == target {
+			continue
+		}
+		for j, key := range keys {
+			chains[j] = chains[j][:0]
+			for _, o := range c.OwnersOf(key, r) {
+				chains[j] = append(chains[j], o.Addr())
+			}
+		}
+		core.ReadPlan(chains, m.Addr())
+		for _, chain := range chains {
+			if len(chain) > 0 && chain[0] == target {
+				return m
+			}
+		}
+	}
+	return nil
+}
+
 // Route implements overlay.Fabric. The client holds the full membership
 // table, so resolution is local and costs zero network hops — the
 // one-hop-DHT trade the deployment makes: O(N) membership state buys
@@ -315,6 +371,10 @@ func (c *Client) Route(from overlay.Member, key string) (overlay.Member, int, er
 	}
 	return owner, 0, nil
 }
+
+// ResolvesLocally implements overlay.LocalResolver: ownership is a
+// lookup in the client's own membership table.
+func (c *Client) ResolvesLocally() {}
 
 // CallService implements overlay.Fabric: services registered locally on
 // the member stub (peer notify handlers) dispatch in-process; everything
@@ -331,10 +391,8 @@ func (c *Client) CallService(addr, service string, req []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.lmu.Lock()
-		c.loopbackMsgs++
-		c.loopbackBytes += uint64(len(req) + len(resp))
-		c.lmu.Unlock()
+		c.loopbackMsgs.Add(1)
+		c.loopbackBytes.Add(uint64(len(req) + len(resp)))
 		return resp, nil
 	}
 	return transport.CallRetry(c.tr, addr, overlay.EncodeEnvelope(service, req), c.retryBudget)
@@ -358,25 +416,59 @@ func (c *Client) RemoveNode(id overlay.ID) bool {
 			break
 		}
 	}
+	c.unrepaired.Store(true)
 	return true
+}
+
+// Unrepaired implements overlay.Churn.
+func (c *Client) Unrepaired() bool { return c.unrepaired.Load() }
+
+// MarkRepaired implements overlay.Churn: the debt of this view is
+// settled, and every daemon in it is told which membership the sweep
+// restored. A daemon whose own view is that membership resumes placing
+// its coordinated reads; one that has forgotten (or learned) a member
+// the sweep did not account for keeps reading primary-first.
+func (c *Client) MarkRepaired() error {
+	members := c.Members()
+	addrs := make([]string, len(members))
+	for i, m := range members {
+		addrs[i] = m.Addr()
+	}
+	payload, err := json.Marshal(addrs)
+	if err != nil {
+		return err
+	}
+	for _, a := range addrs {
+		if _, err := c.CallService(a, ctrlRepaired, payload); err != nil {
+			return fmt.Errorf("cluster: repaired at %s: %w", a, err)
+		}
+	}
+	c.unrepaired.Store(false)
+	return nil
 }
 
 // TransportStats returns the traffic counters: wire traffic from the
 // underlying transport plus the client-side loopback dispatches.
 func (c *Client) TransportStats() transport.Stats {
 	st := c.tr.Stats()
-	c.lmu.Lock()
-	st.Messages += c.loopbackMsgs
-	st.Bytes += c.loopbackBytes
-	c.lmu.Unlock()
+	st.Messages += c.loopbackMsgs.Load()
+	st.Bytes += c.loopbackBytes.Load()
 	return st
 }
 
 // Forget broadcasts a dead member's address to every member of THIS
-// client's view, removing it from the daemons' bootstrap membership so
-// future clients' discovery no longer returns the dead address. Call it
-// after RemoveNode/FailNode when a process is gone for good — daemon
-// views are otherwise grow-only.
+// client's view, removing it from the daemons' membership so future
+// clients' discovery no longer returns the dead address and the
+// daemons' own coordinations stop routing to it. Call it after
+// RemoveNode/FailNode when a process is gone for good — daemon views are
+// otherwise grow-only.
+//
+// Safe before or after the repair sweep. A daemon that forgets a member
+// while holding an index marks its view unrepaired and coordinates
+// primary-first until told otherwise (cluster.repaired, sent by the
+// sweep). If this client's view has already been repaired, Forget says
+// so right away, and the daemons — now on that same membership — resume
+// placing reads.
 func (c *Client) Forget(addr string) error {
 	for _, m := range c.Members() {
 		if m.Addr() == addr {
@@ -386,7 +478,13 @@ func (c *Client) Forget(addr string) error {
 			return fmt.Errorf("cluster: forget %s at %s: %w", addr, m.Addr(), err)
 		}
 	}
-	return nil
+	c.mu.RLock()
+	_, listed := c.byAddr[addr]
+	c.mu.RUnlock()
+	if listed || c.Unrepaired() {
+		return nil // not the daemons' new membership, or not repaired yet
+	}
+	return c.MarkRepaired()
 }
 
 // Configure ships the engine configuration to every daemon, which creates
@@ -608,9 +706,10 @@ func (c *Client) Audit(r int) replica.AuditStats {
 
 // Compile-time interface checks.
 var (
-	_ overlay.Fabric      = (*Client)(nil)
-	_ overlay.MultiOwner  = (*Client)(nil)
-	_ overlay.Churn       = (*Client)(nil)
-	_ overlay.Member      = (*Member)(nil)
-	_ overlay.RemoteStore = (*Member)(nil)
+	_ overlay.Fabric        = (*Client)(nil)
+	_ overlay.MultiOwner    = (*Client)(nil)
+	_ overlay.Churn         = (*Client)(nil)
+	_ overlay.LocalResolver = (*Client)(nil)
+	_ overlay.Member        = (*Member)(nil)
+	_ overlay.RemoteStore   = (*Member)(nil)
 )

@@ -281,7 +281,29 @@ func TestClusterCrashFailoverAndRepair(t *testing.T) {
 	eng := buildClusterEngine(t, c, col, cfg)
 
 	queries := testQueries(col, 15)
-	origin := c.Members()[0]
+
+	// The victim is the daemon that owns the first query's first term —
+	// a guaranteed level-1 probe. Owning a key no longer means being read
+	// for it: reads are placed (core.ReadPlan) on the coordinating member
+	// when it holds a copy, else on the fewest other members. So the
+	// origin is chosen from the plan itself: a surviving member whose
+	// first-level plan for some query reads from the victim, which makes
+	// the dead member a CHOSEN reader and the failover assertion below a
+	// certainty instead of a coin flip over the ephemeral ports.
+	probeTerm := queries[0].Terms[0]
+	victim, ok := c.OwnerOf(col.Vocab[probeTerm])
+	if !ok {
+		t.Fatal("empty membership")
+	}
+	var origin overlay.Member
+	for _, q := range queries {
+		if origin = c.CoordinatorReading(eng.QueryTerms(q), replicas, victim.Addr()); origin != nil {
+			break
+		}
+	}
+	if origin == nil {
+		t.Fatal("no surviving coordinator's plan reads from the victim — test proves nothing")
+	}
 	intact := make([][]rank.Result, len(queries))
 	for i, q := range queries {
 		res, err := eng.Search(q, origin, 10)
@@ -291,16 +313,9 @@ func TestClusterCrashFailoverAndRepair(t *testing.T) {
 		intact[i] = res.Results
 	}
 
-	// Crash the daemon that owns the first query's first term WITHOUT
-	// telling the client: that term is a guaranteed level-1 probe, so the
-	// query set must discover the dead owner and fail over to surviving
-	// replicas while staying bit-identical. (A position-picked victim can
-	// legitimately own zero probed keys on a 5-node ring and would make
-	// the failover assertion a coin flip.)
-	victim, ok := c.OwnerOf(col.Vocab[queries[0].Terms[0]])
-	if !ok {
-		t.Fatal("empty membership")
-	}
+	// Crash it WITHOUT telling the client: the query set must discover
+	// the dead reader and fail over to surviving replicas while staying
+	// bit-identical.
 	vi := byAddr[victim.Addr()]
 	trs[vi].Close()
 
@@ -319,13 +334,77 @@ func TestClusterCrashFailoverAndRepair(t *testing.T) {
 		t.Fatal("no fetch batch failed over to a replica — crash not exercised")
 	}
 
-	// Now the operator notices: remove the member, audit, repair, audit.
+	// Now the operator notices and removes the member everywhere — from
+	// the client's view and, in the order the deployment scenario and
+	// hdksearch -forget use, from the daemons' views BEFORE any repair.
+	// The crash promoted members into the victim's replica sets that
+	// hold no copy of those keys yet; a coordinator placing its reads on
+	// one of them (itself, most cheaply) would be told "absent" and
+	// silently prune the key's supersets.
 	if err := eng.FailNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Unrepaired() {
+		t.Fatal("client view not marked unrepaired after losing a member")
+	}
+	if err := c.Forget(victim.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	if under := c.Audit(replicas).UnderReplicated; under == 0 {
 		t.Fatal("audit reports full coverage right after losing a member")
 	}
+	// The probe key's replica set is now {old secondary, old tertiary,
+	// promoted}: the promoted member holds nothing, so coordinating a
+	// query for just that key THROUGH it tells placed reads (it reads
+	// itself) from primary-first ones apart.
+	probe := core.SearchRequest{Terms: eng.QueryTerms(corpus.Query{Terms: []corpus.TermID{probeTerm}}), K: 10, NoCache: true}
+	if len(probe.Terms) != 1 {
+		t.Fatalf("probe query renders to %v, want one key", probe.Terms)
+	}
+	owners := c.OwnersOf(probe.Terms[0], replicas)
+	primary, promoted := owners[0].Addr(), owners[replicas-1].Addr()
+	readerOf := func(via string) string {
+		t.Helper()
+		_, trace, err := c.SearchTraceVia(via, probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fetches := trace.Find("fetch")
+		if len(fetches) != 1 {
+			t.Fatalf("single-key probe via %s: %d fetch spans, want 1", via, len(fetches))
+		}
+		return trace.Spans[fetches[0]].Attr("owner")
+	}
+	sweepSurvivors := func(when string, unrepaired bool) {
+		t.Helper()
+		for _, m := range c.Members() {
+			if got := servers[byAddr[m.Addr()]].view().Unrepaired; got != unrepaired {
+				t.Fatalf("%s: %s reports unrepaired=%t, want %t", when, m.Addr(), got, unrepaired)
+			}
+			for i, q := range queries {
+				res, _, err := c.SearchVia(m.Addr(), core.SearchRequest{Terms: eng.QueryTerms(q), K: 10, NoCache: true})
+				if err != nil {
+					t.Fatalf("%s: query %d via %s: %v", when, i, m.Addr(), err)
+				}
+				if !reflect.DeepEqual(intact[i], res.Results) {
+					t.Fatalf("%s: query %d coordinated by %s changed", when, i, m.Addr())
+				}
+			}
+		}
+	}
+	sweepSurvivors("forgotten, unrepaired", true)
+	if got := readerOf(promoted); got != primary {
+		t.Fatalf("unrepaired: %s read the probe key from %s, want its primary %s", promoted, got, primary)
+	}
+	// A client dialing into the window adopts the debt with the view.
+	during, err := Connect(ctr, c.Members()[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if during.Size() != peers-1 || !during.Unrepaired() {
+		t.Fatalf("client dialed before repair: %d members, unrepaired=%t", during.Size(), during.Unrepaired())
+	}
+
 	rstats, err := c.Repairer(replicas).Repair()
 	if err != nil {
 		t.Fatal(err)
@@ -336,6 +415,9 @@ func TestClusterCrashFailoverAndRepair(t *testing.T) {
 	if under := c.Audit(replicas).UnderReplicated; under != 0 {
 		t.Fatalf("%d keys still under-replicated after repair", under)
 	}
+	if c.Unrepaired() {
+		t.Fatal("client view still unrepaired after a complete sweep")
+	}
 	for i, q := range queries {
 		res, err := eng.Search(q, origin, 10)
 		if err != nil {
@@ -345,23 +427,163 @@ func TestClusterCrashFailoverAndRepair(t *testing.T) {
 			t.Fatalf("query %d: results changed after repair", i)
 		}
 	}
-
-	// Forget the dead address so a NEW client's discovery starts clean.
-	if err := c.Forget(victim.Addr()); err != nil {
-		t.Fatal(err)
+	// The sweep reported in: every daemon places its reads again — the
+	// promoted member now answers the probe key from its own store.
+	sweepSurvivors("repaired", false)
+	if got := readerOf(promoted); got != promoted {
+		t.Fatalf("repaired: %s read the probe key from %s, want its own copy", promoted, got)
 	}
+
+	// A NEW client's discovery starts clean: no dead address, no debt.
 	fresh, err := Connect(ctr, c.Members()[0].Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Size() != peers-1 {
-		t.Fatalf("fresh client sees %d members after forget, want %d", fresh.Size(), peers-1)
+	if fresh.Size() != peers-1 || fresh.Unrepaired() {
+		t.Fatalf("fresh client sees %d members (want %d), unrepaired=%t", fresh.Size(), peers-1, fresh.Unrepaired())
 	}
 	for _, m := range fresh.Members() {
 		if m.Addr() == victim.Addr() {
 			t.Fatal("fresh client rediscovered the dead member")
 		}
 	}
+}
+
+// TestForgetAndRepairInEitherOrder pins the repair-debt protocol between
+// a client and the daemons' views: forgetting a member of a built
+// cluster leaves every daemon unrepaired until a sweep over that same
+// membership reports in, whichever of forget and repair comes first; a
+// notice from a client that still lists the member says nothing about
+// the daemons' view; and before any build there is no debt to raise.
+func TestForgetAndRepairInEitherOrder(t *testing.T) {
+	const peers, replicas = 5, 2
+	col := testCollection(t, 60)
+	cfg := testConfig(col, replicas)
+	unrepaired := func(servers []*Server, skip string) (n int) {
+		for _, s := range servers {
+			if s.Addr() != skip && s.view().Unrepaired {
+				n++
+			}
+		}
+		return n
+	}
+
+	t.Run("forget then repair", func(t *testing.T) {
+		tr := transport.NewInProc()
+		defer tr.Close()
+		servers := startInProcServers(t, tr, peers, replicas)
+		c, err := Connect(tr, servers[0].Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := buildClusterEngine(t, c, col, cfg)
+		stale, err := Connect(tr, servers[0].Addr()) // never learns of the departure
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim := c.Members()[2]
+		if err := eng.FailNode(victim); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Forget(victim.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if got := unrepaired(servers, victim.Addr()); got != peers-1 {
+			t.Fatalf("%d of %d surviving daemons unrepaired after forget", got, peers-1)
+		}
+		if err := stale.MarkRepaired(); err != nil {
+			t.Fatal(err)
+		}
+		if got := unrepaired(servers, victim.Addr()); got != peers-1 {
+			t.Fatalf("a notice for a %d-member view settled %d daemons' %d-member views", peers, peers-1-got, peers-1)
+		}
+		if _, err := eng.RepairReplicas(); err != nil {
+			t.Fatal(err)
+		}
+		if got := unrepaired(servers, victim.Addr()); got != 0 || c.Unrepaired() {
+			t.Fatalf("after the sweep: %d daemons unrepaired, client unrepaired=%t", got, c.Unrepaired())
+		}
+	})
+
+	t.Run("repair then forget", func(t *testing.T) {
+		tr := transport.NewInProc()
+		defer tr.Close()
+		servers := startInProcServers(t, tr, peers, replicas)
+		c, err := Connect(tr, servers[0].Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := buildClusterEngine(t, c, col, cfg)
+		victim := c.Members()[2]
+		if err := eng.FailNode(victim); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.RepairReplicas(); err != nil {
+			t.Fatal(err)
+		}
+		// The daemons still list the victim: their chains never changed,
+		// so they were never in debt and the notice was not for them.
+		if got := unrepaired(servers, victim.Addr()); got != 0 {
+			t.Fatalf("%d daemons unrepaired before any forget", got)
+		}
+		if err := c.Forget(victim.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if got := unrepaired(servers, victim.Addr()); got != 0 {
+			t.Fatalf("%d daemons left unrepaired by a forget that followed the repair", got)
+		}
+		for _, s := range servers {
+			if s.Addr() != victim.Addr() && len(s.memberList()) != peers-1 {
+				t.Fatalf("%s still lists %d members", s.Addr(), len(s.memberList()))
+			}
+		}
+	})
+
+	t.Run("a joiner adopts the view's debt", func(t *testing.T) {
+		tr := transport.NewInProc()
+		defer tr.Close()
+		servers := startInProcServers(t, tr, peers, replicas)
+		c, err := Connect(tr, servers[0].Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := buildClusterEngine(t, c, col, cfg)
+		victim := c.Members()[2]
+		if err := eng.FailNode(victim); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Forget(victim.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		late, err := NewServer(tr, "node-late", replicas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := late.Join(c.Members()[0].Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if v := late.view(); !v.Unrepaired || len(v.Members) != peers {
+			t.Fatalf("joiner's view: %d members, unrepaired=%t", len(v.Members), v.Unrepaired)
+		}
+	})
+
+	t.Run("forget before any build", func(t *testing.T) {
+		tr := transport.NewInProc()
+		defer tr.Close()
+		servers := startInProcServers(t, tr, peers, replicas)
+		c, err := Connect(tr, servers[0].Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		victim := c.Members()[2]
+		c.RemoveNode(victim.ID())
+		if err := c.Forget(victim.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		if got := unrepaired(servers, victim.Addr()); got != 0 {
+			t.Fatalf("%d daemons unrepaired with nothing indexed", got)
+		}
+	})
 }
 
 // TestJoinSurvivesDeadMember: a new daemon must still be able to join

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/overlay"
 	"repro/internal/replica"
 	"repro/internal/transport"
 )
@@ -30,7 +31,10 @@ func TestCoordinatorMatchesEngines(t *testing.T) {
 	eng := buildClusterEngine(t, c, col, cfg)
 
 	refOrigin := ref.Network().Members()[0]
-	cluOrigin := c.Members()[0]
+	origins := make(map[string]overlay.Member, peers)
+	for _, m := range c.Members() {
+		origins[m.Addr()] = m
+	}
 	addrs := make([]string, 0, peers)
 	for _, s := range servers {
 		addrs = append(addrs, s.Addr())
@@ -40,13 +44,17 @@ func TestCoordinatorMatchesEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaFabric, err := eng.Search(q, cluOrigin, 10)
+		// Rotate the coordinator: ANY daemon must produce the answer. The
+		// client-fabric engine searches from the same member: read
+		// placement is a pure function of the replica chains and the
+		// coordinating member, so it computes the plan that daemon runs.
+		coord := addrs[qi%len(addrs)]
+		viaFabric, err := eng.Search(q, origins[coord], 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Rotate the coordinator: ANY daemon must produce the answer.
 		req := core.SearchRequest{Terms: eng.QueryTerms(q), K: 10}
-		got, cached, err := c.SearchVia(addrs[qi%len(addrs)], req)
+		got, cached, err := c.SearchVia(coord, req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,8 +69,9 @@ func TestCoordinatorMatchesEngines(t *testing.T) {
 			t.Fatalf("query %d: coordinator diverges from client fabric", qi)
 		}
 		// Postings/probe counts are placement-invariant (vs the reference
-		// ring); RPC groupings depend on member addresses, so those are
-		// compared against the client fabric, which shares them.
+		// ring); RPC groupings depend on member addresses and on which
+		// member coordinates, so those are compared against the client
+		// fabric searching from the coordinator's member, which shares both.
 		if got.FetchedPosts != want.FetchedPosts || got.ProbedKeys != want.ProbedKeys ||
 			got.FoundKeys != want.FoundKeys || got.Rounds != want.Rounds {
 			t.Fatalf("query %d: coordinator metrics diverge: ref %+v, coord %+v", qi, want, got)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,7 +68,10 @@ const searchRetryAfter = 25 * time.Millisecond
 // clients do — so the view's one job is letting a client discover the
 // whole cluster from a single address. The view grows on join/announce
 // and shrinks only through cluster.forget (Client.Forget), which an
-// operator broadcasts after a process dies for good.
+// operator broadcasts after a process dies for good. Forgetting a member
+// while holding an index leaves the view unrepaired — the replica sets
+// it now implies name members that hold no copy yet — until a repair
+// sweep over that same membership reports in (cluster.repaired).
 type Server struct {
 	tr       transport.Transport
 	addr     string
@@ -77,6 +81,7 @@ type Server struct {
 	mu         sync.Mutex
 	members    map[string]struct{}
 	memberVer  uint64 // bumped on every membership change; invalidates the coordination fabric
+	unrepaired bool   // a member was forgotten and no sweep has restored this view since (bumps memberVer too)
 	store      *core.StoreServer
 	configJSON []byte
 	dur        *durable.Store
@@ -181,6 +186,10 @@ type Info struct {
 	// coordinations waiting for a worker slot (0 on an idle or
 	// keeping-up daemon; at most the configured -search-queue).
 	SearchQueueDepth int `json:"search_queue_depth"`
+	// Unrepaired reports that the daemon forgot a member and no repair
+	// sweep over its current membership has reported in: it coordinates
+	// searches primary-first until one does.
+	Unrepaired bool `json:"unrepaired"`
 	// IngestChunks/IngestDocs report the streamed-build upload state:
 	// chunks durably held for the current hdk.ingest session, and
 	// documents in the materialized corpus shard (0 until the session
@@ -444,12 +453,19 @@ func (s *Server) Join(seed string) error {
 	if err != nil {
 		return fmt.Errorf("cluster: join via %s: %w", seed, err)
 	}
-	var list []string
-	if err := json.Unmarshal(raw, &list); err != nil {
+	var seen view
+	if err := json.Unmarshal(raw, &seen); err != nil {
 		return fmt.Errorf("cluster: join via %s: %w", seed, err)
 	}
+	list := seen.Members
 	for _, a := range list {
 		s.addMember(a)
+	}
+	if seen.Unrepaired {
+		s.mu.Lock()
+		s.unrepaired = true
+		s.memberVer++
+		s.mu.Unlock()
 	}
 	for _, a := range list {
 		if a == s.addr || a == seed {
@@ -478,15 +494,59 @@ func (s *Server) addMember(addr string) {
 	}
 }
 
-func (s *Server) memberList() []string {
+func (s *Server) memberList() []string { return s.view().Members }
+
+// view snapshots the membership (sorted) with its repair debt.
+func (s *Server) view() view {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.members))
+	v := view{Members: make([]string, 0, len(s.members)), Unrepaired: s.unrepaired}
 	for a := range s.members {
-		out = append(out, a)
+		v.Members = append(v.Members, a)
 	}
-	sort.Strings(out)
-	return out
+	sort.Strings(v.Members)
+	return v
+}
+
+// forget drops a member from the view. With an index in the stores, the
+// replica sets the smaller view implies name members that hold no copy
+// until a repair sweep ships one, so the view turns unrepaired; before
+// any build there is nothing to be missing.
+func (s *Server) forget(addr string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.members[addr]; !ok {
+		return
+	}
+	delete(s.members, addr)
+	s.memberVer++
+	if s.store != nil && s.store.Populated() {
+		s.unrepaired = true
+	}
+}
+
+// repaired settles the view's repair debt — but only if the sweep that
+// reports in restored exactly this membership (payload: its
+// addresses). A sweep over any other view computed other replica sets
+// and says nothing about this daemon's.
+func (s *Server) repaired(payload []byte) error {
+	var swept []string
+	if err := json.Unmarshal(payload, &swept); err != nil {
+		return fmt.Errorf("cluster: %s: bad repaired notice: %w", s.addr, err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.unrepaired || len(swept) != len(s.members) {
+		return nil
+	}
+	for _, a := range swept { // a client's view: distinct addresses
+		if _, ok := s.members[a]; !ok {
+			return nil
+		}
+	}
+	s.unrepaired = false
+	s.memberVer++
+	return nil
 }
 
 // dispatch is the daemon's transport handler: control services are built
@@ -500,21 +560,18 @@ func (s *Server) dispatch(req []byte) ([]byte, error) {
 	case ctrlInfo:
 		return s.handleInfo()
 	case ctrlMembers:
-		return json.Marshal(s.memberList())
+		return json.Marshal(s.view())
 	case ctrlJoin:
 		s.addMember(string(payload))
-		return json.Marshal(s.memberList())
+		return json.Marshal(s.view())
 	case ctrlAnnounce:
 		s.addMember(string(payload))
 		return nil, nil
 	case ctrlForget:
-		s.mu.Lock()
-		if _, ok := s.members[string(payload)]; ok {
-			delete(s.members, string(payload))
-			s.memberVer++
-		}
-		s.mu.Unlock()
+		s.forget(string(payload))
 		return nil, nil
+	case ctrlRepaired:
+		return nil, s.repaired(payload)
 	case ctrlConfigure:
 		return s.handleConfigure(payload)
 	case ctrlMeta:
@@ -582,6 +639,7 @@ func (s *Server) handleInfo() ([]byte, error) {
 		Replicas:      s.replicas,
 		Configured:    s.store != nil,
 		Members:       len(s.members),
+		Unrepaired:    s.unrepaired,
 		Warm:          s.warm,
 		InsertRPCs:    s.metrics.insertRPCs.Value(),
 		CatchUpStale:  s.catchUp.Stale,
@@ -638,29 +696,35 @@ func (s *Server) handleSearch(req []byte) ([]byte, error) {
 		return nil, fmt.Errorf("cluster: %s not configured", s.addr)
 	}
 	var tb *telemetry.TraceBuilder
-	key := string(req)
 	if sreq.Trace {
 		tb = telemetry.StartTrace("coordinate",
 			telemetry.Str("node", s.addr),
 			telemetry.Num("terms", uint64(len(sreq.Terms))),
 			telemetry.Num("k", uint64(sreq.K)))
-		// The raw request bytes are the cache key, but the trace flag must
-		// not split the cache: a traced run of a query and its untraced
-		// repeats share one answer, so the key is always the canonical
-		// untraced encoding.
-		untraced := sreq
-		untraced.Trace = false
-		key = string(core.EncodeSearchRequest(untraced))
 	}
+	var key string
 	var gen uint64
 	if !sreq.NoCache {
+		// The raw request bytes are the cache key (built only when the
+		// cache is consulted), but the trace flag must not split the
+		// cache: a traced run of a query and its untraced repeats share
+		// one answer, so the key is always the canonical untraced encoding.
+		if sreq.Trace {
+			untraced := sreq
+			untraced.Trace = false
+			key = string(core.EncodeSearchRequest(untraced))
+		} else {
+			key = string(req)
+		}
 		cacheSpan := tb.Start(0, "cache")
 		s.cmu.Lock()
 		body, ok := s.searchCache.Get(key)
 		gen = s.cacheGen
 		s.cmu.Unlock()
-		tb.Annotate(cacheSpan, telemetry.Str("hit", fmt.Sprintf("%t", ok)))
-		tb.End(cacheSpan)
+		if tb != nil {
+			tb.Annotate(cacheSpan, telemetry.Str("hit", strconv.FormatBool(ok)))
+			tb.End(cacheSpan)
+		}
 		if ok {
 			// Cache hits skip coordination, so a traced request answered
 			// from cache carries no trace (documented on SearchRequest).
@@ -686,7 +750,7 @@ func (s *Server) handleSearch(req []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	coord := core.Coordinator{Net: fab, Cfg: store.Config(), From: self, Metrics: s.metrics.reg}
+	coord := core.Coordinator{Net: fab, Cfg: store.Config(), From: self, Metrics: s.metrics.query}
 	coordStart := time.Now()
 	res, err := coord.SearchTraced(sreq.Terms, sreq.K, tb)
 	if err != nil {
@@ -718,7 +782,9 @@ func (s *Server) handleSearch(req []byte) ([]byte, error) {
 // daemon's store attached read-locally so self-owned fetches skip the
 // loopback RPC. The view is grow-only between forgets, so a dead member
 // stays routable and coordinated searches exercise the same replica
-// failover a thin client would.
+// failover a thin client would. The fabric carries the view's repair
+// debt (overlay.Churn), which is how the shared traversal learns to read
+// primary-first between a forget and the sweep that repairs it.
 func (s *Server) coordinationFabric() (*Client, overlay.Member, error) {
 	s.mu.Lock()
 	if s.fabric != nil && s.fabricVer == s.memberVer {
@@ -726,7 +792,7 @@ func (s *Server) coordinationFabric() (*Client, overlay.Member, error) {
 		s.mu.Unlock()
 		return fab, self, nil
 	}
-	ver := s.memberVer
+	ver, unrepaired := s.memberVer, s.unrepaired
 	addrs := make([]string, 0, len(s.members))
 	for a := range s.members {
 		addrs = append(addrs, a)
@@ -748,6 +814,7 @@ func (s *Server) coordinationFabric() (*Client, overlay.Member, error) {
 	if store != nil {
 		store.AttachLocalRead(self)
 	}
+	c.unrepaired.Store(unrepaired)
 	s.mu.Lock()
 	// A concurrent rebuild may land here too; both were built from a
 	// membership at least as fresh as ver, so last-writer-wins is fine.

@@ -38,6 +38,8 @@ const (
 type serverMetrics struct {
 	reg *telemetry.Registry
 
+	query *core.QueryMetrics // the coordinator's per-level series, handles resolved once
+
 	insertRPCs  *telemetry.Counter // hdk.insert RPCs served (re-index traffic meter)
 	fetchRPCs   *telemetry.Counter // hdk.fetchBatch RPCs served (query fetch meter)
 	searchRPCs  *telemetry.Counter // hdk.search coordinations served (cache hits included)
@@ -59,6 +61,7 @@ func newServerMetrics() *serverMetrics {
 	reg := telemetry.NewRegistry()
 	return &serverMetrics{
 		reg:            reg,
+		query:          core.NewQueryMetrics(reg),
 		insertRPCs:     reg.Counter(metricInsertRPCs),
 		fetchRPCs:      reg.Counter(metricFetchRPCs),
 		searchRPCs:     reg.Counter(metricSearchRPCs),
