@@ -60,9 +60,10 @@ func storeCfg() Config {
 func exportState(t *testing.T, s *hdkStore) map[string][]byte {
 	t.Helper()
 	out := make(map[string][]byte)
-	if err := s.exportAll(func(key string, blob []byte) error {
-		out[key] = append([]byte(nil), blob...)
-		return nil
+	if err := s.exportAll(func(cell []byte) error {
+		key, blob, err := decodeEntryRecord(cell)
+		out[key] = append([]byte(nil), blob...) // the cell buffer is reused
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}

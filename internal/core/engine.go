@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/corpus"
@@ -203,9 +204,6 @@ func (e *Engine) Network() overlay.Fabric { return e.net }
 // Traffic returns the engine's traffic counters.
 func (e *Engine) Traffic() *Traffic { return &e.traffic }
 
-// VeryFrequent reports whether a term is excluded by the Ff cutoff.
-func (e *Engine) VeryFrequent(t corpus.TermID) bool { return e.vf[t] }
-
 // BuildIndex runs the iterative collaborative indexing: for each key size
 // s = 1..smax every peer computes and inserts its local candidates, then
 // the index nodes classify the round's keys and notify the contributors
@@ -278,7 +276,7 @@ func (e *Engine) runRound(s int) error {
 	workers := e.concurrency
 	if workers <= 1 {
 		for _, p := range e.peers {
-			if err := e.indexPeerRound(p, s); err != nil {
+			if _, err := e.indexPeerRound(p, s); err != nil {
 				return err
 			}
 		}
@@ -290,7 +288,8 @@ func (e *Engine) runRound(s int) error {
 		sem <- struct{}{}
 		go func(p *Peer) {
 			defer func() { <-sem }()
-			errCh <- e.indexPeerRound(p, s)
+			_, err := e.indexPeerRound(p, s)
+			errCh <- err
 		}(p)
 	}
 	var firstErr error
@@ -305,6 +304,13 @@ func (e *Engine) runRound(s int) error {
 	return e.classifyAndNotify(s)
 }
 
+// PeerRoundTimes splits one peer's round into its two halves: candidate
+// generation (pure local CPU) and the insert pass (routing, encoding and
+// one RPC per owner).
+type PeerRoundTimes struct {
+	Generate, Insert time.Duration
+}
+
 // IndexPeerRound runs one peer's candidate generation + batched insert
 // pass for key size s — the per-peer quarter of the round-synchronous
 // build loop, exported so a cluster daemon can execute its own shard's
@@ -312,9 +318,9 @@ func (e *Engine) runRound(s int) error {
 // coordinator must barrier every participating peer at size s before
 // running ClassifyRound(s); within the barrier, peers may run
 // concurrently (documents are disjoint, so store merges commute).
-func (e *Engine) IndexPeerRound(p *Peer, s int) error {
+func (e *Engine) IndexPeerRound(p *Peer, s int) (PeerRoundTimes, error) {
 	if s < 1 || s > e.cfg.SMax {
-		return fmt.Errorf("core: round size %d outside 1..%d", s, e.cfg.SMax)
+		return PeerRoundTimes{}, fmt.Errorf("core: round size %d outside 1..%d", s, e.cfg.SMax)
 	}
 	return e.indexPeerRound(p, s)
 }
@@ -336,14 +342,16 @@ func (e *Engine) ClassifyRound(s int) error {
 // peers once every round has run.
 func (e *Engine) FinishBuild() { e.finishRounds() }
 
-func (e *Engine) indexPeerRound(p *Peer, s int) error {
+func (e *Engine) indexPeerRound(p *Peer, s int) (PeerRoundTimes, error) {
+	start := time.Now()
 	cands := p.generate(s)
+	generated := time.Now()
 	n, err := p.insertAll(cands, s)
 	if err != nil {
-		return err
+		return PeerRoundTimes{}, err
 	}
 	e.traffic.InsertedBySize[s].Add(n)
-	return nil
+	return PeerRoundTimes{Generate: generated.Sub(start), Insert: time.Since(generated)}, nil
 }
 
 // classifyAndNotify sweeps every index store, truncates NDK posting
@@ -462,11 +470,6 @@ func (e *Engine) Search(q corpus.Query, from overlay.Member, k int) (*SearchResu
 	return newLatticeSearch(e.net, from, e.cfg, e.queryCache, &e.traffic).run(terms, maxSize, k)
 }
 
-// searchFanout returns the effective per-level RPC concurrency.
-func (e *Engine) searchFanout() int {
-	return fanoutOf(e.cfg)
-}
-
 // SetSearchFanout adjusts the per-level fetch concurrency at runtime.
 // The ranked answer is identical at any value. Not safe to call while
 // searches are in flight.
@@ -475,19 +478,6 @@ func (e *Engine) SetSearchFanout(n int) {
 		n = 1
 	}
 	e.cfg.SearchFanout = n
-}
-
-// allSubkeysNDStatus prunes the retrieval lattice on packed keys — the
-// Key-typed twin of allSubkeysND in coordinate.go, kept for tools and
-// tests that work with TermIDs rather than canonical strings.
-func (e *Engine) allSubkeysNDStatus(key Key, status map[Key]KeyStatus) bool {
-	ok := true
-	key.Subkeys(func(sub Key) {
-		if status[sub] != StatusNDK {
-			ok = false
-		}
-	})
-	return ok
 }
 
 // forEachLimit invokes fn(0..n-1) from at most limit concurrent
@@ -567,24 +557,6 @@ func (e *Engine) Stats() IndexStats {
 		st.PerNode[id] = nodeTotal
 	}
 	return st
-}
-
-// KeyInfo exposes one key's global classification for tests and tools,
-// consulting the key's replica set in failover order. Only stores hosted
-// in this process are consulted; on a purely remote fabric it reports
-// StatusAbsent.
-func (e *Engine) KeyInfo(k Key) (KeyStatus, int, postings.List) {
-	canonical := k.CanonicalString(e.vocab)
-	for _, owner := range replica.Owners(e.net, canonical, e.replicas()) {
-		store, ok := e.stores[owner.ID()]
-		if !ok {
-			continue
-		}
-		if status, df, list := store.fetch(canonical); status != StatusAbsent {
-			return status, df, list
-		}
-	}
-	return StatusAbsent, 0, nil
 }
 
 // engineInventory adapts the replicated index to the repair sweep's

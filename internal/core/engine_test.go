@@ -6,7 +6,9 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/overlay"
+	"repro/internal/postings"
 	"repro/internal/rank"
+	"repro/internal/replica"
 	"repro/internal/transport"
 )
 
@@ -67,6 +69,34 @@ func testConfig(col *corpus.Collection, dfmax int) Config {
 	cfg.Window = 8
 	cfg.Ff = 1 << 30 // no very-frequent cutoff unless a test wants it
 	return cfg
+}
+
+// KeyInfo reads one key's global classification straight from the
+// in-process stores, consulting the key's replica set in failover order.
+func (e *Engine) KeyInfo(k Key) (KeyStatus, int, postings.List) {
+	canonical := k.CanonicalString(e.vocab)
+	for _, owner := range replica.Owners(e.net, canonical, e.replicas()) {
+		store, ok := e.stores[owner.ID()]
+		if !ok {
+			continue
+		}
+		if status, df, list := store.fetch(canonical); status != StatusAbsent {
+			return status, df, list
+		}
+	}
+	return StatusAbsent, 0, nil
+}
+
+// allSubkeysNDStatus prunes the retrieval lattice on packed keys — the
+// Key-typed twin of allSubkeysND in coordinate.go.
+func (e *Engine) allSubkeysNDStatus(key Key, status map[Key]KeyStatus) bool {
+	ok := true
+	key.Subkeys(func(sub Key) {
+		if status[sub] != StatusNDK {
+			ok = false
+		}
+	})
+	return ok
 }
 
 // --- reference oracle ----------------------------------------------------

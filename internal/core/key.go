@@ -15,7 +15,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/corpus"
@@ -30,8 +29,11 @@ const MaxKeySize = 4
 const noTerm = ^corpus.TermID(0)
 
 // Key is a set of at most MaxKeySize terms in ascending TermID order,
-// packed into a comparable value so it can be used as a map key with no
-// allocation on the hot candidate-generation path.
+// packed into a comparable value so it can be used as a map key. Every
+// constructor and editor below works on the fixed array by value — no
+// slice is built, sorted or copied — so the candidate-generation path
+// allocates nothing per key (TestKeyAlgebraDoesNotAllocate holds that at
+// zero with testing.AllocsPerRun).
 type Key struct {
 	t [MaxKeySize]corpus.TermID
 	n uint8
@@ -41,23 +43,30 @@ type Key struct {
 // It panics if more than MaxKeySize distinct terms are supplied — key
 // sizes are bounded by construction everywhere in the engine.
 func NewKey(terms ...corpus.TermID) Key {
-	var k Key
-	for i := range k.t {
-		k.t[i] = noTerm
-	}
-	sorted := append([]corpus.TermID(nil), terms...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	for i, t := range sorted {
-		if i > 0 && t == sorted[i-1] {
-			continue
-		}
-		if int(k.n) >= MaxKeySize {
-			panic(fmt.Sprintf("core: key larger than %d terms", MaxKeySize))
-		}
-		k.t[k.n] = t
-		k.n++
+	k := Key{t: [MaxKeySize]corpus.TermID{noTerm, noTerm, noTerm, noTerm}}
+	for _, t := range terms {
+		k.insert(t)
 	}
 	return k
+}
+
+// insert adds t at its sorted position, reporting false (and leaving the
+// key unchanged) when t is already a member.
+func (k *Key) insert(t corpus.TermID) bool {
+	i := int(k.n)
+	for i > 0 && k.t[i-1] >= t {
+		i--
+	}
+	if i < int(k.n) && k.t[i] == t {
+		return false
+	}
+	if int(k.n) >= MaxKeySize {
+		panic(fmt.Sprintf("core: key larger than %d terms", MaxKeySize))
+	}
+	copy(k.t[i+1:], k.t[i:k.n])
+	k.t[i] = t
+	k.n++
+	return true
 }
 
 // Size returns the number of terms in the key.
@@ -86,18 +95,18 @@ func (k Key) Contains(t corpus.TermID) bool {
 // Extend returns k ∪ {t}. It panics on overflow or duplicate, which the
 // candidate generator rules out beforehand.
 func (k Key) Extend(t corpus.TermID) Key {
-	if k.Contains(t) {
+	if !k.insert(t) {
 		panic("core: Extend with duplicate term")
 	}
-	terms := append(k.Terms(), t)
-	return NewKey(terms...)
+	return k
 }
 
 // Drop returns the key without its i-th term (a size-(n-1) sub-key).
 func (k Key) Drop(i int) Key {
-	terms := k.Terms()
-	terms = append(terms[:i], terms[i+1:]...)
-	return NewKey(terms...)
+	copy(k.t[i:], k.t[i+1:k.n])
+	k.n--
+	k.t[k.n] = noTerm
+	return k
 }
 
 // Subkeys invokes fn for every proper sub-key of size n-1. For n == 1 it

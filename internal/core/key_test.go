@@ -1,7 +1,10 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -168,4 +171,98 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
+}
+
+// referenceKey is the specification the packed key must match: sort the
+// ids, drop duplicates.
+func referenceKey(ids []corpus.TermID) []corpus.TermID {
+	out := append([]corpus.TermID{}, ids...)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return slices.Compact(out)
+}
+
+// TestKeyAlgebraMatchesReference checks every constructor and editor of
+// the packed key against sort-and-dedupe over random multisets of 0-4
+// ids drawn from a small range (so duplicates and adjacencies are common).
+func TestKeyAlgebraMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 5000; iter++ {
+		ids := make([]corpus.TermID, rng.Intn(MaxKeySize+1))
+		for i := range ids {
+			ids[i] = corpus.TermID(rng.Intn(9))
+			if rng.Intn(8) == 0 {
+				ids[i] = noTerm - 1 - corpus.TermID(rng.Intn(2)) // the top of the id space sorts last
+			}
+		}
+		want := referenceKey(ids)
+		k := NewKey(ids...)
+		if got := k.Terms(); !reflect.DeepEqual(got, want) || k.Size() != len(want) {
+			t.Fatalf("NewKey(%v) = %v (size %d), want %v", ids, got, k.Size(), want)
+		}
+		for i := len(want); i < MaxKeySize; i++ {
+			if k.t[i] != noTerm {
+				t.Fatalf("NewKey(%v): unused slot %d holds %d", ids, i, k.t[i])
+			}
+		}
+		// Extend by a non-member = the reference over ids + that term;
+		// Extend by a member panics.
+		if extra := corpus.TermID(rng.Intn(12)); !k.Contains(extra) && k.Size() < MaxKeySize {
+			if got, want := k.Extend(extra), NewKey(append(append([]corpus.TermID{}, ids...), extra)...); got != want ||
+				!reflect.DeepEqual(got.Terms(), referenceKey(append(ids, extra))) {
+				t.Fatalf("NewKey(%v).Extend(%d) = %v, want %v", ids, extra, got.Terms(), want.Terms())
+			}
+		}
+		for _, member := range want {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("NewKey(%v).Extend(%d): no panic on a duplicate", ids, member)
+					}
+				}()
+				k.Extend(member)
+			}()
+		}
+		// Drop(i) removes exactly the i-th term; re-extending restores k;
+		// Subkeys visits the Drop(0..n-1) sequence, each a subset of k.
+		var subs []Key
+		k.Subkeys(func(s Key) { subs = append(subs, s) })
+		if k.Size() <= 1 && len(subs) != 0 {
+			t.Fatalf("key %v of size %d has %d proper sub-keys", want, k.Size(), len(subs))
+		}
+		for i := 0; i < k.Size(); i++ {
+			d := k.Drop(i)
+			rest := append(append([]corpus.TermID{}, want[:i]...), want[i+1:]...)
+			if !reflect.DeepEqual(d.Terms(), rest) || d != NewKey(rest...) {
+				t.Fatalf("%v.Drop(%d) = %v, want %v", want, i, d.Terms(), rest)
+			}
+			if back := d.Extend(want[i]); back != k {
+				t.Fatalf("%v.Drop(%d).Extend(%d) = %v", want, i, want[i], back.Terms())
+			}
+			if !d.IsSubsetOf(k) || (k.Size() > 0 && k.IsSubsetOf(d)) {
+				t.Fatalf("subset relation broken between %v and %v", d.Terms(), want)
+			}
+			if k.Size() > 1 && subs[i] != d {
+				t.Fatalf("%v.Subkeys()[%d] = %v, want Drop(%d) = %v", want, i, subs[i].Terms(), i, d.Terms())
+			}
+		}
+	}
+}
+
+// TestKeyAlgebraDoesNotAllocate is the "no allocation on the candidate-
+// generation path" promise of the Key doc comment, held at zero.
+func TestKeyAlgebraDoesNotAllocate(t *testing.T) {
+	a, b, c, d := corpus.TermID(40), corpus.TermID(7), corpus.TermID(23), corpus.TermID(7)
+	var sink Key
+	var visited int
+	for name, fn := range map[string]func(){
+		"NewKey":  func() { sink = NewKey(a, b, c, d) },
+		"Extend":  func() { sink = NewKey(a, b).Extend(c) },
+		"Drop":    func() { sink = NewKey(a, b, c).Drop(1) },
+		"Subkeys": func() { NewKey(a, b, c).Subkeys(func(s Key) { visited += s.Size() }) },
+	} {
+		if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", name, allocs)
+		}
+	}
+	_, _ = sink, visited
 }

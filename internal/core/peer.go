@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -20,30 +20,78 @@ type Peer struct {
 	docs []docState
 
 	mu sync.Mutex
-	// nd[s] holds the keys of size s this peer contributed that the
-	// global index classified non-discriminative — exactly the knowledge
-	// the paper says local HDK computation needs ("the global document
-	// frequencies of the local size 1 and size (s-1) NDKs").
-	nd [MaxKeySize + 1]map[Key]bool
-	// fresh[s] holds keys that turned non-discriminative since this
-	// peer's last completed generation round of size s+1. Freshly-ND
-	// keys drive the incremental-maintenance expansion: their supersets
-	// were never generated, so they need postings from ALL local
-	// documents, while everything else only needs the new documents.
-	fresh [MaxKeySize + 1]map[Key]bool
+	// nd holds the keys this peer contributed that the global index
+	// classified non-discriminative — exactly the knowledge the paper says
+	// local HDK computation needs ("the global document frequencies of the
+	// local size 1 and size (s-1) NDKs").
+	nd keySets
+	// fresh holds keys that turned non-discriminative since this peer's
+	// last completed generation round of the next size. Freshly-ND keys
+	// drive the incremental-maintenance expansion: their supersets were
+	// never generated, so they need postings from ALL local documents,
+	// while everything else only needs the new documents.
+	fresh keySets
 	// indexedDocs is the watermark: p.docs[:indexedDocs] are covered by
 	// the built index; the tail arrived via AddDocuments.
 	indexedDocs int
+	// lastCands/lastPosts are the previous build round's candidate and
+	// posting counts: the next round sizes its accumulator from them.
+	lastCands, lastPosts int
+}
+
+// termBits is a dense set of term ids over the collection vocabulary.
+type termBits []uint64
+
+func (b termBits) has(t corpus.TermID) bool { return b[t>>6]&(1<<(t&63)) != 0 }
+func (b termBits) set(t corpus.TermID)      { b[t>>6] |= 1 << (t & 63) }
+
+// keySets holds one set of keys per key size. Size-1 membership is tested
+// at every window position of every document, so it is a bitset over the
+// vocabulary; larger keys are sparse in their term space and stay maps.
+type keySets struct {
+	terms termBits
+	keys  [MaxKeySize + 1]map[Key]bool // [s] for s >= 2
+}
+
+func newKeySets(vocab int) keySets {
+	ks := keySets{terms: make(termBits, (vocab+63)/64)}
+	for s := 2; s <= MaxKeySize; s++ {
+		ks.keys[s] = make(map[Key]bool)
+	}
+	return ks
+}
+
+func (ks *keySets) add(k Key) {
+	if k.Size() == 1 {
+		ks.terms.set(k.Term(0))
+		return
+	}
+	ks.keys[k.Size()][k] = true
+}
+
+// reset empties the set of the given size by REPLACING it: a generation
+// pass that captured the old set keeps reading a stable snapshot.
+func (ks *keySets) reset(size int) {
+	switch {
+	case size == 1:
+		ks.terms = make(termBits, len(ks.terms))
+	case size >= 2:
+		ks.keys[size] = make(map[Key]bool)
+	}
 }
 
 // docState is a pre-processed local document: the term sequence with
 // globally very frequent terms removed (the collection-adaptive stop list
-// of Section 4.1) plus the per-term frequencies used for scoring.
+// of Section 4.1) plus, per distinct term, the partial score its postings
+// carry.
 type docState struct {
 	id    corpus.DocID
 	terms []corpus.TermID
-	tf    map[corpus.TermID]int
-	dl    int // original document length, for BM25 normalization
+	uniq  []corpus.TermID // distinct members of terms, ascending
+	// part[i] is the df-independent BM25 factor of uniq[i] in this
+	// document: the partial score a posting carries into the global index
+	// (the index node applies idf once the global df is known).
+	part []float32
 }
 
 // Node returns the peer's overlay node.
@@ -51,28 +99,45 @@ func (p *Peer) Node() overlay.Member { return p.node }
 
 // newPeer pre-processes the peer's local collection.
 func newPeer(eng *Engine, node overlay.Member, local *corpus.Collection) *Peer {
-	p := &Peer{eng: eng, node: node}
-	for i := range p.nd {
-		p.nd[i] = make(map[Key]bool)
-		p.fresh[i] = make(map[Key]bool)
-	}
+	p := &Peer{eng: eng, node: node, nd: newKeySets(len(eng.vocab)), fresh: newKeySets(len(eng.vocab))}
 	p.appendDocs(local)
-	node.Handle(SvcNotify, p.handleNotify)
+	node.Handle(SvcNotify, p.ServeNotify)
 	return p
 }
 
 // appendDocs pre-processes documents into the peer's local store.
 func (p *Peer) appendDocs(local *corpus.Collection) {
+	cfg := &p.eng.cfg
+	idf1 := cfg.Stats.IDF(1)
+	var sorted []corpus.TermID // scratch, reused across documents
 	for i := range local.Docs {
 		d := &local.Docs[i]
-		ds := docState{id: d.ID, dl: len(d.Terms), tf: make(map[corpus.TermID]int)}
-		ds.terms = make([]corpus.TermID, 0, len(d.Terms))
+		ds := docState{id: d.ID, terms: make([]corpus.TermID, 0, len(d.Terms))}
 		for _, t := range d.Terms {
-			if p.eng.vf[t] {
-				continue
+			if !p.eng.vf[t] {
+				ds.terms = append(ds.terms, t)
 			}
-			ds.terms = append(ds.terms, t)
-			ds.tf[t]++
+		}
+		sorted = append(sorted[:0], ds.terms...)
+		slices.Sort(sorted)
+		distinct := 0
+		for j, t := range sorted {
+			if j == 0 || t != sorted[j-1] {
+				distinct++
+			}
+		}
+		ds.uniq = make([]corpus.TermID, 0, distinct)
+		ds.part = make([]float32, 0, distinct)
+		for j := 0; j < len(sorted); {
+			tf := 1
+			for j+tf < len(sorted) && sorted[j+tf] == sorted[j] {
+				tf++
+			}
+			// BM25 normalizes by the original document length.
+			full := cfg.BM25.Score(cfg.Stats, tf, 1, len(d.Terms))
+			ds.uniq = append(ds.uniq, sorted[j])
+			ds.part = append(ds.part, float32(full/idf1))
+			j += tf
 		}
 		p.docs = append(p.docs, ds)
 	}
@@ -97,16 +162,13 @@ func (p *Peer) AddDocuments(local *corpus.Collection) error {
 	return nil
 }
 
-// ServeNotify handles one SvcNotify delivery. newPeer registers
-// handleNotify on the peer's own overlay member, which covers fabrics
-// that dispatch member-local services; the cluster daemon additionally
-// registers this exported form on its RPC dispatch so an external build
+// ServeNotify handles one SvcNotify delivery: it records keys the global
+// index reclassified as non-discriminative; they drive next round's
+// expansion. newPeer registers it on the peer's own overlay member, which
+// covers fabrics that dispatch member-local services; the cluster daemon
+// additionally registers it on its RPC dispatch so an external build
 // coordinator reaches the peer's expansion state over the wire.
-func (p *Peer) ServeNotify(req []byte) ([]byte, error) { return p.handleNotify(req) }
-
-// handleNotify records keys the global index reclassified as
-// non-discriminative; they drive next round's expansion.
-func (p *Peer) handleNotify(req []byte) ([]byte, error) {
+func (p *Peer) ServeNotify(req []byte) ([]byte, error) {
 	batch, err := postings.DecodeKeyedBatch(req)
 	if err != nil {
 		return nil, err
@@ -118,64 +180,116 @@ func (p *Peer) handleNotify(req []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.nd[k.Size()][k] = true
-		p.fresh[k.Size()][k] = true
+		p.nd.add(k)
+		p.fresh.add(k)
 	}
 	return nil, nil
 }
 
-// markND is the in-response path: the peer learns a key is ND from the
-// classify sweep without a dedicated message (tests use it directly).
-func (p *Peer) markND(k Key) {
-	p.mu.Lock()
-	p.nd[k.Size()][k] = true
-	p.fresh[k.Size()][k] = true
-	p.mu.Unlock()
-}
-
 // consumeFresh clears the freshness set of the given size after a
-// generation round has expanded it, and advances the document watermark
-// when the whole update completes.
+// generation round has expanded it.
 func (p *Peer) consumeFresh(size int) {
 	p.mu.Lock()
-	p.fresh[size] = make(map[Key]bool)
+	p.fresh.reset(size)
 	p.mu.Unlock()
 }
 
 func (p *Peer) advanceWatermark() { p.indexedDocs = len(p.docs) }
 
-// ndCount returns how many keys of size s the peer knows to be ND.
-func (p *Peer) ndCount(s int) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.nd[s])
-}
-
-// candAcc accumulates a candidate key's local posting list during a
-// generation pass. Documents are scanned in ascending id order, so the
-// list stays sorted and per-doc dedup is a single comparison.
-type candAcc struct {
-	lastDoc corpus.DocID // +1; 0 means none yet
-	list    postings.List
-}
-
-// tfComp returns the df-independent BM25 factor for term t in doc ds: the
-// partial score a posting carries into the global index (the index node
-// applies idf once the global df is known).
-func (p *Peer) tfComp(ds *docState, t corpus.TermID) float32 {
-	cfg := &p.eng.cfg
-	full := cfg.BM25.Score(cfg.Stats, ds.tf[t], 1, ds.dl)
-	return float32(full / cfg.Stats.IDF(1))
-}
-
 // keyScore is the partial relevance of a key within a document: the sum
-// of its member terms' partial BM25 scores.
-func (p *Peer) keyScore(ds *docState, k Key) float32 {
+// of its member terms' partial BM25 scores, in ascending term order.
+func keyScore(ds *docState, k Key) float32 {
 	var s float32
+	rest, part := ds.uniq, ds.part
 	for i := 0; i < k.Size(); i++ {
-		s += p.tfComp(ds, k.Term(i))
+		j, _ := slices.BinarySearch(rest, k.Term(i))
+		s += part[j]
+		rest, part = rest[j+1:], part[j+1:]
 	}
 	return s
+}
+
+// candSet accumulates a generation pass's candidate keys and their local
+// postings. Documents are scanned in ascending id order, so a key's
+// postings arrive sorted and per-doc dedup is a single comparison; they
+// are appended to ONE flat record log and scattered into per-key lists
+// only once the pass is over and every list length is known — a pass
+// allocates a handful of large blocks instead of one growing list per key.
+type candSet struct {
+	index map[Key]int32 // key -> position in cands
+	cands []candidate
+	log   []candPosting
+	// sealed counts the candidates created by earlier passes into this
+	// set: the incremental update's two passes partition the candidate
+	// space, so a later pass reaching one of them is a bug.
+	sealed int
+}
+
+type candidate struct {
+	key     Key
+	lastDoc corpus.DocID // +1; 0 means none yet
+	n       int32        // postings logged so far
+}
+
+type candPosting struct {
+	cand int32
+	postings.Posting
+}
+
+// newCandSet returns an accumulator pre-sized for the expected number of
+// candidates and postings.
+func newCandSet(cands, posts int) *candSet {
+	return &candSet{
+		index: make(map[Key]int32, cands),
+		cands: make([]candidate, 0, cands),
+		log:   make([]candPosting, 0, posts),
+	}
+}
+
+// add records (key, doc) once per document.
+func (c *candSet) add(k Key, ds *docState) {
+	i, ok := c.index[k]
+	if !ok {
+		i = int32(len(c.cands))
+		c.index[k] = i
+		c.cands = append(c.cands, candidate{key: k})
+	} else if int(i) < c.sealed {
+		panic("core: incremental generation passes overlapped")
+	}
+	cand := &c.cands[i]
+	if cand.lastDoc == ds.id+1 {
+		return
+	}
+	cand.lastDoc = ds.id + 1
+	cand.n++
+	c.log = append(c.log, candPosting{cand: i, Posting: postings.Posting{Doc: ds.id, Score: keyScore(ds, k)}})
+}
+
+// candList is one candidate key with its complete local posting list.
+type candList struct {
+	key  Key
+	list postings.List
+}
+
+// lists scatters the record log into per-key posting lists (slices of one
+// shared block) and returns them in ascending key order. The set is spent
+// afterwards.
+func (c *candSet) lists() []candList {
+	block := make(postings.List, len(c.log))
+	out := make([]candList, len(c.cands))
+	off := 0
+	for i, cand := range c.cands {
+		end := off + int(cand.n)
+		out[i] = candList{key: cand.key, list: block[off:off:end]}
+		off = end
+	}
+	for _, rec := range c.log {
+		l := &out[rec.cand].list
+		*l = append(*l, rec.Posting)
+	}
+	c.index, c.cands, c.log = nil, nil, nil
+	slices.SortFunc(out, func(a, b candList) int { return keyCompare(a.key, b.key) })
+	return out
 }
 
 // candFilter selects candidates by freshness during generation.
@@ -193,15 +307,9 @@ const (
 	candFreshOnly
 )
 
-func (f candFilter) keep(fresh bool) bool {
-	switch f {
-	case candNotFresh:
-		return !fresh
-	case candFreshOnly:
-		return fresh
-	default:
-		return true
-	}
+// rejects reports whether the filter drops a candidate of this freshness.
+func (f candFilter) rejects(fresh bool) bool {
+	return f != candAll && fresh != (f == candFreshOnly)
 }
 
 // generate computes this peer's local candidate keys of size s with their
@@ -209,72 +317,44 @@ func (f candFilter) keep(fresh bool) bool {
 // enumerates distinct document terms; larger sizes expand known-ND keys
 // with co-window terms under redundancy filtering (every immediate
 // sub-key must be ND).
-func (p *Peer) generate(s int) map[Key]*candAcc {
-	switch {
-	case s == 1:
-		return p.generateSingles(p.docs)
-	case s == 2:
-		return p.generatePairs(p.docs, candAll)
-	default:
-		return p.generateExtensions(s, p.docs, candAll)
-	}
+func (p *Peer) generate(s int) *candSet {
+	cands := newCandSet(p.lastCands, p.lastPosts)
+	p.generateInto(cands, s, p.docs, candAll)
+	p.lastCands, p.lastPosts = len(cands.cands), len(cands.log)
+	return cands
 }
 
 // generateUpdate computes the incremental-maintenance candidates of size
 // s: new postings for existing keys from the new documents, plus full
 // postings for keys unlocked by freshly-ND sub-keys from all documents.
-// The two passes partition the candidate space, so the maps are disjoint.
-func (p *Peer) generateUpdate(s int) map[Key]*candAcc {
+// The two passes partition the candidate space.
+func (p *Peer) generateUpdate(s int) *candSet {
 	newDocs := p.docs[p.indexedDocs:]
-	var cands map[Key]*candAcc
-	switch {
-	case s == 1:
-		return p.generateSingles(newDocs)
-	case s == 2:
-		cands = p.generatePairs(newDocs, candNotFresh)
-		mergeCands(cands, p.generatePairs(p.docs, candFreshOnly))
+	cands := newCandSet(0, 0)
+	if s == 1 {
+		p.generateInto(cands, 1, newDocs, candAll)
+	} else {
+		p.generateInto(cands, s, newDocs, candNotFresh)
+		cands.sealed = len(cands.cands)
+		p.generateInto(cands, s, p.docs, candFreshOnly)
+	}
+	return cands
+}
+
+func (p *Peer) generateInto(cands *candSet, s int, docs []docState, filter candFilter) {
+	switch s {
+	case 1:
+		for i := range docs {
+			ds := &docs[i]
+			for _, t := range ds.uniq {
+				cands.add(NewKey(t), ds)
+			}
+		}
+	case 2:
+		p.generatePairs(cands, docs, filter)
 	default:
-		cands = p.generateExtensions(s, newDocs, candNotFresh)
-		mergeCands(cands, p.generateExtensions(s, p.docs, candFreshOnly))
+		p.generateExtensions(cands, s, docs, filter)
 	}
-	return cands
-}
-
-// mergeCands folds src into dst; the two passes generate disjoint key
-// sets, so a collision indicates a bug.
-func mergeCands(dst, src map[Key]*candAcc) {
-	for k, v := range src {
-		if _, dup := dst[k]; dup {
-			panic("core: incremental generation passes overlapped")
-		}
-		dst[k] = v
-	}
-}
-
-func (p *Peer) generateSingles(docs []docState) map[Key]*candAcc {
-	cands := make(map[Key]*candAcc)
-	for i := range docs {
-		ds := &docs[i]
-		for t := range ds.tf {
-			k := NewKey(t)
-			p.addCand(cands, k, ds)
-		}
-	}
-	return cands
-}
-
-// addCand records (key, doc) once per document.
-func (p *Peer) addCand(cands map[Key]*candAcc, k Key, ds *docState) {
-	acc := cands[k]
-	if acc == nil {
-		acc = &candAcc{}
-		cands[k] = acc
-	}
-	if acc.lastDoc == ds.id+1 {
-		return
-	}
-	acc.lastDoc = ds.id + 1
-	acc.list = append(acc.list, postings.Posting{Doc: ds.id, Score: p.keyScore(ds, k)})
 }
 
 // generatePairs builds size-2 candidates: pairs of ND single terms
@@ -284,48 +364,30 @@ func (p *Peer) addCand(cands map[Key]*candAcc, k Key, ds *docState) {
 // ablation one ND member suffices. A pair is "fresh" when either member
 // turned ND since the last round — exactly the pairs that do not exist
 // in the index yet.
-func (p *Peer) generatePairs(docs []docState, filter candFilter) map[Key]*candAcc {
-	cfg := &p.eng.cfg
-	w := cfg.Window
-	cands := make(map[Key]*candAcc)
+func (p *Peer) generatePairs(cands *candSet, docs []docState, filter candFilter) {
+	w := p.eng.cfg.Window
+	oneSuffices := p.eng.cfg.DisableRedundancyFiltering
 	p.mu.Lock()
-	nd1 := p.nd[1]
-	fresh1 := p.fresh[1]
+	nd1, fresh1 := p.nd.terms, p.fresh.terms
 	p.mu.Unlock()
 	for i := range docs {
 		ds := &docs[i]
 		for j, t := range ds.terms {
-			kt := NewKey(t)
-			tND := nd1[kt]
-			if !tND && !cfg.DisableRedundancyFiltering {
+			tND := nd1.has(t)
+			if !tND && !oneSuffices {
 				continue
 			}
-			lo := j - w + 1
-			if lo < 0 {
-				lo = 0
-			}
-			for x := lo; x < j; x++ {
-				u := ds.terms[x]
-				if u == t {
+			for _, u := range ds.terms[max(0, j-w+1):j] {
+				if u == t || !(nd1.has(u) || tND && oneSuffices) {
 					continue
 				}
-				ku := NewKey(u)
-				uND := nd1[ku]
-				if cfg.DisableRedundancyFiltering {
-					if !tND && !uND {
-						continue
-					}
-				} else if !uND {
+				if filter.rejects(fresh1.has(t) || fresh1.has(u)) {
 					continue
 				}
-				if !filter.keep(fresh1[kt] || fresh1[ku]) {
-					continue
-				}
-				p.addCand(cands, NewKey(u, t), ds)
+				cands.add(NewKey(u, t), ds)
 			}
 		}
 	}
-	return cands
 }
 
 // generateExtensions builds size-s candidates (s >= 3) by extending ND
@@ -333,101 +395,87 @@ func (p *Peer) generatePairs(docs []docState, filter candFilter) map[Key]*candAc
 // with any discriminative immediate sub-key (Apriori-style: the inductive
 // construction guarantees deeper sub-keys are ND). A candidate is
 // "fresh" when any immediate sub-key turned ND since the last round.
-func (p *Peer) generateExtensions(s int, docs []docState, filter candFilter) map[Key]*candAcc {
-	cfg := &p.eng.cfg
-	w := cfg.Window
-	cands := make(map[Key]*candAcc)
-	p.mu.Lock()
-	nd1 := p.nd[1]
-	ndPrev := p.nd[s-1]
-	freshPrev := p.fresh[s-1]
-	p.mu.Unlock()
-	if len(ndPrev) == 0 {
-		return cands
+func (p *Peer) generateExtensions(cands *candSet, s int, docs []docState, filter candFilter) {
+	w := p.eng.cfg.Window
+	x := extender{
+		cands:   cands,
+		need:    s - 1,
+		filter:  filter,
+		noPrune: p.eng.cfg.DisableRedundancyFiltering,
 	}
-	// Scratch buffers reused across positions.
-	var lookback []corpus.TermID
+	p.mu.Lock()
+	nd1 := p.nd.terms
+	x.ndPrev, x.freshPrev = p.nd.keys[s-1], p.fresh.keys[s-1]
+	p.mu.Unlock()
+	if len(x.ndPrev) == 0 {
+		return
+	}
 	for i := range docs {
-		ds := &docs[i]
-		for j, c := range ds.terms {
-			cND := nd1[NewKey(c)]
-			if !cND && !cfg.DisableRedundancyFiltering {
+		x.ds = &docs[i]
+		for j, c := range x.ds.terms {
+			if !nd1.has(c) && !x.noPrune {
 				continue
 			}
-			lo := j - w + 1
-			if lo < 0 {
-				lo = 0
-			}
 			// Distinct candidate co-terms in the lookback window.
-			lookback = lookback[:0]
-			for x := lo; x < j; x++ {
-				u := ds.terms[x]
-				if u == c || containsTerm(lookback, u) {
-					continue
-				}
-				if nd1[NewKey(u)] || cfg.DisableRedundancyFiltering {
-					lookback = append(lookback, u)
+			x.lookback = x.lookback[:0]
+			for _, u := range x.ds.terms[max(0, j-w+1):j] {
+				if u != c && (nd1.has(u) || x.noPrune) && !slices.Contains(x.lookback, u) {
+					x.lookback = append(x.lookback, u)
 				}
 			}
 			// Extend every ND (s-1)-key formed inside the lookback by c.
-			p.extendWithin(cands, ds, lookback, c, s, ndPrev, freshPrev, filter, cfg.DisableRedundancyFiltering)
+			x.c = c
+			x.extend(NewKey(), 0)
 		}
 	}
-	return cands
 }
 
-// extendWithin enumerates (s-1)-subsets of the lookback terms that are ND
-// keys and extends them with c, applying the sub-key prune and the
-// freshness filter.
-func (p *Peer) extendWithin(cands map[Key]*candAcc, ds *docState, lookback []corpus.TermID,
-	c corpus.TermID, s int, ndPrev, freshPrev map[Key]bool, filter candFilter, noPrune bool) {
-	need := s - 1
-	subset := make([]corpus.TermID, 0, need)
-	var rec func(start int)
-	rec = func(start int) {
-		if len(subset) == need {
-			base := NewKey(subset...)
-			if !ndPrev[base] {
-				return
-			}
-			cand := base.Extend(c)
-			allND, anyFresh := p.subkeyState(cand, ndPrev, freshPrev)
-			if noPrune {
-				// Ablation: only the base must be ND; freshness follows
-				// the base alone.
-				anyFresh = freshPrev[base]
-			} else if !allND {
-				return
-			}
-			if !filter.keep(anyFresh) {
-				return
-			}
-			p.addCand(cands, cand, ds)
-			return
+// extender enumerates, for one window position, the (s-1)-subsets of the
+// lookback terms that are ND keys and extends them with the entering term
+// c, applying the sub-key prune and the freshness filter. It is a struct
+// of loop state rather than a closure so the walk allocates nothing.
+type extender struct {
+	cands             *candSet
+	ds                *docState
+	lookback          []corpus.TermID // scratch, reused across positions
+	c                 corpus.TermID
+	need              int
+	ndPrev, freshPrev map[Key]bool
+	filter            candFilter
+	noPrune           bool
+}
+
+func (x *extender) extend(base Key, start int) {
+	if base.Size() < x.need {
+		for i := start; i < len(x.lookback); i++ {
+			x.extend(base.Extend(x.lookback[i]), i+1)
 		}
-		for i := start; i < len(lookback); i++ {
-			subset = append(subset, lookback[i])
-			rec(i + 1)
-			subset = subset[:len(subset)-1]
+		return
+	}
+	if !x.ndPrev[base] {
+		return
+	}
+	cand := base.Extend(x.c)
+	// Redundancy filtering: every immediate sub-key must be ND (base is
+	// known to be), and one that turned ND since the last round makes the
+	// candidate fresh. Under the ablation only the base must be ND, and
+	// freshness follows the base alone.
+	wantFresh, fresh := x.filter != candAll, false
+	if x.noPrune {
+		fresh = wantFresh && x.freshPrev[base]
+	} else {
+		for i := 0; i < cand.Size(); i++ {
+			sub := cand.Drop(i)
+			if sub != base && !x.ndPrev[sub] {
+				return
+			}
+			fresh = fresh || wantFresh && x.freshPrev[sub]
 		}
 	}
-	rec(0)
-}
-
-// subkeyState walks the immediate sub-keys once, reporting whether all
-// are non-discriminative (redundancy filtering) and whether any turned
-// ND since the last round (freshness).
-func (p *Peer) subkeyState(cand Key, ndPrev, freshPrev map[Key]bool) (allND, anyFresh bool) {
-	allND = true
-	cand.Subkeys(func(sub Key) {
-		if !ndPrev[sub] {
-			allND = false
-		}
-		if freshPrev[sub] {
-			anyFresh = true
-		}
-	})
-	return allND, anyFresh
+	if x.filter.rejects(fresh) {
+		return
+	}
+	x.cands.add(cand, x.ds)
 }
 
 // insertAll routes each candidate key to its DHT owner, groups the
@@ -438,32 +486,30 @@ func (p *Peer) subkeyState(cand Key, ndPrev, freshPrev map[Key]bool) (allND, any
 // replicas, so a replicated build costs R× the insert postings but no
 // extra rounds (replica inserts ride the same one-RPC-per-owner batching).
 // It returns the number of postings shipped, counting every replica copy.
-func (p *Peer) insertAll(cands map[Key]*candAcc, size int) (uint64, error) {
-	keys := make([]Key, 0, len(cands))
-	for k := range cands {
-		keys = append(keys, k)
-	}
+func (p *Peer) insertAll(cands *candSet, size int) (uint64, error) {
+	lists := cands.lists()
 	vocab := p.eng.vocab
-	sort.Slice(keys, func(i, j int) bool {
-		return keyLess(keys[i], keys[j])
-	})
 	// Routing pass: resolve owners, batching per owner in sorted-key order.
+	// Keys hash uniformly over the members, so each owner's batch is sized
+	// for its even share plus slack instead of grown by doubling.
+	share := len(lists)*p.eng.replicas()/max(1, p.eng.net.Size()) + len(lists)/8 + 1
 	byOwner := make(map[string][]postings.KeyedMessage)
 	var addrs []string
 	inserted := uint64(0)
-	for _, k := range keys {
-		list := cands[k].list
-		canonical := k.CanonicalString(vocab)
+	for _, cl := range lists {
+		canonical := cl.key.CanonicalString(vocab)
 		owner, _, err := p.eng.net.Route(p.node, canonical)
 		if err != nil {
-			return 0, fmt.Errorf("core: route key %q: %w", k.DisplayString(vocab), err)
+			return 0, fmt.Errorf("core: route key %q: %w", cl.key.DisplayString(vocab), err)
 		}
 		for _, addr := range p.eng.replicaChain(owner.Addr(), canonical) {
-			if _, ok := byOwner[addr]; !ok {
+			batch, ok := byOwner[addr]
+			if !ok {
 				addrs = append(addrs, addr)
+				batch = make([]postings.KeyedMessage, 0, share)
 			}
-			byOwner[addr] = append(byOwner[addr], postings.KeyedMessage{Key: canonical, Aux: uint64(size), List: list})
-			inserted += uint64(len(list))
+			byOwner[addr] = append(batch, postings.KeyedMessage{Key: canonical, Aux: uint64(size), List: cl.list})
+			inserted += uint64(len(cl.list))
 		}
 	}
 	for _, addr := range addrs {
@@ -505,42 +551,30 @@ func (p *Peer) applyInsertResponse(resp []byte) error {
 		if err != nil {
 			return err
 		}
-		p.nd[k.Size()][k] = true
+		p.nd.add(k)
 	}
 	return nil
 }
 
-func keyLess(a, b Key) bool {
-	for i := 0; i < MaxKeySize; i++ {
-		if a.t[i] != b.t[i] {
-			return a.t[i] < b.t[i]
-		}
-	}
-	return false
-}
-
-func containsTerm(ts []corpus.TermID, t corpus.TermID) bool {
-	for _, x := range ts {
-		if x == t {
-			return true
-		}
-	}
-	return false
-}
+// keyCompare orders keys by their packed term arrays (unused slots hold
+// noTerm, so a key sorts after its extensions by smaller terms).
+func keyCompare(a, b Key) int { return slices.Compare(a.t[:], b.t[:]) }
 
 // parseKey converts a canonical wire key back to the packed form.
 func (e *Engine) parseKey(canonical string) (Key, error) {
-	parts := strings.Split(canonical, keySeparator)
-	terms := make([]corpus.TermID, 0, len(parts))
-	for _, s := range parts {
-		id, ok := e.termID[s]
+	k := NewKey()
+	for n, rest, more := 1, canonical, true; more; n++ {
+		var term string
+		term, rest, more = strings.Cut(rest, keySeparator)
+		id, ok := e.termID[term]
 		if !ok {
-			return Key{}, fmt.Errorf("core: unknown term %q in key", s)
+			return Key{}, fmt.Errorf("core: unknown term %q in key", term)
 		}
-		terms = append(terms, id)
+		if n > MaxKeySize {
+			return Key{}, fmt.Errorf("core: key of size %d exceeds maximum %d",
+				1+strings.Count(canonical, keySeparator), MaxKeySize)
+		}
+		k.insert(id)
 	}
-	if len(terms) > MaxKeySize {
-		return Key{}, fmt.Errorf("core: key of size %d exceeds maximum %d", len(terms), MaxKeySize)
-	}
-	return NewKey(terms...), nil
+	return k, nil
 }

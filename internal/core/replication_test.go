@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -485,28 +484,4 @@ func TestRebalancePreservesReplicas(t *testing.T) {
 		}
 	}
 	assertSameResults(t, before, searchAll(t, eng, col, 12), "rebalance at R=2")
-}
-
-func TestExportImportReplicated(t *testing.T) {
-	col := testCollection(t, 40)
-	cfg := testConfig(col, 5)
-	eng := buildReplicatedEngine(t, col, 5, 2, cfg)
-	before := searchAll(t, eng, col, 12)
-
-	var buf bytes.Buffer
-	if err := eng.ExportIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// Import into a fresh replicated network of a different size.
-	cfg2 := testConfig(col, 5)
-	cfg2.ReplicationFactor = 2
-	fresh := buildEngine(t, col, 7, cfg2)
-	if err := fresh.ImportIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	audit := fresh.AuditReplicas()
-	if !audit.FullyReplicated() {
-		t.Fatalf("import left snapshot under-replicated: %+v", audit)
-	}
-	assertSameResults(t, before, searchAll(t, fresh, col, 12), "import at R=2")
 }

@@ -229,11 +229,11 @@ func TestSetSearchFanoutClamps(t *testing.T) {
 	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.searchFanout(); got != 1 {
+	if got := fanoutOf(eng.cfg); got != 1 {
 		t.Fatalf("searchFanout() = %d with SearchFanout=0, want 1", got)
 	}
 	eng.SetSearchFanout(-5)
-	if got := eng.searchFanout(); got != 1 {
+	if got := fanoutOf(eng.cfg); got != 1 {
 		t.Fatalf("searchFanout() = %d after SetSearchFanout(-5), want 1", got)
 	}
 	q := corpus.Query{Terms: col.Docs[0].Terms[:2]}

@@ -189,9 +189,7 @@ func (s *StoreServer) compactLocked() error {
 				return err
 			}
 		}
-		return s.store.exportAll(func(key string, blob []byte) error {
-			return emit(DurableEntry, encodeEntryRecord(key, blob))
-		})
+		return s.store.exportAll(func(cell []byte) error { return emit(DurableEntry, cell) })
 	})
 }
 
@@ -254,14 +252,7 @@ func storeInsert(store *hdkStore, req []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var classified []postings.KeyedMessage
-	for _, m := range batch {
-		status, isClassified := store.insert(m.Key, int(m.Aux), m.List, contributor)
-		if isClassified {
-			classified = append(classified, postings.KeyedMessage{Key: m.Key, Aux: uint64(status)})
-		}
-	}
-	return postings.EncodeKeyedBatch(nil, classified), nil
+	return postings.EncodeKeyedBatch(nil, store.insertBatch(contributor, batch)), nil
 }
 
 // storeClassify is the hdk.classify handler body.
@@ -344,12 +335,12 @@ func attachIndexServices(node overlay.Member, store *hdkStore, hooks persistHook
 	})
 }
 
-// encodeEntryRecord frames a durable snapshot cell: uvarint key length,
-// key, canonical entry export blob.
-func encodeEntryRecord(key string, blob []byte) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(key)))
+// appendEntryRecord appends a durable snapshot cell to buf: uvarint key
+// length, key, canonical entry export blob.
+func appendEntryRecord(buf []byte, key string, e *entry) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(key)))
 	buf = append(buf, key...)
-	return append(buf, blob...)
+	return appendEntryExport(buf, e)
 }
 
 // decodeEntryRecord splits a durable snapshot cell back into key + blob.

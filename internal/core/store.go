@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -57,8 +58,11 @@ type entry struct {
 	classified bool
 	status     KeyStatus
 	// contributors are the notify addresses of peers that inserted
-	// postings for this key and must be told when it turns ND.
-	contributors map[string]struct{}
+	// postings for this key and must be told when it turns ND: sorted,
+	// distinct, and never modified in place — entries with the same
+	// contributors share one slice (see insertBatch), and the export
+	// encoding, checksum and notify order read it as it stands.
+	contributors []string
 	// sum memoizes the content checksum of the entry's canonical export
 	// (valid while sumOK): repair sweeps fingerprint entries far more
 	// often than mutations dirty them, and the checksum costs a full
@@ -79,39 +83,65 @@ func newHDKStore(cfg *Config) *hdkStore {
 	return &hdkStore{cfg: cfg, entries: make(map[string]*entry)}
 }
 
-// insert merges a peer's local posting list for a key. Doc sets are
-// disjoint across peers (each document lives on exactly one peer), so the
-// global df is the sum of inserted list lengths. It returns the entry's
-// current classification so new contributors of already-classified keys
-// learn the global status in the insert response (incremental
-// maintenance: a peer whose new documents introduce a term it never held
-// must still know the term is non-discriminative to expand it).
+// insertBatch merges one peer's local posting lists for a batch of keys
+// under a single lock acquisition. Doc sets are disjoint across peers
+// (each document lives on exactly one peer), so the global df is the sum
+// of inserted list lengths. It returns, for keys that were already
+// classified, their status (Aux) so new contributors of such keys learn
+// it in the insert response (incremental maintenance: a peer whose new
+// documents introduce a term it never held must still know the term is
+// non-discriminative to expand it).
+//
+// The store takes ownership of the batch's posting lists: a new entry
+// keeps the list it was handed, and later contributions merge into the
+// entry's own backing array.
 //
 // For classified NDKs the merged list is re-truncated immediately. This
 // is exact: a posting evicted by an earlier truncation was dominated by
 // DFmax better postings, which are all still present, so it can never
 // re-enter any later top-DFmax.
-func (s *hdkStore) insert(key string, size int, list postings.List, contributor string) (KeyStatus, bool) {
+func (s *hdkStore) insertBatch(contributor string, batch []postings.KeyedMessage) []postings.KeyedMessage {
+	// Contributor sets are shared: every entry this batch creates points
+	// at solo, and every entry it grows from one set points at the same
+	// grown copy, found again by the identity of the set it grew from.
+	solo := []string{contributor}
+	grown := make(map[*string][]string)
+	var classified []postings.KeyedMessage
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		e = &entry{size: size, contributors: make(map[string]struct{})}
-		// The map retains the key; clone it so a key substringing a
-		// decoded RPC batch does not pin the whole request buffer.
-		s.entries[strings.Clone(key)] = e
-	}
-	e.df += len(list)
-	if e.classified && e.status == StatusNDK {
-		if !s.cfg.DisableNDKStorage {
-			e.list = postings.Union(e.list, list).TopK(s.cfg.DFMax)
+	for _, m := range batch {
+		e, ok := s.entries[m.Key]
+		if !ok {
+			e = &entry{size: int(m.Aux)}
+			// The map retains the key; clone it so a key substringing a
+			// decoded RPC batch does not pin the whole request buffer.
+			s.entries[strings.Clone(m.Key)] = e
 		}
-	} else {
-		e.list = postings.Union(e.list, list)
+		if len(e.contributors) == 0 {
+			e.contributors = solo
+		} else if i, found := slices.BinarySearch(e.contributors, contributor); !found {
+			from := &e.contributors[0]
+			set, ok := grown[from]
+			if !ok {
+				set = slices.Insert(slices.Clip(e.contributors), i, contributor)
+				grown[from] = set
+			}
+			e.contributors = set
+		}
+		e.df += len(m.List)
+		if e.classified && e.status == StatusNDK {
+			if !s.cfg.DisableNDKStorage {
+				e.list = postings.Union(e.list, m.List).TopK(s.cfg.DFMax)
+			}
+		} else {
+			e.list = postings.UnionInPlace(e.list, m.List)
+		}
+		e.sumOK = false
+		if e.classified {
+			classified = append(classified, postings.KeyedMessage{Key: m.Key, Aux: uint64(e.status)})
+		}
 	}
-	e.contributors[contributor] = struct{}{}
-	e.sumOK = false
-	return e.status, e.classified
+	return classified
 }
 
 // classifySweep classifies every not-yet-classified entry of the given
@@ -122,7 +152,8 @@ func (s *hdkStore) insert(key string, size int, list postings.List, contributor 
 // insertion — the paper's maintenance rule: "if any of the inserted HDKs
 // become globally non-discriminative, [the network] notifies the peers
 // that have submitted such key". It returns, per newly non-discriminative
-// key, the contributors to notify.
+// key, the contributors to notify (sorted; shared with the entry, so
+// read-only).
 func (s *hdkStore) classifySweep(size int) map[string][]string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -151,12 +182,7 @@ func (s *hdkStore) classifySweep(size int) map[string][]string {
 		} else {
 			e.list = e.list.TopK(s.cfg.DFMax)
 		}
-		addrs := make([]string, 0, len(e.contributors))
-		for a := range e.contributors {
-			addrs = append(addrs, a)
-		}
-		sort.Strings(addrs)
-		notify[key] = addrs
+		notify[key] = e.contributors
 	}
 	return notify
 }
@@ -272,7 +298,7 @@ func (s *hdkStore) entryFingerprint(key string) (replica.Fingerprint, bool) {
 // must hold the store lock (or own the entry exclusively).
 func fingerprintEntry(e *entry) replica.Fingerprint {
 	if !e.sumOK {
-		e.sum = blobSum(exportEntryBytes(e))
+		e.sum = blobSum(appendEntryExport(nil, e))
 		e.sumOK = true
 	}
 	return replica.Fingerprint{Version: e.df, Sum: e.sum}
@@ -297,39 +323,36 @@ func (s *hdkStore) exportEntry(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return exportEntryBytes(e), true
+	return appendEntryExport(nil, e), true
 }
 
-// exportEntryBytes builds the canonical export encoding of an entry.
-// Deterministic (contributors sorted, postings delta-coded), so equal
+// appendEntryExport appends the canonical export encoding of an entry to
+// buf. Deterministic (contributors sorted, postings delta-coded), so equal
 // copies export byte-identically on every member. The caller must hold
 // the store lock (or own the entry exclusively).
-func exportEntryBytes(e *entry) []byte {
-	buf := binary.AppendUvarint(nil, uint64(e.size))
+func appendEntryExport(buf []byte, e *entry) []byte {
+	buf = binary.AppendUvarint(buf, uint64(e.size))
 	buf = binary.AppendUvarint(buf, uint64(e.df))
 	flags := byte(e.status)
 	if e.classified {
 		flags |= 1 << 2
 	}
 	buf = append(buf, flags)
-	addrs := make([]string, 0, len(e.contributors))
-	for a := range e.contributors {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
-	buf = binary.AppendUvarint(buf, uint64(len(addrs)))
-	for _, a := range addrs {
+	buf = binary.AppendUvarint(buf, uint64(len(e.contributors)))
+	for _, a := range e.contributors {
 		buf = binary.AppendUvarint(buf, uint64(len(a)))
 		buf = append(buf, a...)
 	}
 	return postings.Encode(buf, e.list)
 }
 
-// exportAll streams every resident entry's (key, canonical export blob)
-// pair to emit in sorted key order — the full-store snapshot source for
-// the durable persistence layer. The snapshot is point-in-time
-// consistent: the store lock is held for the duration.
-func (s *hdkStore) exportAll(emit func(key string, blob []byte) error) error {
+// exportAll streams every resident entry as a durable snapshot cell
+// (appendEntryRecord: key + canonical export) to emit in sorted key order
+// — the full-store snapshot source for the durable persistence layer. The
+// cell is encoded into one buffer reused across entries, so emit must not
+// retain it. The snapshot is point-in-time consistent: the store lock is
+// held for the duration.
+func (s *hdkStore) exportAll(emit func(cell []byte) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	keys := make([]string, 0, len(s.entries))
@@ -337,23 +360,25 @@ func (s *hdkStore) exportAll(emit func(key string, blob []byte) error) error {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
+	var cell []byte
 	for _, key := range keys {
-		if err := emit(key, exportEntryBytes(s.entries[key])); err != nil {
+		cell = appendEntryRecord(cell[:0], key, s.entries[key])
+		if err := emit(cell); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// maxContributorPrealloc caps the contributor-map pre-allocation during
+// maxContributorPrealloc caps the contributor-slice pre-allocation during
 // blob decoding: the declared count is attacker-controlled, so a corrupt
 // blob must not be able to buy a large allocation with a few bytes. Real
-// counts above the cap still decode — the map simply grows as entries
-// are inserted, each of which costs actual blob bytes.
+// counts above the cap still decode — the slice simply grows as entries
+// are appended, each of which costs actual blob bytes.
 const maxContributorPrealloc = 256
 
 // decodeEntryBlob parses a canonical entry export produced by
-// exportEntryBytes, validating every length against the remaining input.
+// appendEntryExport, validating every length against the remaining input.
 func decodeEntryBlob(blob []byte) (*entry, error) {
 	size, off := binary.Uvarint(blob)
 	if off <= 0 {
@@ -373,7 +398,7 @@ func decodeEntryBlob(blob []byte) (*entry, error) {
 	nc, sz := binary.Uvarint(blob[off:])
 	// Every contributor costs at least one byte (its length prefix), so a
 	// count beyond the remaining bytes is corrupt — and the declared count
-	// only pre-sizes the map up to a constant cap.
+	// only pre-sizes the slice up to a constant cap.
 	if sz <= 0 || nc > uint64(len(blob)-off-sz) {
 		return nil, errCorruptRPC
 	}
@@ -382,16 +407,20 @@ func decodeEntryBlob(blob []byte) (*entry, error) {
 	if prealloc > maxContributorPrealloc {
 		prealloc = maxContributorPrealloc
 	}
-	contributors := make(map[string]struct{}, prealloc)
+	contributors := make([]string, 0, prealloc)
 	for i := uint64(0); i < nc; i++ {
 		al, sz := binary.Uvarint(blob[off:])
 		if sz <= 0 || uint64(len(blob)-off-sz) < al {
 			return nil, errCorruptRPC
 		}
 		off += sz
-		contributors[string(blob[off:off+int(al)])] = struct{}{}
+		contributors = append(contributors, string(blob[off:off+int(al)]))
 		off += int(al)
 	}
+	// Canonical exports list contributors sorted and distinct (a no-op
+	// here); any other blob is normalized to the set it denotes.
+	slices.Sort(contributors)
+	contributors = slices.Compact(contributors)
 	list, consumed, err := postings.Decode(blob[off:])
 	if err != nil {
 		return nil, err

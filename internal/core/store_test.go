@@ -122,3 +122,9 @@ func TestStoreFetchBatchMatchesSingleFetches(t *testing.T) {
 		t.Fatalf("unexpected statuses: %+v", batch)
 	}
 }
+
+// insert is the single-key form of insertBatch these tests speak. Like
+// insertBatch, it hands the list over to the store.
+func (s *hdkStore) insert(key string, size int, list postings.List, contributor string) {
+	s.insertBatch(contributor, []postings.KeyedMessage{{Key: key, Aux: uint64(size), List: list}})
+}

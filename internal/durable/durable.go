@@ -24,6 +24,7 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -394,14 +395,20 @@ func (s *Store) Compact(write func(emit func(kind string, payload []byte) error)
 	hdr := make([]byte, 0, headerLen)
 	hdr = append(hdr, snapshotMagic...)
 	hdr = binary.BigEndian.AppendUint64(hdr, next)
-	_, err = f.Write(hdr)
+	// A full-store snapshot is hundreds of thousands of small records:
+	// buffer them so the file sees a write per block, not per record.
+	w := bufio.NewWriterSize(f, 1<<18)
+	_, err = w.Write(hdr)
 	if err == nil {
 		var buf []byte
 		err = write(func(kind string, payload []byte) error {
 			buf = appendRecord(buf[:0], kind, payload)
-			_, werr := f.Write(buf)
+			_, werr := w.Write(buf)
 			return werr
 		})
+	}
+	if err == nil {
+		err = w.Flush()
 	}
 	if err == nil {
 		err = f.Sync()

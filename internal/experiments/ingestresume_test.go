@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/transport/cluster"
 )
@@ -67,4 +70,49 @@ func TestTCPIngestResumeE2E(t *testing.T) {
 		t.Errorf("%d/%d post-build queries diverged — the resumed build is not bit-identical to the uninterrupted one",
 			rep.Mismatches, rep.Queries)
 	}
+	if err := checkBuildRoundSeries(tr, h.Addrs()); err != nil {
+		t.Error(err)
+	}
+}
+
+// checkBuildRoundSeries scrapes every daemon after a daemon-coordinated
+// build and holds the round breakdown to exact accounting: each daemon
+// ran each of the SMax rounds once, so each of the three per-round
+// histograms (generation, insert pass, wait for the barrier to learn of
+// the finished pass) must carry exactly one observation per daemon per
+// round — a series that went missing or double-counts fails the scenario.
+func checkBuildRoundSeries(tr transport.Transport, addrs []string) error {
+	c, err := cluster.Dial(cluster.Options{Transport: tr, Addrs: addrs})
+	if err != nil {
+		return err
+	}
+	cfg, err := c.Meta(addrs[0])
+	if err != nil {
+		return err
+	}
+	snaps := make([]telemetry.Snapshot, len(addrs))
+	for i, addr := range addrs {
+		var err error
+		if snaps[i], err = cluster.FetchMetrics(tr, addr); err != nil {
+			return fmt.Errorf("experiments: scrape %s: %w", addr, err)
+		}
+	}
+	for _, name := range []string{
+		"hdk_build_generate_nanoseconds",
+		"hdk_build_insert_nanoseconds",
+		"hdk_build_barrier_wait_nanoseconds",
+	} {
+		for round := 1; round <= cfg.SMax; round++ {
+			var n uint64
+			for _, snap := range snaps {
+				hv, _ := snap.Histogram(name, telemetry.L("round", strconv.Itoa(round)))
+				n += hv.Count
+			}
+			if n != uint64(len(addrs)) {
+				return fmt.Errorf("experiments: %s{round=%d} holds %d observations over %d daemons, want one each",
+					name, round, n, len(addrs))
+			}
+		}
+	}
+	return nil
 }

@@ -7,10 +7,12 @@
 package postings
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/corpus"
@@ -27,16 +29,6 @@ type Posting struct {
 // List is a posting list sorted by ascending document id with unique docs.
 type List []Posting
 
-// FromDocs builds a list with zero scores from raw doc ids.
-func FromDocs(docs []corpus.DocID) List {
-	l := make(List, len(docs))
-	for i, d := range docs {
-		l[i] = Posting{Doc: d}
-	}
-	l.Normalize()
-	return l
-}
-
 // Docs extracts the document ids.
 func (l List) Docs() []corpus.DocID {
 	out := make([]corpus.DocID, len(l))
@@ -44,24 +36,6 @@ func (l List) Docs() []corpus.DocID {
 		out[i] = p.Doc
 	}
 	return out
-}
-
-// Normalize sorts by doc id and merges duplicate docs keeping the highest
-// score. It returns the (possibly shortened) list in place.
-func (l *List) Normalize() {
-	s := *l
-	sort.Slice(s, func(i, j int) bool { return s[i].Doc < s[j].Doc })
-	out := s[:0]
-	for _, p := range s {
-		if n := len(out); n > 0 && out[n-1].Doc == p.Doc {
-			if p.Score > out[n-1].Score {
-				out[n-1].Score = p.Score
-			}
-			continue
-		}
-		out = append(out, p)
-	}
-	*l = out
 }
 
 // IsSorted reports whether the list is strictly sorted by doc id (the
@@ -137,6 +111,48 @@ func Intersect(a, b List) List {
 	return out
 }
 
+// UnionInPlace is Union(a, b) computed into a's own backing array, for a
+// caller that owns a and folds contributions into it over time: a grows
+// (amortized, like append) only when its spare capacity cannot hold b,
+// and the merge runs from the tails down so nothing is overwritten before
+// it is read. The result is element-for-element Union(a, b); a's old
+// slice header is dead afterwards, b is only read and must not alias a.
+// With a empty the result is b itself — the caller hands b over.
+func UnionInPlace(a, b List) List {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 || a[len(a)-1].Doc < b[0].Doc {
+		return append(a, b...)
+	}
+	i, j := len(a)-1, len(b)-1
+	a = slices.Grow(a, len(b))[:len(a)+len(b)]
+	w := len(a) - 1
+	for ; i >= 0 && j >= 0; w-- {
+		switch {
+		case a[i].Doc > b[j].Doc:
+			a[w] = a[i]
+			i--
+		case a[i].Doc < b[j].Doc:
+			a[w] = b[j]
+			j--
+		default:
+			a[w] = Posting{Doc: a[i].Doc, Score: a[i].Score + b[j].Score}
+			i--
+			j--
+		}
+	}
+	for ; j >= 0; j, w = j-1, w-1 {
+		a[w] = b[j]
+	}
+	if w > i {
+		// a[:i+1] never moved, and every doc the lists shared left one
+		// slot unused between it and the merged tail at a[w+1:].
+		a = append(a[:i+1], a[w+1:]...)
+	}
+	return a
+}
+
 // UnionAll folds Union over many lists, ping-ponging two presized
 // buffers so the fold costs two allocations regardless of list count.
 func UnionAll(lists []List) List {
@@ -171,14 +187,16 @@ func (l List) TopK(k int) List {
 	}
 	byScore := make(List, len(l))
 	copy(byScore, l)
-	sort.Slice(byScore, func(i, j int) bool {
-		if byScore[i].Score != byScore[j].Score {
-			return byScore[i].Score > byScore[j].Score
+	// Both orders are total (docs are unique), so the result does not
+	// depend on the sorting algorithm.
+	slices.SortFunc(byScore, func(a, b Posting) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return byScore[i].Doc < byScore[j].Doc
+		return cmp.Compare(a.Doc, b.Doc)
 	})
 	out := byScore[:k:k]
-	sort.Slice(out, func(i, j int) bool { return out[i].Doc < out[j].Doc })
+	slices.SortFunc(out, func(a, b Posting) int { return cmp.Compare(a.Doc, b.Doc) })
 	return out
 }
 

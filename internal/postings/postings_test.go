@@ -10,9 +10,35 @@ import (
 	"repro/internal/corpus"
 )
 
-func mk(docs ...corpus.DocID) List { return FromDocs(docs) }
+// mk builds a list with zero scores from raw doc ids.
+func mk(docs ...corpus.DocID) List {
+	l := make(List, len(docs))
+	for i, d := range docs {
+		l[i] = Posting{Doc: d}
+	}
+	l.normalize()
+	return l
+}
 
-func TestFromDocsSortsAndDedups(t *testing.T) {
+// normalize makes arbitrary postings a valid List in place: sorted by doc
+// id, duplicate docs merged keeping the highest score.
+func (l *List) normalize() {
+	s := *l
+	sort.Slice(s, func(i, j int) bool { return s[i].Doc < s[j].Doc })
+	out := s[:0]
+	for _, p := range s {
+		if n := len(out); n > 0 && out[n-1].Doc == p.Doc {
+			if p.Score > out[n-1].Score {
+				out[n-1].Score = p.Score
+			}
+			continue
+		}
+		out = append(out, p)
+	}
+	*l = out
+}
+
+func TestMkSortsAndDedups(t *testing.T) {
 	l := mk(5, 1, 3, 1, 5)
 	want := []corpus.DocID{1, 3, 5}
 	if !reflect.DeepEqual(l.Docs(), want) {
@@ -25,9 +51,9 @@ func TestFromDocsSortsAndDedups(t *testing.T) {
 
 func TestNormalizeKeepsMaxScore(t *testing.T) {
 	l := List{{Doc: 2, Score: 1}, {Doc: 2, Score: 7}, {Doc: 1, Score: 3}}
-	l.Normalize()
+	l.normalize()
 	if len(l) != 2 || l[0].Doc != 1 || l[1].Doc != 2 || l[1].Score != 7 {
-		t.Fatalf("Normalize = %v", l)
+		t.Fatalf("normalize = %v", l)
 	}
 }
 
@@ -99,6 +125,18 @@ func TestUnionIntersectProperties(t *testing.T) {
 		}
 		if !reflect.DeepEqual(Union(b, a), u) {
 			t.Fatal("Union not commutative")
+		}
+		// The in-place fold is the same merge, whether a's backing array
+		// has room for b (merged where it stands) or not (grown first).
+		for _, spare := range []int{0, len(b), 3 * len(b)} {
+			own := append(make(List, 0, len(a)+spare), a...)
+			got := UnionInPlace(own, append(List(nil), b...))
+			if len(got) != len(u) || (len(u) > 0 && !reflect.DeepEqual(got, u)) {
+				t.Fatalf("UnionInPlace(spare %d) = %v, want %v", spare, got, u)
+			}
+			if spare >= len(b) && len(a) > 0 && len(b) > 0 && &got[0] != &own[0] {
+				t.Fatalf("UnionInPlace reallocated with %d spare slots for %d postings", spare, len(b))
+			}
 		}
 		// Every intersection doc in both inputs.
 		for _, p := range x {
@@ -172,7 +210,7 @@ func TestEncodeDecodeQuick(t *testing.T) {
 			}
 			l = append(l, Posting{Doc: corpus.DocID(d), Score: s})
 		}
-		l.Normalize()
+		l.normalize()
 		got, _, err := Decode(Encode(nil, l))
 		if err != nil {
 			return false

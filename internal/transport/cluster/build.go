@@ -11,15 +11,20 @@ import (
 // Server-side hdk.build: daemons run the round-synchronous collaborative
 // indexing themselves, over the shards hdk.ingest delivered. Any daemon
 // can coordinate — it fans the round out to every member (itself
-// included, over loopback, so all shards take the identical path), polls
+// included, over loopback, so all shards take the identical path), waits
 // until the round barrier holds, runs the classification sweep with its
 // own engine, and repeats through SMax. Rounds can outlast the RPC
 // timeout by orders of magnitude, so every long-running step is an
-// asynchronous kick-off plus cheap status polls; per-round progress is
-// surfaced through cluster.info and the telemetry registry.
+// asynchronous kick-off plus status frames that block server-side — no
+// lock held — until the step finishes or buildWaitCap passes: the waiter
+// is woken by the completion itself, not by the next tick of a poll.
+// Per-round progress is surfaced through cluster.info and the telemetry
+// registry.
 
-// buildPollInterval paces the coordinator's round-barrier status polls.
-const buildPollInterval = 50 * time.Millisecond
+// buildWaitCap bounds how long one status frame (or repeated start frame)
+// blocks waiting for progress: far below the RPC timeout, and the longest
+// a waiter can outlive a caller whose connection dropped.
+const buildWaitCap = time.Second
 
 // serverBuild is one daemon's build-path state: the lazily constructed
 // engine hosting its shard's peer, the per-round worker states, and the
@@ -31,12 +36,26 @@ type serverBuild struct {
 	eng  *core.Engine
 	peer *core.Peer
 
-	rounds   map[int]byte   // worker: round size -> buildRunning/Done/Failed
-	roundErr map[int]string // worker: round size -> failure message
-	round    int            // latest round this daemon has touched (either role)
+	rounds map[int]*workerRound // worker: round size -> this shard's pass
+	round  int                  // latest round this daemon has touched (either role)
 
 	coordState byte // coordinator state machine (buildIdle before start)
 	coordErr   string
+	// coordMoved holds one token whenever the coordinator's round or state
+	// changed since a repeated start frame last looked: that frame blocks
+	// on it, so a client following the build wakes on the change instead
+	// of polling for it. Capacity 1 — signalling never blocks, and
+	// changes nobody waited for coalesce.
+	coordMoved chan struct{}
+}
+
+// workerRound is this daemon's generation + insert pass for one round.
+type workerRound struct {
+	state    byte          // buildRunning until the pass ends, then buildDone or buildFailed
+	err      string        // failure message (buildFailed)
+	done     chan struct{} // closed when state leaves buildRunning
+	doneAt   time.Time     // when it did
+	reported bool          // a status frame has told the coordinator the pass completed
 }
 
 // buildEngine lazily constructs the daemon's build engine: its
@@ -80,10 +99,8 @@ func (s *Server) buildEngine() (*core.Engine, *core.Peer, error) {
 	// plain dispatch.
 	s.Handle(core.SvcNotify, peer.ServeNotify)
 	b.eng, b.peer = eng, peer
-	if b.rounds == nil {
-		b.rounds = make(map[int]byte)
-		b.roundErr = make(map[int]string)
-	}
+	b.rounds = make(map[int]*workerRound)
+	b.coordMoved = make(chan struct{}, 1)
 	return eng, peer, nil
 }
 
@@ -117,7 +134,8 @@ func (s *Server) handleBuild(payload []byte) ([]byte, error) {
 // handleBuildRound starts this daemon's candidate-generation + insert
 // pass for round size (idempotent: a duplicate frame for a round already
 // running or finished just acks). The pass runs in a goroutine — rounds
-// outlast the RPC timeout — and the coordinator polls its status.
+// outlast the RPC timeout — which ends the moment it publishes the
+// round's outcome; the coordinator's status frame is woken by that.
 func (s *Server) handleBuildRound(size int) error {
 	eng, peer, err := s.buildEngine()
 	if err != nil {
@@ -129,36 +147,66 @@ func (s *Server) handleBuildRound(size int) error {
 		b.mu.Unlock()
 		return nil
 	}
-	b.rounds[size] = buildRunning
+	r := &workerRound{state: buildRunning, done: make(chan struct{})}
+	b.rounds[size] = r
 	if size > b.round {
 		b.round = size
 	}
 	b.mu.Unlock()
 	go func() {
-		err := eng.IndexPeerRound(peer, size)
-		b.mu.Lock()
-		if err != nil {
-			b.rounds[size] = buildFailed
-			b.roundErr[size] = err.Error()
-		} else {
-			b.rounds[size] = buildDone
+		times, err := eng.IndexPeerRound(peer, size)
+		if err == nil {
+			s.metrics.buildRounds.Inc()
+			s.metrics.buildGenerate[size].ObserveDuration(times.Generate)
+			s.metrics.buildInsert[size].ObserveDuration(times.Insert)
 		}
+		b.mu.Lock()
+		r.state = buildDone
+		if err != nil {
+			r.state, r.err = buildFailed, err.Error()
+		}
+		r.doneAt = time.Now()
 		b.mu.Unlock()
-		s.metrics.buildRounds.Inc()
+		close(r.done)
 	}()
 	return nil
 }
 
+// waitBuild blocks until ch fires, buildWaitCap passes or the daemon
+// shuts down. Callers hold no lock.
+func (s *Server) waitBuild(ch <-chan struct{}) {
+	t := time.NewTimer(buildWaitCap)
+	defer t.Stop()
+	select {
+	case <-ch:
+	case <-t.C:
+	case <-s.done:
+	}
+}
+
 // handleBuildRoundStatus reports one round's worker state plus the
-// store's resident key count (the coordinator's progress proxy).
+// store's resident key count (the coordinator's progress proxy). While
+// the pass is running the frame blocks (waitBuild) and answers the
+// moment the pass ends; a round this daemon has no record of answers
+// idle at once — to a coordinator that started it, that means this
+// daemon restarted and the round is lost.
 func (s *Server) handleBuildRoundStatus(size int) ([]byte, error) {
 	b := &s.build
 	b.mu.Lock()
-	state, ok := b.rounds[size]
-	msg := b.roundErr[size]
+	r := b.rounds[size]
 	b.mu.Unlock()
-	if !ok {
-		state = buildIdle
+	state, msg := byte(buildIdle), ""
+	if r != nil {
+		s.waitBuild(r.done)
+		b.mu.Lock()
+		state, msg = r.state, r.err
+		if state == buildDone && !r.reported {
+			// First report of a completed pass: how long it sat finished
+			// before the barrier's owner knew.
+			r.reported = true
+			s.metrics.buildBarrierWait[size].ObserveDuration(time.Since(r.doneAt))
+		}
+		b.mu.Unlock()
 	}
 	var keys uint64
 	s.mu.Lock()
@@ -181,25 +229,53 @@ func (s *Server) handleBuildFinish() error {
 	return nil
 }
 
-// handleBuildStart makes this daemon the build coordinator. The response
-// is immediate — the orchestration runs in a goroutine and the client
-// polls cluster.info — and carries the coordinator state, so a repeated
-// start (reconnecting client) observes the running/finished build
-// instead of forking a second one.
+// handleBuildStart makes this daemon the build coordinator. The first
+// start returns at once — the orchestration runs in a goroutine — and
+// carries the coordinator state, so a repeated start (a reconnecting
+// client, or BuildRemote following the build) observes the running or
+// finished build instead of forking a second one. A repeated start of a
+// RUNNING build first blocks (waitBuild) until the coordinator's round
+// or state moves: it is the frame a client waits on between looks at
+// cluster.info.
 func (s *Server) handleBuildStart() ([]byte, error) {
 	if _, _, err := s.buildEngine(); err != nil {
 		return nil, err
 	}
 	b := &s.build
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.coordState {
-	case buildRunning, buildDone, buildFailed:
-		return []byte{b.coordState}, nil
+	if b.coordState == buildIdle {
+		b.coordState = buildRunning
+		b.mu.Unlock()
+		go s.coordinateBuild()
+		return []byte{buildRunning}, nil
 	}
-	b.coordState = buildRunning
-	go s.coordinateBuild()
-	return []byte{buildRunning}, nil
+	running := b.coordState == buildRunning
+	b.mu.Unlock()
+	if running {
+		s.waitBuild(b.coordMoved)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return []byte{b.coordState}, nil
+}
+
+// coordMove applies one change to the coordinator's round or state and
+// leaves a token for whoever follows the build (see coordMoved). The
+// change that ends the build — necessarily the last — closes the channel
+// instead, releasing every waiter for good.
+func (b *serverBuild) coordMove(change func()) {
+	b.mu.Lock()
+	change()
+	ended := b.coordState != buildRunning
+	b.mu.Unlock()
+	if ended {
+		close(b.coordMoved)
+		return
+	}
+	select {
+	case b.coordMoved <- struct{}{}:
+	default:
+	}
 }
 
 // coordinateBuild drives the full round-synchronous build from this
@@ -211,10 +287,7 @@ func (s *Server) handleBuildStart() ([]byte, error) {
 func (s *Server) coordinateBuild() {
 	b := &s.build
 	fail := func(err error) {
-		b.mu.Lock()
-		b.coordState = buildFailed
-		b.coordErr = err.Error()
-		b.mu.Unlock()
+		b.coordMove(func() { b.coordState, b.coordErr = buildFailed, err.Error() })
 	}
 	eng, _, err := s.buildEngine()
 	if err != nil {
@@ -228,9 +301,7 @@ func (s *Server) coordinateBuild() {
 	}
 	smax := eng.Config().SMax
 	for size := 1; size <= smax; size++ {
-		b.mu.Lock()
-		b.round = size
-		b.mu.Unlock()
+		b.coordMove(func() { b.round = size })
 		roundStart := time.Now()
 		for _, addr := range addrs {
 			if _, err := fab.CallService(addr, SvcBuild, encodeBuildRound(size)); err != nil {
@@ -238,7 +309,7 @@ func (s *Server) coordinateBuild() {
 				return
 			}
 		}
-		if err := s.awaitRound(fab, addrs, size); err != nil {
+		if err := awaitRound(fab, addrs, size); err != nil {
 			fail(err)
 			return
 		}
@@ -254,41 +325,37 @@ func (s *Server) coordinateBuild() {
 			return
 		}
 	}
-	b.mu.Lock()
-	b.coordState = buildDone
-	b.mu.Unlock()
+	b.coordMove(func() { b.coordState = buildDone })
 }
 
-// awaitRound polls every member until round size is done everywhere —
-// the barrier that keeps classification strictly after the last insert
-// of the round (the bit-identity invariant: inserts commute within a
-// round, classification changes state only at sweep boundaries).
-func (s *Server) awaitRound(fab interface {
+// awaitRound asks every member in turn for round size's outcome — the
+// barrier that keeps classification strictly after the last insert of
+// the round (the bit-identity invariant: inserts commute within a round,
+// classification changes state only at sweep boundaries). Each status
+// frame blocks at the member until its pass ends (or buildWaitCap, after
+// which the same member is asked again), so the barrier releases as the
+// slowest member finishes. Every member was started on this round before
+// the first question, so one that answers idle has lost it — it
+// restarted — and the build fails by name instead of waiting forever.
+func awaitRound(fab interface {
 	CallService(addr, service string, req []byte) ([]byte, error)
 }, addrs []string, size int) error {
-	pending := append([]string(nil), addrs...)
-	for len(pending) > 0 {
-		next := pending[:0]
-		for _, addr := range pending {
+	for _, addr := range addrs {
+		for state := byte(buildRunning); state == buildRunning; {
 			raw, err := fab.CallService(addr, SvcBuild, encodeBuildRoundStatus(size))
 			if err != nil {
 				return fmt.Errorf("cluster: build round %d status at %s: %w", size, addr, err)
 			}
-			state, _, msg, err := decodeRoundStatusResp(raw)
-			if err != nil {
+			var msg string
+			if state, _, msg, err = decodeRoundStatusResp(raw); err != nil {
 				return fmt.Errorf("cluster: build round %d status at %s: %w", size, addr, err)
 			}
 			switch state {
-			case buildDone:
 			case buildFailed:
 				return fmt.Errorf("cluster: build round %d failed at %s: %s", size, addr, msg)
-			default:
-				next = append(next, addr)
+			case buildIdle:
+				return fmt.Errorf("cluster: build round %d lost at %s", size, addr)
 			}
-		}
-		pending = next
-		if len(pending) > 0 {
-			time.Sleep(buildPollInterval)
 		}
 	}
 	return nil
@@ -301,10 +368,8 @@ func (s *Server) buildProgress() (state string, round int, errMsg string) {
 	b := &s.build
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	round = b.round
-	names := map[byte]string{buildIdle: "idle", buildRunning: "running", buildDone: "done", buildFailed: "failed"}
 	if b.coordState != buildIdle {
-		return names[b.coordState], round, b.coordErr
+		return buildStateName(b.coordState), b.round, b.coordErr
 	}
 	if b.eng == nil {
 		return "idle", 0, ""
@@ -312,10 +377,10 @@ func (s *Server) buildProgress() (state string, round int, errMsg string) {
 	// Worker view: failed if any round failed, running if any is in
 	// flight, else done-so-far.
 	st := byte(buildIdle)
-	for size, rs := range b.rounds {
-		switch rs {
+	for _, r := range b.rounds {
+		switch r.state {
 		case buildFailed:
-			return "failed", round, b.roundErr[size]
+			return "failed", b.round, r.err
 		case buildRunning:
 			st = buildRunning
 		case buildDone:
@@ -324,5 +389,17 @@ func (s *Server) buildProgress() (state string, round int, errMsg string) {
 			}
 		}
 	}
-	return names[st], round, ""
+	return buildStateName(st), b.round, ""
+}
+
+func buildStateName(state byte) string {
+	switch state {
+	case buildRunning:
+		return "running"
+	case buildDone:
+		return "done"
+	case buildFailed:
+		return "failed"
+	}
+	return "idle"
 }

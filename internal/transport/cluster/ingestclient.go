@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -214,25 +213,25 @@ func (c *Client) Ingest(addr string, src IngestSource) (IngestStats, error) {
 	return st, nil
 }
 
-// buildRemotePoll paces BuildRemote's cluster.info progress polls.
-const buildRemotePoll = 100 * time.Millisecond
-
 // BuildRemote asks the daemon at addr to coordinate the whole
-// round-synchronous build over every member's ingested shard, then polls
-// cluster.info until the coordinator reports done or failed. The start
+// round-synchronous build over every member's ingested shard, then
+// follows it until the coordinator reports done or failed. The start
 // is idempotent — a reconnecting client observes the running build
-// instead of forking a second one. progress, when non-nil, receives
-// every polled Info (BuildRound advances 1..SMax; Keys grows as the
+// instead of forking a second one — and a repeated start of a running
+// build blocks at the daemon until the build's round or state moves
+// (about a second at most), so following costs one look at cluster.info
+// per change instead of a poll loop. progress, when non-nil, receives
+// every Info looked at (BuildRound advances 1..SMax; Keys grows as the
 // index fills).
 func (c *Client) BuildRemote(addr string, progress func(Info)) error {
-	raw, err := c.CallService(addr, SvcBuild, encodeBuildStart())
-	if err != nil {
-		return fmt.Errorf("cluster: build start at %s: %w", addr, err)
-	}
-	if len(raw) != 1 {
-		return fmt.Errorf("cluster: build start at %s: %w", addr, errCorruptFrame)
-	}
 	for {
+		raw, err := c.CallService(addr, SvcBuild, encodeBuildStart())
+		if err != nil {
+			return fmt.Errorf("cluster: build start at %s: %w", addr, err)
+		}
+		if len(raw) != 1 {
+			return fmt.Errorf("cluster: build start at %s: %w", addr, errCorruptFrame)
+		}
 		info, err := FetchInfo(c.tr, addr)
 		if err != nil {
 			return fmt.Errorf("cluster: build progress at %s: %w", addr, err)
@@ -246,6 +245,5 @@ func (c *Client) BuildRemote(addr string, progress func(Info)) error {
 		case "failed":
 			return fmt.Errorf("cluster: build failed at %s: %s", addr, info.BuildError)
 		}
-		time.Sleep(buildRemotePoll)
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -24,9 +25,16 @@ const (
 	metricAdmissionWaitNanos = "hdk_search_admission_wait_nanoseconds"
 	metricCoordinationNanos  = "hdk_search_coordination_nanoseconds"
 	metricBuildRoundNanos    = "hdk_build_round_nanoseconds"
-	metricSearchQueueDepth   = "hdk_search_queue_depth"
-	metricClusterMembers     = "hdk_cluster_members"
-	metricStoreKeys          = "hdk_store_keys"
+	// Where a round goes, per round (label round="s"): the worker's
+	// candidate generation, its routing + insert-RPC pass, and how long
+	// its finished round then waited for the coordinator's status frame to
+	// learn of it — the slowest member's sample is the barrier's cost.
+	metricBuildGenerateNanos    = "hdk_build_generate_nanoseconds"
+	metricBuildInsertNanos      = "hdk_build_insert_nanoseconds"
+	metricBuildBarrierWaitNanos = "hdk_build_barrier_wait_nanoseconds"
+	metricSearchQueueDepth      = "hdk_search_queue_depth"
+	metricClusterMembers        = "hdk_cluster_members"
+	metricStoreKeys             = "hdk_store_keys"
 )
 
 // serverMetrics is the daemon's telemetry registry plus the hot-path
@@ -50,16 +58,19 @@ type serverMetrics struct {
 
 	ingestChunks *telemetry.Counter // hdk.ingest chunks durably accepted
 	ingestBytes  *telemetry.Counter // hdk.ingest chunk payload bytes accepted
-	buildRounds  *telemetry.Counter // hdk.build per-shard rounds completed
+	buildRounds  *telemetry.Counter // hdk.build per-shard rounds completed (failed passes are not counted)
 
 	admissionWait  *telemetry.Histogram // wait for a worker slot, admitted requests only
 	coordination   *telemetry.Histogram // fresh coordination latency (cache hits excluded)
 	buildRoundTime *telemetry.Histogram // coordinator-observed wall time per build round
+
+	// Worker-side round breakdown, indexed by round (key size); [0] unused.
+	buildGenerate, buildInsert, buildBarrierWait [core.MaxKeySize + 1]*telemetry.Histogram
 }
 
 func newServerMetrics() *serverMetrics {
 	reg := telemetry.NewRegistry()
-	return &serverMetrics{
+	m := &serverMetrics{
 		reg:            reg,
 		query:          core.NewQueryMetrics(reg),
 		insertRPCs:     reg.Counter(metricInsertRPCs),
@@ -76,6 +87,13 @@ func newServerMetrics() *serverMetrics {
 		coordination:   reg.Histogram(metricCoordinationNanos),
 		buildRoundTime: reg.Histogram(metricBuildRoundNanos),
 	}
+	for round := 1; round <= core.MaxKeySize; round++ {
+		l := telemetry.L("round", strconv.Itoa(round))
+		m.buildGenerate[round] = reg.Histogram(metricBuildGenerateNanos, l)
+		m.buildInsert[round] = reg.Histogram(metricBuildInsertNanos, l)
+		m.buildBarrierWait[round] = reg.Histogram(metricBuildBarrierWaitNanos, l)
+	}
+	return m
 }
 
 // registerGauges wires the callback gauges that read live server state.
