@@ -4,11 +4,16 @@ package repro
 // repository, so these tests fail the build when it goes stale — a new
 // internal package must be added to the map, and the links from
 // README.md and doc.go must survive edits. They also enforce that every
-// internal package keeps a godoc package comment.
+// internal package keeps a godoc package comment and has a caller, and
+// that the map names no path that is gone.
 
 import (
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -104,4 +109,89 @@ func TestEveryInternalPackageHasGodoc(t *testing.T) {
 			t.Errorf("%s has no package doc comment", pkg)
 		}
 	}
+}
+
+// TestArchitectureDocNamesOnlyLivePaths requires every internal/… path
+// ARCHITECTURE.md names to exist, so the map cannot go on describing a
+// deleted package or file.
+func TestArchitectureDocNamesOnlyLivePaths(t *testing.T) {
+	arch, err := os.ReadFile("ARCHITECTURE.md")
+	if err != nil {
+		t.Fatalf("ARCHITECTURE.md missing: %v", err)
+	}
+	for _, path := range regexp.MustCompile(`internal/[a-z0-9_/]+(\.go)?`).FindAllString(string(arch), -1) {
+		if _, err := os.Stat(strings.TrimSuffix(path, "/")); err != nil {
+			t.Errorf("ARCHITECTURE.md names %s, which does not exist", path)
+		}
+	}
+}
+
+// TestEveryInternalPackageIsImported requires every internal package to
+// have a caller: a non-test file outside the package imports it, or the
+// tests of at least two other packages do (shared test support such as
+// the fuzz-corpus and lint-test helpers). A package only its own tests
+// use is dead code. The bench/ module is not part of this module and
+// does not count.
+func TestEveryInternalPackageIsImported(t *testing.T) {
+	mod, err := os.ReadFile("go.mod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	modPath := strings.TrimPrefix(strings.SplitN(string(mod), "\n", 2)[0], "module ")
+	prodUsers := map[string]map[string]bool{} // import path -> importing dirs
+	testUsers := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != "." && (name == "testdata" || strings.HasPrefix(name, ".") || fileExists(filepath.Join(path, "go.mod"))) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		users := prodUsers
+		if strings.HasSuffix(path, "_test.go") {
+			users = testUsers
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if users[p] == nil {
+				users[p] = map[string]bool{}
+			}
+			users[p][dir] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	others := func(users map[string]bool, self string) int {
+		n := len(users)
+		if users[self] {
+			n--
+		}
+		return n
+	}
+	for _, pkg := range internalPackages(t) {
+		imp := modPath + "/" + pkg
+		if others(prodUsers[imp], pkg) == 0 && others(testUsers[imp], pkg) < 2 {
+			t.Errorf("%s is imported by no other package's code and by the tests of fewer than two — delete it or give it a caller", pkg)
+		}
+	}
+}
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }

@@ -115,9 +115,6 @@ func (e *Centralized) IndexPostings() int {
 	return total
 }
 
-// VocabularySize returns the number of distinct indexed terms.
-func (e *Centralized) VocabularySize() int { return len(e.index) }
-
 // String summarizes the engine for logs.
 func (e *Centralized) String() string {
 	return fmt.Sprintf("centralized{docs=%d terms=%d postings=%d}",

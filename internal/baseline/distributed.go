@@ -22,7 +22,7 @@ const (
 // GlobalStats carries the collection-wide statistics distributed ranking
 // needs. In the prototype lineage these are gossiped through the overlay
 // (as in MINERVA/PlanetP); here they are computed once and handed to every
-// peer, which is equivalent after gossip convergence.
+// peer, which is what a converged gossip would deliver.
 type GlobalStats struct {
 	NumDocs   int
 	AvgDocLen float64
@@ -92,9 +92,6 @@ func NewDistributedST(net overlay.Fabric, vocab []string, global GlobalStats, pa
 		e.stores[node.ID()] = store
 		node.Handle(svcSTInsert, e.makeInsertHandler(store))
 		node.Handle(svcSTFetch, e.makeFetchHandler(store))
-		for name, h := range e.registerBloomHandlers(store) {
-			node.Handle(name, h)
-		}
 	}
 	return e
 }

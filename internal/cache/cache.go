@@ -1,20 +1,15 @@
-// Package cache provides the small generic LRU behind the repository's
-// two retrieval caches — the mitigation the paper's related work
-// proposes for distributed indexes ("top-k posting list joins, Bloom
-// filters, and caching as promising techniques to reduce search
-// costs") and the cache-size literature in PAPERS.md studies for DHT
-// designs:
+// Package cache provides the small generic LRU behind the cluster
+// daemon's per-node query-result cache (cluster.Server, the hdk.search
+// path): whole coordinated answers keyed by the canonical request bytes,
+// cleared through the store's write-through mutation hook. It is the
+// caching mitigation the paper's related work proposes for distributed
+// indexes ("top-k posting list joins, Bloom filters, and caching as
+// promising techniques to reduce search costs"), placed where the
+// cache-size literature in PAPERS.md puts it for DHT designs: where the
+// lookup lands, once, at the coordinator.
 //
-//   - the engine's opt-in query-side fetch cache
-//     (core.Engine.EnableQueryCache): memoized fetch responses answer
-//     repeat probes with zero network postings;
-//   - the cluster daemon's per-node query-result cache
-//     (cluster.Server, the hdk.search path): whole coordinated answers
-//     keyed by the canonical request bytes, invalidated through the
-//     store's write-through mutation hook.
-//
-// The LRU is concurrency-safe and carries cumulative hit/miss counters,
-// surfaced by cluster.info and the coordinator bench.
+// The LRU is concurrency-safe; the daemon counts its hits and misses in
+// its own metrics registry.
 package cache
 
 import (
@@ -29,9 +24,6 @@ type LRU[V any] struct {
 	cap   int
 	ll    *list.List
 	items map[string]*list.Element
-
-	hits   uint64
-	misses uint64
 }
 
 type lruEntry[V any] struct {
@@ -56,10 +48,8 @@ func (c *LRU[V]) Get(key string) (V, bool) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		c.hits++
 		return el.Value.(*lruEntry[V]).val, true
 	}
-	c.misses++
 	var zero V
 	return zero, false
 }
@@ -86,17 +76,6 @@ func (c *LRU[V]) Put(key string, val V) {
 	}
 }
 
-// Invalidate removes a key (used when the index changes under the
-// cache, e.g. after incremental document insertion).
-func (c *LRU[V]) Invalidate(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.Remove(el)
-		delete(c.items, key)
-	}
-}
-
 // Clear drops every entry.
 func (c *LRU[V]) Clear() {
 	c.mu.Lock()
@@ -110,11 +89,4 @@ func (c *LRU[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
-}
-
-// Stats returns cumulative hit/miss counters.
-func (c *LRU[V]) Stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/corpus"
 	"repro/internal/overlay"
 	"repro/internal/postings"
@@ -87,10 +86,9 @@ func NewQueryMetrics(reg *telemetry.Registry) *QueryMetrics {
 // typically a cluster client built over the daemon's own membership
 // view; Cfg supplies SMax, SearchFanout and ReplicationFactor (the
 // daemon uses the configuration the building client shipped, so
-// coordination agrees with placement). Cache, when non-nil, memoizes
-// fetch responses across queries (the Engine's query-side cache; the
-// cluster daemon instead caches whole results one layer up). Traffic,
-// when non-nil, receives the global counters.
+// coordination agrees with placement). The traversal caches nothing: the
+// cluster daemon caches whole results one layer up. Traffic, when
+// non-nil, receives the global counters.
 // Metrics, when non-nil, additionally receives the registry series the
 // live cluster is observed through: per-level probe/found/RPC/posting
 // counters, per-level latency histograms and the local-fetch counter.
@@ -105,7 +103,6 @@ type Coordinator struct {
 	Net     overlay.Fabric
 	Cfg     Config
 	From    overlay.Member
-	Cache   *cache.LRU[cachedFetch]
 	Traffic *Traffic
 	Metrics *QueryMetrics
 }
@@ -124,13 +121,14 @@ func (c *Coordinator) Search(terms []string, k int) (*SearchResult, error) {
 // SearchTraced is Search with an optional trace: when tb is non-nil the
 // traversal records a span per level, per fetch wave and per owner RPC
 // under tb's root (the caller owns the root span and calls Finish).
-// A nil tb costs nothing on the traversal path.
+// A nil tb costs nothing on the traversal path: span attributes are
+// built only while a trace is recording.
 func (c *Coordinator) SearchTraced(terms []string, k int, tb *telemetry.TraceBuilder) (*SearchResult, error) {
 	traffic := c.Traffic
 	if traffic == nil {
 		traffic = &Traffic{}
 	}
-	ls := newLatticeSearch(c.Net, c.From, c.Cfg, c.Cache, traffic)
+	ls := newLatticeSearch(c.Net, c.From, c.Cfg, traffic)
 	ls.metrics = c.Metrics
 	ls.trace = tb
 	maxSize := c.Cfg.SMax
@@ -173,7 +171,7 @@ func fanoutOf(cfg Config) int {
 
 // latticeSearch is the per-query traversal state shared by Engine.Search
 // and Coordinator.Search: the fabric to probe, the failover and fan-out
-// parameters, the optional fetch-response cache and the counters.
+// parameters and the counters.
 type latticeSearch struct {
 	net        overlay.Fabric
 	from       overlay.Member
@@ -182,7 +180,6 @@ type latticeSearch struct {
 	localRoute bool   // ownership resolves from a local table (overlay.LocalResolver)
 	replicas   int
 	fanout     int
-	cache      *cache.LRU[cachedFetch]
 	traffic    *Traffic
 	metrics    *QueryMetrics           // nil: no registry series
 	trace      *telemetry.TraceBuilder // nil: tracing off (nil-safe methods)
@@ -190,14 +187,12 @@ type latticeSearch struct {
 	localFetches int // fetch batches served by self, this query
 }
 
-func newLatticeSearch(net overlay.Fabric, from overlay.Member, cfg Config,
-	fetchCache *cache.LRU[cachedFetch], traffic *Traffic) *latticeSearch {
+func newLatticeSearch(net overlay.Fabric, from overlay.Member, cfg Config, traffic *Traffic) *latticeSearch {
 	ls := &latticeSearch{
 		net:      net,
 		from:     from,
 		replicas: replicasOf(cfg),
 		fanout:   fanoutOf(cfg),
-		cache:    fetchCache,
 		traffic:  traffic,
 	}
 	if from != nil {
@@ -246,9 +241,12 @@ func (ls *latticeSearch) run(terms []string, maxSize, k int) (*SearchResult, err
 		foundBefore := res.FoundKeys
 		//hdkvet:ignore determinism -- wall-clock feeds only the level-latency histogram, never a result or encoded byte
 		levelStart := time.Now()
-		lvlSpan := ls.trace.Start(0, "level",
-			telemetry.Num("level", uint64(size)),
-			telemetry.Num("candidates", uint64(len(level))))
+		lvlSpan := -1
+		if ls.trace != nil {
+			lvlSpan = ls.trace.Start(0, "level",
+				telemetry.Num("level", uint64(size)),
+				telemetry.Num("candidates", uint64(len(level))))
+		}
 		outcomes, err := ls.probeLevel(level, res, lvlSpan)
 		if err != nil {
 			return nil, err
@@ -262,25 +260,22 @@ func (ls *latticeSearch) run(terms []string, maxSize, k int) (*SearchResult, err
 		for _, o := range outcomes {
 			res.ProbedKeys++
 			status[o.canonical] = o.status
-			if !o.fromCache && ls.cache != nil {
-				ls.cache.Put(o.canonical, cachedFetch{status: o.status, list: o.list})
-			}
 			if o.status == StatusAbsent {
 				continue
 			}
 			res.FoundKeys++
-			if !o.fromCache {
-				res.FetchedPosts += uint64(len(o.list))
-			}
+			res.FetchedPosts += uint64(len(o.list))
 			spare = postings.UnionInto(spare, acc, o.list)
 			acc, spare = spare, acc
 		}
 		ls.trace.End(unionSpan)
-		ls.trace.Annotate(lvlSpan,
-			telemetry.Num("rpcs", uint64(res.RPCs-rpcsBefore)),
-			telemetry.Num("failovers", uint64(res.Failovers-failBefore)),
-			telemetry.Num("found", uint64(res.FoundKeys-foundBefore)),
-			telemetry.Num("postings", res.FetchedPosts-postsBefore))
+		if ls.trace != nil {
+			ls.trace.Annotate(lvlSpan,
+				telemetry.Num("rpcs", uint64(res.RPCs-rpcsBefore)),
+				telemetry.Num("failovers", uint64(res.Failovers-failBefore)),
+				telemetry.Num("found", uint64(res.FoundKeys-foundBefore)),
+				telemetry.Num("postings", res.FetchedPosts-postsBefore))
+		}
 		ls.trace.End(lvlSpan)
 		if ls.metrics != nil {
 			lvl := &ls.metrics.levels[size]
@@ -300,9 +295,13 @@ func (ls *latticeSearch) run(terms []string, maxSize, k int) (*SearchResult, err
 		ls.metrics.failovers.Add(uint64(res.Failovers))
 		ls.metrics.localFetches.Add(uint64(ls.localFetches))
 	}
-	rankSpan := ls.trace.Start(0, "rank", telemetry.Num("k", uint64(k)))
+	rankSpan := ls.trace.Start(0, "rank")
 	res.Results = rank.TopKByScore(acc, k)
-	ls.trace.Annotate(rankSpan, telemetry.Num("results", uint64(len(res.Results))))
+	if ls.trace != nil {
+		ls.trace.Annotate(rankSpan,
+			telemetry.Num("k", uint64(k)),
+			telemetry.Num("results", uint64(len(res.Results))))
+	}
 	ls.trace.End(rankSpan)
 	return res, nil
 }
@@ -376,7 +375,6 @@ type probeOutcome struct {
 	canonical string
 	status    KeyStatus
 	list      postings.List
-	fromCache bool
 }
 
 // probeState tracks one pending key's failover position: the outcome
@@ -422,48 +420,38 @@ func replicaChain(net overlay.Fabric, r int, routedAddr, canonical string) []str
 	return chain
 }
 
-// probeLevel resolves one lattice level: cache hits answer locally, the
-// remaining keys' replica chains are resolved in one routing pass,
-// ReadPlan chooses each key's reader — the coordinating member itself
-// when it holds a copy, else the fewest other members that cover the
-// level — and every chosen reader gets one batched fetch, at most fanout
-// in flight. A batch whose reader fails (unreachable after transport
-// retries, departed, or answering garbage) is re-sent to the keys' next
-// replica — successive waves walk each key's chain until a copy answers
-// or every replica is exhausted; each re-sent batch counts one Failover.
+// probeLevel resolves one lattice level: the keys' replica chains are
+// resolved in one routing pass, ReadPlan chooses each key's reader — the
+// coordinating member itself when it holds a copy, else the fewest other
+// members that cover the level — and every chosen reader gets one
+// batched fetch, at most fanout in flight. A batch whose reader fails
+// (unreachable after transport retries, departed, or answering garbage)
+// is re-sent to the keys' next replica — successive waves walk each
+// key's chain until a copy answers or every replica is exhausted; each
+// re-sent batch counts one Failover.
 // Workers fill disjoint outcome slots; the slice comes back in candidate
 // order so accumulation stays deterministic regardless of which replica
 // answered.
 func (ls *latticeSearch) probeLevel(level []string, res *SearchResult, lvlSpan int) ([]probeOutcome, error) {
 	outcomes := make([]probeOutcome, len(level))
-	var pending []int // outcome slots needing a network fetch
 	for i, canonical := range level {
 		outcomes[i] = probeOutcome{canonical: canonical}
-		if ls.cache != nil {
-			if hit, ok := ls.cache.Get(canonical); ok {
-				outcomes[i].status = hit.status
-				outcomes[i].list = hit.list
-				outcomes[i].fromCache = true
-				continue
-			}
-		}
-		pending = append(pending, i)
-	}
-	if len(pending) == 0 {
-		return outcomes, nil
 	}
 	fanout := ls.fanout
 
-	// One routing pass: resolve every pending key's primary owner and its
-	// full replica set. Routing errors are themselves failed over to the
+	// One routing pass: resolve every key's primary owner and its full
+	// replica set. Routing errors are themselves failed over to the
 	// placement ground truth: the resolver knows the owners without a
 	// network walk. A fabric resolving from a local table is walked in
 	// this goroutine; one whose Route is transport calls is fanned out.
-	routeSpan := ls.trace.Start(lvlSpan, "route", telemetry.Num("keys", uint64(len(pending))))
-	chains := make([][]string, len(pending))
-	routeErrs := make([]error, len(pending))
+	routeSpan := -1
+	if ls.trace != nil {
+		routeSpan = ls.trace.Start(lvlSpan, "route", telemetry.Num("keys", uint64(len(level))))
+	}
+	chains := make([][]string, len(level))
+	routeErrs := make([]error, len(level))
 	resolve := func(j int) {
-		canonical := outcomes[pending[j]].canonical
+		canonical := level[j]
 		routedAddr := ""
 		owner, _, err := ls.net.Route(ls.from, canonical)
 		if err == nil {
@@ -475,11 +463,11 @@ func (ls *latticeSearch) probeLevel(level []string, res *SearchResult, lvlSpan i
 		}
 	}
 	if ls.localRoute {
-		for j := range pending {
+		for j := range level {
 			resolve(j)
 		}
 	} else {
-		forEachLimit(len(pending), fanout, resolve)
+		forEachLimit(len(level), fanout, resolve)
 	}
 	for _, err := range routeErrs {
 		if err != nil {
@@ -491,9 +479,9 @@ func (ls *latticeSearch) probeLevel(level []string, res *SearchResult, lvlSpan i
 		ReadPlan(chains, ls.self)
 	}
 	ls.trace.End(routeSpan)
-	states := make([]probeState, len(pending))
+	states := make([]probeState, len(level))
 	for j, chain := range chains {
-		states[j] = probeState{idx: pending[j], owners: chain}
+		states[j] = probeState{idx: j, owners: chain}
 	}
 
 	// Fetch waves: wave 0 contacts every key's chosen reader; keys whose
@@ -521,14 +509,17 @@ func (ls *latticeSearch) probeLevel(level []string, res *SearchResult, lvlSpan i
 			for i, st := range b.states {
 				idxs[i] = st.idx
 			}
-			fetchSpan := ls.trace.Start(lvlSpan, "fetch",
-				telemetry.Str("owner", b.addr),
-				telemetry.Num("keys", uint64(len(idxs))),
-				telemetry.Num("wave", uint64(wave)),
-				telemetry.Str("local", strconv.FormatBool(b.addr == ls.self)))
+			fetchSpan := ls.trace.Start(lvlSpan, "fetch")
 			b.err = ls.fetchOwnerBatch(b.addr, idxs, outcomes)
-			if b.err != nil {
-				ls.trace.Annotate(fetchSpan, telemetry.Str("error", b.err.Error()))
+			if ls.trace != nil {
+				ls.trace.Annotate(fetchSpan,
+					telemetry.Str("owner", b.addr),
+					telemetry.Num("keys", uint64(len(idxs))),
+					telemetry.Num("wave", uint64(wave)),
+					telemetry.Str("local", strconv.FormatBool(b.addr == ls.self)))
+				if b.err != nil {
+					ls.trace.Annotate(fetchSpan, telemetry.Str("error", b.err.Error()))
+				}
 			}
 			ls.trace.End(fetchSpan)
 		}

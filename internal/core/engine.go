@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/corpus"
 	"repro/internal/overlay"
 	"repro/internal/postings"
@@ -33,40 +32,7 @@ type Engine struct {
 	stores      map[overlay.ID]*hdkStore
 	concurrency int // peers indexed in parallel per round (see SetConcurrency)
 
-	// queryCache, when enabled, holds fetch responses at the querying
-	// side — the caching mitigation the related work proposes. Repeat
-	// probes for the same key cost zero network postings.
-	queryCache *cache.LRU[cachedFetch]
-
 	traffic Traffic
-}
-
-// cachedFetch is a memoized fetch response.
-type cachedFetch struct {
-	status KeyStatus
-	list   postings.List
-}
-
-// EnableQueryCache turns on query-side caching of fetch responses with
-// the given capacity (number of keys). Capacity <= 0 disables caching.
-// Call InvalidateQueryCache after the index changes.
-func (e *Engine) EnableQueryCache(capacity int) {
-	e.queryCache = cache.NewLRU[cachedFetch](capacity)
-}
-
-// InvalidateQueryCache drops all cached fetch responses.
-func (e *Engine) InvalidateQueryCache() {
-	if e.queryCache != nil {
-		e.queryCache.Clear()
-	}
-}
-
-// QueryCacheStats returns hit/miss counters (zeros when disabled).
-func (e *Engine) QueryCacheStats() (hits, misses uint64) {
-	if e.queryCache == nil {
-		return 0, 0
-	}
-	return e.queryCache.Stats()
 }
 
 // Traffic aggregates the paper's posting/message counters. InsertedBySize
@@ -228,7 +194,6 @@ func (e *Engine) finishRounds() {
 		}
 		p.advanceWatermark()
 	}
-	e.InvalidateQueryCache()
 }
 
 // UpdateIndex incrementally indexes the documents staged via
@@ -467,17 +432,7 @@ func (e *Engine) Search(q corpus.Query, from overlay.Member, k int) (*SearchResu
 	if len(terms) < maxSize {
 		maxSize = len(terms)
 	}
-	return newLatticeSearch(e.net, from, e.cfg, e.queryCache, &e.traffic).run(terms, maxSize, k)
-}
-
-// SetSearchFanout adjusts the per-level fetch concurrency at runtime.
-// The ranked answer is identical at any value. Not safe to call while
-// searches are in flight.
-func (e *Engine) SetSearchFanout(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.cfg.SearchFanout = n
+	return newLatticeSearch(e.net, from, e.cfg, &e.traffic).run(terms, maxSize, k)
 }
 
 // forEachLimit invokes fn(0..n-1) from at most limit concurrent
@@ -614,11 +569,7 @@ func (e *Engine) Repairer() *replica.Repairer {
 // and re-replicates them over the fabric, restoring R-way coverage after
 // churn without re-running the distributed build.
 func (e *Engine) RepairReplicas() (replica.RepairStats, error) {
-	st, err := e.Repairer().Repair()
-	if err == nil {
-		e.InvalidateQueryCache()
-	}
-	return st, err
+	return e.Repairer().Repair()
 }
 
 // AuditReplicas reports the index's replica coverage under the current
@@ -655,6 +606,5 @@ func (e *Engine) FailNode(node overlay.Member) error {
 		}
 	}
 	e.peers = kept
-	e.InvalidateQueryCache()
 	return nil
 }

@@ -38,64 +38,6 @@ func assertSameResults(t *testing.T, a, b [][]rank.Result, context string) {
 	}
 }
 
-func TestRebalanceAfterJoin(t *testing.T) {
-	col := testCollection(t, 50)
-	cfg := testConfig(col, 6)
-	eng := buildEngine(t, col, 4, cfg)
-	if err := eng.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	before := searchAll(t, eng, col, 12)
-
-	// Three nodes join; ownership of many keys changes.
-	for i := 0; i < 3; i++ {
-		node, err := eng.net.(*overlay.Network).AddNode(string(rune('x'+i)) + "-joiner")
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.attachStore(node)
-	}
-	moved, err := eng.Rebalance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved == 0 {
-		t.Fatal("no entries moved after 3 joins — implausible")
-	}
-	// Every entry now sits on its owner.
-	for id, store := range eng.stores {
-		store.mu.Lock()
-		for key := range store.entries {
-			owner, ok := eng.net.OwnerOf(key)
-			if !ok || owner.ID() != id {
-				t.Fatalf("key %q misplaced after rebalance", key)
-			}
-		}
-		store.mu.Unlock()
-	}
-	after := searchAll(t, eng, col, 12)
-	assertSameResults(t, before, after, "rebalance")
-}
-
-func TestRebalanceIdempotent(t *testing.T) {
-	col := testCollection(t, 30)
-	cfg := testConfig(col, 5)
-	eng := buildEngine(t, col, 4, cfg)
-	if err := eng.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
-	moved, err := eng.Rebalance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 0 {
-		t.Fatalf("second rebalance moved %d entries, want 0", moved)
-	}
-}
-
 func TestRemoveNodeHandsOffIndex(t *testing.T) {
 	col := testCollection(t, 50)
 	cfg := testConfig(col, 6)

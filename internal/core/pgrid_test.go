@@ -111,10 +111,6 @@ func TestRemoveNodeOnPGrid(t *testing.T) {
 	if got := eng.Stats().StoredTotal; got != total {
 		t.Fatalf("postings lost in pgrid handoff: %d -> %d", total, got)
 	}
-	// Rebalance moves entries onto the repartitioned trie owners.
-	if _, err := eng.Rebalance(); err != nil {
-		t.Fatal(err)
-	}
 	node := eng.net.Members()[0]
 	q := corpus.Query{Terms: col.Docs[1].Terms[:2]}
 	if _, err := eng.Search(q, node, 10); err != nil {

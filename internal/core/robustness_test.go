@@ -91,75 +91,3 @@ func TestSearchSurvivesMessageLoss(t *testing.T) {
 		t.Log("note: no drops during retrieval window (low volume) — build-phase drops still exercised the path")
 	}
 }
-
-func TestQueryCacheEliminatesRepeatTraffic(t *testing.T) {
-	col := testCollection(t, 60)
-	cfg := testConfig(col, 6)
-	eng := buildEngine(t, col, 4, cfg)
-	if err := eng.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	eng.EnableQueryCache(1024)
-	node := eng.net.Members()[0]
-	q := corpus.Query{Terms: col.Docs[3].Terms[:3]}
-
-	first, err := eng.Search(q, node, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := eng.Search(q, node, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.FetchedPosts != 0 {
-		t.Fatalf("repeat query fetched %d postings from the network, want 0 (cached)", second.FetchedPosts)
-	}
-	if len(first.Results) != len(second.Results) {
-		t.Fatalf("cached result count differs: %d vs %d", len(first.Results), len(second.Results))
-	}
-	for i := range first.Results {
-		if first.Results[i].Doc != second.Results[i].Doc {
-			t.Fatalf("rank %d: cached doc %d != fresh doc %d",
-				i, second.Results[i].Doc, first.Results[i].Doc)
-		}
-	}
-	hits, _ := eng.QueryCacheStats()
-	if hits == 0 {
-		t.Fatal("cache reported no hits")
-	}
-}
-
-func TestQueryCacheInvalidate(t *testing.T) {
-	col := testCollection(t, 40)
-	cfg := testConfig(col, 5)
-	eng := buildEngine(t, col, 4, cfg)
-	if err := eng.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	eng.EnableQueryCache(64)
-	node := eng.net.Members()[0]
-	q := corpus.Query{Terms: col.Docs[1].Terms[:2]}
-	if _, err := eng.Search(q, node, 5); err != nil {
-		t.Fatal(err)
-	}
-	eng.InvalidateQueryCache()
-	res, err := eng.Search(q, node, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FetchedPosts == 0 && res.FoundKeys > 0 {
-		t.Fatal("invalidated cache still served postings")
-	}
-}
-
-func TestQueryCacheDisabledByDefault(t *testing.T) {
-	col := testCollection(t, 30)
-	cfg := testConfig(col, 5)
-	eng := buildEngine(t, col, 4, cfg)
-	if err := eng.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	if h, m := eng.QueryCacheStats(); h != 0 || m != 0 {
-		t.Fatal("cache active without EnableQueryCache")
-	}
-}

@@ -128,12 +128,12 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 	nodes := eng.net.Members()
 	queries := searchQueries(t, col, 20)
 	for i, q := range queries {
-		eng.SetSearchFanout(1)
+		eng.cfg.SearchFanout = 1
 		serial, err := eng.Search(q, nodes[i%len(nodes)], 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.SetSearchFanout(8)
+		eng.cfg.SearchFanout = 8
 		parallel, err := eng.Search(q, nodes[i%len(nodes)], 20)
 		if err != nil {
 			t.Fatal(err)
@@ -150,8 +150,7 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 }
 
 // TestConcurrentSearches exercises the worker pool from many goroutines
-// sharing one engine and query cache — the -race target the batched
-// fan-out must survive.
+// sharing one engine — the -race target the batched fan-out must survive.
 func TestConcurrentSearches(t *testing.T) {
 	col := testCollection(t, 60)
 	cfg := testConfig(col, 6)
@@ -160,13 +159,11 @@ func TestConcurrentSearches(t *testing.T) {
 	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	eng.EnableQueryCache(4096)
 	nodes := eng.net.Members()
 	queries := searchQueries(t, col, 10)
 
-	// Reference answers come from a second, identically-built engine so
-	// the concurrent phase below starts with a cold cache and actually
-	// drives the batched fetch path, racing cache fills with cache hits.
+	// Reference answers come from a second, identically-built engine, so
+	// the concurrent phase below is the first traffic eng serves.
 	engRef := buildEngine(t, col, 4, cfg)
 	if err := engRef.BuildIndex(); err != nil {
 		t.Fatal(err)
@@ -221,7 +218,7 @@ func TestConcurrentSearches(t *testing.T) {
 	}
 }
 
-func TestSetSearchFanoutClamps(t *testing.T) {
+func TestSearchFanoutClamps(t *testing.T) {
 	col := testCollection(t, 30)
 	cfg := testConfig(col, 5)
 	cfg.SearchFanout = 0 // engine must still probe serially, not hang
@@ -231,10 +228,6 @@ func TestSetSearchFanoutClamps(t *testing.T) {
 	}
 	if got := fanoutOf(eng.cfg); got != 1 {
 		t.Fatalf("searchFanout() = %d with SearchFanout=0, want 1", got)
-	}
-	eng.SetSearchFanout(-5)
-	if got := fanoutOf(eng.cfg); got != 1 {
-		t.Fatalf("searchFanout() = %d after SetSearchFanout(-5), want 1", got)
 	}
 	q := corpus.Query{Terms: col.Docs[0].Terms[:2]}
 	if _, err := eng.Search(q, eng.net.Members()[0], 5); err != nil {
@@ -248,5 +241,32 @@ func TestConfigRejectsNegativeFanout(t *testing.T) {
 	cfg.SearchFanout = -1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative SearchFanout accepted")
+	}
+}
+
+// TestUntracedSearchAllocs pins the allocations of untraced
+// Engine.Search over InProc at the configured fan-out: with a nil trace
+// no span attribute is built, so a query pays nothing for tracing.
+func TestUntracedSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items, so counts are not exact")
+	}
+	col := testCollection(t, 80)
+	eng := buildEngine(t, col, 4, testConfig(col, 6))
+	if err := eng.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	from := eng.net.Members()[0]
+	queries := searchQueries(t, col, 8)
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, q := range queries {
+			if _, err := eng.Search(q, from, 20); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	const ceiling = 1632
+	if allocs > ceiling {
+		t.Fatalf("%d untraced queries allocate %.0f times, ceiling %d", len(queries), allocs, ceiling)
 	}
 }

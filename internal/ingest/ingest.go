@@ -23,10 +23,10 @@ type Builder struct {
 }
 
 // NewBuilder returns a Builder using the standard pipeline (stop words +
-// Porter stemming). Pass options to customize the pipeline.
-func NewBuilder(opts ...textproc.Option) *Builder {
+// Porter stemming).
+func NewBuilder() *Builder {
 	return &Builder{
-		pipeline: textproc.NewPipeline(opts...),
+		pipeline: textproc.NewPipeline(),
 		ids:      make(map[string]corpus.TermID),
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
-	"repro/internal/textproc"
 )
 
 func TestAddAndBuild(t *testing.T) {
@@ -113,12 +112,15 @@ func TestBuilderRemainsUsableAfterBuild(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	b := NewBuilder(textproc.WithoutStemming())
+	b := NewBuilder()
 	b.Add("apple banana cherry")
 	b.Add("date elderberry")
 	s := b.Stats()
 	if s.Docs != 2 || s.SampleSize != 5 || s.AvgDocLen != 2.5 {
 		t.Fatalf("Stats = %+v", s)
+	}
+	if _, ok := b.TermID("cherri"); !ok {
+		t.Error("stem 'cherri' not in vocabulary")
 	}
 	if got := fmt.Sprint(s); got == "" {
 		t.Error("empty String()")

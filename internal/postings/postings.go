@@ -175,7 +175,11 @@ func UnionAll(lists []List) List {
 // TopK returns the k highest-scoring postings (ties broken by lower doc
 // id), re-sorted by doc id so the result is again a valid List. This is
 // the truncation the paper applies to NDK posting lists ("truncated to
-// their top-DFmax best elements").
+// their top-DFmax best elements"). The result is a fresh list of exactly
+// min(k, len(l)) postings, so a truncated entry does not keep the longer
+// list alive. Selection is one pass against a k-slot heap whose root is
+// the worst posting kept: O(n log k), where sorting the whole list was
+// O(n log n) and an n-sized copy.
 func (l List) TopK(k int) List {
 	if k >= len(l) {
 		out := make(List, len(l))
@@ -185,19 +189,47 @@ func (l List) TopK(k int) List {
 	if k <= 0 {
 		return List{}
 	}
-	byScore := make(List, len(l))
-	copy(byScore, l)
-	// Both orders are total (docs are unique), so the result does not
-	// depend on the sorting algorithm.
-	slices.SortFunc(byScore, func(a, b Posting) int {
-		if c := cmp.Compare(b.Score, a.Score); c != 0 {
-			return c
+	out := make(List, k)
+	copy(out, l)
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(out, i)
+	}
+	for _, p := range l[k:] {
+		if ranksAhead(p, out[0]) {
+			out[0] = p
+			siftDown(out, 0)
 		}
-		return cmp.Compare(a.Doc, b.Doc)
-	})
-	out := byScore[:k:k]
+	}
 	slices.SortFunc(out, func(a, b Posting) int { return cmp.Compare(a.Doc, b.Doc) })
 	return out
+}
+
+// ranksAhead is TopK's total order: higher score first, then lower doc id
+// (docs are unique, so no two postings tie).
+func ranksAhead(a, b Posting) bool {
+	if c := cmp.Compare(a.Score, b.Score); c != 0 {
+		return c > 0
+	}
+	return a.Doc < b.Doc
+}
+
+// siftDown restores the heap order below h[i]: every parent ranks behind
+// both its children, which keeps the worst posting at the root.
+func siftDown(h List, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && ranksAhead(h[c], h[c+1]) {
+			c++ // the worse child
+		}
+		if !ranksAhead(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // wire format: uvarint count, then per posting: uvarint doc-id delta

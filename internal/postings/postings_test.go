@@ -176,6 +176,57 @@ func TestTopKTieBreakByDocID(t *testing.T) {
 	}
 }
 
+// topKBySort is the sort-based reference TopK: the whole list ordered by
+// score descending then doc ascending, cut at k, re-sorted by doc.
+func topKBySort(l List, k int) List {
+	byScore := append(List(nil), l...)
+	sort.Slice(byScore, func(i, j int) bool {
+		if byScore[i].Score != byScore[j].Score {
+			return byScore[i].Score > byScore[j].Score
+		}
+		return byScore[i].Doc < byScore[j].Doc
+	})
+	if k < 0 {
+		k = 0
+	}
+	if k < len(byScore) {
+		byScore = byScore[:k]
+	}
+	sort.Slice(byScore, func(i, j int) bool { return byScore[i].Doc < byScore[j].Doc })
+	return byScore
+}
+
+// TestTopKMatchesSortReference holds the heap selection to the sort-based
+// reference on lists whose scores tie heavily (four distinct values), and
+// checks that the result owns exactly its own postings.
+func TestTopKMatchesSortReference(t *testing.T) {
+	const dfMax = 20
+	r := rand.New(rand.NewSource(17))
+	for iter := 0; iter < 300; iter++ {
+		l := randomList(r, r.Intn(120))
+		for i := range l {
+			l[i].Score = float32(r.Intn(4))
+		}
+		orig := append(List{}, l...)
+		for _, k := range []int{0, 1, dfMax, len(l), len(l) + 5} {
+			got := l.TopK(k)
+			want := topKBySort(l, k)
+			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+				t.Fatalf("len %d, k %d: TopK = %v, want %v", len(l), k, got, want)
+			}
+			if cap(got) != len(want) {
+				t.Fatalf("len %d, k %d: cap(TopK) = %d, want %d", len(l), k, cap(got), len(want))
+			}
+			if len(got) > 0 && &got[0] == &l[0] {
+				t.Fatalf("len %d, k %d: TopK aliases its receiver", len(l), k)
+			}
+			if !reflect.DeepEqual(l, orig) {
+				t.Fatalf("len %d, k %d: TopK mutated its receiver", len(l), k)
+			}
+		}
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for iter := 0; iter < 300; iter++ {

@@ -3,8 +3,8 @@ package telemetry
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -29,7 +29,7 @@ func Str(key, value string) TraceAttr { return TraceAttr{Key: key, Value: value}
 
 // Num constructs a numeric attribute (stored as its decimal string).
 func Num(key string, v uint64) TraceAttr {
-	return TraceAttr{Key: key, Value: fmt.Sprintf("%d", v)}
+	return TraceAttr{Key: key, Value: strconv.FormatUint(v, 10)}
 }
 
 // TraceSpan is one timed operation inside a coordination. Start is the

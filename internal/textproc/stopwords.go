@@ -52,10 +52,3 @@ func stopSet() map[string]struct{} {
 	}
 	return m
 }
-
-// StopWords returns a copy of the static stop list.
-func StopWords() []string {
-	out := make([]string, len(stopWords))
-	copy(out, stopWords[:])
-	return out
-}

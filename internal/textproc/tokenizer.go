@@ -48,43 +48,18 @@ const (
 	MaxTokenLen = 40
 )
 
-// Pipeline bundles the full collection-independent pre-processing chain.
+// Pipeline bundles the full collection-independent pre-processing chain:
+// the standard 250-word English stop list, then Porter stemming. The
+// collection-dependent very-frequent-term cutoff (the paper's "additional
+// very frequent terms") is the indexing layer's Ff, not a pipeline stage.
 // The zero value is not usable; construct with NewPipeline.
 type Pipeline struct {
-	stop     map[string]struct{}
-	stem     bool
-	extraVF  map[string]struct{} // additional very frequent terms, optional
-	minToken int
+	stop map[string]struct{}
 }
 
-// Option configures a Pipeline.
-type Option func(*Pipeline)
-
-// WithoutStemming disables the Porter stemmer stage.
-func WithoutStemming() Option { return func(p *Pipeline) { p.stem = false } }
-
-// WithExtraStopTerms adds collection-specific very frequent terms to the
-// removal set (the "additional very frequent terms" of Section 5).
-func WithExtraStopTerms(terms []string) Option {
-	return func(p *Pipeline) {
-		for _, t := range terms {
-			p.extraVF[t] = struct{}{}
-		}
-	}
-}
-
-// NewPipeline returns a pipeline with the standard 250-word English stop
-// list and Porter stemming enabled.
-func NewPipeline(opts ...Option) *Pipeline {
-	p := &Pipeline{
-		stop:    stopSet(),
-		stem:    true,
-		extraVF: make(map[string]struct{}),
-	}
-	for _, o := range opts {
-		o(p)
-	}
-	return p
+// NewPipeline returns the standard pipeline.
+func NewPipeline() *Pipeline {
+	return &Pipeline{stop: stopSet()}
 }
 
 // Process runs the full chain on raw text and returns the sequence of index
@@ -100,22 +75,10 @@ func (p *Pipeline) ProcessTokens(tokens []string) []string {
 		if _, ok := p.stop[t]; ok {
 			continue
 		}
-		if _, ok := p.extraVF[t]; ok {
-			continue
-		}
-		if p.stem {
-			t = Stem(t)
-		}
-		if len(t) < MinTokenLen {
+		if t = Stem(t); len(t) < MinTokenLen {
 			continue
 		}
 		out = append(out, t)
 	}
 	return out
-}
-
-// IsStopWord reports whether t is in the pipeline's static stop list.
-func (p *Pipeline) IsStopWord(t string) bool {
-	_, ok := p.stop[t]
-	return ok
 }

@@ -20,37 +20,3 @@ func Windows(terms []string, w int, fn func(window []string)) {
 		fn(terms[i : i+w])
 	}
 }
-
-// CoOccursInWindow reports whether all needles occur together inside at
-// least one window of size w of the term sequence. It is the reference
-// (brute-force) implementation of proximity filtering, used by tests and by
-// the retrieval-side post-processing of HDK answer sets.
-func CoOccursInWindow(terms []string, w int, needles []string) bool {
-	if len(needles) == 0 {
-		return true
-	}
-	found := false
-	need := make(map[string]struct{}, len(needles))
-	for _, n := range needles {
-		need[n] = struct{}{}
-	}
-	Windows(terms, w, func(window []string) {
-		if found {
-			return
-		}
-		seen := 0
-		marked := make(map[string]struct{}, len(need))
-		for _, t := range window {
-			if _, ok := need[t]; ok {
-				if _, dup := marked[t]; !dup {
-					marked[t] = struct{}{}
-					seen++
-				}
-			}
-		}
-		if seen == len(need) {
-			found = true
-		}
-	})
-	return found
-}

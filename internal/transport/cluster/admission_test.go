@@ -154,7 +154,7 @@ func admissionCluster(t *testing.T) (tr transport.Transport, servers []*Server, 
 	t.Cleanup(func() { inproc.Close() })
 	servers = startInProcServers(t, inproc, 2, 1)
 	var err error
-	c, err = Connect(inproc, servers[0].Addr())
+	c, err = Dial(Options{Transport: inproc, Seed: servers[0].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -303,11 +303,9 @@ func (s *Server) coordinateBuild() {
 	for size := 1; size <= smax; size++ {
 		b.coordMove(func() { b.round = size })
 		roundStart := time.Now()
-		for _, addr := range addrs {
-			if _, err := fab.CallService(addr, SvcBuild, encodeBuildRound(size)); err != nil {
-				fail(fmt.Errorf("cluster: build round %d at %s: %w", size, addr, err))
-				return
-			}
+		if err := startRound(fab, addrs, size); err != nil {
+			fail(err)
+			return
 		}
 		if err := awaitRound(fab, addrs, size); err != nil {
 			fail(err)
@@ -328,6 +326,36 @@ func (s *Server) coordinateBuild() {
 	b.coordMove(func() { b.coordState = buildDone })
 }
 
+// roundCaller is the part of the fabric the round barrier uses.
+type roundCaller interface {
+	CallService(addr, service string, req []byte) ([]byte, error)
+}
+
+// startRound sends round size's frame to every member at once and
+// reports the first failure in member order. A frame returns once the
+// member's pass is launched, but a member's first frame also builds its
+// engine synchronously (vocabulary map, shard preprocessing, fabric), so
+// sending the frames one at a time would stagger round 1 by the sum of
+// those set-ups.
+func startRound(fab roundCaller, addrs []string, size int) error {
+	errs := make([]error, len(addrs))
+	var wg sync.WaitGroup
+	for i, addr := range addrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = fab.CallService(addr, SvcBuild, encodeBuildRound(size))
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("cluster: build round %d at %s: %w", size, addrs[i], err)
+		}
+	}
+	return nil
+}
+
 // awaitRound asks every member in turn for round size's outcome — the
 // barrier that keeps classification strictly after the last insert of
 // the round (the bit-identity invariant: inserts commute within a round,
@@ -337,9 +365,7 @@ func (s *Server) coordinateBuild() {
 // slowest member finishes. Every member was started on this round before
 // the first question, so one that answers idle has lost it — it
 // restarted — and the build fails by name instead of waiting forever.
-func awaitRound(fab interface {
-	CallService(addr, service string, req []byte) ([]byte, error)
-}, addrs []string, size int) error {
+func awaitRound(fab roundCaller, addrs []string, size int) error {
 	for _, addr := range addrs {
 		for state := byte(buildRunning); state == buildRunning; {
 			raw, err := fab.CallService(addr, SvcBuild, encodeBuildRoundStatus(size))

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -51,6 +54,54 @@ func TestAwaitRoundOutcomes(t *testing.T) {
 	err := awaitRound(lost, addrs, 2)
 	if err == nil || !strings.Contains(err.Error(), "build round 2 lost at c") {
 		t.Fatalf("restarted member: got %v, want a named lost-round error", err)
+	}
+}
+
+// frameBarrier is a fabric stub for startRound: a round frame blocks
+// until every member's frame has arrived, so the frames only complete if
+// they are in flight together. Sent one at a time, the first times out.
+type frameBarrier struct {
+	all     chan struct{}
+	members int
+	fail    map[string]string // addr -> error message its frame returns
+	mu      sync.Mutex
+	n       int
+}
+
+func newFrameBarrier(members int, fail map[string]string) *frameBarrier {
+	return &frameBarrier{all: make(chan struct{}), members: members, fail: fail}
+}
+
+func (f *frameBarrier) CallService(addr, service string, req []byte) ([]byte, error) {
+	if service != SvcBuild || len(req) == 0 || req[0] != buildFrameRound {
+		return nil, fmt.Errorf("unexpected frame %q to %s", service, addr)
+	}
+	f.mu.Lock()
+	if f.n++; f.n == f.members {
+		close(f.all)
+	}
+	f.mu.Unlock()
+	select {
+	case <-f.all:
+	case <-time.After(2 * time.Second):
+		return nil, fmt.Errorf("frame to %s waited alone: round frames were not sent together", addr)
+	}
+	if msg, ok := f.fail[addr]; ok {
+		return nil, errors.New(msg)
+	}
+	return nil, nil
+}
+
+func TestStartRoundSendsFramesTogether(t *testing.T) {
+	addrs := []string{"a", "b", "c", "d"}
+	if err := startRound(newFrameBarrier(len(addrs), nil), addrs, 1); err != nil {
+		t.Fatal(err)
+	}
+	// Several members fail: the error names the first in member order.
+	fab := newFrameBarrier(len(addrs), map[string]string{"d": "late failure", "b": "first failure"})
+	err := startRound(fab, addrs, 2)
+	if err == nil || !strings.Contains(err.Error(), "build round 2 at b: first failure") {
+		t.Fatalf("got %v, want the failure of member b", err)
 	}
 }
 

@@ -208,22 +208,6 @@ func Dial(o Options) (*Client, error) {
 	return c, nil
 }
 
-// New builds a client fabric over the given daemon addresses with the
-// default policy.
-//
-// Deprecated: use Dial(Options{Transport: tr, Addrs: addrs}).
-func New(tr transport.Transport, addrs []string) (*Client, error) {
-	return Dial(Options{Transport: tr, Addrs: addrs})
-}
-
-// Connect discovers the full membership from any one daemon and builds a
-// client fabric over it with the default policy.
-//
-// Deprecated: use Dial(Options{Transport: tr, Seed: seed}).
-func Connect(tr transport.Transport, seed string) (*Client, error) {
-	return Dial(Options{Transport: tr, Seed: seed})
-}
-
 // ChunkTarget reports the resolved hdk.ingest chunk payload target this
 // client streams with.
 func (c *Client) ChunkTarget() int { return c.chunkTarget }

@@ -89,7 +89,7 @@ func TestConfigureIdempotentAndGuarded(t *testing.T) {
 	servers := startInProcServers(t, tr, 2, 1)
 	col := testCollection(t, 40)
 
-	c, err := Connect(tr, servers[0].Addr())
+	c, err := Dial(Options{Transport: tr, Seed: servers[0].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestClusterEngineMatchesInProcess(t *testing.T) {
 	tr := transport.NewInProc()
 	defer tr.Close()
 	servers := startInProcServers(t, tr, peers, 1)
-	c, err := Connect(tr, servers[0].Addr())
+	c, err := Dial(Options{Transport: tr, Seed: servers[0].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestClusterCrashFailoverAndRepair(t *testing.T) {
 
 	ctr := transport.NewTCP()
 	defer ctr.Close()
-	c, err := Connect(ctr, servers[0].Addr())
+	c, err := Dial(Options{Transport: ctr, Seed: servers[0].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestClusterCrashFailoverAndRepair(t *testing.T) {
 		t.Fatalf("unrepaired: %s read the probe key from %s, want its primary %s", promoted, got, primary)
 	}
 	// A client dialing into the window adopts the debt with the view.
-	during, err := Connect(ctr, c.Members()[0].Addr())
+	during, err := Dial(Options{Transport: ctr, Seed: c.Members()[0].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestClusterCrashFailoverAndRepair(t *testing.T) {
 	}
 
 	// A NEW client's discovery starts clean: no dead address, no debt.
-	fresh, err := Connect(ctr, c.Members()[0].Addr())
+	fresh, err := Dial(Options{Transport: ctr, Seed: c.Members()[0].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,12 +472,12 @@ func TestForgetAndRepairInEitherOrder(t *testing.T) {
 		tr := transport.NewInProc()
 		defer tr.Close()
 		servers := startInProcServers(t, tr, peers, replicas)
-		c, err := Connect(tr, servers[0].Addr())
+		c, err := Dial(Options{Transport: tr, Seed: servers[0].Addr()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		eng := buildClusterEngine(t, c, col, cfg)
-		stale, err := Connect(tr, servers[0].Addr()) // never learns of the departure
+		stale, err := Dial(Options{Transport: tr, Seed: servers[0].Addr()}) // never learns of the departure
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -509,7 +509,7 @@ func TestForgetAndRepairInEitherOrder(t *testing.T) {
 		tr := transport.NewInProc()
 		defer tr.Close()
 		servers := startInProcServers(t, tr, peers, replicas)
-		c, err := Connect(tr, servers[0].Addr())
+		c, err := Dial(Options{Transport: tr, Seed: servers[0].Addr()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -543,7 +543,7 @@ func TestForgetAndRepairInEitherOrder(t *testing.T) {
 		tr := transport.NewInProc()
 		defer tr.Close()
 		servers := startInProcServers(t, tr, peers, replicas)
-		c, err := Connect(tr, servers[0].Addr())
+		c, err := Dial(Options{Transport: tr, Seed: servers[0].Addr()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -571,7 +571,7 @@ func TestForgetAndRepairInEitherOrder(t *testing.T) {
 		tr := transport.NewInProc()
 		defer tr.Close()
 		servers := startInProcServers(t, tr, peers, replicas)
-		c, err := Connect(tr, servers[0].Addr())
+		c, err := Dial(Options{Transport: tr, Seed: servers[0].Addr()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -635,7 +635,7 @@ func TestClientChurnAndOwnership(t *testing.T) {
 	tr := transport.NewInProc()
 	defer tr.Close()
 	servers := startInProcServers(t, tr, 5, 2)
-	c, err := Connect(tr, servers[0].Addr())
+	c, err := Dial(Options{Transport: tr, Seed: servers[0].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

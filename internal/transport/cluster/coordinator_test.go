@@ -24,7 +24,7 @@ func TestCoordinatorMatchesEngines(t *testing.T) {
 	tr := transport.NewInProc()
 	defer tr.Close()
 	servers := startInProcServers(t, tr, peers, replicas)
-	c, err := Connect(tr, servers[0].Addr())
+	c, err := Dial(Options{Transport: tr, Seed: servers[0].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestCoordinatorResultCache(t *testing.T) {
 	tr := transport.NewInProc()
 	defer tr.Close()
 	servers := startInProcServers(t, tr, peers, 1)
-	c, err := Connect(tr, servers[0].Addr())
+	c, err := Dial(Options{Transport: tr, Seed: servers[0].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestCoordinatorUnconfigured(t *testing.T) {
 	tr := transport.NewInProc()
 	defer tr.Close()
 	servers := startInProcServers(t, tr, 2, 1)
-	c, err := Connect(tr, servers[0].Addr())
+	c, err := Dial(Options{Transport: tr, Seed: servers[0].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

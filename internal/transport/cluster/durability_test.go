@@ -65,7 +65,7 @@ func TestClusterWarmRestartWithMissedWrites(t *testing.T) {
 
 	ctr := transport.NewTCP()
 	defer ctr.Close()
-	c, err := Connect(ctr, servers[0].Addr())
+	c, err := Dial(Options{Transport: ctr, Seed: servers[0].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestClusterWarmRestartWithMissedWrites(t *testing.T) {
 	// survivors' post-update results bit for bit — whether a probe lands
 	// on a survivor or on the restarted store — and full replica
 	// coverage at R.
-	c2, err := Connect(ctr, seed)
+	c2, err := Dial(Options{Transport: ctr, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestClusterPersistShutdownSealsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := Connect(tr, servers[0].Addr())
+	c, err := Dial(Options{Transport: tr, Seed: servers[0].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

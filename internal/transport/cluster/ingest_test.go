@@ -168,7 +168,7 @@ func TestIngestShuffledChunksMatchBulkConfigure(t *testing.T) {
 	trA := transport.NewInProc()
 	defer trA.Close()
 	serversA := startInProcServers(t, trA, peers, 1)
-	cA, err := Connect(trA, serversA[0].Addr())
+	cA, err := Dial(Options{Transport: trA, Seed: serversA[0].Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -397,7 +397,7 @@ func (s *Server) CatchUp() (replica.CatchUpStats, error) {
 	if store == nil {
 		return replica.CatchUpStats{}, nil
 	}
-	c, err := New(s.tr, s.memberList())
+	c, err := Dial(Options{Transport: s.tr, Addrs: s.memberList()})
 	if err != nil {
 		return replica.CatchUpStats{}, fmt.Errorf("cluster: catch-up fabric: %w", err)
 	}
@@ -801,7 +801,7 @@ func (s *Server) coordinationFabric() (*Client, overlay.Member, error) {
 	store := s.store
 	s.mu.Unlock()
 
-	c, err := New(s.tr, addrs)
+	c, err := Dial(Options{Transport: s.tr, Addrs: addrs})
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: %s: coordination fabric: %w", s.addr, err)
 	}
