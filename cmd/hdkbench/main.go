@@ -10,33 +10,13 @@
 //
 //	hdkbench [-scale small|medium|paper] [-experiment all|table1|table2|fig2|...|fig8|avail]
 //	         [-fanout N] [-replicas R[,R...]] [-kill F] [-json PATH] [-quiet]
-//	hdkbench -connect HOST:PORT [-scale ...] [-replicas R] [-json PATH]
-//	hdkbench -connect HOST:PORT -coordinator [-clients N] [-json PATH]
-//	hdkbench -connect HOST:PORT -saturate [-clients N] [-json PATH]
 //	hdkbench -chaos|-soak [-seed N | -replay PATH] [-json PATH]
 //
 // The small scale finishes in seconds, medium in minutes; paper runs the
 // verbatim Table 2 parameters (hours in one process). -json additionally
 // writes the machine-readable results (configuration, per-level RPC and
-// probe counts, build/query wall-clock) to PATH — the BENCH_*.json
-// perf-trajectory format.
-//
-// -connect benches the multi-process deployment path instead: it
-// discovers the hdknode cluster behind the given daemon address, builds
-// the scale's collection over pooled TCP (DocsPerPeer documents per
-// daemon, first DFmax) and reports build/query wall-clock, per-query RPC
-// costs and wire/connection-pool traffic. Adding -coordinator benches
-// the node-side serving path: every query is one hdk.search RPC, and
-// -clients N closed-loop clients measure throughput and p50/p99 latency
-// on top of deterministic cold-pass counters and a result-cache proof.
-//
-// -saturate instead drives offered load deliberately past the
-// coordinator's capacity (the cluster must be booted with a tiny
-// -search-workers/-search-queue) and gates the bounded-serving
-// contract: explicit rejections with retry-after hints, bounded p99
-// for accepted requests, bit-identical answers, full recovery once the
-// load stops. It exits nonzero unless every gate holds — the CI
-// saturation smoke.
+// probe counts, build/query wall-clock) to PATH. The deployment's
+// serving and build performance is measured by bench/run.sh, not here.
 //
 // -chaos spawns its own 5-process durable cluster and fires a seeded
 // fault schedule at it — SIGKILL + warm restart, incremental update
@@ -74,22 +54,16 @@ func main() {
 	replicas := flag.String("replicas", "", "replication factor; for -experiment avail a comma list to compare, e.g. 1,2,3 (default 1,3)")
 	kill := flag.Float64("kill", 0.2, "fraction of nodes crashed by the avail experiment")
 	jsonPath := flag.String("json", "", "also write machine-readable results to this path")
-	connect := flag.String("connect", "", "address of any hdknode daemon: bench a live multi-process cluster instead of the in-process sweep")
-	coordinator := flag.Bool("coordinator", false, "with -connect: bench the node-side hdk.search path (one RPC per query) instead of the fat client")
-	clients := flag.Int("clients", 4, "with -coordinator: concurrent closed-loop clients for the throughput/latency phase")
-	codec := flag.Bool("codec", false, "run the hot-path codec microbench (allocation counts per wire-codec op) instead of a sweep")
-	saturate := flag.Bool("saturate", false, "with -connect: drive offered load past the coordinator's capacity and gate the bounded-serving contract (exits nonzero unless every gate holds)")
 	chaos := flag.Bool("chaos", false, "run the chaos scenario against a self-spawned durable cluster (exits nonzero unless every gate holds)")
 	soak := flag.Bool("soak", false, "run the time-compressed soak variant of the chaos scenario (generation rollovers + byte-identical restore)")
 	seed := flag.Uint64("seed", 1, "with -chaos/-soak: fault-schedule seed (identical seeds replay identical schedules)")
 	replay := flag.String("replay", "", "with -chaos/-soak: path to a serialized fault schedule (the CI failure artifact) to fire instead of generating one from -seed")
-	chunkBytes := flag.Int("build-chunk-bytes", 0, "with -connect: hdk.ingest chunk payload target in bytes (0 = cluster default)")
 	quiet := flag.Bool("quiet", false, "suppress progress output")
 	flag.Parse()
 	setFlags := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 
-	if err := run(*scaleName, *experiment, *fabric, *replicas, *jsonPath, *connect, *replay, *kill, *fanout, *clients, *chunkBytes, *seed, *coordinator, *codec, *saturate, *chaos, *soak, *quiet, setFlags); err != nil {
+	if err := run(*scaleName, *experiment, *fabric, *replicas, *jsonPath, *replay, *kill, *fanout, *seed, *chaos, *soak, *quiet, setFlags); err != nil {
 		fmt.Fprintln(os.Stderr, "hdkbench:", err)
 		os.Exit(1)
 	}
@@ -111,7 +85,7 @@ func parseReplicas(s string) ([]int, error) {
 	return out, nil
 }
 
-func run(scaleName, experiment, fabric, replicas, jsonPath, connect, replay string, kill float64, fanout, clients, chunkBytes int, seed uint64, coordinator, codec, saturate, chaos, soak, quiet bool, setFlags map[string]bool) error {
+func run(scaleName, experiment, fabric, replicas, jsonPath, replay string, kill float64, fanout int, seed uint64, chaos, soak, quiet bool, setFlags map[string]bool) error {
 	var scale experiments.Scale
 	switch scaleName {
 	case "small":
@@ -136,119 +110,18 @@ func run(scaleName, experiment, fabric, replicas, jsonPath, connect, replay stri
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	if coordinator && connect == "" {
-		return fmt.Errorf("-coordinator requires -connect (only daemons coordinate)")
-	}
-	if codec {
-		// The codec microbench needs no cluster, sweep or experiment
-		// selection; reject combinations rather than silently running
-		// something other than what was asked for.
-		for _, name := range []string{"connect", "coordinator", "clients", "experiment", "fabric", "kill", "replicas", "fanout", "build-chunk-bytes", "chaos", "soak", "seed", "replay"} {
-			if setFlags[name] {
-				return fmt.Errorf("-%s does not apply to -codec (hot-path microbench)", name)
-			}
-		}
-		rep := experiments.CodecBench(progress)
-		rep.Fprint(os.Stdout)
-		if jsonPath != "" {
-			return experiments.WriteJSON(jsonPath, &experiments.BenchReport{Scale: scale, Codec: rep})
-		}
-		return nil
-	}
 	if chaos || soak {
 		// The chaos scenario spawns (and reaps) its own durable cluster;
 		// reject flags that would suggest an external one applies.
-		for _, name := range []string{"connect", "coordinator", "clients", "experiment", "fabric", "kill", "replicas", "fanout", "scale", "build-chunk-bytes", "saturate"} {
+		for _, name := range []string{"experiment", "fabric", "kill", "replicas", "fanout", "scale"} {
 			if setFlags[name] {
 				return fmt.Errorf("-%s does not apply to -chaos/-soak (self-contained scenario)", name)
 			}
 		}
-		return runChaos(scale, jsonPath, replay, seed, soak, progress)
+		return runChaos(jsonPath, replay, seed, soak, progress)
 	}
 	if setFlags["seed"] || setFlags["replay"] {
 		return fmt.Errorf("-seed and -replay apply to -chaos/-soak only")
-	}
-	if saturate {
-		if connect == "" {
-			return fmt.Errorf("-saturate requires -connect (it drives a live cluster)")
-		}
-		// The saturation gate has fixed CI parameters; reject flags that
-		// would suggest they apply.
-		for _, name := range []string{"coordinator", "experiment", "fabric", "kill", "replicas", "fanout", "scale", "build-chunk-bytes", "seed", "replay"} {
-			if setFlags[name] {
-				return fmt.Errorf("-%s does not apply to -saturate (bounded-serving gate)", name)
-			}
-		}
-		opts := experiments.DefaultSaturationOpts()
-		if setFlags["clients"] {
-			opts.Clients = clients
-		}
-		tr := transport.NewTCP()
-		defer tr.Close()
-		rep, err := experiments.SaturationConnect(tr, connect, opts, progress)
-		if err != nil {
-			return err
-		}
-		rep.Fprint(os.Stdout)
-		if jsonPath != "" {
-			if err := experiments.WriteJSON(jsonPath, &experiments.BenchReport{Scale: scale, Saturation: rep}); err != nil {
-				return err
-			}
-		}
-		if !rep.Clean() {
-			return fmt.Errorf("saturation gates failed (see report above)")
-		}
-		return nil
-	}
-	if setFlags["clients"] && !coordinator {
-		return fmt.Errorf("-clients applies to the -coordinator bench only")
-	}
-	if setFlags["build-chunk-bytes"] && connect == "" {
-		return fmt.Errorf("-build-chunk-bytes applies to the -connect streamed build only")
-	}
-	if connect != "" {
-		// The live-cluster bench has no experiment selection, fabric
-		// choice or kill sweep; reject those flags rather than silently
-		// running something other than what was asked for.
-		for _, name := range []string{"experiment", "fabric", "kill"} {
-			if setFlags[name] {
-				return fmt.Errorf("-%s does not apply to -connect (live-cluster bench)", name)
-			}
-		}
-		if len(rlist) > 1 {
-			return fmt.Errorf("-connect takes a single -replicas value (got %q)", replicas)
-		}
-		r := 0
-		if len(rlist) == 1 {
-			r = rlist[0]
-		}
-		tr := transport.NewTCP()
-		defer tr.Close()
-		if coordinator {
-			rep, build, err := experiments.CoordBench(tr, connect, scale, r, clients, chunkBytes, progress)
-			if err != nil {
-				return err
-			}
-			build.Fprint(os.Stdout)
-			rep.Fprint(os.Stdout)
-			if jsonPath != "" {
-				// The BenchReport wrapper (steps absent, coordinator and
-				// build set) keeps the artifact comparable by
-				// cmd/benchcheck next to the sweep baselines.
-				return experiments.WriteJSON(jsonPath, &experiments.BenchReport{Scale: scale, Coordinator: rep, Build: build})
-			}
-			return nil
-		}
-		rep, build, err := experiments.ConnectBench(tr, connect, scale, r, chunkBytes, progress)
-		if err != nil {
-			return err
-		}
-		build.Fprint(os.Stdout)
-		rep.Fprint(os.Stdout)
-		if jsonPath != "" {
-			return experiments.WriteJSON(jsonPath, rep)
-		}
-		return nil
 	}
 
 	// The purely analytic artifacts need no sweep.
@@ -326,7 +199,7 @@ func run(scaleName, experiment, fabric, replicas, jsonPath, connect, replay stri
 // holds. On failure the cluster's data directories, per-node logs and
 // the serialized schedule are kept for inspection; on success they are
 // removed.
-func runChaos(scale experiments.Scale, jsonPath, replay string, seed uint64, soak bool, progress experiments.Progress) error {
+func runChaos(jsonPath, replay string, seed uint64, soak bool, progress experiments.Progress) error {
 	opts := experiments.DefaultChaosOpts()
 	compactBytes := 64 << 10
 	if soak {
@@ -396,7 +269,7 @@ func runChaos(scale experiments.Scale, jsonPath, replay string, seed uint64, soa
 	}
 	rep.Fprint(os.Stdout)
 	if jsonPath != "" {
-		if err := experiments.WriteJSON(jsonPath, &experiments.BenchReport{Scale: scale, Chaos: rep}); err != nil {
+		if err := experiments.WriteJSON(jsonPath, rep); err != nil {
 			return err
 		}
 	}

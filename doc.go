@@ -18,7 +18,7 @@
 // deadline-aware transport with per-address idle connection reuse — and
 // internal/transport/cluster provides the one-hop client fabric that
 // lets the unchanged engine build and query a cluster of separate OS
-// processes (hdksearch -connect, hdkbench -connect). internal/durable
+// processes (hdksearch -connect). internal/durable
 // gives the daemons disk-backed stores (CRC-guarded snapshots plus an
 // append-only op log with threshold compaction), so a killed process
 // restarts warm: it restores its store fraction from its data directory,

@@ -298,3 +298,39 @@ func TestQueryTermsRendering(t *testing.T) {
 		t.Fatalf("QueryTerms = %v, want %v", got, want)
 	}
 }
+
+// codecSink keeps the measured codec results alive across runs.
+var codecSink any
+
+// TestSearchCodecAllocCeilings holds the coordination RPC's codecs to
+// their allocations per call on fixed inputs — a 4-term request and a
+// 10-result answer. A ceiling is the count the codec has today: adding
+// one allocation to the per-query wire path fails here.
+func TestSearchCodecAllocCeilings(t *testing.T) {
+	req := SearchRequest{Terms: []string{"marginal", "utility", "discriminative", "keys"}, K: 10}
+	res := &SearchResult{FetchedPosts: 4096, ProbedKeys: 25, FoundKeys: 11, RPCs: 9, Rounds: 3, Failovers: 1}
+	for i := 0; i < 10; i++ {
+		res.Results = append(res.Results, rank.Result{Doc: corpus.DocID(37*i + 5), Score: 12.75 - float64(i)*0.5})
+	}
+	reqBytes, body := EncodeSearchRequest(req), EncodeSearchResult(res)
+	if back, err := DecodeSearchRequest(reqBytes); err != nil || !reflect.DeepEqual(back, req) {
+		t.Fatalf("request does not round-trip: %+v, %v", back, err)
+	}
+	if back, err := DecodeSearchResult(body); err != nil || !reflect.DeepEqual(back, res) {
+		t.Fatalf("result does not round-trip: %+v, %v", back, err)
+	}
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		fn      func()
+	}{
+		{"request encode", 2, func() { codecSink = EncodeSearchRequest(req) }},
+		{"request decode", 3, func() { codecSink, _ = DecodeSearchRequest(reqBytes) }},
+		{"result encode", 2, func() { codecSink = EncodeSearchResult(res) }},
+		{"result decode", 2, func() { codecSink, _ = DecodeSearchResult(body) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, c.fn); allocs > c.ceiling {
+			t.Errorf("%s: %.0f allocs per call, ceiling %.0f", c.name, allocs, c.ceiling)
+		}
+	}
+}

@@ -6,73 +6,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/postings"
 )
-
-// TestCodecWorkloadIntegrity pins the codec microbench's fixed workload
-// table: the committed allocation baselines are only comparable run to
-// run if the workload keeps its exact shapes, and every pre-encoded
-// buffer must actually round-trip through its codec — a workload whose
-// decode benchmarks silently measure an error path would gate nothing.
-func TestCodecWorkloadIntegrity(t *testing.T) {
-	w := newCodecWorkload()
-
-	if got := len(w.req.Terms); got != 4 {
-		t.Errorf("search request has %d terms, want 4", got)
-	}
-	req, err := core.DecodeSearchRequest(w.reqBytes)
-	if err != nil {
-		t.Fatalf("search request does not decode: %v", err)
-	}
-	if !reflect.DeepEqual(w.req, req) {
-		t.Errorf("search request round trip drifted:\n%+v\nvs\n%+v", w.req, req)
-	}
-
-	if got := len(w.res.Results); got != 10 {
-		t.Errorf("search result has %d results, want 10", got)
-	}
-	res, err := core.DecodeSearchResult(w.body)
-	if err != nil {
-		t.Fatalf("search result does not decode: %v", err)
-	}
-	if !reflect.DeepEqual(w.res, res) {
-		t.Errorf("search result round trip drifted:\n%+v\nvs\n%+v", w.res, res)
-	}
-
-	if got := len(w.list); got != 256 {
-		t.Errorf("posting list has %d postings, want 256", got)
-	}
-	list, _, err := postings.Decode(w.listBytes)
-	if err != nil {
-		t.Fatalf("posting list does not decode: %v", err)
-	}
-	if !reflect.DeepEqual(w.list, list) {
-		t.Error("posting list round trip drifted")
-	}
-
-	if got := len(w.batch); got != 8 {
-		t.Errorf("keyed batch has %d messages, want 8", got)
-	}
-	batch, err := postings.DecodeKeyedBatch(w.batchBytes)
-	if err != nil {
-		t.Fatalf("keyed batch does not decode: %v", err)
-	}
-	if !reflect.DeepEqual(w.batch, batch) {
-		t.Error("keyed batch round trip drifted")
-	}
-
-	if got := len(w.lists); got != 16 {
-		t.Errorf("union workload has %d lists, want 16", got)
-	}
-	u1, u2 := postings.UnionAll(w.lists), postings.UnionAll(w.lists)
-	if len(u1) == 0 || !reflect.DeepEqual(u1, u2) {
-		t.Errorf("union fold not deterministic or empty (%d postings)", len(u1))
-	}
-}
 
 // TestStreamShardPartition pins the streamed build's shard iterator to
 // the SplitRoundRobin placement the fat client and the in-process
@@ -148,58 +84,11 @@ func TestIngestResumeReportClean(t *testing.T) {
 	}
 }
 
-// TestBuildReportJSONShape pins the streamed-build section's wire
-// names: cmd/benchcheck compares baselines by these exact keys, so a
-// renamed field would silently stop gating instead of failing.
-func TestBuildReportJSONShape(t *testing.T) {
-	raw, err := json.Marshal(&BuildReport{
-		Nodes: 5, Replicas: 3, Docs: 100, ChunkBytes: 4096,
-		ChunksTotal: 12, ChunksSent: 12, IngestBytes: 8192,
-		IngestNanos: 1, BuildNanos: 2, DocsPerSec: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range []string{
-		"nodes", "replicas", "docs", "chunk_bytes",
-		"chunks_total", "chunks_sent", "ingest_bytes", "resume_resent",
-		"ingest_nanos", "build_nanos", "docs_per_sec",
-	} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("build report JSON lacks %q (got keys %v)", key, m)
-		}
-	}
-}
-
-// TestBenchReportRoundTrip is the report.go contract: a BenchReport
-// carrying every optional section must survive WriteJSON + Unmarshal
-// value-identically, and an empty report must omit every absent
-// section (cmd/benchcheck compares only the sections both sides have).
+// TestBenchReportRoundTrip is the report.go contract: a sweep's
+// BenchReport must survive WriteJSON + Unmarshal value-identically, and
+// a report without steps must omit the section.
 func TestBenchReportRoundTrip(t *testing.T) {
-	full := &BenchReport{
-		Scale: SmallScale(),
-		Codec: &CodecReport{Benchmarks: []CodecBenchmark{
-			{Name: "postings_encode", AllocsPerOp: 1, BytesPerOp: 2048, NsPerOp: 900, AllocsBefore: 3},
-		}},
-		Saturation: &SaturationReport{
-			Nodes: 5, Replicas: 3, Docs: 120, Queries: 20, Clients: 16,
-			Accepted: 192, Rejected: 57, AcceptedP50Nanos: 1e6, AcceptedP99Nanos: 9e6,
-			P99BoundNanos: int64(2 * time.Second),
-		},
-		Build: &BuildReport{Nodes: 5, Replicas: 3, Docs: 100, ChunkBytes: 4096, ChunksTotal: 12, ChunksSent: 12},
-		Chaos: &ChaosReport{
-			Nodes: 5, Replicas: 3, Docs: 150, FinalDocs: 200,
-			Schedule: GenerateSchedule(9, 5, DefaultScheduleOpts()),
-			Kills:    3, Waves: 2, Repairs: 1, Resizes: 2,
-			Issued: 1000, MeanRecall: 1, MinRecall: 1, RecallFloor: 0.99,
-			P99Nanos: 3e6, P99BoundNanos: 2e9, RolloverFloor: 1,
-			Phases: []ChaosPhase{{Action: "kill(0)", Queries: 10, P99Nanos: 2e6}},
-		},
-	}
+	full := BenchJSON(runTiny(t))
 	path := filepath.Join(t.TempDir(), "bench.json")
 	if err := WriteJSON(path, full); err != nil {
 		t.Fatal(err)
@@ -224,9 +113,7 @@ func TestBenchReportRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(empty, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, section := range []string{"steps", "coordinator", "codec", "saturation", "build", "chaos"} {
-		if _, present := m[section]; present {
-			t.Errorf("empty bench report serialized absent section %q", section)
-		}
+	if _, present := m["steps"]; present {
+		t.Error("empty bench report serialized the absent steps section")
 	}
 }

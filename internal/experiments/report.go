@@ -5,28 +5,16 @@ import (
 	"os"
 )
 
-// Machine-readable experiment output: the BENCH_*.json perf-trajectory
-// format. A report carries the full configuration next to the measured
-// series (per-step storage/traffic, per-level probe and RPC counts,
-// wall-clock build and per-query timings), so successive runs are
-// directly comparable without re-deriving the setup from flags.
+// Machine-readable experiment output. A report carries the full
+// configuration next to the measured series (per-step storage/traffic,
+// per-level probe and RPC counts, wall-clock build and per-query
+// timings), so successive runs are directly comparable without
+// re-deriving the setup from flags.
 
-// BenchReport is the JSON shape of one sweep. Coordinator, when set,
-// carries a node-side serving measurement (hdkbench -connect
-// -coordinator) next to — or instead of — the in-process sweep steps,
-// Codec a hot-path codec microbench (hdkbench -codec), and Build the
-// streamed coordinator-side build measurement (ingest traffic, the
-// zero-reship resume probe, build throughput) recorded by every live
-// -connect run; cmd/benchcheck compares whichever sections baseline and
-// candidate share.
+// BenchReport is the JSON shape of one sweep.
 type BenchReport struct {
-	Scale       Scale             `json:"scale"`
-	Steps       []Step            `json:"steps,omitempty"`
-	Coordinator *CoordReport      `json:"coordinator,omitempty"`
-	Codec       *CodecReport      `json:"codec,omitempty"`
-	Saturation  *SaturationReport `json:"saturation,omitempty"`
-	Build       *BuildReport      `json:"build,omitempty"`
-	Chaos       *ChaosReport      `json:"chaos,omitempty"`
+	Scale Scale  `json:"scale"`
+	Steps []Step `json:"steps,omitempty"`
 }
 
 // BenchJSON extracts the serializable portion of sweep results (the

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,10 +59,37 @@ func TestScaleValidate(t *testing.T) {
 	}
 }
 
+// tinyCounters are the tiny sweep's per-query counters — batched fetch
+// RPCs, lattice probes and fetched postings per query — by (peers,
+// DFmax). They are a pure function of the scale's seeds, so they are
+// pinned exactly: any drift is a change in what a query costs.
+var tinyCounters = []struct {
+	peers, dfmax           int
+	rpcs, probes, postings float64
+}{
+	{4, 6, 2.466666666666667, 3, 15.266666666666667},
+	{4, 8, 2.1333333333333333, 2.6666666666666665, 18.6},
+	{8, 6, 2.933333333333333, 3.3333333333333335, 18.133333333333333},
+	{8, 8, 2.933333333333333, 3.3333333333333335, 22.8},
+}
+
 func TestRunProducesAllSteps(t *testing.T) {
 	r := runTiny(t)
 	if len(r.Steps) != 2 {
 		t.Fatalf("got %d steps, want 2", len(r.Steps))
+	}
+	var got []string
+	for _, s := range r.Steps {
+		for _, h := range s.HDK {
+			got = append(got, fmt.Sprint(s.Peers, h.DFMax, h.QueryRPCsAvg, h.QueryProbesAvg, h.QueryPostingsAvg))
+		}
+	}
+	var want []string
+	for _, c := range tinyCounters {
+		want = append(want, fmt.Sprint(c.peers, c.dfmax, c.rpcs, c.probes, c.postings))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("per-query counters (peers dfmax rpcs probes postings) drifted:\ngot  %q\nwant %q", got, want)
 	}
 	for i, s := range r.Steps {
 		if s.Docs != s.Peers*60 {

@@ -29,9 +29,7 @@ import (
 // reference, and once the load stops one backoff cycle later the
 // daemon is back to accepting everything with an empty queue. The CI
 // cluster-e2e job runs this against real child processes
-// (TestTCPSaturationE2E); `hdkbench -connect ... -saturate` runs it
-// against an already-booted cluster and exits nonzero unless every
-// gate holds.
+// (TestTCPSaturationE2E).
 
 // SaturationOpts parameterizes the saturation scenario. Workers and
 // Queue are the daemon-side -search-workers / -search-queue settings
@@ -342,22 +340,6 @@ func Saturation(tr transport.Transport, addrs []string, opts SaturationOpts, pro
 		rep.QueueDepthAfter += info.SearchQueueDepth
 	}
 	return rep, nil
-}
-
-// SaturationConnect discovers the cluster behind one daemon address and
-// runs the saturation scenario over it, adopting the daemons'
-// advertised replication factor and the discovered node count — the
-// `hdkbench -connect ... -saturate` path.
-func SaturationConnect(tr transport.Transport, seed string, opts SaturationOpts, progress Progress) (*SaturationReport, error) {
-	addrs, err := cluster.MembersOf(tr, seed)
-	if err != nil {
-		return nil, err
-	}
-	opts.Nodes = len(addrs)
-	if info, err := cluster.FetchInfo(tr, seed); err == nil && info.Replicas > 0 {
-		opts.Replicas = info.Replicas
-	}
-	return Saturation(tr, addrs, opts, progress)
 }
 
 // Fprint renders the saturation scenario report.

@@ -14,36 +14,14 @@ import (
 	"repro/internal/transport/cluster"
 )
 
-// This file measures the streamed coordinator-side build path: a thin
+// This file drives the streamed coordinator-side build path: a thin
 // client ships every daemon its corpus shard over the chunked,
 // resumable hdk.ingest session and any daemon coordinates the
 // round-synchronous hdk.build — the client never holds the collection
-// and never runs a round. StreamBuild is the shared build step for the
-// live-cluster benches; TCPIngestResume is the crash scenario behind
-// the CI resume gate (SIGKILL mid-upload, restart from the data dir,
-// resume with zero re-shipped acked chunks, bit-identical final index).
-
-// BuildReport measures one streamed build: ingest traffic, the
-// resume-probe resend count (a repeat of a fully-acked session must
-// ship zero chunks — cmd/benchcheck gates it EXACTLY), and build
-// throughput. Chunk counts are a pure function of the corpus and the
-// chunk target, so they are gated exactly too; the wall-clock numbers
-// get the wide time tolerance.
-type BuildReport struct {
-	Nodes      int `json:"nodes"`
-	Replicas   int `json:"replicas"`
-	Docs       int `json:"docs"`
-	ChunkBytes int `json:"chunk_bytes"`
-
-	ChunksTotal  int    `json:"chunks_total"`  // chunks the corpus packs into, all shards
-	ChunksSent   int    `json:"chunks_sent"`   // chunks shipped during the fresh upload
-	IngestBytes  uint64 `json:"ingest_bytes"`  // payload bytes shipped
-	ResumeResent int    `json:"resume_resent"` // chunks re-shipped by the resume probe; must be 0
-
-	IngestNanos int64   `json:"ingest_nanos"`
-	BuildNanos  int64   `json:"build_nanos"`
-	DocsPerSec  float64 `json:"docs_per_sec"` // docs / (ingest + build)
-}
+// and never runs a round. TCPIngestResume is the crash scenario behind
+// the resume gate (SIGKILL mid-upload, restart from the data dir,
+// resume with zero re-shipped acked chunks, bit-identical final index);
+// bench/ times the same path end to end.
 
 // streamShard returns a one-document-at-a-time iterator over the shard
 // ring member idx of n owns (document j goes to member j%n — the
@@ -76,76 +54,6 @@ func shardIngestSource(col *corpus.Collection, cfg core.Config, session uint64, 
 		ShardDocs: count,
 		Docs:      docs,
 	}
-}
-
-// StreamBuild runs the full streamed build over a dialed cluster:
-// per-member shard ingest (ring order, document j to member j%n), a
-// resume probe re-running one member's session (which must ship zero
-// chunks — the acked-chunks-are-never-re-shipped invariant, measured
-// rather than assumed), and a daemon-coordinated hdk.build polled to
-// completion.
-func StreamBuild(c *cluster.Client, col *corpus.Collection, cfg core.Config, session uint64, progress Progress) (*BuildReport, error) {
-	if progress == nil {
-		progress = nopProgress
-	}
-	members := c.Members()
-	n := len(members)
-	if n == 0 {
-		return nil, fmt.Errorf("experiments: empty cluster membership")
-	}
-	rep := &BuildReport{
-		Nodes: n, Replicas: cfg.ReplicationFactor, Docs: col.M(),
-		ChunkBytes: c.ChunkTarget(),
-	}
-	ingestStart := time.Now()
-	for i, m := range members {
-		st, err := c.Ingest(m.Addr(), shardIngestSource(col, cfg, session, i, n))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: ingest shard %d to %s: %w", i, m.Addr(), err)
-		}
-		rep.ChunksTotal += st.Chunks
-		rep.ChunksSent += st.ChunksSent
-		rep.IngestBytes += st.Bytes
-	}
-	// The resume probe: replay member 0's entire session. Every chunk is
-	// already durably acked, so a correct negotiation ships nothing.
-	probe, err := c.Ingest(members[0].Addr(), shardIngestSource(col, cfg, session, 0, n))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: resume probe: %w", err)
-	}
-	rep.ResumeResent = probe.ChunksSent
-	rep.IngestNanos = time.Since(ingestStart).Nanoseconds()
-	progress("stream: ingested %d docs as %d chunks (%d bytes) over %d daemons; resume probe re-sent %d",
-		col.M(), rep.ChunksTotal, rep.IngestBytes, n, rep.ResumeResent)
-
-	buildStart := time.Now()
-	lastRound := -1
-	err = c.BuildRemote(members[0].Addr(), func(info cluster.Info) {
-		if info.BuildRound != lastRound {
-			lastRound = info.BuildRound
-			progress("stream: build round %d/%d (%d keys resident at coordinator)",
-				info.BuildRound, cfg.SMax, info.Keys)
-		}
-	})
-	if err != nil {
-		return nil, fmt.Errorf("experiments: remote build: %w", err)
-	}
-	rep.BuildNanos = time.Since(buildStart).Nanoseconds()
-	total := rep.IngestNanos + rep.BuildNanos
-	if total > 0 {
-		rep.DocsPerSec = float64(col.M()) / (float64(total) / 1e9)
-	}
-	return rep, nil
-}
-
-// Fprint renders the streamed-build report.
-func (r *BuildReport) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "Streamed build — %d daemons, R=%d, %d docs, %d-byte chunk target\n",
-		r.Nodes, r.Replicas, r.Docs, r.ChunkBytes)
-	fmt.Fprintf(w, "ingest: %d chunks (%d sent, %d bytes) | resume probe re-sent %d (must be 0)\n",
-		r.ChunksTotal, r.ChunksSent, r.IngestBytes, r.ResumeResent)
-	fmt.Fprintf(w, "ingest %.2fms + build %.2fms = %.0f docs/sec\n",
-		float64(r.IngestNanos)/1e6, float64(r.BuildNanos)/1e6, r.DocsPerSec)
 }
 
 // IngestResumeReport is the crash-resume scenario's measurement.

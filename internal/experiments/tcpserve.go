@@ -371,6 +371,19 @@ func splitTail(full *corpus.Collection, built, peers int) []*corpus.Collection {
 	return splitRange(full, built, full.M(), peers)
 }
 
+// clusterFetchMeter sums the daemons' served hdk.fetchBatch counters.
+func clusterFetchMeter(tr transport.Transport, addrs []string) (uint64, error) {
+	var total uint64
+	for _, addr := range addrs {
+		info, err := cluster.FetchInfo(tr, addr)
+		if err != nil {
+			return 0, fmt.Errorf("experiments: info from %s: %w", addr, err)
+		}
+		total += info.FetchRPCs
+	}
+	return total, nil
+}
+
 // Fprint renders the serving scenario report.
 func (r *TCPServeReport) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "TCP serve — %d hdknode coordinators, R=%d, %d docs, %d queries\n",

@@ -30,8 +30,9 @@ import (
 // against the coordinator's own SearchResult and, level by level,
 // against the client-fabric engine searching from the same member; and
 // the -http endpoint's Prometheus exposition must parse, carry a
-// non-empty coordination-latency histogram, a present build_info series
-// and an idle queue depth of 0.
+// non-empty coordination-latency histogram, a present build_info series,
+// the found-keys and local-fetches series on every daemon and an idle
+// queue depth of 0.
 // The CI cluster-e2e job runs this against 5 real child processes
 // started with -search-workers 1 -search-queue 0 -http 127.0.0.1:0
 // (TestTCPTelemetryE2E).
@@ -105,8 +106,11 @@ type TelemetryReport struct {
 	SlowLogged  uint64  // summed hdk_search_slow_total (daemons run -slow-query 1ns)
 
 	// The coordinator series the absent-probe ratio and the local/remote
-	// batch split are read from, summed over levels and daemons: found
-	// keys out of probes, local fetch batches out of all fetch batches.
+	// batch split are read from: how many daemons expose each (must be
+	// every one), and their sums over levels and daemons — found keys out
+	// of probes, local fetch batches out of all fetch batches.
+	FoundKeysExposed    int    // daemons exposing hdk_query_found_keys_total
+	LocalFetchesExposed int    // daemons exposing hdk_query_local_fetches_total
 	ScrapedProbes       uint64 // hdk_query_probes_total
 	ScrapedFoundKeys    uint64 // hdk_query_found_keys_total; must be in (0, ScrapedProbes]
 	ScrapedFetchRPCs    uint64 // hdk_query_fetch_rpcs_total
@@ -124,6 +128,7 @@ func (r *TelemetryReport) Clean() bool {
 		r.HealthOK == r.Nodes && r.ScrapeOK == r.Nodes &&
 		r.BuildInfoOK == r.Nodes && r.CoordCount > 0 && r.CoordP99 > 0 &&
 		r.QueueDepth == 0 && r.SlowLogged > 0 &&
+		r.FoundKeysExposed == r.Nodes && r.LocalFetchesExposed == r.Nodes &&
 		r.ScrapedFoundKeys > 0 && r.ScrapedFoundKeys <= r.ScrapedProbes &&
 		r.ScrapedLocalFetches > 0 && r.ScrapedLocalFetches <= r.ScrapedFetchRPCs
 }
@@ -447,6 +452,7 @@ func scrapeCluster(httpAddrs []string, rep *TelemetryReport) {
 			continue
 		}
 		rep.ScrapeOK++
+		found, local := false, false
 		for _, s := range samples {
 			switch s.Name {
 			case "hdk_build_info":
@@ -461,11 +467,19 @@ func scrapeCluster(httpAddrs []string, rep *TelemetryReport) {
 				rep.ScrapedProbes += uint64(s.Value)
 			case "hdk_query_found_keys_total":
 				rep.ScrapedFoundKeys += uint64(s.Value)
+				found = true
 			case "hdk_query_fetch_rpcs_total":
 				rep.ScrapedFetchRPCs += uint64(s.Value)
 			case "hdk_query_local_fetches_total":
 				rep.ScrapedLocalFetches += uint64(s.Value)
+				local = true
 			}
+		}
+		if found {
+			rep.FoundKeysExposed++
+		}
+		if local {
+			rep.LocalFetchesExposed++
 		}
 		q99, count := telemetry.PromHistogramQuantile(samples, "hdk_search_coordination_nanoseconds", nil, 0.99)
 		rep.CoordCount += count
@@ -487,6 +501,7 @@ func (r *TelemetryReport) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "scrape: %d/%d healthz, %d/%d metrics, %d/%d build_info | coord p99 %.2fms over %d | queue %.0f | %d slow-logged\n",
 		r.HealthOK, r.Nodes, r.ScrapeOK, r.Nodes, r.BuildInfoOK, r.Nodes,
 		r.CoordP99/1e6, r.CoordCount, r.QueueDepth, r.SlowLogged)
-	fmt.Fprintf(w, "coordinator series: %d/%d probes found a key | %d/%d fetch batches served by the coordinator's own store\n",
+	fmt.Fprintf(w, "coordinator series: exposed by %d/%d and %d/%d daemons | %d/%d probes found a key | %d/%d fetch batches served by the coordinator's own store\n",
+		r.FoundKeysExposed, r.Nodes, r.LocalFetchesExposed, r.Nodes,
 		r.ScrapedFoundKeys, r.ScrapedProbes, r.ScrapedLocalFetches, r.ScrapedFetchRPCs)
 }

@@ -119,7 +119,12 @@ func TestTCPTelemetryE2E(t *testing.T) {
 		t.Error("hdk_search_slow_total is 0 with -slow-query 1ns")
 	}
 	// The two series the absent-probe ratio and the local/remote batch
-	// split are derived from must be scrapeable and consistent.
+	// split are derived from must be exposed by every daemon and
+	// consistent cluster-wide.
+	if rep.FoundKeysExposed != opts.Nodes || rep.LocalFetchesExposed != opts.Nodes {
+		t.Errorf("found-keys series on %d/%d daemons, local-fetches series on %d/%d",
+			rep.FoundKeysExposed, opts.Nodes, rep.LocalFetchesExposed, opts.Nodes)
+	}
 	if rep.ScrapedFoundKeys == 0 || rep.ScrapedFoundKeys > rep.ScrapedProbes {
 		t.Errorf("hdk_query_found_keys_total %d against hdk_query_probes_total %d", rep.ScrapedFoundKeys, rep.ScrapedProbes)
 	}

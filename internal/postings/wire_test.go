@@ -2,8 +2,11 @@ package postings
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"repro/internal/corpus"
 )
 
 func TestKeyedRoundTrip(t *testing.T) {
@@ -87,5 +90,58 @@ func TestKeyListCorruptNeverPanics(t *testing.T) {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0xff
 		DecodeKeyList(mut) // must not panic; error or garbage both fine
+	}
+}
+
+// codecSink keeps the measured codec results alive across runs.
+var codecSink any
+
+// TestCodecAllocCeilings holds the fetch RPC's codecs and the lattice
+// accumulator's fold to their allocations per call on fixed inputs — a
+// 256-posting list, an 8-key batch of 12-posting lists, sixteen
+// 48-posting lists. A ceiling is the count the code has today: adding
+// one allocation to the per-fetch path fails here.
+func TestCodecAllocCeilings(t *testing.T) {
+	list := make(List, 256)
+	for i := range list {
+		list[i] = Posting{Doc: corpus.DocID(i*7 + 3), Score: float32(i%13) + 0.5}
+	}
+	var batch []KeyedMessage
+	for i := 0; i < 8; i++ {
+		sub := make(List, 12)
+		for j := range sub {
+			sub[j] = Posting{Doc: corpus.DocID(j*11 + i), Score: float32(j) + 0.25}
+		}
+		batch = append(batch, KeyedMessage{Key: fmt.Sprintf("term%02d term%02d", i, i+1), Aux: uint64(140+i)<<2 | 2, List: sub})
+	}
+	var lists []List
+	for i := 0; i < 16; i++ {
+		l := make(List, 48)
+		for j := range l {
+			l[j] = Posting{Doc: corpus.DocID(j*8 + i%4), Score: float32(i+j) * 0.125}
+		}
+		lists = append(lists, l)
+	}
+	listBytes, batchBytes := Encode(nil, list), EncodeKeyedBatch(nil, batch)
+	if back, _, err := Decode(listBytes); err != nil || !reflect.DeepEqual(back, list) {
+		t.Fatalf("posting list does not round-trip: %v", err)
+	}
+	if back, err := DecodeKeyedBatch(batchBytes); err != nil || !reflect.DeepEqual(back, batch) {
+		t.Fatalf("keyed batch does not round-trip: %v", err)
+	}
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		fn      func()
+	}{
+		{"postings encode", 2, func() { codecSink = Encode(nil, list) }},
+		{"postings decode", 2, func() { codecSink, _, _ = Decode(listBytes) }},
+		{"keyed-batch encode", 2, func() { codecSink = EncodeKeyedBatch(nil, batch) }},
+		{"keyed-batch decode", 11, func() { codecSink, _ = DecodeKeyedBatch(batchBytes) }},
+		{"UnionAll fold", 3, func() { codecSink = UnionAll(lists) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, c.fn); allocs > c.ceiling {
+			t.Errorf("%s: %.0f allocs per call, ceiling %.0f", c.name, allocs, c.ceiling)
+		}
 	}
 }
