@@ -97,8 +97,7 @@ func NewQueryMetrics(reg *telemetry.Registry) *QueryMetrics {
 // replica reads prefer (ReadPlan) — a daemon passes its own member stub
 // with its store attached read-locally. It may be nil on one-hop
 // fabrics, which reads every key primary-first; so does any traversal
-// over a fabric that reports a departure as still Unrepaired
-// (overlay.Churn).
+// over a fabric whose view still owes a repair (overlay.Churn).
 type Coordinator struct {
 	Net     overlay.Fabric
 	Cfg     Config
@@ -202,7 +201,7 @@ func newLatticeSearch(net overlay.Fabric, from overlay.Member, cfg Config, traff
 	// promotion added to a replica set holds no (or a partial) copy; only
 	// the primary — an old replica — is safe to read. The fabric knows.
 	churn, ok := net.(overlay.Churn)
-	ls.placeReads = !ok || !churn.Unrepaired()
+	ls.placeReads = !ok || !churn.View().Owed()
 	_, ls.localRoute = net.(overlay.LocalResolver)
 	return ls
 }

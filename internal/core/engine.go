@@ -584,8 +584,8 @@ func (e *Engine) AuditReplicas() replica.AuditStats {
 // RemoveNode handoff, nothing is copied anywhere. Peers hosted on the
 // node drop out of the build set. With ReplicationFactor >= 2 the
 // surviving replicas keep every key reachable; RepairReplicas restores
-// full coverage afterwards. In between the fabric reports the departure
-// as Unrepaired (overlay.Churn) and every search reads primary-first:
+// full coverage afterwards. In between the fabric's view owes a repair
+// (overlay.Churn) and every search reads primary-first:
 // the member the crash promoted into a replica set holds no copy yet.
 func (e *Engine) FailNode(node overlay.Member) error {
 	churn, ok := e.net.(overlay.Churn)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/corpus"
 	"repro/internal/overlay"
 	"repro/internal/postings"
@@ -397,10 +398,18 @@ func TestVeryFrequentTermsExcluded(t *testing.T) {
 	}
 }
 
+// TestSearchBoundedTraffic checks §4.2's retrieval bound on every query:
+// a query of |q| distinct terms probes at most QueryKeyCount(|q|, SMax)
+// lattice keys and moves at most that many times DFmax postings. The
+// pool holds queries longer than SMax, where the smax-limited key count
+// is below 2^|q| − 1. The bound holds on the built index and across
+// churn: after a crash (the view owes a repair, reads go primary-first),
+// after the repair sweep, and after a graceful leave.
 func TestSearchBoundedTraffic(t *testing.T) {
 	col := testCollection(t, 80)
 	cfg := testConfig(col, 6)
-	eng := buildEngine(t, col, 4, cfg)
+	cfg.ReplicationFactor = 2
+	eng := buildEngine(t, col, 5, cfg)
 	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
@@ -410,18 +419,52 @@ func TestSearchBoundedTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := eng.net.Members()
-	for i, q := range queries {
-		res, err := eng.Search(q, nodes[i%len(nodes)], 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nk := (1 << len(dedupTerms(q.Terms))) - 1
-		bound := uint64(nk * cfg.DFMax)
-		if res.FetchedPosts > bound {
-			t.Fatalf("query %d: fetched %d postings > bound nk*DFmax = %d", i, res.FetchedPosts, bound)
+	long := 0
+	for _, q := range queries {
+		if len(dedupTerms(q.Terms)) > cfg.SMax {
+			long++
 		}
 	}
+	if long == 0 {
+		t.Fatalf("no query longer than SMax=%d: the smax-limited bound never bites", cfg.SMax)
+	}
+	within := func(when string) {
+		t.Helper()
+		nodes := eng.net.Members()
+		for i, q := range queries {
+			res, err := eng.Search(q, nodes[i%len(nodes)], 20)
+			if err != nil {
+				t.Fatalf("%s: query %d: %v", when, i, err)
+			}
+			nk := analysis.QueryKeyCount(len(dedupTerms(q.Terms)), cfg.SMax)
+			if float64(res.ProbedKeys) > nk {
+				t.Fatalf("%s: query %d probed %d keys > QueryKeyCount = %g", when, i, res.ProbedKeys, nk)
+			}
+			if bound := nk * float64(cfg.DFMax); float64(res.FetchedPosts) > bound {
+				t.Fatalf("%s: query %d fetched %d postings > QueryKeyCount*DFmax = %g", when, i, res.FetchedPosts, bound)
+			}
+		}
+	}
+	within("built")
+	churn := eng.net.(overlay.Churn)
+	if err := eng.FailNode(eng.net.Members()[1]); err != nil {
+		t.Fatal(err)
+	}
+	if !churn.View().Owed() {
+		t.Fatal("a crash left no repair debt")
+	}
+	within("crashed, unrepaired")
+	if _, err := eng.RepairReplicas(); err != nil {
+		t.Fatal(err)
+	}
+	if churn.View().Owed() {
+		t.Fatal("the repair sweep left the debt owed")
+	}
+	within("repaired")
+	if err := eng.RemoveNode(eng.net.Members()[1]); err != nil {
+		t.Fatal(err)
+	}
+	within("after a graceful leave")
 }
 
 func TestSearchFindsHDKDocs(t *testing.T) {

@@ -48,13 +48,14 @@ func (e *Engine) RemoveNode(node overlay.Member) error {
 	if !ok {
 		return fmt.Errorf("core: node %x has no store", node.ID())
 	}
-	// Leave the ring first so ownership recomputes without the node...
+	// Leave the ring first so ownership recomputes without the node —
+	// gracefully: the handoff below fills every replica set the leave
+	// reshapes, so it owes no repair...
 	churn, ok := e.net.(overlay.Churn)
 	if !ok {
 		return fmt.Errorf("core: fabric does not support node removal")
 	}
-	owed := churn.Unrepaired() // an earlier crash this leave must not paper over
-	if !churn.RemoveNode(node.ID()) {
+	if !churn.Leave(node.ID()) {
 		return fmt.Errorf("core: node %x not in overlay", node.ID())
 	}
 	if e.net.Size() == 0 {
@@ -79,10 +80,5 @@ func (e *Engine) RemoveNode(node overlay.Member) error {
 		}
 	}
 	e.peers = kept
-	if owed {
-		return nil
-	}
-	// The handoff above filled every replica set the leave reshaped, so
-	// this departure leaves no repair debt behind.
-	return churn.MarkRepaired()
+	return nil
 }

@@ -368,7 +368,7 @@ func TestUnrepairedCrashReadsPrimaryFirst(t *testing.T) {
 	if err := eng.FailNode(multi.OwnersOf(probe[0], 2)[0]); err != nil {
 		t.Fatal(err)
 	}
-	if !churn.Unrepaired() {
+	if !churn.View().Owed() {
 		t.Fatal("fabric does not report the crash as unrepaired")
 	}
 	owners := multi.OwnersOf(probe[0], 2)
@@ -414,7 +414,7 @@ func TestUnrepairedCrashReadsPrimaryFirst(t *testing.T) {
 	if _, err := eng.RepairReplicas(); err != nil {
 		t.Fatal(err)
 	}
-	if churn.Unrepaired() {
+	if churn.View().Owed() {
 		t.Fatal("fabric still unrepaired after a complete sweep")
 	}
 	for _, m := range eng.net.Members() {
@@ -437,8 +437,8 @@ func TestGracefulLeaveOwesNoRepair(t *testing.T) {
 	if err := eng.RemoveNode(eng.net.Members()[1]); err != nil {
 		t.Fatal(err)
 	}
-	if churn.Unrepaired() || !eng.AuditReplicas().FullyReplicated() {
-		t.Fatalf("graceful leave: unrepaired=%t, audit %+v", churn.Unrepaired(), eng.AuditReplicas())
+	if churn.View().Owed() || !eng.AuditReplicas().FullyReplicated() {
+		t.Fatalf("graceful leave: unrepaired=%t, audit %+v", churn.View().Owed(), eng.AuditReplicas())
 	}
 	if err := eng.FailNode(eng.net.Members()[1]); err != nil {
 		t.Fatal(err)
@@ -446,7 +446,7 @@ func TestGracefulLeaveOwesNoRepair(t *testing.T) {
 	if err := eng.RemoveNode(eng.net.Members()[1]); err != nil {
 		t.Fatal(err)
 	}
-	if !churn.Unrepaired() {
+	if !churn.View().Owed() {
 		t.Fatal("a graceful leave settled an earlier crash's repair debt")
 	}
 }

@@ -35,24 +35,18 @@ type Fabric interface {
 }
 
 // Churn is optionally implemented by fabrics supporting node departure.
-//
-// A departure leaves every replica set the departed member belonged to
-// one copy short: placement promotes a member into the set that holds
-// nothing (or, after further inserts, a partial entry) until a repair
-// sweep has re-replicated. The fabric remembers that debt, because both
-// transitions pass through it — RemoveNode raises it, and
-// replica.Repairer.Repair settles it with MarkRepaired after a complete
-// sweep — and every read path consults it: while Unrepaired, only a
-// key's primary is known to hold a full copy (promotion makes an old
-// replica the primary), so reads must not be placed on other replicas.
+// A Churn fabric keeps its membership as a View (see Membership), whose
+// repair debt every read path consults: while View().Owed(), only a
+// key's primary is known to hold a full copy, so reads must not be
+// placed on other replicas. RemoveNode (a crash) raises the debt, Leave
+// (a graceful departure whose entries were handed off) does not, and
+// replica.Repairer.Repair settles it with MarkRepaired, passing the
+// member set it swept — a departure that lands mid-sweep stays owed.
 type Churn interface {
 	RemoveNode(ID) bool
-	// Unrepaired reports that a member departed and no repair sweep has
-	// completed since.
-	Unrepaired() bool
-	// MarkRepaired records that every replica set under the current
-	// membership holds its full complement of copies again.
-	MarkRepaired() error
+	Leave(ID) bool
+	View() View
+	MarkRepaired(swept []string) error
 }
 
 // RemoteStore is optionally implemented by members whose index store
@@ -95,25 +89,6 @@ type LocalResolver interface {
 	// ResolvesLocally is a marker: implementing it is the statement that
 	// ownership resolution never touches the transport.
 	ResolvesLocally()
-}
-
-// Members implements Fabric.
-func (n *Network) Members() []Member {
-	nodes := n.Nodes()
-	out := make([]Member, len(nodes))
-	for i, nd := range nodes {
-		out[i] = nd
-	}
-	return out
-}
-
-// OwnerOf implements Fabric.
-func (n *Network) OwnerOf(key string) (Member, bool) {
-	owner := n.Owner(key)
-	if owner == nil {
-		return nil, false
-	}
-	return owner, true
 }
 
 // Route implements Fabric.

@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 
 	"repro/internal/transport"
@@ -79,16 +78,13 @@ func (n *Node) Handle(service string, h transport.Handler) {
 	n.services[service] = h
 }
 
-// Network is a set of overlay nodes sharing one transport.
+// Network is a set of overlay nodes sharing one transport. Its
+// membership is a View: the embedded Membership implements Churn and
+// MultiOwner (successor-list placement), and every node's successor and
+// fingers are derived from each new view.
 type Network struct {
 	tr transport.Transport
-
-	mu     sync.RWMutex
-	nodes  map[ID]*Node
-	sorted []ID // ring order, maintained on join/leave
-	// unrepaired: a node left and no repair sweep has completed since
-	// (Churn's repair debt).
-	unrepaired bool
+	Membership
 
 	lookupMu      sync.Mutex
 	lookupCount   uint64
@@ -97,7 +93,9 @@ type Network struct {
 
 // NewNetwork creates an empty overlay over the given transport.
 func NewNetwork(tr transport.Transport) *Network {
-	return &Network{tr: tr, nodes: make(map[ID]*Node)}
+	n := &Network{tr: tr}
+	n.OnChange = rebuildRouting
+	return n
 }
 
 // AddNode creates a node with the given address, binds it on the
@@ -117,142 +115,56 @@ func (n *Network) AddNode(addr string) (*Node, error) {
 	// resolves to a concrete port only at bind time.
 	node.addr = bound
 	node.id = hashNode(bound)
-
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, dup := n.nodes[node.id]; dup {
+	if _, dup := n.Apply(func(v View) View { return v.Join(node) }).Lookup(node.id); dup {
 		return nil, fmt.Errorf("overlay: id collision for %q", addr)
 	}
-	n.nodes[node.id] = node
-	n.sorted = append(n.sorted, node.id)
-	sort.Slice(n.sorted, func(i, j int) bool { return n.sorted[i] < n.sorted[j] })
-	n.rebuildRoutingLocked()
 	return node, nil
 }
 
-// rebuildRoutingLocked recomputes successors and finger tables for every
-// node from the global membership view. A production DHT converges to the
-// same state through periodic stabilization; rebuilding directly keeps the
+// rebuildRouting recomputes successors and finger tables for every node
+// from the membership view. A production DHT converges to the same state
+// through periodic stabilization; rebuilding directly keeps the
 // simulation deterministic, and the paper's accounting excludes the
-// maintenance traffic this would generate.
-func (n *Network) rebuildRoutingLocked() {
-	for _, node := range n.nodes {
+// maintenance traffic this would generate. A node that left keeps its
+// stale tables: nothing routes to it anymore.
+func rebuildRouting(v View) {
+	for _, m := range v.members {
+		node := m.(*Node)
 		node.mu.Lock()
-		node.succ = n.successorLocked(node.id + 1)
+		node.succ = v.successor(node.id + 1).ID()
 		for i := 0; i < fingerBits; i++ {
-			node.fingers[i] = n.successorLocked(node.id + 1<<uint(i))
+			node.fingers[i] = v.successor(node.id + 1<<uint(i)).ID()
 		}
 		node.mu.Unlock()
 	}
 }
 
-// successorLocked returns the first node id at or after x on the ring.
-func (n *Network) successorLocked(x ID) ID {
-	i := sort.Search(len(n.sorted), func(i int) bool { return n.sorted[i] >= x })
-	if i == len(n.sorted) {
-		i = 0
-	}
-	return n.sorted[i]
-}
-
-// RemoveNode takes a node out of the ring (graceful leave) and refreshes
-// the remaining nodes' routing state. The node's transport binding is
-// left in place — in a real deployment it dies with the process; in the
-// simulation nothing routes to it anymore. Returns false if the node is
-// not a member.
-func (n *Network) RemoveNode(id ID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, ok := n.nodes[id]; !ok {
-		return false
-	}
-	delete(n.nodes, id)
-	for i, v := range n.sorted {
-		if v == id {
-			n.sorted = append(n.sorted[:i], n.sorted[i+1:]...)
-			break
-		}
-	}
-	n.rebuildRoutingLocked()
-	n.unrepaired = true
-	return true
-}
-
-// Unrepaired implements Churn.
-func (n *Network) Unrepaired() bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.unrepaired
-}
-
-// MarkRepaired implements Churn.
-func (n *Network) MarkRepaired() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.unrepaired = false
-	return nil
-}
-
-// Size returns the number of nodes.
-func (n *Network) Size() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.nodes)
-}
-
 // Nodes returns the nodes in ring order.
 func (n *Network) Nodes() []*Node {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]*Node, 0, len(n.sorted))
-	for _, id := range n.sorted {
-		out = append(out, n.nodes[id])
+	v := n.View()
+	out := make([]*Node, len(v.members))
+	for i, m := range v.members {
+		out[i] = m.(*Node)
 	}
 	return out
+}
+
+// Owner returns the node responsible for the key (its ring successor)
+// without routing — the ground truth tests check routing against.
+func (n *Network) Owner(key string) *Node {
+	if m, ok := n.View().Owner(key); ok {
+		return m.(*Node)
+	}
+	return nil
 }
 
 // node looks up a node by id.
 func (n *Network) node(id ID) (*Node, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	v, ok := n.nodes[id]
-	return v, ok
-}
-
-// Owner returns the node responsible for the key (its successor on the
-// ring) without routing — the ground truth used by tests and by callers
-// that only need the mapping.
-func (n *Network) Owner(key string) *Node {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if len(n.sorted) == 0 {
-		return nil
+	m, ok := n.View().Lookup(id)
+	if !ok {
+		return nil, false
 	}
-	return n.nodes[n.successorLocked(HashKey(key))]
-}
-
-// OwnersOf implements MultiOwner: the replica set of a key is its
-// successor list — the first r distinct nodes at or after the key's ring
-// position, primary first (the classical Chord replication scheme). The
-// scheme is churn-stable: when the primary leaves, the key's new
-// successor is exactly the old second replica, so routing lands on a
-// node that already holds the replicated data.
-func (n *Network) OwnersOf(key string, r int) []Member {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if len(n.sorted) == 0 || r < 1 {
-		return nil
-	}
-	if r > len(n.sorted) {
-		r = len(n.sorted)
-	}
-	h := HashKey(key)
-	start := sort.Search(len(n.sorted), func(i int) bool { return n.sorted[i] >= h })
-	out := make([]Member, 0, r)
-	for k := 0; k < r; k++ {
-		out = append(out, n.nodes[n.sorted[(start+k)%len(n.sorted)]])
-	}
-	return out
+	return m.(*Node), true
 }
 
 // Lookup routes from the given start node to the owner of key using

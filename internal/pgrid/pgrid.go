@@ -101,15 +101,16 @@ func (p *Peer) handleRoute(keyBits []byte) ([]byte, error) {
 }
 
 // Network is a P-Grid trie over a transport. It implements
-// overlay.Fabric.
+// overlay.Fabric. Its member set and repair debt are an overlay.View
+// (the embedded Membership implements overlay.Churn); the trie — every
+// peer's path and routing table, and the path order — is derived from
+// each new view.
 type Network struct {
 	tr transport.Transport
+	overlay.Membership
 
 	mu    sync.RWMutex
-	peers []*Peer // sorted by path after every rebuild
-	// unrepaired: a peer left and no repair sweep has completed since
-	// (overlay.Churn's repair debt).
-	unrepaired bool
+	peers []*Peer // path order, derived from the view
 
 	lookupMu      sync.Mutex
 	lookupCount   uint64
@@ -118,7 +119,9 @@ type Network struct {
 
 // NewNetwork creates an empty trie over the transport.
 func NewNetwork(tr transport.Transport) *Network {
-	return &Network{tr: tr}
+	n := &Network{tr: tr}
+	n.OnChange = n.rebuild
+	return n
 }
 
 // AddPeer binds a new peer and rebuilds the trie: paths are reassigned
@@ -133,69 +136,33 @@ func (n *Network) AddPeer(addr string) (*Peer, error) {
 	}
 	p.addr = bound
 	p.id = overlay.HashKey("pgrid:" + bound)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, q := range n.peers {
-		if q.id == p.id {
-			return nil, fmt.Errorf("pgrid: id collision for %q", addr)
-		}
+	if _, dup := n.Apply(func(v overlay.View) overlay.View { return v.Join(p) }).Lookup(p.id); dup {
+		return nil, fmt.Errorf("pgrid: id collision for %q", addr)
 	}
-	n.peers = append(n.peers, p)
-	n.rebuildLocked()
 	return p, nil
 }
 
-// RemoveNode implements overlay.Churn: the peer leaves and the trie is
-// rebuilt over the remaining members.
-func (n *Network) RemoveNode(id overlay.ID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for i, q := range n.peers {
-		if q.id == id {
-			n.peers = append(n.peers[:i], n.peers[i+1:]...)
-			n.rebuildLocked()
-			n.unrepaired = true
-			return true
-		}
+// rebuild reassigns paths by recursive bisection of the view's peers and
+// rebuilds every peer's routing table (one reference per level, pointing
+// into the complementary subtree).
+func (n *Network) rebuild(v overlay.View) {
+	peers := make([]*Peer, 0, v.Size())
+	for _, m := range v.Members() {
+		peers = append(peers, m.(*Peer))
 	}
-	return false
-}
-
-// Unrepaired implements overlay.Churn.
-func (n *Network) Unrepaired() bool {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.unrepaired
-}
-
-// MarkRepaired implements overlay.Churn.
-func (n *Network) MarkRepaired() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.unrepaired = false
-	return nil
-}
-
-// rebuildLocked reassigns paths by recursive bisection and rebuilds
-// every peer's routing table (one reference per level, pointing into the
-// complementary subtree).
-func (n *Network) rebuildLocked() {
-	peers := append([]*Peer(nil), n.peers...)
 	sort.Slice(peers, func(i, j int) bool { return peers[i].addr < peers[j].addr })
 	assign(peers, "")
 	// Keep the membership list in path order for deterministic Members().
-	sort.Slice(n.peers, func(i, j int) bool { return n.peers[i].path < n.peers[j].path })
+	sort.Slice(peers, func(i, j int) bool { return peers[i].path < peers[j].path })
 	// Routing tables: for each peer and each level l of its path, a
 	// reference to the lexicographically smallest peer whose path agrees
 	// on the first l bits and flips bit l.
-	byPath := make([]*Peer, len(n.peers))
-	copy(byPath, n.peers)
-	for _, p := range n.peers {
+	for _, p := range peers {
 		p.mu.Lock()
 		p.refs = make(map[int]string, len(p.path))
 		for l := 0; l < len(p.path); l++ {
 			want := p.path[:l] + flip(p.path[l])
-			for _, q := range byPath {
+			for _, q := range peers {
 				if strings.HasPrefix(q.path, want) || strings.HasPrefix(want, q.path) {
 					p.refs[l] = q.addr
 					break
@@ -204,6 +171,9 @@ func (n *Network) rebuildLocked() {
 		}
 		p.mu.Unlock()
 	}
+	n.mu.Lock()
+	n.peers = peers
+	n.mu.Unlock()
 }
 
 // assign recursively bisects the peer list, extending paths bit by bit.
@@ -249,7 +219,8 @@ func keyBits(key string) string {
 
 // --- overlay.Fabric -------------------------------------------------------
 
-// Members implements overlay.Fabric (path order).
+// Members implements overlay.Fabric (path order, not the View's ring
+// order).
 func (n *Network) Members() []overlay.Member {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -258,13 +229,6 @@ func (n *Network) Members() []overlay.Member {
 		out[i] = p
 	}
 	return out
-}
-
-// Size implements overlay.Fabric.
-func (n *Network) Size() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.peers)
 }
 
 // OwnerOf implements overlay.Fabric: the peer whose path prefixes the
@@ -328,7 +292,7 @@ func (n *Network) Route(from overlay.Member, key string) (overlay.Member, int, e
 		}
 		next := string(raw[1:])
 		if raw[0] == 'F' {
-			owner, ok := n.peerByAddr(next)
+			owner, ok := n.View().Member(next)
 			if !ok {
 				return nil, hops, fmt.Errorf("pgrid: unknown owner %q", next)
 			}
@@ -358,17 +322,6 @@ func (n *Network) LookupStats() (uint64, float64) {
 		return 0, 0
 	}
 	return n.lookupCount, float64(n.lookupHopsSum) / float64(n.lookupCount)
-}
-
-func (n *Network) peerByAddr(addr string) (*Peer, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	for _, p := range n.peers {
-		if p.addr == addr {
-			return p, true
-		}
-	}
-	return nil, false
 }
 
 // Compile-time interface checks.

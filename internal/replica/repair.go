@@ -147,12 +147,19 @@ func Audit(f overlay.Fabric, inv Inventory, r int) AuditStats {
 // key, batching the snapshots per destination member and shipping each
 // batch with one Service RPC over the fabric. Once every batch has
 // landed, the replica sets are whole again under the swept membership,
-// and a fabric that tracks departures (overlay.Churn) is told so — the
-// one place its repair debt is settled, whoever started the sweep.
+// and a fabric that tracks departures (overlay.Churn) is told which
+// membership that was — the one place its repair debt is settled,
+// whoever started the sweep. A departure that landed mid-sweep changed
+// the membership, so its debt stays owed.
 func (rp *Repairer) Repair() (RepairStats, error) {
 	r := rp.R
 	if r < 1 {
 		r = 1
+	}
+	churn, tracked := rp.Fabric.(overlay.Churn)
+	var swept []string
+	if tracked {
+		swept = churn.View().Addrs()
 	}
 	deficits, keys := sweep(rp.Fabric, rp.Inv, r)
 	st := RepairStats{KeysSwept: keys, UnderReplicated: len(deficits)}
@@ -179,8 +186,8 @@ func (rp *Repairer) Repair() (RepairStats, error) {
 		}
 		st.RepairRPCs++
 	}
-	if churn, ok := rp.Fabric.(overlay.Churn); ok {
-		if err := churn.MarkRepaired(); err != nil {
+	if tracked {
+		if err := churn.MarkRepaired(swept); err != nil {
 			return st, fmt.Errorf("replica: repaired, but not recorded: %w", err)
 		}
 	}

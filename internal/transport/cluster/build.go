@@ -59,10 +59,11 @@ type workerRound struct {
 }
 
 // buildEngine lazily constructs the daemon's build engine: its
-// coordination fabric with every member's store remote (the daemon's own
-// included — self-inserts travel the loopback RPC path, so they are
-// metered, durably logged and cache-invalidated exactly like everyone
-// else's), plus one peer hosting the ingested shard. The peer's notify
+// coordination fabric pinned to the view of the moment, with every
+// member's store remote (the daemon's own included — self-inserts travel
+// the loopback RPC path, so they are metered, durably logged and
+// cache-invalidated exactly like everyone else's), plus one peer hosting
+// the ingested shard. The peer's notify
 // handler is also registered on the daemon's own dispatch, so an
 // EXTERNAL coordinator's expansion notifications reach it over the wire.
 func (s *Server) buildEngine() (*core.Engine, *core.Peer, error) {
@@ -81,15 +82,13 @@ func (s *Server) buildEngine() (*core.Engine, *core.Peer, error) {
 	if shard == nil {
 		return nil, nil, fmt.Errorf("cluster: %s holds no ingested corpus shard", s.addr)
 	}
-	fab, self, err := s.coordinationFabric()
+	// The build places every key on the membership it started with: a
+	// member joining mid-build reaches the searches, not this engine.
+	eng, err := core.NewEngine(s.fabric.pinned(), store.Config(), shard.Vocab, freqs)
 	if err != nil {
 		return nil, nil, err
 	}
-	eng, err := core.NewEngine(fab, store.Config(), shard.Vocab, freqs)
-	if err != nil {
-		return nil, nil, err
-	}
-	peer, err := eng.AddPeer(self, shard)
+	peer, err := eng.AddPeer(s.self, shard)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -9,17 +9,17 @@
 //
 // Every Server is also a query coordinator: the hdk.search RPC
 // (Client.SearchVia) runs the engine's lattice traversal inside the
-// daemon — against its own membership view, with replica failover,
-// bounded admission (a saturated daemon sheds excess searches with an
-// explicit retry-after hint instead of queueing them unboundedly), and
-// a per-node query-result LRU that every locally served index mutation
-// invalidates — so a thin client pays one RPC per query instead of
-// orchestrating the fan-out itself.
+// daemon — over its own membership view (the daemon's Client), with
+// replica failover, bounded admission (a saturated daemon sheds excess
+// searches with an explicit retry-after hint instead of queueing them
+// unboundedly), and a per-node query-result LRU that every locally
+// served index mutation invalidates — so a thin client pays one RPC per
+// query instead of orchestrating the fan-out itself.
 //
 // The client fabric is a full-membership, one-hop DHT: every member's
 // ring position is overlay.HashNode(addr) — the same placement as the
 // in-process Chord overlay — and key ownership resolves locally against
-// the membership table, so a query pays RPCs only for the index fetches
+// one overlay.View, so a query pays RPCs only for the index fetches
 // themselves (the per-hop network cost the super-peer routing literature
 // identifies as the real latency driver).
 package cluster
@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,6 +74,12 @@ type Member struct {
 	services map[string]transport.Handler
 }
 
+// newMember returns the stub for the daemon bound at addr, placed on the
+// ring at overlay.HashNode(addr).
+func newMember(addr string) *Member {
+	return &Member{id: overlay.HashNode(addr), addr: addr, services: make(map[string]transport.Handler)}
+}
+
 // ID implements overlay.Member.
 func (m *Member) ID() overlay.ID { return m.id }
 
@@ -102,35 +107,32 @@ func (m *Member) localHandler(service string) (transport.Handler, bool) {
 }
 
 // Client is the thin cluster client: an overlay.Fabric over a set of
-// daemon processes. It implements MultiOwner (successor-list placement on
-// the HashNode ring, identical to the Chord overlay's ground truth),
-// Churn (so core.Engine.FailNode works when a process dies, and so every
-// traversal over this view knows while a departure is still unrepaired)
-// and LocalResolver (ownership is a lookup in the client's own table).
+// daemon processes. Its membership is one overlay.View (the embedded
+// Membership), so ownership reads are one atomic load: it implements
+// MultiOwner (the View's successor-list placement on the HashNode ring,
+// identical to the Chord overlay's, so a cluster and an in-process ring
+// over the same addresses agree on every replica set), Churn (so
+// core.Engine.FailNode works when a process dies, and so every traversal
+// over this view knows while a departure is still owed a repair) and
+// LocalResolver (ownership is a lookup in the client's own table).
 type Client struct {
 	tr transport.Transport
-
-	mu     sync.RWMutex
-	byID   map[overlay.ID]*Member
-	byAddr map[string]*Member
-	sorted []overlay.ID
-
-	// unrepaired is overlay.Churn's repair debt for this view: raised by
-	// RemoveNode, adopted from the seed daemon at Dial, settled by
-	// MarkRepaired.
-	unrepaired atomic.Bool
-
-	// Policy, resolved from Options at Dial time (never zero): one
-	// retry/backoff/chunking policy for every call this client makes.
-	retryBudget    int           // transient-retry budget per RPC
-	searchAttempts int           // overload backoff attempts per search
-	backoffCap     time.Duration // cap on the overload backoff window
-	chunkTarget    int           // ingest chunk payload target, bytes
+	overlay.Membership
+	policy
 
 	// Client-side loopback dispatches (a coordinating daemon's reads of
 	// its own store land here once per level): atomics, not a lock.
 	loopbackMsgs  atomic.Uint64
 	loopbackBytes atomic.Uint64
+}
+
+// policy is resolved from Options at Dial time (never zero): one
+// retry/backoff/chunking policy for every call a client makes.
+type policy struct {
+	retryBudget    int           // transient-retry budget per RPC
+	searchAttempts int           // overload backoff attempts per search
+	backoffCap     time.Duration // cap on the overload backoff window
+	chunkTarget    int           // ingest chunk payload target, bytes
 }
 
 // Options configures a cluster client. The zero value of every field
@@ -161,8 +163,9 @@ type Options struct {
 const DefaultChunkBytes = 256 << 10
 
 // Dial builds the thin cluster client: it resolves the membership
-// (discovered through Seed or enumerated in Addrs) and fixes the
-// client's retry, backoff and chunking policy from the options.
+// (discovered through Seed, with the seed's repair debt, or enumerated
+// in Addrs) and fixes the client's retry, backoff and chunking policy
+// from the options.
 func Dial(o Options) (*Client, error) {
 	if o.Transport == nil {
 		return nil, fmt.Errorf("cluster: Dial requires a Transport")
@@ -177,16 +180,19 @@ func Dial(o Options) (*Client, error) {
 			return nil, err
 		}
 	}
-	addrs := seen.Members
-	c := &Client{
-		tr:             o.Transport,
-		byID:           make(map[overlay.ID]*Member, len(addrs)),
-		byAddr:         make(map[string]*Member, len(addrs)),
+	c := newClient(o)
+	c.adopt(seen)
+	return c, nil
+}
+
+// newClient returns a client with an empty view and the options' policy.
+func newClient(o Options) *Client {
+	c := &Client{tr: o.Transport, policy: policy{
 		retryBudget:    o.Retries,
 		searchAttempts: o.SearchAttempts,
 		backoffCap:     o.SearchBackoffCap,
 		chunkTarget:    o.ChunkBytes,
-	}
+	}}
 	if c.retryBudget <= 0 {
 		c.retryBudget = maxTransientRetries
 	}
@@ -199,13 +205,29 @@ func Dial(o Options) (*Client, error) {
 	if c.chunkTarget <= 0 {
 		c.chunkTarget = DefaultChunkBytes
 	}
-	for _, a := range addrs {
-		if err := c.add(a); err != nil {
-			return nil, err
+	return c
+}
+
+// adopt joins a seed's view — its addresses, a fresh stub for each one
+// not yet a member, and its debt — into the client's (View.Adopt).
+func (c *Client) adopt(seen view) {
+	c.Apply(func(v overlay.View) overlay.View {
+		var joined []overlay.Member
+		for _, a := range seen.Members {
+			if _, ok := v.Member(a); !ok && a != "" {
+				joined = append(joined, newMember(a))
+			}
 		}
-	}
-	c.unrepaired.Store(seen.Unrepaired)
-	return c, nil
+		return v.Adopt(joined, seen.Unrepaired)
+	})
+}
+
+// pinned returns a client over c's current view that later transitions
+// on c do not reach: same transport, policy and member stubs.
+func (c *Client) pinned() *Client {
+	p := &Client{tr: c.tr, policy: c.policy}
+	p.Apply(func(overlay.View) overlay.View { return c.View() })
+	return p
 }
 
 // ChunkTarget reports the resolved hdk.ingest chunk payload target this
@@ -237,81 +259,6 @@ func viewOf(tr transport.Transport, addr string) (view, error) {
 		return view{}, fmt.Errorf("cluster: members of %s: %w", addr, err)
 	}
 	return v, nil
-}
-
-func (c *Client) add(addr string) error {
-	id := overlay.HashNode(addr)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.byID[id]; dup {
-		return fmt.Errorf("cluster: id collision for %q", addr)
-	}
-	m := &Member{id: id, addr: addr, services: make(map[string]transport.Handler)}
-	c.byID[id] = m
-	c.byAddr[addr] = m
-	c.sorted = append(c.sorted, id)
-	sort.Slice(c.sorted, func(i, j int) bool { return c.sorted[i] < c.sorted[j] })
-	return nil
-}
-
-// Members implements overlay.Fabric (ring order).
-func (c *Client) Members() []overlay.Member {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]overlay.Member, len(c.sorted))
-	for i, id := range c.sorted {
-		out[i] = c.byID[id]
-	}
-	return out
-}
-
-// Size implements overlay.Fabric.
-func (c *Client) Size() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.sorted)
-}
-
-// successorLocked returns the index in sorted of the first id at or
-// after x, wrapping.
-func (c *Client) successorLocked(x overlay.ID) int {
-	i := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i] >= x })
-	if i == len(c.sorted) {
-		i = 0
-	}
-	return i
-}
-
-// OwnerOf implements overlay.Fabric: the key's ring successor, resolved
-// locally from the membership table.
-func (c *Client) OwnerOf(key string) (overlay.Member, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.sorted) == 0 {
-		return nil, false
-	}
-	return c.byID[c.sorted[c.successorLocked(overlay.HashKey(key))]], true
-}
-
-// OwnersOf implements overlay.MultiOwner: the first r distinct members at
-// or after the key's ring position, primary first — exactly the Chord
-// overlay's successor-list placement, so a cluster and an in-process ring
-// over the same addresses agree on every replica set.
-func (c *Client) OwnersOf(key string, r int) []overlay.Member {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if len(c.sorted) == 0 || r < 1 {
-		return nil
-	}
-	if r > len(c.sorted) {
-		r = len(c.sorted)
-	}
-	start := c.successorLocked(overlay.HashKey(key))
-	out := make([]overlay.Member, 0, r)
-	for k := 0; k < r; k++ {
-		out = append(out, c.byID[c.sorted[(start+k)%len(c.sorted)]])
-	}
-	return out
 }
 
 // CoordinatorReading returns a member other than target whose read plan
@@ -364,13 +311,11 @@ func (c *Client) ResolvesLocally() {}
 // the member stub (peer notify handlers) dispatch in-process; everything
 // else is an RPC to the daemon bound at addr.
 func (c *Client) CallService(addr, service string, req []byte) ([]byte, error) {
-	c.mu.RLock()
-	m, ok := c.byAddr[addr]
-	c.mu.RUnlock()
+	m, ok := c.View().Member(addr)
 	if !ok {
 		return nil, fmt.Errorf("cluster: %w: %q", transport.ErrUnknownAddress, addr)
 	}
-	if h, local := m.localHandler(service); local {
+	if h, local := m.(*Member).localHandler(service); local {
 		resp, err := h(req)
 		if err != nil {
 			return nil, err
@@ -382,53 +327,23 @@ func (c *Client) CallService(addr, service string, req []byte) ([]byte, error) {
 	return transport.CallRetry(c.tr, addr, overlay.EncodeEnvelope(service, req), c.retryBudget)
 }
 
-// RemoveNode implements overlay.Churn: the client drops a (crashed or
-// departed) daemon from its membership view, shrinking every replica set
-// accordingly. The daemon process itself is not contacted.
-func (c *Client) RemoveNode(id overlay.ID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.byID[id]
-	if !ok {
-		return false
-	}
-	delete(c.byID, id)
-	delete(c.byAddr, m.addr)
-	for i, v := range c.sorted {
-		if v == id {
-			c.sorted = append(c.sorted[:i], c.sorted[i+1:]...)
-			break
-		}
-	}
-	c.unrepaired.Store(true)
-	return true
-}
-
-// Unrepaired implements overlay.Churn.
-func (c *Client) Unrepaired() bool { return c.unrepaired.Load() }
-
-// MarkRepaired implements overlay.Churn: the debt of this view is
-// settled, and every daemon in it is told which membership the sweep
-// restored. A daemon whose own view is that membership resumes placing
-// its coordinated reads; one that has forgotten (or learned) a member
-// the sweep did not account for keeps reading primary-first.
-func (c *Client) MarkRepaired() error {
-	members := c.Members()
-	addrs := make([]string, len(members))
-	for i, m := range members {
-		addrs[i] = m.Addr()
-	}
-	payload, err := json.Marshal(addrs)
+// MarkRepaired implements overlay.Churn: every daemon in the client's
+// view is told which membership the sweep restored, and the client's own
+// view settles if it is that membership (View.Repaired). A daemon whose
+// own view is the swept one resumes placing its coordinated reads; one
+// that has forgotten (or learned) a member the sweep did not account for
+// keeps reading primary-first.
+func (c *Client) MarkRepaired(swept []string) error {
+	payload, err := json.Marshal(swept)
 	if err != nil {
 		return err
 	}
-	for _, a := range addrs {
-		if _, err := c.CallService(a, ctrlRepaired, payload); err != nil {
-			return fmt.Errorf("cluster: repaired at %s: %w", a, err)
+	for _, m := range c.Members() {
+		if _, err := c.CallService(m.Addr(), ctrlRepaired, payload); err != nil {
+			return fmt.Errorf("cluster: repaired at %s: %w", m.Addr(), err)
 		}
 	}
-	c.unrepaired.Store(false)
-	return nil
+	return c.Membership.MarkRepaired(swept)
 }
 
 // TransportStats returns the traffic counters: wire traffic from the
@@ -448,7 +363,7 @@ func (c *Client) TransportStats() transport.Stats {
 // otherwise grow-only.
 //
 // Safe before or after the repair sweep. A daemon that forgets a member
-// while holding an index marks its view unrepaired and coordinates
+// while holding an index marks its view as owing a repair and coordinates
 // primary-first until told otherwise (cluster.repaired, sent by the
 // sweep). If this client's view has already been repaired, Forget says
 // so right away, and the daemons — now on that same membership — resume
@@ -462,13 +377,11 @@ func (c *Client) Forget(addr string) error {
 			return fmt.Errorf("cluster: forget %s at %s: %w", addr, m.Addr(), err)
 		}
 	}
-	c.mu.RLock()
-	_, listed := c.byAddr[addr]
-	c.mu.RUnlock()
-	if listed || c.Unrepaired() {
+	v := c.View()
+	if _, listed := v.Member(addr); listed || v.Owed() {
 		return nil // not the daemons' new membership, or not repaired yet
 	}
-	return c.MarkRepaired()
+	return c.MarkRepaired(v.Addrs())
 }
 
 // Configure ships the engine configuration to every daemon, which creates

@@ -60,7 +60,7 @@ func TestJoinConvergesMembership(t *testing.T) {
 
 	want := []string{"node-0", "node-1", "node-2", "node-3"}
 	for i, s := range servers {
-		if got := s.memberList(); !reflect.DeepEqual(got, want) {
+		if got := s.view().Members; !reflect.DeepEqual(got, want) {
 			t.Fatalf("server %d members = %v, want %v", i, got, want)
 		}
 	}
@@ -344,7 +344,7 @@ func TestClusterCrashFailoverAndRepair(t *testing.T) {
 	if err := eng.FailNode(victim); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Unrepaired() {
+	if !c.View().Owed() {
 		t.Fatal("client view not marked unrepaired after losing a member")
 	}
 	if err := c.Forget(victim.Addr()); err != nil {
@@ -401,8 +401,8 @@ func TestClusterCrashFailoverAndRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if during.Size() != peers-1 || !during.Unrepaired() {
-		t.Fatalf("client dialed before repair: %d members, unrepaired=%t", during.Size(), during.Unrepaired())
+	if during.Size() != peers-1 || !during.View().Owed() {
+		t.Fatalf("client dialed before repair: %d members, unrepaired=%t", during.Size(), during.View().Owed())
 	}
 
 	rstats, err := c.Repairer(replicas).Repair()
@@ -415,7 +415,7 @@ func TestClusterCrashFailoverAndRepair(t *testing.T) {
 	if under := c.Audit(replicas).UnderReplicated; under != 0 {
 		t.Fatalf("%d keys still under-replicated after repair", under)
 	}
-	if c.Unrepaired() {
+	if c.View().Owed() {
 		t.Fatal("client view still unrepaired after a complete sweep")
 	}
 	for i, q := range queries {
@@ -439,8 +439,8 @@ func TestClusterCrashFailoverAndRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Size() != peers-1 || fresh.Unrepaired() {
-		t.Fatalf("fresh client sees %d members (want %d), unrepaired=%t", fresh.Size(), peers-1, fresh.Unrepaired())
+	if fresh.Size() != peers-1 || fresh.View().Owed() {
+		t.Fatalf("fresh client sees %d members (want %d), unrepaired=%t", fresh.Size(), peers-1, fresh.View().Owed())
 	}
 	for _, m := range fresh.Members() {
 		if m.Addr() == victim.Addr() {
@@ -491,7 +491,7 @@ func TestForgetAndRepairInEitherOrder(t *testing.T) {
 		if got := unrepaired(servers, victim.Addr()); got != peers-1 {
 			t.Fatalf("%d of %d surviving daemons unrepaired after forget", got, peers-1)
 		}
-		if err := stale.MarkRepaired(); err != nil {
+		if err := stale.MarkRepaired(stale.View().Addrs()); err != nil {
 			t.Fatal(err)
 		}
 		if got := unrepaired(servers, victim.Addr()); got != peers-1 {
@@ -500,8 +500,8 @@ func TestForgetAndRepairInEitherOrder(t *testing.T) {
 		if _, err := eng.RepairReplicas(); err != nil {
 			t.Fatal(err)
 		}
-		if got := unrepaired(servers, victim.Addr()); got != 0 || c.Unrepaired() {
-			t.Fatalf("after the sweep: %d daemons unrepaired, client unrepaired=%t", got, c.Unrepaired())
+		if got := unrepaired(servers, victim.Addr()); got != 0 || c.View().Owed() {
+			t.Fatalf("after the sweep: %d daemons unrepaired, client unrepaired=%t", got, c.View().Owed())
 		}
 	})
 
@@ -533,8 +533,8 @@ func TestForgetAndRepairInEitherOrder(t *testing.T) {
 			t.Fatalf("%d daemons left unrepaired by a forget that followed the repair", got)
 		}
 		for _, s := range servers {
-			if s.Addr() != victim.Addr() && len(s.memberList()) != peers-1 {
-				t.Fatalf("%s still lists %d members", s.Addr(), len(s.memberList()))
+			if s.Addr() != victim.Addr() && len(s.view().Members) != peers-1 {
+				t.Fatalf("%s still lists %d members", s.Addr(), len(s.view().Members))
 			}
 		}
 	})
@@ -616,12 +616,12 @@ func TestJoinSurvivesDeadMember(t *testing.T) {
 	if err := servers[3].Join(servers[0].Addr()); err != nil {
 		t.Fatalf("join with a dead member in the seed's view: %v", err)
 	}
-	if got := len(servers[3].memberList()); got != 4 {
+	if got := len(servers[3].view().Members); got != 4 {
 		t.Fatalf("joiner sees %d members, want 4 (3 live + 1 dead, pending Forget)", got)
 	}
 	// The surviving announced member learned the joiner.
 	found := false
-	for _, a := range servers[1].memberList() {
+	for _, a := range servers[1].view().Members {
 		if a == servers[3].Addr() {
 			found = true
 		}

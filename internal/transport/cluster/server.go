@@ -62,26 +62,32 @@ const searchRetryAfter = 25 * time.Millisecond
 // index handlers the in-process engine uses; the control services
 // (membership, configuration, shutdown) are built in.
 //
-// Membership is bootstrap-time state: a starting daemon joins through
-// any existing member, which hands it the current view, and announces
-// itself to everyone in it. Daemons never route by membership — only
-// clients do — so the view's one job is letting a client discover the
-// whole cluster from a single address. The view grows on join/announce
-// and shrinks only through cluster.forget (Client.Forget), which an
-// operator broadcasts after a process dies for good. Forgetting a member
-// while holding an index leaves the view unrepaired — the replica sets
-// it now implies name members that hold no copy yet — until a repair
-// sweep over that same membership reports in (cluster.repaired).
+// The daemon's membership is its coordination fabric: one *Client whose
+// overlay.View every join, announce, forget and repaired notice moves
+// through, and which hdk.search coordinations read with one atomic load.
+// A starting daemon joins through any existing member, which hands it
+// the current view and its debt, and announces itself to everyone in it.
+// The view grows on join/announce and shrinks only through
+// cluster.forget (Client.Forget), which an operator broadcasts after a
+// process dies for good. Forgetting a member while holding an index
+// leaves the view owing a repair — the replica sets it now implies name
+// members that hold no copy yet — until a repair sweep over that same
+// membership reports in (cluster.repaired); before any build a forget
+// is a graceful leave, with nothing to be missing.
 type Server struct {
 	tr       transport.Transport
 	addr     string
 	id       overlay.ID
 	replicas int
 
+	// fabric is the daemon's membership and the fabric it coordinates
+	// searches over; self is its own stub there, with the store attached
+	// read-locally at configure so self-owned fetches skip the loopback
+	// RPC.
+	fabric *Client
+	self   *Member
+
 	mu         sync.Mutex
-	members    map[string]struct{}
-	memberVer  uint64 // bumped on every membership change; invalidates the coordination fabric
-	unrepaired bool   // a member was forgotten and no sweep has restored this view since (bumps memberVer too)
 	store      *core.StoreServer
 	configJSON []byte
 	dur        *durable.Store
@@ -99,15 +105,10 @@ type Server struct {
 	// build is the hdk.build state machine (own lock; see build.go).
 	build serverBuild
 
-	// Query coordination state (the hdk.search serving path): a cached
-	// client fabric over this daemon's own membership view, a worker
-	// pool bounding concurrent coordinations, and a result LRU keyed by
-	// the raw request bytes. fabric/fabricSelf are guarded by mu and
-	// rebuilt lazily whenever memberVer moves past fabricVer.
-	fabric     *Client
-	fabricSelf overlay.Member
-	fabricVer  uint64
-
+	// Query coordination state (the hdk.search serving path) beside the
+	// fabric: a worker pool bounding concurrent coordinations, and a
+	// result LRU keyed by the raw request bytes.
+	//
 	// Admission control (guarded by amu): searchQueued counts every
 	// admitted coordination — running (holding a searchSem slot) or
 	// waiting for one. A request is shed when searchQueued would exceed
@@ -186,9 +187,9 @@ type Info struct {
 	// coordinations waiting for a worker slot (0 on an idle or
 	// keeping-up daemon; at most the configured -search-queue).
 	SearchQueueDepth int `json:"search_queue_depth"`
-	// Unrepaired reports that the daemon forgot a member and no repair
-	// sweep over its current membership has reported in: it coordinates
-	// searches primary-first until one does.
+	// Unrepaired reports that the daemon's view owes a repair: it forgot
+	// a member and no sweep over its current membership has reported in,
+	// so it coordinates searches primary-first until one does.
 	Unrepaired bool `json:"unrepaired"`
 	// IngestChunks/IngestDocs report the streamed-build upload state:
 	// chunks durably held for the current hdk.ingest session, and
@@ -216,7 +217,7 @@ func NewServer(tr transport.Transport, listen string, replicas int) (*Server, er
 	s := &Server{
 		tr:             tr,
 		replicas:       replicas,
-		members:        make(map[string]struct{}),
+		fabric:         newClient(Options{Transport: tr}),
 		services:       make(map[string]transport.Handler),
 		searchSem:      make(chan struct{}, defaultSearchWorkers),
 		searchQueueCap: defaultSearchQueue,
@@ -233,7 +234,8 @@ func NewServer(tr transport.Transport, listen string, replicas int) (*Server, er
 	}
 	s.addr = bound
 	s.id = overlay.HashNode(bound)
-	s.members[bound] = struct{}{}
+	s.self = newMember(bound)
+	s.fabric.Apply(func(v overlay.View) overlay.View { return v.Join(s.self) })
 	return s, nil
 }
 
@@ -384,12 +386,12 @@ func (s *Server) Warm() bool {
 // process.
 func (s *Server) InsertRPCs() uint64 { return s.metrics.insertRPCs.Value() }
 
-// CatchUp pulls the delta this daemon missed while it was down: it
-// builds a client fabric over its own membership view, sweeps the other
-// members' inventories for keys in its replica sets, and imports every
-// copy fresher than (or absent from) its restored store — the
-// warm-rejoin path that replaces full re-replication. Call after Join;
-// a daemon without a configured store has nothing to catch up on.
+// CatchUp pulls the delta this daemon missed while it was down: over its
+// own membership view it sweeps the other members' inventories for keys
+// in its replica sets, and imports every copy fresher than (or absent
+// from) its restored store — the warm-rejoin path that replaces full
+// re-replication. Call after Join; a daemon without a configured store
+// has nothing to catch up on.
 func (s *Server) CatchUp() (replica.CatchUpStats, error) {
 	s.mu.Lock()
 	store := s.store
@@ -397,25 +399,10 @@ func (s *Server) CatchUp() (replica.CatchUpStats, error) {
 	if store == nil {
 		return replica.CatchUpStats{}, nil
 	}
-	c, err := Dial(Options{Transport: s.tr, Addrs: s.memberList()})
-	if err != nil {
-		return replica.CatchUpStats{}, fmt.Errorf("cluster: catch-up fabric: %w", err)
-	}
-	c.mu.RLock()
-	self := c.byAddr[s.addr]
-	c.mu.RUnlock()
-	if self == nil {
-		return replica.CatchUpStats{}, fmt.Errorf("cluster: %s missing from own membership", s.addr)
-	}
-	r := store.Config().ReplicationFactor
-	if r < 1 {
-		r = 1
-	}
-	rp := &replica.Repairer{Fabric: c, Inv: core.RemoteInventory{Call: c.CallService}, R: r}
 	// The import batch to self arrives over the daemon's own RPC surface,
 	// so the pulled copies run through the persist hooks like any other
 	// repair traffic — the catch-up itself is durable.
-	st, err := rp.CatchUp(self)
+	st, err := s.fabric.Repairer(store.Config().ReplicationFactor).CatchUp(s.self)
 	if err != nil {
 		return st, err
 	}
@@ -445,9 +432,9 @@ func (s *Server) PersistShutdown() error {
 }
 
 // Join bootstraps this daemon into an existing cluster through any
-// member: the seed hands back its post-join view, and the joiner
-// announces itself to every other member in it. Serial bootstrap —
-// concurrent joins through different seeds are not merged.
+// member: the joiner adopts the seed's post-join view with its debt
+// (View.Adopt) and announces itself to every other member in it. Serial
+// bootstrap — concurrent joins through different seeds are not merged.
 func (s *Server) Join(seed string) error {
 	raw, err := transport.CallRetry(s.tr, seed, overlay.EncodeEnvelope(ctrlJoin, []byte(s.addr)), maxTransientRetries)
 	if err != nil {
@@ -457,17 +444,8 @@ func (s *Server) Join(seed string) error {
 	if err := json.Unmarshal(raw, &seen); err != nil {
 		return fmt.Errorf("cluster: join via %s: %w", seed, err)
 	}
-	list := seen.Members
-	for _, a := range list {
-		s.addMember(a)
-	}
-	if seen.Unrepaired {
-		s.mu.Lock()
-		s.unrepaired = true
-		s.memberVer++
-		s.mu.Unlock()
-	}
-	for _, a := range list {
+	s.fabric.adopt(seen)
+	for _, a := range seen.Members {
 		if a == s.addr || a == seed {
 			continue
 		}
@@ -482,71 +460,43 @@ func (s *Server) Join(seed string) error {
 	return nil
 }
 
-func (s *Server) addMember(addr string) {
-	if addr == "" {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.members[addr]; !ok {
-		s.members[addr] = struct{}{}
-		s.memberVer++
-	}
-}
-
-func (s *Server) memberList() []string { return s.view().Members }
-
-// view snapshots the membership (sorted) with its repair debt.
+// view renders the membership as cluster.members and cluster.join
+// answer it: addresses sorted, with the debt.
 func (s *Server) view() view {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v := view{Members: make([]string, 0, len(s.members)), Unrepaired: s.unrepaired}
-	for a := range s.members {
-		v.Members = append(v.Members, a)
-	}
-	sort.Strings(v.Members)
-	return v
+	v := s.fabric.View()
+	addrs := v.Addrs()
+	sort.Strings(addrs)
+	return view{Members: addrs, Unrepaired: v.Owed()}
 }
 
 // forget drops a member from the view. With an index in the stores, the
 // replica sets the smaller view implies name members that hold no copy
-// until a repair sweep ships one, so the view turns unrepaired; before
-// any build there is nothing to be missing.
+// until a repair sweep ships one, so it is a crash (View.Forget); before
+// any build there is nothing to be missing (View.Leave).
 func (s *Server) forget(addr string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.members[addr]; !ok {
-		return
-	}
-	delete(s.members, addr)
-	s.memberVer++
-	if s.store != nil && s.store.Populated() {
-		s.unrepaired = true
-	}
+	store := s.Store()
+	crash := store != nil && store.Populated()
+	s.fabric.Apply(func(v overlay.View) overlay.View {
+		m, ok := v.Member(addr)
+		if !ok {
+			return v
+		}
+		if crash {
+			return v.Forget(m.ID())
+		}
+		return v.Leave(m.ID())
+	})
 }
 
-// repaired settles the view's repair debt — but only if the sweep that
-// reports in restored exactly this membership (payload: its
-// addresses). A sweep over any other view computed other replica sets
-// and says nothing about this daemon's.
+// repaired settles the view's debt if the sweep reporting in (payload:
+// its addresses) restored exactly this membership (View.Repaired). This
+// is the local transition — no notice is passed on.
 func (s *Server) repaired(payload []byte) error {
 	var swept []string
 	if err := json.Unmarshal(payload, &swept); err != nil {
 		return fmt.Errorf("cluster: %s: bad repaired notice: %w", s.addr, err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.unrepaired || len(swept) != len(s.members) {
-		return nil
-	}
-	for _, a := range swept { // a client's view: distinct addresses
-		if _, ok := s.members[a]; !ok {
-			return nil
-		}
-	}
-	s.unrepaired = false
-	s.memberVer++
-	return nil
+	return s.fabric.Membership.MarkRepaired(swept)
 }
 
 // dispatch is the daemon's transport handler: control services are built
@@ -562,10 +512,10 @@ func (s *Server) dispatch(req []byte) ([]byte, error) {
 	case ctrlMembers:
 		return json.Marshal(s.view())
 	case ctrlJoin:
-		s.addMember(string(payload))
+		s.fabric.adopt(view{Members: []string{string(payload)}})
 		return json.Marshal(s.view())
 	case ctrlAnnounce:
-		s.addMember(string(payload))
+		s.fabric.adopt(view{Members: []string{string(payload)}})
 		return nil, nil
 	case ctrlForget:
 		s.forget(string(payload))
@@ -632,14 +582,15 @@ func (s *Server) configured() bool {
 }
 
 func (s *Server) handleInfo() ([]byte, error) {
+	v := s.fabric.View()
 	s.mu.Lock()
 	info := Info{
 		Addr:          s.addr,
 		ID:            fmt.Sprintf("%016x", uint64(s.id)),
 		Replicas:      s.replicas,
 		Configured:    s.store != nil,
-		Members:       len(s.members),
-		Unrepaired:    s.unrepaired,
+		Members:       v.Size(),
+		Unrepaired:    v.Owed(),
 		Warm:          s.warm,
 		InsertRPCs:    s.metrics.insertRPCs.Value(),
 		CatchUpStale:  s.catchUp.Stale,
@@ -746,11 +697,7 @@ func (s *Server) handleSearch(req []byte) ([]byte, error) {
 	s.metrics.admissionWait.ObserveDuration(time.Since(admStart))
 	tb.End(admSpan)
 	defer release()
-	fab, self, err := s.coordinationFabric()
-	if err != nil {
-		return nil, err
-	}
-	coord := core.Coordinator{Net: fab, Cfg: store.Config(), From: self, Metrics: s.metrics.query}
+	coord := core.Coordinator{Net: s.fabric, Cfg: store.Config(), From: s.self, Metrics: s.metrics.query}
 	coordStart := time.Now()
 	res, err := coord.SearchTraced(sreq.Terms, sreq.K, tb)
 	if err != nil {
@@ -774,53 +721,6 @@ func (s *Server) handleSearch(req []byte) ([]byte, error) {
 		return core.EncodeSearchResponseTraced(body, telemetry.EncodeTrace(tb.Finish())), nil
 	}
 	return core.EncodeSearchResponse(body, false), nil
-}
-
-// coordinationFabric returns the client fabric the daemon coordinates
-// searches over: a one-hop view of its own membership, rebuilt lazily
-// whenever the membership changes (join/announce/forget), with this
-// daemon's store attached read-locally so self-owned fetches skip the
-// loopback RPC. The view is grow-only between forgets, so a dead member
-// stays routable and coordinated searches exercise the same replica
-// failover a thin client would. The fabric carries the view's repair
-// debt (overlay.Churn), which is how the shared traversal learns to read
-// primary-first between a forget and the sweep that repairs it.
-func (s *Server) coordinationFabric() (*Client, overlay.Member, error) {
-	s.mu.Lock()
-	if s.fabric != nil && s.fabricVer == s.memberVer {
-		fab, self := s.fabric, s.fabricSelf
-		s.mu.Unlock()
-		return fab, self, nil
-	}
-	ver, unrepaired := s.memberVer, s.unrepaired
-	addrs := make([]string, 0, len(s.members))
-	for a := range s.members {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
-	store := s.store
-	s.mu.Unlock()
-
-	c, err := Dial(Options{Transport: s.tr, Addrs: addrs})
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: %s: coordination fabric: %w", s.addr, err)
-	}
-	c.mu.RLock()
-	self := c.byAddr[s.addr]
-	c.mu.RUnlock()
-	if self == nil {
-		return nil, nil, fmt.Errorf("cluster: %s missing from own membership", s.addr)
-	}
-	if store != nil {
-		store.AttachLocalRead(self)
-	}
-	c.unrepaired.Store(unrepaired)
-	s.mu.Lock()
-	// A concurrent rebuild may land here too; both were built from a
-	// membership at least as fresh as ver, so last-writer-wins is fine.
-	s.fabric, s.fabricSelf, s.fabricVer = c, self, ver
-	s.mu.Unlock()
-	return c, self, nil
 }
 
 // handleConfigure creates the store server from the client's engine
@@ -877,6 +777,8 @@ func (s *Server) configureLocked(payload []byte) error {
 	// an index change it has itself applied.
 	store.OnMutation(s.invalidateSearchCache)
 	store.Attach(s) // registers services under smu, not s.mu
+	// Coordinations read this daemon's own copies in-process.
+	store.AttachLocalRead(s.self)
 	s.store = store
 	s.configJSON = append([]byte(nil), payload...)
 	return nil

@@ -112,11 +112,7 @@ func (s *Server) registerGauges() {
 		}
 		return 0
 	})
-	reg.GaugeFunc(metricClusterMembers, func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(len(s.members))
-	})
+	reg.GaugeFunc(metricClusterMembers, func() float64 { return float64(s.fabric.Size()) })
 	reg.GaugeFunc(metricStoreKeys, func() float64 {
 		s.mu.Lock()
 		store := s.store

@@ -44,7 +44,11 @@ go build -o "$bindir/hdknode" ./cmd/hdknode
 go build -o "$bindir/hdkbench" ./cmd/hdkbench
 export HDKNODE_BIN="$bindir/hdknode"
 
+source=(-seed "$what")
 if [[ -f "$what" ]]; then
-    exec "$bindir/hdkbench" "$mode" -replay "$what"
+    source=(-replay "$what")
 fi
-exec "$bindir/hdkbench" "$mode" -seed "$what"
+# A child, not exec: the EXIT trap must still run to remove the binaries.
+status=0
+"$bindir/hdkbench" "$mode" "${source[@]}" || status=$?
+exit "$status"
