@@ -10,6 +10,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/postings"
 	"repro/internal/rank"
+	"repro/internal/wire"
 )
 
 // Wire codec for the hdk.search coordination RPC: a thin client ships a
@@ -75,28 +76,24 @@ func EncodeSearchRequest(req SearchRequest) []byte {
 	return postings.EncodeKeyList(buf, req.Terms)
 }
 
-// DecodeSearchRequest parses an hdk.search request payload.
+// DecodeSearchRequest parses an hdk.search request payload, accepting
+// only the canonical encoding EncodeSearchRequest produces.
 func DecodeSearchRequest(payload []byte) (SearchRequest, error) {
-	var req SearchRequest
-	k, n := binary.Uvarint(payload)
-	if n <= 0 || k > maxSearchK {
-		return req, errCorruptRPC
+	r := wire.NewReader(payload)
+	k, flags := r.Uvarint(), r.Uvarint()
+	if r.Err() != nil || k > maxSearchK || flags&^uint64(searchReqFlagsKnown) != 0 {
+		return SearchRequest{}, errCorruptRPC
 	}
-	off := n
-	flags, n := binary.Uvarint(payload[off:])
-	if n <= 0 || flags&^uint64(searchReqFlagsKnown) != 0 {
-		return req, errCorruptRPC
-	}
-	off += n
-	terms, err := postings.DecodeKeyList(payload[off:])
+	terms, err := postings.DecodeKeyList(r.Rest())
 	if err != nil {
-		return req, err
+		return SearchRequest{}, err
 	}
-	req.Terms = terms
-	req.K = int(k)
-	req.NoCache = flags&searchReqFlagNoCache != 0
-	req.Trace = flags&searchReqFlagTrace != 0
-	return req, nil
+	return SearchRequest{
+		Terms:   terms,
+		K:       int(k),
+		NoCache: flags&searchReqFlagNoCache != 0,
+		Trace:   flags&searchReqFlagTrace != 0,
+	}, nil
 }
 
 // EncodeSearchResult serializes a coordinated answer body: the ranked
@@ -129,41 +126,24 @@ func EncodeSearchResult(res *SearchResult) []byte {
 
 // DecodeSearchResult parses a coordinated answer body.
 func DecodeSearchResult(body []byte) (*SearchResult, error) {
-	n, off := binary.Uvarint(body)
-	// Every result costs at least 9 bytes (1-byte doc varint + 8 score
-	// bytes), so a count beyond that bound is corrupt, not a large
-	// allocation.
-	if off <= 0 || n > uint64(len(body)-off)/9 {
-		return nil, errCorruptRPC
-	}
+	r := wire.NewReader(body)
+	n := r.Count(9) // a result is at least a 1-byte doc varint and 8 score bytes
 	res := &SearchResult{Results: make([]rank.Result, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		doc, sz := binary.Uvarint(body[off:])
-		if sz <= 0 || doc > math.MaxUint32 {
-			return nil, errCorruptRPC
+	for i := 0; i < n; i++ {
+		doc := r.Uvarint()
+		score := math.Float64frombits(r.Uint64LE())
+		if doc > math.MaxUint32 {
+			r.Fail()
 		}
-		off += sz
-		if len(body)-off < 8 {
-			return nil, errCorruptRPC
-		}
-		score := math.Float64frombits(binary.LittleEndian.Uint64(body[off:]))
-		off += 8
 		res.Results = append(res.Results, rank.Result{Doc: corpus.DocID(doc), Score: score})
 	}
-	ints := []*int{&res.ProbedKeys, &res.FoundKeys, &res.RPCs, &res.Rounds, &res.Failovers}
-	for i := 0; i < len(ints)+1; i++ {
-		v, sz := binary.Uvarint(body[off:])
-		if sz <= 0 {
-			return nil, errCorruptRPC
-		}
-		off += sz
-		if i == 0 {
-			res.FetchedPosts = v
-		} else {
-			*ints[i-1] = int(v)
-		}
-	}
-	if off != len(body) {
+	res.FetchedPosts = r.Uvarint()
+	res.ProbedKeys = int(r.Uvarint())
+	res.FoundKeys = int(r.Uvarint())
+	res.RPCs = int(r.Uvarint())
+	res.Rounds = int(r.Uvarint())
+	res.Failovers = int(r.Uvarint())
+	if !r.Done() {
 		return nil, errCorruptRPC
 	}
 	return res, nil
@@ -262,35 +242,28 @@ func DecodeSearchResponse(resp []byte) (*SearchResult, bool, error) {
 // trace bytes a traced frame carries (nil on untraced frames; decode
 // with telemetry.DecodeTrace).
 func DecodeSearchResponseTrace(resp []byte) (*SearchResult, bool, []byte, error) {
-	if len(resp) == 0 || resp[0] > searchRespTraced {
+	r := wire.NewReader(resp)
+	var body, trace []byte
+	switch flag := r.Byte(); {
+	case r.Err() != nil || flag > searchRespTraced:
 		return nil, false, nil, errCorruptRPC
-	}
-	switch resp[0] {
-	case searchRespOverloaded:
-		ms, n := binary.Uvarint(resp[1:])
-		if n <= 0 || 1+n != len(resp) || ms < 1 || ms > maxRetryAfterMS {
+	case flag == searchRespOverloaded:
+		ms := r.Uvarint()
+		if !r.Done() || ms < 1 || ms > maxRetryAfterMS {
 			return nil, false, nil, errCorruptRPC
 		}
 		return nil, false, nil, &OverloadError{RetryAfter: time.Duration(ms) * time.Millisecond}
-	case searchRespTraced:
-		bodyLen, n := binary.Uvarint(resp[1:])
-		if n <= 0 || bodyLen > uint64(len(resp)-1-n) {
+	case flag == searchRespTraced:
+		body = r.Bytes(r.Uvarint())
+		if trace = r.Rest(); len(trace) == 0 {
 			return nil, false, nil, errCorruptRPC
 		}
-		body := resp[1+n : 1+n+int(bodyLen)]
-		trace := resp[1+n+int(bodyLen):]
-		if len(trace) == 0 {
-			return nil, false, nil, errCorruptRPC
-		}
-		res, err := DecodeSearchResult(body)
-		if err != nil {
-			return nil, false, nil, err
-		}
-		return res, false, trace, nil
+	default:
+		body = r.Rest()
 	}
-	res, err := DecodeSearchResult(resp[1:])
+	res, err := DecodeSearchResult(body)
 	if err != nil {
 		return nil, false, nil, err
 	}
-	return res, resp[0] == searchRespCached, nil, nil
+	return res, resp[0] == searchRespCached, trace, nil
 }

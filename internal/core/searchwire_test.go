@@ -53,6 +53,17 @@ func TestSearchRequestCanonical(t *testing.T) {
 	if string(a) == string(c) {
 		t.Fatal("options not reflected in the encoding")
 	}
+	// ...and no other bytes decode to that request, or one logical query
+	// would fill several cache slots.
+	for name, alias := range map[string][]byte{
+		"trailing byte":           append(append([]byte{}, a...), 0),
+		"non-minimal k":           append([]byte{0x8a, 0x00}, a[1:]...),
+		"non-minimal term length": {10, 0, 2, 0x81, 0x00, 'x', 1, 'y'},
+	} {
+		if req, err := DecodeSearchRequest(alias); err == nil {
+			t.Errorf("%s: %x decodes to %+v, aliasing %x", name, alias, req, a)
+		}
+	}
 }
 
 func TestSearchRequestCorrupt(t *testing.T) {

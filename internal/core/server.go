@@ -11,6 +11,7 @@ import (
 	"repro/internal/postings"
 	"repro/internal/replica"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // This file hosts the server side of the HDK index as a standalone unit:
@@ -257,8 +258,9 @@ func storeInsert(store *hdkStore, req []byte) ([]byte, error) {
 
 // storeClassify is the hdk.classify handler body.
 func storeClassify(store *hdkStore, req []byte) ([]byte, error) {
-	size, n := binary.Uvarint(req)
-	if n <= 0 || size < 1 || size > MaxKeySize {
+	r := wire.NewReader(req)
+	size := r.Uvarint()
+	if !r.Done() || size < 1 || size > MaxKeySize {
 		return nil, errCorruptRPC
 	}
 	return encodeNotifyMap(store.classifySweep(int(size))), nil
@@ -338,18 +340,18 @@ func attachIndexServices(node overlay.Member, store *hdkStore, hooks persistHook
 // appendEntryRecord appends a durable snapshot cell to buf: uvarint key
 // length, key, canonical entry export blob.
 func appendEntryRecord(buf []byte, key string, e *entry) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(key)))
-	buf = append(buf, key...)
-	return appendEntryExport(buf, e)
+	return appendEntryExport(wire.AppendString(buf, key), e)
 }
 
 // decodeEntryRecord splits a durable snapshot cell back into key + blob.
 func decodeEntryRecord(payload []byte) (string, []byte, error) {
-	kl, n := binary.Uvarint(payload)
-	if n <= 0 || kl > uint64(len(payload)-n) {
+	r := wire.NewReader(payload)
+	key := r.String(r.Uvarint())
+	blob := r.Rest()
+	if r.Err() != nil {
 		return "", nil, errCorruptRPC
 	}
-	return string(payload[n : n+int(kl)]), payload[n+int(kl):], nil
+	return key, blob, nil
 }
 
 // RemoteInventory implements replica.Inventory over the index inventory
@@ -420,13 +422,11 @@ func encodeNotifyMap(notify map[string][]string) []byte {
 	sort.Strings(keys)
 	buf := binary.AppendUvarint(nil, uint64(len(keys)))
 	for _, k := range keys {
-		buf = binary.AppendUvarint(buf, uint64(len(k)))
-		buf = append(buf, k...)
+		buf = wire.AppendString(buf, k)
 		addrs := notify[k]
 		buf = binary.AppendUvarint(buf, uint64(len(addrs)))
 		for _, a := range addrs {
-			buf = binary.AppendUvarint(buf, uint64(len(a)))
-			buf = append(buf, a...)
+			buf = wire.AppendString(buf, a)
 		}
 	}
 	return buf
@@ -434,42 +434,18 @@ func encodeNotifyMap(notify map[string][]string) []byte {
 
 // DecodeNotifyMap parses a SvcClassify response.
 func DecodeNotifyMap(buf []byte) (map[string][]string, error) {
-	n, off := binary.Uvarint(buf)
-	if off <= 0 || n > uint64(len(buf)) {
-		return nil, errCorruptRPC
-	}
-	readStr := func() (string, bool) {
-		l, sz := binary.Uvarint(buf[off:])
-		if sz <= 0 || uint64(len(buf)-off-sz) < l {
-			return "", false
-		}
-		off += sz
-		s := string(buf[off : off+int(l)])
-		off += int(l)
-		return s, true
-	}
+	r := wire.NewReader(buf)
+	n := r.Count(2) // a key's length prefix and its address count
 	out := make(map[string][]string, n)
-	for i := uint64(0); i < n; i++ {
-		key, ok := readStr()
-		if !ok {
-			return nil, errCorruptRPC
-		}
-		na, sz := binary.Uvarint(buf[off:])
-		if sz <= 0 || na > uint64(len(buf)) {
-			return nil, errCorruptRPC
-		}
-		off += sz
-		addrs := make([]string, 0, na)
-		for j := uint64(0); j < na; j++ {
-			a, ok := readStr()
-			if !ok {
-				return nil, errCorruptRPC
-			}
-			addrs = append(addrs, a)
+	for i := 0; i < n; i++ {
+		key := r.String(r.Uvarint())
+		addrs := make([]string, r.Count(1))
+		for j := range addrs {
+			addrs[j] = r.String(r.Uvarint())
 		}
 		out[key] = addrs
 	}
-	if off != len(buf) {
+	if !r.Done() {
 		return nil, errCorruptRPC
 	}
 	return out, nil
@@ -480,40 +456,29 @@ func DecodeNotifyMap(buf []byte) (map[string][]string, error) {
 // presence byte followed by the uvarint df and the uvarint content
 // checksum.
 func DecodeEntryInfoResp(resp []byte) (replica.Fingerprint, bool, error) {
+	r := wire.NewReader(resp)
 	var fp replica.Fingerprint
-	if len(resp) == 0 {
-		return fp, false, errCorruptRPC
+	resident := r.Byte() != 0
+	if resident {
+		fp = replica.Fingerprint{Version: int(r.Uvarint()), Sum: r.Uvarint()}
 	}
-	if resp[0] == 0 {
-		if len(resp) != 1 {
-			return fp, false, errCorruptRPC
-		}
-		return fp, false, nil
+	if !r.Done() {
+		return replica.Fingerprint{}, false, errCorruptRPC
 	}
-	df, n := binary.Uvarint(resp[1:])
-	if n <= 0 {
-		return fp, false, errCorruptRPC
-	}
-	sum, m := binary.Uvarint(resp[1+n:])
-	if m <= 0 || 1+n+m != len(resp) {
-		return fp, false, errCorruptRPC
-	}
-	return replica.Fingerprint{Version: int(df), Sum: sum}, true, nil
+	return fp, resident, nil
 }
 
 // DecodeEntryExportResp parses a SvcEntryExport response into the repair
 // snapshot contract: (blob, resident).
 func DecodeEntryExportResp(resp []byte) ([]byte, bool, error) {
-	if len(resp) == 0 {
+	r := wire.NewReader(resp)
+	if r.Byte() != 0 {
+		return r.Rest(), true, nil
+	}
+	if !r.Done() {
 		return nil, false, errCorruptRPC
 	}
-	if resp[0] == 0 {
-		if len(resp) != 1 {
-			return nil, false, errCorruptRPC
-		}
-		return nil, false, nil
-	}
-	return resp[1:], true, nil
+	return nil, false, nil
 }
 
 // StoreStats is one index node's resident footprint, as answered by
@@ -544,28 +509,18 @@ func (s StoreStats) KeysTotal() int {
 // DecodeStoreStats parses a SvcStats response.
 func DecodeStoreStats(resp []byte) (StoreStats, error) {
 	var st StoreStats
-	maxSize, off := binary.Uvarint(resp)
-	if off <= 0 || maxSize != MaxKeySize {
+	r := wire.NewReader(resp)
+	if r.Uvarint() != MaxKeySize {
 		return st, errCorruptRPC
 	}
-	for i := 0; i <= MaxKeySize; i++ {
-		v, n := binary.Uvarint(resp[off:])
-		if n <= 0 {
-			return st, errCorruptRPC
-		}
-		st.PostsBySize[i] = int(v)
-		off += n
+	for i := range st.PostsBySize {
+		st.PostsBySize[i] = int(r.Uvarint())
 	}
-	for i := 0; i <= MaxKeySize; i++ {
-		v, n := binary.Uvarint(resp[off:])
-		if n <= 0 {
-			return st, errCorruptRPC
-		}
-		st.KeysBySize[i] = int(v)
-		off += n
+	for i := range st.KeysBySize {
+		st.KeysBySize[i] = int(r.Uvarint())
 	}
-	if off != len(resp) {
-		return st, errCorruptRPC
+	if !r.Done() {
+		return StoreStats{}, errCorruptRPC
 	}
 	return st, nil
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/postings"
 	"repro/internal/replica"
+	"repro/internal/wire"
 )
 
 // Service names the HDK engine registers on overlay nodes.
@@ -340,8 +341,7 @@ func appendEntryExport(buf []byte, e *entry) []byte {
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(len(e.contributors)))
 	for _, a := range e.contributors {
-		buf = binary.AppendUvarint(buf, uint64(len(a)))
-		buf = append(buf, a...)
+		buf = wire.AppendString(buf, a)
 	}
 	return postings.Encode(buf, e.list)
 }
@@ -370,62 +370,26 @@ func (s *hdkStore) exportAll(emit func(cell []byte) error) error {
 	return nil
 }
 
-// maxContributorPrealloc caps the contributor-slice pre-allocation during
-// blob decoding: the declared count is attacker-controlled, so a corrupt
-// blob must not be able to buy a large allocation with a few bytes. Real
-// counts above the cap still decode — the slice simply grows as entries
-// are appended, each of which costs actual blob bytes.
-const maxContributorPrealloc = 256
-
 // decodeEntryBlob parses a canonical entry export produced by
-// appendEntryExport, validating every length against the remaining input.
+// appendEntryExport and nothing else: unknown flag bits and contributors
+// out of strictly ascending order are rejected, so an accepted blob
+// re-exports byte-identically (the premise of the checksum memo).
 func decodeEntryBlob(blob []byte) (*entry, error) {
-	size, off := binary.Uvarint(blob)
-	if off <= 0 {
-		return nil, errCorruptRPC
-	}
-	df, sz := binary.Uvarint(blob[off:])
-	if sz <= 0 || len(blob) <= off+sz {
-		return nil, errCorruptRPC
-	}
-	off += sz
-	flags := blob[off]
-	off++
+	r := wire.NewReader(blob)
+	size, df, flags := r.Uvarint(), r.Uvarint(), r.Byte()
 	status := KeyStatus(flags & 3)
-	if status > StatusNDK || size < 1 || size > MaxKeySize {
+	if size < 1 || size > MaxKeySize || status > StatusNDK || flags&^7 != 0 {
 		return nil, errCorruptRPC
 	}
-	nc, sz := binary.Uvarint(blob[off:])
-	// Every contributor costs at least one byte (its length prefix), so a
-	// count beyond the remaining bytes is corrupt — and the declared count
-	// only pre-sizes the slice up to a constant cap.
-	if sz <= 0 || nc > uint64(len(blob)-off-sz) {
-		return nil, errCorruptRPC
-	}
-	off += sz
-	prealloc := nc
-	if prealloc > maxContributorPrealloc {
-		prealloc = maxContributorPrealloc
-	}
-	contributors := make([]string, 0, prealloc)
-	for i := uint64(0); i < nc; i++ {
-		al, sz := binary.Uvarint(blob[off:])
-		if sz <= 0 || uint64(len(blob)-off-sz) < al {
-			return nil, errCorruptRPC
+	contributors := make([]string, r.Count(1))
+	for i := range contributors {
+		contributors[i] = r.String(r.Uvarint())
+		if i > 0 && contributors[i] <= contributors[i-1] {
+			r.Fail()
 		}
-		off += sz
-		contributors = append(contributors, string(blob[off:off+int(al)]))
-		off += int(al)
 	}
-	// Canonical exports list contributors sorted and distinct (a no-op
-	// here); any other blob is normalized to the set it denotes.
-	slices.Sort(contributors)
-	contributors = slices.Compact(contributors)
-	list, consumed, err := postings.Decode(blob[off:])
-	if err != nil {
-		return nil, err
-	}
-	if off+consumed != len(blob) {
+	list := postings.ReadList(&r)
+	if !r.Done() {
 		return nil, errCorruptRPC
 	}
 	return &entry{
@@ -452,8 +416,8 @@ func (s *hdkStore) importEntry(key string, blob []byte) (bool, error) {
 		return false, err
 	}
 	in := replica.Fingerprint{Version: e.df, Sum: blobSum(blob)}
-	// The decoded entry re-exports byte-identically to blob (canonical
-	// round trip), so its checksum is already known.
+	// decodeEntryBlob accepts only canonical blobs, so the entry
+	// re-exports byte-identically to blob and its checksum is known.
 	e.sum, e.sumOK = in.Sum, true
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -503,18 +467,16 @@ var errCorruptRPC = errors.New("core: corrupt rpc payload")
 // insert request: uvarint contributor-addr length, addr bytes, then a
 // keyed batch with Aux = key size.
 func encodeInsertReq(buf []byte, contributor string, batch []postings.KeyedMessage) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(contributor)))
-	buf = append(buf, contributor...)
-	return postings.EncodeKeyedBatch(buf, batch)
+	return postings.EncodeKeyedBatch(wire.AppendString(buf, contributor), batch)
 }
 
 func decodeInsertReq(req []byte) (contributor string, batch []postings.KeyedMessage, err error) {
-	n, sz := binary.Uvarint(req)
-	if sz <= 0 || uint64(len(req)-sz) < n {
+	r := wire.NewReader(req)
+	contributor = r.String(r.Uvarint())
+	if r.Err() != nil {
 		return "", nil, errCorruptRPC
 	}
-	contributor = string(req[sz : sz+int(n)])
-	batch, err = postings.DecodeKeyedBatch(req[sz+int(n):])
+	batch, err = postings.DecodeKeyedBatch(r.Rest())
 	return contributor, batch, err
 }
 

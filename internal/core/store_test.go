@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"repro/internal/postings"
 	"repro/internal/rank"
+	"repro/internal/wire"
 )
 
 func TestFetchBatchReqRoundTrip(t *testing.T) {
@@ -127,4 +129,45 @@ func TestStoreFetchBatchMatchesSingleFetches(t *testing.T) {
 // insertBatch, it hands the list over to the store.
 func (s *hdkStore) insert(key string, size int, list postings.List, contributor string) {
 	s.insertBatch(contributor, []postings.KeyedMessage{{Key: key, Aux: uint64(size), List: list}})
+}
+
+// TestImportedChecksumMatchesReexport: importEntry memoizes the blob's
+// checksum as the entry's fingerprint, which is sound only if the entry
+// re-exports to exactly that blob. A blob that decodes to an entry but
+// re-exports to other bytes must be rejected, or its copy's fingerprint
+// never equals a canonical replica's.
+func TestImportedChecksumMatchesReexport(t *testing.T) {
+	blob := func(flags byte, df []byte, contributors ...string) []byte {
+		b := append([]byte{1}, df...) // key size 1
+		b = append(b, flags)
+		b = binary.AppendUvarint(b, uint64(len(contributors)))
+		for _, c := range contributors {
+			b = wire.AppendString(b, c)
+		}
+		return postings.Encode(b, postings.List{{Doc: 1, Score: 1}, {Doc: 2, Score: 1}})
+	}
+	cfg := storeCfg()
+	valid := blob(0, []byte{2}, "peer-a", "peer-b")
+	store := newHDKStore(&cfg)
+	if ok, err := store.importEntry("k", valid); !ok || err != nil {
+		t.Fatalf("canonical blob: ok=%v err=%v", ok, err)
+	}
+	if got, _ := store.exportEntry("k"); !bytes.Equal(got, valid) {
+		t.Fatalf("canonical blob re-exports to %x, want %x", got, valid)
+	}
+	for name, b := range map[string][]byte{
+		"unknown flag bit":        blob(1<<3, []byte{2}, "peer-a", "peer-b"),
+		"contributors descending": blob(0, []byte{2}, "peer-b", "peer-a"),
+		"duplicate contributor":   blob(0, []byte{2}, "peer-a", "peer-a"),
+		"non-minimal df":          blob(0, []byte{0x82, 0x00}, "peer-a", "peer-b"),
+	} {
+		store := newHDKStore(&cfg)
+		if _, err := store.importEntry("k", b); err != nil {
+			continue
+		}
+		got, _ := store.exportEntry("k")
+		if fp, _ := store.entryFingerprint("k"); fp.Sum != blobSum(got) {
+			t.Errorf("%s: memoized checksum %d, re-export's %d", name, fp.Sum, blobSum(got))
+		}
+	}
 }

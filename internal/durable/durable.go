@@ -37,6 +37,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Policy selects when appended log records are fsynced to stable storage.
@@ -488,10 +490,7 @@ func (s *Store) Close() error {
 // payload length, payload, CRC32-IEEE (big endian) over all of it.
 func appendRecord(buf []byte, kind string, payload []byte) []byte {
 	start := len(buf)
-	buf = binary.AppendUvarint(buf, uint64(len(kind)))
-	buf = append(buf, kind...)
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
+	buf = wire.AppendBytes(wire.AppendString(buf, kind), payload)
 	crc := crc32.ChecksumIEEE(buf[start:])
 	return binary.BigEndian.AppendUint32(buf, crc)
 }
@@ -499,23 +498,12 @@ func appendRecord(buf []byte, kind string, payload []byte) []byte {
 // parseRecord decodes one record from buf, returning it and the bytes
 // consumed. errTorn means buf holds a truncated or corrupt record.
 func parseRecord(buf []byte) (Record, int, error) {
-	kl, n := binary.Uvarint(buf)
-	if n <= 0 || kl > uint64(len(buf)-n) {
-		return Record{}, 0, errTorn
-	}
-	off := n + int(kl)
-	kind := string(buf[n:off])
-	pl, n := binary.Uvarint(buf[off:])
-	if n <= 0 || pl > uint64(len(buf)-off-n) {
-		return Record{}, 0, errTorn
-	}
-	off += n
-	payload := append([]byte(nil), buf[off:off+int(pl)]...)
-	off += int(pl)
-	if len(buf)-off < 4 {
-		return Record{}, 0, errTorn
-	}
-	if crc32.ChecksumIEEE(buf[:off]) != binary.BigEndian.Uint32(buf[off:]) {
+	r := wire.NewReader(buf)
+	kind := r.String(r.Uvarint())
+	payload := append([]byte(nil), r.Bytes(r.Uvarint())...)
+	off := len(buf) - r.Len()
+	crc := r.Bytes(4)
+	if r.Err() != nil || crc32.ChecksumIEEE(buf[:off]) != binary.BigEndian.Uint32(crc) {
 		return Record{}, 0, errTorn
 	}
 	return Record{Kind: kind, Payload: payload}, off + 4, nil

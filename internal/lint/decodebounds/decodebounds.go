@@ -1,38 +1,27 @@
-// Package decodebounds flags preallocations sized by attacker-
-// controlled wire integers: the exact class of the PR4 allocation bomb,
-// where a tiny corrupt blob decoded a huge uvarint count and
+// Package decodebounds keeps every decoder on the one bounded cursor,
+// internal/wire.Reader. The class it guards against is the allocation
+// bomb: a tiny corrupt blob decoded a huge uvarint count and
 // `make([]T, n)` amplified it into a multi-megabyte allocation before
-// any bounds check ran.
+// any bounds check ran. wire.Reader.Count is the one place a decoded
+// count is checked against the bytes that remain, so the analyzer
+// reports two things:
 //
-// Scope: every function in a *wire*.go file, plus any function whose
-// name starts with decode/parse (case-insensitive) anywhere. Within
-// scope the analyzer tracks, statement by statement in source order:
+//   - a call to encoding/binary's Uvarint, Varint, ReadUvarint or
+//     ReadVarint outside package wire: a decoder that reads varints
+//     itself bypasses both the bound and the minimal-encoding rule;
+//   - a `make` whose length or capacity mentions a (*wire.Reader).Uvarint
+//     result, directly or through variables assigned from one, unless
+//     the size clamps through the min builtin. Sizes come from Count,
+//     whose result is never tainted; a constant cap is a compare after
+//     Count, not a substitute for it.
 //
-//   - taint: a variable assigned from a call whose name contains
-//     "uvarint" (binary.Uvarint, decodeUvarint, wireReader.uvarint, …)
-//     carries a decoded, unvalidated integer; taint propagates through
-//     assignments whose right-hand side mentions a tainted variable.
-//   - bound: a tainted variable that appears in a relational comparison
-//     (<, <=, >, >=) inside an if condition is considered validated
-//     from that point on — the idiom every corrected decoder in this
-//     repo uses (`if sz <= 0 || n > uint64(len(buf)-off) { return err }`).
-//   - use: a `make` whose length or capacity mentions a tainted,
-//     never-bounded variable is reported. A size expression that clamps
-//     with the min builtin is accepted as bounded on the spot.
-//
-// The analysis is intraprocedural and heuristic by design: a bound
-// check against the wrong quantity will not be caught. It exists to
-// make "decode an integer, allocate with it, validate later (or
-// never)" impossible to merge, not to prove allocation safety.
+// The taint tracking is intraprocedural and follows assignments in
+// source order; a reassignment from a clean source clears it.
 package decodebounds
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"path/filepath"
-	"sort"
-	"strings"
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/lintutil"
@@ -41,153 +30,116 @@ import (
 // Analyzer is the decodebounds pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "decodebounds",
-	Doc: "flag make() preallocations sized from a decoded uvarint before any bound check " +
-		"in wire files and decode/parse functions (the PR4 allocation-bomb class)",
+	Doc: "flag raw encoding/binary varint reads outside internal/wire, and make() sized " +
+		"from a wire.Reader Uvarint that did not pass through Count (the allocation-bomb class)",
 	Run: run,
 }
 
+// rawVarintReads are the encoding/binary readers only package wire may
+// call.
+var rawVarintReads = map[string]bool{"Uvarint": true, "Varint": true, "ReadUvarint": true, "ReadVarint": true}
+
 func run(pass *analysis.Pass) error {
+	inWire := lintutil.PathTail(pass.Pkg.Path()) == "wire"
 	for _, f := range pass.Files {
-		base := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-		wireFile := strings.Contains(base, "wire")
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if wireFile || isDecodeName(fd.Name.Name) {
-				checkFunc(pass, fd.Body)
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkFunc(pass, fd.Body, inWire)
 			}
 		}
 	}
 	return nil
 }
 
-func isDecodeName(name string) bool {
-	l := strings.ToLower(name)
-	return strings.HasPrefix(l, "decode") || strings.HasPrefix(l, "parse")
-}
-
-// event is one position-ordered step of the per-function scan.
-type event struct {
-	pos  token.Pos
-	kind int // 0 assign, 1 bound, 2 make-use
-	// assign
-	lhs types.Object
-	rhs ast.Expr
-	dec bool // rhs is a uvarint decode call
-	// bound
-	obj types.Object
-	// make-use
-	sizeArgs []ast.Expr
-}
-
-func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
+func checkFunc(pass *analysis.Pass, body *ast.BlockStmt, inWire bool) {
 	info := pass.TypesInfo
-	var events []event
-
+	tainted := map[types.Object]bool{}
+	assign := func(lhs ast.Expr, rhs ast.Expr) {
+		id, ok := lhs.(*ast.Ident)
+		if !ok || id.Name == "_" {
+			return
+		}
+		obj := info.ObjectOf(id)
+		if obj == nil {
+			return
+		}
+		if mentionsTaint(info, rhs, tainted) {
+			tainted[obj] = true
+		} else {
+			delete(tainted, obj) // reassigned from a clean source
+		}
+	}
+	// ast.Inspect visits statements in source order, and an assignment
+	// before the calls on its right-hand side.
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			if len(n.Rhs) == 1 {
-				if id, ok := n.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
-					if obj := info.ObjectOf(id); obj != nil {
-						events = append(events, event{
-							pos: n.Pos(), kind: 0, lhs: obj, rhs: n.Rhs[0],
-							dec: isUvarintCall(info, n.Rhs[0]),
-						})
-					}
+			if len(n.Lhs) == len(n.Rhs) {
+				for i := range n.Lhs {
+					assign(n.Lhs[i], n.Rhs[i])
 				}
 			}
-		case *ast.IfStmt:
-			for _, obj := range comparedObjects(info, n.Cond) {
-				events = append(events, event{pos: n.Cond.Pos(), kind: 1, obj: obj})
+		case *ast.ValueSpec:
+			if len(n.Names) == len(n.Values) {
+				for i := range n.Names {
+					assign(n.Names[i], n.Values[i])
+				}
 			}
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
-				if b, ok := info.ObjectOf(id).(*types.Builtin); ok && b.Name() == "make" && len(n.Args) > 1 {
-					events = append(events, event{pos: n.Pos(), kind: 2, sizeArgs: n.Args[1:]})
+			if fn := lintutil.CalleeFunc(info, n); fn != nil && !inWire && fn.Pkg() != nil &&
+				fn.Pkg().Path() == "encoding/binary" && rawVarintReads[fn.Name()] {
+				pass.Reportf(n.Pos(), "binary.%s outside internal/wire: read through wire.Reader, "+
+					"which bounds lengths and rejects non-minimal varints", fn.Name())
+			}
+			if isBuiltin(info, n.Fun, "make") {
+				for _, arg := range n.Args[1:] {
+					if !clampedByMin(info, arg) && mentionsTaint(info, arg, tainted) {
+						pass.Reportf(n.Pos(), "make sized from a decoded wire.Reader.Uvarint: "+
+							"take the size from Count, which bounds it by the remaining input")
+						break
+					}
 				}
 			}
 		}
 		return true
 	})
-
-	sort.SliceStable(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-
-	tainted := map[types.Object]bool{}
-	for _, e := range events {
-		switch e.kind {
-		case 0:
-			switch {
-			case e.dec:
-				tainted[e.lhs] = true
-			case lintutil.Mentions(info, e.rhs, tainted):
-				tainted[e.lhs] = true
-			default:
-				delete(tainted, e.lhs) // reassigned from a clean source
-			}
-		case 1:
-			delete(tainted, e.obj)
-		case 2:
-			for _, arg := range e.sizeArgs {
-				if clampedByMin(info, arg) {
-					continue
-				}
-				if obj := firstMention(info, arg, tainted); obj != nil {
-					pass.Reportf(e.pos,
-						"make sized from decoded uvarint %q with no prior bound check against the remaining input",
-						obj.Name())
-				}
-			}
-		}
-	}
 }
 
-// isUvarintCall reports whether the expression is a call whose callee
-// name contains "uvarint" — the decode sources taint flows from.
-func isUvarintCall(info *types.Info, expr ast.Expr) bool {
-	call, ok := ast.Unparen(expr).(*ast.CallExpr)
+// mentionsTaint reports whether the expression calls (*wire.Reader).Uvarint
+// or reads a variable assigned from such a call.
+func mentionsTaint(info *types.Info, expr ast.Expr, tainted map[types.Object]bool) bool {
+	found := false
+	ast.Inspect(expr, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if isReaderUvarint(info, n) {
+				found = true
+			}
+		case *ast.Ident:
+			if obj := info.ObjectOf(n); obj != nil && tainted[obj] {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// isReaderUvarint reports whether the call is the Uvarint method of a
+// Reader declared in a package named wire.
+func isReaderUvarint(info *types.Info, call *ast.CallExpr) bool {
+	fn := lintutil.CalleeFunc(info, call)
+	return fn != nil && fn.Name() == "Uvarint" && fn.Pkg() != nil &&
+		lintutil.PathTail(fn.Pkg().Path()) == "wire" && lintutil.ReceiverTypeName(fn) == "Reader"
+}
+
+func isBuiltin(info *types.Info, fun ast.Expr, name string) bool {
+	id, ok := ast.Unparen(fun).(*ast.Ident)
 	if !ok {
 		return false
 	}
-	var name string
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		name = fun.Name
-	case *ast.SelectorExpr:
-		name = fun.Sel.Name
-	}
-	return strings.Contains(strings.ToLower(name), "uvarint")
-}
-
-// comparedObjects returns the objects that appear inside a relational
-// comparison anywhere in the condition expression.
-func comparedObjects(info *types.Info, cond ast.Expr) []types.Object {
-	var out []types.Object
-	ast.Inspect(cond, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok {
-			return true
-		}
-		switch be.Op {
-		case token.LSS, token.LEQ, token.GTR, token.GEQ:
-		default:
-			return true
-		}
-		for _, side := range []ast.Expr{be.X, be.Y} {
-			ast.Inspect(side, func(m ast.Node) bool {
-				if id, ok := m.(*ast.Ident); ok {
-					if obj := info.ObjectOf(id); obj != nil {
-						out = append(out, obj)
-					}
-				}
-				return true
-			})
-		}
-		return true
-	})
-	return out
+	b, ok := info.ObjectOf(id).(*types.Builtin)
+	return ok && b.Name() == name
 }
 
 // clampedByMin reports whether the size expression clamps through the
@@ -195,34 +147,10 @@ func comparedObjects(info *types.Info, cond ast.Expr) []types.Object {
 func clampedByMin(info *types.Info, arg ast.Expr) bool {
 	clamped := false
 	ast.Inspect(arg, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
+		if call, ok := n.(*ast.CallExpr); ok && isBuiltin(info, call.Fun, "min") {
+			clamped = true
 		}
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-			if b, ok := info.ObjectOf(id).(*types.Builtin); ok && b.Name() == "min" {
-				clamped = true
-				return false
-			}
-		}
-		return true
+		return !clamped
 	})
 	return clamped
-}
-
-// firstMention returns one tainted object the expression mentions.
-func firstMention(info *types.Info, expr ast.Expr, tainted map[types.Object]bool) types.Object {
-	var found types.Object
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if found != nil {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := info.ObjectOf(id); obj != nil && tainted[obj] {
-				found = obj
-			}
-		}
-		return true
-	})
-	return found
 }

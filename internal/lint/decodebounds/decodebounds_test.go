@@ -8,5 +8,5 @@ import (
 )
 
 func TestDecodeBounds(t *testing.T) {
-	linttest.Run(t, "testdata", decodebounds.Analyzer, "a")
+	linttest.Run(t, "testdata", decodebounds.Analyzer, "a", "wire")
 }

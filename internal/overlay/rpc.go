@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // Wire envelope: uvarint service-name length, service name, payload.
@@ -15,18 +16,16 @@ const routeService = "_route"
 
 func encodeEnvelope(service string, payload []byte) []byte {
 	buf := make([]byte, 0, len(service)+len(payload)+2)
-	buf = binary.AppendUvarint(buf, uint64(len(service)))
-	buf = append(buf, service...)
-	buf = append(buf, payload...)
-	return buf
+	return append(wire.AppendString(buf, service), payload...)
 }
 
 func decodeEnvelope(req []byte) (service string, payload []byte, err error) {
-	n, sz := binary.Uvarint(req)
-	if sz <= 0 || uint64(len(req)-sz) < n {
+	r := wire.NewReader(req)
+	service = r.String(r.Uvarint())
+	if r.Err() != nil {
 		return "", nil, errors.New("overlay: corrupt envelope")
 	}
-	return string(req[sz : sz+int(n)]), req[sz+int(n):], nil
+	return service, r.Rest(), nil
 }
 
 // routeResp is one routing step's answer.

@@ -10,12 +10,12 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
 
 	"repro/internal/corpus"
+	"repro/internal/wire"
 )
 
 // Posting associates a document with the relevance score its index-side
@@ -233,8 +233,9 @@ func siftDown(h List, i int) {
 }
 
 // wire format: uvarint count, then per posting: uvarint doc-id delta
-// (first doc encoded as delta from 0... actually delta+1 from previous to
-// keep strict monotonicity checkable), float32 score bits as fixed 4 bytes.
+// (the first doc as is, every later one as its distance from the
+// previous doc minus one, so ids stay strictly ascending), float32 score
+// bits as fixed 4 bytes.
 
 // ErrCorrupt is returned by Decode on malformed input.
 var ErrCorrupt = errors.New("postings: corrupt encoding")
@@ -285,40 +286,35 @@ func EncodeScaled(buf []byte, l List, scale float32) []byte {
 // Decode parses an encoded list, returning the list and the number of
 // bytes consumed.
 func Decode(buf []byte) (List, int, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 {
+	r := wire.NewReader(buf)
+	l := ReadList(&r)
+	if r.Err() != nil {
 		return nil, 0, ErrCorrupt
 	}
-	off := sz
-	if n > uint64(len(buf)) { // cheap sanity bound: >= 5 bytes per posting
-		return nil, 0, fmt.Errorf("%w: count %d exceeds buffer", ErrCorrupt, n)
-	}
+	return l, len(buf) - r.Len(), nil
+}
+
+// ReadList reads one encoded list from r; a malformed list fails r.
+func ReadList(r *wire.Reader) List {
+	n := r.Count(5) // a posting is at least a 1-byte delta and 4 score bytes
 	out := make(List, 0, n)
 	prev := uint64(0)
-	for i := uint64(0); i < n; i++ {
-		delta, sz := binary.Uvarint(buf[off:])
-		if sz <= 0 {
-			return nil, 0, ErrCorrupt
-		}
-		off += sz
-		if off+4 > len(buf) {
-			return nil, 0, ErrCorrupt
-		}
-		score := math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-		var doc uint64
-		if i == 0 {
-			doc = delta
-		} else {
+	for i := 0; i < n; i++ {
+		delta := r.Uvarint()
+		score := math.Float32frombits(r.Uint32LE())
+		doc := delta
+		if i > 0 {
 			doc = prev + delta + 1
 		}
-		if doc > math.MaxUint32 {
-			return nil, 0, fmt.Errorf("%w: doc id overflow", ErrCorrupt)
+		// Bounding delta too keeps prev+delta+1 from wrapping.
+		if delta > math.MaxUint32 || doc > math.MaxUint32 {
+			r.Fail()
+			return nil
 		}
 		prev = doc
 		out = append(out, Posting{Doc: corpus.DocID(doc), Score: score})
 	}
-	return out, off, nil
+	return out
 }
 
 // EncodedSize returns the exact wire size of the list without allocating.

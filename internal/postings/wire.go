@@ -2,7 +2,8 @@ package postings
 
 import (
 	"encoding/binary"
-	"fmt"
+
+	"repro/internal/wire"
 )
 
 // Keyed wire format for index RPCs: uvarint key length, key bytes,
@@ -26,8 +27,7 @@ func KeyedSize(m KeyedMessage) int {
 
 // EncodeKeyed appends the message to buf.
 func EncodeKeyed(buf []byte, m KeyedMessage) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(m.Key)))
-	buf = append(buf, m.Key...)
+	buf = wire.AppendString(buf, m.Key)
 	buf = binary.AppendUvarint(buf, m.Aux)
 	return Encode(buf, m.List)
 }
@@ -35,38 +35,20 @@ func EncodeKeyed(buf []byte, m KeyedMessage) []byte {
 // DecodeKeyed parses one keyed message and returns the bytes consumed.
 // The returned key is its own allocation (safe to retain).
 func DecodeKeyed(buf []byte) (KeyedMessage, int, error) {
-	return decodeKeyedShared(buf, "")
+	r := wire.NewReader(buf)
+	m := readKeyed(&r)
+	if r.Err() != nil {
+		return KeyedMessage{}, 0, ErrCorrupt
+	}
+	return m, len(buf) - r.Len(), nil
 }
 
-// decodeKeyedShared parses one keyed message. When all is non-empty it
-// must be a string copy of buf, and the decoded key substrings it
-// instead of allocating — the batch decoder passes one copy of the
-// whole input so an N-message batch costs one string allocation, not N.
-// Callers that retain keys past the decoded batch's lifetime must clone
-// them, or they pin the whole copy.
-func decodeKeyedShared(buf []byte, all string) (KeyedMessage, int, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || uint64(len(buf)-sz) < n {
-		return KeyedMessage{}, 0, fmt.Errorf("%w: bad key length", ErrCorrupt)
-	}
-	off := sz
-	var key string
-	if all != "" {
-		key = all[off : off+int(n)]
-	} else {
-		key = string(buf[off : off+int(n)])
-	}
-	off += int(n)
-	aux, sz := binary.Uvarint(buf[off:])
-	if sz <= 0 {
-		return KeyedMessage{}, 0, fmt.Errorf("%w: bad aux field", ErrCorrupt)
-	}
-	off += sz
-	list, consumed, err := Decode(buf[off:])
-	if err != nil {
-		return KeyedMessage{}, 0, err
-	}
-	return KeyedMessage{Key: key, Aux: aux, List: list}, off + consumed, nil
+// readKeyed reads one keyed message; after r.Share its key substrings
+// the shared copy instead of allocating.
+func readKeyed(r *wire.Reader) KeyedMessage {
+	key := r.String(r.Uvarint())
+	aux := r.Uvarint()
+	return KeyedMessage{Key: key, Aux: aux, List: ReadList(r)}
 }
 
 // KeyListSize returns the exact wire size of a count-prefixed key list.
@@ -90,8 +72,7 @@ func EncodeKeyList(buf []byte, keys []string) []byte {
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(keys)))
 	for _, k := range keys {
-		buf = binary.AppendUvarint(buf, uint64(len(k)))
-		buf = append(buf, k...)
+		buf = wire.AppendString(buf, k)
 	}
 	return buf
 }
@@ -101,24 +82,15 @@ func EncodeKeyList(buf []byte, keys []string) []byte {
 // allocations, not N+1); a caller that retains a key past the request's
 // lifetime must clone it or it pins the whole copy.
 func DecodeKeyList(buf []byte) ([]string, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, fmt.Errorf("%w: bad key count", ErrCorrupt)
-	}
-	if n > uint64(len(buf)) {
-		return nil, fmt.Errorf("%w: key count %d exceeds buffer", ErrCorrupt, n)
-	}
-	off := sz
-	all := string(buf)
+	r := wire.NewReader(buf)
+	n := r.Count(1)
+	r.Share()
 	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		l, sz := binary.Uvarint(buf[off:])
-		if sz <= 0 || uint64(len(buf)-off-sz) < l {
-			return nil, fmt.Errorf("%w: bad key length", ErrCorrupt)
-		}
-		off += sz
-		out = append(out, all[off:off+int(l)])
-		off += int(l)
+	for i := 0; i < n; i++ {
+		out = append(out, r.String(r.Uvarint()))
+	}
+	if !r.Done() {
+		return nil, ErrCorrupt
 	}
 	return out, nil
 }
@@ -146,23 +118,15 @@ func EncodeKeyedBatch(buf []byte, ms []KeyedMessage) []byte {
 // keys substring one copy of the input; retaining a key long-term
 // requires cloning it.
 func DecodeKeyedBatch(buf []byte) ([]KeyedMessage, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 {
-		return nil, fmt.Errorf("%w: bad batch count", ErrCorrupt)
-	}
-	off := sz
-	if n > uint64(len(buf)) {
-		return nil, fmt.Errorf("%w: batch count %d exceeds buffer", ErrCorrupt, n)
-	}
-	all := string(buf)
+	r := wire.NewReader(buf)
+	n := r.Count(3) // a message is at least a key length, an aux and a list count
+	r.Share()
 	out := make([]KeyedMessage, 0, n)
-	for i := uint64(0); i < n; i++ {
-		m, consumed, err := decodeKeyedShared(buf[off:], all[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += consumed
-		out = append(out, m)
+	for i := 0; i < n; i++ {
+		out = append(out, readKeyed(&r))
+	}
+	if !r.Done() {
+		return nil, ErrCorrupt
 	}
 	return out, nil
 }

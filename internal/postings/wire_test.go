@@ -79,6 +79,29 @@ func TestKeyListCorrupt(t *testing.T) {
 	}
 }
 
+// TestDecodersRejectAliases: the key-list and keyed-batch decoders
+// accept only their encoders' own bytes, so a request carrying them has
+// one encoding (the coordinator keys its result cache by request bytes).
+func TestDecodersRejectAliases(t *testing.T) {
+	batch := EncodeKeyedBatch(nil, []KeyedMessage{{Key: "x", Aux: 1, List: List{{Doc: 2, Score: 1}}}})
+	keys := EncodeKeyList(nil, []string{"x"})
+	decodeBatch := func(b []byte) error { _, err := DecodeKeyedBatch(b); return err }
+	decodeKeys := func(b []byte) error { _, err := DecodeKeyList(b); return err }
+	for name, c := range map[string]struct {
+		buf    []byte
+		decode func([]byte) error
+	}{
+		"keyed batch + trailing bytes": {append(append([]byte{}, batch...), 0, 0), decodeBatch},
+		"keyed batch, non-minimal aux": {append([]byte{1, 1, 'x', 0x81, 0x00}, batch[4:]...), decodeBatch},
+		"key list + trailing byte":     {append(append([]byte{}, keys...), 'y'), decodeKeys},
+		"key list, non-minimal length": {[]byte{1, 0x81, 0x00, 'x'}, decodeKeys},
+	} {
+		if err := c.decode(c.buf); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 func TestKeyListCorruptNeverPanics(t *testing.T) {
 	valid := EncodeKeyList(nil, []string{"alpha", "beta"})
 	for cut := 0; cut < len(valid); cut++ {

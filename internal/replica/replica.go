@@ -34,6 +34,7 @@ import (
 	"errors"
 
 	"repro/internal/overlay"
+	"repro/internal/wire"
 )
 
 // Service is the fabric service name replicated index layers register
@@ -92,40 +93,21 @@ var ErrCorrupt = errors.New("replica: corrupt repair batch")
 func EncodeBatch(buf []byte, items []Item) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(items)))
 	for _, it := range items {
-		buf = binary.AppendUvarint(buf, uint64(len(it.Key)))
-		buf = append(buf, it.Key...)
-		buf = binary.AppendUvarint(buf, uint64(len(it.Blob)))
-		buf = append(buf, it.Blob...)
+		buf = wire.AppendString(buf, it.Key)
+		buf = wire.AppendBytes(buf, it.Blob)
 	}
 	return buf
 }
 
 // DecodeBatch parses a repair batch.
 func DecodeBatch(buf []byte) ([]Item, error) {
-	n, sz := binary.Uvarint(buf)
-	if sz <= 0 || n > uint64(len(buf)) {
-		return nil, ErrCorrupt
+	r := wire.NewReader(buf)
+	out := make([]Item, r.Count(2)) // an item is at least two length prefixes
+	for i := range out {
+		out[i].Key = r.String(r.Uvarint())
+		out[i].Blob = append([]byte(nil), r.Bytes(r.Uvarint())...)
 	}
-	off := sz
-	out := make([]Item, 0, n)
-	for i := uint64(0); i < n; i++ {
-		kl, sz := binary.Uvarint(buf[off:])
-		if sz <= 0 || uint64(len(buf)-off-sz) < kl {
-			return nil, ErrCorrupt
-		}
-		off += sz
-		key := string(buf[off : off+int(kl)])
-		off += int(kl)
-		bl, sz := binary.Uvarint(buf[off:])
-		if sz <= 0 || uint64(len(buf)-off-sz) < bl {
-			return nil, ErrCorrupt
-		}
-		off += sz
-		blob := append([]byte(nil), buf[off:off+int(bl)]...)
-		off += int(bl)
-		out = append(out, Item{Key: key, Blob: blob})
-	}
-	if off != len(buf) {
+	if !r.Done() {
 		return nil, ErrCorrupt
 	}
 	return out, nil

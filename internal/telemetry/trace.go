@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Per-query tracing. A coordination produces one Trace: a flat span
@@ -224,14 +226,14 @@ func EncodeTrace(t *Trace) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(t.Spans)))
 	for i := range t.Spans {
 		sp := &t.Spans[i]
-		buf = appendString(buf, sp.Name)
+		buf = wire.AppendString(buf, sp.Name)
 		buf = binary.AppendUvarint(buf, uint64(sp.Parent+1))
 		buf = binary.AppendUvarint(buf, uint64(sp.Start))
 		buf = binary.AppendUvarint(buf, uint64(sp.Dur))
 		buf = binary.AppendUvarint(buf, uint64(len(sp.Attrs)))
 		for _, a := range sp.Attrs {
-			buf = appendString(buf, a.Key)
-			buf = appendString(buf, a.Value)
+			buf = wire.AppendString(buf, a.Key)
+			buf = wire.AppendString(buf, a.Value)
 		}
 	}
 	return buf
@@ -240,53 +242,37 @@ func EncodeTrace(t *Trace) []byte {
 // DecodeTrace parses a trace produced by EncodeTrace, rejecting
 // unknown versions, out-of-order parents and corrupt frames.
 func DecodeTrace(b []byte) (*Trace, error) {
-	if len(b) == 0 || b[0] != traceWireVersion {
+	r := wire.NewReader(b)
+	if r.Byte() != traceWireVersion {
 		return nil, errCorruptTrace
 	}
-	b = b[1:]
-	n, b, err := decodeUvarint(b)
-	if err != nil || n == 0 || n > maxTraceSpans {
+	// A span is at least a name length, a parent, a start, a duration and
+	// an attr count.
+	n := r.Count(5)
+	if n == 0 || n > maxTraceSpans {
 		return nil, errCorruptTrace
 	}
-	t := &Trace{Spans: make([]TraceSpan, 0, min(n, 256))}
-	for i := uint64(0); i < n; i++ {
-		var sp TraceSpan
-		if sp.Name, b, err = decodeString(b); err != nil {
-			return nil, err
-		}
-		var p, start, dur, ac uint64
-		if p, b, err = decodeUvarint(b); err != nil {
-			return nil, err
-		}
+	t := &Trace{Spans: make([]TraceSpan, n)}
+	for i := range t.Spans {
+		sp := &t.Spans[i]
+		sp.Name = readString(&r)
 		// Parents must precede children (p is parent+1, so p <= i) and
 		// the root (parent -1, encoded 0) is legal only at index 0.
-		if p > i || (i == 0) != (p == 0) {
-			return nil, errCorruptTrace
+		p := r.Uvarint()
+		if p > uint64(i) || (i == 0) != (p == 0) {
+			r.Fail()
 		}
 		sp.Parent = int(p) - 1
-		if start, b, err = decodeUvarint(b); err != nil {
-			return nil, err
+		sp.Start, sp.Dur = time.Duration(r.Uvarint()), time.Duration(r.Uvarint())
+		ac := r.Count(2) // a key and a value length prefix
+		if ac > 256 {
+			r.Fail()
 		}
-		if dur, b, err = decodeUvarint(b); err != nil {
-			return nil, err
+		for j := 0; j < ac; j++ {
+			sp.Attrs = append(sp.Attrs, TraceAttr{Key: readString(&r), Value: readString(&r)})
 		}
-		sp.Start, sp.Dur = time.Duration(start), time.Duration(dur)
-		if ac, b, err = decodeUvarint(b); err != nil || ac > 256 {
-			return nil, errCorruptTrace
-		}
-		for j := uint64(0); j < ac; j++ {
-			var k, v string
-			if k, b, err = decodeString(b); err != nil {
-				return nil, err
-			}
-			if v, b, err = decodeString(b); err != nil {
-				return nil, err
-			}
-			sp.Attrs = append(sp.Attrs, TraceAttr{Key: k, Value: v})
-		}
-		t.Spans = append(t.Spans, sp)
 	}
-	if len(b) != 0 {
+	if !r.Done() {
 		return nil, errCorruptTrace
 	}
 	return t, nil

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+
+	"repro/internal/wire"
 )
 
 // Snapshot wire codec — the payload of the cluster.metrics RPC. Same
@@ -34,57 +36,38 @@ const maxSnapshotString = 1 << 12
 
 var errCorruptSnapshot = errors.New("telemetry: corrupt metrics snapshot")
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func decodeString(b []byte) (string, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 || n > maxSnapshotString || uint64(len(b)-sz) < n {
-		return "", nil, errCorruptSnapshot
+// readString reads one name, label or attribute string; any string past
+// maxSnapshotString fails r.
+func readString(r *wire.Reader) string {
+	n := r.Uvarint()
+	if n > maxSnapshotString {
+		r.Fail()
 	}
-	b = b[sz:]
-	return string(b[:n]), b[n:], nil
-}
-
-func decodeUvarint(b []byte) (uint64, []byte, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return 0, nil, errCorruptSnapshot
-	}
-	return n, b[sz:], nil
+	return r.String(n)
 }
 
 func appendLabels(buf []byte, labels []Label) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(labels)))
 	for _, l := range labels {
-		buf = appendString(buf, l.Key)
-		buf = appendString(buf, l.Value)
+		buf = wire.AppendString(buf, l.Key)
+		buf = wire.AppendString(buf, l.Value)
 	}
 	return buf
 }
 
-func decodeLabels(b []byte) ([]Label, []byte, error) {
-	n, b, err := decodeUvarint(b)
-	if err != nil || n > 64 {
-		return nil, nil, errCorruptSnapshot
+func readLabels(r *wire.Reader) []Label {
+	n := r.Count(2) // a key and a value length prefix
+	if n > 64 {
+		r.Fail()
 	}
-	if n == 0 {
-		return nil, b, nil
+	if r.Err() != nil || n == 0 {
+		return nil
 	}
-	labels := make([]Label, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var k, v string
-		if k, b, err = decodeString(b); err != nil {
-			return nil, nil, err
-		}
-		if v, b, err = decodeString(b); err != nil {
-			return nil, nil, err
-		}
-		labels = append(labels, Label{Key: k, Value: v})
+	labels := make([]Label, n)
+	for i := range labels {
+		labels[i] = Label{Key: readString(r), Value: readString(r)}
 	}
-	return labels, b, nil
+	return labels
 }
 
 // EncodeSnapshot serializes a snapshot in the versioned wire format.
@@ -93,19 +76,19 @@ func EncodeSnapshot(s Snapshot) []byte {
 	buf = append(buf, snapshotWireVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(s.Counters)))
 	for _, c := range s.Counters {
-		buf = appendString(buf, c.Name)
+		buf = wire.AppendString(buf, c.Name)
 		buf = appendLabels(buf, c.Labels)
 		buf = binary.AppendUvarint(buf, c.Value)
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.Gauges)))
 	for _, g := range s.Gauges {
-		buf = appendString(buf, g.Name)
+		buf = wire.AppendString(buf, g.Name)
 		buf = appendLabels(buf, g.Labels)
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.Value))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(s.Histograms)))
 	for _, h := range s.Histograms {
-		buf = appendString(buf, h.Name)
+		buf = wire.AppendString(buf, h.Name)
 		buf = appendLabels(buf, h.Labels)
 		buf = binary.AppendUvarint(buf, h.Count)
 		buf = binary.AppendUvarint(buf, h.Sum)
@@ -118,97 +101,53 @@ func EncodeSnapshot(s Snapshot) []byte {
 	return buf
 }
 
+// seriesCount reads one kind's series count; a series is at least a
+// name length, a label count and a 1-byte value.
+func seriesCount(r *wire.Reader) int {
+	n := r.Count(3)
+	if n > maxSnapshotSeries {
+		r.Fail()
+		return 0
+	}
+	return n
+}
+
 // DecodeSnapshot parses a snapshot produced by EncodeSnapshot,
 // rejecting unknown versions and corrupt frames.
 func DecodeSnapshot(b []byte) (Snapshot, error) {
+	r := wire.NewReader(b)
+	if r.Byte() != snapshotWireVersion {
+		return Snapshot{}, errCorruptSnapshot
+	}
 	var s Snapshot
-	if len(b) == 0 || b[0] != snapshotWireVersion {
-		return s, errCorruptSnapshot
+	s.Counters = make([]CounterValue, seriesCount(&r))
+	for i := range s.Counters {
+		s.Counters[i] = CounterValue{Name: readString(&r), Labels: readLabels(&r), Value: r.Uvarint()}
 	}
-	b = b[1:]
-
-	n, b, err := decodeUvarint(b)
-	if err != nil || n > maxSnapshotSeries {
-		return s, errCorruptSnapshot
+	s.Gauges = make([]GaugeValue, seriesCount(&r))
+	for i := range s.Gauges {
+		s.Gauges[i] = GaugeValue{Name: readString(&r), Labels: readLabels(&r), Value: math.Float64frombits(r.Uint64LE())}
 	}
-	s.Counters = make([]CounterValue, 0, min(n, 256))
-	for i := uint64(0); i < n; i++ {
-		var c CounterValue
-		if c.Name, b, err = decodeString(b); err != nil {
-			return Snapshot{}, err
+	s.Histograms = make([]HistogramValue, seriesCount(&r))
+	for i := range s.Histograms {
+		h := &s.Histograms[i]
+		h.Name, h.Labels, h.Count, h.Sum = readString(&r), readLabels(&r), r.Uvarint(), r.Uvarint()
+		bc := r.Count(2) // an index and a count
+		if bc > histNumBuckets {
+			r.Fail()
 		}
-		if c.Labels, b, err = decodeLabels(b); err != nil {
-			return Snapshot{}, err
-		}
-		if c.Value, b, err = decodeUvarint(b); err != nil {
-			return Snapshot{}, err
-		}
-		s.Counters = append(s.Counters, c)
-	}
-
-	if n, b, err = decodeUvarint(b); err != nil || n > maxSnapshotSeries {
-		return Snapshot{}, errCorruptSnapshot
-	}
-	s.Gauges = make([]GaugeValue, 0, min(n, 256))
-	for i := uint64(0); i < n; i++ {
-		var g GaugeValue
-		if g.Name, b, err = decodeString(b); err != nil {
-			return Snapshot{}, err
-		}
-		if g.Labels, b, err = decodeLabels(b); err != nil {
-			return Snapshot{}, err
-		}
-		if len(b) < 8 {
-			return Snapshot{}, errCorruptSnapshot
-		}
-		g.Value = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		b = b[8:]
-		s.Gauges = append(s.Gauges, g)
-	}
-
-	if n, b, err = decodeUvarint(b); err != nil || n > maxSnapshotSeries {
-		return Snapshot{}, errCorruptSnapshot
-	}
-	s.Histograms = make([]HistogramValue, 0, min(n, 64))
-	for i := uint64(0); i < n; i++ {
-		var h HistogramValue
-		if h.Name, b, err = decodeString(b); err != nil {
-			return Snapshot{}, err
-		}
-		if h.Labels, b, err = decodeLabels(b); err != nil {
-			return Snapshot{}, err
-		}
-		if h.Count, b, err = decodeUvarint(b); err != nil {
-			return Snapshot{}, err
-		}
-		if h.Sum, b, err = decodeUvarint(b); err != nil {
-			return Snapshot{}, err
-		}
-		var bc uint64
-		if bc, b, err = decodeUvarint(b); err != nil || bc > histNumBuckets {
-			return Snapshot{}, errCorruptSnapshot
-		}
-		h.Buckets = make([]BucketCount, 0, bc)
-		prev := -1
-		for j := uint64(0); j < bc; j++ {
-			var idx, cnt uint64
-			if idx, b, err = decodeUvarint(b); err != nil {
-				return Snapshot{}, err
-			}
-			if cnt, b, err = decodeUvarint(b); err != nil {
-				return Snapshot{}, err
-			}
+		h.Buckets = make([]BucketCount, bc)
+		for j := range h.Buckets {
+			idx, cnt := r.Uvarint(), r.Uvarint()
 			// Buckets must be strictly ascending and in range, or
 			// Quantile's cumulative walk would lie.
-			if idx >= histNumBuckets || int(idx) <= prev {
-				return Snapshot{}, errCorruptSnapshot
+			if idx >= histNumBuckets || j > 0 && int(idx) <= h.Buckets[j-1].Index {
+				r.Fail()
 			}
-			prev = int(idx)
-			h.Buckets = append(h.Buckets, BucketCount{Index: int(idx), Count: cnt})
+			h.Buckets[j] = BucketCount{Index: int(idx), Count: cnt}
 		}
-		s.Histograms = append(s.Histograms, h)
 	}
-	if len(b) != 0 {
+	if !r.Done() {
 		return Snapshot{}, errCorruptSnapshot
 	}
 	return s, nil

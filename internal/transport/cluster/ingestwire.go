@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 
 	"repro/internal/corpus"
+	"repro/internal/wire"
 )
 
 // Wire codecs for the streamed build services. hdk.ingest moves one
@@ -91,63 +92,6 @@ func sessionDigest(digests []uint64) uint64 {
 	return h.Sum64()
 }
 
-// wireReader is a bounds-checked sequential decoder: any overrun flips
-// bad and every subsequent read returns zero values, so frame decoders
-// validate once at the end instead of after every field.
-type wireReader struct {
-	buf []byte
-	off int
-	bad bool
-}
-
-func (r *wireReader) uvarint() uint64 {
-	if r.bad {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *wireReader) byte() byte {
-	if r.bad || r.off >= len(r.buf) {
-		r.bad = true
-		return 0
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b
-}
-
-// take returns the next n bytes without copying. The declared n has
-// already been read from the frame, so an n beyond the remaining input
-// marks the frame corrupt.
-func (r *wireReader) take(n uint64) []byte {
-	if r.bad || n > uint64(len(r.buf)-r.off) {
-		r.bad = true
-		return nil
-	}
-	b := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b
-}
-
-func (r *wireReader) rest() []byte {
-	if r.bad {
-		return nil
-	}
-	b := r.buf[r.off:]
-	r.off = len(r.buf)
-	return b
-}
-
-// done reports a clean, fully consumed frame.
-func (r *wireReader) done() bool { return !r.bad && r.off == len(r.buf) }
-
 // ingestBegin opens (or, re-sent with the same session id, resumes) one
 // corpus-shard upload session.
 type ingestBegin struct {
@@ -162,8 +106,7 @@ type ingestBegin struct {
 func encodeIngestBegin(b ingestBegin) []byte {
 	buf := []byte{ingestFrameBegin, ingestVersion}
 	buf = binary.AppendUvarint(buf, b.Session)
-	buf = binary.AppendUvarint(buf, uint64(len(b.Config)))
-	buf = append(buf, b.Config...)
+	buf = wire.AppendBytes(buf, b.Config)
 	buf = binary.AppendUvarint(buf, b.TotalDocs)
 	buf = binary.AppendUvarint(buf, b.ShardDocs)
 	buf = binary.AppendUvarint(buf, b.VocabSize)
@@ -173,18 +116,18 @@ func encodeIngestBegin(b ingestBegin) []byte {
 // decodeIngestBegin parses a begin frame body (frame byte already
 // consumed by the dispatcher).
 func decodeIngestBegin(body []byte) (ingestBegin, error) {
-	r := &wireReader{buf: body}
-	if r.byte() != ingestVersion {
+	r := wire.NewReader(body)
+	if r.Byte() != ingestVersion {
 		return ingestBegin{}, errCorruptFrame
 	}
 	var b ingestBegin
-	b.Session = r.uvarint()
-	b.Config = append([]byte(nil), r.take(r.uvarint())...)
-	b.TotalDocs = r.uvarint()
-	b.ShardDocs = r.uvarint()
-	b.VocabSize = r.uvarint()
-	b.ChunkBytes = r.uvarint()
-	if !r.done() {
+	b.Session = r.Uvarint()
+	b.Config = append([]byte(nil), r.Bytes(r.Uvarint())...)
+	b.TotalDocs = r.Uvarint()
+	b.ShardDocs = r.Uvarint()
+	b.VocabSize = r.Uvarint()
+	b.ChunkBytes = r.Uvarint()
+	if !r.Done() {
 		return ingestBegin{}, errCorruptFrame
 	}
 	return b, nil
@@ -197,10 +140,9 @@ func encodeIngestBeginResp(status byte, held uint64) []byte {
 }
 
 func decodeIngestBeginResp(resp []byte) (status byte, held uint64, err error) {
-	r := &wireReader{buf: resp}
-	status = r.byte()
-	held = r.uvarint()
-	if !r.done() {
+	r := wire.NewReader(resp)
+	status, held = r.Byte(), r.Uvarint()
+	if !r.Done() {
 		return 0, 0, errCorruptFrame
 	}
 	return status, held, nil
@@ -226,21 +168,11 @@ func encodeIngestOffer(o ingestOffer) []byte {
 }
 
 func decodeIngestOffer(body []byte) (ingestOffer, error) {
-	r := &wireReader{buf: body}
+	r := wire.NewReader(body)
 	var o ingestOffer
-	o.Session = r.uvarint()
-	o.FirstSeq = r.uvarint()
-	n := r.uvarint()
-	// Every digest costs at least one byte, so a count beyond the
-	// remaining input is corrupt — and cannot buy a large allocation.
-	if r.bad || n > uint64(len(body)-r.off) {
-		return ingestOffer{}, errCorruptFrame
-	}
-	o.Digests = make([]uint64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		o.Digests = append(o.Digests, r.uvarint())
-	}
-	if !r.done() {
+	o.Session, o.FirstSeq = r.Uvarint(), r.Uvarint()
+	o.Digests = readUvarints(&r)
+	if !r.Done() {
 		return ingestOffer{}, errCorruptFrame
 	}
 	return o, nil
@@ -257,19 +189,21 @@ func encodeIngestWants(wants []uint64) []byte {
 }
 
 func decodeIngestWants(resp []byte) ([]uint64, error) {
-	r := &wireReader{buf: resp}
-	n := r.uvarint()
-	if r.bad || n > uint64(len(resp)-r.off) {
-		return nil, errCorruptFrame
-	}
-	wants := make([]uint64, 0, n)
-	for i := uint64(0); i < n; i++ {
-		wants = append(wants, r.uvarint())
-	}
-	if !r.done() {
+	r := wire.NewReader(resp)
+	wants := readUvarints(&r)
+	if !r.Done() {
 		return nil, errCorruptFrame
 	}
 	return wants, nil
+}
+
+// readUvarints reads a count-prefixed list of uvarints.
+func readUvarints(r *wire.Reader) []uint64 {
+	out := make([]uint64, r.Count(1))
+	for i := range out {
+		out[i] = r.Uvarint()
+	}
+	return out
 }
 
 // ingestChunk ships one chunk. The CRC covers the payload; an
@@ -291,16 +225,12 @@ func encodeIngestChunk(c ingestChunk) []byte {
 }
 
 func decodeIngestChunk(body []byte) (ingestChunk, error) {
-	r := &wireReader{buf: body}
+	r := wire.NewReader(body)
 	var c ingestChunk
-	c.Session = r.uvarint()
-	c.Seq = r.uvarint()
-	crcBytes := r.take(4)
-	c.Payload = r.rest()
-	if r.bad {
-		return ingestChunk{}, errCorruptFrame
-	}
-	if crc32.ChecksumIEEE(c.Payload) != binary.LittleEndian.Uint32(crcBytes) {
+	c.Session, c.Seq = r.Uvarint(), r.Uvarint()
+	crc := r.Uint32LE()
+	c.Payload = r.Rest()
+	if r.Err() != nil || crc32.ChecksumIEEE(c.Payload) != crc {
 		return ingestChunk{}, errCorruptFrame
 	}
 	return c, nil
@@ -323,12 +253,9 @@ func encodeIngestCommit(c ingestCommit) []byte {
 }
 
 func decodeIngestCommit(body []byte) (ingestCommit, error) {
-	r := &wireReader{buf: body}
-	var c ingestCommit
-	c.Session = r.uvarint()
-	c.Chunks = r.uvarint()
-	c.Digest = r.uvarint()
-	if !r.done() {
+	r := wire.NewReader(body)
+	c := ingestCommit{Session: r.Uvarint(), Chunks: r.Uvarint(), Digest: r.Uvarint()}
+	if !r.Done() {
 		return ingestCommit{}, errCorruptFrame
 	}
 	return c, nil
@@ -343,8 +270,7 @@ func encodeMetaChunk(firstTerm int, terms []string, freqs []int) []byte {
 	buf = binary.AppendUvarint(buf, uint64(firstTerm))
 	buf = binary.AppendUvarint(buf, uint64(len(terms)))
 	for i, t := range terms {
-		buf = binary.AppendUvarint(buf, uint64(len(t)))
-		buf = append(buf, t...)
+		buf = wire.AppendString(buf, t)
 		buf = binary.AppendUvarint(buf, uint64(freqs[i]))
 	}
 	return buf
@@ -353,32 +279,24 @@ func encodeMetaChunk(firstTerm int, terms []string, freqs []int) []byte {
 // decodeMetaChunk installs a vocabulary range into vocab/freqs (both
 // sized to the session's VocabSize by the caller).
 func decodeMetaChunk(body []byte, vocab []string, freqs []int) error {
-	r := &wireReader{buf: body}
-	first := r.uvarint()
-	n := r.uvarint()
-	if r.bad || n > uint64(len(body)-r.off) || first+n > uint64(len(vocab)) {
+	r := wire.NewReader(body)
+	first, n := r.Uvarint(), r.Count(2) // a term length and a frequency
+	if r.Err() != nil || n > len(vocab) || first > uint64(len(vocab)-n) {
 		return errCorruptFrame
 	}
-	for i := uint64(0); i < n; i++ {
-		term := r.take(r.uvarint())
-		f := r.uvarint()
-		if r.bad {
-			return errCorruptFrame
-		}
-		vocab[first+i] = string(term)
-		freqs[first+i] = int(f)
+	for i := range n {
+		vocab[first+uint64(i)] = r.String(r.Uvarint())
+		freqs[first+uint64(i)] = int(r.Uvarint())
 	}
-	if !r.done() {
+	if !r.Done() {
 		return errCorruptFrame
 	}
 	return nil
 }
 
 // encodeDocsChunkDoc appends one document to a docs chunk under
-// construction (the chunk starts as []byte{chunkKindDocs, 0} — the
-// count is fixed up by finishDocsChunk... no: counts are uvarint). To
-// keep encoding single-pass the docs chunk carries documents
-// back-to-back with a trailing sentinel-free format: each document is
+// construction (newDocsChunk starts it). The chunk carries no document
+// count, so encoding stays single-pass: documents sit back to back, each
 // [uvarint id][uvarint nterms][terms...], and decoding consumes until
 // the chunk is exhausted.
 func encodeDocsChunkDoc(buf []byte, d corpus.Document) []byte {
@@ -396,28 +314,20 @@ func newDocsChunk() []byte { return []byte{chunkKindDocs} }
 // decodeDocsChunk appends the chunk's documents to docs, validating
 // every term id against vocabSize.
 func decodeDocsChunk(body []byte, vocabSize uint64, docs []corpus.Document) ([]corpus.Document, error) {
-	r := &wireReader{buf: body}
-	for !r.bad && r.off < len(r.buf) {
-		id := r.uvarint()
-		n := r.uvarint()
-		// A term costs at least one byte.
-		if r.bad || n > uint64(len(body)-r.off) {
-			return nil, errCorruptFrame
-		}
-		terms := make([]corpus.TermID, 0, n)
-		for i := uint64(0); i < n; i++ {
-			t := r.uvarint()
+	r := wire.NewReader(body)
+	for r.Len() > 0 {
+		id := r.Uvarint()
+		terms := make([]corpus.TermID, r.Count(1))
+		for i := range terms {
+			t := r.Uvarint()
 			if t >= vocabSize {
 				return nil, errCorruptFrame
 			}
-			terms = append(terms, corpus.TermID(t))
-		}
-		if r.bad {
-			return nil, errCorruptFrame
+			terms[i] = corpus.TermID(t)
 		}
 		docs = append(docs, corpus.Document{ID: corpus.DocID(id), Terms: terms})
 	}
-	if !r.done() {
+	if !r.Done() {
 		return nil, errCorruptFrame
 	}
 	return docs, nil
@@ -447,9 +357,9 @@ func encodeBuildRoundStatus(size int) []byte {
 func encodeBuildFinish() []byte { return []byte{buildFrameFinish} }
 
 func decodeBuildSize(body []byte) (int, error) {
-	r := &wireReader{buf: body}
-	size := r.uvarint()
-	if !r.done() || size < 1 {
+	r := wire.NewReader(body)
+	size := r.Uvarint()
+	if !r.Done() || size < 1 {
 		return 0, errCorruptFrame
 	}
 	return int(size), nil
@@ -457,18 +367,14 @@ func decodeBuildSize(body []byte) (int, error) {
 
 // round status response: state byte, postings inserted, error string.
 func encodeRoundStatusResp(state byte, inserted uint64, errMsg string) []byte {
-	buf := binary.AppendUvarint([]byte{state}, inserted)
-	buf = binary.AppendUvarint(buf, uint64(len(errMsg)))
-	return append(buf, errMsg...)
+	return wire.AppendString(binary.AppendUvarint([]byte{state}, inserted), errMsg)
 }
 
 func decodeRoundStatusResp(resp []byte) (state byte, inserted uint64, errMsg string, err error) {
-	r := &wireReader{buf: resp}
-	state = r.byte()
-	inserted = r.uvarint()
-	msg := r.take(r.uvarint())
-	if !r.done() || state > buildFailed {
+	r := wire.NewReader(resp)
+	state, inserted, errMsg = r.Byte(), r.Uvarint(), r.String(r.Uvarint())
+	if !r.Done() || state > buildFailed {
 		return 0, 0, "", errCorruptFrame
 	}
-	return state, inserted, string(msg), nil
+	return state, inserted, errMsg, nil
 }
