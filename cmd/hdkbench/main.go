@@ -273,13 +273,16 @@ func runChaos(jsonPath, replay string, seed uint64, soak bool, progress experime
 			return err
 		}
 	}
-	if !rep.Clean() {
+	if failures := rep.Failures(); len(failures) > 0 {
 		keep = true
+		for _, f := range failures {
+			fmt.Fprintf(os.Stderr, "hdkbench: gate failed: %s\n", f)
+		}
 		if err := experiments.WriteJSON(filepath.Join(workDir, "fault-schedule.json"), rep.Schedule); err != nil {
 			fmt.Fprintf(os.Stderr, "hdkbench: write schedule artifact: %v\n", err)
 		}
 		fmt.Fprintf(os.Stderr, "hdkbench: node logs, data and fault-schedule.json kept in %s\n", workDir)
-		return fmt.Errorf("chaos gates failed (see report above; replay with -seed %d or -replay %s)",
+		return fmt.Errorf("chaos gates failed (see the gates and report above; replay with -seed %d or -replay %s)",
 			rep.Schedule.Seed, filepath.Join(workDir, "fault-schedule.json"))
 	}
 	return nil

@@ -63,23 +63,37 @@ func TestStreamShardPartition(t *testing.T) {
 	}
 }
 
-// TestIngestResumeReportClean pins the resume gate's predicate: zero
-// re-shipped acked chunks, a skip count exactly matching the durably
-// acked prefix, and bit-identical parity — any one failing must fail
-// the gate.
+// TestIngestResumeReportClean pins the durability gates' predicate: a
+// mid-upload interruption, zero re-shipped acked chunks, a skip count
+// exactly matching the durably acked prefix, exact build round series,
+// bit-identical parity after the build, and a warm restart that
+// restored keys without re-indexing, pulled nothing and left full
+// coverage with bit-identical answers — any one failing must fail the
+// gate, with one message naming it.
 func TestIngestResumeReportClean(t *testing.T) {
-	good := IngestResumeReport{KillAfterChunks: 5, ResumeSkipped: 5}
+	good := IngestResumeReport{KillAfterChunks: 5, ResumeSkipped: 5, VictimChunks: 9, Warm: true, RestoredKeys: 40}
 	if !good.Clean() {
-		t.Error("clean report judged dirty")
+		t.Errorf("clean report judged dirty: %v", good.Failures())
 	}
-	cases := map[string]IngestResumeReport{
-		"re-shipped chunks": {KillAfterChunks: 5, ResumeSkipped: 5, ResumeResent: 1},
-		"skip mismatch":     {KillAfterChunks: 5, ResumeSkipped: 4},
-		"parity mismatch":   {KillAfterChunks: 5, ResumeSkipped: 5, Mismatches: 1},
+	cases := map[string]func(*IngestResumeReport){
+		"re-shipped chunks":     func(r *IngestResumeReport) { r.ResumeResent = 1 },
+		"skip mismatch":         func(r *IngestResumeReport) { r.ResumeSkipped = 4 },
+		"not mid-upload":        func(r *IngestResumeReport) { r.VictimChunks = 5 },
+		"round series":          func(r *IngestResumeReport) { r.RoundSeriesFault = "missing round 2" },
+		"parity mismatch":       func(r *IngestResumeReport) { r.Mismatches = 1 },
+		"post-restart mismatch": func(r *IngestResumeReport) { r.PostMismatches = 1 },
+		"cold restart":          func(r *IngestResumeReport) { r.Warm = false },
+		"nothing restored":      func(r *IngestResumeReport) { r.RestoredKeys = 0 },
+		"re-indexed":            func(r *IngestResumeReport) { r.InsertRPCs = 1 },
+		"stale catch-up":        func(r *IngestResumeReport) { r.CatchUpStale = 1 },
+		"pulled catch-up":       func(r *IngestResumeReport) { r.CatchUpPulled = 1 },
+		"under-replicated":      func(r *IngestResumeReport) { r.UnderAfterRestart = 1 },
 	}
-	for name, rep := range cases {
-		if rep.Clean() {
-			t.Errorf("%s: dirty report judged clean", name)
+	for name, mutate := range cases {
+		rep := good
+		mutate(&rep)
+		if f := rep.Failures(); len(f) != 1 || rep.Clean() {
+			t.Errorf("%s: %d failures %q, want exactly one", name, len(f), f)
 		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/rank"
@@ -45,16 +44,9 @@ import (
 
 // ChaosOpts parameterizes the chaos scenario.
 type ChaosOpts struct {
-	Nodes    int // daemon processes
-	Replicas int // replication factor R
-	Docs     int // corpus size built initially
+	ClusterOpts
 	WaveDocs int // documents staged per update wave
-	DFMax    int
-	Window   int
-	Queries  int // distinct queries cycled by the workload
-	TopK     int
-	Seed     int64 // corpus/query seed
-	Workers  int   // concurrent closed-loop query workers
+	Workers  int // concurrent closed-loop query workers
 
 	// ScheduleSeed + Schedule derive the fault schedule
 	// (GenerateSchedule) unless Replay is set, in which case Replay is
@@ -84,8 +76,7 @@ type ChaosOpts struct {
 // resizes).
 func DefaultChaosOpts() ChaosOpts {
 	return ChaosOpts{
-		Nodes: 5, Replicas: 3, Docs: 150, WaveDocs: 25, DFMax: 8, Window: 8,
-		Queries: 30, TopK: 10, Seed: 11, Workers: 4,
+		ClusterOpts: DefaultClusterOpts(), WaveDocs: 25, Workers: 4,
 		ScheduleSeed: 1,
 		RecallFloor:  0.99, P99Bound: 2 * time.Second, MinRollovers: 1,
 	}
@@ -186,19 +177,28 @@ type ChaosReport struct {
 	RestoreParityMismatches      int `json:"restore_parity_mismatches,omitempty"`
 }
 
-// Clean reports whether every gate of the chaos scenario held.
-func (r *ChaosReport) Clean() bool {
-	ok := r.Errors == 0 &&
-		r.WindowedQueries > 0 && r.MeanRecall >= r.RecallFloor &&
-		r.P99Nanos <= r.P99BoundNanos &&
-		r.GenerationRollovers >= r.RolloverFloor &&
-		r.FinalMismatches == 0 && r.UnderReplicated == 0
+// Failures returns one message per gate the run missed; the soak
+// gates apply only in soak mode.
+func (r *ChaosReport) Failures() []string {
+	var g gates
+	g.check(r.Issued > 0, "workload issued no queries — the scenario measured nothing")
+	g.check(r.Errors == 0, "%d non-excused query errors under chaos, want 0 (first: %s)", r.Errors, r.FirstError)
+	g.check(r.WindowedQueries > 0, "no query was scored against the recall oracle")
+	g.check(r.MeanRecall >= r.RecallFloor, "mean recall@K %.4f under continuous chaos, want >= %.2f", r.MeanRecall, r.RecallFloor)
+	g.check(r.P99Nanos <= r.P99BoundNanos, "merged coordination p99 %.3fms exceeds the %.0fms bound", float64(r.P99Nanos)/1e6, float64(r.P99BoundNanos)/1e6)
+	g.check(r.GenerationRollovers >= r.RolloverFloor, "%d generation rollovers under load, want >= %d — compaction never interleaved", r.GenerationRollovers, r.RolloverFloor)
+	g.check(r.FinalMismatches == 0, "%d post-chaos coordinations diverged from the reference, want bit-identical", r.FinalMismatches)
+	g.check(r.UnderReplicated == 0, "%d keys under-replicated after the run, want 0", r.UnderReplicated)
 	if r.Soak {
-		ok = ok && r.MinNodeRollovers >= r.NodeRolloverFloor &&
-			r.RestoreFingerprintMismatches == 0 && r.RestoreParityMismatches == 0
+		g.check(r.MinNodeRollovers >= r.NodeRolloverFloor, "min %d generation rollovers per node, want >= %d — the soak never cycled the stores", r.MinNodeRollovers, r.NodeRolloverFloor)
+		g.check(r.RestoreFingerprintMismatches == 0, "%d fingerprint drifts across the rolling restart, want a byte-identical restore", r.RestoreFingerprintMismatches)
+		g.check(r.RestoreParityMismatches == 0, "%d parity mismatches after the rolling restart, want 0", r.RestoreParityMismatches)
 	}
-	return ok
+	return g
 }
+
+// Clean reports whether every gate of the chaos scenario held.
+func (r *ChaosReport) Clean() bool { return len(r.Failures()) == 0 }
 
 // docSet is one reference answer reduced to its member set for recall.
 type docSet map[corpus.DocID]struct{}
@@ -232,13 +232,6 @@ const chaosWorkerErrBudget = 25
 // rollovers the scenario gates on.
 func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) error,
 	opts ChaosOpts, progress Progress) (*ChaosReport, error) {
-	if progress == nil {
-		progress = nopProgress
-	}
-	if len(addrs) != opts.Nodes {
-		return nil, fmt.Errorf("experiments: %d addresses for %d nodes", len(addrs), opts.Nodes)
-	}
-
 	sched := GenerateSchedule(opts.ScheduleSeed, opts.Nodes, opts.Schedule)
 	if opts.Replay != nil {
 		sched = *opts.Replay
@@ -248,62 +241,22 @@ func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) err
 	}
 	waves := sched.Count(OpWave)
 
-	full, err := corpus.Generate(corpus.GenParams{
-		NumDocs: opts.Docs + waves*opts.WaveDocs, VocabSize: 2000, AvgDocLen: 50,
-		Skew: 1.0, NumTopics: 8, TopicTerms: 80, TopicMix: 0.5, Seed: opts.Seed,
-	})
+	// The reference's peers are kept so every wave can be applied to it
+	// FIRST (the recall oracle must know a version before the cluster
+	// can serve it). One long-lived client fabric + engine serves the
+	// whole run: the incremental-update bookkeeping (ND maps, per-peer
+	// watermarks) lives client-side, so the same engine must stage every
+	// wave. Membership is pinned — restarts come back on the same
+	// address and the pooled transport redials — so no churn handling is
+	// needed.
+	f, err := newFixture(tr, addrs, opts.ClusterOpts, waves*opts.WaveDocs, progress)
 	if err != nil {
 		return nil, err
 	}
-	col := full.Slice(0, opts.Docs)
-	cen := baseline.NewCentralized(col, rank.DefaultBM25())
-	qp := corpus.DefaultQueryParams(opts.Queries)
-	qp.MinHits = 2
-	queries, err := corpus.GenerateQueries(col, qp, opts.Window, cen.ConjunctiveHits)
-	if err != nil {
-		return nil, fmt.Errorf("query generation: %w", err)
-	}
-
-	cfg := core.DefaultConfig(rank.CollectionStats{NumDocs: col.M(), AvgDocLen: col.AvgDocLen()})
-	cfg.DFMax = opts.DFMax
-	cfg.Window = opts.Window
-	cfg.ReplicationFactor = opts.Replicas
-
-	// In-process reference over the initial corpus, peers kept so every
-	// wave can be applied to it FIRST (the recall oracle must know a
-	// version before the cluster can serve it).
-	ref, refPeers, err := buildServeReference(full, col, opts.Nodes, cfg)
+	progress, c, col := f.progress, f.c, f.col
+	eng, cluPeers, err := f.build("chaos")
 	if err != nil {
 		return nil, err
-	}
-	refOrigin := ref.Network().Members()[0]
-
-	// One long-lived client fabric + engine for the whole run: the
-	// incremental-update bookkeeping (ND maps, per-peer watermarks)
-	// lives client-side, so the same engine must stage every wave.
-	// Membership is pinned — restarts come back on the same address and
-	// the pooled transport redials — so no churn handling is needed.
-	c, err := cluster.Dial(cluster.Options{Transport: tr, Addrs: addrs})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Configure(cfg); err != nil {
-		return nil, err
-	}
-	eng, err := core.NewEngine(c, cfg, full.Vocab, full.TermFrequencies())
-	if err != nil {
-		return nil, err
-	}
-	members := c.Members()
-	cluPeers := make([]*core.Peer, opts.Nodes)
-	for i, part := range col.SplitRoundRobin(opts.Nodes) {
-		if cluPeers[i], err = eng.AddPeer(members[i], part); err != nil {
-			return nil, err
-		}
-	}
-	progress("chaos: building %d docs over %d processes (R=%d)", col.M(), opts.Nodes, opts.Replicas)
-	if err := eng.BuildIndex(); err != nil {
-		return nil, fmt.Errorf("cluster build: %w", err)
 	}
 
 	// Wire requests. NoCache on every one: the recall oracle reasons
@@ -311,10 +264,7 @@ func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) err
 	// result cached before a wave would answer from outside that
 	// window; bypassing the cache also keeps every coordination on the
 	// fetch path, where the failover the kills provoke actually lives.
-	reqs := make([]core.SearchRequest, len(queries))
-	for i, q := range queries {
-		reqs[i] = core.SearchRequest{Terms: eng.QueryTerms(q), K: opts.TopK, NoCache: true}
-	}
+	reqs := f.requests(true)
 
 	// The recall oracle: version v of the reference is its state after
 	// wave v (v=0 initial). refTop[v][qi] is fixed-length and written
@@ -325,26 +275,18 @@ func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) err
 	// legitimately observe either side, or a per-key mix.
 	refTop := make([][]docSet, waves+1)
 	refResults := make([][][]rank.Result, waves+1)
-	snapRef := func(v int) error {
-		refTop[v] = make([]docSet, len(queries))
-		refResults[v] = make([][]rank.Result, len(queries))
-		for i, q := range queries {
-			res, err := ref.Search(q, refOrigin, opts.TopK)
-			if err != nil {
-				return fmt.Errorf("reference version %d query %d: %w", v, i, err)
-			}
-			refResults[v][i] = res.Results
-			set := make(docSet, len(res.Results))
-			for _, r := range res.Results {
+	snapRef := func(v int, answers [][]rank.Result) {
+		refResults[v] = answers
+		refTop[v] = make([]docSet, len(answers))
+		for i, res := range answers {
+			set := make(docSet, len(res))
+			for _, r := range res {
 				set[r.Doc] = struct{}{}
 			}
 			refTop[v][i] = set
 		}
-		return nil
 	}
-	if err := snapRef(0); err != nil {
-		return nil, err
-	}
+	snapRef(0, f.want)
 	var stable, latest atomic.Int32
 
 	rep := &ChaosReport{
@@ -512,20 +454,22 @@ func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) err
 				alive[act.Node].Store(true)
 			case OpWave:
 				v := act.Wave + 1
-				parts := splitRange(full, built, built+opts.WaveDocs, opts.Nodes)
+				parts := splitRange(f.full, built, built+opts.WaveDocs, opts.Nodes)
 				// Reference first: the oracle must know version v
 				// before any cluster answer can reflect it.
 				for i := range parts {
-					if err := refPeers[i].AddDocuments(parts[i]); err != nil {
+					if err := f.refPeers[i].AddDocuments(parts[i]); err != nil {
 						return fmt.Errorf("chaos %s: reference stage: %w", act, err)
 					}
 				}
-				if err := ref.UpdateIndex(); err != nil {
+				if err := f.ref.UpdateIndex(); err != nil {
 					return fmt.Errorf("chaos %s: reference update: %w", act, err)
 				}
-				if err := snapRef(v); err != nil {
-					return fmt.Errorf("chaos %s: %w", act, err)
+				answers, err := f.answers()
+				if err != nil {
+					return fmt.Errorf("chaos %s: reference: %w", act, err)
 				}
+				snapRef(v, answers)
 				latest.Store(int32(v))
 				for i := range parts {
 					if err := cluPeers[i].AddDocuments(parts[i]); err != nil {
@@ -684,23 +628,6 @@ func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) err
 	progress("soak: restore %d fingerprint drifts, %d parity mismatches",
 		rep.RestoreFingerprintMismatches, rep.RestoreParityMismatches)
 	return rep, nil
-}
-
-// splitRange distributes full's documents in [built, upto) across peers
-// exactly as a from-scratch SplitRoundRobin of the first upto documents
-// would, so an incremental wave places every document on the peer the
-// reference split expects (the generalization splitTail delegates to).
-func splitRange(full *corpus.Collection, built, upto, peers int) []*corpus.Collection {
-	fullParts := full.Slice(0, upto).SplitRoundRobin(peers)
-	builtParts := full.Slice(0, built).SplitRoundRobin(peers)
-	out := make([]*corpus.Collection, peers)
-	for i := range out {
-		out[i] = &corpus.Collection{
-			Vocab: full.Vocab,
-			Docs:  fullParts[i].Docs[len(builtParts[i].Docs):],
-		}
-	}
-	return out
 }
 
 // clusterFingerprints sweeps every daemon's inventory into a

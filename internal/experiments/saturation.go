@@ -10,10 +10,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/corpus"
-	"repro/internal/rank"
 	"repro/internal/transport"
 	"repro/internal/transport/cluster"
 )
@@ -31,23 +28,13 @@ import (
 // cluster-e2e job runs this against real child processes
 // (TestTCPSaturationE2E).
 
-// SaturationOpts parameterizes the saturation scenario. Workers and
-// Queue are the daemon-side -search-workers / -search-queue settings
-// the cluster under test must be booted with — the scenario cannot set
-// them over the wire; the harness (or cluster-up.sh) passes them, and
-// a cluster running with roomy defaults will simply never shed, which
-// the Rejected>0 gate turns into a loud failure.
+// SaturationOpts parameterizes the saturation scenario. The cluster
+// under test must be booted with a tiny -search-workers / -search-queue
+// (the test uses 2 and 2) — the scenario cannot set them over the wire,
+// and a cluster running with roomy defaults will simply never shed,
+// which the Rejected>0 gate turns into a loud failure.
 type SaturationOpts struct {
-	Nodes     int // daemon processes
-	Replicas  int // replication factor R
-	Docs      int // corpus size
-	DFMax     int
-	Window    int
-	Queries   int // distinct queries cycled by the clients
-	TopK      int
-	Seed      int64
-	Workers   int // expected daemon -search-workers (documentation + harness)
-	Queue     int // expected daemon -search-queue (documentation + harness)
+	ClusterOpts
 	Clients   int // concurrent closed-loop clients, all on ONE coordinator
 	PerClient int // accepted coordinations each client must complete
 	// P99Bound caps the 99th-percentile latency of ACCEPTED requests
@@ -58,13 +45,13 @@ type SaturationOpts struct {
 }
 
 // DefaultSaturationOpts is the CI-gated configuration: a 5-process
-// cluster at R=3 whose coordinator runs 2 workers over a 2-deep
-// admission queue, hammered by 16 concurrent clients.
+// cluster at R=3 hammered by 16 concurrent clients on one coordinator.
 func DefaultSaturationOpts() SaturationOpts {
 	return SaturationOpts{
-		Nodes: 5, Replicas: 3, Docs: 120, DFMax: 8, Window: 8,
-		Queries: 20, TopK: 10, Seed: 17,
-		Workers: 2, Queue: 2,
+		ClusterOpts: ClusterOpts{
+			Nodes: 5, Replicas: 3, Docs: 120, DFMax: 8, Window: 8,
+			Queries: 20, TopK: 10, Seed: 17,
+		},
 		Clients: 16, PerClient: 12,
 		P99Bound: 2 * time.Second,
 	}
@@ -124,13 +111,22 @@ type SaturationReport struct {
 	QueueDepthAfter int    `json:"queue_depth_after"`
 }
 
-// Clean reports whether every gate of the saturation scenario held.
-func (r *SaturationReport) Clean() bool {
-	return r.Rejected > 0 && r.MissingHint == 0 && r.ParityMismatches == 0 &&
-		r.AcceptedP99Nanos <= r.P99BoundNanos &&
-		r.RecoveryRejected == 0 && r.RecoveryMismatches == 0 &&
-		r.DaemonRejected == r.Rejected && r.QueueDepthAfter == 0
+// Failures returns one message per gate the run missed.
+func (r *SaturationReport) Failures() []string {
+	var g gates
+	g.check(r.Rejected > 0, "no request was shed — the load never saturated the daemon (queue too roomy?)")
+	g.check(r.MissingHint == 0, "%d rejections carried no positive retry-after hint", r.MissingHint)
+	g.check(r.ParityMismatches == 0, "%d accepted answers diverged from the in-process reference", r.ParityMismatches)
+	g.check(r.AcceptedP99Nanos <= r.P99BoundNanos, "accepted p99 %.3fms exceeds the %.0fms bound — admission is queueing, not shedding", float64(r.AcceptedP99Nanos)/1e6, float64(r.P99BoundNanos)/1e6)
+	g.check(r.RecoveryRejected == 0, "%d recovery requests still shed one backoff cycle after the load stopped", r.RecoveryRejected)
+	g.check(r.RecoveryMismatches == 0, "%d recovery answers diverged from the reference", r.RecoveryMismatches)
+	g.check(r.DaemonRejected == r.Rejected, "daemons count %d sheds, clients observed %d", r.DaemonRejected, r.Rejected)
+	g.check(r.QueueDepthAfter == 0, "%d coordinations still queued after the run", r.QueueDepthAfter)
+	return g
 }
+
+// Clean reports whether every gate of the saturation scenario held.
+func (r *SaturationReport) Clean() bool { return len(r.Failures()) == 0 }
 
 // satClient is one closed-loop client's tally, merged after the run.
 type satClient struct {
@@ -144,86 +140,24 @@ type satClient struct {
 
 // Saturation runs the saturation scenario against an already-running
 // cluster: addrs are the daemon addresses (start order); all query
-// load targets addrs[0]. The daemons must have been booted with the
-// opts' Workers/Queue settings for the load to actually saturate.
+// load targets addrs[0]. The daemons must have been booted with a tiny
+// worker pool and admission queue for the load to actually saturate.
 func Saturation(tr transport.Transport, addrs []string, opts SaturationOpts, progress Progress) (*SaturationReport, error) {
-	if progress == nil {
-		progress = nopProgress
-	}
-	if opts.Nodes == 0 {
-		opts.Nodes = len(addrs)
-	}
-	if len(addrs) != opts.Nodes {
-		return nil, fmt.Errorf("experiments: %d addresses for %d nodes", len(addrs), opts.Nodes)
-	}
-
-	col, err := corpus.Generate(corpus.GenParams{
-		NumDocs: opts.Docs, VocabSize: 2000, AvgDocLen: 50,
-		Skew: 1.0, NumTopics: 8, TopicTerms: 80, TopicMix: 0.5, Seed: opts.Seed,
-	})
+	f, err := newFixture(tr, addrs, opts.ClusterOpts, 0, progress)
 	if err != nil {
 		return nil, err
 	}
-	cen := baseline.NewCentralized(col, rank.DefaultBM25())
-	qp := corpus.DefaultQueryParams(opts.Queries)
-	qp.MinHits = 2
-	queries, err := corpus.GenerateQueries(col, qp, opts.Window, cen.ConjunctiveHits)
-	if err != nil {
-		return nil, fmt.Errorf("query generation: %w", err)
-	}
-
-	cfg := core.DefaultConfig(rank.CollectionStats{NumDocs: col.M(), AvgDocLen: col.AvgDocLen()})
-	cfg.DFMax = opts.DFMax
-	cfg.Window = opts.Window
-	cfg.ReplicationFactor = opts.Replicas
-
-	// In-process reference: the parity oracle every accepted answer is
-	// checked against.
-	ref, _, err := buildServeReference(col, col, opts.Nodes, cfg)
-	if err != nil {
+	progress, c, want := f.progress, f.c, f.want
+	if _, _, err := f.build("saturation"); err != nil {
 		return nil, err
 	}
-	refOrigin := ref.Network().Members()[0]
-
-	c, err := cluster.Dial(cluster.Options{Transport: tr, Addrs: addrs})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Configure(cfg); err != nil {
-		return nil, err
-	}
-	eng, err := core.NewEngine(c, cfg, col.Vocab, col.TermFrequencies())
-	if err != nil {
-		return nil, err
-	}
-	members := c.Members()
-	for i, part := range col.SplitRoundRobin(opts.Nodes) {
-		if _, err := eng.AddPeer(members[i], part); err != nil {
-			return nil, err
-		}
-	}
-	progress("saturation: building %d docs over %d processes (R=%d)", col.M(), opts.Nodes, opts.Replicas)
-	if err := eng.BuildIndex(); err != nil {
-		return nil, fmt.Errorf("cluster build: %w", err)
-	}
-
-	// Reference answers and wire requests. NoCache on every request:
-	// the scenario measures admission, not the result cache, and a
-	// cache hit would bypass admission entirely.
-	want := make([][]rank.Result, len(queries))
-	reqs := make([]core.SearchRequest, len(queries))
-	for i, q := range queries {
-		res, err := ref.Search(q, refOrigin, opts.TopK)
-		if err != nil {
-			return nil, err
-		}
-		want[i] = res.Results
-		reqs[i] = core.SearchRequest{Terms: eng.QueryTerms(q), K: opts.TopK, NoCache: true}
-	}
+	// NoCache on every request: the scenario measures admission, not the
+	// result cache, and a cache hit would bypass admission entirely.
+	reqs := f.requests(true)
 
 	rep := &SaturationReport{
-		Nodes: opts.Nodes, Replicas: opts.Replicas, Docs: col.M(),
-		Queries: len(queries), Clients: opts.Clients,
+		Nodes: opts.Nodes, Replicas: opts.Replicas, Docs: f.col.M(),
+		Queries: len(reqs), Clients: opts.Clients,
 		P99BoundNanos: int64(opts.P99Bound),
 	}
 	target := addrs[0]

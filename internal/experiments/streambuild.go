@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"strconv"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/rank"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/transport/cluster"
 )
@@ -18,10 +18,12 @@ import (
 // client ships every daemon its corpus shard over the chunked,
 // resumable hdk.ingest session and any daemon coordinates the
 // round-synchronous hdk.build — the client never holds the collection
-// and never runs a round. TCPIngestResume is the crash scenario behind
-// the resume gate (SIGKILL mid-upload, restart from the data dir,
-// resume with zero re-shipped acked chunks, bit-identical final index);
-// bench/ times the same path end to end.
+// and never runs a round. TCPIngestResume is the durability scenario
+// behind the resume and restart gates (SIGKILL mid-upload, restart from
+// the data dir, resume with zero re-shipped acked chunks, bit-identical
+// final index; then SIGKILL a built daemon and hold its warm restart to
+// bit-identical answers with zero re-indexing); bench/ times the same
+// path end to end.
 
 // streamShard returns a one-document-at-a-time iterator over the shard
 // ring member idx of n owns (document j goes to member j%n — the
@@ -56,7 +58,8 @@ func shardIngestSource(col *corpus.Collection, cfg core.Config, session uint64, 
 	}
 }
 
-// IngestResumeReport is the crash-resume scenario's measurement.
+// IngestResumeReport is the durability scenario's measurement;
+// Failures lists the gates it misses.
 type IngestResumeReport struct {
 	Nodes      int
 	Replicas   int
@@ -64,29 +67,61 @@ type IngestResumeReport struct {
 	Queries    int
 	ChunkBytes int
 
+	// Kill mid-upload and resume.
 	VictimIdx       int // process index SIGKILLed mid-upload
-	VictimChunks    int // chunks the victim's shard packs into
+	VictimChunks    int // chunks the victim's shard packs into (must exceed KillAfterChunks)
 	KillAfterChunks int // chunks acked when the daemon was killed
 	ResumeSkipped   int // chunks the restarted daemon already held (must == KillAfterChunks)
 	ResumeResent    int // acked chunks shipped again on resume (must be 0)
+
+	// RoundSeriesFault is why the build's per-round histograms did not
+	// account for exactly one observation per daemon per round ("" when
+	// they did).
+	RoundSeriesFault string
 
 	// Ranked-result parity of the post-crash streamed build vs the
 	// never-interrupted in-process engine (must be 0).
 	Mismatches int
 
-	IngestNanos int64
-	BuildNanos  int64
+	// Warm restart of the member owning a probed key, after the build:
+	// parity of a freshly discovered client vs the reference (must be 0)
+	// and the restarted daemon's self-description.
+	RestartIdx        int
+	PostMismatches    int
+	Warm              bool   // store restored from disk
+	RestoredKeys      int    // resident keys after restore + catch-up (must be > 0)
+	InsertRPCs        uint64 // re-index RPCs served since restart (must be 0)
+	CatchUpStale      int    // keys the restored store was behind on (must be 0)
+	CatchUpPulled     int    // copies pulled during warm-rejoin catch-up (must be 0)
+	UnderAfterRestart int    // replica coverage deficit at R after rejoin (must be 0)
+
+	IngestNanos  int64
+	BuildNanos   int64
+	RestartNanos int64 // kill signal through restored daemon ready
 }
 
-// Clean reports whether every resume gate held.
-func (r *IngestResumeReport) Clean() bool {
-	return r.ResumeResent == 0 && r.ResumeSkipped == r.KillAfterChunks && r.Mismatches == 0
+// Failures returns one message per gate the run missed.
+func (r *IngestResumeReport) Failures() []string {
+	var g gates
+	g.check(r.ResumeSkipped == r.KillAfterChunks, "resumed session skipped %d chunks, want the %d the killed daemon had durably acked", r.ResumeSkipped, r.KillAfterChunks)
+	g.check(r.ResumeResent == 0, "resume re-shipped %d acked chunks, want exactly 0", r.ResumeResent)
+	g.check(r.VictimChunks > r.KillAfterChunks, "victim shard packs into %d chunks — the interruption at %d was not mid-upload", r.VictimChunks, r.KillAfterChunks)
+	g.check(r.RoundSeriesFault == "", "%s", r.RoundSeriesFault)
+	g.check(r.Mismatches == 0, "%d/%d post-build queries diverged — the resumed build is not bit-identical to the uninterrupted one", r.Mismatches, r.Queries)
+	g.check(r.PostMismatches == 0, "%d/%d post-restart queries diverged — the restored index is not bit-identical", r.PostMismatches, r.Queries)
+	g.check(r.Warm, "restarted daemon did not report a warm (disk-restored) start")
+	g.check(r.RestoredKeys > 0, "restarted daemon holds no keys — nothing was restored")
+	g.check(r.InsertRPCs == 0, "restarted daemon served %d insert RPCs — recovery re-indexed instead of restoring", r.InsertRPCs)
+	// fsync=always means the SIGKILL lost nothing: catch-up must find
+	// zero stale keys. (A full re-replication would pull every restored
+	// key; pulling none is the sharpest form of "delta only".)
+	g.check(r.CatchUpStale == 0 && r.CatchUpPulled == 0, "catch-up pulled %d copies (%d stale) despite fsync=always — restored state incomplete", r.CatchUpPulled, r.CatchUpStale)
+	g.check(r.UnderAfterRestart == 0, "%d keys under-replicated after warm rejoin, want 0", r.UnderAfterRestart)
+	return g
 }
 
-// ingestResumeChunkBytes keeps the e2e shards many chunks wide so the
-// mid-upload interruption point (killAfterChunks) is well inside the
-// stream.
-const ingestResumeChunkBytes = 2 << 10
+// Clean reports whether every gate held.
+func (r *IngestResumeReport) Clean() bool { return len(r.Failures()) == 0 }
 
 // killAfterChunks is where the scenario interrupts the victim's upload:
 // the client stops after this many acked chunks and the daemon is
@@ -97,81 +132,37 @@ const killAfterChunks = 5
 // injects through IngestSource.OnChunk.
 var errIngestInterrupted = fmt.Errorf("experiments: deliberate mid-upload interruption")
 
-// TCPIngestResume runs the streamed-build crash scenario against a live
-// durable cluster (hdknode -data -fsync always): every shard but one is
-// streamed in full, the victim's upload is stopped after exactly
-// killAfterChunks acked chunks and its daemon SIGKILLed, the daemon
-// restarts from its data directory, and the client resumes the SAME
-// session — which must skip exactly the acked prefix and re-ship zero
-// of it. The interrupted-then-resumed cluster then runs the
-// daemon-coordinated build, and its ranked results must be
-// bit-identical to the never-interrupted in-process reference.
+// TCPIngestResume runs the durability scenario against a live durable
+// cluster (hdknode -data -fsync always): kill(i) SIGKILLs the process
+// behind addrs[i], restart(i) brings it back on the same address from
+// its data directory. Every shard but one is streamed in full, the
+// victim's upload is stopped after exactly killAfterChunks acked chunks
+// and its daemon SIGKILLed and restarted, and the client resumes the
+// SAME session — which must skip exactly the acked prefix and re-ship
+// zero of it. The cluster then runs the daemon-coordinated build, whose
+// per-round series and ranked results must match the never-interrupted
+// in-process reference exactly. Finally the member owning a probed key
+// is SIGKILLed and restarted warm: a freshly discovered client must get
+// bit-identical answers, and the daemon must have restored its store
+// with zero re-index RPCs, an empty catch-up and full replica coverage.
 func TCPIngestResume(tr transport.Transport, addrs []string, kill, restart func(i int) error,
-	opts TCPClusterOpts, progress Progress) (*IngestResumeReport, error) {
-	if progress == nil {
-		progress = nopProgress
-	}
-	if len(addrs) != opts.Nodes {
-		return nil, fmt.Errorf("experiments: %d addresses for %d nodes", len(addrs), opts.Nodes)
-	}
-
-	col, err := corpus.Generate(corpus.GenParams{
-		NumDocs: opts.Docs, VocabSize: 2000, AvgDocLen: 50,
-		Skew: 1.0, NumTopics: 8, TopicTerms: 80, TopicMix: 0.5, Seed: opts.Seed,
-	})
+	opts ClusterOpts, progress Progress) (*IngestResumeReport, error) {
+	f, err := newFixture(tr, addrs, opts, 0, progress)
 	if err != nil {
 		return nil, err
 	}
-	cen := baseline.NewCentralized(col, rank.DefaultBM25())
-	qp := corpus.DefaultQueryParams(opts.Queries)
-	qp.MinHits = 2
-	queries, err := corpus.GenerateQueries(col, qp, opts.Window, cen.ConjunctiveHits)
-	if err != nil {
-		return nil, fmt.Errorf("query generation: %w", err)
-	}
-	cfg := core.DefaultConfig(rank.CollectionStats{NumDocs: col.M(), AvgDocLen: col.AvgDocLen()})
-	cfg.DFMax = opts.DFMax
-	cfg.Window = opts.Window
-	cfg.ReplicationFactor = opts.Replicas
-
-	// The never-interrupted in-process reference the final index must
-	// reproduce bit for bit.
-	ref, err := buildInProcReference(col, opts.Nodes, cfg)
-	if err != nil {
-		return nil, err
-	}
-	refOrigin := ref.Network().Members()[0]
-	intact := make([][]rank.Result, len(queries))
-	for i, q := range queries {
-		res, err := ref.Search(q, refOrigin, opts.TopK)
-		if err != nil {
-			return nil, err
-		}
-		intact[i] = res.Results
-	}
-
-	c, err := cluster.Dial(cluster.Options{Transport: tr, Addrs: addrs, ChunkBytes: ingestResumeChunkBytes})
-	if err != nil {
-		return nil, err
-	}
-	members := c.Members()
+	c, members := f.c, f.c.Members()
 	rep := &IngestResumeReport{
 		Nodes: opts.Nodes, Replicas: opts.Replicas,
-		Docs: col.M(), Queries: len(queries), ChunkBytes: ingestResumeChunkBytes,
+		Docs: f.col.M(), Queries: len(f.queries), ChunkBytes: c.ChunkTarget(),
 	}
 
 	// Victim: the second ring member (any would do; a fixed choice keeps
-	// the scenario deterministic). Map it back to its process index.
+	// the scenario deterministic).
 	const victimRing = 1
 	victim := members[victimRing]
-	rep.VictimIdx = -1
-	for i, a := range addrs {
-		if a == victim.Addr() {
-			rep.VictimIdx = i
-		}
-	}
-	if rep.VictimIdx < 0 {
-		return nil, fmt.Errorf("experiments: victim %s not in address list", victim.Addr())
+	if rep.VictimIdx, err = f.procOf(victim.Addr()); err != nil {
+		return nil, err
 	}
 
 	const session = 1
@@ -180,7 +171,7 @@ func TCPIngestResume(tr transport.Transport, addrs []string, kill, restart func(
 		if i == victimRing {
 			continue
 		}
-		if _, err := c.Ingest(m.Addr(), shardIngestSource(col, cfg, session, i, len(members))); err != nil {
+		if _, err := c.Ingest(m.Addr(), shardIngestSource(f.col, f.cfg, session, i, len(members))); err != nil {
 			return nil, fmt.Errorf("experiments: ingest shard %d to %s: %w", i, m.Addr(), err)
 		}
 	}
@@ -188,7 +179,7 @@ func TCPIngestResume(tr transport.Transport, addrs []string, kill, restart func(
 	// The victim's upload, interrupted after exactly killAfterChunks
 	// acked chunks — then SIGKILL. fsync=always means those acked chunks
 	// are on disk and nothing else is.
-	src := shardIngestSource(col, cfg, session, victimRing, len(members))
+	src := shardIngestSource(f.col, f.cfg, session, victimRing, len(members))
 	src.OnChunk = func(acked int) error {
 		if acked >= killAfterChunks {
 			return errIngestInterrupted
@@ -203,7 +194,7 @@ func TCPIngestResume(tr transport.Transport, addrs []string, kill, restart func(
 		return nil, fmt.Errorf("experiments: interrupted upload acked %d chunks, want %d", st.ChunksSent, killAfterChunks)
 	}
 	rep.KillAfterChunks = st.ChunksSent
-	progress("ingest-resume: SIGKILL process %d (%s) holding %d acked chunks", rep.VictimIdx, victim.Addr(), st.ChunksSent)
+	f.progress("ingest-resume: SIGKILL process %d (%s) holding %d acked chunks", rep.VictimIdx, victim.Addr(), st.ChunksSent)
 	if err := kill(rep.VictimIdx); err != nil {
 		return nil, fmt.Errorf("kill process %d: %w", rep.VictimIdx, err)
 	}
@@ -214,7 +205,7 @@ func TCPIngestResume(tr transport.Transport, addrs []string, kill, restart func(
 	// Resume the SAME session against the restarted daemon: begin
 	// reports the durably held prefix, the digest negotiation pulls only
 	// the tail.
-	st2, err := c.Ingest(victim.Addr(), shardIngestSource(col, cfg, session, victimRing, len(members)))
+	st2, err := c.Ingest(victim.Addr(), shardIngestSource(f.col, f.cfg, session, victimRing, len(members)))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: resumed ingest: %w", err)
 	}
@@ -224,7 +215,7 @@ func TCPIngestResume(tr transport.Transport, addrs []string, kill, restart func(
 		rep.ResumeResent = resent
 	}
 	rep.IngestNanos = time.Since(ingestStart).Nanoseconds()
-	progress("ingest-resume: resumed session skipped %d of %d chunks, re-sent %d acked chunks",
+	f.progress("ingest-resume: resumed session skipped %d of %d chunks, re-sent %d acked chunks",
 		rep.ResumeSkipped, rep.VictimChunks, rep.ResumeResent)
 
 	buildStart := time.Now()
@@ -232,30 +223,125 @@ func TCPIngestResume(tr transport.Transport, addrs []string, kill, restart func(
 		return nil, fmt.Errorf("experiments: remote build after resume: %w", err)
 	}
 	rep.BuildNanos = time.Since(buildStart).Nanoseconds()
+	// Before any further restart: a restart resets that daemon's
+	// histograms.
+	if err := checkBuildRoundSeries(tr, addrs, f.cfg.SMax); err != nil {
+		rep.RoundSeriesFault = err.Error()
+	}
 
 	// Bit-identity: the interrupted-then-resumed streamed build must
 	// answer exactly like the never-interrupted in-process engine, with
 	// coordinators rotating so probes hit the restarted daemon too.
-	for i, q := range queries {
-		res, _, err := c.SearchVia(addrs[i%len(addrs)], core.SearchRequest{Terms: ref.QueryTerms(q), K: opts.TopK})
+	for i, req := range f.requests(false) {
+		res, _, err := c.SearchVia(addrs[i%len(addrs)], req)
 		if err != nil {
 			return nil, fmt.Errorf("post-build query %d: %w", i, err)
 		}
-		if !reflect.DeepEqual(intact[i], res.Results) {
+		if !reflect.DeepEqual(f.want[i], res.Results) {
 			rep.Mismatches++
 		}
 	}
-	progress("ingest-resume: %d/%d queries bit-identical to the in-process reference",
-		len(queries)-rep.Mismatches, len(queries))
+	f.progress("ingest-resume: %d/%d queries bit-identical to the in-process reference",
+		len(f.queries)-rep.Mismatches, len(f.queries))
+
+	// Warm restart: SIGKILL the member owning a probed key and restart
+	// it from its data directory.
+	owner, idx, err := f.probedOwner()
+	if err != nil {
+		return nil, err
+	}
+	rep.RestartIdx = idx
+	f.progress("restart: SIGKILL process %d (%s), then warm restart from its data dir", idx, owner.Addr())
+	restartStart := time.Now()
+	if err := kill(idx); err != nil {
+		return nil, fmt.Errorf("kill process %d: %w", idx, err)
+	}
+	if err := restart(idx); err != nil {
+		return nil, fmt.Errorf("restart process %d: %w", idx, err)
+	}
+	rep.RestartNanos = time.Since(restartStart).Nanoseconds()
+
+	// A fresh client discovery must find the full membership again, and
+	// a fresh client-fabric engine over it must reproduce the reference
+	// bit for bit — probes landing on the restarted daemon are served
+	// from its restored store.
+	seed := addrs[(idx+1)%len(addrs)]
+	c2, err := cluster.Dial(cluster.Options{Transport: tr, Seed: seed})
+	if err != nil {
+		return nil, fmt.Errorf("post-restart discovery: %w", err)
+	}
+	if c2.Size() != opts.Nodes {
+		return nil, fmt.Errorf("post-restart discovery via %s: %d members, want %d", seed, c2.Size(), opts.Nodes)
+	}
+	eng2, err := core.NewEngine(c2, f.cfg, f.full.Vocab, f.full.TermFrequencies())
+	if err != nil {
+		return nil, err
+	}
+	for i, q := range f.queries {
+		res, err := eng2.Search(q, c2.Members()[0], opts.TopK)
+		if err != nil {
+			return nil, fmt.Errorf("post-restart query %d: %w", i, err)
+		}
+		if !reflect.DeepEqual(f.want[i], res.Results) {
+			rep.PostMismatches++
+		}
+	}
+	rep.UnderAfterRestart = c2.Audit(opts.Replicas).UnderReplicated
+	info, err := cluster.FetchInfo(tr, owner.Addr())
+	if err != nil {
+		return nil, fmt.Errorf("restarted daemon info: %w", err)
+	}
+	rep.Warm, rep.RestoredKeys, rep.InsertRPCs = info.Warm, info.Keys, info.InsertRPCs
+	rep.CatchUpStale, rep.CatchUpPulled = info.CatchUpStale, info.CatchUpPulled
+	f.progress("restart: %d/%d post-restart queries bit-identical, %d keys restored, %d insert RPCs, %d copies pulled, %d under-replicated",
+		len(f.queries)-rep.PostMismatches, len(f.queries), rep.RestoredKeys, rep.InsertRPCs, rep.CatchUpPulled, rep.UnderAfterRestart)
 	return rep, nil
 }
 
-// Fprint renders the ingest-resume scenario report.
+// checkBuildRoundSeries scrapes every daemon after a daemon-coordinated
+// build of smax rounds and holds the round breakdown to exact
+// accounting: each daemon ran each round once, so each of the three
+// per-round histograms (generation, insert pass, wait for the barrier
+// to learn of the finished pass) must carry exactly one observation per
+// daemon per round — a series that went missing or double-counts fails
+// the scenario.
+func checkBuildRoundSeries(tr transport.Transport, addrs []string, smax int) error {
+	snaps := make([]telemetry.Snapshot, len(addrs))
+	for i, addr := range addrs {
+		var err error
+		if snaps[i], err = cluster.FetchMetrics(tr, addr); err != nil {
+			return fmt.Errorf("experiments: scrape %s: %w", addr, err)
+		}
+	}
+	for _, name := range []string{
+		"hdk_build_generate_nanoseconds",
+		"hdk_build_insert_nanoseconds",
+		"hdk_build_barrier_wait_nanoseconds",
+	} {
+		for round := 1; round <= smax; round++ {
+			var n uint64
+			for _, snap := range snaps {
+				hv, _ := snap.Histogram(name, telemetry.L("round", strconv.Itoa(round)))
+				n += hv.Count
+			}
+			if n != uint64(len(addrs)) {
+				return fmt.Errorf("experiments: %s{round=%d} holds %d observations over %d daemons, want one each",
+					name, round, n, len(addrs))
+			}
+		}
+	}
+	return nil
+}
+
+// Fprint renders the durability scenario report.
 func (r *IngestResumeReport) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "Ingest resume — %d hdknode processes, R=%d, %d docs, %d queries, %d-byte chunks\n",
+	fmt.Fprintf(w, "Ingest resume + warm restart — %d hdknode processes, R=%d, %d docs, %d queries, %d-byte chunks\n",
 		r.Nodes, r.Replicas, r.Docs, r.Queries, r.ChunkBytes)
 	fmt.Fprintf(w, "victim %d: killed holding %d acked chunks; resume skipped %d/%d, re-sent %d\n",
 		r.VictimIdx, r.KillAfterChunks, r.ResumeSkipped, r.VictimChunks, r.ResumeResent)
 	fmt.Fprintf(w, "parity: %d/%d post-build queries bit-identical | ingest %.2fms, build %.2fms\n",
 		r.Queries-r.Mismatches, r.Queries, float64(r.IngestNanos)/1e6, float64(r.BuildNanos)/1e6)
+	fmt.Fprintf(w, "restart %d: warm=%v, %d keys restored, %d insert RPCs since restart, catch-up %d stale / %d pulled, %d under-replicated, %d/%d post-restart bit-identical | kill→ready %.2fms\n",
+		r.RestartIdx, r.Warm, r.RestoredKeys, r.InsertRPCs, r.CatchUpStale, r.CatchUpPulled, r.UnderAfterRestart,
+		r.Queries-r.PostMismatches, r.Queries, float64(r.RestartNanos)/1e6)
 }

@@ -5,54 +5,46 @@ import (
 	"io"
 	"reflect"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/corpus"
 	"repro/internal/overlay"
 	"repro/internal/rank"
 	"repro/internal/transport"
 	"repro/internal/transport/cluster"
 )
 
-// This file implements the node-side serving scenario: the same cluster
-// the TCPCluster scenario builds, queried through the daemons' own
-// hdk.search coordinators instead of a fat client. The scenario
-// verifies — not assumes — the coordination contract end to end:
+// This file implements the deployment and serving scenario: the engine
+// the in-process experiments measure builds a cluster of hdknode OS
+// processes over pooled TCP through the client fabric, and the
+// scenario verifies — not assumes — that deployment changes nothing and
+// that the daemons' own hdk.search coordinators serve it correctly:
 // every daemon coordinates every query to the bit-identical answer the
 // in-process engine and the client-fabric engine produce; a repeat
 // query is served from the coordinator's result cache with ZERO fetch
 // RPCs anywhere in the cluster; an incremental index update invalidates
 // every cache and the next coordination matches the updated reference;
-// and with the cache forced off, coordinations keep answering
-// bit-identically after a daemon their read plans name is SIGKILLed —
-// node-side replica failover. The CI cluster-e2e job runs this against
-// 5 real child processes (TestTCPServeE2E).
+// with the cache forced off, coordinations keep answering
+// bit-identically after a daemon their read plans name is SIGKILLed
+// (node-side replica failover), and so does the client fabric (zero
+// recall loss at R=3). The dead member is then forgotten: every
+// survivor still coordinates bit-identically while the cluster owes a
+// repair, the audit sees the deficit, and a repair sweep restores full
+// R-way coverage. The CI cluster-e2e job runs this against 5 real
+// child processes (TestTCPServeE2E).
 
-// TCPServeOpts parameterizes the serving scenario.
+// TCPServeOpts parameterizes the scenario.
 type TCPServeOpts struct {
-	Nodes     int // daemon processes
-	Replicas  int // replication factor R
-	Docs      int // corpus size built initially
-	ExtraDocs int // staged afterwards via AddDocuments + UpdateIndex
-	DFMax     int
-	Window    int
-	Queries   int
-	TopK      int
-	Seed      int64
+	ClusterOpts
+	ExtraDocs int // staged after the build via AddDocuments + UpdateIndex
 }
 
 // DefaultTCPServeOpts is the CI-gated configuration: a 5-process
 // cluster at R=3, an incremental update, one crash.
 func DefaultTCPServeOpts() TCPServeOpts {
-	return TCPServeOpts{
-		Nodes: 5, Replicas: 3, Docs: 150, ExtraDocs: 30, DFMax: 8, Window: 8,
-		Queries: 30, TopK: 10, Seed: 11,
-	}
+	return TCPServeOpts{ClusterOpts: DefaultClusterOpts(), ExtraDocs: 30}
 }
 
-// TCPServeReport is the scenario's measurement. The Mismatches fields
-// must all be 0, RepeatCached must equal Queries, RepeatFetchRPCs and
-// PostUpdateCached must be 0, and FailoverBatches must be positive.
+// TCPServeReport is the scenario's measurement; Failures lists the
+// gates it misses.
 type TCPServeReport struct {
 	Nodes    int
 	Replicas int
@@ -78,111 +70,118 @@ type TCPServeReport struct {
 	FailoverMismatches int // post-crash coordinations vs the updated reference
 	FailoverBatches    int // fetch batches re-sent to an alternate replica (want > 0)
 
+	// The same crash seen by the client fabric, whose view still lists
+	// the dead process: recall@TopK vs the updated reference (want 1).
+	RecallAfterCrash  float64
+	FailoversPerQuery float64
+
+	// Forget and repair: every survivor coordinating every query after
+	// the dead member is forgotten, before and after the repair sweep
+	// (want 0 each), and the audit around the sweep.
+	UnrepairedMismatches int
+	RepairedMismatches   int
+	UnderAfterCrash      int // under-replicated keys once the member is forgotten (want > 0)
+	CopiesRepaired       int
+	RepairRPCs           int
+	UnderAfterRepair     int // want 0
+	RecallAfterRepair    float64
+
 	// Aggregate daemon-side counters after the run.
 	SearchRPCs  uint64
 	CacheHits   uint64
 	CacheMisses uint64
+
+	// Cost of running over real sockets.
+	WireMessages uint64
+	WireBytes    uint64
+	PoolDials    uint64
+	PoolReuses   uint64
+}
+
+// Failures returns one message per gate the run missed.
+func (r *TCPServeReport) Failures() []string {
+	var g gates
+	g.check(r.ClientMismatches == 0, "%d client-fabric queries diverged from the in-process engine", r.ClientMismatches)
+	g.check(r.CoordMismatches == 0, "%d coordinated queries diverged from the in-process engine", r.CoordMismatches)
+	g.check(r.RepeatCached == r.Queries, "repeat pass: %d/%d served from cache", r.RepeatCached, r.Queries)
+	g.check(r.RepeatMismatches == 0, "%d cached answers diverged from the originals", r.RepeatMismatches)
+	g.check(r.RepeatFetchRPCs == 0, "repeat pass cost %d fetch RPCs, want 0 (result caches bypassed?)", r.RepeatFetchRPCs)
+	g.check(r.PostUpdateCached == 0, "%d post-update answers served from a stale cache", r.PostUpdateCached)
+	g.check(r.PostUpdateMismatches == 0, "%d post-update coordinations diverged from the updated reference", r.PostUpdateMismatches)
+	g.check(r.FailoverMismatches == 0, "%d post-crash coordinations diverged — node-side failover broken", r.FailoverMismatches)
+	g.check(r.FailoverBatches > 0, "no coordinated fetch batch failed over — the crash was not exercised by the query set")
+	g.check(r.RecallAfterCrash == 1, "recall after crash = %.4f, want 1.0 at R=%d", r.RecallAfterCrash, r.Replicas)
+	g.check(r.FailoversPerQuery > 0, "no client-fabric fetch batch failed over — the crash was not exercised by the query set")
+	g.check(r.UnrepairedMismatches == 0, "%d coordinations diverged from the reference after the forget, before the repair", r.UnrepairedMismatches)
+	g.check(r.UnderAfterCrash > 0, "audit reports full coverage immediately after losing a process")
+	g.check(r.UnderAfterRepair == 0, "%d keys under-replicated after repair, want 0", r.UnderAfterRepair)
+	g.check(r.RecallAfterRepair == 1, "recall after repair = %.4f, want 1.0", r.RecallAfterRepair)
+	g.check(r.RepairedMismatches == 0, "%d coordinations diverged from the reference after the repair", r.RepairedMismatches)
+	g.check(r.CacheHits > 0 && r.SearchRPCs > 0, "daemon serving counters empty: %d search RPCs, %d cache hits", r.SearchRPCs, r.CacheHits)
+	g.check(r.PoolDials > 0 && r.PoolReuses > 0, "pool counters empty (dials=%d reuses=%d) — pooled transport not exercised", r.PoolDials, r.PoolReuses)
+	// The pool must keep the dial count far below one per RPC.
+	g.check(r.PoolDials*10 <= r.WireMessages, "%d dials for %d RPCs — connection pooling ineffective", r.PoolDials, r.WireMessages)
+	return g
 }
 
 // Clean reports whether every gate of the scenario held.
-func (r *TCPServeReport) Clean() bool {
-	return r.ClientMismatches == 0 && r.CoordMismatches == 0 &&
-		r.RepeatCached == r.Queries && r.RepeatMismatches == 0 && r.RepeatFetchRPCs == 0 &&
-		r.PostUpdateCached == 0 && r.PostUpdateMismatches == 0 &&
-		r.FailoverMismatches == 0 && r.FailoverBatches > 0
-}
+func (r *TCPServeReport) Clean() bool { return len(r.Failures()) == 0 }
 
-// TCPServe runs the serving scenario against an already-running
-// cluster: addrs are the daemon addresses (start order), crash kills
-// the process behind addrs[i].
+// TCPServe runs the scenario against an already-running cluster: addrs
+// are the daemon addresses (start order), crash kills the process
+// behind addrs[i] (cluster.Harness.Kill for real processes). The given
+// transport carries all client traffic; pass a *transport.TCP to get
+// pool counters in the report.
 func TCPServe(tr transport.Transport, addrs []string, crash func(i int) error,
 	opts TCPServeOpts, progress Progress) (*TCPServeReport, error) {
-	if progress == nil {
-		progress = nopProgress
-	}
-	if len(addrs) != opts.Nodes {
-		return nil, fmt.Errorf("experiments: %d addresses for %d nodes", len(addrs), opts.Nodes)
-	}
-
-	full, err := corpus.Generate(corpus.GenParams{
-		NumDocs: opts.Docs + opts.ExtraDocs, VocabSize: 2000, AvgDocLen: 50,
-		Skew: 1.0, NumTopics: 8, TopicTerms: 80, TopicMix: 0.5, Seed: opts.Seed,
-	})
+	f, err := newFixture(tr, addrs, opts.ClusterOpts, opts.ExtraDocs, progress)
 	if err != nil {
 		return nil, err
 	}
-	col := full.Slice(0, opts.Docs)
-	cen := baseline.NewCentralized(col, rank.DefaultBM25())
-	qp := corpus.DefaultQueryParams(opts.Queries)
-	qp.MinHits = 2
-	queries, err := corpus.GenerateQueries(col, qp, opts.Window, cen.ConjunctiveHits)
-	if err != nil {
-		return nil, fmt.Errorf("query generation: %w", err)
-	}
-
-	cfg := core.DefaultConfig(rank.CollectionStats{NumDocs: col.M(), AvgDocLen: col.AvgDocLen()})
-	cfg.DFMax = opts.DFMax
-	cfg.Window = opts.Window
-	cfg.ReplicationFactor = opts.Replicas
-
-	// In-process reference over the initial corpus; its peers are kept
-	// so the same incremental update can be applied to it later.
-	ref, refPeers, err := buildServeReference(full, col, opts.Nodes, cfg)
+	c, queries := f.c, f.queries
+	eng, cluPeers, err := f.build("tcpserve")
 	if err != nil {
 		return nil, err
 	}
-	refOrigin := ref.Network().Members()[0]
-
-	// Cluster build through the daemons, keeping the peers for the
-	// staged update.
-	c, err := cluster.Dial(cluster.Options{Transport: tr, Addrs: addrs})
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Configure(cfg); err != nil {
-		return nil, err
-	}
-	eng, err := core.NewEngine(c, cfg, full.Vocab, full.TermFrequencies())
-	if err != nil {
-		return nil, err
-	}
-	members := c.Members()
-	cluPeers := make([]*core.Peer, opts.Nodes)
-	for i, part := range col.SplitRoundRobin(opts.Nodes) {
-		if cluPeers[i], err = eng.AddPeer(members[i], part); err != nil {
-			return nil, err
-		}
-	}
-	progress("tcpserve: building %d docs over %d processes (R=%d)", col.M(), opts.Nodes, opts.Replicas)
-	if err := eng.BuildIndex(); err != nil {
-		return nil, fmt.Errorf("cluster build: %w", err)
-	}
-
 	rep := &TCPServeReport{
 		Nodes: opts.Nodes, Replicas: opts.Replicas,
-		Docs: col.M(), Queries: len(queries),
+		Docs: f.col.M(), Queries: len(queries),
+	}
+	reqs := f.requests(false)
+
+	// The victim is the member that owns the first query's first term.
+	// Owning a key is not yet being read for it, though: a coordinator
+	// reads its own copy first and covers the rest with the fewest other
+	// members (core.ReadPlan). So the client fabric searches from a
+	// surviving member whose first-level plan for some query reads from
+	// the victim (the first level's candidates are the query's terms, so
+	// its plan is computable up front) — the query set exercises the
+	// failover path by construction instead of by coin flip.
+	victim, victimIdx, err := f.probedOwner()
+	if err != nil {
+		return nil, err
+	}
+	var origin overlay.Member
+	for _, req := range reqs {
+		if origin = c.CoordinatorReading(req.Terms, opts.Replicas, victim.Addr()); origin != nil {
+			break
+		}
+	}
+	if origin == nil {
+		return nil, fmt.Errorf("experiments: no surviving member's read plan names %s — the query set cannot exercise failover", victim.Addr())
 	}
 
 	// Phase 1: parity. Per query: in-process reference, client-fabric
 	// engine, and a coordination by the daemon addrs[i % Nodes] — every
 	// daemon coordinates part of the set.
-	reqs := make([]core.SearchRequest, len(queries))
-	intact := make([][]rank.Result, len(queries))
-	cluOrigin := members[0]
 	for i, q := range queries {
-		want, err := ref.Search(q, refOrigin, opts.TopK)
-		if err != nil {
-			return nil, err
-		}
-		intact[i] = want.Results
-		viaFabric, err := eng.Search(q, cluOrigin, opts.TopK)
+		viaFabric, err := eng.Search(q, origin, opts.TopK)
 		if err != nil {
 			return nil, fmt.Errorf("fabric query %d: %w", i, err)
 		}
-		if !reflect.DeepEqual(want.Results, viaFabric.Results) {
+		if !reflect.DeepEqual(f.want[i], viaFabric.Results) {
 			rep.ClientMismatches++
 		}
-		reqs[i] = core.SearchRequest{Terms: eng.QueryTerms(q), K: opts.TopK}
 		got, cached, err := c.SearchVia(addrs[i%len(addrs)], reqs[i])
 		if err != nil {
 			return nil, fmt.Errorf("coordinated query %d: %w", i, err)
@@ -190,11 +189,11 @@ func TCPServe(tr transport.Transport, addrs []string, crash func(i int) error,
 		if cached {
 			return nil, fmt.Errorf("coordinated query %d: cached on a fresh cluster", i)
 		}
-		if !reflect.DeepEqual(want.Results, got.Results) {
+		if !reflect.DeepEqual(f.want[i], got.Results) {
 			rep.CoordMismatches++
 		}
 	}
-	progress("tcpserve: parity %d/%d fabric, %d/%d coordinated",
+	f.progress("tcpserve: parity %d/%d fabric, %d/%d coordinated",
 		len(queries)-rep.ClientMismatches, len(queries),
 		len(queries)-rep.CoordMismatches, len(queries))
 
@@ -212,7 +211,7 @@ func TCPServe(tr transport.Transport, addrs []string, crash func(i int) error,
 		if cached {
 			rep.RepeatCached++
 		}
-		if !reflect.DeepEqual(intact[i], got.Results) {
+		if !reflect.DeepEqual(f.want[i], got.Results) {
 			rep.RepeatMismatches++
 		}
 	}
@@ -221,33 +220,30 @@ func TCPServe(tr transport.Transport, addrs []string, crash func(i int) error,
 		return nil, err
 	}
 	rep.RepeatFetchRPCs = fetchesAfter - fetchesBefore
-	progress("tcpserve: repeat pass %d/%d cached, %d fetch RPCs", rep.RepeatCached, len(queries), rep.RepeatFetchRPCs)
+	f.progress("tcpserve: repeat pass %d/%d cached, %d fetch RPCs", rep.RepeatCached, len(queries), rep.RepeatFetchRPCs)
 
 	// Phase 3: stage the extra documents on BOTH engines, update, and
 	// verify the caches were invalidated by the update's write-through
 	// mutations — fresh coordinations matching the updated reference.
-	extraParts := splitTail(full, col.M(), opts.Nodes)
-	for i := range extraParts {
-		if err := cluPeers[i].AddDocuments(extraParts[i]); err != nil {
+	for i, part := range splitRange(f.full, f.col.M(), f.full.M(), opts.Nodes) {
+		if err := cluPeers[i].AddDocuments(part); err != nil {
 			return nil, err
 		}
-		if err := refPeers[i].AddDocuments(extraParts[i]); err != nil {
+		if err := f.refPeers[i].AddDocuments(part); err != nil {
 			return nil, err
 		}
 	}
 	if err := eng.UpdateIndex(); err != nil {
 		return nil, fmt.Errorf("cluster update: %w", err)
 	}
-	if err := ref.UpdateIndex(); err != nil {
+	if err := f.ref.UpdateIndex(); err != nil {
 		return nil, fmt.Errorf("reference update: %w", err)
 	}
-	updated := make([][]rank.Result, len(queries))
-	for i, q := range queries {
-		want, err := ref.Search(q, refOrigin, opts.TopK)
-		if err != nil {
-			return nil, err
-		}
-		updated[i] = want.Results
+	updated, err := f.answers()
+	if err != nil {
+		return nil, err
+	}
+	for i := range queries {
 		got, cached, err := c.SearchVia(addrs[i%len(addrs)], reqs[i])
 		if err != nil {
 			return nil, fmt.Errorf("post-update query %d: %w", i, err)
@@ -255,51 +251,33 @@ func TCPServe(tr transport.Transport, addrs []string, crash func(i int) error,
 		if cached {
 			rep.PostUpdateCached++
 		}
-		if !reflect.DeepEqual(want.Results, got.Results) {
+		if !reflect.DeepEqual(updated[i], got.Results) {
 			rep.PostUpdateMismatches++
 		}
 	}
-	progress("tcpserve: post-update %d stale-cached, %d/%d parity",
+	f.progress("tcpserve: post-update %d stale-cached, %d/%d parity",
 		rep.PostUpdateCached, len(queries)-rep.PostUpdateMismatches, len(queries))
 
-	// Phase 4: crash the owner of the first query's first probed term
-	// and coordinate through the surviving daemons with the cache forced
-	// off — the traversal must fail over to the replicas and keep
-	// answering bit-identically. Owning a key is not the same as being
-	// read for it: a coordinator reads its own copy first and covers the
-	// rest with the fewest other members (core.ReadPlan), so a single
-	// survivor may route around the dead process without ever choosing
-	// it. Each query is therefore coordinated by a survivor whose
-	// first-level plan reads from the victim when one exists (the first
-	// level's candidates are the query's terms, so its plan is computable
-	// up front), and by the survivors in rotation otherwise — the crash
-	// is exercised by construction, not by luck.
-	victim, ok := c.OwnerOf(full.Vocab[queries[0].Terms[0]])
-	if !ok {
-		return nil, fmt.Errorf("experiments: empty membership")
-	}
-	victimIdx := -1
+	// Phase 4: crash the victim — the client is NOT told — and
+	// coordinate through the surviving daemons with the cache forced
+	// off: the traversal must fail over to the replicas and keep
+	// answering bit-identically. Each query is coordinated by a
+	// survivor whose first-level plan reads from the victim when one
+	// exists, and by the survivors in rotation otherwise.
 	var survivors []string
 	for i, a := range addrs {
-		if a == victim.Addr() {
-			victimIdx = i
-		} else {
+		if i != victimIdx {
 			survivors = append(survivors, a)
 		}
 	}
-	if victimIdx < 0 || len(survivors) == 0 {
-		return nil, fmt.Errorf("experiments: victim %s not in address list", victim.Addr())
-	}
-	progress("tcpserve: crashing process %d (%s), coordinating via the %d survivors", victimIdx, victim.Addr(), len(survivors))
+	f.progress("tcpserve: crashing process %d (%s), coordinating via the %d survivors", victimIdx, victim.Addr(), len(survivors))
 	if err := crash(victimIdx); err != nil {
 		return nil, fmt.Errorf("crash process %d: %w", victimIdx, err)
 	}
-	planned := 0
 	for i := range queries {
 		coord := survivors[i%len(survivors)]
 		if m := c.CoordinatorReading(reqs[i].Terms, opts.Replicas, victim.Addr()); m != nil {
 			coord = m.Addr()
-			planned++
 		}
 		req := reqs[i]
 		req.NoCache = true
@@ -312,63 +290,103 @@ func TCPServe(tr transport.Transport, addrs []string, crash func(i int) error,
 		}
 		rep.FailoverBatches += got.Failovers
 	}
-	if planned == 0 {
-		return nil, fmt.Errorf("experiments: no survivor's read plan names the crashed member %s — the query set cannot exercise failover", victim.Addr())
-	}
-	progress("tcpserve: post-crash %d/%d parity, %d failover batches",
+	f.progress("tcpserve: post-crash %d/%d parity, %d failover batches",
 		len(queries)-rep.FailoverMismatches, len(queries), rep.FailoverBatches)
 
-	// Aggregate the survivors' serving counters.
-	for i, addr := range addrs {
-		if i == victimIdx {
-			continue
-		}
-		info, err := cluster.FetchInfo(tr, addr)
+	// Phase 5: the client fabric meets the same crash through dead
+	// fetches and must fail over to the replicas too.
+	if rep.RecallAfterCrash, rep.FailoversPerQuery, err = availabilityRecall(eng, queries, updated, origin, opts.TopK); err != nil {
+		return nil, fmt.Errorf("post-crash fabric query: %w", err)
+	}
+
+	// Phase 6: remove the dead member — from the engine's view AND from
+	// the daemons' bootstrap membership, so clients connecting later do
+	// not rediscover the dead address.
+	if err := eng.FailNode(victim); err != nil {
+		return nil, err
+	}
+	if err := c.Forget(victim.Addr()); err != nil {
+		return nil, fmt.Errorf("forget dead member: %w", err)
+	}
+	survivor := c.Members()[0].Addr()
+	if fresh, err := cluster.MembersOf(tr, survivor); err != nil || len(fresh) != opts.Nodes-1 {
+		return nil, fmt.Errorf("post-forget discovery via %s: %d members (err %v), want %d",
+			survivor, len(fresh), err, opts.Nodes-1)
+	}
+	// Forgotten but not yet repaired: the daemons' replica sets now name
+	// members the crash promoted, which hold no copy. Every survivor must
+	// still coordinate every query bit-identically — each reports its
+	// view unrepaired and reads primary-first until the sweep reports in.
+	if rep.UnrepairedMismatches, err = coordinatedMismatches(tr, c, reqs, updated, true); err != nil {
+		return nil, fmt.Errorf("forgotten, unrepaired: %w", err)
+	}
+
+	// Phase 7: audit and repair through the ENGINE's own methods: its
+	// inventory reaches the daemon-hosted stores over the index RPCs,
+	// so the call an in-process deployment uses restores coverage here
+	// too. The sweep tells the daemons, and they place reads again.
+	rep.UnderAfterCrash = eng.AuditReplicas().UnderReplicated
+	rstats, err := eng.RepairReplicas()
+	if err != nil {
+		return nil, fmt.Errorf("repair: %w", err)
+	}
+	rep.CopiesRepaired, rep.RepairRPCs = rstats.CopiesSent, rstats.RepairRPCs
+	rep.UnderAfterRepair = eng.AuditReplicas().UnderReplicated
+	if rep.RecallAfterRepair, _, err = availabilityRecall(eng, queries, updated, origin, opts.TopK); err != nil {
+		return nil, fmt.Errorf("post-repair query: %w", err)
+	}
+	if rep.RepairedMismatches, err = coordinatedMismatches(tr, c, reqs, updated, false); err != nil {
+		return nil, fmt.Errorf("repaired: %w", err)
+	}
+	f.progress("tcpserve: fabric recall %.4f after crash (%.2f failovers/query), %.4f after repair (%d copies shipped, %d under-replicated left)",
+		rep.RecallAfterCrash, rep.FailoversPerQuery, rep.RecallAfterRepair, rep.CopiesRepaired, rep.UnderAfterRepair)
+
+	// Aggregate the survivors' serving counters and the client's pool.
+	for _, m := range c.Members() {
+		info, err := cluster.FetchInfo(tr, m.Addr())
 		if err != nil {
-			return nil, fmt.Errorf("info from %s: %w", addr, err)
+			return nil, fmt.Errorf("info from %s: %w", m.Addr(), err)
 		}
 		rep.SearchRPCs += info.SearchRPCs
 		rep.CacheHits += info.SearchCacheHits
 		rep.CacheMisses += info.SearchCacheMisses
 	}
+	st := tr.Stats()
+	rep.WireMessages, rep.WireBytes = st.Messages, st.Bytes
+	if tcp, ok := tr.(*transport.TCP); ok {
+		ps := tcp.PoolStats()
+		rep.PoolDials, rep.PoolReuses = ps.Dials, ps.Reuses
+	}
 	return rep, nil
 }
 
-// buildServeReference constructs the in-process reference engine over
-// the initial corpus slice, returning its peers so the scenario can
-// stage the same incremental update on it.
-func buildServeReference(full, col *corpus.Collection, peers int, cfg core.Config) (*core.Engine, []*core.Peer, error) {
-	net := overlay.NewNetwork(transport.NewInProc())
-	nodes := make([]*overlay.Node, 0, peers)
-	for i := 0; i < peers; i++ {
-		n, err := net.AddNode(fmt.Sprintf("ref-%d", i))
+// coordinatedMismatches has every member of the client's view coordinate
+// every request (result cache off) and counts the answers that differ
+// from want; it also holds each daemon's self-reported repair state to
+// what the scenario expects at that point.
+func coordinatedMismatches(tr transport.Transport, c *cluster.Client,
+	reqs []core.SearchRequest, want [][]rank.Result, unrepaired bool) (int, error) {
+	mismatches := 0
+	for _, m := range c.Members() {
+		info, err := cluster.FetchInfo(tr, m.Addr())
 		if err != nil {
-			return nil, nil, err
+			return 0, err
 		}
-		nodes = append(nodes, n)
-	}
-	eng, err := core.NewEngine(net, cfg, full.Vocab, full.TermFrequencies())
-	if err != nil {
-		return nil, nil, err
-	}
-	ps := make([]*core.Peer, peers)
-	for i, part := range col.SplitRoundRobin(peers) {
-		if ps[i], err = eng.AddPeer(nodes[i], part); err != nil {
-			return nil, nil, err
+		if info.Unrepaired != unrepaired {
+			return 0, fmt.Errorf("%s reports unrepaired=%t, want %t", m.Addr(), info.Unrepaired, unrepaired)
+		}
+		for i, req := range reqs {
+			req.NoCache = true
+			res, _, err := c.SearchVia(m.Addr(), req)
+			if err != nil {
+				return 0, fmt.Errorf("query %d via %s: %w", i, m.Addr(), err)
+			}
+			if !reflect.DeepEqual(want[i], res.Results) {
+				mismatches++
+			}
 		}
 	}
-	if err := eng.BuildIndex(); err != nil {
-		return nil, nil, err
-	}
-	return eng, ps, nil
-}
-
-// splitTail distributes full's documents beyond `built` across peers
-// exactly as a from-scratch SplitRoundRobin of the full collection
-// would, so the incremental build places every document on the peer the
-// reference split expects.
-func splitTail(full *corpus.Collection, built, peers int) []*corpus.Collection {
-	return splitRange(full, built, full.M(), peers)
+	return mismatches, nil
 }
 
 // clusterFetchMeter sums the daemons' served hdk.fetchBatch counters.
@@ -384,7 +402,7 @@ func clusterFetchMeter(tr transport.Transport, addrs []string) (uint64, error) {
 	return total, nil
 }
 
-// Fprint renders the serving scenario report.
+// Fprint renders the scenario report.
 func (r *TCPServeReport) Fprint(w io.Writer) {
 	fmt.Fprintf(w, "TCP serve — %d hdknode coordinators, R=%d, %d docs, %d queries\n",
 		r.Nodes, r.Replicas, r.Docs, r.Queries)
@@ -392,6 +410,10 @@ func (r *TCPServeReport) Fprint(w io.Writer) {
 		r.ClientMismatches, r.CoordMismatches)
 	fmt.Fprintf(w, "cache: repeat %d/%d cached (%d mismatches, %d fetch RPCs) | post-update %d stale, %d mismatches\n",
 		r.RepeatCached, r.Queries, r.RepeatMismatches, r.RepeatFetchRPCs, r.PostUpdateCached, r.PostUpdateMismatches)
-	fmt.Fprintf(w, "failover: %d mismatches, %d re-sent batches | served %d coordinations, cache %d hits / %d misses\n",
-		r.FailoverMismatches, r.FailoverBatches, r.SearchRPCs, r.CacheHits, r.CacheMisses)
+	fmt.Fprintf(w, "failover: %d mismatches, %d re-sent batches | fabric recall %.4f (%.2f failovers/query)\n",
+		r.FailoverMismatches, r.FailoverBatches, r.RecallAfterCrash, r.FailoversPerQuery)
+	fmt.Fprintf(w, "forget: %d unrepaired mismatches, %d under-replicated | repair: %d copies over %d RPCs, %d under-replicated left, recall %.4f, %d mismatches\n",
+		r.UnrepairedMismatches, r.UnderAfterCrash, r.CopiesRepaired, r.RepairRPCs, r.UnderAfterRepair, r.RecallAfterRepair, r.RepairedMismatches)
+	fmt.Fprintf(w, "served %d coordinations, cache %d hits / %d misses | wire: %d msgs, %d payload bytes | pool: %d dials, %d reuses\n",
+		r.SearchRPCs, r.CacheHits, r.CacheMisses, r.WireMessages, r.WireBytes, r.PoolDials, r.PoolReuses)
 }

@@ -10,11 +10,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/corpus"
 	"repro/internal/overlay"
-	"repro/internal/rank"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/transport/cluster"
@@ -39,35 +36,28 @@ import (
 
 // TelemetryOpts parameterizes the observability scenario.
 type TelemetryOpts struct {
-	Nodes    int // daemon processes
-	Replicas int // replication factor R
-	Docs     int
-	DFMax    int
-	Window   int
-	Queries  int
-	TopK     int
-	Seed     int64
+	ClusterOpts
 	// Burst shapes the shed-accounting phase: BurstClients concurrent
 	// NoCache singles are fired at one daemon, up to BurstRounds times,
 	// until at least one is shed. The daemons must run -search-workers 1
 	// -search-queue 0 for a burst to overrun the admission bound.
 	BurstClients int
 	BurstRounds  int
-	// Traced is how many queries re-run traced (with NoCache, so each is
-	// a real coordination). 0 traces every query.
-	Traced int
 }
 
 // DefaultTelemetryOpts is the CI-gated configuration.
 func DefaultTelemetryOpts() TelemetryOpts {
 	return TelemetryOpts{
-		Nodes: 5, Replicas: 3, Docs: 120, DFMax: 8, Window: 8,
-		Queries: 12, TopK: 10, Seed: 17, BurstClients: 8, BurstRounds: 50,
+		ClusterOpts: ClusterOpts{
+			Nodes: 5, Replicas: 3, Docs: 120, DFMax: 8, Window: 8,
+			Queries: 12, TopK: 10, Seed: 17,
+		},
+		BurstClients: 8, BurstRounds: 50,
 	}
 }
 
-// TelemetryReport is the scenario's measurement. Clean documents the
-// gates.
+// TelemetryReport is the scenario's measurement; Failures lists the
+// gates it misses.
 type TelemetryReport struct {
 	Nodes   int
 	Queries int
@@ -117,82 +107,57 @@ type TelemetryReport struct {
 	ScrapedLocalFetches uint64 // hdk_query_local_fetches_total; must be in (0, ScrapedFetchRPCs]
 }
 
-// Clean reports whether every observability gate held.
-func (r *TelemetryReport) Clean() bool {
-	return r.SearchRPCDelta == r.FreshServed+r.CachedServed+r.Overloads &&
-		r.CacheHitDelta == r.CachedServed &&
-		r.CacheMissDelta == r.MissEligible &&
-		r.ShedDelta == r.Overloads && r.Overloads > 0 &&
-		r.TracedQueries > 0 && r.TraceMismatches == 0 &&
-		r.TraceSpanDefects == 0 && r.ResultMismatches == 0 &&
-		r.HealthOK == r.Nodes && r.ScrapeOK == r.Nodes &&
-		r.BuildInfoOK == r.Nodes && r.CoordCount > 0 && r.CoordP99 > 0 &&
-		r.QueueDepth == 0 && r.SlowLogged > 0 &&
-		r.FoundKeysExposed == r.Nodes && r.LocalFetchesExposed == r.Nodes &&
-		r.ScrapedFoundKeys > 0 && r.ScrapedFoundKeys <= r.ScrapedProbes &&
-		r.ScrapedLocalFetches > 0 && r.ScrapedLocalFetches <= r.ScrapedFetchRPCs
+// Failures returns one message per gate the run missed.
+func (r *TelemetryReport) Failures() []string {
+	var g gates
+	// Exact counter parity: the registry agrees with the client.
+	served := r.FreshServed + r.CachedServed + r.Overloads
+	g.check(r.SearchRPCDelta == served, "search RPC delta %d, want %d (fresh %d + cached %d + shed %d)", r.SearchRPCDelta, served, r.FreshServed, r.CachedServed, r.Overloads)
+	g.check(r.CacheHitDelta == r.CachedServed, "cache hit delta %d, client saw %d cached responses", r.CacheHitDelta, r.CachedServed)
+	g.check(r.CacheMissDelta == r.MissEligible, "cache miss delta %d, client sent %d miss-eligible requests", r.CacheMissDelta, r.MissEligible)
+	g.check(r.ShedDelta == r.Overloads, "shed delta %d, client observed %d overloads", r.ShedDelta, r.Overloads)
+	g.check(r.Overloads > 0, "burst phase produced no overload — shed accounting not exercised")
+	// Trace ground truth: every traced coordination matches the engine.
+	g.check(r.TracedQueries > 0, "no queries were traced")
+	g.check(r.TraceMismatches == 0, "%d traced coordinations diverged from the engine's per-level RPC counters", r.TraceMismatches)
+	g.check(r.TraceSpanDefects == 0, "%d span trees were structurally defective", r.TraceSpanDefects)
+	g.check(r.ResultMismatches == 0, "%d traced answers diverged from the engine's", r.ResultMismatches)
+	// Exposition gates.
+	g.check(r.HealthOK == r.Nodes && r.ScrapeOK == r.Nodes && r.BuildInfoOK == r.Nodes, "scrape: %d/%d healthz, %d/%d metrics, %d/%d build_info", r.HealthOK, r.Nodes, r.ScrapeOK, r.Nodes, r.BuildInfoOK, r.Nodes)
+	g.check(r.CoordCount > 0 && r.CoordP99 > 0, "coordination histogram empty in the scrapes: count %d, p99 %.0f", r.CoordCount, r.CoordP99)
+	g.check(r.QueueDepth == 0, "idle queue depth %.0f, want 0", r.QueueDepth)
+	g.check(r.SlowLogged > 0, "hdk_search_slow_total is 0 with -slow-query 1ns")
+	// The two series the absent-probe ratio and the local/remote batch
+	// split are derived from must be exposed by every daemon and
+	// consistent cluster-wide.
+	g.check(r.FoundKeysExposed == r.Nodes && r.LocalFetchesExposed == r.Nodes, "found-keys series on %d/%d daemons, local-fetches series on %d/%d", r.FoundKeysExposed, r.Nodes, r.LocalFetchesExposed, r.Nodes)
+	g.check(r.ScrapedFoundKeys > 0 && r.ScrapedFoundKeys <= r.ScrapedProbes, "hdk_query_found_keys_total %d against hdk_query_probes_total %d", r.ScrapedFoundKeys, r.ScrapedProbes)
+	g.check(r.ScrapedLocalFetches > 0 && r.ScrapedLocalFetches <= r.ScrapedFetchRPCs, "hdk_query_local_fetches_total %d against hdk_query_fetch_rpcs_total %d", r.ScrapedLocalFetches, r.ScrapedFetchRPCs)
+	return g
 }
+
+// Clean reports whether every observability gate held.
+func (r *TelemetryReport) Clean() bool { return len(r.Failures()) == 0 }
 
 // Telemetry runs the observability scenario against an already-running
 // cluster: addrs are the daemon RPC addresses and httpAddrs their
 // observability endpoints (both in start order).
 func Telemetry(tr transport.Transport, addrs, httpAddrs []string,
 	opts TelemetryOpts, progress Progress) (*TelemetryReport, error) {
-	if progress == nil {
-		progress = nopProgress
+	if len(httpAddrs) != len(addrs) {
+		return nil, fmt.Errorf("experiments: %d rpc / %d http addresses", len(addrs), len(httpAddrs))
 	}
-	if len(addrs) != opts.Nodes || len(httpAddrs) != opts.Nodes {
-		return nil, fmt.Errorf("experiments: %d rpc / %d http addresses for %d nodes",
-			len(addrs), len(httpAddrs), opts.Nodes)
-	}
-
-	col, err := corpus.Generate(corpus.GenParams{
-		NumDocs: opts.Docs, VocabSize: 2000, AvgDocLen: 50,
-		Skew: 1.0, NumTopics: 8, TopicTerms: 80, TopicMix: 0.5, Seed: opts.Seed,
-	})
+	f, err := newFixture(tr, addrs, opts.ClusterOpts, 0, progress)
 	if err != nil {
 		return nil, err
 	}
-	cen := baseline.NewCentralized(col, rank.DefaultBM25())
-	qp := corpus.DefaultQueryParams(opts.Queries)
-	qp.MinHits = 2
-	queries, err := corpus.GenerateQueries(col, qp, opts.Window, cen.ConjunctiveHits)
-	if err != nil {
-		return nil, fmt.Errorf("query generation: %w", err)
-	}
-
-	cfg := core.DefaultConfig(rank.CollectionStats{NumDocs: col.M(), AvgDocLen: col.AvgDocLen()})
-	cfg.DFMax = opts.DFMax
-	cfg.Window = opts.Window
-	cfg.ReplicationFactor = opts.Replicas
-
-	c, err := cluster.Dial(cluster.Options{Transport: tr, Addrs: addrs})
+	progress, c, queries := f.progress, f.c, f.queries
+	eng, _, err := f.build("telemetry")
 	if err != nil {
 		return nil, err
 	}
-	if err := c.Configure(cfg); err != nil {
-		return nil, err
-	}
-	eng, err := core.NewEngine(c, cfg, col.Vocab, col.TermFrequencies())
-	if err != nil {
-		return nil, err
-	}
-	members := c.Members()
-	for i, part := range col.SplitRoundRobin(opts.Nodes) {
-		if _, err := eng.AddPeer(members[i], part); err != nil {
-			return nil, err
-		}
-	}
-	progress("telemetry: building %d docs over %d processes (R=%d)", col.M(), opts.Nodes, opts.Replicas)
-	if err := eng.BuildIndex(); err != nil {
-		return nil, fmt.Errorf("cluster build: %w", err)
-	}
-
 	rep := &TelemetryReport{Nodes: opts.Nodes, Queries: len(queries)}
-	reqs := make([]core.SearchRequest, len(queries))
-	for i, q := range queries {
-		reqs[i] = core.SearchRequest{Terms: eng.QueryTerms(q), K: opts.TopK}
-	}
+	reqs := f.requests(false)
 
 	// The accounting window opens AFTER the build: everything the client
 	// observes from here on must be mirrored exactly by the counter
@@ -262,22 +227,17 @@ func Telemetry(tr transport.Transport, addrs, httpAddrs []string,
 	}
 	progress("telemetry: bursts done, %d overloads observed", rep.Overloads)
 
-	// Phase 3: traced coordinations, each checked against the
+	// Phase 3: every query re-run traced, each checked against the
 	// client-fabric engine's deterministic per-level counters. NoCache
 	// keeps every traced request a real coordination, and the engine runs
 	// the identical traversal over the identical membership, so the
 	// per-level fetch-RPC deltas are the exact ground truth for the
 	// trace's level spans.
-	traced := opts.Traced
-	if traced <= 0 || traced > len(queries) {
-		traced = len(queries)
-	}
-	origins := make(map[string]overlay.Member, len(members))
-	for _, m := range members {
+	origins := make(map[string]overlay.Member, opts.Nodes)
+	for _, m := range c.Members() {
 		origins[m.Addr()] = m
 	}
-	for i := 0; i < traced; i++ {
-		req := reqs[i]
+	for i, req := range reqs {
 		req.NoCache = true
 		coord := addrs[i%len(addrs)]
 		res, trace, err := c.SearchTraceVia(coord, req)

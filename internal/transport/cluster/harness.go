@@ -92,11 +92,17 @@ const startTimeout = 30 * time.Second
 
 // Start launches n daemons with the given replication factor and waits
 // for membership convergence. extraArgs are appended to every daemon's
-// command line (and remembered for Restart).
-func (h *Harness) Start(n, replicas int, extraArgs ...string) error {
+// command line (and remembered for Restart). On error every daemon it
+// launched has been stopped and reaped.
+func (h *Harness) Start(n, replicas int, extraArgs ...string) (err error) {
 	if n < 1 {
 		return fmt.Errorf("cluster: need at least one node")
 	}
+	defer func() {
+		if err != nil {
+			h.Stop()
+		}
+	}()
 	h.replicas = replicas
 	h.extra = extraArgs
 	for i := 0; i < n; i++ {
@@ -117,17 +123,12 @@ func (h *Harness) Start(n, replicas int, extraArgs ...string) error {
 		h.dead = append(h.dead, false)
 		addr, httpAddr, err := awaitBanner(stdout, logf)
 		if err != nil {
-			h.Stop()
 			return fmt.Errorf("cluster: node %d: %w", i, err)
 		}
 		h.addrs = append(h.addrs, addr)
 		h.httpAddrs = append(h.httpAddrs, httpAddr)
 	}
-	if err := h.awaitConvergence(n); err != nil {
-		h.Stop()
-		return err
-	}
-	return nil
+	return h.awaitConvergence(n)
 }
 
 // Restart brings a killed daemon back on its ORIGINAL listen address —
