@@ -161,26 +161,8 @@ func run(docs, peers, dfmax, topk, fanout, replicas, chunkBytes int, connect, fo
 		// query-only view (global vocabulary and statistics, no peers).
 		fmt.Printf("streaming %d docs to %d hdknode processes (DFmax=%d, w=%d, smax=%d, R=%d, %d-byte chunks)...\n",
 			col.M(), peers, cfg.DFMax, cfg.Window, cfg.SMax, cfg.ReplicationFactor, clu.ChunkTarget())
-		freqs := col.TermFrequencies()
 		for i, m := range members {
-			j := i
-			src := cluster.IngestSource{
-				Session:   1,
-				Config:    cfg,
-				Vocab:     col.Vocab,
-				TermFreqs: freqs,
-				TotalDocs: col.M(),
-				ShardDocs: (len(col.Docs) - i + peers - 1) / peers,
-				Docs: func() (corpus.Document, bool) {
-					if j >= len(col.Docs) {
-						return corpus.Document{}, false
-					}
-					d := col.Docs[j]
-					j += peers
-					return d, true
-				},
-			}
-			st, err := clu.Ingest(m.Addr(), src)
+			st, err := clu.Ingest(m.Addr(), cluster.ShardSource(col, cfg, 1, i, peers))
 			if err != nil {
 				return err
 			}

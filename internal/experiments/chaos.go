@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -579,23 +578,8 @@ func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) err
 	// Post-chaos sweep: with the cluster healed and quiescent, every
 	// daemon must coordinate every query to the bit-identical final
 	// reference answer, and replica coverage must be whole.
-	parity := func() (int, error) {
-		mismatches := 0
-		for qi := range reqs {
-			for n := range addrs {
-				got, _, err := c.SearchVia(addrs[n], reqs[qi])
-				if err != nil {
-					return 0, fmt.Errorf("final query %d via %s: %w", qi, addrs[n], err)
-				}
-				if !reflect.DeepEqual(refResults[waves][qi], got.Results) {
-					mismatches++
-				}
-			}
-		}
-		return mismatches, nil
-	}
-	if rep.FinalMismatches, err = parity(); err != nil {
-		return nil, err
+	if rep.FinalMismatches, err = f.sweep(refResults[waves]); err != nil {
+		return nil, fmt.Errorf("final sweep: %w", err)
 	}
 	rep.UnderReplicated = c.Audit(opts.Replicas).UnderReplicated
 	progress("chaos: final sweep %d/%d parity, %d under-replicated",
@@ -622,8 +606,8 @@ func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) err
 	}
 	after := clusterFingerprints(c)
 	rep.RestoreFingerprintMismatches = diffFingerprints(before, after)
-	if rep.RestoreParityMismatches, err = parity(); err != nil {
-		return nil, err
+	if rep.RestoreParityMismatches, err = f.sweep(refResults[waves]); err != nil {
+		return nil, fmt.Errorf("soak: restore sweep: %w", err)
 	}
 	progress("soak: restore %d fingerprint drifts, %d parity mismatches",
 		rep.RestoreFingerprintMismatches, rep.RestoreParityMismatches)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -13,11 +14,11 @@ import (
 )
 
 // This file holds the set-up every multi-process scenario (TCPServe,
-// TCPIngestResume, Saturation, Telemetry, Chaos) starts from: the
-// synthetic corpus and its queries, the engine config, the in-process
-// reference engine every cluster answer is compared against (the
-// paper's §5 method), the reference answers, and a client dialled to
-// the running cluster.
+// TCPIngestResume, Chaos) starts from: the synthetic corpus and its
+// queries, the engine config, the in-process reference engine every
+// cluster answer is compared against (the paper's §5 method), the
+// reference answers, and a client dialled to the running cluster —
+// plus the parity passes and counter sums the scenarios share.
 
 // ClusterOpts is the cluster shape and workload every multi-process
 // scenario shares; scenario options embed it.
@@ -50,6 +51,7 @@ const fixtureChunkBytes = 2 << 10
 // fixture is one scenario's starting state.
 type fixture struct {
 	ClusterOpts
+	tr       transport.Transport
 	addrs    []string // daemon addresses in process (start) order
 	progress Progress
 
@@ -75,7 +77,7 @@ func newFixture(tr transport.Transport, addrs []string, opts ClusterOpts, extraD
 	if len(addrs) != opts.Nodes {
 		return nil, fmt.Errorf("experiments: %d addresses for %d nodes", len(addrs), opts.Nodes)
 	}
-	f := &fixture{ClusterOpts: opts, addrs: addrs, progress: progress}
+	f := &fixture{ClusterOpts: opts, tr: tr, addrs: addrs, progress: progress}
 	var err error
 	f.full, err = corpus.Generate(corpus.GenParams{
 		NumDocs: opts.Docs + extraDocs, VocabSize: 2000, AvgDocLen: 50,
@@ -172,6 +174,74 @@ func (f *fixture) requests(noCache bool) []core.SearchRequest {
 		reqs[i] = core.SearchRequest{Terms: f.ref.QueryTerms(q), K: f.TopK, NoCache: noCache}
 	}
 	return reqs
+}
+
+// rotate coordinates every query once with the result cache on, the
+// daemon addrs[i % Nodes] coordinating query i, and counts the answers
+// that differ from want and the ones served from a result cache.
+func (f *fixture) rotate(want [][]rank.Result) (mismatches, cached int, err error) {
+	for i, req := range f.requests(false) {
+		addr := f.addrs[i%len(f.addrs)]
+		res, hit, err := f.c.SearchVia(addr, req)
+		if err != nil {
+			return 0, 0, fmt.Errorf("query %d via %s: %w", i, addr, err)
+		}
+		if hit {
+			cached++
+		}
+		if !reflect.DeepEqual(want[i], res.Results) {
+			mismatches++
+		}
+	}
+	return mismatches, cached, nil
+}
+
+// sweep has every member of the client's view coordinate every query
+// with the result cache off and counts the answers that differ from
+// want.
+func (f *fixture) sweep(want [][]rank.Result) (int, error) {
+	mismatches := 0
+	for _, m := range f.c.Members() {
+		for i, req := range f.requests(true) {
+			res, _, err := f.c.SearchVia(m.Addr(), req)
+			if err != nil {
+				return 0, fmt.Errorf("query %d via %s: %w", i, m.Addr(), err)
+			}
+			if !reflect.DeepEqual(want[i], res.Results) {
+				mismatches++
+			}
+		}
+	}
+	return mismatches, nil
+}
+
+// counterSum is the sum of the serving counters over the daemons in
+// the client's view, read through cluster.info (a view over each
+// daemon's telemetry registry).
+type counterSum struct {
+	fetchRPCs, searchRPCs, hits, misses, shed uint64
+	unrepaired                                int // daemons whose view owes a repair
+}
+
+// counters sums the serving counters of every member of the client's
+// view.
+func (f *fixture) counters() (counterSum, error) {
+	var sum counterSum
+	for _, m := range f.c.Members() {
+		info, err := cluster.FetchInfo(f.tr, m.Addr())
+		if err != nil {
+			return sum, fmt.Errorf("experiments: info from %s: %w", m.Addr(), err)
+		}
+		sum.fetchRPCs += info.FetchRPCs
+		sum.searchRPCs += info.SearchRPCs
+		sum.hits += info.SearchCacheHits
+		sum.misses += info.SearchCacheMisses
+		sum.shed += info.SearchRejected
+		if info.Unrepaired {
+			sum.unrepaired++
+		}
+	}
+	return sum, nil
 }
 
 // procOf maps a member address to its process index in addrs.

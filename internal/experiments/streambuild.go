@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/corpus"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 	"repro/internal/transport/cluster"
@@ -24,39 +23,6 @@ import (
 // final index; then SIGKILL a built daemon and hold its warm restart to
 // bit-identical answers with zero re-indexing); bench/ times the same
 // path end to end.
-
-// streamShard returns a one-document-at-a-time iterator over the shard
-// ring member idx of n owns (document j goes to member j%n — the
-// SplitRoundRobin placement the fat client used) plus the shard's
-// document count. Iterating strides over the resident collection; the
-// thin client proper (examples/wikipedia -stream) regenerates from a
-// corpus.DocStream instead and holds neither.
-func streamShard(col *corpus.Collection, idx, n int) (func() (corpus.Document, bool), int) {
-	count := (len(col.Docs) - idx + n - 1) / n
-	j := idx
-	return func() (corpus.Document, bool) {
-		if j >= len(col.Docs) {
-			return corpus.Document{}, false
-		}
-		d := col.Docs[j]
-		j += n
-		return d, true
-	}, count
-}
-
-// shardIngestSource assembles the IngestSource for member idx of n.
-func shardIngestSource(col *corpus.Collection, cfg core.Config, session uint64, idx, n int) cluster.IngestSource {
-	docs, count := streamShard(col, idx, n)
-	return cluster.IngestSource{
-		Session:   session,
-		Config:    cfg,
-		Vocab:     col.Vocab,
-		TermFreqs: col.TermFrequencies(),
-		TotalDocs: col.M(),
-		ShardDocs: count,
-		Docs:      docs,
-	}
-}
 
 // IngestResumeReport is the durability scenario's measurement;
 // Failures lists the gates it misses.
@@ -171,7 +137,7 @@ func TCPIngestResume(tr transport.Transport, addrs []string, kill, restart func(
 		if i == victimRing {
 			continue
 		}
-		if _, err := c.Ingest(m.Addr(), shardIngestSource(f.col, f.cfg, session, i, len(members))); err != nil {
+		if _, err := c.Ingest(m.Addr(), cluster.ShardSource(f.col, f.cfg, session, i, len(members))); err != nil {
 			return nil, fmt.Errorf("experiments: ingest shard %d to %s: %w", i, m.Addr(), err)
 		}
 	}
@@ -179,7 +145,7 @@ func TCPIngestResume(tr transport.Transport, addrs []string, kill, restart func(
 	// The victim's upload, interrupted after exactly killAfterChunks
 	// acked chunks — then SIGKILL. fsync=always means those acked chunks
 	// are on disk and nothing else is.
-	src := shardIngestSource(f.col, f.cfg, session, victimRing, len(members))
+	src := cluster.ShardSource(f.col, f.cfg, session, victimRing, len(members))
 	src.OnChunk = func(acked int) error {
 		if acked >= killAfterChunks {
 			return errIngestInterrupted
@@ -205,7 +171,7 @@ func TCPIngestResume(tr transport.Transport, addrs []string, kill, restart func(
 	// Resume the SAME session against the restarted daemon: begin
 	// reports the durably held prefix, the digest negotiation pulls only
 	// the tail.
-	st2, err := c.Ingest(victim.Addr(), shardIngestSource(f.col, f.cfg, session, victimRing, len(members)))
+	st2, err := c.Ingest(victim.Addr(), cluster.ShardSource(f.col, f.cfg, session, victimRing, len(members)))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: resumed ingest: %w", err)
 	}
@@ -232,14 +198,8 @@ func TCPIngestResume(tr transport.Transport, addrs []string, kill, restart func(
 	// Bit-identity: the interrupted-then-resumed streamed build must
 	// answer exactly like the never-interrupted in-process engine, with
 	// coordinators rotating so probes hit the restarted daemon too.
-	for i, req := range f.requests(false) {
-		res, _, err := c.SearchVia(addrs[i%len(addrs)], req)
-		if err != nil {
-			return nil, fmt.Errorf("post-build query %d: %w", i, err)
-		}
-		if !reflect.DeepEqual(f.want[i], res.Results) {
-			rep.Mismatches++
-		}
+	if rep.Mismatches, _, err = f.rotate(f.want); err != nil {
+		return nil, fmt.Errorf("post-build: %w", err)
 	}
 	f.progress("ingest-resume: %d/%d queries bit-identical to the in-process reference",
 		len(f.queries)-rep.Mismatches, len(f.queries))

@@ -1,7 +1,7 @@
 // Package meterednames keeps the telemetry metric namespace auditable:
 // every name passed to a Registry registration method (Counter, Gauge,
 // GaugeFunc, Histogram) must be a package-level constant. The scrape
-// gates (TestTCPTelemetryE2E, the benchmark's per-layer metrics) and
+// gates (TestTCPServeE2E, the benchmark's per-layer metrics) and
 // dashboards assert on literal series names; a name spelled inline at the
 // registration site can drift — a typo'd resurrection of an old name,
 // or a rename that misses one of the two places — without any compile

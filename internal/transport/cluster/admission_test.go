@@ -220,58 +220,74 @@ func TestSearchOverloadOverWire(t *testing.T) {
 }
 
 // TestSearchViaBacksOffOnOverload pins the client side of the
-// contract: SearchVia keeps retrying a shedding daemon, sleeping at
-// least the daemon's hint per rejection, and succeeds once capacity
+// contract for both coordinated entry points, SearchVia and
+// SearchTraceVia: the client keeps retrying a shedding daemon, sleeping
+// at least the daemon's hint per rejection, and succeeds once capacity
 // frees; against a daemon that never recovers it surfaces the overload
 // error after exactly searchBackoffAttempts attempts.
 func TestSearchViaBacksOffOnOverload(t *testing.T) {
-	tr, servers, c, req := admissionCluster(t)
-	s := servers[0]
-	s.ConfigureSearch(1, 0, -1)
+	for _, tc := range []struct {
+		name   string
+		search func(c *Client, addr string, req core.SearchRequest) error
+	}{
+		{"SearchVia", func(c *Client, addr string, req core.SearchRequest) error {
+			_, _, err := c.SearchVia(addr, req)
+			return err
+		}},
+		{"SearchTraceVia", func(c *Client, addr string, req core.SearchRequest) error {
+			_, trace, err := c.SearchTraceVia(addr, req)
+			if err == nil && trace == nil {
+				return errors.New("coordinated NoCache search returned no trace")
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, servers, c, req := admissionCluster(t)
+			s := servers[0]
+			s.ConfigureSearch(1, 0, -1)
 
-	rejectedAt := func() uint64 {
-		info, err := FetchInfo(tr, s.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return info.SearchRejected
-	}
+			rejectedAt := func() uint64 {
+				info, err := FetchInfo(tr, s.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return info.SearchRejected
+			}
 
-	rel, _ := s.admitSearch()
-	start := time.Now()
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := c.SearchVia(s.Addr(), req)
-		done <- err
-	}()
-	// Let the daemon shed at least two attempts before freeing
-	// capacity: the client must have backed off twice.
-	deadline := time.Now().Add(5 * time.Second)
-	for rejectedAt() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("client never retried against the saturated daemon")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	rel()
-	if err := <-done; err != nil {
-		t.Fatalf("SearchVia after recovery: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed < 2*searchRetryAfter {
-		t.Fatalf("two rejections cost %v, want >= %v of backoff", elapsed, 2*searchRetryAfter)
-	}
+			rel, _ := s.admitSearch()
+			start := time.Now()
+			done := make(chan error, 1)
+			go func() { done <- tc.search(c, s.Addr(), req) }()
+			// Let the daemon shed at least two attempts before freeing
+			// capacity: the client must have backed off twice.
+			deadline := time.Now().Add(5 * time.Second)
+			for rejectedAt() < 2 {
+				if time.Now().After(deadline) {
+					t.Fatal("client never retried against the saturated daemon")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			rel()
+			if err := <-done; err != nil {
+				t.Fatalf("search after recovery: %v", err)
+			}
+			if elapsed := time.Since(start); elapsed < 2*searchRetryAfter {
+				t.Fatalf("two rejections cost %v, want >= %v of backoff", elapsed, 2*searchRetryAfter)
+			}
 
-	// Never-recovering daemon: the overload surfaces after exactly
-	// searchBackoffAttempts attempts.
-	before := rejectedAt()
-	rel2, _ := s.admitSearch()
-	defer rel2()
-	_, _, err := c.SearchVia(s.Addr(), req)
-	if !errors.Is(err, core.ErrOverloaded) {
-		t.Fatalf("exhausted backoff returned %v, want ErrOverloaded", err)
-	}
-	if got := rejectedAt() - before; got != searchBackoffAttempts {
-		t.Fatalf("exhaustion cost %d rejections, want %d", got, searchBackoffAttempts)
+			// Never-recovering daemon: the overload surfaces after exactly
+			// searchBackoffAttempts attempts.
+			before := rejectedAt()
+			rel2, _ := s.admitSearch()
+			defer rel2()
+			if err := tc.search(c, s.Addr(), req); !errors.Is(err, core.ErrOverloaded) {
+				t.Fatalf("exhausted backoff returned %v, want ErrOverloaded", err)
+			}
+			if got := rejectedAt() - before; got != searchBackoffAttempts {
+				t.Fatalf("exhaustion cost %d rejections, want %d", got, searchBackoffAttempts)
+			}
+		})
 	}
 }
 

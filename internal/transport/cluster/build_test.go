@@ -144,7 +144,7 @@ func TestBuildFailsOnLostRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, s := range servers {
-		if _, err := c.Ingest(s.Addr(), shardSource(col, cfg, 1, i, len(servers))); err != nil {
+		if _, err := c.Ingest(s.Addr(), ShardSource(col, cfg, 1, i, len(servers))); err != nil {
 			t.Fatal(err)
 		}
 	}

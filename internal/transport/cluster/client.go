@@ -481,15 +481,22 @@ const (
 // carrying its retry-after hint; callers running their own pacing —
 // load generators, saturation probes — use this to see every rejection.
 func (c *Client) TrySearchVia(addr string, req core.SearchRequest) (*core.SearchResult, bool, error) {
+	res, cached, _, err := c.trySearch(addr, req)
+	return res, cached, err
+}
+
+// trySearch is one hdk.search attempt, returning the raw trace bytes a
+// traced response carries alongside the answer.
+func (c *Client) trySearch(addr string, req core.SearchRequest) (*core.SearchResult, bool, []byte, error) {
 	raw, err := c.CallService(addr, core.SvcSearch, core.EncodeSearchRequest(req))
 	if err != nil {
-		return nil, false, fmt.Errorf("cluster: search via %s: %w", addr, err)
+		return nil, false, nil, fmt.Errorf("cluster: search via %s: %w", addr, err)
 	}
-	res, cached, err := core.DecodeSearchResponse(raw)
+	res, cached, trace, err := core.DecodeSearchResponseTrace(raw)
 	if err != nil {
-		return nil, false, fmt.Errorf("cluster: search via %s: %w", addr, err)
+		return nil, false, nil, fmt.Errorf("cluster: search via %s: %w", addr, err)
 	}
-	return res, cached, nil
+	return res, cached, trace, nil
 }
 
 // SearchVia asks the daemon at addr to coordinate one query: the whole
@@ -505,11 +512,17 @@ func (c *Client) TrySearchVia(addr string, req core.SearchRequest) (*core.Search
 // shedding after the configured attempts (Options.SearchAttempts)
 // surfaces the last *core.OverloadError to the caller.
 func (c *Client) SearchVia(addr string, req core.SearchRequest) (*core.SearchResult, bool, error) {
+	res, cached, _, err := c.search(addr, req)
+	return res, cached, err
+}
+
+// search is trySearch behind SearchVia's overload backoff.
+func (c *Client) search(addr string, req core.SearchRequest) (*core.SearchResult, bool, []byte, error) {
 	for attempt := 0; ; attempt++ {
-		res, cached, err := c.TrySearchVia(addr, req)
+		res, cached, trace, err := c.trySearch(addr, req)
 		var ov *core.OverloadError
 		if !errors.As(err, &ov) || attempt == c.searchAttempts-1 {
-			return res, cached, err
+			return res, cached, trace, err
 		}
 		hi := ov.RetryAfter << attempt
 		if hi > c.backoffCap {
@@ -533,29 +546,15 @@ func (c *Client) SearchVia(addr string, req core.SearchRequest) (*core.SearchRes
 // with NoCache to force a coordinated, traced run.
 func (c *Client) SearchTraceVia(addr string, req core.SearchRequest) (*core.SearchResult, *telemetry.Trace, error) {
 	req.Trace = true
-	for attempt := 0; ; attempt++ {
-		raw, err := c.CallService(addr, core.SvcSearch, core.EncodeSearchRequest(req))
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: search via %s: %w", addr, err)
-		}
-		res, _, traceBytes, err := core.DecodeSearchResponseTrace(raw)
-		var ov *core.OverloadError
-		if errors.As(err, &ov) && attempt < c.searchAttempts-1 {
-			time.Sleep(ov.RetryAfter)
-			continue
-		}
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: search via %s: %w", addr, err)
-		}
-		if traceBytes == nil {
-			return res, nil, nil
-		}
-		trace, err := telemetry.DecodeTrace(traceBytes)
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: search via %s: trace: %w", addr, err)
-		}
-		return res, trace, nil
+	res, _, raw, err := c.search(addr, req)
+	if err != nil || raw == nil {
+		return res, nil, err
 	}
+	trace, err := telemetry.DecodeTrace(raw)
+	if err != nil {
+		return nil, nil, fmt.Errorf("cluster: search via %s: trace: %w", addr, err)
+	}
+	return res, trace, nil
 }
 
 // NodeStoreStats pairs a daemon address with its store footprint.

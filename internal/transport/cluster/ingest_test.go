@@ -17,29 +17,56 @@ import (
 	"repro/internal/transport"
 )
 
-// shardSource builds the IngestSource a thin client would stream for
-// ring member idx of n: the documents SplitRoundRobin assigns to that
-// member (doc j -> member j%n), with the collection-global vocabulary
-// and frequencies. The iterator yields one document at a time — the
-// test client never needs the shard resident either.
-func shardSource(col *corpus.Collection, cfg core.Config, session uint64, idx, n int) IngestSource {
-	part := col.SplitRoundRobin(n)[idx]
-	i := 0
-	return IngestSource{
-		Session:   session,
-		Config:    cfg,
-		Vocab:     col.Vocab,
-		TermFreqs: col.TermFrequencies(),
-		TotalDocs: col.M(),
-		ShardDocs: part.M(),
-		Docs: func() (corpus.Document, bool) {
-			if i >= len(part.Docs) {
-				return corpus.Document{}, false
+// TestStreamShardPartition pins ShardSource's iterator to the
+// SplitRoundRobin placement the fat client and the in-process reference
+// use: document j goes to member j%n, every document exactly
+// once, and the advertised shard count matches the iteration — the
+// invariants that make a streamed build bit-identical to a resident
+// one.
+func TestStreamShardPartition(t *testing.T) {
+	col, err := corpus.Generate(corpus.GenParams{
+		NumDocs: 53, VocabSize: 300, AvgDocLen: 20,
+		Skew: 1.0, NumTopics: 4, TopicTerms: 40, TopicMix: 0.5, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2, 5, 7} {
+		seen := make(map[corpus.DocID]int)
+		ref := col.SplitRoundRobin(n)
+		for idx := 0; idx < n; idx++ {
+			src := ShardSource(col, core.Config{}, 1, idx, n)
+			var docs []corpus.Document
+			for {
+				d, ok := src.Docs()
+				if !ok {
+					break
+				}
+				docs = append(docs, d)
+				seen[d.ID]++
 			}
-			d := part.Docs[i]
-			i++
-			return d, true
-		},
+			if len(docs) != src.ShardDocs {
+				t.Errorf("n=%d shard %d: advertised %d docs, iterated %d", n, idx, src.ShardDocs, len(docs))
+			}
+			if len(docs) != len(ref[idx].Docs) {
+				t.Errorf("n=%d shard %d: %d docs, SplitRoundRobin has %d", n, idx, len(docs), len(ref[idx].Docs))
+				continue
+			}
+			for j, d := range docs {
+				if d.ID != ref[idx].Docs[j].ID {
+					t.Errorf("n=%d shard %d doc %d: ID %v, SplitRoundRobin has %v", n, idx, j, d.ID, ref[idx].Docs[j].ID)
+					break
+				}
+			}
+		}
+		if len(seen) != len(col.Docs) {
+			t.Errorf("n=%d: shards cover %d distinct docs, want %d", n, len(seen), len(col.Docs))
+		}
+		for id, c := range seen {
+			if c != 1 {
+				t.Errorf("n=%d: doc %v appears %d times across shards", n, id, c)
+			}
+		}
 	}
 }
 
@@ -66,7 +93,7 @@ func TestIngestRemoteBuildMatchesInProcess(t *testing.T) {
 	members := c.Members()
 
 	for i, m := range members {
-		st, err := c.Ingest(m.Addr(), shardSource(col, cfg, 1, i, len(members)))
+		st, err := c.Ingest(m.Addr(), ShardSource(col, cfg, 1, i, len(members)))
 		if err != nil {
 			t.Fatalf("ingest to %s: %v", m.Addr(), err)
 		}
@@ -78,7 +105,7 @@ func TestIngestRemoteBuildMatchesInProcess(t *testing.T) {
 	// Resume invariant, pre-build: re-running the identical session must
 	// re-ship nothing — the daemon holds every chunk and the digest
 	// negotiation skips them all.
-	st, err := c.Ingest(members[1].Addr(), shardSource(col, cfg, 1, 1, len(members)))
+	st, err := c.Ingest(members[1].Addr(), ShardSource(col, cfg, 1, 1, len(members)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +148,7 @@ func TestIngestRemoteBuildMatchesInProcess(t *testing.T) {
 
 	// The built cluster refuses further sessions and divergent configs
 	// with errors.Is-matchable rejections.
-	if _, err := c.Ingest(members[0].Addr(), shardSource(col, cfg, 2, 0, len(members))); !errors.Is(err, ErrAlreadyBuilt) {
+	if _, err := c.Ingest(members[0].Addr(), ShardSource(col, cfg, 2, 0, len(members))); !errors.Is(err, ErrAlreadyBuilt) {
 		t.Fatalf("ingest into built cluster: err = %v, want ErrAlreadyBuilt", err)
 	}
 	cfg2 := cfg
@@ -196,7 +223,7 @@ func TestIngestShuffledChunksMatchBulkConfigure(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for i, m := range membersB {
 		srv := byAddrB[m.Addr()]
-		src := shardSource(col, cfg, 3, i, len(membersB))
+		src := ShardSource(col, cfg, 3, i, len(membersB))
 		gen := &chunkGen{src: src, target: 2 << 10}
 		var chunks [][]byte
 		var digests []uint64
@@ -293,7 +320,7 @@ func TestIngestDurableResumeSkipsAckedChunks(t *testing.T) {
 
 	// Hand-feed begin + the first 3 chunks, then "crash" the daemon
 	// (transport yanked, durable dir left behind).
-	src := shardSource(col, cfg, session, 0, 1)
+	src := ShardSource(col, cfg, session, 0, 1)
 	gen := &chunkGen{src: src, target: target}
 	var chunks [][]byte
 	for {
@@ -349,7 +376,7 @@ func TestIngestDurableResumeSkipsAckedChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Ingest("node-0", shardSource(col, cfg, session, 0, 1))
+	st, err := c.Ingest("node-0", ShardSource(col, cfg, session, 0, 1))
 	if err != nil {
 		t.Fatalf("resumed ingest: %v", err)
 	}

@@ -53,6 +53,33 @@ type IngestSource struct {
 	OnChunk func(acked int) error
 }
 
+// ShardSource is the IngestSource for ring member idx of n over a
+// resident collection: document j goes to member j%n (the
+// SplitRoundRobin placement the in-process build uses), with the
+// collection-global vocabulary and frequencies. The iterator strides
+// over col one document at a time; a client that must not hold the
+// corpus (examples/wikipedia -stream) regenerates from a
+// corpus.DocStream instead.
+func ShardSource(col *corpus.Collection, cfg core.Config, session uint64, idx, n int) IngestSource {
+	j := idx
+	return IngestSource{
+		Session:   session,
+		Config:    cfg,
+		Vocab:     col.Vocab,
+		TermFreqs: col.TermFrequencies(),
+		TotalDocs: col.M(),
+		ShardDocs: (len(col.Docs) - idx + n - 1) / n,
+		Docs: func() (corpus.Document, bool) {
+			if j >= len(col.Docs) {
+				return corpus.Document{}, false
+			}
+			d := col.Docs[j]
+			j += n
+			return d, true
+		},
+	}
+}
+
 // IngestStats reports one Ingest call's traffic. On a fresh session
 // ChunksSent == Chunks; on a resume ChunksSkipped counts the chunks the
 // daemon already held durably — acked chunks are never re-shipped.
