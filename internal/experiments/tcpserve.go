@@ -298,9 +298,8 @@ func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i in
 	if err != nil {
 		return nil, err
 	}
-	reqs := f.requests(false)
 	var origin overlay.Member
-	for _, req := range reqs {
+	for _, req := range f.requests(false) {
 		if origin = c.CoordinatorReading(req.Terms, opts.Replicas, victim.Addr()); origin != nil {
 			break
 		}
