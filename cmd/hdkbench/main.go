@@ -49,7 +49,6 @@ import (
 func main() {
 	scaleName := flag.String("scale", "small", "experiment scale: small, medium or paper")
 	experiment := flag.String("experiment", "all", "artifact to print: all, table1, table2, fig2..fig8, avail")
-	fabric := flag.String("fabric", "chord", "overlay substrate: chord or pgrid (the paper's P-Grid)")
 	fanout := flag.Int("fanout", 0, "concurrent per-owner fetch RPCs per query lattice level (0 = engine default)")
 	replicas := flag.String("replicas", "", "replication factor; for -experiment avail a comma list to compare, e.g. 1,2,3 (default 1,3)")
 	kill := flag.Float64("kill", 0.2, "fraction of nodes crashed by the avail experiment")
@@ -63,7 +62,7 @@ func main() {
 	setFlags := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 
-	if err := run(*scaleName, *experiment, *fabric, *replicas, *jsonPath, *replay, *kill, *fanout, *seed, *chaos, *soak, *quiet, setFlags); err != nil {
+	if err := run(*scaleName, *experiment, *replicas, *jsonPath, *replay, *kill, *fanout, *seed, *chaos, *soak, *quiet, setFlags); err != nil {
 		fmt.Fprintln(os.Stderr, "hdkbench:", err)
 		os.Exit(1)
 	}
@@ -85,7 +84,7 @@ func parseReplicas(s string) ([]int, error) {
 	return out, nil
 }
 
-func run(scaleName, experiment, fabric, replicas, jsonPath, replay string, kill float64, fanout int, seed uint64, chaos, soak, quiet bool, setFlags map[string]bool) error {
+func run(scaleName, experiment, replicas, jsonPath, replay string, kill float64, fanout int, seed uint64, chaos, soak, quiet bool, setFlags map[string]bool) error {
 	var scale experiments.Scale
 	switch scaleName {
 	case "small":
@@ -97,7 +96,6 @@ func run(scaleName, experiment, fabric, replicas, jsonPath, replay string, kill 
 	default:
 		return fmt.Errorf("unknown scale %q", scaleName)
 	}
-	scale.Fabric = fabric
 	scale.SearchFanout = fanout
 	rlist, err := parseReplicas(replicas)
 	if err != nil {
@@ -113,7 +111,7 @@ func run(scaleName, experiment, fabric, replicas, jsonPath, replay string, kill 
 	if chaos || soak {
 		// The chaos scenario spawns (and reaps) its own durable cluster;
 		// reject flags that would suggest an external one applies.
-		for _, name := range []string{"experiment", "fabric", "kill", "replicas", "fanout", "scale"} {
+		for _, name := range []string{"experiment", "kill", "replicas", "fanout", "scale"} {
 			if setFlags[name] {
 				return fmt.Errorf("-%s does not apply to -chaos/-soak (self-contained scenario)", name)
 			}

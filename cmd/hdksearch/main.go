@@ -306,9 +306,8 @@ func printStats(eng *core.Engine, fabric overlay.Fabric, clu *cluster.Client, tc
 			stats.KeysBySize[1], stats.KeysBySize[2], stats.KeysBySize[3],
 			stats.StoredTotal, traffic.InsertedTotal)
 		if net, ok := fabric.(*overlay.Network); ok {
-			count, hops := net.LookupStats()
-			fmt.Printf("dht lookups %d, mean hops %.2f | transport: %d msgs, %d bytes\n",
-				count, hops, net.TransportStats().Messages, net.TransportStats().Bytes)
+			st := net.TransportStats()
+			fmt.Printf("transport: %d msgs, %d bytes\n", st.Messages, st.Bytes)
 		}
 	} else {
 		nodeStats, err := clu.StoreStats()

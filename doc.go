@@ -5,13 +5,14 @@
 // The library implements the paper's indexing/retrieval model (HDK keys
 // over a structured P2P overlay) together with every substrate it needs:
 // text processing, Zipf analysis, a synthetic web-like corpus, posting
-// lists, BM25 ranking, a Chord-style DHT over in-process and TCP
-// transports, the single-term baselines, the Section 4 scalability
-// analysis, and an experiment harness regenerating every table and figure
-// of the evaluation. internal/replica adds the availability layer the
-// prototype inherited from P-Grid: R-way key placement over any overlay
-// fabric, search failover between replicas, and churn repair that
-// restores coverage after node crashes without re-indexing.
+// lists, BM25 ranking, a consistent-hashing DHT whose owners resolve
+// from one membership view over in-process and TCP transports, the
+// single-term baselines, the Section 4 scalability analysis, and an
+// experiment harness regenerating every table and figure of the
+// evaluation. internal/replica adds the availability layer the
+// prototype inherited from P-Grid: search failover along the ring's
+// R-way successor lists and churn repair that restores coverage after
+// node crashes without re-indexing.
 //
 // The system also runs as an actual distributed program: cmd/hdknode is
 // a daemon serving one peer's index store over transport.TCP — a pooled,

@@ -55,7 +55,7 @@ func run(maxPeers, docsPerPeer, replicas int, killFrac float64) error {
 
 	// --- Growth phase: the paper's batch-join scalability table. -------
 	fmt.Printf("growth (R=%d):\n", replicas)
-	fmt.Printf("%-7s %-7s %-16s %-16s %-14s\n", "peers", "docs", "stored/peer", "max node load", "mean hops")
+	fmt.Printf("%-7s %-7s %-16s %s\n", "peers", "docs", "stored/peer", "max node load")
 	var eng *core.Engine
 	var net *overlay.Network
 	var col *corpus.Collection
@@ -95,9 +95,8 @@ func run(maxPeers, docsPerPeer, replicas int, killFrac float64) error {
 				maxLoad = load
 			}
 		}
-		_, hops := net.LookupStats()
-		fmt.Printf("%-7d %-7d %-16.0f %-16d %-14.2f\n",
-			peers, docs, float64(st.StoredTotal)/float64(peers), maxLoad, hops)
+		fmt.Printf("%-7d %-7d %-16.0f %d\n",
+			peers, docs, float64(st.StoredTotal)/float64(peers), maxLoad)
 	}
 	fmt.Println("\nper-peer load flattens as the network grows with the collection —")
 	fmt.Println("the paper's constant-docs-per-peer scalability argument (Section 4.1).")

@@ -1,8 +1,8 @@
 // Realtext: the full paper pipeline on actual English prose — raw
 // documents go through tokenization, the 250-word stop list and the
-// Porter stemmer (internal/ingest), are distributed over a P-Grid trie
-// (the paper's own substrate), indexed with highly discriminative keys,
-// and queried with free-text queries.
+// Porter stemmer (internal/ingest), are distributed over a ring of
+// peers, indexed with highly discriminative keys, and queried with
+// free-text queries.
 package main
 
 import (
@@ -11,7 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ingest"
-	"repro/internal/pgrid"
+	"repro/internal/overlay"
 	"repro/internal/rank"
 	"repro/internal/transport"
 )
@@ -49,17 +49,14 @@ func run() error {
 	col := builder.Build()
 	fmt.Println(builder.Stats())
 
-	// 2. A P-Grid trie of 4 peers (the paper's substrate).
-	net := pgrid.NewNetwork(transport.NewInProc())
+	// 2. A ring of 4 peers.
+	net := overlay.NewNetwork(transport.NewInProc())
 	for i := 0; i < 4; i++ {
-		if _, err := net.AddPeer(fmt.Sprintf("peer-%d", i)); err != nil {
+		if _, err := net.AddNode(fmt.Sprintf("peer-%d", i)); err != nil {
 			return err
 		}
 	}
 	members := net.Members()
-	for _, m := range members {
-		fmt.Printf("peer %s owns trie path %q\n", m.Addr(), m.(*pgrid.Peer).Path())
-	}
 
 	// 3. HDK engine with a tiny DFmax so multi-term keys appear even on
 	// twelve documents.

@@ -107,7 +107,7 @@ func TestCentralizedConjunctiveHits(t *testing.T) {
 	}
 }
 
-func buildSTEngine(t testing.TB, col *corpus.Collection, peers int) (*DistributedST, *overlay.Network) {
+func buildSTEngine(t testing.TB, col *corpus.Collection, peers int) *DistributedST {
 	t.Helper()
 	net := overlay.NewNetwork(transport.NewInProc())
 	for i := 0; i < peers; i++ {
@@ -117,20 +117,18 @@ func buildSTEngine(t testing.TB, col *corpus.Collection, peers int) (*Distribute
 	}
 	global := GlobalStats{NumDocs: col.M(), AvgDocLen: col.AvgDocLen()}
 	e := NewDistributedST(net, col.Vocab, global, rank.DefaultBM25())
-	parts := col.SplitRoundRobin(peers)
-	nodes := net.Nodes()
-	for i, part := range parts {
-		if _, err := e.IndexPeer(part, nodes[i%len(nodes)]); err != nil {
+	for _, part := range col.SplitRoundRobin(peers) {
+		if _, err := e.IndexPeer(part); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return e, net
+	return e
 }
 
 func TestDistributedSTMatchesCentralized(t *testing.T) {
 	col := genCollection(t, 120)
 	cen := NewCentralized(col, rank.DefaultBM25())
-	st, net := buildSTEngine(t, col, 4)
+	st := buildSTEngine(t, col, 4)
 
 	qp := corpus.DefaultQueryParams(15)
 	qp.MinHits = 2
@@ -140,10 +138,9 @@ func TestDistributedSTMatchesCentralized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := net.Nodes()
 	for i, q := range queries {
 		want := cen.Search(q, 20)
-		got, fetched, err := st.Search(q, nodes[i%len(nodes)], 20)
+		got, fetched, err := st.Search(q, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +161,7 @@ func TestDistributedSTTrafficGrowsWithCollection(t *testing.T) {
 	fetchedAt := func(docs int) uint64 {
 		col := genCollection(t, docs)
 		cen := NewCentralized(col, rank.DefaultBM25())
-		st, net := buildSTEngine(t, col, 4)
+		st := buildSTEngine(t, col, 4)
 		qp := corpus.DefaultQueryParams(10)
 		qp.MinHits = 1
 		queries, err := corpus.GenerateQueries(col, qp, 20, cen.ConjunctiveHits)
@@ -172,8 +169,8 @@ func TestDistributedSTTrafficGrowsWithCollection(t *testing.T) {
 			t.Fatal(err)
 		}
 		total := uint64(0)
-		for i, q := range queries {
-			_, fetched, err := st.Search(q, net.Nodes()[i%4], 20)
+		for _, q := range queries {
+			_, fetched, err := st.Search(q, 20)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +189,7 @@ func TestDistributedSTStoredEqualsInserted(t *testing.T) {
 	// Every inserted posting is stored exactly once (full lists, no
 	// truncation) when each (term, doc) pair is unique across peers.
 	col := genCollection(t, 100)
-	st, _ := buildSTEngine(t, col, 4)
+	st := buildSTEngine(t, col, 4)
 	snap := st.Traffic.Snapshot()
 	if snap.InsertedPostings != snap.StoredPostings {
 		t.Fatalf("inserted %d != stored %d", snap.InsertedPostings, snap.StoredPostings)
@@ -210,7 +207,7 @@ func TestDistributedSTStoredEqualsInserted(t *testing.T) {
 func TestDistributedSTIndexSizeMatchesCentralized(t *testing.T) {
 	col := genCollection(t, 100)
 	cen := NewCentralized(col, rank.DefaultBM25())
-	st, _ := buildSTEngine(t, col, 4)
+	st := buildSTEngine(t, col, 4)
 	if got, want := st.Traffic.Snapshot().StoredPostings, uint64(cen.IndexPostings()); got != want {
 		t.Fatalf("distributed ST stores %d postings, centralized %d", got, want)
 	}

@@ -133,10 +133,10 @@ func (e *DistributedST) makeFetchHandler(store *stStore) func([]byte) ([]byte, e
 }
 
 // IndexPeer indexes one peer's local collection: computes per-term local
-// posting lists carrying the BM25 tf-component as score, routes each term
-// to its DHT owner and inserts the list. Returns the number of postings
+// posting lists carrying the BM25 tf-component as score and inserts each
+// list at its term's DHT owner. Returns the number of postings
 // this peer inserted.
-func (e *DistributedST) IndexPeer(local *corpus.Collection, from overlay.Member) (uint64, error) {
+func (e *DistributedST) IndexPeer(local *corpus.Collection) (uint64, error) {
 	byTerm := make(map[corpus.TermID]postings.List)
 	tf := make(map[corpus.TermID]int)
 	stats := e.global.RankStats()
@@ -166,9 +166,9 @@ func (e *DistributedST) IndexPeer(local *corpus.Collection, from overlay.Member)
 		list := byTerm[t]
 		sort.Slice(list, func(i, j int) bool { return list[i].Doc < list[j].Doc })
 		key := e.vocab[t]
-		owner, _, err := e.net.Route(from, key)
-		if err != nil {
-			return inserted, fmt.Errorf("baseline: route %q: %w", key, err)
+		owner, ok := e.net.OwnerOf(key)
+		if !ok {
+			return inserted, fmt.Errorf("baseline: no owner for %q: empty overlay", key)
 		}
 		payload := postings.EncodeKeyedBatch(nil, []postings.KeyedMessage{{Key: key, List: list}})
 		if _, err := e.net.CallService(owner.Addr(), svcSTInsert, payload); err != nil {
@@ -184,15 +184,15 @@ func (e *DistributedST) IndexPeer(local *corpus.Collection, from overlay.Member)
 // global index, applies the idf factor, unions and ranks. It returns the
 // top-k results and the number of postings transferred (the Figure 6
 // quantity).
-func (e *DistributedST) Search(q corpus.Query, from overlay.Member, k int) ([]rank.Result, uint64, error) {
+func (e *DistributedST) Search(q corpus.Query, k int) ([]rank.Result, uint64, error) {
 	stats := e.global.RankStats()
 	var acc postings.List
 	fetched := uint64(0)
 	for _, t := range q.Terms {
 		key := e.vocab[t]
-		owner, _, err := e.net.Route(from, key)
-		if err != nil {
-			return nil, fetched, err
+		owner, ok := e.net.OwnerOf(key)
+		if !ok {
+			return nil, fetched, fmt.Errorf("baseline: no owner for %q: empty overlay", key)
 		}
 		raw, err := e.net.CallService(owner.Addr(), svcSTFetch, []byte(key))
 		if err != nil {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/overlay"
 	"repro/internal/postings"
 	"repro/internal/rank"
-	"repro/internal/replica"
 	"repro/internal/telemetry"
 )
 
@@ -93,11 +92,10 @@ func NewQueryMetrics(reg *telemetry.Registry) *QueryMetrics {
 // live cluster is observed through: per-level probe/found/RPC/posting
 // counters, per-level latency histograms and the local-fetch counter.
 //
-// From is the coordinating member: the origin of Route calls and the
-// replica reads prefer (ReadPlan) — a daemon passes its own member stub
-// with its store attached read-locally. It may be nil on one-hop
-// fabrics, which reads every key primary-first; so does any traversal
-// over a fabric whose view still owes a repair (overlay.Churn).
+// From is the coordinating member: the replica reads prefer (ReadPlan)
+// — a daemon passes its own member stub with its store attached
+// read-locally. It may be nil, which reads every key primary-first; so
+// does any traversal over a fabric whose view still owes a repair.
 type Coordinator struct {
 	Net     overlay.Fabric
 	Cfg     Config
@@ -176,7 +174,6 @@ type latticeSearch struct {
 	from       overlay.Member
 	self       string // from's address ("" without a coordinating member)
 	placeReads bool   // every chain member holds a full copy: ReadPlan may choose among them
-	localRoute bool   // ownership resolves from a local table (overlay.LocalResolver)
 	replicas   int
 	fanout     int
 	traffic    *Traffic
@@ -200,15 +197,13 @@ func newLatticeSearch(net overlay.Fabric, from overlay.Member, cfg Config, traff
 	// After a departure and until a repair sweep completes, the member
 	// promotion added to a replica set holds no (or a partial) copy; only
 	// the primary — an old replica — is safe to read. The fabric knows.
-	churn, ok := net.(overlay.Churn)
-	ls.placeReads = !ok || !churn.View().Owed()
-	_, ls.localRoute = net.(overlay.LocalResolver)
+	ls.placeReads = !net.View().Owed()
 	return ls
 }
 
 // run traverses the lattice of term subsets level-synchronously: each
 // level's candidates survive subsumption pruning against the previous
-// level, their replica chains resolve in one routing pass, and every
+// level, their replica chains resolve from the fabric's view, and every
 // chosen reader (probeLevel, ReadPlan) receives a single multi-key fetch
 // — at most fanout in flight.
 // Found keys' bounded posting lists are unioned in candidate order (so
@@ -391,36 +386,23 @@ type ownerBatch struct {
 	err    error
 }
 
-// replicaChain returns a key's ordered replica addresses — the routed
-// primary first (when routing succeeded), then the resolver's remaining
-// owners. The insert fan-out writes to every address of this chain and
-// the fetch path reads from one of them (ReadPlan picks which, failover
-// walks the rest), so write placement and read placement can never
-// diverge. When routing and the resolver agree (the steady state) the
-// chain is exactly the R-member replica set; a routed address the
-// resolver no longer names (membership changed between the routing walk
-// and the resolver lookup) is kept as an extra leading entry rather
-// than displacing a legitimate owner. An empty routedAddr (route
-// failure) falls back to the placement ground truth alone; the result is
-// empty only on an empty overlay.
-func replicaChain(net overlay.Fabric, r int, routedAddr, canonical string) []string {
-	if routedAddr != "" && r == 1 {
-		return []string{routedAddr}
-	}
-	chain := make([]string, 0, r+1)
-	if routedAddr != "" {
-		chain = append(chain, routedAddr)
-	}
-	for _, m := range replica.Owners(net, canonical, r) {
-		if addr := m.Addr(); addr != routedAddr {
-			chain = append(chain, addr)
-		}
+// replicaChain returns a key's ordered replica addresses: the members
+// the fabric's OwnersOf names, primary first. The insert fan-out writes
+// to every address of this chain and the fetch path reads from one of
+// them (ReadPlan picks which, failover walks the rest), so write
+// placement and read placement can never diverge. The chain is empty
+// only on an empty overlay.
+func replicaChain(net overlay.Fabric, r int, canonical string) []string {
+	owners := net.OwnersOf(canonical, r)
+	chain := make([]string, len(owners))
+	for i, m := range owners {
+		chain[i] = m.Addr()
 	}
 	return chain
 }
 
 // probeLevel resolves one lattice level: the keys' replica chains are
-// resolved in one routing pass, ReadPlan chooses each key's reader — the
+// resolved from the fabric's view, ReadPlan chooses each key's reader — the
 // coordinating member itself when it holds a copy, else the fewest other
 // members that cover the level — and every chosen reader gets one
 // batched fetch, at most fanout in flight. A batch whose reader fails
@@ -438,40 +420,16 @@ func (ls *latticeSearch) probeLevel(level []string, res *SearchResult, lvlSpan i
 	}
 	fanout := ls.fanout
 
-	// One routing pass: resolve every key's primary owner and its full
-	// replica set. Routing errors are themselves failed over to the
-	// placement ground truth: the resolver knows the owners without a
-	// network walk. A fabric resolving from a local table is walked in
-	// this goroutine; one whose Route is transport calls is fanned out.
+	// Resolve every key's replica set from the fabric's view.
 	routeSpan := -1
 	if ls.trace != nil {
 		routeSpan = ls.trace.Start(lvlSpan, "route", telemetry.Num("keys", uint64(len(level))))
 	}
 	chains := make([][]string, len(level))
-	routeErrs := make([]error, len(level))
-	resolve := func(j int) {
-		canonical := level[j]
-		routedAddr := ""
-		owner, _, err := ls.net.Route(ls.from, canonical)
-		if err == nil {
-			routedAddr = owner.Addr()
-		}
-		chains[j] = replicaChain(ls.net, ls.replicas, routedAddr, canonical)
-		if len(chains[j]) == 0 {
-			routeErrs[j] = err
-		}
-	}
-	if ls.localRoute {
-		for j := range level {
-			resolve(j)
-		}
-	} else {
-		forEachLimit(len(level), fanout, resolve)
-	}
-	for _, err := range routeErrs {
-		if err != nil {
+	for j, canonical := range level {
+		if chains[j] = replicaChain(ls.net, ls.replicas, canonical); len(chains[j]) == 0 {
 			ls.trace.End(routeSpan)
-			return nil, err
+			return nil, fmt.Errorf("core: no owner for key %q: empty overlay", canonical)
 		}
 	}
 	if ls.placeReads {

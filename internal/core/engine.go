@@ -140,15 +140,6 @@ func (e *Engine) replicas() int {
 	return e.cfg.ReplicationFactor
 }
 
-// replicaChain returns a key's ordered replica addresses for this
-// engine's fabric and replication factor (see the package-level
-// replicaChain in coordinate.go, which the search path shares with the
-// daemon-side coordinator). The insert fan-out walks this same chain,
-// so write placement and read failover can never diverge.
-func (e *Engine) replicaChain(routedAddr, canonical string) []string {
-	return replicaChain(e.net, e.replicas(), routedAddr, canonical)
-}
-
 // AddPeer registers a peer owning the given local collection on an
 // existing overlay node.
 func (e *Engine) AddPeer(node overlay.Member, local *corpus.Collection) (*Peer, error) {
@@ -270,8 +261,8 @@ func (e *Engine) runRound(s int) error {
 }
 
 // PeerRoundTimes splits one peer's round into its two halves: candidate
-// generation (pure local CPU) and the insert pass (routing, encoding and
-// one RPC per owner).
+// generation (pure local CPU) and the insert pass (owner resolution,
+// encoding and one RPC per owner).
 type PeerRoundTimes struct {
 	Generate, Insert time.Duration
 }
@@ -414,9 +405,9 @@ type SearchResult struct {
 // the global index with a level-synchronous, batched, parallel traversal:
 // each level's candidates survive subsumption pruning against the
 // previous level (supersets of HDKs are never stored; supersets of absent
-// keys cannot exist), their replica chains are resolved in one routing
-// pass, each key's reader is chosen from its chain (ReadPlan: from's own
-// copy first, then the fewest other members), and every chosen reader
+// keys cannot exist), their replica chains are resolved from the
+// fabric's view, each key's reader is chosen from its chain (ReadPlan:
+// from's own copy first, then the fewest other members), and every chosen reader
 // receives a single multi-key fetch RPC — at most Config.SearchFanout
 // RPCs in flight. Found keys' bounded posting lists are unioned in
 // candidate order (so the ranked answer is identical at any fan-out and
@@ -585,17 +576,13 @@ func (e *Engine) AuditReplicas() replica.AuditStats {
 // node drop out of the build set. With ReplicationFactor >= 2 the
 // surviving replicas keep every key reachable; RepairReplicas restores
 // full coverage afterwards. In between the fabric's view owes a repair
-// (overlay.Churn) and every search reads primary-first:
+// and every search reads primary-first:
 // the member the crash promoted into a replica set holds no copy yet.
 func (e *Engine) FailNode(node overlay.Member) error {
-	churn, ok := e.net.(overlay.Churn)
-	if !ok {
-		return fmt.Errorf("core: fabric does not support node removal")
-	}
 	if e.net.Size() <= 1 {
 		return fmt.Errorf("core: cannot fail the last node")
 	}
-	if !churn.RemoveNode(node.ID()) {
+	if !e.net.RemoveNode(node.ID()) {
 		return fmt.Errorf("core: node %x not in overlay", node.ID())
 	}
 	delete(e.stores, node.ID())

@@ -9,7 +9,6 @@ import (
 	"repro/internal/overlay"
 	"repro/internal/postings"
 	"repro/internal/rank"
-	"repro/internal/replica"
 	"repro/internal/transport"
 )
 
@@ -76,7 +75,7 @@ func testConfig(col *corpus.Collection, dfmax int) Config {
 // in-process stores, consulting the key's replica set in failover order.
 func (e *Engine) KeyInfo(k Key) (KeyStatus, int, postings.List) {
 	canonical := k.CanonicalString(e.vocab)
-	for _, owner := range replica.Owners(e.net, canonical, e.replicas()) {
+	for _, owner := range e.net.OwnersOf(canonical, e.replicas()) {
 		store, ok := e.stores[owner.ID()]
 		if !ok {
 			continue
@@ -446,18 +445,17 @@ func TestSearchBoundedTraffic(t *testing.T) {
 		}
 	}
 	within("built")
-	churn := eng.net.(overlay.Churn)
 	if err := eng.FailNode(eng.net.Members()[1]); err != nil {
 		t.Fatal(err)
 	}
-	if !churn.View().Owed() {
+	if !eng.net.View().Owed() {
 		t.Fatal("a crash left no repair debt")
 	}
 	within("crashed, unrepaired")
 	if _, err := eng.RepairReplicas(); err != nil {
 		t.Fatal(err)
 	}
-	if churn.View().Owed() {
+	if eng.net.View().Owed() {
 		t.Fatal("the repair sweep left the debt owed")
 	}
 	within("repaired")

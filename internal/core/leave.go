@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/overlay"
-	"repro/internal/replica"
 )
 
 // This file implements the graceful leave: RemoveNode hands a departing
@@ -51,11 +50,7 @@ func (e *Engine) RemoveNode(node overlay.Member) error {
 	// Leave the ring first so ownership recomputes without the node —
 	// gracefully: the handoff below fills every replica set the leave
 	// reshapes, so it owes no repair...
-	churn, ok := e.net.(overlay.Churn)
-	if !ok {
-		return fmt.Errorf("core: fabric does not support node removal")
-	}
-	if !churn.Leave(node.ID()) {
+	if !e.net.Leave(node.ID()) {
 		return fmt.Errorf("core: node %x not in overlay", node.ID())
 	}
 	if e.net.Size() == 0 {
@@ -63,7 +58,7 @@ func (e *Engine) RemoveNode(node overlay.Member) error {
 	}
 	// ...then hand its entries to the new owners.
 	for _, key := range store.keyList() {
-		owners := replica.Owners(e.net, key, e.replicas())
+		owners := e.net.OwnersOf(key, e.replicas())
 		if len(owners) == 0 {
 			return fmt.Errorf("core: cannot remove the last node")
 		}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
-	"repro/internal/overlay"
 	"repro/internal/rank"
 )
 
@@ -82,7 +81,7 @@ func TestOverlayRemoveUnknownNode(t *testing.T) {
 	col := testCollection(t, 10)
 	cfg := testConfig(col, 5)
 	eng := buildEngine(t, col, 2, cfg)
-	if eng.net.(overlay.Churn).RemoveNode(0xdeadbeef) {
+	if eng.net.RemoveNode(0xdeadbeef) {
 		t.Fatal("removed a node that was never added")
 	}
 }

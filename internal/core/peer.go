@@ -478,7 +478,7 @@ func (x *extender) extend(base Key, start int) {
 	x.cands.add(cand, x.ds)
 }
 
-// insertAll routes each candidate key to its DHT owner, groups the
+// insertAll resolves each candidate key's DHT owner, groups the
 // candidates per owner, and ships one insert RPC per owner carrying every
 // (key, posting list) pair that owner is responsible for — the insert-side
 // mirror of the batched query fan-out. Under ReplicationFactor R > 1 each
@@ -489,7 +489,7 @@ func (x *extender) extend(base Key, start int) {
 func (p *Peer) insertAll(cands *candSet, size int) (uint64, error) {
 	lists := cands.lists()
 	vocab := p.eng.vocab
-	// Routing pass: resolve owners, batching per owner in sorted-key order.
+	// Resolve owners, batching per owner in sorted-key order.
 	// Keys hash uniformly over the members, so each owner's batch is sized
 	// for its even share plus slack instead of grown by doubling.
 	share := len(lists)*p.eng.replicas()/max(1, p.eng.net.Size()) + len(lists)/8 + 1
@@ -498,11 +498,11 @@ func (p *Peer) insertAll(cands *candSet, size int) (uint64, error) {
 	inserted := uint64(0)
 	for _, cl := range lists {
 		canonical := cl.key.CanonicalString(vocab)
-		owner, _, err := p.eng.net.Route(p.node, canonical)
-		if err != nil {
-			return 0, fmt.Errorf("core: route key %q: %w", cl.key.DisplayString(vocab), err)
+		chain := replicaChain(p.eng.net, p.eng.replicas(), canonical)
+		if len(chain) == 0 {
+			return 0, fmt.Errorf("core: no owner for key %q: empty overlay", cl.key.DisplayString(vocab))
 		}
-		for _, addr := range p.eng.replicaChain(owner.Addr(), canonical) {
+		for _, addr := range chain {
 			batch, ok := byOwner[addr]
 			if !ok {
 				addrs = append(addrs, addr)

@@ -1,14 +1,14 @@
 package core
 
 // This file is the read side of replication. Writes go to a key's whole
-// replica chain (Peer.insertBatch walks replicaChain); a read needs only
+// replica chain (Peer.insertAll walks replicaChain); a read needs only
 // one copy, so the coordinator is free to choose WHICH — and the cheapest
 // copy is the one it holds itself, the next cheapest one that shares an
 // RPC with other keys of the same level.
 
 // ReadPlan chooses, for the keys of one lattice level, which replica of
 // each key is read first. chains[j] is key j's replica chain in failover
-// order (replicaChain: the routed primary, then the remaining owners),
+// order (replicaChain: the fabric's OwnersOf, primary first),
 // keys in candidate order; self is the coordinating member's address.
 // Each chain is reordered IN PLACE so that its chosen reader leads and
 // the other replicas keep their relative order behind it:

@@ -185,12 +185,11 @@ func TestReadPlanNeverWorseThanPrimaryFirst(t *testing.T) {
 // ReadPlan would pick.
 type readerForcingFabric struct {
 	overlay.Fabric
-	r      int
 	choose func(key string, owners []overlay.Member) overlay.Member
 }
 
 func (f *readerForcingFabric) OwnersOf(key string, r int) []overlay.Member {
-	owners := f.Fabric.(overlay.MultiOwner).OwnersOf(key, r)
+	owners := f.Fabric.OwnersOf(key, r)
 	chosen := f.choose(key, owners)
 	out := []overlay.Member{chosen}
 	for _, o := range owners {
@@ -199,10 +198,6 @@ func (f *readerForcingFabric) OwnersOf(key string, r int) []overlay.Member {
 		}
 	}
 	return out
-}
-
-func (f *readerForcingFabric) Route(from overlay.Member, key string) (overlay.Member, int, error) {
-	return f.OwnersOf(key, f.r)[0], 0, nil
 }
 
 // TestSearchInvariantUnderReaderChoice is the reader-permutation
@@ -238,10 +233,10 @@ func TestSearchInvariantUnderReaderChoice(t *testing.T) {
 	}
 	want := make([][]byte, queries)
 	for i := range want {
-		want[i] = search(&readerForcingFabric{Fabric: eng.net, r: replicas, choose: forcedPos(0)}, nil, i)
+		want[i] = search(&readerForcingFabric{Fabric: eng.net, choose: forcedPos(0)}, nil, i)
 	}
 	check := func(name string, choose func(string, []overlay.Member) overlay.Member) {
-		forced := &readerForcingFabric{Fabric: eng.net, r: replicas, choose: choose}
+		forced := &readerForcingFabric{Fabric: eng.net, choose: choose}
 		for i := range want {
 			if got := search(forced, nil, i); !bytes.Equal(got, want[i]) {
 				t.Fatalf("%s: query %d: encoded result differs from the primary-first answer", name, i)
@@ -310,7 +305,7 @@ func TestFailoverFromChosenReader(t *testing.T) {
 	if len(terms) != 1 {
 		t.Fatalf("query terms %v, want one", terms)
 	}
-	chain := replicaChain(net, 2, "", terms[0])
+	chain := replicaChain(net, 2, terms[0])
 	from := net.OwnersOf(terms[0], 2)[1]
 	plan := [][]string{append([]string(nil), chain...)}
 	ReadPlan(plan, from.Addr())
@@ -363,15 +358,13 @@ func TestUnrepairedCrashReadsPrimaryFirst(t *testing.T) {
 	if len(probe) != 1 {
 		t.Fatalf("probe terms %v, want one", probe)
 	}
-	multi := eng.net.(overlay.MultiOwner)
-	churn := eng.net.(overlay.Churn)
-	if err := eng.FailNode(multi.OwnersOf(probe[0], 2)[0]); err != nil {
+	if err := eng.FailNode(eng.net.OwnersOf(probe[0], 2)[0]); err != nil {
 		t.Fatal(err)
 	}
-	if !churn.View().Owed() {
+	if !eng.net.View().Owed() {
 		t.Fatal("fabric does not report the crash as unrepaired")
 	}
-	owners := multi.OwnersOf(probe[0], 2)
+	owners := eng.net.OwnersOf(probe[0], 2)
 	primary, promoted := owners[0], owners[1]
 	readerOf := func(from overlay.Member) string {
 		t.Helper()
@@ -414,7 +407,7 @@ func TestUnrepairedCrashReadsPrimaryFirst(t *testing.T) {
 	if _, err := eng.RepairReplicas(); err != nil {
 		t.Fatal(err)
 	}
-	if churn.View().Owed() {
+	if eng.net.View().Owed() {
 		t.Fatal("fabric still unrepaired after a complete sweep")
 	}
 	for _, m := range eng.net.Members() {
@@ -433,12 +426,11 @@ func TestUnrepairedCrashReadsPrimaryFirst(t *testing.T) {
 func TestGracefulLeaveOwesNoRepair(t *testing.T) {
 	col := testCollection(t, 60)
 	eng := buildReplicatedEngine(t, col, 8, 2, testConfig(col, 6))
-	churn := eng.net.(overlay.Churn)
 	if err := eng.RemoveNode(eng.net.Members()[1]); err != nil {
 		t.Fatal(err)
 	}
-	if churn.View().Owed() || !eng.AuditReplicas().FullyReplicated() {
-		t.Fatalf("graceful leave: unrepaired=%t, audit %+v", churn.View().Owed(), eng.AuditReplicas())
+	if eng.net.View().Owed() || !eng.AuditReplicas().FullyReplicated() {
+		t.Fatalf("graceful leave: unrepaired=%t, audit %+v", eng.net.View().Owed(), eng.AuditReplicas())
 	}
 	if err := eng.FailNode(eng.net.Members()[1]); err != nil {
 		t.Fatal(err)
@@ -446,7 +438,7 @@ func TestGracefulLeaveOwesNoRepair(t *testing.T) {
 	if err := eng.RemoveNode(eng.net.Members()[1]); err != nil {
 		t.Fatal(err)
 	}
-	if !churn.View().Owed() {
+	if !eng.net.View().Owed() {
 		t.Fatal("a graceful leave settled an earlier crash's repair debt")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/overlay"
-	"repro/internal/replica"
 	"repro/internal/transport"
 )
 
@@ -394,7 +393,7 @@ func TestRepairHealsDivergedReplica(t *testing.T) {
 		store := eng.stores[m.ID()]
 		for _, key := range store.keyList() {
 			fp, _ := store.entryFingerprint(key)
-			for _, owner := range replica.Owners(eng.net, key, eng.replicas()) {
+			for _, owner := range eng.net.OwnersOf(key, eng.replicas()) {
 				ofp, ok := eng.stores[owner.ID()].entryFingerprint(key)
 				if !ok || ofp != fp {
 					t.Fatalf("key %q: replica fingerprint %+v (present %v) != %+v — diverged copy survived repair",
@@ -446,7 +445,7 @@ func TestGracefulLeavePreservesReplication(t *testing.T) {
 	// its replica set.
 	for id, store := range eng.stores {
 		for _, key := range store.keyList() {
-			if !inReplicaSet(id, replica.Owners(eng.net, key, eng.replicas())) {
+			if !inReplicaSet(id, eng.net.OwnersOf(key, eng.replicas())) {
 				t.Fatalf("key %q resident outside its replica set after a graceful leave", key)
 			}
 		}

@@ -6,15 +6,13 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/overlay"
-	"repro/internal/pgrid"
 	"repro/internal/transport"
 )
 
 // TestEngineTransportAgnostic pins the deployment claim at the fabric
 // level: the engine must produce the identical global index and ranked
 // answers when every RPC travels through real loopback TCP sockets
-// instead of in-process calls — on BOTH overlay substrates (Chord ring
-// and the paper's P-Grid trie).
+// instead of in-process calls.
 func TestEngineTransportAgnostic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("binds dozens of sockets; skipped in -short mode")
@@ -28,67 +26,44 @@ func TestEngineTransportAgnostic(t *testing.T) {
 	}
 	refOrigin := ref.net.Members()[0]
 
-	cases := []struct {
-		name  string
-		build func(tr transport.Transport) (overlay.Fabric, error)
-	}{
-		{"chord-over-tcp", func(tr transport.Transport) (overlay.Fabric, error) {
-			net := overlay.NewNetwork(tr)
-			for i := 0; i < 4; i++ {
-				if _, err := net.AddNode("127.0.0.1:0"); err != nil {
-					return nil, err
-				}
-			}
-			return net, nil
-		}},
-		{"pgrid-over-tcp", func(tr transport.Transport) (overlay.Fabric, error) {
-			net := pgrid.NewNetwork(tr)
-			for i := 0; i < 4; i++ {
-				if _, err := net.AddPeer("127.0.0.1:0"); err != nil {
-					return nil, err
-				}
-			}
-			return net, nil
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			tr := transport.NewTCP()
-			defer tr.Close()
-			fabric, err := tc.build(tr)
-			if err != nil {
+	t.Run("chord-over-tcp", func(t *testing.T) {
+		tr := transport.NewTCP()
+		defer tr.Close()
+		fabric := overlay.NewNetwork(tr)
+		for i := 0; i < 4; i++ {
+			if _, err := fabric.AddNode("127.0.0.1:0"); err != nil {
 				t.Fatal(err)
 			}
-			eng, err := NewEngine(fabric, cfg, col.Vocab, col.TermFrequencies())
-			if err != nil {
+		}
+		eng, err := NewEngine(fabric, cfg, col.Vocab, col.TermFrequencies())
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := fabric.Members()
+		for i, part := range col.SplitRoundRobin(len(members)) {
+			if _, err := eng.AddPeer(members[i], part); err != nil {
 				t.Fatal(err)
 			}
-			members := fabric.Members()
-			for i, part := range col.SplitRoundRobin(len(members)) {
-				if _, err := eng.AddPeer(members[i], part); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := eng.BuildIndex(); err != nil {
-				t.Fatal(err)
-			}
-			assertEnginesEqual(t, eng, ref, cfg)
+		}
+		if err := eng.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+		assertEnginesEqual(t, eng, ref, cfg)
 
-			origin := members[0]
-			for i := 0; i < 10; i++ {
-				q := corpus.Query{Terms: col.Docs[i].Terms[:2]}
-				want, err := ref.Search(q, refOrigin, 15)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := eng.Search(q, origin, 15)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want.Results, got.Results) {
-					t.Fatalf("query %d: results over TCP diverge from in-process", i)
-				}
+		origin := members[0]
+		for i := 0; i < 10; i++ {
+			q := corpus.Query{Terms: col.Docs[i].Terms[:2]}
+			want, err := ref.Search(q, refOrigin, 15)
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			got, err := eng.Search(q, origin, 15)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want.Results, got.Results) {
+				t.Fatalf("query %d: results over TCP diverge from in-process", i)
+			}
+		}
+	})
 }

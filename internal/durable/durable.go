@@ -25,6 +25,7 @@ package durable
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -124,6 +125,18 @@ const headerLen = 16
 // ErrCorrupt is returned when a snapshot fails validation. (A torn log
 // tail is NOT corruption — Open truncates and recovers silently.)
 var ErrCorrupt = errors.New("durable: corrupt file")
+
+// ErrFormat is returned when a file carries a whole header that is not
+// this format's: a foreign magic or version, or a generation that
+// disagrees with the file name. Open refuses such a data directory
+// rather than discard what another format version wrote.
+var ErrFormat = errors.New("durable: foreign file format")
+
+// errTornHeader marks a header that never fully reached disk: shorter
+// than headerLen, or all zero bytes (the file grew before its data
+// landed). On a log it is a torn creation, which Open starts afresh; a
+// snapshot is renamed into place whole, so on one it is corruption.
+var errTornHeader = fmt.Errorf("%w: torn header", ErrCorrupt)
 
 // errTorn marks the first invalid record of a log: everything before it
 // is kept, everything from it on is truncated away.
@@ -252,12 +265,14 @@ func (s *Store) openLog() error {
 		return err
 	}
 	recs, valid, dropped, err := parseLog(raw, s.gen)
-	if err != nil {
-		// The header itself is unusable (torn creation): start over. Any
-		// records it held are unrecoverable, but a log whose header never
-		// made it to disk cannot hold synced records either.
+	switch {
+	case errors.Is(err, errTornHeader):
+		// A torn creation: start over. A log whose header never made it
+		// to disk cannot hold synced records.
 		os.Remove(path)
 		return s.createLog(path)
+	case err != nil:
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	s.opRecs = recs
 	s.truncated = dropped
@@ -510,16 +525,17 @@ func parseRecord(buf []byte) (Record, int, error) {
 }
 
 // checkHeader validates a file header against the expected magic and
-// generation.
+// generation: errTornHeader when the header never fully reached disk,
+// ErrFormat when a whole header is not the expected one.
 func checkHeader(raw []byte, magic []byte, gen uint64) error {
-	if len(raw) < headerLen {
-		return fmt.Errorf("%w: short header", ErrCorrupt)
+	if len(raw) < headerLen || bytes.Equal(raw[:headerLen], make([]byte, headerLen)) {
+		return errTornHeader
 	}
-	if string(raw[:len(magic)]) != string(magic) {
-		return fmt.Errorf("%w: bad magic", ErrCorrupt)
+	if found := raw[:len(magic)]; !bytes.Equal(found, magic) {
+		return fmt.Errorf("%w: magic %q, want %q", ErrFormat, found, magic)
 	}
 	if got := binary.BigEndian.Uint64(raw[len(magic):headerLen]); got != gen {
-		return fmt.Errorf("%w: generation %d in file named for %d", ErrCorrupt, got, gen)
+		return fmt.Errorf("%w: generation %d in file named for %d", ErrFormat, got, gen)
 	}
 	return nil
 }
@@ -532,7 +548,7 @@ func readSnapshot(path string, gen uint64) ([]Record, error) {
 		return nil, err
 	}
 	if err := checkHeader(raw, snapshotMagic, gen); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	var recs []Record
 	off := headerLen

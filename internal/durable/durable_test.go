@@ -2,9 +2,11 @@ package durable
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -349,6 +351,80 @@ func TestCorruptSnapshotRejected(t *testing.T) {
 	}
 	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("corrupt snapshot loaded without error")
+	}
+}
+
+// TestForeignHeaderRefused: a whole header in another format — here the
+// version byte of the magic bumped — is refused by name and left on
+// disk; only a header that never fully reached disk (short, or all
+// zeros) is a torn creation that Open starts afresh.
+func TestForeignHeaderRefused(t *testing.T) {
+	setup := func(t *testing.T, compact bool) (string, string) {
+		dir := t.TempDir()
+		s := mustOpen(t, dir, Options{Fsync: SyncNever})
+		for i := 0; i < 3; i++ {
+			if err := s.Append("op", []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path := s.oplogPath(0)
+		if compact {
+			if err := s.Compact(func(emit func(string, []byte) error) error {
+				return emit("entry", []byte("state"))
+			}); err != nil {
+				t.Fatal(err)
+			}
+			path = s.snapshotPath(1)
+		}
+		s.Close()
+		return dir, path
+	}
+	rewrite := func(t *testing.T, path string, mangle func([]byte) []byte) []byte {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw = mangle(raw)
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	bumpVersion := func(raw []byte) []byte { raw[7]++; return raw }
+
+	for _, tc := range []struct {
+		name    string
+		compact bool
+		want    string
+	}{{"oplog", false, "HDKOPLG\\x02"}, {"snapshot", true, "HDKSNAP\\x02"}} {
+		t.Run(tc.name+"-foreign-version", func(t *testing.T) {
+			dir, path := setup(t, tc.compact)
+			raw := rewrite(t, path, bumpVersion)
+			_, err := Open(dir, Options{})
+			if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open = %v, want ErrFormat naming %s and magic %s", err, path, tc.want)
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, raw) {
+				t.Fatalf("refused file changed on disk: %d -> %d bytes", len(raw), len(after))
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name   string
+		mangle func([]byte) []byte
+	}{
+		{"short", func(raw []byte) []byte { return raw[:headerLen-1] }},
+		{"all-zeros", func(raw []byte) []byte { return make([]byte, len(raw)) }},
+	} {
+		t.Run("oplog-torn-header-"+tc.name, func(t *testing.T) {
+			dir, path := setup(t, false)
+			rewrite(t, path, tc.mangle)
+			re := mustOpen(t, dir, Options{})
+			defer re.Close()
+			if len(re.Ops()) != 0 {
+				t.Fatalf("torn creation recovered %d ops", len(re.Ops()))
+			}
+		})
 	}
 }
 

@@ -52,14 +52,10 @@ type AvailabilityReport struct {
 // answer, crashes killFrac of the nodes (spread around the ring, so
 // consecutive-replica wipeouts don't conflate the measurement), and
 // re-measures recall — first without repair (pure failover), then after
-// a RepairReplicas sweep. The scenario needs a fabric with churn support
-// and engine-level crash semantics, i.e. the Chord overlay.
+// a RepairReplicas sweep.
 func Availability(scale Scale, killFrac float64, replicas []int, progress Progress) (*AvailabilityReport, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, err
-	}
-	if scale.Fabric == "pgrid" {
-		return nil, fmt.Errorf("experiments: availability scenario requires the chord fabric (P-Grid rebuilds reassign the whole trie on departure)")
 	}
 	if killFrac <= 0 || killFrac >= 1 {
 		return nil, fmt.Errorf("experiments: kill fraction %g outside (0,1)", killFrac)

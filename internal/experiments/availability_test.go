@@ -91,11 +91,6 @@ func TestAvailabilityRejectsBadParams(t *testing.T) {
 	if _, err := Availability(availScale(), 0.2, nil, nil); err == nil {
 		t.Error("empty replica list accepted")
 	}
-	s := availScale()
-	s.Fabric = "pgrid"
-	if _, err := Availability(s, 0.2, []int{2}, nil); err == nil {
-		t.Error("pgrid fabric accepted for the churn scenario")
-	}
 }
 
 func TestAvailabilityReportRenders(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/overlay"
-	"repro/internal/pgrid"
 	"repro/internal/rank"
 	"repro/internal/transport"
 )
@@ -119,14 +118,14 @@ func runStep(scale Scale, full *corpus.Collection, peers int, progress Progress)
 	// Distributed single-term baseline.
 	stats := rank.CollectionStats{NumDocs: col.M(), AvgDocLen: col.AvgDocLen()}
 	{
-		net, nodes, err := buildOverlay(scale, peers)
+		net, err := buildOverlay(peers)
 		if err != nil {
 			return nil, err
 		}
 		st := baseline.NewDistributedST(net, col.Vocab,
 			baseline.GlobalStats{NumDocs: stats.NumDocs, AvgDocLen: stats.AvgDocLen}, rank.DefaultBM25())
-		for i, part := range col.SplitRoundRobin(peers) {
-			if _, err := st.IndexPeer(part, nodes[i]); err != nil {
+		for _, part := range col.SplitRoundRobin(peers) {
+			if _, err := st.IndexPeer(part); err != nil {
 				return nil, err
 			}
 		}
@@ -134,7 +133,7 @@ func runStep(scale Scale, full *corpus.Collection, peers int, progress Progress)
 		var fetched uint64
 		var overlap float64
 		for i, q := range queries {
-			res, f, err := st.Search(q, nodes[i%peers], 20)
+			res, f, err := st.Search(q, 20)
 			if err != nil {
 				return nil, err
 			}
@@ -162,39 +161,29 @@ func runStep(scale Scale, full *corpus.Collection, peers int, progress Progress)
 	return step, nil
 }
 
-// buildOverlay constructs the configured substrate: the Chord-style ring
-// by default, or the P-Grid trie (the paper's own substrate) when the
-// scale selects it.
-func buildOverlay(scale Scale, peers int) (overlay.Fabric, []overlay.Member, error) {
-	if scale.Fabric == "pgrid" {
-		net := pgrid.NewNetwork(transport.NewInProc())
-		for i := 0; i < peers; i++ {
-			if _, err := net.AddPeer(fmt.Sprintf("peer-%02d", i)); err != nil {
-				return nil, nil, err
-			}
-		}
-		return net, net.Members(), nil
-	}
+// buildOverlay constructs an in-process ring of peers members.
+func buildOverlay(peers int) (*overlay.Network, error) {
 	net := overlay.NewNetwork(transport.NewInProc())
 	for i := 0; i < peers; i++ {
 		if _, err := net.AddNode(fmt.Sprintf("peer-%d", i)); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return net, net.Members(), nil
+	return net, nil
 }
 
 // buildScaledEngine assembles the HDK engine for one measurement: the
-// scale's overlay substrate, its Config mapping (with the replication
+// ring of peers members, the scale's Config mapping (with the replication
 // factor override when replicas > 0), the round-robin document split,
 // and all-cores build concurrency (the final index is provably identical
 // to a serial build — merges commute; tested in core). BuildIndex is
 // left to the caller, which times it.
 func buildScaledEngine(scale Scale, col *corpus.Collection, peers, dfmax, replicas int) (*core.Engine, []overlay.Member, error) {
-	net, nodes, err := buildOverlay(scale, peers)
+	net, err := buildOverlay(peers)
 	if err != nil {
 		return nil, nil, err
 	}
+	nodes := net.Members()
 	stats := rank.CollectionStats{NumDocs: col.M(), AvgDocLen: col.AvgDocLen()}
 	cfg := core.DefaultConfig(stats)
 	cfg.DFMax = dfmax

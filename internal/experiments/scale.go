@@ -16,10 +16,9 @@ import (
 // Scale is a full experiment parameterization.
 type Scale struct {
 	Name        string
-	Fabric      string // overlay substrate: "chord" (default) or "pgrid"
-	PeerSteps   []int  // network sizes per experimental run (paper: 4,8,..,28)
-	DocsPerPeer int    // paper: 5,000
-	AvgDocLen   int    // paper: ~225
+	PeerSteps   []int // network sizes per experimental run (paper: 4,8,..,28)
+	DocsPerPeer int   // paper: 5,000
+	AvgDocLen   int   // paper: ~225
 	VocabSize   int
 	Topics      int
 	TopicTerms  int
@@ -77,11 +76,6 @@ func (s Scale) Validate() error {
 	}
 	if s.Replicas < 0 {
 		return fmt.Errorf("experiments: negative replication factor %d", s.Replicas)
-	}
-	switch s.Fabric {
-	case "", "chord", "pgrid":
-	default:
-		return fmt.Errorf("experiments: unknown fabric %q", s.Fabric)
 	}
 	return nil
 }

@@ -19,27 +19,6 @@ func buildNet(t *testing.T, n int) *Network {
 	return net
 }
 
-func TestBetween(t *testing.T) {
-	cases := []struct {
-		a, b, x ID
-		want    bool
-	}{
-		{1, 5, 3, true},
-		{1, 5, 5, true},
-		{1, 5, 1, false},
-		{1, 5, 6, false},
-		{10, 2, 11, true}, // wrap
-		{10, 2, 1, true},  // wrap
-		{10, 2, 2, true},  // wrap, inclusive upper
-		{10, 2, 5, false},
-	}
-	for _, c := range cases {
-		if got := between(c.a, c.b, c.x); got != c.want {
-			t.Errorf("between(%d,%d,%d) = %v, want %v", c.a, c.b, c.x, got, c.want)
-		}
-	}
-}
-
 func TestHashKeyDeterministic(t *testing.T) {
 	if HashKey("abc") != HashKey("abc") {
 		t.Fatal("HashKey not deterministic")
@@ -49,98 +28,36 @@ func TestHashKeyDeterministic(t *testing.T) {
 	}
 }
 
-func TestLookupFindsOwner(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 16, 28, 64} {
-		net := buildNet(t, n)
-		nodes := net.Nodes()
-		for i := 0; i < 200; i++ {
-			key := fmt.Sprintf("key-%d", i)
-			want := net.Owner(key)
-			start := nodes[i%len(nodes)]
-			got, hops, err := net.Lookup(start, key)
-			if err != nil {
-				t.Fatalf("n=%d key=%s: %v", n, key, err)
-			}
-			if got.ID() != want.ID() {
-				t.Fatalf("n=%d key=%s: lookup owner %x, want %x", n, key, got.ID(), want.ID())
-			}
-			if hops < 1 {
-				t.Fatalf("hops = %d, want >= 1", hops)
-			}
-		}
-	}
-}
-
-func TestLookupHopsLogarithmic(t *testing.T) {
-	net := buildNet(t, 64)
-	nodes := net.Nodes()
-	total, count := 0, 0
-	for i := 0; i < 500; i++ {
-		key := fmt.Sprintf("k%d", i)
-		_, hops, err := net.Lookup(nodes[i%len(nodes)], key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += hops
-		count++
-	}
-	mean := float64(total) / float64(count)
-	// log2(64) = 6; iterative Chord averages ~log2(N)/2 + 1 forwarding
-	// steps. Anything near-linear signals broken finger tables.
-	if mean > 10 {
-		t.Fatalf("mean hops %.1f on 64 nodes, want O(log N)", mean)
-	}
-	c, m := net.LookupStats()
-	if c != uint64(count) {
-		t.Errorf("LookupStats count = %d, want %d", c, count)
-	}
-	if m != mean {
-		t.Errorf("LookupStats mean = %g, want %g", m, mean)
-	}
-}
-
-func TestOwnerConsistentAcrossStarts(t *testing.T) {
-	net := buildNet(t, 16)
-	nodes := net.Nodes()
-	for i := 0; i < 50; i++ {
-		key := fmt.Sprintf("q%d", i)
-		var owner ID
-		for j, start := range nodes {
-			got, _, err := net.Lookup(start, key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if j == 0 {
-				owner = got.ID()
-			} else if got.ID() != owner {
-				t.Fatalf("key %s: owner differs by start node", key)
-			}
-		}
-	}
-}
-
 func TestJoinPreservesOwnership(t *testing.T) {
-	// The paper's growth protocol: peers join in batches; lookups must
-	// stay consistent with the ground-truth successor mapping after every
-	// join.
+	// The paper's growth protocol: peers join in batches. Consistent
+	// hashing moves a key only to a peer that just joined; every other
+	// key keeps its owner.
 	net := buildNet(t, 4)
-	for round := 0; round < 3; round++ {
-		for i := 0; i < 4; i++ {
-			if _, err := net.AddNode(fmt.Sprintf("joiner-%d-%d", round, i)); err != nil {
-				t.Fatal(err)
-			}
+	owners := func() []string {
+		out := make([]string, 60)
+		for i := range out {
+			m, _ := net.OwnerOf(fmt.Sprintf("doc-%d", i))
+			out[i] = m.Addr()
 		}
-		nodes := net.Nodes()
-		for i := 0; i < 60; i++ {
-			key := fmt.Sprintf("doc-%d", i)
-			got, _, err := net.Lookup(nodes[i%len(nodes)], key)
+		return out
+	}
+	before := owners()
+	for round := 0; round < 3; round++ {
+		joined := map[string]bool{}
+		for i := 0; i < 4; i++ {
+			n, err := net.AddNode(fmt.Sprintf("joiner-%d-%d", round, i))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := net.Owner(key); got.ID() != want.ID() {
-				t.Fatalf("after join round %d: wrong owner for %s", round, key)
+			joined[n.Addr()] = true
+		}
+		after := owners()
+		for i := range after {
+			if after[i] != before[i] && !joined[after[i]] {
+				t.Fatalf("join round %d moved doc-%d from %s to %s, not a joiner", round, i, before[i], after[i])
 			}
 		}
+		before = after
 	}
 	if net.Size() != 16 {
 		t.Fatalf("Size = %d, want 16", net.Size())
@@ -152,7 +69,8 @@ func TestKeyDistributionRoughlyBalanced(t *testing.T) {
 	counts := map[ID]int{}
 	const keys = 20000
 	for i := 0; i < keys; i++ {
-		counts[net.Owner(fmt.Sprintf("key:%d", i)).ID()]++
+		m, _ := net.OwnerOf(fmt.Sprintf("key:%d", i))
+		counts[m.ID()]++
 	}
 	// Consistent hashing without virtual nodes is skewed, but every node
 	// must own something and no node should own the majority.
@@ -168,7 +86,7 @@ func TestKeyDistributionRoughlyBalanced(t *testing.T) {
 
 func TestServiceDispatch(t *testing.T) {
 	net := buildNet(t, 4)
-	target := net.Nodes()[2]
+	target := net.Members()[2]
 	target.Handle("echo", func(req []byte) ([]byte, error) {
 		return append([]byte("svc:"), req...), nil
 	})
@@ -186,7 +104,7 @@ func TestServiceDispatch(t *testing.T) {
 
 func TestEnvelopeRoundTrip(t *testing.T) {
 	prop := func(service string, payload []byte) bool {
-		s, p, err := decodeEnvelope(encodeEnvelope(service, payload))
+		s, p, err := DecodeEnvelope(EncodeEnvelope(service, payload))
 		if err != nil {
 			return false
 		}
@@ -206,10 +124,10 @@ func TestEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestEnvelopeCorrupt(t *testing.T) {
-	if _, _, err := decodeEnvelope([]byte{0xff}); err == nil {
+	if _, _, err := DecodeEnvelope([]byte{0xff}); err == nil {
 		t.Error("truncated envelope accepted")
 	}
-	if _, _, err := decodeEnvelope([]byte{10, 'a'}); err == nil {
+	if _, _, err := DecodeEnvelope([]byte{10, 'a'}); err == nil {
 		t.Error("short envelope accepted")
 	}
 }
@@ -225,37 +143,29 @@ func TestDuplicateNodeAddr(t *testing.T) {
 }
 
 func TestOverlayOverTCP(t *testing.T) {
-	// The same overlay code must run over the real TCP transport.
+	// The same overlay code must run over the real TCP transport: a
+	// key's owner, resolved from the view, answers its services.
 	tr := transport.NewTCP()
 	defer tr.Close()
 	net := NewNetwork(tr)
 	for i := 0; i < 4; i++ {
-		if _, err := net.AddNode("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	nodes := net.Nodes()
-	for i := 0; i < 20; i++ {
-		key := fmt.Sprintf("tcp-key-%d", i)
-		got, _, err := net.Lookup(nodes[i%4], key)
+		n, err := net.AddNode("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := net.Owner(key); got.ID() != want.ID() {
-			t.Fatalf("TCP lookup wrong owner for %s", key)
+		n.Handle("whoami", func([]byte) ([]byte, error) { return []byte(n.Addr()), nil })
+	}
+	for i := 0; i < 20; i++ {
+		owner, ok := net.OwnerOf(fmt.Sprintf("tcp-key-%d", i))
+		if !ok {
+			t.Fatal("no owner on a 4-node ring")
 		}
-	}
-}
-
-func BenchmarkLookup28Peers(b *testing.B) {
-	net := NewNetwork(transport.NewInProc())
-	for i := 0; i < 28; i++ {
-		net.AddNode(fmt.Sprintf("peer-%d", i))
-	}
-	nodes := net.Nodes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Lookup(nodes[i%28], fmt.Sprintf("key-%d", i))
+		resp, err := net.CallService(owner.Addr(), "whoami", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(resp) != owner.Addr() {
+			t.Fatalf("call to owner %s answered by %s", owner.Addr(), resp)
+		}
 	}
 }

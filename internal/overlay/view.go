@@ -102,7 +102,7 @@ func (v View) Owner(key string) (Member, bool) {
 // OwnersOf is successor-list placement: the first r distinct members at
 // or after the key's ring position, primary first (the classical Chord
 // replication scheme). It is churn-stable: when the primary leaves, the
-// key's new successor is exactly the old second replica, so routing
+// key's new successor is exactly the old second replica, so a read
 // lands on a member that already holds the replicated data.
 func (v View) OwnersOf(key string, r int) []Member {
 	n := len(v.members)
@@ -175,15 +175,11 @@ func (v View) Repaired(swept []string) View {
 }
 
 // Membership is where a fabric keeps its View: readers take it with one
-// atomic load, transitions serialize on a mutex. It implements Churn,
-// and answers Members, Size, OwnerOf and OwnersOf from the view's ring
-// placement — a fabric that places keys otherwise (the P-Grid trie)
-// defines its own. OnChange, when set, derives the holder's routing
-// state from each new view before the view is published.
+// atomic load, transitions serialize on a mutex. It answers every
+// placement and churn method of Fabric from the view's ring placement.
 type Membership struct {
-	mu       sync.Mutex
-	cur      atomic.Pointer[View]
-	OnChange func(View)
+	mu  sync.Mutex
+	cur atomic.Pointer[View]
 }
 
 // View returns the current membership with its debt.
@@ -207,33 +203,30 @@ func (m *Membership) OwnerOf(key string) (Member, bool) { return m.View().Owner(
 func (m *Membership) OwnersOf(key string, r int) []Member { return m.View().OwnersOf(key, r) }
 
 // Apply moves the membership through one transition and returns the
-// view it started from. The transition and OnChange run under the
-// mutex, so they must not block or call back into the Membership.
+// view it started from. The transition runs under the mutex, so it must
+// not block or call back into the Membership.
 func (m *Membership) Apply(transition func(View) View) (before View) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	before = m.View()
 	after := transition(before)
-	if m.OnChange != nil {
-		m.OnChange(after)
-	}
 	m.cur.Store(&after)
 	return before
 }
 
-// RemoveNode implements Churn: a crashed member leaves (View.Forget).
+// RemoveNode implements Fabric: a crashed member leaves (View.Forget).
 func (m *Membership) RemoveNode(id ID) bool {
 	_, ok := m.Apply(func(v View) View { return v.Forget(id) }).Lookup(id)
 	return ok
 }
 
-// Leave implements Churn: a member leaves gracefully (View.Leave).
+// Leave implements Fabric: a member leaves gracefully (View.Leave).
 func (m *Membership) Leave(id ID) bool {
 	_, ok := m.Apply(func(v View) View { return v.Leave(id) }).Lookup(id)
 	return ok
 }
 
-// MarkRepaired implements Churn (View.Repaired).
+// MarkRepaired implements Fabric (View.Repaired).
 func (m *Membership) MarkRepaired(swept []string) error {
 	m.Apply(func(v View) View { return v.Repaired(swept) })
 	return nil

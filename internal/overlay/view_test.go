@@ -214,7 +214,8 @@ func TestViewProperties(t *testing.T) {
 }
 
 // TestMembershipConcurrentTransitions: transitions applied from several
-// goroutines serialize — OnChange sees every one, in publication order —
+// goroutines serialize — each runs under the Membership's mutex, so an
+// unsynchronized counter in the transition sees every one —
 // while readers on other goroutines always load a whole view.
 func TestMembershipConcurrentTransitions(t *testing.T) {
 	pool := make([]Member, 8)
@@ -224,7 +225,9 @@ func TestMembershipConcurrentTransitions(t *testing.T) {
 	}
 	var m Membership
 	changes := 0
-	m.OnChange = func(View) { changes++ } // runs under the Membership's mutex
+	apply := func(transition func(View) View) {
+		m.Apply(func(v View) View { changes++; return transition(v) })
+	}
 	const writers, rounds = 4, 200
 	var writing, reading sync.WaitGroup
 	stop := make(chan struct{})
@@ -258,9 +261,9 @@ func TestMembershipConcurrentTransitions(t *testing.T) {
 			defer writing.Done()
 			for i := 0; i < rounds; i++ {
 				x := pool[(w*3+i)%len(pool)]
-				m.Apply(func(v View) View { return v.Join(x) })
-				m.RemoveNode(x.ID())
-				m.MarkRepaired(m.View().Addrs())
+				apply(func(v View) View { return v.Join(x) })
+				apply(func(v View) View { return v.Forget(x.ID()) })
+				apply(func(v View) View { return v.Repaired(v.Addrs()) })
 			}
 		}()
 	}
@@ -268,6 +271,6 @@ func TestMembershipConcurrentTransitions(t *testing.T) {
 	close(stop)
 	reading.Wait()
 	if want := writers * rounds * 3; changes != want {
-		t.Fatalf("OnChange saw %d transitions, want %d", changes, want)
+		t.Fatalf("transitions ran %d times, want %d", changes, want)
 	}
 }

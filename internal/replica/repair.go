@@ -108,7 +108,7 @@ func sweep(f overlay.Fabric, inv Inventory, r int) (deficits []deficit, keys int
 			}
 			seen[key] = true
 			keys++
-			owners := Owners(f, key, r)
+			owners := f.OwnersOf(key, r)
 			best, bestFP, bestOK := m, Fingerprint{}, false
 			if fp, ok := inv.Fingerprint(m, key); ok {
 				bestFP, bestOK = fp, true
@@ -135,7 +135,7 @@ func sweep(f overlay.Fabric, inv Inventory, r int) (deficits []deficit, keys int
 // Audit performs a read-only store sweep, reporting replica coverage
 // under the fabric's current membership and placement.
 func Audit(f overlay.Fabric, inv Inventory, r int) AuditStats {
-	deficits, keys := sweep(f, inv, r)
+	deficits, keys := sweep(f, inv, max(r, 1))
 	st := AuditStats{Keys: keys, UnderReplicated: len(deficits)}
 	for _, d := range deficits {
 		st.MissingCopies += len(d.to)
@@ -147,8 +147,7 @@ func Audit(f overlay.Fabric, inv Inventory, r int) AuditStats {
 // key, batching the snapshots per destination member and shipping each
 // batch with one Service RPC over the fabric. Once every batch has
 // landed, the replica sets are whole again under the swept membership,
-// and a fabric that tracks departures (overlay.Churn) is told which
-// membership that was — the one place its repair debt is settled,
+// and the fabric is told which membership that was — the one place its repair debt is settled,
 // whoever started the sweep. A departure that landed mid-sweep changed
 // the membership, so its debt stays owed.
 func (rp *Repairer) Repair() (RepairStats, error) {
@@ -156,11 +155,7 @@ func (rp *Repairer) Repair() (RepairStats, error) {
 	if r < 1 {
 		r = 1
 	}
-	churn, tracked := rp.Fabric.(overlay.Churn)
-	var swept []string
-	if tracked {
-		swept = churn.View().Addrs()
-	}
+	swept := rp.Fabric.View().Addrs()
 	deficits, keys := sweep(rp.Fabric, rp.Inv, r)
 	st := RepairStats{KeysSwept: keys, UnderReplicated: len(deficits)}
 	batches := make(map[string][]Item)
@@ -186,10 +181,8 @@ func (rp *Repairer) Repair() (RepairStats, error) {
 		}
 		st.RepairRPCs++
 	}
-	if tracked {
-		if err := churn.MarkRepaired(swept); err != nil {
-			return st, fmt.Errorf("replica: repaired, but not recorded: %w", err)
-		}
+	if err := rp.Fabric.MarkRepaired(swept); err != nil {
+		return st, fmt.Errorf("replica: repaired, but not recorded: %w", err)
 	}
 	return st, nil
 }
@@ -227,7 +220,7 @@ func (rp *Repairer) CatchUp(self overlay.Member) (CatchUpStats, error) {
 				continue
 			}
 			seen[key] = true
-			owners := Owners(rp.Fabric, key, r)
+			owners := rp.Fabric.OwnersOf(key, r)
 			mine := false
 			for _, o := range owners {
 				if o.ID() == self.ID() {

@@ -1,12 +1,9 @@
-// Package replica adds R-way key placement, search failover support and
-// churn repair on top of any overlay.Fabric. The paper's prototype ran
-// on P-Grid, whose trie maintains structural replicas per path so
-// retrieval survives peer departure; this package reproduces that
-// availability property for every substrate behind the Fabric interface:
+// Package replica adds search failover support and churn repair on top
+// of an overlay.Fabric's R-way placement. The paper's prototype ran on
+// P-Grid, whose trie maintains structural replicas per path so retrieval
+// survives peer departure; this package reproduces that availability
+// property on the ring's successor lists (overlay.Fabric.OwnersOf):
 //
-//   - Owners resolves a key to its R distinct responsible members
-//     (successor-list placement on fabrics implementing
-//     overlay.MultiOwner, a membership-order fallback otherwise);
 //   - the repair wire codec ships opaque index-entry snapshots between
 //     replicas over the fabric's service RPC;
 //   - Repairer sweeps an index inventory after churn and re-replicates
@@ -16,7 +13,7 @@
 // any layer that can export/import its per-key state (the HDK engine,
 // the single-term baseline) can replicate through it.
 //
-// Owners is deliberately the single definition of a key's replica
+// OwnersOf is deliberately the single definition of a key's replica
 // chain: the engine's insert fan-out writes to all of it, the repair
 // sweep audits all of it, and every read path — the client-side search
 // and the daemon-side hdk.search coordinator (core.Coordinator over a
@@ -33,7 +30,6 @@ import (
 	"encoding/binary"
 	"errors"
 
-	"repro/internal/overlay"
 	"repro/internal/wire"
 )
 
@@ -41,42 +37,6 @@ import (
 // for repair traffic: the request is an encoded repair batch, the
 // response is empty.
 const Service = "replica.repair"
-
-// Owners resolves the replica set of a key: up to r distinct members,
-// primary (the member OwnerOf names) first, in failover order. Fabrics
-// implementing overlay.MultiOwner define their own placement (successor
-// lists on Chord, path neighbors on P-Grid); any other fabric gets the
-// primary followed by the next members in Members() order — which for a
-// ring-ordered membership is the same successor-list scheme. Fewer than
-// r members are returned when the overlay is smaller than r.
-func Owners(f overlay.Fabric, key string, r int) []overlay.Member {
-	if r < 1 {
-		r = 1
-	}
-	if mo, ok := f.(overlay.MultiOwner); ok {
-		return mo.OwnersOf(key, r)
-	}
-	primary, ok := f.OwnerOf(key)
-	if !ok {
-		return nil
-	}
-	members := f.Members()
-	if r > len(members) {
-		r = len(members)
-	}
-	start := 0
-	for i, m := range members {
-		if m.ID() == primary.ID() {
-			start = i
-			break
-		}
-	}
-	out := make([]overlay.Member, 0, r)
-	for k := 0; k < r; k++ {
-		out = append(out, members[(start+k)%len(members)])
-	}
-	return out
-}
 
 // Item is one key's replica payload inside a repair batch: the entry
 // snapshot is opaque to this package — the index layer that exported it

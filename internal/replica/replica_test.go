@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/overlay"
-	"repro/internal/pgrid"
 	"repro/internal/transport"
 )
 
@@ -23,18 +22,7 @@ func chordNet(t *testing.T, n int) *overlay.Network {
 	return net
 }
 
-func pgridNet(t *testing.T, n int) *pgrid.Network {
-	t.Helper()
-	net := pgrid.NewNetwork(transport.NewInProc())
-	for i := 0; i < n; i++ {
-		if _, err := net.AddPeer(fmt.Sprintf("peer-%02d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return net
-}
-
-// assertOwnerSets checks the resolver contract on any fabric: primary
+// assertOwnerSets checks the placement contract: primary
 // first, all distinct, capped at the overlay size.
 func assertOwnerSets(t *testing.T, f overlay.Fabric, size int) {
 	t.Helper()
@@ -44,7 +32,7 @@ func assertOwnerSets(t *testing.T, f overlay.Fabric, size int) {
 			t.Fatalf("no owner for %q", key)
 		}
 		for r := 1; r <= size+2; r++ {
-			owners := Owners(f, key, r)
+			owners := f.OwnersOf(key, r)
 			want := r
 			if want > size {
 				want = size
@@ -69,36 +57,11 @@ func assertOwnerSets(t *testing.T, f overlay.Fabric, size int) {
 
 func TestOwnersChord(t *testing.T) { assertOwnerSets(t, chordNet(t, 7), 7) }
 
-func TestOwnersPGrid(t *testing.T) { assertOwnerSets(t, pgridNet(t, 7), 7) }
-
 func TestOwnersSingleNode(t *testing.T) {
 	net := chordNet(t, 1)
-	owners := Owners(net, "solo", 3)
+	owners := net.OwnersOf("solo", 3)
 	if len(owners) != 1 {
 		t.Fatalf("1-node overlay returned %d owners", len(owners))
-	}
-}
-
-// genericFabric hides the MultiOwner implementation, forcing the
-// membership-order fallback path.
-type genericFabric struct{ overlay.Fabric }
-
-func TestOwnersFallbackMatchesChord(t *testing.T) {
-	// The fallback walks Members() order from the primary; on a Chord
-	// ring Members() IS ring order, so both paths must agree exactly.
-	net := chordNet(t, 9)
-	for _, key := range []string{"a", "b", "c", "d", "e"} {
-		direct := Owners(net, key, 3)
-		fallback := Owners(genericFabric{net}, key, 3)
-		if len(direct) != len(fallback) {
-			t.Fatalf("key %q: %d vs %d owners", key, len(direct), len(fallback))
-		}
-		for i := range direct {
-			if direct[i].ID() != fallback[i].ID() {
-				t.Fatalf("key %q owner %d: successor list %x, fallback %x",
-					key, i, direct[i].ID(), fallback[i].ID())
-			}
-		}
 	}
 }
 
@@ -108,7 +71,7 @@ func TestOwnersFallbackMatchesChord(t *testing.T) {
 func TestChordPromotionAfterDeparture(t *testing.T) {
 	net := chordNet(t, 8)
 	key := "promoted-key"
-	before := Owners(net, key, 3)
+	before := net.OwnersOf(key, 3)
 	if !net.RemoveNode(before[0].ID()) {
 		t.Fatal("failed to remove primary")
 	}
@@ -232,7 +195,7 @@ func TestSweepDetectsEqualDFDivergence(t *testing.T) {
 	attachFakeImport(t, net, inv)
 
 	const key, r = "diverged-key", 2
-	owners := Owners(net, key, r)
+	owners := net.OwnersOf(key, r)
 	inv.put(owners[0].Addr(), key, Fingerprint{Version: 3, Sum: 111})
 	inv.put(owners[1].Addr(), key, Fingerprint{Version: 3, Sum: 999})
 
@@ -276,7 +239,7 @@ func TestCatchUpPullsOnlyDelta(t *testing.T) {
 	var owned, upToDate, stale, missing, notMine int
 	for i := 0; i < 60; i++ {
 		key := fmt.Sprintf("key-%02d", i)
-		owners := Owners(net, key, r)
+		owners := net.OwnersOf(key, r)
 		mine := false
 		for _, o := range owners {
 			if o.ID() == self.ID() {

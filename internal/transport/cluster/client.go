@@ -18,7 +18,7 @@
 //
 // The client fabric is a full-membership, one-hop DHT: every member's
 // ring position is overlay.HashNode(addr) — the same placement as the
-// in-process Chord overlay — and key ownership resolves locally against
+// in-process overlay — and key ownership resolves locally against
 // one overlay.View, so a query pays RPCs only for the index fetches
 // themselves (the per-hop network cost the super-peer routing literature
 // identifies as the real latency driver).
@@ -108,13 +108,13 @@ func (m *Member) localHandler(service string) (transport.Handler, bool) {
 
 // Client is the thin cluster client: an overlay.Fabric over a set of
 // daemon processes. Its membership is one overlay.View (the embedded
-// Membership), so ownership reads are one atomic load: it implements
-// MultiOwner (the View's successor-list placement on the HashNode ring,
-// identical to the Chord overlay's, so a cluster and an in-process ring
-// over the same addresses agree on every replica set), Churn (so
-// core.Engine.FailNode works when a process dies, and so every traversal
-// over this view knows while a departure is still owed a repair) and
-// LocalResolver (ownership is a lookup in the client's own table).
+// Membership), so ownership reads are one atomic load of the View's
+// successor-list placement on the HashNode ring — identical to the
+// in-process overlay's, so a cluster and an in-process ring over the
+// same addresses agree on every replica set. The same view records
+// churn, so core.Engine.FailNode works when a process dies and every
+// traversal over this view knows while a departure is still owed a
+// repair.
 type Client struct {
 	tr transport.Transport
 	overlay.Membership
@@ -291,22 +291,6 @@ func (c *Client) CoordinatorReading(keys []string, r int, target string) overlay
 	return nil
 }
 
-// Route implements overlay.Fabric. The client holds the full membership
-// table, so resolution is local and costs zero network hops — the
-// one-hop-DHT trade the deployment makes: O(N) membership state buys
-// O(1) routing messages per probe.
-func (c *Client) Route(from overlay.Member, key string) (overlay.Member, int, error) {
-	owner, ok := c.OwnerOf(key)
-	if !ok {
-		return nil, 0, fmt.Errorf("cluster: empty membership")
-	}
-	return owner, 0, nil
-}
-
-// ResolvesLocally implements overlay.LocalResolver: ownership is a
-// lookup in the client's own membership table.
-func (c *Client) ResolvesLocally() {}
-
 // CallService implements overlay.Fabric: services registered locally on
 // the member stub (peer notify handlers) dispatch in-process; everything
 // else is an RPC to the daemon bound at addr.
@@ -327,7 +311,7 @@ func (c *Client) CallService(addr, service string, req []byte) ([]byte, error) {
 	return transport.CallRetry(c.tr, addr, overlay.EncodeEnvelope(service, req), c.retryBudget)
 }
 
-// MarkRepaired implements overlay.Churn: every daemon in the client's
+// MarkRepaired implements overlay.Fabric: every daemon in the client's
 // view is told which membership the sweep restored, and the client's own
 // view settles if it is that membership (View.Repaired). A daemon whose
 // own view is the swept one resumes placing its coordinated reads; one
@@ -602,10 +586,7 @@ func (c *Client) Audit(r int) replica.AuditStats {
 
 // Compile-time interface checks.
 var (
-	_ overlay.Fabric        = (*Client)(nil)
-	_ overlay.MultiOwner    = (*Client)(nil)
-	_ overlay.Churn         = (*Client)(nil)
-	_ overlay.LocalResolver = (*Client)(nil)
-	_ overlay.Member        = (*Member)(nil)
-	_ overlay.RemoteStore   = (*Member)(nil)
+	_ overlay.Fabric      = (*Client)(nil)
+	_ overlay.Member      = (*Member)(nil)
+	_ overlay.RemoteStore = (*Member)(nil)
 )

@@ -640,7 +640,7 @@ func TestClientChurnAndOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Replica sets mirror the Chord successor-list contract.
+	// Replica sets mirror the ring's successor-list contract.
 	for _, key := range []string{"alpha", "beta", "gamma:delta"} {
 		owners := c.OwnersOf(key, 2)
 		if len(owners) != 2 || owners[0].ID() == owners[1].ID() {
@@ -650,9 +650,9 @@ func TestClientChurnAndOwnership(t *testing.T) {
 		if !ok || primary.ID() != owners[0].ID() {
 			t.Fatalf("OwnerOf(%q) disagrees with OwnersOf", key)
 		}
-		routed, hops, err := c.Route(c.Members()[3], key)
-		if err != nil || hops != 0 || routed.ID() != primary.ID() {
-			t.Fatalf("Route(%q) = %v, %d, %v", key, routed, hops, err)
+		// The resolved primary is the daemon answering at its address.
+		if info, err := FetchInfo(tr, primary.Addr()); err != nil || info.ID != fmt.Sprintf("%016x", uint64(primary.ID())) {
+			t.Fatalf("primary of %q at %s answers as %+v, %v", key, primary.Addr(), info, err)
 		}
 	}
 

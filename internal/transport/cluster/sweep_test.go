@@ -46,13 +46,13 @@ func TestSweepSettlesOnlyTheMembershipItSwept(t *testing.T) {
 		if _, err := rp.Repair(); err != nil {
 			t.Fatal(err)
 		}
-		if !eng.Network().(overlay.Churn).View().Owed() {
+		if !eng.Network().View().Owed() {
 			t.Fatal("a sweep settled a crash that landed after it started")
 		}
 		if _, err := eng.RepairReplicas(); err != nil {
 			t.Fatal(err)
 		}
-		if eng.Network().(overlay.Churn).View().Owed() {
+		if eng.Network().View().Owed() {
 			t.Fatal("a complete sweep over the current membership left the debt owed")
 		}
 	})
