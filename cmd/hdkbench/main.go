@@ -9,7 +9,7 @@
 // Usage:
 //
 //	hdkbench [-scale small|medium|paper] [-experiment all|table1|table2|fig2|...|fig8|avail]
-//	         [-fanout N] [-replicas R[,R...]] [-kill F] [-json PATH] [-quiet]
+//	         [-replicas R[,R...]] [-kill F] [-json PATH] [-quiet]
 //	hdkbench -chaos|-soak [-seed N | -replay PATH] [-json PATH]
 //
 // The small scale finishes in seconds, medium in minutes; paper runs the
@@ -49,7 +49,6 @@ import (
 func main() {
 	scaleName := flag.String("scale", "small", "experiment scale: small, medium or paper")
 	experiment := flag.String("experiment", "all", "artifact to print: all, table1, table2, fig2..fig8, avail")
-	fanout := flag.Int("fanout", 0, "concurrent per-owner fetch RPCs per query lattice level (0 = engine default)")
 	replicas := flag.String("replicas", "", "replication factor; for -experiment avail a comma list to compare, e.g. 1,2,3 (default 1,3)")
 	kill := flag.Float64("kill", 0.2, "fraction of nodes crashed by the avail experiment")
 	jsonPath := flag.String("json", "", "also write machine-readable results to this path")
@@ -62,7 +61,7 @@ func main() {
 	setFlags := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
 
-	if err := run(*scaleName, *experiment, *replicas, *jsonPath, *replay, *kill, *fanout, *seed, *chaos, *soak, *quiet, setFlags); err != nil {
+	if err := run(*scaleName, *experiment, *replicas, *jsonPath, *replay, *kill, *seed, *chaos, *soak, *quiet, setFlags); err != nil {
 		fmt.Fprintln(os.Stderr, "hdkbench:", err)
 		os.Exit(1)
 	}
@@ -84,7 +83,7 @@ func parseReplicas(s string) ([]int, error) {
 	return out, nil
 }
 
-func run(scaleName, experiment, replicas, jsonPath, replay string, kill float64, fanout int, seed uint64, chaos, soak, quiet bool, setFlags map[string]bool) error {
+func run(scaleName, experiment, replicas, jsonPath, replay string, kill float64, seed uint64, chaos, soak, quiet bool, setFlags map[string]bool) error {
 	var scale experiments.Scale
 	switch scaleName {
 	case "small":
@@ -96,7 +95,6 @@ func run(scaleName, experiment, replicas, jsonPath, replay string, kill float64,
 	default:
 		return fmt.Errorf("unknown scale %q", scaleName)
 	}
-	scale.SearchFanout = fanout
 	rlist, err := parseReplicas(replicas)
 	if err != nil {
 		return err
@@ -111,7 +109,7 @@ func run(scaleName, experiment, replicas, jsonPath, replay string, kill float64,
 	if chaos || soak {
 		// The chaos scenario spawns (and reaps) its own durable cluster;
 		// reject flags that would suggest an external one applies.
-		for _, name := range []string{"experiment", "kill", "replicas", "fanout", "scale"} {
+		for _, name := range []string{"experiment", "kill", "replicas", "scale"} {
 			if setFlags[name] {
 				return fmt.Errorf("-%s does not apply to -chaos/-soak (self-contained scenario)", name)
 			}

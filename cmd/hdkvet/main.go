@@ -6,41 +6,31 @@
 // paths (determinism), and const-declared telemetry metric names
 // (meterednames).
 //
-// Standalone (the form scripts/lint.sh and CI use):
+// Usage (scripts/lint.sh and CI run exactly this):
 //
-//	hdkvet [-baseline lint/baseline.txt] [-<analyzer>=false] [packages]
+//	hdkvet [packages]
 //
-// Patterns default to ./... . Findings print one per line; the exit
-// status is 2 when any non-baselined finding remains, 0 when clean.
+// It has no flags: every analyzer runs over every matched package, and
+// patterns default to ./... . Findings print one per line on stdout;
+// the exit status is 2 when any finding remains, 1 when the packages
+// fail to load or type-check, and 0 when clean.
 //
-// As a go vet tool (the unitchecker protocol — cmd/go drives one
-// invocation per compilation unit and caches results and facts in the
-// build cache):
-//
-//	go vet -vettool=$(which hdkvet) ./...
-//
-// Test files are exempt in both modes: hdkvet guards production
-// invariants, and test code must stay free to (for example) register
-// throwaway metric names inline.
+// Test files are exempt: hdkvet guards production invariants, and test
+// code must stay free to (for example) register throwaway metric names
+// inline.
 //
 // Findings are suppressed at the use site with
 //
 //	//hdkvet:ignore <analyzer>[,<analyzer>] -- <reason>
 //
-// on the finding's line or the line above it (the reason is required),
-// or accepted wholesale in a committed baseline file of
-// analyzer<TAB>file<TAB>message lines.
+// on the finding's line or the line above it (the reason is required).
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strings"
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/decodebounds"
@@ -58,131 +48,44 @@ var all = []*analysis.Analyzer{
 }
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	// hdkvet takes no flags; parsing only answers -h and keeps a stray
+	// flag from exiting 2, the status reserved for findings.
+	fs := flag.NewFlagSet("hdkvet", flag.ContinueOnError)
+	fs.Usage = func() { fmt.Fprintln(fs.Output(), "usage: hdkvet [packages]") }
+	if err := fs.Parse(os.Args[1:]); err == flag.ErrHelp {
+		os.Exit(0)
+	} else if err != nil {
+		os.Exit(1)
+	}
+	os.Exit(run(fs.Args(), os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
-	fs := flag.NewFlagSet("hdkvet", flag.ExitOnError)
-	enabled := map[string]*bool{}
-	for _, a := range all {
-		doc, _, _ := strings.Cut(a.Doc, "\n")
-		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer: "+doc)
-	}
-	list := fs.Bool("list", false, "list analyzers and exit")
-	baselinePath := fs.String("baseline", "", "accepted-findings file (analyzer<TAB>file<TAB>message per line)")
-	fs.Var(versionFlag{}, "V", "print version and exit (go vet protocol)")
-	printFlags := fs.Bool("flags", false, "print flag descriptions as JSON and exit (go vet protocol)")
-	fs.Parse(args)
-
-	if *printFlags {
-		return flagsJSON(fs)
-	}
-	if *list {
-		for _, a := range all {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-
-	var run []*analysis.Analyzer
-	for _, a := range all {
-		if *enabled[a.Name] {
-			run = append(run, a)
-		}
-	}
-
-	baseline, err := analysis.LoadBaseline(*baselinePath)
-	if *baselinePath != "" && err != nil {
-		fmt.Fprintln(os.Stderr, "hdkvet:", err)
-		return 1
-	}
-
-	// A single .cfg argument means cmd/go is driving us as a vet tool.
-	if rest := fs.Args(); len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return vetUnit(rest[0], run, baseline)
-	}
-
-	patterns := fs.Args()
+// run checks the packages matching patterns and returns the exit
+// status: 0 clean, 1 load failure, 2 findings.
+func run(patterns []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	pkgs, err := analysis.Load("", patterns)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "hdkvet:", err)
+		fmt.Fprintln(stderr, "hdkvet:", err)
 		return 1
 	}
 	bad := 0
 	for _, pkg := range pkgs {
-		findings, err := analysis.RunPackage(pkg, run)
+		findings, err := analysis.RunPackage(pkg, all)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "hdkvet:", err)
+			fmt.Fprintln(stderr, "hdkvet:", err)
 			return 1
 		}
 		for _, f := range findings {
-			if baseline.Covers(f) {
-				continue
-			}
-			fmt.Println(f)
-			bad++
+			fmt.Fprintln(stdout, f)
 		}
+		bad += len(findings)
 	}
 	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "hdkvet: %d finding(s)\n", bad)
+		fmt.Fprintf(stderr, "hdkvet: %d finding(s)\n", bad)
 		return 2
 	}
 	return 0
-}
-
-// flagsJSON answers the `hdkvet -flags` query of the go vet protocol:
-// a JSON list of the flags cmd/go may forward to the tool.
-func flagsJSON(fs *flag.FlagSet) int {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var out []jsonFlag
-	fs.VisitAll(func(f *flag.Flag) {
-		if f.Name == "flags" || f.Name == "V" {
-			return
-		}
-		b, isBool := f.Value.(interface{ IsBoolFlag() bool })
-		out = append(out, jsonFlag{Name: f.Name, Bool: isBool && b.IsBoolFlag(), Usage: f.Usage})
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	data, _ := json.Marshal(out)
-	os.Stdout.Write(data)
-	fmt.Println()
-	return 0
-}
-
-// versionFlag implements `-V=full`: cmd/go keys its vet result cache on
-// this output, so it must change whenever the binary does — hence the
-// executable hash.
-type versionFlag struct{}
-
-func (versionFlag) IsBoolFlag() bool { return false }
-func (versionFlag) Get() any         { return nil }
-func (versionFlag) String() string   { return "" }
-
-func (versionFlag) Set(s string) error {
-	if s != "full" {
-		return fmt.Errorf("unsupported flag value: -V=%s", s)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return err
-	}
-	fmt.Printf("hdkvet version devel buildID=%x\n", h.Sum(nil))
-	os.Exit(0)
-	return nil
 }

@@ -229,33 +229,14 @@ func (e *Engine) SetConcurrency(n int) {
 }
 
 func (e *Engine) runRound(s int) error {
-	workers := e.concurrency
-	if workers <= 1 {
-		for _, p := range e.peers {
-			if _, err := e.indexPeerRound(p, s); err != nil {
-				return err
-			}
+	errs := make([]error, len(e.peers))
+	forEachLimit(len(e.peers), e.concurrency, func(i int) {
+		_, errs[i] = e.indexPeerRound(e.peers[i], s)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
-		return e.classifyAndNotify(s)
-	}
-	sem := make(chan struct{}, workers)
-	errCh := make(chan error, len(e.peers))
-	for _, p := range e.peers {
-		sem <- struct{}{}
-		go func(p *Peer) {
-			defer func() { <-sem }()
-			_, err := e.indexPeerRound(p, s)
-			errCh <- err
-		}(p)
-	}
-	var firstErr error
-	for range e.peers {
-		if err := <-errCh; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return firstErr
 	}
 	return e.classifyAndNotify(s)
 }

@@ -190,9 +190,6 @@ func buildScaledEngine(scale Scale, col *corpus.Collection, peers, dfmax, replic
 	cfg.SMax = scale.SMax
 	cfg.Window = scale.Window
 	cfg.Ff = scale.Ff
-	if scale.SearchFanout > 0 {
-		cfg.SearchFanout = scale.SearchFanout
-	}
 	if replicas > 0 {
 		cfg.ReplicationFactor = replicas
 	}

@@ -30,9 +30,6 @@ type Scale struct {
 	Ff          int   // paper: 100,000
 	NumQueries  int   // paper: 3,000
 	MinHits     int   // paper: >20
-	// SearchFanout bounds concurrent per-owner fetch RPCs per lattice
-	// level during retrieval; 0 keeps the engine default.
-	SearchFanout int
 	// Replicas is the R-way key replication factor for the HDK engines
 	// (internal/replica); 0 keeps the engine default (single copy).
 	Replicas int
@@ -70,9 +67,6 @@ func (s Scale) Validate() error {
 	}
 	if s.Window < 2 || s.SMax < 1 {
 		return fmt.Errorf("experiments: bad window/smax")
-	}
-	if s.SearchFanout < 0 {
-		return fmt.Errorf("experiments: negative search fanout %d", s.SearchFanout)
 	}
 	if s.Replicas < 0 {
 		return fmt.Errorf("experiments: negative replication factor %d", s.Replicas)

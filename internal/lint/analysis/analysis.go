@@ -22,10 +22,10 @@ import (
 
 // An Analyzer describes one invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in findings, baseline entries, and
-	// //hdkvet:ignore directives. Lower-case, no spaces.
+	// Name identifies the analyzer in findings and //hdkvet:ignore
+	// directives. Lower-case, no spaces.
 	Name string
-	// Doc is the one-paragraph description printed by hdkvet -list.
+	// Doc is the one-paragraph description of the invariant checked.
 	Doc string
 	// Run applies the analyzer to one package. It reports findings via
 	// pass.Report and returns an error only for internal failures (an

@@ -1,12 +1,8 @@
 package analysis
 
 import (
-	"bufio"
 	"fmt"
 	"go/ast"
-	"go/token"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 )
@@ -39,7 +35,7 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 		name := a.Name
 		pass.Report = func(d Diagnostic) {
 			pos := pkg.Fset.Position(d.Pos)
-			if ignores.covers(name, pos) {
+			if ignores[ignoreKey{name, pos.Filename, pos.Line}] {
 				return
 			}
 			findings = append(findings, Finding{Analyzer: name, Pkg: pkg.Path, Pos: pos, Message: d.Message})
@@ -61,37 +57,18 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Finding, error) {
 	return findings, nil
 }
 
-// ignoreSet records which (file, line) positions each analyzer is
-// suppressed on.
-type ignoreSet map[string]map[int]bool // analyzer -> file:line set? keyed below
-
-func (s ignoreSet) add(analyzer, file string, line int) {
-	if s[analyzer] == nil {
-		s[analyzer] = map[int]bool{}
-	}
-	s[analyzer][lineKey(file, line)] = true
-}
-
-func (s ignoreSet) covers(analyzer string, pos token.Position) bool {
-	return s[analyzer][lineKey(pos.Filename, pos.Line)]
-}
-
-// lineKey folds a filename into a line-keyed int map by hashing the
-// path; collisions across files would need identical FNV hashes AND
-// identical line numbers, which we accept for a lint suppressor.
-func lineKey(file string, line int) int {
-	h := 0
-	for i := 0; i < len(file); i++ {
-		h = h*131 + int(file[i])
-	}
-	return h*1_000_003 + line
+// ignoreKey is one suppressed (analyzer, file, line) position.
+type ignoreKey struct {
+	analyzer, file string
+	line           int
 }
 
 // collectDirectives scans the package's comments for ignore directives.
-// Malformed directives (no analyzer list, or no ` -- reason`) are
-// returned as findings so they cannot silently suppress anything.
-func collectDirectives(pkg *Package) (ignoreSet, []Finding) {
-	ignores := ignoreSet{}
+// Malformed directives (a marker glued to more text, no analyzer list,
+// or no ` -- reason`) are returned as findings so they cannot silently
+// suppress anything.
+func collectDirectives(pkg *Package) (map[ignoreKey]bool, []Finding) {
+	ignores := map[ignoreKey]bool{}
 	var bad []Finding
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
@@ -100,14 +77,15 @@ func collectDirectives(pkg *Package) (ignoreSet, []Finding) {
 				// immediately. Prose that merely mentions the directive
 				// ("suppress with //hdkvet:ignore") is not a directive.
 				body, isLine := strings.CutPrefix(c.Text, "//")
-				if !isLine || !strings.HasPrefix(body, IgnoreDirective) {
+				rest, isDirective := strings.CutPrefix(body, IgnoreDirective)
+				if !isLine || !isDirective {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				rest := strings.TrimSpace(body[len(IgnoreDirective):])
 				names, reason, ok := strings.Cut(rest, "--")
 				names = strings.TrimSpace(names)
-				if !ok || names == "" || strings.TrimSpace(reason) == "" {
+				glued := rest != "" && rest[0] != ' ' && rest[0] != '\t'
+				if glued || !ok || names == "" || strings.TrimSpace(reason) == "" {
 					bad = append(bad, Finding{
 						Analyzer: "hdkvet",
 						Pkg:      pkg.Path,
@@ -118,8 +96,8 @@ func collectDirectives(pkg *Package) (ignoreSet, []Finding) {
 				}
 				for _, name := range strings.Split(names, ",") {
 					name = strings.TrimSpace(name)
-					ignores.add(name, pos.Filename, pos.Line)
-					ignores.add(name, pos.Filename, pos.Line+1)
+					ignores[ignoreKey{name, pos.Filename, pos.Line}] = true
+					ignores[ignoreKey{name, pos.Filename, pos.Line + 1}] = true
 				}
 			}
 		}
@@ -132,44 +110,4 @@ func InspectAll(pass *Pass, fn func(ast.Node) bool) {
 	for _, f := range pass.Files {
 		ast.Inspect(f, fn)
 	}
-}
-
-// Baseline is a set of findings accepted as justified debt: hdkvet
-// reports a baselined finding but does not fail on it. Entries are
-// line-number-free (analyzer, file base name, exact message) so
-// unrelated edits to a file do not invalidate them.
-type Baseline map[string]bool
-
-// Key renders a finding's baseline identity.
-func (f Finding) Key() string {
-	return f.Analyzer + "\t" + filepath.Base(f.Pos.Filename) + "\t" + f.Message
-}
-
-// Covers reports whether the finding is baselined.
-func (b Baseline) Covers(f Finding) bool { return b[f.Key()] }
-
-// LoadBaseline reads a baseline file: one tab-separated
-// `analyzer<TAB>file<TAB>message` entry per line, `#` comments and
-// blank lines skipped. A missing file is an empty baseline.
-func LoadBaseline(path string) (Baseline, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return Baseline{}, nil
-	} else if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	b := Baseline{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if strings.Count(line, "\t") != 2 {
-			return nil, fmt.Errorf("%s: malformed baseline entry %q (want analyzer<TAB>file<TAB>message)", path, line)
-		}
-		b[line] = true
-	}
-	return b, sc.Err()
 }

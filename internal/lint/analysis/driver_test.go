@@ -1,25 +1,28 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// checkPkg type-checks a dependency-free source string into a Package.
-func checkPkg(t *testing.T, src string) *Package {
+// checkPkg type-checks dependency-free source strings, one file each
+// (p0.go, p1.go, ...), into a Package.
+func checkPkg(t *testing.T, srcs ...string) *Package {
 	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments|parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
+	pkg := &Package{Path: "p", Fset: fset, Info: newInfo()}
+	for i, src := range srcs {
+		f, err := parser.ParseFile(fset, fmt.Sprintf("p%d.go", i), src, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg.Files = append(pkg.Files, f)
 	}
-	pkg := &Package{Path: "p", Fset: fset, Files: []*ast.File{f}, Info: newInfo()}
 	conf := types.Config{Error: func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) }}
 	pkg.Pkg, _ = conf.Check("p", fset, pkg.Files, pkg.Info)
 	return pkg
@@ -78,39 +81,50 @@ func b() []int { return make([]int, 2) }
 func c() []int {
 	return make([]int, 3) //hdkvet:ignore otherthing -- wrong analyzer, does not suppress
 }
+`, `package p
+
+func d() []int {
+	return make([]int, 4) // same line as a's directive, other file: not suppressed
+}
 `)
 	got, err := RunPackage(pkg, []*Analyzer{makeReporter})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || !strings.Contains(got[0].Message, "make call") {
-		t.Fatalf("got %v, want exactly the unsuppressed finding in c", got)
+	var at []string
+	for _, f := range got {
+		at = append(at, fmt.Sprintf("%s:%d", f.Pos.Filename, f.Pos.Line))
+	}
+	if want := "p0.go:11 p1.go:4"; strings.Join(at, " ") != want {
+		t.Fatalf("got findings at %v, want exactly %s (c, and d in the other file)", at, want)
 	}
 }
 
 func TestMalformedDirectiveIsAFinding(t *testing.T) {
-	pkg := checkPkg(t, `package p
-
-//hdkvet:ignore makerep
-func a() []int { return make([]int, 1) }
-`)
-	got, err := RunPackage(pkg, []*Analyzer{makeReporter})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reason-less directive must NOT suppress, and must itself be
-	// reported.
-	var sawMalformed, sawMake bool
-	for _, f := range got {
-		if strings.Contains(f.Message, "malformed directive") {
-			sawMalformed = true
+	for _, directive := range []string{
+		"//hdkvet:ignore makerep",
+		"//hdkvet:ignoremakerep -- the marker must end at whitespace",
+		"//hdkvet:ignore -- a reason for nothing",
+		"//hdkvet:ignore",
+	} {
+		pkg := checkPkg(t, "package p\n\n"+directive+"\nfunc a() []int { return make([]int, 1) }\n")
+		got, err := RunPackage(pkg, []*Analyzer{makeReporter})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if strings.Contains(f.Message, "make call") {
-			sawMake = true
+		// The directive must NOT suppress, and must itself be reported.
+		var sawMalformed, sawMake bool
+		for _, f := range got {
+			if strings.Contains(f.Message, "malformed directive") {
+				sawMalformed = true
+			}
+			if strings.Contains(f.Message, "make call") {
+				sawMake = true
+			}
 		}
-	}
-	if !sawMalformed || !sawMake {
-		t.Fatalf("got %v, want both the malformed-directive finding and the unsuppressed make finding", got)
+		if !sawMalformed || !sawMake {
+			t.Errorf("%s: got %v, want both the malformed-directive finding and the unsuppressed make finding", directive, got)
+		}
 	}
 }
 
@@ -121,36 +135,6 @@ func a() { undefinedIdentifier() }
 `)
 	if _, err := RunPackage(pkg, []*Analyzer{makeReporter}); err == nil {
 		t.Fatal("want an error for a package that does not type-check")
-	}
-}
-
-func TestBaseline(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.txt")
-	content := "# comment\n\nmakerep\tp.go\tmake call\n"
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	b, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	covered := Finding{Analyzer: "makerep", Pos: token.Position{Filename: "x/y/p.go"}, Message: "make call"}
-	if !b.Covers(covered) {
-		t.Errorf("baseline should cover %q", covered.Key())
-	}
-	uncovered := Finding{Analyzer: "makerep", Pos: token.Position{Filename: "p.go"}, Message: "other"}
-	if b.Covers(uncovered) {
-		t.Errorf("baseline should not cover %q", uncovered.Key())
-	}
-
-	if _, err := LoadBaseline(filepath.Join(t.TempDir(), "missing.txt")); err != nil {
-		t.Errorf("missing baseline file should be empty, got error %v", err)
-	}
-
-	bad := filepath.Join(t.TempDir(), "bad.txt")
-	os.WriteFile(bad, []byte("only-one-field\n"), 0o644)
-	if _, err := LoadBaseline(bad); err == nil {
-		t.Error("malformed baseline entry should error")
 	}
 }
 

@@ -3,12 +3,13 @@
 // mirroring golang.org/x/tools/go/analysis/analysistest on top of the
 // stdlib-only framework in internal/lint/analysis.
 //
-// Fixtures live under <testdata>/src/<pkg>/*.go. A fixture package may
-// import sibling fixture packages by their directory path (so a checker
-// that matches real types by package-path tail — "transport",
-// "telemetry" — can be exercised against a miniature of the real API)
-// and anything from the standard library; stdlib imports resolve
-// through `go list -export`, exactly like the production loader.
+// Fixtures live under <testdata>/src/<pkg>/*.go and load through
+// analysis.Load — the loader hdkvet itself runs — with the testdata
+// directory as a GOPATH workspace. A fixture package may import sibling
+// fixture packages by their directory path (so a checker that matches
+// real types by package-path tail — "transport", "telemetry" — can be
+// exercised against a miniature of the real API) and anything from the
+// standard library.
 //
 // Every diagnostic must land on a line carrying a matching want
 // comment, and every want comment must be matched — extra and missing
@@ -16,20 +17,10 @@
 package linttest
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
-	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -41,183 +32,34 @@ import (
 // the findings equal the fixtures' want comments.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
-	l := &loader{
-		testdata: testdata,
-		fset:     token.NewFileSet(),
-		local:    map[string]*types.Package{},
-		parsed:   map[string][]*ast.File{},
-		exports:  map[string]string{},
+	pkgs, err := analysis.Load(Workspace(t, testdata), pkgpaths)
+	if err != nil {
+		t.Fatalf("loading fixtures %q: %v", pkgpaths, err)
 	}
-	for _, path := range pkgpaths {
-		pkg, err := l.load(path)
-		if err != nil {
-			t.Fatalf("loading fixture %q: %v", path, err)
-		}
+	for _, pkg := range pkgs {
 		findings, err := analysis.RunPackage(pkg, []*analysis.Analyzer{a})
 		if err != nil {
-			t.Fatalf("running %s on fixture %q: %v", a.Name, path, err)
+			t.Fatalf("running %s on fixture %q: %v", a.Name, pkg.Path, err)
 		}
-		checkWants(t, l.fset, pkg.Files, findings)
+		checkWants(t, pkg.Fset, pkg.Files, findings)
 	}
 }
 
-type loader struct {
-	testdata string
-	fset     *token.FileSet
-	local    map[string]*types.Package // loaded fixture packages
-	parsed   map[string][]*ast.File
-	infos    map[string]*types.Info
-	exports  map[string]string // external import path -> export data file
-	imp      types.Importer    // gc export importer for external deps
-}
-
-func (l *loader) dir(path string) string {
-	return filepath.Join(l.testdata, "src", filepath.FromSlash(path))
-}
-
-func (l *loader) isFixture(path string) bool {
-	st, err := os.Stat(l.dir(path))
-	return err == nil && st.IsDir()
-}
-
-// load parses and type-checks one fixture package (and, recursively,
-// the fixture packages it imports).
-func (l *loader) load(path string) (*analysis.Package, error) {
-	if l.infos == nil {
-		l.infos = map[string]*types.Info{}
-	}
-	if _, done := l.local[path]; !done {
-		if err := l.typecheck(path); err != nil {
-			return nil, err
-		}
-	}
-	return &analysis.Package{
-		Path:  path,
-		Fset:  l.fset,
-		Files: l.parsed[path],
-		Pkg:   l.local[path],
-		Info:  l.infos[path],
-	}, nil
-}
-
-func (l *loader) typecheck(path string) error {
-	dir := l.dir(path)
-	entries, err := os.ReadDir(dir)
+// Workspace points the go command at gopath as a GOPATH-mode workspace
+// for the rest of the test, so `go list` resolves the packages under
+// <gopath>/src by their directory paths, and returns gopath made
+// absolute.
+func Workspace(t *testing.T, gopath string) string {
+	t.Helper()
+	abs, err := filepath.Abs(gopath)
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	var files []*ast.File
-	var external []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		files = append(files, f)
-		for _, imp := range f.Imports {
-			p, _ := strconv.Unquote(imp.Path.Value)
-			if l.isFixture(p) {
-				if _, done := l.local[p]; !done {
-					if err := l.typecheck(p); err != nil {
-						return err
-					}
-				}
-			} else {
-				external = append(external, p)
-			}
-		}
-	}
-	if err := l.resolveExternal(external); err != nil {
-		return err
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Instances:  map[*ast.Ident]types.Instance{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{
-		Importer:    importerFunc(func(p string) (*types.Package, error) { return l.importPkg(p) }),
-		FakeImportC: true,
-		Sizes:       types.SizesFor("gc", runtime.GOARCH),
-	}
-	pkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil {
-		return fmt.Errorf("typecheck %s: %v", path, err)
-	}
-	l.local[path] = pkg
-	l.parsed[path] = files
-	l.infos[path] = info
-	return nil
+	t.Setenv("GO111MODULE", "off")
+	t.Setenv("GOPATH", abs)
+	t.Setenv("GOFLAGS", "")
+	return abs
 }
-
-func (l *loader) importPkg(path string) (*types.Package, error) {
-	if pkg, ok := l.local[path]; ok {
-		return pkg, nil
-	}
-	return l.imp.Import(path)
-}
-
-// resolveExternal makes export data available for non-fixture imports
-// via one `go list -export` invocation per new batch.
-func (l *loader) resolveExternal(paths []string) error {
-	var missing []string
-	for _, p := range paths {
-		if _, ok := l.exports[p]; !ok {
-			missing = append(missing, p)
-		}
-	}
-	if len(missing) == 0 {
-		return nil
-	}
-	args := append([]string{"list", "-e", "-export", "-deps", "-json=ImportPath,Export,Error"}, missing...)
-	cmd := exec.Command("go", args...)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return fmt.Errorf("go list -export %v: %v\n%s", missing, err, stderr.String())
-	}
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for {
-		var p struct {
-			ImportPath string
-			Export     string
-			Error      *struct{ Err string }
-		}
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
-			return err
-		}
-		if p.Error != nil {
-			return fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Export != "" {
-			l.exports[p.ImportPath] = p.Export
-		}
-	}
-	if l.imp == nil {
-		l.imp = importer.ForCompiler(l.fset, "gc", func(path string) (io.ReadCloser, error) {
-			file, ok := l.exports[path]
-			if !ok {
-				return nil, fmt.Errorf("no export data for %q", path)
-			}
-			return os.Open(file)
-		})
-	}
-	return nil
-}
-
-type importerFunc func(string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // want is one expectation: a regexp on a specific file line.
 type want struct {
