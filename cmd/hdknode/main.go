@@ -130,8 +130,8 @@ func run(listen, join string, replicas int, callTimeout time.Duration, dataDir, 
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hdknode %s: warm-rejoin catch-up failed: %v\n", srv.Addr(), err)
 		} else {
-			fmt.Fprintf(os.Stderr, "hdknode %s: catch-up: %d keys owned, %d stale, %d copies pulled\n",
-				srv.Addr(), st.KeysOwned, st.Stale, st.CopiesPulled)
+			fmt.Fprintf(os.Stderr, "hdknode %s: catch-up: %d keys swept, %d stale, %d copies pulled\n",
+				srv.Addr(), st.KeysSwept, st.UnderReplicated, st.CopiesSent)
 		}
 	}
 

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	hdksearch [-docs N] [-peers N] [-dfmax N] [-topk N] [-fanout N] [-replicas R]
+//	hdksearch [-docs N] [-peers N] [-dfmax N] [-topk N] [-replicas R]
 //	hdksearch -connect HOST:PORT [-coordinator [-trace]] [-forget HOST:PORT] [-docs N] ...
 //
 // By default the peer network is simulated in-process. With -connect the
@@ -51,7 +51,6 @@ func main() {
 	peers := flag.Int("peers", 8, "number of peers (in-process mode only)")
 	dfmax := flag.Int("dfmax", 12, "DFmax discriminative threshold")
 	topk := flag.Int("topk", 10, "results per query")
-	fanout := flag.Int("fanout", 4, "concurrent per-owner fetch RPCs per lattice level")
 	replicas := flag.Int("replicas", 1, "R-way key replication factor (searches fail over between replicas)")
 	connect := flag.String("connect", "", "address of any hdknode daemon: build and query a running multi-process cluster")
 	coordinator := flag.Bool("coordinator", false, "with -connect: send each query as ONE hdk.search RPC and let the daemon coordinate the traversal")
@@ -66,13 +65,13 @@ func main() {
 		}
 	})
 
-	if err := run(*docs, *peers, *dfmax, *topk, *fanout, *replicas, *chunkBytes, *connect, *forget, *coordinator, *trace, replicasSet); err != nil {
+	if err := run(*docs, *peers, *dfmax, *topk, *replicas, *chunkBytes, *connect, *forget, *coordinator, *trace, replicasSet); err != nil {
 		fmt.Fprintln(os.Stderr, "hdksearch:", err)
 		os.Exit(1)
 	}
 }
 
-func run(docs, peers, dfmax, topk, fanout, replicas, chunkBytes int, connect, forget string, coordinator, trace, replicasSet bool) error {
+func run(docs, peers, dfmax, topk, replicas, chunkBytes int, connect, forget string, coordinator, trace, replicasSet bool) error {
 	if forget != "" && connect == "" {
 		return fmt.Errorf("-forget requires -connect (it edits a live cluster's membership)")
 	}
@@ -145,7 +144,6 @@ func run(docs, peers, dfmax, topk, fanout, replicas, chunkBytes int, connect, fo
 	cfg := core.DefaultConfig(rank.CollectionStats{NumDocs: col.M(), AvgDocLen: col.AvgDocLen()})
 	cfg.DFMax = dfmax
 	cfg.Window = 10
-	cfg.SearchFanout = fanout
 	cfg.ReplicationFactor = replicas
 	eng, err := core.NewEngine(fabric, cfg, col.Vocab, col.TermFrequencies())
 	if err != nil {

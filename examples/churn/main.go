@@ -133,7 +133,10 @@ func run(maxPeers, docsPerPeer, replicas int, killFrac float64) error {
 	if err != nil {
 		return err
 	}
-	audit := eng.AuditReplicas()
+	audit, err := eng.AuditReplicas()
+	if err != nil {
+		return err
+	}
 	fmt.Printf("before repair: recall@10 %.4f vs intact index, %d failovers, %d/%d keys under-replicated\n",
 		recall, failovers, audit.UnderReplicated, audit.Keys)
 
@@ -148,7 +151,9 @@ func run(maxPeers, docsPerPeer, replicas int, killFrac float64) error {
 	if err != nil {
 		return err
 	}
-	audit = eng.AuditReplicas()
+	if audit, err = eng.AuditReplicas(); err != nil {
+		return err
+	}
 	fmt.Printf("after repair:  recall@10 %.4f vs intact index, %d failovers, %d/%d keys under-replicated\n",
 		recall, failovers, audit.UnderReplicated, audit.Keys)
 	if replicas > 1 {

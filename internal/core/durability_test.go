@@ -365,14 +365,14 @@ func TestEqualDFDivergenceHealed(t *testing.T) {
 		t.Fatal("divergent copies share a checksum — fingerprint cannot see the divergence")
 	}
 
-	audit := eng.AuditReplicas()
+	audit := mustAudit(t, eng)
 	if audit.UnderReplicated == 0 {
 		t.Fatal("audit trusts two divergent equal-df copies (the df-only fingerprint bug)")
 	}
 	if _, err := eng.RepairReplicas(); err != nil {
 		t.Fatal(err)
 	}
-	if audit = eng.AuditReplicas(); audit.UnderReplicated != 0 {
+	if audit = mustAudit(t, eng); audit.UnderReplicated != 0 {
 		t.Fatalf("divergence not healed: %+v", audit)
 	}
 	blobA, okA := storeA.exportEntry(key)

@@ -486,55 +486,12 @@ func (e *Engine) Stats() IndexStats {
 	return st
 }
 
-// engineInventory adapts the replicated index to the repair sweep's
-// view: stores hosted in this process are read directly, stores hosted
-// by other processes (overlay.RemoteStore members) are read through the
-// index inventory RPCs — so RepairReplicas and AuditReplicas are correct
-// on any fabric, including the multi-process cluster. A member whose
-// daemon is unreachable reports no resident keys, exactly the semantics
-// a post-crash sweep needs.
-type engineInventory struct{ e *Engine }
-
-func (v engineInventory) store(m overlay.Member) *hdkStore { return v.e.stores[m.ID()] }
-
-func (v engineInventory) remote() RemoteInventory {
-	return RemoteInventory{Call: v.e.net.CallService}
-}
-
-func (v engineInventory) Keys(m overlay.Member) []string {
-	if st := v.store(m); st != nil {
-		return st.keyList()
-	}
-	if !overlay.IsRemote(m) {
-		return nil
-	}
-	return v.remote().Keys(m)
-}
-
-func (v engineInventory) Fingerprint(m overlay.Member, key string) (replica.Fingerprint, bool) {
-	if st := v.store(m); st != nil {
-		return st.entryFingerprint(key)
-	}
-	if !overlay.IsRemote(m) {
-		return replica.Fingerprint{}, false
-	}
-	return v.remote().Fingerprint(m, key)
-}
-
-func (v engineInventory) Export(m overlay.Member, key string) ([]byte, bool) {
-	if st := v.store(m); st != nil {
-		return st.exportEntry(key)
-	}
-	if !overlay.IsRemote(m) {
-		return nil, false
-	}
-	return v.remote().Export(m, key)
-}
-
 // Repairer returns a replica.Repairer configured for this engine's
-// fabric, stores and replication factor.
+// fabric and replication factor. Its inventory is the index services,
+// reached through the fabric: a store hosted in this process answers
+// them over the in-process transport, a daemon-hosted one over the wire.
 func (e *Engine) Repairer() *replica.Repairer {
-	return &replica.Repairer{Fabric: e.net, Inv: engineInventory{e}, R: e.replicas()}
+	return &replica.Repairer{Fabric: e.net, Inv: RemoteInventory{Call: e.net.CallService}, R: e.replicas()}
 }
 
 // RepairReplicas sweeps the surviving stores for under-replicated keys
@@ -547,8 +504,9 @@ func (e *Engine) RepairReplicas() (replica.RepairStats, error) {
 // AuditReplicas reports the index's replica coverage under the current
 // membership — the store-sweep verification that repair restored R-way
 // placement.
-func (e *Engine) AuditReplicas() replica.AuditStats {
-	return replica.Audit(e.net, engineInventory{e}, e.replicas())
+func (e *Engine) AuditReplicas() (replica.AuditStats, error) {
+	rp := e.Repairer()
+	return replica.Audit(rp.Fabric, rp.Inv, rp.R)
 }
 
 // FailNode simulates an ungraceful peer departure (crash): the node

@@ -13,28 +13,6 @@ import (
 // lacks a copy (entries are shipped through the repair snapshot codec, so
 // each destination gets an independent deep copy).
 
-// placeEntry installs a store's entry snapshot on every given replica-set
-// member that lacks it (or holds a staler, lower-df copy).
-func (e *Engine) placeEntry(src *hdkStore, key string, owners []overlay.Member) error {
-	blob, ok := src.exportEntry(key)
-	if !ok {
-		return fmt.Errorf("core: entry %q vanished during placement", key)
-	}
-	for _, owner := range owners {
-		dst, ok := e.stores[owner.ID()]
-		if !ok {
-			return fmt.Errorf("core: owner of %q has no store", key)
-		}
-		if dst == src {
-			continue
-		}
-		if _, err := dst.importEntry(key, blob); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RemoveNode gracefully removes an overlay node from the engine: its
 // index fraction is handed off to the members that become responsible
 // (every replica-set member lacking a copy), and the node leaves the
@@ -56,14 +34,24 @@ func (e *Engine) RemoveNode(node overlay.Member) error {
 	if e.net.Size() == 0 {
 		return fmt.Errorf("core: cannot remove the last node")
 	}
-	// ...then hand its entries to the new owners.
-	for _, key := range store.keyList() {
-		owners := e.net.OwnersOf(key, e.replicas())
-		if len(owners) == 0 {
-			return fmt.Errorf("core: cannot remove the last node")
-		}
-		if err := e.placeEntry(store, key, owners); err != nil {
-			return err
+	// ...then hand its entries to every new owner that lacks them (or
+	// holds a staler copy).
+	items, err := store.exportEntries(store.keyList())
+	if err != nil {
+		return err
+	}
+	for _, it := range items {
+		for _, owner := range e.net.OwnersOf(it.Key, e.replicas()) {
+			dst, ok := e.stores[owner.ID()]
+			if !ok {
+				return fmt.Errorf("core: owner of %q has no store", it.Key)
+			}
+			if dst == store {
+				continue
+			}
+			if _, err := dst.importEntry(it.Key, it.Blob); err != nil {
+				return err
+			}
 		}
 	}
 	delete(e.stores, node.ID())

@@ -429,8 +429,8 @@ func TestGracefulLeaveOwesNoRepair(t *testing.T) {
 	if err := eng.RemoveNode(eng.net.Members()[1]); err != nil {
 		t.Fatal(err)
 	}
-	if eng.net.View().Owed() || !eng.AuditReplicas().FullyReplicated() {
-		t.Fatalf("graceful leave: unrepaired=%t, audit %+v", eng.net.View().Owed(), eng.AuditReplicas())
+	if eng.net.View().Owed() || !mustAudit(t, eng).FullyReplicated() {
+		t.Fatalf("graceful leave: unrepaired=%t, audit %+v", eng.net.View().Owed(), mustAudit(t, eng))
 	}
 	if err := eng.FailNode(eng.net.Members()[1]); err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/overlay"
+	"repro/internal/replica"
 	"repro/internal/transport"
 )
 
@@ -29,7 +30,7 @@ func TestReplicatedBuildCoverage(t *testing.T) {
 	triple := buildReplicatedEngine(t, col, 6, 3, cfg)
 
 	// Every key must sit on exactly its 3 replica owners, nowhere else.
-	audit := triple.AuditReplicas()
+	audit := mustAudit(t, triple)
 	if !audit.FullyReplicated() {
 		t.Fatalf("replicated build under-replicated: %+v", audit)
 	}
@@ -56,7 +57,7 @@ func TestReplicationCappedAtOverlaySize(t *testing.T) {
 	col := testCollection(t, 30)
 	cfg := testConfig(col, 5)
 	eng := buildReplicatedEngine(t, col, 3, 5, cfg) // R=5 > 3 nodes
-	audit := eng.AuditReplicas()
+	audit := mustAudit(t, eng)
 	if !audit.FullyReplicated() {
 		t.Fatalf("capped replication under-replicated: %+v", audit)
 	}
@@ -306,7 +307,7 @@ func TestRepairRestoresCoverage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	audit := eng.AuditReplicas()
+	audit := mustAudit(t, eng)
 	if audit.UnderReplicated == 0 {
 		t.Fatal("crashes left coverage intact — test proves nothing")
 	}
@@ -325,7 +326,7 @@ func TestRepairRestoresCoverage(t *testing.T) {
 	}
 
 	// Store-sweep assertion: coverage is fully restored...
-	after := eng.AuditReplicas()
+	after := mustAudit(t, eng)
 	if !after.FullyReplicated() {
 		t.Fatalf("repair left %d keys under-replicated (%d copies missing)",
 			after.UnderReplicated, after.MissingCopies)
@@ -382,7 +383,7 @@ func TestRepairHealsDivergedReplica(t *testing.T) {
 	if rstats.CopiesSent == 0 {
 		t.Fatal("churn+update produced nothing to heal — test proves nothing")
 	}
-	audit := eng.AuditReplicas()
+	audit := mustAudit(t, eng)
 	if !audit.FullyReplicated() {
 		t.Fatalf("repair left holes after churn+update: %+v", audit)
 	}
@@ -421,7 +422,7 @@ func TestUpdateIndexMaintainsReplication(t *testing.T) {
 	if err := eng.UpdateIndex(); err != nil {
 		t.Fatal(err)
 	}
-	audit := eng.AuditReplicas()
+	audit := mustAudit(t, eng)
 	if !audit.FullyReplicated() {
 		t.Fatalf("incremental update broke replication: %+v", audit)
 	}
@@ -436,7 +437,7 @@ func TestGracefulLeavePreservesReplication(t *testing.T) {
 	if err := eng.RemoveNode(eng.net.Members()[2]); err != nil {
 		t.Fatal(err)
 	}
-	audit := eng.AuditReplicas()
+	audit := mustAudit(t, eng)
 	if !audit.FullyReplicated() {
 		t.Fatalf("graceful leave broke replication: %+v", audit)
 	}
@@ -461,4 +462,15 @@ func inReplicaSet(id overlay.ID, owners []overlay.Member) bool {
 		}
 	}
 	return false
+}
+
+// mustAudit runs the engine's replica audit, failing the test on a sweep
+// error.
+func mustAudit(t *testing.T, eng *Engine) replica.AuditStats {
+	t.Helper()
+	st, err := eng.AuditReplicas()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }

@@ -102,6 +102,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 		"FuzzDecodeSearchRequest":  searchRequestSeeds(),
 		"FuzzDecodeSearchResponse": searchResponseSeeds(),
 		"FuzzDecodeRepairBatch":    repairBatchSeeds(),
+		"FuzzDecodeCensus":         censusSeeds(),
 	} {
 		if err := fuzzcorpus.Write(name, seeds); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -30,12 +31,12 @@ const (
 	// size) and returns the newly non-discriminative keys with their
 	// contributor addresses (the notify map).
 	SvcClassify = "hdk.classify"
-	// SvcKeys returns the store's resident keys (repair inventory).
-	SvcKeys = "hdk.keys"
-	// SvcEntryInfo returns a resident entry's replica fingerprint.
-	SvcEntryInfo = "hdk.entryInfo"
-	// SvcEntryExport returns a resident entry's repair snapshot.
-	SvcEntryExport = "hdk.entryExport"
+	// SvcCensus returns the store's census (request: empty): every
+	// resident key with its replica fingerprint, keys ascending.
+	SvcCensus = "hdk.census"
+	// SvcExport returns the repair snapshots of resident entries
+	// (request: a key list) as a replica repair batch.
+	SvcExport = "hdk.export"
 	// SvcStats returns resident posting/key counts per key size.
 	SvcStats = "hdk.stats"
 )
@@ -306,23 +307,22 @@ func attachIndexServices(node overlay.Member, store *hdkStore, hooks persistHook
 		}
 		return store.fetchBatchWire(keys), nil
 	})
-	node.Handle(SvcKeys, func(req []byte) ([]byte, error) {
-		return postings.EncodeKeyList(nil, store.keyList()), nil
-	})
-	node.Handle(SvcEntryInfo, func(req []byte) ([]byte, error) {
-		fp, ok := store.entryFingerprint(string(req))
-		if !ok {
-			return []byte{0}, nil
+	node.Handle(SvcCensus, func(req []byte) ([]byte, error) {
+		if len(req) != 0 {
+			return nil, errCorruptRPC
 		}
-		buf := binary.AppendUvarint([]byte{1}, uint64(fp.Version))
-		return binary.AppendUvarint(buf, fp.Sum), nil
+		return appendCensus(nil, store.census()), nil
 	})
-	node.Handle(SvcEntryExport, func(req []byte) ([]byte, error) {
-		blob, ok := store.exportEntry(string(req))
-		if !ok {
-			return []byte{0}, nil
+	node.Handle(SvcExport, func(req []byte) ([]byte, error) {
+		keys, err := postings.DecodeKeyList(req)
+		if err != nil {
+			return nil, err
 		}
-		return append([]byte{1}, blob...), nil
+		items, err := store.exportEntries(keys)
+		if err != nil {
+			return nil, err
+		}
+		return replica.EncodeBatch(nil, items), nil
 	})
 	node.Handle(SvcStats, func(req []byte) ([]byte, error) {
 		posts, keys := store.storedBySize(MaxKeySize)
@@ -355,56 +355,73 @@ func decodeEntryRecord(payload []byte) (string, []byte, error) {
 }
 
 // RemoteInventory implements replica.Inventory over the index inventory
-// RPCs (SvcKeys/SvcEntryInfo/SvcEntryExport) through any service caller
-// — the single definition of the inventory wire contract, shared by the
-// engine's repair sweep (for members whose stores live in other
-// processes) and the cluster client's engine-free Repairer. A member
-// whose daemon is unreachable or answers garbage reports no resident
-// keys, exactly the semantics a post-crash sweep needs.
+// RPCs (SvcCensus/SvcExport) through any service caller — the one
+// implementation, shared by the engine's repair sweep (in-process stores
+// answer the same services over the in-process transport) and the
+// cluster client's engine-free Repairer. An unreachable daemon or a
+// garbled answer is an error, never a missing copy.
 type RemoteInventory struct {
 	Call func(addr, service string, req []byte) ([]byte, error)
 }
 
-// Keys implements replica.Inventory.
-func (ri RemoteInventory) Keys(m overlay.Member) []string {
-	raw, err := ri.Call(m.Addr(), SvcKeys, nil)
+// Census implements replica.Inventory.
+func (ri RemoteInventory) Census(m overlay.Member) ([]replica.Copy, error) {
+	raw, err := ri.Call(m.Addr(), SvcCensus, nil)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	keys, err := postings.DecodeKeyList(raw)
-	if err != nil {
-		return nil
-	}
-	return keys
+	return DecodeCensus(raw)
 }
 
-// Fingerprint implements replica.Inventory.
-func (ri RemoteInventory) Fingerprint(m overlay.Member, key string) (replica.Fingerprint, bool) {
-	raw, err := ri.Call(m.Addr(), SvcEntryInfo, []byte(key))
+// Export implements replica.Inventory: one SvcExport call for all keys.
+func (ri RemoteInventory) Export(m overlay.Member, keys []string) ([]replica.Item, error) {
+	raw, err := ri.Call(m.Addr(), SvcExport, postings.EncodeKeyList(nil, keys))
 	if err != nil {
-		return replica.Fingerprint{}, false
+		return nil, err
 	}
-	fp, ok, err := DecodeEntryInfoResp(raw)
-	if err != nil {
-		return replica.Fingerprint{}, false
-	}
-	return fp, ok
-}
-
-// Export implements replica.Inventory.
-func (ri RemoteInventory) Export(m overlay.Member, key string) ([]byte, bool) {
-	raw, err := ri.Call(m.Addr(), SvcEntryExport, []byte(key))
-	if err != nil {
-		return nil, false
-	}
-	blob, ok, err := DecodeEntryExportResp(raw)
-	if err != nil {
-		return nil, false
-	}
-	return blob, ok
+	return replica.DecodeBatch(raw)
 }
 
 var _ replica.Inventory = RemoteInventory{}
+
+// appendCensus appends a SvcCensus response: a count, then per copy the
+// length-prefixed key, the uvarint version and the 8-byte little-endian
+// checksum, keys strictly ascending.
+func appendCensus(buf []byte, copies []replica.Copy) []byte {
+	need := postings.UvarintSize(uint64(len(copies)))
+	for _, c := range copies {
+		need += postings.UvarintSize(uint64(len(c.Key))) + len(c.Key) + postings.UvarintSize(uint64(c.FP.Version)) + 8
+	}
+	buf = slices.Grow(buf, need)
+	buf = binary.AppendUvarint(buf, uint64(len(copies)))
+	for _, c := range copies {
+		buf = wire.AppendString(buf, c.Key)
+		buf = binary.AppendUvarint(buf, uint64(c.FP.Version))
+		buf = binary.LittleEndian.AppendUint64(buf, c.FP.Sum)
+	}
+	return buf
+}
+
+// DecodeCensus parses a SvcCensus response. It accepts only what
+// appendCensus writes — keys out of strictly ascending order are
+// rejected — so an accepted census re-encodes to the same bytes. The
+// keys share one string copy of the input.
+func DecodeCensus(buf []byte) ([]replica.Copy, error) {
+	r := wire.NewReader(buf)
+	out := make([]replica.Copy, r.Count(10)) // a key prefix, a version and an 8-byte checksum
+	r.Share()
+	for i := range out {
+		key := r.String(r.Uvarint())
+		out[i] = replica.Copy{Key: key, FP: replica.Fingerprint{Version: int(r.Uvarint()), Sum: r.Uint64LE()}}
+		if i > 0 && key <= out[i-1].Key {
+			r.Fail()
+		}
+	}
+	if !r.Done() {
+		return nil, errCorruptRPC
+	}
+	return out, nil
+}
 
 // EncodeClassifyReq builds a SvcClassify request for one key size.
 func EncodeClassifyReq(size int) []byte {
@@ -449,36 +466,6 @@ func DecodeNotifyMap(buf []byte) (map[string][]string, error) {
 		return nil, errCorruptRPC
 	}
 	return out, nil
-}
-
-// DecodeEntryInfoResp parses a SvcEntryInfo response into the replica
-// fingerprint contract: (fingerprint, resident). The wire form is a
-// presence byte followed by the uvarint df and the uvarint content
-// checksum.
-func DecodeEntryInfoResp(resp []byte) (replica.Fingerprint, bool, error) {
-	r := wire.NewReader(resp)
-	var fp replica.Fingerprint
-	resident := r.Byte() != 0
-	if resident {
-		fp = replica.Fingerprint{Version: int(r.Uvarint()), Sum: r.Uvarint()}
-	}
-	if !r.Done() {
-		return replica.Fingerprint{}, false, errCorruptRPC
-	}
-	return fp, resident, nil
-}
-
-// DecodeEntryExportResp parses a SvcEntryExport response into the repair
-// snapshot contract: (blob, resident).
-func DecodeEntryExportResp(resp []byte) ([]byte, bool, error) {
-	r := wire.NewReader(resp)
-	if r.Byte() != 0 {
-		return r.Rest(), true, nil
-	}
-	if !r.Done() {
-		return nil, false, errCorruptRPC
-	}
-	return nil, false, nil
 }
 
 // StoreStats is one index node's resident footprint, as answered by

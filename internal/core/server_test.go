@@ -3,6 +3,9 @@ package core
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/postings"
+	"repro/internal/replica"
 )
 
 func TestNotifyMapCodecRoundTrip(t *testing.T) {
@@ -54,35 +57,6 @@ func TestNotifyMapCodecCorrupt(t *testing.T) {
 	}
 }
 
-func TestEntryRespCodecs(t *testing.T) {
-	if _, ok, err := DecodeEntryInfoResp([]byte{0}); err != nil || ok {
-		t.Fatalf("absent info: ok=%v err=%v", ok, err)
-	}
-	fp, ok, err := DecodeEntryInfoResp(append([]byte{1}, 0xAC, 0x02, 0x07)) // uvarint 300, sum 7
-	if err != nil || !ok || fp.Version != 300 || fp.Sum != 7 {
-		t.Fatalf("present info: fp=%+v ok=%v err=%v", fp, ok, err)
-	}
-	for _, bad := range [][]byte{nil, {0, 9}, {1}, {1, 0xAC, 0x02}, append([]byte{1}, 0xAC, 0x02, 0x07, 0x07)} {
-		if _, _, err := DecodeEntryInfoResp(bad); err == nil {
-			t.Fatalf("corrupt info %v decoded", bad)
-		}
-	}
-
-	if _, ok, err := DecodeEntryExportResp([]byte{0}); err != nil || ok {
-		t.Fatalf("absent export: ok=%v err=%v", ok, err)
-	}
-	blob, ok, err := DecodeEntryExportResp([]byte{1, 5, 6, 7})
-	if err != nil || !ok || !reflect.DeepEqual(blob, []byte{5, 6, 7}) {
-		t.Fatalf("present export: %v ok=%v err=%v", blob, ok, err)
-	}
-	if _, _, err := DecodeEntryExportResp(nil); err == nil {
-		t.Fatal("empty export resp decoded")
-	}
-	if _, _, err := DecodeEntryExportResp([]byte{0, 1}); err == nil {
-		t.Fatal("absent-with-garbage export resp decoded")
-	}
-}
-
 // TestStoreServerServesEngineStore builds an index in-process and then
 // reads one node's store back through the exported service handlers —
 // the same byte path the cluster daemon serves.
@@ -111,45 +85,42 @@ func TestStoreServerServesEngineStore(t *testing.T) {
 		t.Fatalf("SvcStats postings %d, engine sweep %d", st.PostsTotal(), want)
 	}
 
-	rawKeys, err := eng.net.CallService(m.Addr(), SvcKeys, nil)
+	rawCensus, err := eng.net.CallService(m.Addr(), SvcCensus, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := eng.stores[m.ID()].keyList()
-	if len(rawKeys) == 0 || len(keys) == 0 {
-		t.Fatal("no keys")
-	}
-	// Spot-check entry info/export for the first key.
-	key := keys[0]
-	rawInfo, err := eng.net.CallService(m.Addr(), SvcEntryInfo, []byte(key))
+	census, err := DecodeCensus(rawCensus)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpGot, ok, err := DecodeEntryInfoResp(rawInfo)
-	if err != nil || !ok {
-		t.Fatalf("entry info for %q: ok=%v err=%v", key, ok, err)
+	store := eng.stores[m.ID()]
+	keys := store.keyList()
+	if len(keys) == 0 || len(census) != len(keys) {
+		t.Fatalf("census of %d copies, store holds %d keys", len(census), len(keys))
 	}
-	if want, _ := eng.stores[m.ID()].entryFingerprint(key); fpGot != want {
-		t.Fatalf("fingerprint over RPC %+v, direct %+v", fpGot, want)
+	for i, c := range census {
+		if want, _ := store.entryFingerprint(keys[i]); c.Key != keys[i] || c.FP != want {
+			t.Fatalf("census copy %d = %+v, store has %q %+v", i, c, keys[i], want)
+		}
 	}
-	rawExp, err := eng.net.CallService(m.Addr(), SvcEntryExport, []byte(key))
+	// Export the first and last keys in one call, in request order.
+	want := []string{keys[len(keys)-1], keys[0]}
+	rawExp, err := eng.net.CallService(m.Addr(), SvcExport, postings.EncodeKeyList(nil, want))
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob, ok, err := DecodeEntryExportResp(rawExp)
-	if err != nil || !ok {
-		t.Fatalf("entry export: ok=%v err=%v", ok, err)
+	items, err := replica.DecodeBatch(rawExp)
+	if err != nil || len(items) != len(want) {
+		t.Fatalf("export: %d items, err %v", len(items), err)
 	}
-	wantBlob, _ := eng.stores[m.ID()].exportEntry(key)
-	if !reflect.DeepEqual(blob, wantBlob) {
-		t.Fatal("export blob over RPC diverges from direct export")
+	for i, it := range items {
+		blob, _ := store.exportEntry(want[i])
+		if it.Key != want[i] || !reflect.DeepEqual(it.Blob, blob) {
+			t.Fatalf("export item %d (%q) diverges from the direct export of %q", i, it.Key, want[i])
+		}
 	}
-	// Absent key answers absent, not an error.
-	rawInfo, err = eng.net.CallService(m.Addr(), SvcEntryInfo, []byte("no:such:key"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := DecodeEntryInfoResp(rawInfo); ok {
-		t.Fatal("absent key reported resident")
+	// A key the store does not hold fails the export; it is not skipped.
+	if _, err := eng.net.CallService(m.Addr(), SvcExport, postings.EncodeKeyList(nil, []string{"no:such:key"})); err == nil {
+		t.Fatal("export of an absent key succeeded")
 	}
 }

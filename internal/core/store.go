@@ -277,21 +277,22 @@ func (s *hdkStore) keyCount() int {
 	return len(s.entries)
 }
 
-// entryFingerprint reports whether the store holds the key and the
-// copy's replica fingerprint: the global df (monotone under inserts) plus
-// a content checksum over the entry's canonical export encoding. Two
-// replicas that saw the same inserts produce byte-identical exports and
-// therefore equal fingerprints; a copy that missed inserts reports a
-// lower df, and a divergent copy with a coincidentally equal df reports
-// a different checksum — either way the repair sweep sees it.
-func (s *hdkStore) entryFingerprint(key string) (replica.Fingerprint, bool) {
+// census lists every resident key, ascending, with its copy's replica
+// fingerprint: the global df (monotone under inserts) plus a content
+// checksum over the entry's canonical export encoding. Two replicas that
+// saw the same inserts produce byte-identical exports and therefore
+// equal fingerprints; a copy that missed inserts reports a lower df, and
+// a divergent copy with a coincidentally equal df reports a different
+// checksum — either way the repair sweep sees it.
+func (s *hdkStore) census() []replica.Copy {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		return replica.Fingerprint{}, false
+	out := make([]replica.Copy, 0, len(s.entries))
+	for key, e := range s.entries {
+		out = append(out, replica.Copy{Key: key, FP: fingerprintEntry(e)})
 	}
-	return fingerprintEntry(e), true
+	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b replica.Copy) int { return strings.Compare(a.Key, b.Key) })
+	return out
 }
 
 // fingerprintEntry derives the replica fingerprint of an entry, (re)
@@ -312,19 +313,23 @@ func blobSum(blob []byte) uint64 {
 	return h.Sum64()
 }
 
-// exportEntry snapshots one entry for replica repair: uvarint size, df,
-// a classified/status byte, the contributor set and the posting list.
-// The snapshot carries everything a replica needs to serve fetches AND
-// to keep participating in maintenance (classification sweeps, NDK
-// notifications) for the key.
-func (s *hdkStore) exportEntry(key string) ([]byte, bool) {
+// exportEntries snapshots the entries for keys, in order, as repair
+// items; a key the store does not hold is an error. A snapshot is the
+// canonical export (appendEntryExport): it carries everything a replica
+// needs to serve fetches AND to keep participating in maintenance
+// (classification sweeps, NDK notifications) for the key.
+func (s *hdkStore) exportEntries(keys []string) ([]replica.Item, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.entries[key]
-	if !ok {
-		return nil, false
+	items := make([]replica.Item, len(keys))
+	for i, key := range keys {
+		e, ok := s.entries[key]
+		if !ok {
+			return nil, fmt.Errorf("core: %q is not resident", key)
+		}
+		items[i] = replica.Item{Key: key, Blob: appendEntryExport(nil, e)}
 	}
-	return appendEntryExport(nil, e), true
+	return items, nil
 }
 
 // appendEntryExport appends the canonical export encoding of an entry to

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/postings"
 	"repro/internal/rank"
+	"repro/internal/replica"
 	"repro/internal/wire"
 )
 
@@ -170,4 +171,25 @@ func TestImportedChecksumMatchesReexport(t *testing.T) {
 			t.Errorf("%s: memoized checksum %d, re-export's %d", name, fp.Sum, blobSum(got))
 		}
 	}
+}
+
+// entryFingerprint reports whether the store holds the key and, if so,
+// its copy's replica fingerprint (the census entry for that key).
+func (s *hdkStore) entryFingerprint(key string) (replica.Fingerprint, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.entries[key]
+	if !ok {
+		return replica.Fingerprint{}, false
+	}
+	return fingerprintEntry(e), true
+}
+
+// exportEntry is one resident entry's repair snapshot.
+func (s *hdkStore) exportEntry(key string) ([]byte, bool) {
+	items, err := s.exportEntries([]string{key})
+	if err != nil {
+		return nil, false
+	}
+	return items[0].Blob, true
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/overlay"
 	"repro/internal/rank"
+	"repro/internal/replica"
 )
 
 // This file implements the availability scenario the replication
@@ -147,7 +148,9 @@ func availabilityRun(scale Scale, col *corpus.Collection, peers, kills, r, topK 
 	}
 	run.RecallAfterKill = recall
 	run.FailoversPerQuery = failovers
-	run.UnderAfterKill = eng.AuditReplicas().UnderReplicated
+	if run.UnderAfterKill, err = underReplicated(eng.AuditReplicas()); err != nil {
+		return nil, err
+	}
 
 	rstats, err := eng.RepairReplicas()
 	if err != nil {
@@ -155,7 +158,9 @@ func availabilityRun(scale Scale, col *corpus.Collection, peers, kills, r, topK 
 	}
 	run.CopiesRepaired = rstats.CopiesSent
 	run.RepairRPCs = rstats.RepairRPCs
-	run.UnderAfterRepair = eng.AuditReplicas().UnderReplicated
+	if run.UnderAfterRepair, err = underReplicated(eng.AuditReplicas()); err != nil {
+		return nil, err
+	}
 	if run.RecallAfterRepair, _, err = availabilityRecall(eng, queries, intact, origin, topK); err != nil {
 		return nil, err
 	}
@@ -163,6 +168,11 @@ func availabilityRun(scale Scale, col *corpus.Collection, peers, kills, r, topK 
 		r, topK, run.RecallAfterKill, run.FailoversPerQuery, run.UnderAfterKill,
 		run.RecallAfterRepair, run.CopiesRepaired, run.UnderAfterRepair)
 	return run, nil
+}
+
+// underReplicated is an audit's under-replicated key count.
+func underReplicated(st replica.AuditStats, err error) (int, error) {
+	return st.UnderReplicated, err
 }
 
 // availabilityRecall re-runs the query set and scores mean recall@topK

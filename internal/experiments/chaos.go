@@ -581,7 +581,9 @@ func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) err
 	if rep.FinalMismatches, err = f.sweep(refResults[waves]); err != nil {
 		return nil, fmt.Errorf("final sweep: %w", err)
 	}
-	rep.UnderReplicated = c.Audit(opts.Replicas).UnderReplicated
+	if rep.UnderReplicated, err = underReplicated(c.Audit(opts.Replicas)); err != nil {
+		return nil, fmt.Errorf("final audit: %w", err)
+	}
 	progress("chaos: final sweep %d/%d parity, %d under-replicated",
 		len(reqs)*len(addrs)-rep.FinalMismatches, len(reqs)*len(addrs), rep.UnderReplicated)
 
@@ -592,7 +594,10 @@ func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) err
 	// Soak epilogue: census the replicated store, roll every daemon
 	// through SIGKILL + warm restart, and prove the restored cluster is
 	// byte-identical — same fingerprints, same answers.
-	before := clusterFingerprints(c)
+	before, err := clusterFingerprints(c)
+	if err != nil {
+		return nil, fmt.Errorf("soak: %w", err)
+	}
 	progress("soak: census %d stores, rolling restart of %d daemons", len(before), opts.Nodes)
 	for i := range addrs {
 		alive[i].Store(false)
@@ -604,7 +609,10 @@ func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) err
 		}
 		alive[i].Store(true)
 	}
-	after := clusterFingerprints(c)
+	after, err := clusterFingerprints(c)
+	if err != nil {
+		return nil, fmt.Errorf("soak: restore %w", err)
+	}
 	rep.RestoreFingerprintMismatches = diffFingerprints(before, after)
 	if rep.RestoreParityMismatches, err = f.sweep(refResults[waves]); err != nil {
 		return nil, fmt.Errorf("soak: restore sweep: %w", err)
@@ -614,24 +622,25 @@ func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) err
 	return rep, nil
 }
 
-// clusterFingerprints sweeps every daemon's inventory into a
-// member-addressed census: which keys each store holds and each copy's
-// freshness fingerprint (version + content checksum). Two censuses
-// comparing equal mean the replicated store is byte-identical for the
-// repair sweep's purposes.
-func clusterFingerprints(c *cluster.Client) map[string]map[string]replica.Fingerprint {
-	inv := c.Inventory()
+// clusterFingerprints takes every daemon's census: which keys each store
+// holds and each copy's freshness fingerprint (version + content
+// checksum). Two censuses comparing equal mean the replicated store is
+// byte-identical for the repair sweep's purposes.
+func clusterFingerprints(c *cluster.Client) (map[string]map[string]replica.Fingerprint, error) {
+	inv := core.RemoteInventory{Call: c.CallService}
 	out := make(map[string]map[string]replica.Fingerprint)
 	for _, m := range c.Members() {
-		km := make(map[string]replica.Fingerprint)
-		for _, k := range inv.Keys(m) {
-			if fp, ok := inv.Fingerprint(m, k); ok {
-				km[k] = fp
-			}
+		copies, err := inv.Census(m)
+		if err != nil {
+			return nil, fmt.Errorf("census of %s: %w", m.Addr(), err)
+		}
+		km := make(map[string]replica.Fingerprint, len(copies))
+		for _, cp := range copies {
+			km[cp.Key] = cp.FP
 		}
 		out[m.Addr()] = km
 	}
-	return out
+	return out, nil
 }
 
 // diffFingerprints counts the (member, key) placements that differ

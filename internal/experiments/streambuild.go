@@ -246,7 +246,9 @@ func TCPIngestResume(tr transport.Transport, addrs []string, kill, restart func(
 			rep.PostMismatches++
 		}
 	}
-	rep.UnderAfterRestart = c2.Audit(opts.Replicas).UnderReplicated
+	if rep.UnderAfterRestart, err = underReplicated(c2.Audit(opts.Replicas)); err != nil {
+		return nil, fmt.Errorf("post-restart audit: %w", err)
+	}
 	info, err := cluster.FetchInfo(tr, owner.Addr())
 	if err != nil {
 		return nil, fmt.Errorf("restarted daemon info: %w", err)

@@ -516,13 +516,17 @@ func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i in
 	// reaches the daemon-hosted stores over the index RPCs, so the call
 	// an in-process deployment uses restores coverage here too. The
 	// sweep tells the daemons, and they place reads again.
-	rep.UnderAfterCrash = eng.AuditReplicas().UnderReplicated
+	if rep.UnderAfterCrash, err = underReplicated(eng.AuditReplicas()); err != nil {
+		return nil, fmt.Errorf("audit: %w", err)
+	}
 	rstats, err := eng.RepairReplicas()
 	if err != nil {
 		return nil, fmt.Errorf("repair: %w", err)
 	}
 	rep.CopiesRepaired, rep.RepairRPCs = rstats.CopiesSent, rstats.RepairRPCs
-	rep.UnderAfterRepair = eng.AuditReplicas().UnderReplicated
+	if rep.UnderAfterRepair, err = underReplicated(eng.AuditReplicas()); err != nil {
+		return nil, fmt.Errorf("post-repair audit: %w", err)
+	}
 	if rep.RecallAfterRepair, _, err = availabilityRecall(eng, queries, updated, origin, opts.TopK); err != nil {
 		return nil, fmt.Errorf("post-repair query: %w", err)
 	}

@@ -2,7 +2,9 @@ package replica
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/overlay"
 )
@@ -36,22 +38,27 @@ func (f Fingerprint) Better(o Fingerprint) bool {
 	return f.Sum > o.Sum
 }
 
-// Inventory is the Repairer's view of the replicated index: which keys
-// are resident on which member, a freshness fingerprint per copy, and an
-// opaque exportable snapshot per (member, key). The index layer (e.g.
-// the HDK engine) implements it over its per-node stores; the member
-// hosting the Service handler imports the snapshots the Repairer ships.
+// Copy is one resident key in a member's census: the key and its copy's
+// freshness fingerprint.
+type Copy struct {
+	Key string
+	FP  Fingerprint
+}
+
+// Inventory is the Repairer's view of the replicated index: one census
+// per member (every resident key with its copy's fingerprint) and a
+// batched export of opaque entry snapshots. The index layer (e.g. the
+// HDK engine) implements it over its per-node stores; the member hosting
+// the Service handler imports the snapshots the Repairer ships.
 type Inventory interface {
-	// Keys returns the resident keys of a member's store in a
-	// deterministic order (nil for members without a store).
-	Keys(m overlay.Member) []string
-	// Fingerprint reports whether the member holds the key and, if so,
-	// its copy's freshness identity. The sweep treats a copy whose
-	// fingerprint differs from the best resident one as missing, so
-	// divergent partial replicas are healed, not trusted.
-	Fingerprint(m overlay.Member, key string) (fp Fingerprint, ok bool)
-	// Export snapshots one resident entry for shipping to a replica.
-	Export(m overlay.Member, key string) ([]byte, bool)
+	// Census returns every key resident on the member with its copy's
+	// fingerprint, keys strictly ascending. The sweep treats a copy
+	// whose fingerprint differs from the best resident one as missing,
+	// so divergent partial replicas are healed, not trusted.
+	Census(m overlay.Member) ([]Copy, error)
+	// Export snapshots the member's entries for keys. A key the member
+	// no longer holds is an error.
+	Export(m overlay.Member, keys []string) ([]Item, error)
 }
 
 // RepairStats summarizes one repair sweep.
@@ -76,10 +83,10 @@ func (a AuditStats) FullyReplicated() bool { return a.UnderReplicated == 0 }
 // Repairer restores R-way key coverage after churn: it sweeps the
 // surviving members' stores, computes each key's current replica set on
 // the (post-churn) fabric, and ships entry snapshots to responsible
-// members that lack them — one batched repair RPC per destination, no
-// re-indexing. Keys whose every replica departed are unrecoverable by
-// sweep (nothing holds them anymore) and are invisible to it; they need
-// a rebuild from the document owners.
+// members that lack them — one batched export per holder, one batched
+// repair RPC per destination, no re-indexing. Keys whose every replica
+// departed are unrecoverable by sweep (nothing holds them anymore) and
+// are invisible to it; they need a rebuild from the document owners.
 type Repairer struct {
 	Fabric overlay.Fabric
 	Inv    Inventory
@@ -95,75 +102,165 @@ type deficit struct {
 	to     []overlay.Member
 }
 
-// sweep is shared by Repair and Audit: for every distinct key resident
-// on a live member, find the freshest copy (best fingerprint among the
-// member it was discovered on and the replica set) and the replica set
-// members that lack it or hold a stale or divergent one.
-func sweep(f overlay.Fabric, inv Inventory, r int) (deficits []deficit, keys int) {
-	seen := make(map[string]bool)
+// sweep is the one pass behind Repair, CatchUp and Audit. It takes each
+// member's census once, in fabric order, and then works in memory: for
+// every distinct key — members in fabric order, keys ascending — it
+// finds the freshest copy (best fingerprint among the member the key
+// was found on and the replica set) and the replica-set members that
+// lack it or hold a stale or divergent one. A member that left the view
+// mid-sweep is skipped; a census that fails for a member still in the
+// view fails the sweep, because a missing answer is not a missing copy.
+func sweep(f overlay.Fabric, inv Inventory, r int) (deficits []deficit, keys int, err error) {
+	var swept []overlay.Member
+	censuses := make(map[overlay.ID][]Copy)
 	for _, m := range f.Members() {
-		for _, key := range inv.Keys(m) {
-			if seen[key] {
+		copies, err := inv.Census(m)
+		if _, member := f.View().Lookup(m.ID()); !member {
+			continue
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("replica: census of %s: %w", m.Addr(), err)
+		}
+		swept = append(swept, m)
+		censuses[m.ID()] = copies
+	}
+	type holding struct {
+		fp Fingerprint
+		ok bool
+	}
+	seen := make(map[string]bool)
+	var held []holding // the current key's copies, per owner
+	for _, m := range swept {
+		for _, c := range censuses[m.ID()] {
+			if seen[c.Key] {
 				continue
 			}
-			seen[key] = true
+			seen[c.Key] = true
 			keys++
-			owners := f.OwnersOf(key, r)
-			best, bestFP, bestOK := m, Fingerprint{}, false
-			if fp, ok := inv.Fingerprint(m, key); ok {
-				bestFP, bestOK = fp, true
-			}
+			owners := f.OwnersOf(c.Key, r)
+			best, bestFP := m, c.FP
+			held = held[:0]
 			for _, owner := range owners {
-				if fp, ok := inv.Fingerprint(owner, key); ok && (!bestOK || fp.Better(bestFP)) {
-					best, bestFP, bestOK = owner, fp, true
+				fp, ok := lookup(censuses[owner.ID()], c.Key)
+				if ok && fp.Better(bestFP) {
+					best, bestFP = owner, fp
 				}
+				held = append(held, holding{fp, ok})
 			}
 			var missing []overlay.Member
-			for _, owner := range owners {
-				if fp, ok := inv.Fingerprint(owner, key); !ok || fp != bestFP {
+			for i, owner := range owners {
+				if !held[i].ok || held[i].fp != bestFP {
 					missing = append(missing, owner)
 				}
 			}
 			if len(missing) > 0 {
-				deficits = append(deficits, deficit{key: key, holder: best, to: missing})
+				deficits = append(deficits, deficit{key: c.Key, holder: best, to: missing})
 			}
 		}
 	}
-	return deficits, keys
+	return deficits, keys, nil
+}
+
+// lookup finds key's fingerprint in an ascending census.
+func lookup(census []Copy, key string) (Fingerprint, bool) {
+	i, ok := slices.BinarySearchFunc(census, key, func(c Copy, k string) int { return strings.Compare(c.Key, k) })
+	if !ok {
+		return Fingerprint{}, false
+	}
+	return census[i].FP, true
 }
 
 // Audit performs a read-only store sweep, reporting replica coverage
 // under the fabric's current membership and placement.
-func Audit(f overlay.Fabric, inv Inventory, r int) AuditStats {
-	deficits, keys := sweep(f, inv, max(r, 1))
+func Audit(f overlay.Fabric, inv Inventory, r int) (AuditStats, error) {
+	deficits, keys, err := sweep(f, inv, max(r, 1))
+	if err != nil {
+		return AuditStats{}, err
+	}
 	st := AuditStats{Keys: keys, UnderReplicated: len(deficits)}
 	for _, d := range deficits {
 		st.MissingCopies += len(d.to)
 	}
-	return st
+	return st, nil
 }
 
 // Repair sweeps the inventory and re-replicates every under-replicated
-// key, batching the snapshots per destination member and shipping each
-// batch with one Service RPC over the fabric. Once every batch has
-// landed, the replica sets are whole again under the swept membership,
-// and the fabric is told which membership that was — the one place its repair debt is settled,
-// whoever started the sweep. A departure that landed mid-sweep changed
-// the membership, so its debt stays owed.
+// key. Once every batch has landed, the replica sets are whole again
+// under the swept membership, and the fabric is told which membership
+// that was — the one place its repair debt is settled, whoever started
+// the sweep. A departure that landed mid-sweep changed the membership,
+// so its debt stays owed.
 func (rp *Repairer) Repair() (RepairStats, error) {
-	r := rp.R
-	if r < 1 {
-		r = 1
-	}
 	swept := rp.Fabric.View().Addrs()
-	deficits, keys := sweep(rp.Fabric, rp.Inv, r)
-	st := RepairStats{KeysSwept: keys, UnderReplicated: len(deficits)}
+	st, err := rp.repair(nil)
+	if err != nil {
+		return st, err
+	}
+	if err := rp.Fabric.MarkRepaired(swept); err != nil {
+		return st, fmt.Errorf("replica: repaired, but not recorded: %w", err)
+	}
+	return st, nil
+}
+
+// CatchUp restores ONE member after a warm restart: the same sweep as
+// Repair, restricted to the deficits that name self — the keys in its
+// own replica sets whose freshest copy beats (or is absent from) its
+// restored store. The fresh copies ship to self in one batched Service
+// RPC; nothing is pushed to any other member, nothing is re-indexed and
+// no repair debt is settled. A member restarting with an intact,
+// up-to-date store pulls zero copies; UnderReplicated counts the keys it
+// was behind on.
+func (rp *Repairer) CatchUp(self overlay.Member) (RepairStats, error) {
+	return rp.repair(self)
+}
+
+// repair runs the sweep and ships each deficit's freshest copy to the
+// replica-set members that lack it — only to self when self is set. The
+// holders export their keys in one call each; the copies go out batched
+// per destination member, one Service RPC per batch.
+func (rp *Repairer) repair(self overlay.Member) (RepairStats, error) {
+	deficits, keys, err := sweep(rp.Fabric, rp.Inv, max(rp.R, 1))
+	st := RepairStats{KeysSwept: keys}
+	if err != nil {
+		return st, err
+	}
+	if self != nil {
+		kept := deficits[:0]
+		for _, d := range deficits {
+			if i := slices.IndexFunc(d.to, func(o overlay.Member) bool { return o.ID() == self.ID() }); i >= 0 {
+				d.to = d.to[i : i+1]
+				kept = append(kept, d)
+			}
+		}
+		deficits = kept
+	}
+	st.UnderReplicated = len(deficits)
+
+	keysOf := make(map[overlay.ID][]string)
+	var holders []overlay.Member
+	for _, d := range deficits {
+		if _, ok := keysOf[d.holder.ID()]; !ok {
+			holders = append(holders, d.holder)
+		}
+		keysOf[d.holder.ID()] = append(keysOf[d.holder.ID()], d.key)
+	}
+	exported := make(map[string][]byte, len(deficits))
+	for _, h := range holders {
+		items, err := rp.Inv.Export(h, keysOf[h.ID()])
+		if err != nil {
+			return st, fmt.Errorf("replica: export from %s: %w", h.Addr(), err)
+		}
+		for _, it := range items {
+			exported[it.Key] = it.Blob
+		}
+	}
+
 	batches := make(map[string][]Item)
 	var addrs []string
 	for _, d := range deficits {
-		blob, ok := rp.Inv.Export(d.holder, d.key)
+		blob, ok := exported[d.key]
 		if !ok {
-			return st, fmt.Errorf("replica: holder %s lost %q mid-repair", d.holder.Addr(), d.key)
+			return st, fmt.Errorf("replica: holder %s did not export %q", d.holder.Addr(), d.key)
 		}
 		for _, owner := range d.to {
 			addr := owner.Addr()
@@ -180,97 +277,6 @@ func (rp *Repairer) Repair() (RepairStats, error) {
 			return st, fmt.Errorf("replica: repair batch to %s: %w", addr, err)
 		}
 		st.RepairRPCs++
-	}
-	if err := rp.Fabric.MarkRepaired(swept); err != nil {
-		return st, fmt.Errorf("replica: repaired, but not recorded: %w", err)
-	}
-	return st, nil
-}
-
-// CatchUpStats summarizes one member's warm-rejoin delta.
-type CatchUpStats struct {
-	KeysOwned    int // keys in replica sets self belongs to, seen on any other live member
-	Stale        int // of those, keys whose local copy was missing, behind or divergent
-	CopiesPulled int // entry snapshots shipped to self (== Stale unless an export raced away)
-	PullRPCs     int // batched import calls issued to self (0 or 1)
-}
-
-// CatchUp restores ONE member after a warm restart: instead of the full
-// Repair sweep (which re-replicates every under-replicated key anywhere
-// in the cluster), it pulls only the delta this member missed while it
-// was down — the keys in its own replica sets whose freshest resident
-// copy beats (or is absent from) its restored store. The fresh copies
-// ship to self in a single batched Service RPC; nothing is pushed to any
-// other member and nothing is re-indexed. A member restarting with an
-// intact, up-to-date store pulls zero copies.
-func (rp *Repairer) CatchUp(self overlay.Member) (CatchUpStats, error) {
-	r := rp.R
-	if r < 1 {
-		r = 1
-	}
-	var st CatchUpStats
-	seen := make(map[string]bool)
-	var items []Item
-	for _, m := range rp.Fabric.Members() {
-		if m.ID() == self.ID() {
-			continue
-		}
-		for _, key := range rp.Inv.Keys(m) {
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			owners := rp.Fabric.OwnersOf(key, r)
-			mine := false
-			for _, o := range owners {
-				if o.ID() == self.ID() {
-					mine = true
-					break
-				}
-			}
-			if !mine {
-				continue
-			}
-			st.KeysOwned++
-			// Freshest copy among the holder that surfaced the key and
-			// the replica set (self included: an up-to-date restored copy
-			// must win and cost nothing). Self's fingerprint is captured
-			// in the same pass — one inventory RPC per (owner, key).
-			best, bestFP, bestOK := m, Fingerprint{}, false
-			if fp, ok := rp.Inv.Fingerprint(m, key); ok {
-				bestFP, bestOK = fp, true
-			}
-			var selfFP Fingerprint
-			selfOK := false
-			for _, o := range owners {
-				fp, ok := rp.Inv.Fingerprint(o, key)
-				if o.ID() == self.ID() {
-					selfFP, selfOK = fp, ok
-				}
-				if ok && (!bestOK || fp.Better(bestFP)) {
-					best, bestFP, bestOK = o, fp, true
-				}
-			}
-			if !bestOK || best.ID() == self.ID() {
-				continue
-			}
-			if selfOK && selfFP == bestFP {
-				continue
-			}
-			st.Stale++
-			blob, ok := rp.Inv.Export(best, key)
-			if !ok {
-				return st, fmt.Errorf("replica: holder %s lost %q mid-catch-up", best.Addr(), key)
-			}
-			items = append(items, Item{Key: key, Blob: blob})
-		}
-	}
-	if len(items) > 0 {
-		if _, err := rp.Fabric.CallService(self.Addr(), Service, EncodeBatch(nil, items)); err != nil {
-			return st, fmt.Errorf("replica: catch-up batch to %s: %w", self.Addr(), err)
-		}
-		st.CopiesPulled = len(items)
-		st.PullRPCs = 1
 	}
 	return st, nil
 }

@@ -6,12 +6,14 @@
 //
 //   - the repair wire codec ships opaque index-entry snapshots between
 //     replicas over the fabric's service RPC;
-//   - Repairer sweeps an index inventory after churn and re-replicates
-//     under-replicated keys, restoring R-way coverage without a rebuild.
+//   - Repairer sweeps an index inventory — one census per member — after
+//     churn and re-replicates under-replicated keys, restoring R-way
+//     coverage without a rebuild; Audit runs the same sweep read-only,
+//     and CatchUp runs it for one warm-restarted member.
 //
-// The package is index-agnostic: it never inspects entry payloads, so
-// any layer that can export/import its per-key state (the HDK engine,
-// the single-term baseline) can replicate through it.
+// The package is index-agnostic: it never inspects entry payloads. The
+// HDK engine (package core) is the one index layer that replicates
+// through it.
 //
 // OwnersOf is deliberately the single definition of a key's replica
 // chain: the engine's insert fan-out writes to all of it, the repair

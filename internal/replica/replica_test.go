@@ -141,23 +141,25 @@ func (v fakeInv) put(addr, key string, fp Fingerprint) {
 	v[addr][key] = fakeCopy{fp: fp, blob: fakeBlob(fp)}
 }
 
-func (v fakeInv) Keys(m overlay.Member) []string {
-	keys := make([]string, 0, len(v[m.Addr()]))
-	for k := range v[m.Addr()] {
-		keys = append(keys, k)
+func (v fakeInv) Census(m overlay.Member) ([]Copy, error) {
+	out := make([]Copy, 0, len(v[m.Addr()]))
+	for k, c := range v[m.Addr()] {
+		out = append(out, Copy{Key: k, FP: c.fp})
 	}
-	sort.Strings(keys)
-	return keys
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out, nil
 }
 
-func (v fakeInv) Fingerprint(m overlay.Member, key string) (Fingerprint, bool) {
-	c, ok := v[m.Addr()][key]
-	return c.fp, ok
-}
-
-func (v fakeInv) Export(m overlay.Member, key string) ([]byte, bool) {
-	c, ok := v[m.Addr()][key]
-	return c.blob, ok
+func (v fakeInv) Export(m overlay.Member, keys []string) ([]Item, error) {
+	items := make([]Item, len(keys))
+	for i, k := range keys {
+		c, ok := v[m.Addr()][k]
+		if !ok {
+			return nil, fmt.Errorf("%s does not hold %q", m.Addr(), k)
+		}
+		items[i] = Item{Key: k, Blob: c.blob}
+	}
+	return items, nil
 }
 
 // attachFakeImport registers the repair Service on every overlay node,
@@ -199,7 +201,10 @@ func TestSweepDetectsEqualDFDivergence(t *testing.T) {
 	inv.put(owners[0].Addr(), key, Fingerprint{Version: 3, Sum: 111})
 	inv.put(owners[1].Addr(), key, Fingerprint{Version: 3, Sum: 999})
 
-	audit := Audit(net, inv, r)
+	audit, err := Audit(net, inv, r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if audit.UnderReplicated != 1 || audit.MissingCopies != 1 {
 		t.Fatalf("audit trusts divergent equal-version copies: %+v", audit)
 	}
@@ -214,12 +219,12 @@ func TestSweepDetectsEqualDFDivergence(t *testing.T) {
 	}
 	want := Fingerprint{Version: 3, Sum: 999}
 	for _, o := range owners {
-		if fp, ok := inv.Fingerprint(o, key); !ok || fp != want {
-			t.Fatalf("owner %s holds %+v after repair, want %+v", o.Addr(), fp, want)
+		if c, ok := inv[o.Addr()][key]; !ok || c.fp != want {
+			t.Fatalf("owner %s holds %+v after repair, want %+v", o.Addr(), c.fp, want)
 		}
 	}
-	if after := Audit(net, inv, r); after.UnderReplicated != 0 {
-		t.Fatalf("divergence not healed: %+v", after)
+	if after, err := Audit(net, inv, r); err != nil || after.UnderReplicated != 0 {
+		t.Fatalf("divergence not healed: %+v, %v", after, err)
 	}
 }
 
@@ -289,14 +294,11 @@ func TestCatchUpPullsOnlyDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.KeysOwned != owned {
-		t.Fatalf("KeysOwned = %d, want %d", st.KeysOwned, owned)
-	}
-	if st.Stale != stale+missing || st.CopiesPulled != stale+missing {
+	if st.UnderReplicated != stale+missing || st.CopiesSent != stale+missing {
 		t.Fatalf("delta = %+v, want %d stale+missing pulls", st, stale+missing)
 	}
-	if st.PullRPCs != 1 {
-		t.Fatalf("catch-up used %d RPCs, want 1 batched import", st.PullRPCs)
+	if st.RepairRPCs != 1 {
+		t.Fatalf("catch-up used %d RPCs, want 1 batched import", st.RepairRPCs)
 	}
 	if got := len(inv[self.Addr()]); got != before+missing {
 		t.Fatalf("self holds %d keys, want %d", got, before+missing)
@@ -306,13 +308,13 @@ func TestCatchUpPullsOnlyDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Stale != 0 || again.CopiesPulled != 0 || again.PullRPCs != 0 {
+	if again.UnderReplicated != 0 || again.CopiesSent != 0 || again.RepairRPCs != 0 {
 		t.Fatalf("second catch-up still pulled: %+v", again)
 	}
 	// No other member's store changed (pull-only).
-	audit := Audit(net, inv, r)
-	if audit.UnderReplicated != 0 {
-		t.Fatalf("catch-up left deficits: %+v", audit)
+	audit, err := Audit(net, inv, r)
+	if err != nil || audit.UnderReplicated != 0 {
+		t.Fatalf("catch-up left deficits: %+v, %v", audit, err)
 	}
 }
 

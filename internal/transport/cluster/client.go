@@ -3,7 +3,7 @@
 // index store and control plane over any transport (cmd/hdknode runs one
 // per OS process over pooled TCP), a client-side Fabric implementation
 // that lets the unchanged core.Engine build and query a cluster of such
-// processes, a replica.Inventory that drives churn repair through RPCs,
+// processes, a replica.Repairer that drives churn repair through RPCs,
 // and a Harness that spawns and reaps hdknode child processes for
 // end-to-end tests.
 //
@@ -564,24 +564,16 @@ func (c *Client) StoreStats() ([]NodeStoreStats, error) {
 	return out, nil
 }
 
-// Inventory is the repair sweep's view of the daemon-hosted stores:
-// core.RemoteInventory over this client's service calls (one shared
-// definition of the inventory wire contract — the engine's own repair
-// sweep uses the same type for its remote members).
-func (c *Client) Inventory() replica.Inventory {
-	return core.RemoteInventory{Call: c.CallService}
-}
-
 // Repairer returns a churn repairer for the cluster at replication
 // factor r: it sweeps the daemons' stores over RPC and re-replicates
 // under-replicated keys daemon-to-daemon through the client.
 func (c *Client) Repairer(r int) *replica.Repairer {
-	return &replica.Repairer{Fabric: c, Inv: c.Inventory(), R: r}
+	return &replica.Repairer{Fabric: c, Inv: core.RemoteInventory{Call: c.CallService}, R: r}
 }
 
 // Audit runs a read-only replica coverage sweep at factor r.
-func (c *Client) Audit(r int) replica.AuditStats {
-	return replica.Audit(c, c.Inventory(), r)
+func (c *Client) Audit(r int) (replica.AuditStats, error) {
+	return replica.Audit(c, core.RemoteInventory{Call: c.CallService}, r)
 }
 
 // Compile-time interface checks.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/overlay"
 	"repro/internal/rank"
+	"repro/internal/replica"
 	"repro/internal/transport"
 )
 
@@ -350,7 +351,7 @@ func TestClusterCrashFailoverAndRepair(t *testing.T) {
 	if err := c.Forget(victim.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if under := c.Audit(replicas).UnderReplicated; under == 0 {
+	if under := mustAudit(t, c, replicas).UnderReplicated; under == 0 {
 		t.Fatal("audit reports full coverage right after losing a member")
 	}
 	// The probe key's replica set is now {old secondary, old tertiary,
@@ -412,7 +413,7 @@ func TestClusterCrashFailoverAndRepair(t *testing.T) {
 	if rstats.CopiesSent == 0 {
 		t.Fatal("repair shipped nothing")
 	}
-	if under := c.Audit(replicas).UnderReplicated; under != 0 {
+	if under := mustAudit(t, c, replicas).UnderReplicated; under != 0 {
 		t.Fatalf("%d keys still under-replicated after repair", under)
 	}
 	if c.View().Owed() {
@@ -676,4 +677,15 @@ func TestClientChurnAndOwnership(t *testing.T) {
 	if _, err := c.CallService(before[0].Addr(), ctrlInfo, nil); err == nil {
 		t.Fatal("call to removed member succeeded")
 	}
+}
+
+// mustAudit runs the client's replica audit at factor r, failing the
+// test on a sweep error.
+func mustAudit(t *testing.T, c *Client, r int) replica.AuditStats {
+	t.Helper()
+	st, err := c.Audit(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }

@@ -149,11 +149,11 @@ func TestClusterWarmRestartWithMissedWrites(t *testing.T) {
 	if err != nil {
 		t.Fatalf("warm-rejoin catch-up: %v", err)
 	}
-	if st.Stale == 0 || st.CopiesPulled == 0 {
+	if st.UnderReplicated == 0 || st.CopiesSent == 0 {
 		t.Fatalf("catch-up pulled nothing despite missed writes: %+v", st)
 	}
-	if total := restarted.Store().KeyCount(); st.CopiesPulled >= total {
-		t.Fatalf("catch-up pulled %d of %d keys — that is a full re-replication, not a delta", st.CopiesPulled, total)
+	if total := restarted.Store().KeyCount(); st.CopiesSent >= total {
+		t.Fatalf("catch-up pulled %d of %d keys — that is a full re-replication, not a delta", st.CopiesSent, total)
 	}
 	if got := restarted.InsertRPCs(); got != 0 {
 		t.Fatalf("restarted daemon served %d insert RPCs — the index was re-built, not restored", got)
@@ -184,7 +184,7 @@ func TestClusterWarmRestartWithMissedWrites(t *testing.T) {
 				i, postUpdate[i], res.Results)
 		}
 	}
-	if under := c2.Audit(replicas).UnderReplicated; under != 0 {
+	if under := mustAudit(t, c2, replicas).UnderReplicated; under != 0 {
 		t.Fatalf("%d keys under-replicated after warm rejoin + catch-up", under)
 	}
 
@@ -193,7 +193,7 @@ func TestClusterWarmRestartWithMissedWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Warm || info.InsertRPCs != 0 || info.CatchUpPulled != st.CopiesPulled || info.Keys == 0 {
+	if !info.Warm || info.InsertRPCs != 0 || info.CatchUpPulled != st.CopiesSent || info.Keys == 0 {
 		t.Fatalf("info after warm restart = %+v", info)
 	}
 }

@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"math/rand"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -271,23 +269,22 @@ func TestIngestShuffledChunksMatchBulkConfigure(t *testing.T) {
 	}
 	total := 0
 	for k := range membersA {
-		keysA := invA.Keys(membersA[k])
-		keysB := invB.Keys(membersB[k])
-		sort.Strings(keysA)
-		sort.Strings(keysB)
-		if !reflect.DeepEqual(keysA, keysB) {
-			t.Fatalf("daemon %s: key sets diverge (%d vs %d keys)",
-				membersA[k].Addr(), len(keysA), len(keysB))
+		censusA, errA := invA.Census(membersA[k])
+		censusB, errB := invB.Census(membersB[k])
+		if errA != nil || errB != nil || !reflect.DeepEqual(censusA, censusB) {
+			t.Fatalf("daemon %s: censuses diverge (%d vs %d keys, %v, %v)",
+				membersA[k].Addr(), len(censusA), len(censusB), errA, errB)
 		}
-		for _, key := range keysA {
-			blobA, okA := invA.Export(membersA[k], key)
-			blobB, okB := invB.Export(membersB[k], key)
-			if !okA || !okB || !bytes.Equal(blobA, blobB) {
-				t.Fatalf("daemon %s key %q: exported entries diverge (okA=%v okB=%v, %d vs %d bytes)",
-					membersA[k].Addr(), key, okA, okB, len(blobA), len(blobB))
-			}
+		keys := make([]string, len(censusA))
+		for i, c := range censusA {
+			keys[i] = c.Key
 		}
-		total += len(keysA)
+		itemsA, errA := invA.Export(membersA[k], keys)
+		itemsB, errB := invB.Export(membersB[k], keys)
+		if errA != nil || errB != nil || !reflect.DeepEqual(itemsA, itemsB) {
+			t.Fatalf("daemon %s: exported entries diverge (%v, %v)", membersA[k].Addr(), errA, errB)
+		}
+		total += len(keys)
 	}
 	if total == 0 {
 		t.Fatal("no keys compared — build produced an empty index")

@@ -92,7 +92,7 @@ type Server struct {
 	configJSON []byte
 	dur        *durable.Store
 	warm       bool // store state was restored from disk at startup
-	catchUp    replica.CatchUpStats
+	catchUp    replica.RepairStats
 
 	// Streamed-build state (guarded by mu): the current hdk.ingest
 	// session — nil until a begin arrives or durable replay restores one
@@ -387,17 +387,17 @@ func (s *Server) Warm() bool {
 func (s *Server) InsertRPCs() uint64 { return s.metrics.insertRPCs.Value() }
 
 // CatchUp pulls the delta this daemon missed while it was down: over its
-// own membership view it sweeps the other members' inventories for keys
-// in its replica sets, and imports every copy fresher than (or absent
+// own membership view it runs the repair sweep restricted to deficits
+// naming this daemon, and imports every copy fresher than (or absent
 // from) its restored store — the warm-rejoin path that replaces full
 // re-replication. Call after Join; a daemon without a configured store
 // has nothing to catch up on.
-func (s *Server) CatchUp() (replica.CatchUpStats, error) {
+func (s *Server) CatchUp() (replica.RepairStats, error) {
 	s.mu.Lock()
 	store := s.store
 	s.mu.Unlock()
 	if store == nil {
-		return replica.CatchUpStats{}, nil
+		return replica.RepairStats{}, nil
 	}
 	// The import batch to self arrives over the daemon's own RPC surface,
 	// so the pulled copies run through the persist hooks like any other
@@ -593,8 +593,8 @@ func (s *Server) handleInfo() ([]byte, error) {
 		Unrepaired:    v.Owed(),
 		Warm:          s.warm,
 		InsertRPCs:    s.metrics.insertRPCs.Value(),
-		CatchUpStale:  s.catchUp.Stale,
-		CatchUpPulled: s.catchUp.CopiesPulled,
+		CatchUpStale:  s.catchUp.UnderReplicated,
+		CatchUpPulled: s.catchUp.CopiesSent,
 		FetchRPCs:     s.metrics.fetchRPCs.Value(),
 		SearchRPCs:    s.metrics.searchRPCs.Value(),
 	}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/transport"
 )
 
-// midSweepInventory runs during once, on the sweep's first Keys call:
+// midSweepInventory runs during once, on the sweep's first Census call:
 // a membership change that lands while a repair sweep is under way.
 type midSweepInventory struct {
 	replica.Inventory
@@ -17,9 +17,9 @@ type midSweepInventory struct {
 	during func()
 }
 
-func (m *midSweepInventory) Keys(mem overlay.Member) []string {
+func (m *midSweepInventory) Census(mem overlay.Member) ([]replica.Copy, error) {
 	m.once.Do(m.during)
-	return m.Inventory.Keys(mem)
+	return m.Inventory.Census(mem)
 }
 
 // TestSweepSettlesOnlyTheMembershipItSwept: a sweep computes its
