@@ -1,16 +1,20 @@
 // Command hdkbench reproduces the paper's evaluation: it runs the
-// Section 5 sweep (growing peer network, distributed single-term baseline
-// vs HDK engine at several DFmax values, centralized BM25 reference) and
-// prints every table and figure series the paper reports. The avail
-// experiment measures the replication subsystem instead: recall under
-// node crashes at several replication factors, before and after churn
-// repair.
+// Section 5 sweep (growing peer network, the engine as the distributed
+// single-term baseline vs as the HDK index at several DFmax values,
+// centralized BM25 reference) and prints every table and figure series
+// the paper reports. The avail experiment measures the replication
+// subsystem instead: recall under node crashes at several replication
+// factors, before and after churn repair.
 //
 // Usage:
 //
 //	hdkbench [-scale small|medium|paper] [-experiment all|table1|table2|fig2|...|fig8|avail]
 //	         [-replicas R[,R...]] [-kill F] [-json PATH] [-quiet]
 //	hdkbench -chaos|-soak [-seed N | -replay PATH] [-json PATH]
+//
+// A flag the chosen experiment would ignore is an error: -kill applies
+// to avail only, and -replicas to neither fig2, fig8 nor table2 (they
+// build no index).
 //
 // The small scale finishes in seconds, medium in minutes; paper runs the
 // verbatim Table 2 parameters (hours in one process). -json additionally
@@ -119,6 +123,9 @@ func run(scaleName, experiment, replicas, jsonPath, replay string, kill float64,
 	if setFlags["seed"] || setFlags["replay"] {
 		return fmt.Errorf("-seed and -replay apply to -chaos/-soak only")
 	}
+	if setFlags["kill"] && experiment != "avail" {
+		return fmt.Errorf("-kill applies to -experiment avail only")
+	}
 
 	// The purely analytic artifacts need no sweep.
 	analytic := map[string]func() *experiments.Table{
@@ -127,6 +134,9 @@ func run(scaleName, experiment, replicas, jsonPath, replay string, kill float64,
 		"table2": func() *experiments.Table { return experiments.Table2(scale) },
 	}
 	if mk, ok := analytic[experiment]; ok {
+		if setFlags["replicas"] {
+			return fmt.Errorf("-replicas does not apply to -experiment %s (analytic: no index is built)", experiment)
+		}
 		t := mk()
 		t.Fprint(os.Stdout)
 		if jsonPath != "" {

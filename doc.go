@@ -7,7 +7,9 @@
 // text processing, Zipf analysis, a synthetic web-like corpus, posting
 // lists, BM25 ranking, a consistent-hashing DHT whose owners resolve
 // from one membership view over in-process and TCP transports, the
-// single-term baselines, the Section 4 scalability analysis, and an
+// single-term baselines (a centralized BM25 reference, and the engine
+// itself at smax 1 as the distributed single-term index), the Section 4
+// scalability analysis, and an
 // experiment harness regenerating every table and figure of the
 // evaluation. internal/replica adds the availability layer the
 // prototype inherited from P-Grid: search failover along the ring's

@@ -25,14 +25,16 @@ func (e *Engine) RemoveNode(node overlay.Member) error {
 	if !ok {
 		return fmt.Errorf("core: node %x has no store", node.ID())
 	}
+	// The last member has nowhere to hand its entries: refuse before
+	// leaving, so the ring stays intact and searchable.
+	if e.net.Size() <= 1 {
+		return fmt.Errorf("core: cannot remove the last node")
+	}
 	// Leave the ring first so ownership recomputes without the node —
 	// gracefully: the handoff below fills every replica set the leave
 	// reshapes, so it owes no repair...
 	if !e.net.Leave(node.ID()) {
 		return fmt.Errorf("core: node %x not in overlay", node.ID())
-	}
-	if e.net.Size() == 0 {
-		return fmt.Errorf("core: cannot remove the last node")
 	}
 	// ...then hand its entries to every new owner that lacks them (or
 	// holds a staler copy).

@@ -75,6 +75,23 @@ func TestRemoveNodeTwiceFails(t *testing.T) {
 	if err := eng.RemoveNode(victim); err == nil {
 		t.Fatal("double removal accepted")
 	}
+
+	// Two members: one leaves, the last is refused and stays searchable.
+	eng = buildEngine(t, col, 2, cfg)
+	if err := eng.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	before := searchAll(t, eng, col, 5)
+	if err := eng.RemoveNode(eng.net.Members()[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RemoveNode(eng.net.Members()[0]); err == nil {
+		t.Fatal("removal of the last member accepted")
+	}
+	if eng.net.Size() != 1 {
+		t.Fatalf("network size %d after the refused removal, want 1", eng.net.Size())
+	}
+	assertSameResults(t, before, searchAll(t, eng, col, 5), "refused last removal")
 }
 
 func TestOverlayRemoveUnknownNode(t *testing.T) {

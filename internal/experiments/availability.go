@@ -105,7 +105,7 @@ func Availability(scale Scale, killFrac float64, replicas []int, progress Progre
 
 func availabilityRun(scale Scale, col *corpus.Collection, peers, kills, r, topK int,
 	queries []corpus.Query, progress Progress) (*AvailabilityRun, error) {
-	eng, _, err := buildScaledEngine(scale, col, peers, scale.DFMaxes[0], r)
+	eng, _, err := buildScaledEngine(col, peers, hdkConfig(scale, col, scale.DFMaxes[0], r))
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"time"
 
@@ -36,13 +37,15 @@ type HDKStep struct {
 }
 
 // Step is one experimental run (one network size) with all engines
-// measured on the same collection prefix and query set.
+// measured on the same collection prefix and query set. The ST series
+// come from the engine configured as the single-term index
+// (singleTermConfig), measured by the same pass as the HDK rows.
 type Step struct {
 	Peers      int
 	Docs       int
 	SampleSize int // D: total term occurrences
 
-	STStoredPerPeer  float64 // Figure 3 ST series (= inserted: no truncation)
+	STStoredPerPeer  float64 // Figures 3 and 4 ST series (the sweep checks inserted = stored)
 	STQueryPostings  float64 // Figure 6 ST series
 	STOverlapPercent float64 // Figure 7 ST series
 	HDK              []HDKStep
@@ -64,10 +67,10 @@ type Progress func(format string, args ...any)
 func nopProgress(string, ...any) {}
 
 // Run executes the full Section 5 sweep at the given scale: for every
-// network size it indexes the (growing) collection with the distributed
-// single-term baseline and with the HDK engine at every DFmax, runs the
-// shared query set against all of them, and records the Figures 3-7
-// quantities.
+// network size it indexes the (growing) collection with the engine
+// configured as the distributed single-term baseline and as the HDK
+// index at every DFmax, runs the shared query set against all of them,
+// and records the Figures 3-7 quantities.
 func Run(scale Scale, progress Progress) (*Results, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, err
@@ -115,42 +118,24 @@ func runStep(scale Scale, full *corpus.Collection, peers int, progress Progress)
 	}
 	step.CentralizedTop20 = len(reference)
 
-	// Distributed single-term baseline.
-	stats := rank.CollectionStats{NumDocs: col.M(), AvgDocLen: col.AvgDocLen()}
-	{
-		net, err := buildOverlay(peers)
-		if err != nil {
-			return nil, err
-		}
-		st := baseline.NewDistributedST(net, col.Vocab,
-			baseline.GlobalStats{NumDocs: stats.NumDocs, AvgDocLen: stats.AvgDocLen}, rank.DefaultBM25())
-		for _, part := range col.SplitRoundRobin(peers) {
-			if _, err := st.IndexPeer(part); err != nil {
-				return nil, err
-			}
-		}
-		step.STStoredPerPeer = float64(st.Traffic.Snapshot().StoredPostings) / float64(peers)
-		var fetched uint64
-		var overlap float64
-		for i, q := range queries {
-			res, f, err := st.Search(q, 20)
-			if err != nil {
-				return nil, err
-			}
-			fetched += f
-			overlap += rank.Overlap(reference[i], res, 20)
-		}
-		if len(queries) > 0 {
-			step.STQueryPostings = float64(fetched) / float64(len(queries))
-			step.STOverlapPercent = overlap / float64(len(queries))
-		}
-		progress("%2d peers | %6d docs | ST: %.0f postings/peer, %.0f postings/query",
-			peers, docs, step.STStoredPerPeer, step.STQueryPostings)
+	// Distributed single-term baseline (singleTermConfig).
+	st, err := measure(col, peers, singleTermConfig(col), queries, reference, false)
+	if err != nil {
+		return nil, err
 	}
+	if st.InsertedPerPeer != st.StoredPerPeer {
+		return nil, fmt.Errorf("single-term index stores %.0f postings per peer but inserted %.0f: posting lists were truncated",
+			st.StoredPerPeer, st.InsertedPerPeer)
+	}
+	step.STStoredPerPeer = st.StoredPerPeer
+	step.STQueryPostings = st.QueryPostingsAvg
+	step.STOverlapPercent = st.OverlapAvgPercent
+	progress("%2d peers | %6d docs | ST: %.0f postings/peer, %.0f postings/query",
+		peers, docs, step.STStoredPerPeer, step.STQueryPostings)
 
 	// HDK engines, one per DFmax.
 	for _, dfmax := range scale.DFMaxes {
-		h, err := runHDK(scale, col, peers, dfmax, queries, reference)
+		h, err := measure(col, peers, hdkConfig(scale, col, dfmax, scale.Replicas), queries, reference, true)
 		if err != nil {
 			return nil, err
 		}
@@ -161,31 +146,10 @@ func runStep(scale Scale, full *corpus.Collection, peers int, progress Progress)
 	return step, nil
 }
 
-// buildOverlay constructs an in-process ring of peers members.
-func buildOverlay(peers int) (*overlay.Network, error) {
-	net := overlay.NewNetwork(transport.NewInProc())
-	for i := 0; i < peers; i++ {
-		if _, err := net.AddNode(fmt.Sprintf("peer-%d", i)); err != nil {
-			return nil, err
-		}
-	}
-	return net, nil
-}
-
-// buildScaledEngine assembles the HDK engine for one measurement: the
-// ring of peers members, the scale's Config mapping (with the replication
-// factor override when replicas > 0), the round-robin document split,
-// and all-cores build concurrency (the final index is provably identical
-// to a serial build — merges commute; tested in core). BuildIndex is
-// left to the caller, which times it.
-func buildScaledEngine(scale Scale, col *corpus.Collection, peers, dfmax, replicas int) (*core.Engine, []overlay.Member, error) {
-	net, err := buildOverlay(peers)
-	if err != nil {
-		return nil, nil, err
-	}
-	nodes := net.Members()
-	stats := rank.CollectionStats{NumDocs: col.M(), AvgDocLen: col.AvgDocLen()}
-	cfg := core.DefaultConfig(stats)
+// hdkConfig maps the scale onto the engine configuration at one DFmax,
+// with the replication factor override when replicas > 0.
+func hdkConfig(scale Scale, col *corpus.Collection, dfmax, replicas int) core.Config {
+	cfg := core.DefaultConfig(rank.CollectionStats{NumDocs: col.M(), AvgDocLen: col.AvgDocLen()})
 	cfg.DFMax = dfmax
 	cfg.SMax = scale.SMax
 	cfg.Window = scale.Window
@@ -193,6 +157,36 @@ func buildScaledEngine(scale Scale, col *corpus.Collection, peers, dfmax, replic
 	if replicas > 0 {
 		cfg.ReplicationFactor = replicas
 	}
+	return cfg
+}
+
+// singleTermConfig is the paper's distributed single-term index (the ST
+// series of Figures 3, 4, 6 and 7) as a special case of the HDK model:
+// with smax 1 every key is one term, and with DFmax at the collection
+// size and no very-frequent cutoff every term is discriminative, so its
+// full posting list sits on the peer responsible for it. It keeps a
+// single copy whatever the sweep's replication factor.
+func singleTermConfig(col *corpus.Collection) core.Config {
+	cfg := core.DefaultConfig(rank.CollectionStats{NumDocs: col.M(), AvgDocLen: col.AvgDocLen()})
+	cfg.SMax = 1
+	cfg.DFMax = col.M()
+	cfg.Ff = math.MaxInt
+	return cfg
+}
+
+// buildScaledEngine assembles the engine for one measurement: an
+// in-process ring of peers members, the round-robin document split, and
+// all-cores build concurrency (the final index is provably identical to
+// a serial build — merges commute; tested in core). BuildIndex is left
+// to the caller, which times it.
+func buildScaledEngine(col *corpus.Collection, peers int, cfg core.Config) (*core.Engine, []overlay.Member, error) {
+	net := overlay.NewNetwork(transport.NewInProc())
+	for i := 0; i < peers; i++ {
+		if _, err := net.AddNode(fmt.Sprintf("peer-%d", i)); err != nil {
+			return nil, nil, err
+		}
+	}
+	nodes := net.Members()
 	eng, err := core.NewEngine(net, cfg, col.Vocab, col.TermFrequencies())
 	if err != nil {
 		return nil, nil, err
@@ -206,9 +200,12 @@ func buildScaledEngine(scale Scale, col *corpus.Collection, peers, dfmax, replic
 	return eng, nodes, nil
 }
 
-func runHDK(scale Scale, col *corpus.Collection, peers, dfmax int,
-	queries []corpus.Query, reference [][]rank.Result) (*HDKStep, error) {
-	eng, nodes, err := buildScaledEngine(scale, col, peers, dfmax, scale.Replicas)
+// measure builds one index over the step's collection and runs the
+// shared metric pass over the query set; timed adds the wall-clock query
+// passes the HDK rows report.
+func measure(col *corpus.Collection, peers int, cfg core.Config,
+	queries []corpus.Query, reference [][]rank.Result, timed bool) (*HDKStep, error) {
+	eng, nodes, err := buildScaledEngine(col, peers, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +216,7 @@ func runHDK(scale Scale, col *corpus.Collection, peers, dfmax int,
 	istats := eng.Stats()
 	traffic := eng.Traffic().Snapshot()
 	h := &HDKStep{
-		DFMax:           dfmax,
+		DFMax:           cfg.DFMax,
 		Replicas:        eng.Config().ReplicationFactor,
 		StoredPerPeer:   float64(istats.StoredTotal) / float64(peers),
 		InsertedPerPeer: float64(traffic.InsertedTotal) / float64(peers),
@@ -247,38 +244,42 @@ func runHDK(scale Scale, col *corpus.Collection, peers, dfmax int,
 		failovers += res.Failovers
 		overlap += rank.Overlap(reference[i], res.Results, 20)
 	}
-	if len(queries) > 0 {
-		n := float64(len(queries))
-		h.QueryPostingsAvg = float64(fetched) / n
-		h.QueryProbesAvg = float64(probes) / n
-		h.QueryRPCsAvg = float64(rpcs) / n
-		h.QueryFailoversAvg = float64(failovers) / n
-		h.OverlapAvgPercent = overlap / n
-		after := eng.Traffic().Snapshot()
-		for s := 0; s <= core.MaxKeySize; s++ {
-			h.QueryProbesBySize[s] = float64(after.ProbesBySize[s]-traffic.ProbesBySize[s]) / n
-			h.QueryRPCsBySize[s] = float64(after.FetchRPCsBySize[s]-traffic.FetchRPCsBySize[s]) / n
-		}
-		// Wall clock is the one nondeterministic metric the bench
-		// regression gate checks; on small configs the whole sweep lasts
-		// a few milliseconds, so a single GC or scheduler stall lands as
-		// a phantom 10x "regression". Two identical timing-only passes
-		// (queries are read-only and deterministic), keeping the faster,
-		// filter exactly those one-off stalls.
-		var queryNanos int64
-		for pass := 0; pass < 2; pass++ {
-			start := time.Now()
-			for i, q := range queries {
-				if _, err := eng.Search(q, nodes[i%peers], 20); err != nil {
-					return nil, err
-				}
-			}
-			if d := time.Since(start).Nanoseconds(); pass == 0 || d < queryNanos {
-				queryNanos = d
-			}
-		}
-		h.QueryNanosAvg = float64(queryNanos) / n
+	if len(queries) == 0 {
+		return h, nil
 	}
+	n := float64(len(queries))
+	h.QueryPostingsAvg = float64(fetched) / n
+	h.QueryProbesAvg = float64(probes) / n
+	h.QueryRPCsAvg = float64(rpcs) / n
+	h.QueryFailoversAvg = float64(failovers) / n
+	h.OverlapAvgPercent = overlap / n
+	after := eng.Traffic().Snapshot()
+	for s := 0; s <= core.MaxKeySize; s++ {
+		h.QueryProbesBySize[s] = float64(after.ProbesBySize[s]-traffic.ProbesBySize[s]) / n
+		h.QueryRPCsBySize[s] = float64(after.FetchRPCsBySize[s]-traffic.FetchRPCsBySize[s]) / n
+	}
+	if !timed {
+		return h, nil
+	}
+	// Wall clock is the one nondeterministic metric the bench regression
+	// gate checks; on small configs the whole sweep lasts a few
+	// milliseconds, so a single GC or scheduler stall lands as a phantom
+	// 10x "regression". Two identical timing-only passes (queries are
+	// read-only and deterministic), keeping the faster, filter exactly
+	// those one-off stalls.
+	var queryNanos int64
+	for pass := 0; pass < 2; pass++ {
+		start := time.Now()
+		for i, q := range queries {
+			if _, err := eng.Search(q, nodes[i%peers], 20); err != nil {
+				return nil, err
+			}
+		}
+		if d := time.Since(start).Nanoseconds(); pass == 0 || d < queryNanos {
+			queryNanos = d
+		}
+	}
+	h.QueryNanosAvg = float64(queryNanos) / n
 	return h, nil
 }
 

@@ -63,19 +63,20 @@ func TestScaleValidate(t *testing.T) {
 // per-query counters — batched fetch RPCs, lattice probes and fetched
 // postings per query — then HDK stored and inserted postings per peer,
 // the top-20 overlap with the centralized reference, and the step's
-// single-term baseline (stored postings per peer, postings per query).
-// They are a pure function of the scale's seeds, so they are pinned
-// exactly: any drift is a change in what the paper's figures report.
+// single-term baseline (stored postings per peer, postings per query,
+// top-20 overlap). They are a pure function of the scale's seeds, so
+// they are pinned exactly: any drift is a change in what the paper's
+// figures report.
 var tinyCounters = []struct {
-	peers, dfmax                     int
-	rpcs, probes, postings           float64
-	stored, inserted, overlap        float64
-	stStoredPerPeer, stQueryPostings float64
+	peers, dfmax                                int
+	rpcs, probes, postings                      float64
+	stored, inserted, overlap                   float64
+	stStoredPerPeer, stQueryPostings, stOverlap float64
 }{
-	{4, 6, 2.466666666666667, 3, 15.266666666666667, 5138.25, 6762.25, 54.333333333333336, 3056.75, 221.53333333333333},
-	{4, 8, 2.1333333333333333, 2.6666666666666665, 18.6, 4358.25, 5723, 65.33333333333333, 3056.75, 221.53333333333333},
-	{8, 6, 2.933333333333333, 3.3333333333333335, 18.133333333333333, 8686.625, 11029.375, 54.666666666666664, 3056.25, 444.3333333333333},
-	{8, 8, 2.933333333333333, 3.3333333333333335, 22.8, 6466.625, 8386.875, 65, 3056.25, 444.3333333333333},
+	{4, 6, 2.466666666666667, 3, 15.266666666666667, 5138.25, 6762.25, 54.333333333333336, 3056.75, 221.53333333333333, 100},
+	{4, 8, 2.1333333333333333, 2.6666666666666665, 18.6, 4358.25, 5723, 65.33333333333333, 3056.75, 221.53333333333333, 100},
+	{8, 6, 2.933333333333333, 3.3333333333333335, 18.133333333333333, 8686.625, 11029.375, 54.666666666666664, 3056.25, 444.3333333333333, 100},
+	{8, 8, 2.933333333333333, 3.3333333333333335, 22.8, 6466.625, 8386.875, 65, 3056.25, 444.3333333333333, 100},
 }
 
 func TestRunProducesAllSteps(t *testing.T) {
@@ -87,16 +88,16 @@ func TestRunProducesAllSteps(t *testing.T) {
 	for _, s := range r.Steps {
 		for _, h := range s.HDK {
 			got = append(got, fmt.Sprint(s.Peers, h.DFMax, h.QueryRPCsAvg, h.QueryProbesAvg, h.QueryPostingsAvg,
-				h.StoredPerPeer, h.InsertedPerPeer, h.OverlapAvgPercent, s.STStoredPerPeer, s.STQueryPostings))
+				h.StoredPerPeer, h.InsertedPerPeer, h.OverlapAvgPercent, s.STStoredPerPeer, s.STQueryPostings, s.STOverlapPercent))
 		}
 	}
 	var want []string
 	for _, c := range tinyCounters {
 		want = append(want, fmt.Sprint(c.peers, c.dfmax, c.rpcs, c.probes, c.postings,
-			c.stored, c.inserted, c.overlap, c.stStoredPerPeer, c.stQueryPostings))
+			c.stored, c.inserted, c.overlap, c.stStoredPerPeer, c.stQueryPostings, c.stOverlap))
 	}
 	if !slices.Equal(got, want) {
-		t.Errorf("figures (peers dfmax rpcs probes postings stored inserted overlap stStored stPostings) drifted:\ngot  %q\nwant %q", got, want)
+		t.Errorf("figures (peers dfmax rpcs probes postings stored inserted overlap stStored stPostings stOverlap) drifted:\ngot  %q\nwant %q", got, want)
 	}
 	for i, s := range r.Steps {
 		if s.Docs != s.Peers*60 {

@@ -156,7 +156,7 @@ func Fig3(r *Results) *Table {
 func Fig4(r *Results) *Table {
 	t := &Table{ID: "fig4", Title: "Inserted postings per peer (indexing costs)", Columns: hdkColumns(r, "inserted")}
 	for _, s := range r.Steps {
-		// ST inserts exactly what it stores (no truncation).
+		// ST inserts exactly what it stores: the sweep fails otherwise.
 		row := []string{fmt.Sprintf("%d", s.Docs), fmt.Sprintf("%d", s.Peers), f0(s.STStoredPerPeer)}
 		for _, h := range s.HDK {
 			row = append(row, f0(h.InsertedPerPeer))
