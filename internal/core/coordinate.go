@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -87,19 +87,23 @@ func NewQueryMetrics(reg *telemetry.Registry) *QueryMetrics {
 // daemon uses the configuration the building client shipped, so
 // coordination agrees with placement). The traversal caches nothing: the
 // cluster daemon caches whole results one layer up. Traffic, when
-// non-nil, receives the global counters.
+// non-nil, receives the global counters (nil keeps none).
 // Metrics, when non-nil, additionally receives the registry series the
 // live cluster is observed through: per-level probe/found/RPC/posting
 // counters, per-level latency histograms and the local-fetch counter.
 //
 // From is the coordinating member: the replica reads prefer (ReadPlan)
-// — a daemon passes its own member stub with its store attached
-// read-locally. It may be nil, which reads every key primary-first; so
-// does any traversal over a fabric whose view still owes a repair.
+// — a daemon passes its own member stub. It may be nil, which reads
+// every key primary-first; so does any traversal over a fabric whose
+// view still owes a repair. Store, when non-nil, is From's own store:
+// a batch read from From is then a direct store call, with no request
+// or response encoded. Left nil, From's batches go over Net like any
+// other.
 type Coordinator struct {
 	Net     overlay.Fabric
 	Cfg     Config
 	From    overlay.Member
+	Store   *StoreServer
 	Traffic *Traffic
 	Metrics *QueryMetrics
 }
@@ -121,18 +125,13 @@ func (c *Coordinator) Search(terms []string, k int) (*SearchResult, error) {
 // A nil tb costs nothing on the traversal path: span attributes are
 // built only while a trace is recording.
 func (c *Coordinator) SearchTraced(terms []string, k int, tb *telemetry.TraceBuilder) (*SearchResult, error) {
-	traffic := c.Traffic
-	if traffic == nil {
-		traffic = &Traffic{}
-	}
-	ls := newLatticeSearch(c.Net, c.From, c.Cfg, traffic)
+	ls := newLatticeSearch(c.Net, c.From, c.Cfg, c.Traffic)
 	ls.metrics = c.Metrics
 	ls.trace = tb
-	maxSize := c.Cfg.SMax
-	if len(terms) < maxSize {
-		maxSize = len(terms)
+	if c.Store != nil {
+		ls.store = c.Store.store
 	}
-	return ls.run(terms, maxSize, k)
+	return ls.run(terms, min(c.Cfg.SMax, len(terms)), k)
 }
 
 // QueryTerms renders a query into the coordinator wire form: the
@@ -152,31 +151,18 @@ func (e *Engine) QueryTerms(q corpus.Query) []string {
 	return out
 }
 
-func replicasOf(cfg Config) int {
-	if cfg.ReplicationFactor < 1 {
-		return 1
-	}
-	return cfg.ReplicationFactor
-}
-
-func fanoutOf(cfg Config) int {
-	if cfg.SearchFanout < 1 {
-		return 1
-	}
-	return cfg.SearchFanout
-}
-
 // latticeSearch is the per-query traversal state shared by Engine.Search
 // and Coordinator.Search: the fabric to probe, the failover and fan-out
 // parameters and the counters.
 type latticeSearch struct {
 	net        overlay.Fabric
 	from       overlay.Member
-	self       string // from's address ("" without a coordinating member)
-	placeReads bool   // every chain member holds a full copy: ReadPlan may choose among them
+	self       string    // from's address ("" without a coordinating member)
+	placeReads bool      // every chain member holds a full copy: ReadPlan may choose among them
+	store      *hdkStore // from's own store, read directly (nil: over the fabric)
 	replicas   int
 	fanout     int
-	traffic    *Traffic
+	traffic    *Traffic                // nil: no global counters
 	metrics    *QueryMetrics           // nil: no registry series
 	trace      *telemetry.TraceBuilder // nil: tracing off (nil-safe methods)
 
@@ -187,8 +173,8 @@ func newLatticeSearch(net overlay.Fabric, from overlay.Member, cfg Config, traff
 	ls := &latticeSearch{
 		net:      net,
 		from:     from,
-		replicas: replicasOf(cfg),
-		fanout:   fanoutOf(cfg),
+		replicas: max(cfg.ReplicationFactor, 1),
+		fanout:   max(cfg.SearchFanout, 1),
 		traffic:  traffic,
 	}
 	if from != nil {
@@ -207,10 +193,14 @@ func newLatticeSearch(net overlay.Fabric, from overlay.Member, cfg Config, traff
 // chosen reader (probeLevel, ReadPlan) receives a single multi-key fetch
 // — at most fanout in flight.
 // Found keys' bounded posting lists are unioned in candidate order (so
-// the ranked answer is identical at any fan-out) and ranked.
+// the ranked answer is identical at any fan-out) and ranked. A query
+// has at most maxSearchTerms terms: a candidate is a bitmask over them.
 func (ls *latticeSearch) run(terms []string, maxSize, k int) (*SearchResult, error) {
+	if len(terms) > maxSearchTerms {
+		return nil, fmt.Errorf("core: %d query terms, at most %d", len(terms), maxSearchTerms)
+	}
 	res := &SearchResult{}
-	status := make(map[string]KeyStatus)
+	status := make(map[uint64]KeyStatus) // by term-subset mask
 	// The score accumulator ping-pongs between two pooled buffers: each
 	// union writes into the spare, then the roles swap. Safe because
 	// TopKByScore copies the accumulator into the result, so nothing
@@ -222,8 +212,8 @@ func (ls *latticeSearch) run(terms []string, maxSize, k int) (*SearchResult, err
 		accPool.Put(bufs)
 	}()
 	for size := 1; size <= maxSize; size++ {
-		level := levelCandidates(terms, size, status)
-		if len(level) == 0 {
+		outcomes := levelCandidates(terms, size, status)
+		if len(outcomes) == 0 {
 			// No key of this size survives pruning, so no superset can be
 			// stored either: the traversal is done.
 			break
@@ -239,21 +229,22 @@ func (ls *latticeSearch) run(terms []string, maxSize, k int) (*SearchResult, err
 		if ls.trace != nil {
 			lvlSpan = ls.trace.Start(0, "level",
 				telemetry.Num("level", uint64(size)),
-				telemetry.Num("candidates", uint64(len(level))))
+				telemetry.Num("candidates", uint64(len(outcomes))))
 		}
-		outcomes, err := ls.probeLevel(level, res, lvlSpan)
-		if err != nil {
+		if err := ls.probeLevel(outcomes, res, lvlSpan); err != nil {
 			return nil, err
 		}
-		ls.traffic.ProbesBySize[size].Add(uint64(len(outcomes)))
-		ls.traffic.FetchRPCsBySize[size].Add(uint64(res.RPCs - rpcsBefore))
+		if ls.traffic != nil {
+			ls.traffic.ProbesBySize[size].Add(uint64(len(outcomes)))
+			ls.traffic.FetchRPCsBySize[size].Add(uint64(res.RPCs - rpcsBefore))
+		}
 		// Accumulate in candidate-enumeration order: float score addition
 		// is order-sensitive, so this keeps parallel fan-out bit-identical
 		// to a serial probe sequence.
 		unionSpan := ls.trace.Start(lvlSpan, "union")
 		for _, o := range outcomes {
 			res.ProbedKeys++
-			status[o.canonical] = o.status
+			status[o.mask] = o.status
 			if o.status == StatusAbsent {
 				continue
 			}
@@ -280,11 +271,13 @@ func (ls *latticeSearch) run(terms []string, maxSize, k int) (*SearchResult, err
 			lvl.nanos.ObserveDuration(time.Since(levelStart))
 		}
 	}
-	ls.traffic.FetchedPosts.Add(res.FetchedPosts)
-	ls.traffic.ProbeMessages.Add(uint64(res.ProbedKeys))
-	ls.traffic.FetchRPCs.Add(uint64(res.RPCs))
-	ls.traffic.QueryRounds.Add(uint64(res.Rounds))
-	ls.traffic.SearchFailovers.Add(uint64(res.Failovers))
+	if ls.traffic != nil {
+		ls.traffic.FetchedPosts.Add(res.FetchedPosts)
+		ls.traffic.ProbeMessages.Add(uint64(res.ProbedKeys))
+		ls.traffic.FetchRPCs.Add(uint64(res.RPCs))
+		ls.traffic.QueryRounds.Add(uint64(res.Rounds))
+		ls.traffic.SearchFailovers.Add(uint64(res.Failovers))
+	}
 	if ls.metrics != nil {
 		ls.metrics.failovers.Add(uint64(res.Failovers))
 		ls.metrics.localFetches.Add(uint64(ls.localFetches))
@@ -308,64 +301,65 @@ type accBuffers struct{ a, b postings.List }
 var accPool = sync.Pool{New: func() any { return &accBuffers{} }}
 
 // levelCandidates enumerates the size-`size` subsets of the ordered
-// query terms that survive subsumption pruning, as canonical key
-// strings. Pruning consults only the previous level's statuses, which
-// is what makes the traversal level-synchronous: within a level every
-// candidate can be probed independently.
-func levelCandidates(terms []string, size int, status map[string]KeyStatus) []string {
-	var out []string
-	idxs := make([]int, 0, size)
-	var rec func(start int)
-	rec = func(start int) {
-		if len(idxs) == size {
-			if size > 1 && !allSubkeysND(terms, idxs, status) {
-				return // subsumption pruning
+// query terms that survive subsumption pruning, as probe outcomes with
+// the subset's mask and canonical key. Subsets come in lexicographic
+// order of their term positions. Pruning consults only the previous
+// level's statuses, which is what makes the traversal level-synchronous:
+// within a level every candidate can be probed independently. A key can
+// only be stored if every immediate sub-key is non-discriminative (an
+// HDK sub-key means redundancy filtering dropped the superset; an absent
+// sub-key means the superset cannot occur), so a candidate survives only
+// if each mask with one bit cleared is NDK; only survivors pay for a
+// canonical string.
+func levelCandidates(terms []string, size int, status map[uint64]KeyStatus) []probeOutcome {
+	var out []probeOutcome
+	var rec func(start, left int, mask uint64)
+	rec = func(start, left int, mask uint64) {
+		if left == 0 {
+			if size == 1 || allSubsetsND(mask, status) {
+				out = append(out, probeOutcome{mask: mask, canonical: canonicalKey(terms, mask)})
 			}
-			out = append(out, canonicalKey(terms, idxs, -1))
 			return
 		}
-		for i := start; i < len(terms); i++ {
-			idxs = append(idxs, i)
-			rec(i + 1)
-			idxs = idxs[:len(idxs)-1]
+		for i := start; i <= len(terms)-left; i++ {
+			rec(i+1, left-1, mask|1<<i)
 		}
 	}
-	rec(0)
+	rec(0, size, 0)
 	return out
 }
 
-// canonicalKey joins the selected terms into the key's DHT wire form,
-// skipping the position `drop` (-1 keeps every index). terms are in
-// ascending TermID order, so the join equals Key.CanonicalString.
-func canonicalKey(terms []string, idxs []int, drop int) string {
-	kept := make([]string, 0, len(idxs))
-	for pos, i := range idxs {
-		if pos == drop {
-			continue
-		}
-		kept = append(kept, terms[i])
-	}
-	if len(kept) == 1 {
-		return kept[0]
-	}
-	return strings.Join(kept, keySeparator)
-}
-
-// allSubkeysND prunes the retrieval lattice: a key can only be stored if
-// every immediate sub-key is non-discriminative (an HDK sub-key means
-// redundancy filtering dropped the superset; an absent sub-key means the
-// superset cannot occur).
-func allSubkeysND(terms []string, idxs []int, status map[string]KeyStatus) bool {
-	for drop := range idxs {
-		if status[canonicalKey(terms, idxs, drop)] != StatusNDK {
+// allSubsetsND reports whether every immediate sub-key of mask (one bit
+// cleared) was probed as non-discriminative.
+func allSubsetsND(mask uint64, status map[uint64]KeyStatus) bool {
+	for m := mask; m != 0; m &= m - 1 {
+		if status[mask&^(m&-m)] != StatusNDK {
 			return false
 		}
 	}
 	return true
 }
 
+// canonicalKey joins the terms mask selects into the key's DHT wire
+// form. terms are in ascending TermID order, so the join equals
+// Key.CanonicalString.
+func canonicalKey(terms []string, mask uint64) string {
+	if mask&(mask-1) == 0 {
+		return terms[bits.TrailingZeros64(mask)]
+	}
+	buf := make([]byte, 0, 64) // on the stack for keys up to 64 bytes
+	for m := mask; m != 0; m &= m - 1 {
+		if m != mask {
+			buf = append(buf, keySeparator...)
+		}
+		buf = append(buf, terms[bits.TrailingZeros64(m)]...)
+	}
+	return string(buf)
+}
+
 // probeOutcome is one candidate key's answer during a level probe.
 type probeOutcome struct {
+	mask      uint64 // the key's term subset, one bit per query term position
 	canonical string
 	status    KeyStatus
 	list      postings.List
@@ -410,33 +404,28 @@ func replicaChain(net overlay.Fabric, r int, canonical string) []string {
 // is re-sent to the keys' next replica — successive waves walk each
 // key's chain until a copy answers or every replica is exhausted; each
 // re-sent batch counts one Failover.
-// Workers fill disjoint outcome slots; the slice comes back in candidate
-// order so accumulation stays deterministic regardless of which replica
-// answered.
-func (ls *latticeSearch) probeLevel(level []string, res *SearchResult, lvlSpan int) ([]probeOutcome, error) {
-	outcomes := make([]probeOutcome, len(level))
-	for i, canonical := range level {
-		outcomes[i] = probeOutcome{canonical: canonical}
-	}
+// Workers fill disjoint outcome slots, which stay in candidate order so
+// accumulation is deterministic regardless of which replica answered.
+func (ls *latticeSearch) probeLevel(outcomes []probeOutcome, res *SearchResult, lvlSpan int) error {
 	fanout := ls.fanout
 
 	// Resolve every key's replica set from the fabric's view.
 	routeSpan := -1
 	if ls.trace != nil {
-		routeSpan = ls.trace.Start(lvlSpan, "route", telemetry.Num("keys", uint64(len(level))))
+		routeSpan = ls.trace.Start(lvlSpan, "route", telemetry.Num("keys", uint64(len(outcomes))))
 	}
-	chains := make([][]string, len(level))
-	for j, canonical := range level {
-		if chains[j] = replicaChain(ls.net, ls.replicas, canonical); len(chains[j]) == 0 {
+	chains := make([][]string, len(outcomes))
+	for j, o := range outcomes {
+		if chains[j] = replicaChain(ls.net, ls.replicas, o.canonical); len(chains[j]) == 0 {
 			ls.trace.End(routeSpan)
-			return nil, fmt.Errorf("core: no owner for key %q: empty overlay", canonical)
+			return fmt.Errorf("core: no owner for key %q: empty overlay", o.canonical)
 		}
 	}
 	if ls.placeReads {
 		ReadPlan(chains, ls.self)
 	}
 	ls.trace.End(routeSpan)
-	states := make([]probeState, len(level))
+	states := make([]probeState, len(outcomes))
 	for j, chain := range chains {
 		states[j] = probeState{idx: j, owners: chain}
 	}
@@ -480,7 +469,7 @@ func (ls *latticeSearch) probeLevel(level []string, res *SearchResult, lvlSpan i
 			}
 			ls.trace.End(fetchSpan)
 		}
-		// Self's batch is a store read on a daemon, not an RPC: serve it
+		// Self's batch is a store call on a daemon, not an RPC: serve it
 		// before fanning out, so a wave of {self, one remote reader} — the
 		// common shape once reads are placed — starts no goroutine at all.
 		remote := 0
@@ -506,7 +495,7 @@ func (ls *latticeSearch) probeLevel(level []string, res *SearchResult, lvlSpan i
 			}
 			for _, st := range b.states {
 				if len(st.owners) <= 1 {
-					return nil, fmt.Errorf("core: fetch %q: all %d replicas failed: %w",
+					return fmt.Errorf("core: fetch %q: all %d replicas failed: %w",
 						outcomes[st.idx].canonical, ls.replicas, b.err)
 				}
 				retry = append(retry, probeState{idx: st.idx, owners: st.owners[1:]})
@@ -514,7 +503,7 @@ func (ls *latticeSearch) probeLevel(level []string, res *SearchResult, lvlSpan i
 		}
 		states = retry
 	}
-	return outcomes, nil
+	return nil
 }
 
 // fetchReqPool recycles fetch-request buffers. Safe because CallService
@@ -524,11 +513,19 @@ func (ls *latticeSearch) probeLevel(level []string, res *SearchResult, lvlSpan i
 var fetchReqPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // fetchOwnerBatch issues one multi-key fetch to an index node and fills
-// the outcome slots assigned to it.
+// the outcome slots assigned to it. The coordinator's own store, when it
+// has one, answers self's batch directly: the same scored lists the wire
+// would carry, without encoding and decoding them.
 func (ls *latticeSearch) fetchOwnerBatch(addr string, idxs []int, outcomes []probeOutcome) error {
 	keys := make([]string, len(idxs))
 	for i, idx := range idxs {
 		keys[i] = outcomes[idx].canonical
+	}
+	if ls.store != nil && addr == ls.self {
+		for i, r := range ls.store.fetchBatch(keys) {
+			outcomes[idxs[i]].status, outcomes[idxs[i]].list = r.status, r.list
+		}
+		return nil
 	}
 	bp := fetchReqPool.Get().(*[]byte)
 	req := postings.EncodeKeyList((*bp)[:0], keys)
@@ -549,8 +546,7 @@ func (ls *latticeSearch) fetchOwnerBatch(addr string, idxs []int, outcomes []pro
 		if r.key != keys[i] {
 			return fmt.Errorf("%w: answer for key %q, want %q", errCorruptRPC, r.key, keys[i])
 		}
-		outcomes[idxs[i]].status = r.status
-		outcomes[idxs[i]].list = r.list
+		outcomes[idxs[i]].status, outcomes[idxs[i]].list = r.status, r.list
 	}
 	return nil
 }

@@ -400,11 +400,7 @@ func (e *Engine) Search(q corpus.Query, from overlay.Member, k int) (*SearchResu
 	// the key vocabulary, exactly like the single-term stop-word case),
 	// and render them canonically in ascending TermID order.
 	terms := e.QueryTerms(q)
-	maxSize := e.cfg.SMax
-	if len(terms) < maxSize {
-		maxSize = len(terms)
-	}
-	return newLatticeSearch(e.net, from, e.cfg, &e.traffic).run(terms, maxSize, k)
+	return newLatticeSearch(e.net, from, e.cfg, &e.traffic).run(terms, min(e.cfg.SMax, len(terms)), k)
 }
 
 // forEachLimit invokes fn(0..n-1) from at most limit concurrent

@@ -88,7 +88,7 @@ func (e *Engine) KeyInfo(k Key) (KeyStatus, int, postings.List) {
 }
 
 // allSubkeysNDStatus prunes the retrieval lattice on packed keys — the
-// Key-typed twin of allSubkeysND in coordinate.go.
+// Key-typed twin of allSubsetsND in coordinate.go.
 func (e *Engine) allSubkeysNDStatus(key Key, status map[Key]KeyStatus) bool {
 	ok := true
 	key.Subkeys(func(sub Key) {

@@ -226,8 +226,8 @@ func TestSearchFanoutClamps(t *testing.T) {
 	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	if got := fanoutOf(eng.cfg); got != 1 {
-		t.Fatalf("searchFanout() = %d with SearchFanout=0, want 1", got)
+	if got := newLatticeSearch(eng.net, nil, eng.cfg, nil).fanout; got != 1 {
+		t.Fatalf("traversal fan-out = %d with SearchFanout=0, want 1", got)
 	}
 	q := corpus.Query{Terms: col.Docs[0].Terms[:2]}
 	if _, err := eng.Search(q, eng.net.Members()[0], 5); err != nil {
@@ -265,8 +265,43 @@ func TestUntracedSearchAllocs(t *testing.T) {
 			}
 		}
 	})
-	const ceiling = 1632
+	const ceiling = 932
 	if allocs > ceiling {
 		t.Fatalf("%d untraced queries allocate %.0f times, ceiling %d", len(queries), allocs, ceiling)
+	}
+}
+
+// TestCoordinatorTermBound: a coordination refuses more than
+// maxSearchTerms terms before probing anything, and accepts exactly that
+// many — real vocabulary terms, so the lattice is probed past level 1.
+func TestCoordinatorTermBound(t *testing.T) {
+	col := testCollection(t, 80)
+	eng := buildEngine(t, col, 4, testConfig(col, 6))
+	if err := eng.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	var terms []string
+	for id, word := range eng.vocab {
+		if !eng.vf[id] && len(terms) <= maxSearchTerms {
+			terms = append(terms, word)
+		}
+	}
+	if len(terms) <= maxSearchTerms {
+		t.Fatalf("vocabulary has only %d usable terms", len(terms))
+	}
+	var traffic Traffic
+	c := Coordinator{Net: eng.net, Cfg: eng.cfg, From: eng.net.Members()[0], Traffic: &traffic}
+	if res, err := c.Search(terms, 10); err == nil {
+		t.Fatalf("%d terms coordinated: %+v", len(terms), res)
+	}
+	if probes := traffic.Snapshot().ProbeMessages; probes != 0 {
+		t.Fatalf("a refused query probed %d keys", probes)
+	}
+	res, err := c.Search(terms[:maxSearchTerms], 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds < 2 || len(res.Results) == 0 {
+		t.Fatalf("%d terms: %d rounds, %d results", maxSearchTerms, res.Rounds, len(res.Results))
 	}
 }

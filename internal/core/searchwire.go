@@ -58,6 +58,13 @@ const (
 // for an absurd ranking.
 const maxSearchK = 1 << 20
 
+// maxSearchTerms bounds the terms of one query, in the decoder and in
+// the traversal: the lattice over n terms has up to 2^n - 1 candidates,
+// so an unbounded term list could hold a search worker for seconds. It
+// is also the width of the term-subset masks the traversal prunes on.
+// Corpus queries have at most 8 terms.
+const maxSearchTerms = 64
+
 // EncodeSearchRequest builds the hdk.search request payload. The
 // encoding is canonical (no redundant representations), so the raw
 // request bytes double as the coordinator's cache key.
@@ -87,6 +94,9 @@ func DecodeSearchRequest(payload []byte) (SearchRequest, error) {
 	terms, err := postings.DecodeKeyList(r.Rest())
 	if err != nil {
 		return SearchRequest{}, err
+	}
+	if len(terms) > maxSearchTerms {
+		return SearchRequest{}, errCorruptRPC
 	}
 	return SearchRequest{
 		Terms:   terms,

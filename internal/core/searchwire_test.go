@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"reflect"
+	"strconv"
 	"testing"
 	"time"
 
@@ -73,6 +74,7 @@ func TestSearchRequestCorrupt(t *testing.T) {
 		"huge k":           {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
 		"unknown flag bit": {10, 0x04, 0},
 		"truncated terms":  valid[:len(valid)-2],
+		"65 terms":         EncodeSearchRequest(SearchRequest{Terms: numberedTerms(maxSearchTerms + 1), K: 10}),
 	}
 	for name, buf := range cases {
 		if _, err := DecodeSearchRequest(buf); err == nil {
@@ -81,6 +83,18 @@ func TestSearchRequestCorrupt(t *testing.T) {
 			t.Errorf("%s: unexpected error class %v", name, err)
 		}
 	}
+	if req, err := DecodeSearchRequest(EncodeSearchRequest(SearchRequest{Terms: numberedTerms(maxSearchTerms), K: 10})); err != nil || len(req.Terms) != maxSearchTerms {
+		t.Errorf("64 terms: %d decoded, err %v", len(req.Terms), err)
+	}
+}
+
+// numberedTerms returns n distinct terms t0, t1, ...
+func numberedTerms(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = "t" + strconv.Itoa(i)
+	}
+	return out
 }
 
 func TestSearchResponseRoundTrip(t *testing.T) {

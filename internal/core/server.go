@@ -115,23 +115,6 @@ func (s *StoreServer) EnablePersistence(d *durable.Store, header func(emit func(
 // Call before Attach; not safe to change while serving.
 func (s *StoreServer) OnMutation(fn func()) { s.onMutate = fn }
 
-// AttachLocalRead registers the read-side index services on a
-// CLIENT-side member stub: a daemon coordinating queries attaches its
-// own store this way on its self-member, so fetches the coordinator
-// owns are answered in-process instead of via a loopback RPC to its own
-// socket. Mutations are deliberately not attachable here — they must
-// flow through the daemon's dispatch to be metered, logged and to fire
-// the mutation hook.
-func (s *StoreServer) AttachLocalRead(m overlay.Member) {
-	m.Handle(SvcFetchBatch, func(req []byte) ([]byte, error) {
-		keys, err := decodeFetchBatchReq(req)
-		if err != nil {
-			return nil, err
-		}
-		return s.store.fetchBatchWire(keys), nil
-	})
-}
-
 // ReplayRecord applies one recovered durable record: a snapshot entry
 // cell installs the entry verbatim; an op record re-executes the logged
 // mutation RPC. Nothing is re-logged — the records already are the log.

@@ -229,25 +229,31 @@ func (s *hdkStore) fetchBatch(keys []string) []fetchResult {
 // idf-scaled posting lists are encoded into one allocation — the scored
 // values never materialize as an intermediate list, because their
 // lifetime ends the moment they are written into the response buffer.
+// Each key is looked up once; a nil slot is an absent key.
 // The bytes are identical to encodeFetchBatchResp(fetchBatch(keys)).
 func (s *hdkStore) fetchBatchWire(keys []string) []byte {
+	var small [16]*entry
+	ents := small[:0]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	size := postings.UvarintSize(uint64(len(keys)))
 	for _, key := range keys {
 		size += postings.UvarintSize(uint64(len(key))) + len(key)
-		if e, ok := s.entries[key]; ok && e.classified {
+		e, ok := s.entries[key]
+		if ok && e.classified {
 			size += postings.UvarintSize(uint64(e.df)<<2|uint64(e.status)) + postings.EncodedSize(e.list)
 		} else {
+			e = nil
 			size += 2 // absent: aux 0 + empty list count
 		}
+		ents = append(ents, e)
 	}
 	buf := binary.AppendUvarint(make([]byte, 0, size), uint64(len(keys)))
-	for _, key := range keys {
+	for i, key := range keys {
 		buf = binary.AppendUvarint(buf, uint64(len(key)))
 		buf = append(buf, key...)
-		e, ok := s.entries[key]
-		if !ok || !e.classified {
+		e := ents[i]
+		if e == nil {
 			buf = append(buf, 0, 0)
 			continue
 		}

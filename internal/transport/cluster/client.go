@@ -120,8 +120,8 @@ type Client struct {
 	overlay.Membership
 	policy
 
-	// Client-side loopback dispatches (a coordinating daemon's reads of
-	// its own store land here once per level): atomics, not a lock.
+	// Client-side loopback dispatches (peer notify handlers registered
+	// on a member stub): atomics, not a lock.
 	loopbackMsgs  atomic.Uint64
 	loopbackBytes atomic.Uint64
 }

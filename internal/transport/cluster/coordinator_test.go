@@ -13,7 +13,9 @@ import (
 // TestCoordinatorMatchesEngines is the node-side query path's parity
 // core: every daemon must coordinate every query to the bit-identical
 // ranked answer (and cost metrics) the in-process engine and the
-// client-fabric engine produce.
+// client-fabric engine produce — with reads placed, and again in a view
+// that owes a repair, where reads go primary-first and a daemon's own
+// store still serves the keys it leads.
 func TestCoordinatorMatchesEngines(t *testing.T) {
 	const peers, replicas = 4, 2
 	col := testCollection(t, 120)
@@ -39,46 +41,79 @@ func TestCoordinatorMatchesEngines(t *testing.T) {
 	for _, s := range servers {
 		addrs = append(addrs, s.Addr())
 	}
-	for qi, q := range testQueries(col, 25) {
+	queries := testQueries(col, 25)
+	// check coordinates query qi through coord and returns how many of
+	// its fetch batches coord read from its own store.
+	check := func(phase string, qi int, coord string) (localReads int) {
+		t.Helper()
+		q := queries[qi]
 		want, err := ref.Search(q, refOrigin, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Rotate the coordinator: ANY daemon must produce the answer. The
-		// client-fabric engine searches from the same member: read
-		// placement is a pure function of the replica chains and the
-		// coordinating member, so it computes the plan that daemon runs.
-		coord := addrs[qi%len(addrs)]
+		// The client-fabric engine searches from the coordinating
+		// member: read placement is a pure function of the replica
+		// chains, the coordinating member and the view's repair debt, so
+		// it computes the plan that daemon runs.
 		viaFabric, err := eng.Search(q, origins[coord], 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := core.SearchRequest{Terms: eng.QueryTerms(q), K: 10}
-		got, cached, err := c.SearchVia(coord, req)
+		req := core.SearchRequest{Terms: eng.QueryTerms(q), K: 10, NoCache: true}
+		got, trace, err := c.SearchTraceVia(coord, req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cached {
-			t.Fatalf("query %d: first coordination reported cached", qi)
-		}
 		if !reflect.DeepEqual(want.Results, got.Results) {
-			t.Fatalf("query %d: coordinator diverges from in-process engine\nref:   %v\ncoord: %v",
-				qi, want.Results, got.Results)
-		}
-		if !reflect.DeepEqual(viaFabric.Results, got.Results) {
-			t.Fatalf("query %d: coordinator diverges from client fabric", qi)
+			t.Fatalf("%s query %d: coordinator diverges from in-process engine\nref:   %v\ncoord: %v",
+				phase, qi, want.Results, got.Results)
 		}
 		// Postings/probe counts are placement-invariant (vs the reference
 		// ring); RPC groupings depend on member addresses and on which
-		// member coordinates, so those are compared against the client
-		// fabric searching from the coordinator's member, which shares both.
+		// member coordinates, so the whole result — every counter — is
+		// compared against the client fabric searching from the
+		// coordinator's member, which shares both.
 		if got.FetchedPosts != want.FetchedPosts || got.ProbedKeys != want.ProbedKeys ||
 			got.FoundKeys != want.FoundKeys || got.Rounds != want.Rounds {
-			t.Fatalf("query %d: coordinator metrics diverge: ref %+v, coord %+v", qi, want, got)
+			t.Fatalf("%s query %d: coordinator metrics diverge: ref %+v, coord %+v", phase, qi, want, got)
 		}
-		if got.RPCs != viaFabric.RPCs || got.Failovers != viaFabric.Failovers {
-			t.Fatalf("query %d: coordinator RPC accounting diverges: fabric %+v, coord %+v", qi, viaFabric, got)
+		if !reflect.DeepEqual(viaFabric, got) {
+			t.Fatalf("%s query %d: coordinator diverges from client fabric\nfabric: %+v\ncoord:  %+v", phase, qi, viaFabric, got)
 		}
+		for _, i := range trace.Find("fetch") {
+			if trace.Spans[i].Attr("local") == "true" {
+				localReads++
+			}
+		}
+		return localReads
+	}
+	for qi := range queries {
+		// Rotate the coordinator: ANY daemon must produce the answer.
+		check("placed", qi, addrs[qi%len(addrs)])
+	}
+
+	// A view that owes a repair reads every key primary-first. Forget a
+	// member (with R = 2 each of its keys keeps a copy at the old
+	// replica) and coordinate through every survivor: a coordinator that
+	// is a key's primary reads it from its own store, so self's batch
+	// leads a wave without read placement having chosen it.
+	victim := addrs[len(addrs)-1]
+	if err := eng.FailNode(origins[victim]); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Forget(victim); err != nil {
+		t.Fatal(err)
+	}
+	localReads := 0
+	for qi := range queries {
+		coord := addrs[qi%(len(addrs)-1)]
+		if !servers[qi%(len(addrs)-1)].view().Unrepaired {
+			t.Fatalf("%s does not owe a repair after the forget", coord)
+		}
+		localReads += check("owed", qi, coord)
+	}
+	if localReads == 0 {
+		t.Fatal("no owed-view coordination read its own store")
 	}
 }
 

@@ -81,9 +81,9 @@ type Server struct {
 	replicas int
 
 	// fabric is the daemon's membership and the fabric it coordinates
-	// searches over; self is its own stub there, with the store attached
-	// read-locally at configure so self-owned fetches skip the loopback
-	// RPC.
+	// searches over; self is its own stub there. Coordinations read
+	// self's copies straight from store (core.Coordinator.Store), with
+	// no loopback RPC and no codec.
 	fabric *Client
 	self   *Member
 
@@ -627,8 +627,8 @@ func (s *Server) handleInfo() ([]byte, error) {
 // handleSearch serves one hdk.search coordination: the daemon answers a
 // repeat query straight from its result cache, and otherwise runs the
 // engine's level-parallel lattice traversal itself — against its own
-// membership view, with its own store attached locally and every other
-// store reached over the pooled fabric, replica failover included. The
+// membership view, reading its own store directly and every other
+// store over the pooled fabric, replica failover included. The
 // raw request bytes are the cache key (the request encoding is
 // canonical). Concurrent coordinations are bounded by the worker pool
 // plus a bounded admission queue; past that the request is shed with an
@@ -697,7 +697,7 @@ func (s *Server) handleSearch(req []byte) ([]byte, error) {
 	s.metrics.admissionWait.ObserveDuration(time.Since(admStart))
 	tb.End(admSpan)
 	defer release()
-	coord := core.Coordinator{Net: s.fabric, Cfg: store.Config(), From: s.self, Metrics: s.metrics.query}
+	coord := core.Coordinator{Net: s.fabric, Cfg: store.Config(), From: s.self, Store: store, Metrics: s.metrics.query}
 	coordStart := time.Now()
 	res, err := coord.SearchTraced(sreq.Terms, sreq.K, tb)
 	if err != nil {
@@ -777,8 +777,6 @@ func (s *Server) configureLocked(payload []byte) error {
 	// an index change it has itself applied.
 	store.OnMutation(s.invalidateSearchCache)
 	store.Attach(s) // registers services under smu, not s.mu
-	// Coordinations read this daemon's own copies in-process.
-	store.AttachLocalRead(s.self)
 	s.store = store
 	s.configJSON = append([]byte(nil), payload...)
 	return nil

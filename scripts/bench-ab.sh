@@ -10,10 +10,14 @@
 # `bench/run.sh -workload W -seed i`: one run per side, both on seed i,
 # base first in odd pairs and head first in even ones, so a machine that
 # drifts during the job drifts under both sides. It then prints
-# `bench/run.sh -compare` of the two sides under HEAD's bounds.
+# `bench/run.sh -compare` of the two sides under HEAD's bounds, and
+# pairs.txt: per workload and end-to-end metric, the pairs HEAD won
+# (same seed, better value; ties count for neither side) and BASE's
+# quartiles — the figures a claimed gain is judged on.
 #
 # Everything lands in bench-ab/ at the repository root: base.jsonl and
-# head.jsonl (every run's metrics), compare.txt, one log per run.
+# head.jsonl (every run's metrics), compare.txt, pairs.txt, one log per
+# run.
 #
 # Exits non-zero iff a run fails (the benchmark's pre-timing check of
 # every answer included) or a row of the comparison reads "worse". An
@@ -75,6 +79,26 @@ done
 status=0
 (cd "$tmp/head" && bash bench/run.sh -compare "$out/base.jsonl" "$out/head.jsonl") >"$out/compare.txt" 2>&1 || status=$?
 cat "$out/compare.txt"
+# quartiles is the exclusive method bench/run.sh -compare uses.
+jq -rn --slurpfile spec "$tmp/head/BENCHMARK.json" \
+    --slurpfile base "$out/base.jsonl" --slurpfile head "$out/head.jsonl" '
+  def cut($s; $i): ($s | length) as $n | (($i * ($n + 1) / 4) | floor) as $j
+    | if $j < 1 then $s[0] elif $j > $n - 1 then $s[$n - 1]
+      else ($s[$j - 1] * (4 - ($i * ($n + 1) - $j * 4)) + $s[$j] * ($i * ($n + 1) - $j * 4)) / 4 end;
+  def quartiles: sort as $s | [cut($s; 1), cut($s; 3)];
+  def runs($side; $w): [$side[] | select(.workload == $w)];
+  "workload         metric                   head won  base q1        base q3",
+  ($spec[0].workloads[].name as $w | runs($base; $w) as $b | runs($head; $w) as $h
+   | $spec[0].end_to_end[] as $m
+   | [$b[] | .seed as $seed | .metrics[$m.name] as $bv | $h[] | select(.seed == $seed)
+      | .metrics[$m.name] as $hv | select($bv != null and $hv != null)
+      | if $m.better == "higher" then $hv > $bv else $hv < $bv end] as $pairs
+   | select($pairs | length > 0)
+   | "\($w | .[0:16] | . + " " * (16 - length)) \($m.name | . + " " * (24 - length)) \(
+       "\($pairs | map(select(.)) | length)/\($pairs | length)" | . + " " * (9 - length)) \(
+       [$b[].metrics[$m.name] | select(. != null)] | quartiles | map(. * 1e4 | round / 1e4 | tostring | . + " " * (14 - length)) | join(" "))")
+' >"$out/pairs.txt" 2>&1 || echo "bench-ab: the pairs table failed, see $out/pairs.txt" >&2
+cat "$out/pairs.txt"
 worse=$(awk '$NF == "worse"' "$out/compare.txt" | wc -l)
 unresolved=$(awk '$NF == "unresolved"' "$out/compare.txt" | wc -l)
 echo "bench-ab: $failed failed runs, $worse worse rows, $unresolved unresolved rows"
