@@ -62,7 +62,7 @@ func mediumFixture(b *testing.B) *buildFixture {
 		// Tap the insert service of every member: record the frame, then
 		// serve it exactly as the engine's own registration does.
 		for _, m := range fx.eng.net.Members() {
-			addr, store := m.Addr(), fx.eng.stores[m.ID()]
+			addr, store := m.Addr(), fx.eng.stores[m.ID()].store
 			m.Handle(SvcInsert, func(req []byte) ([]byte, error) {
 				_, batch, err := decodeInsertReq(req)
 				if err != nil {

@@ -21,11 +21,6 @@ type Config struct {
 	// f_D(t) > Ff are excluded from the key vocabulary, the paper's
 	// collection-adaptive stop list (paper: 100,000).
 	Ff int
-	// SearchFanout bounds how many index nodes Search contacts
-	// concurrently within one lattice level (the α-style parallelism of
-	// Kademlia-family lookups). Values <= 1 probe owners serially; the
-	// ranked answer is identical at any setting.
-	SearchFanout int
 	// ReplicationFactor is the number of distinct overlay members each
 	// key's index entry is stored on (R-way placement via
 	// internal/replica). Values <= 1 keep a single copy; higher values
@@ -56,7 +51,6 @@ func DefaultConfig(stats rank.CollectionStats) Config {
 		SMax:              3,
 		Window:            20,
 		Ff:                100000,
-		SearchFanout:      4,
 		ReplicationFactor: 1,
 		BM25:              rank.DefaultBM25(),
 		Stats:             stats,
@@ -76,9 +70,6 @@ func (c Config) Validate() error {
 	}
 	if c.Ff < 1 {
 		return fmt.Errorf("core: Ff must be >= 1, got %d", c.Ff)
-	}
-	if c.SearchFanout < 0 {
-		return fmt.Errorf("core: SearchFanout must be >= 0, got %d", c.SearchFanout)
 	}
 	if c.ReplicationFactor < 0 {
 		return fmt.Errorf("core: ReplicationFactor must be >= 0, got %d", c.ReplicationFactor)

@@ -83,7 +83,7 @@ func NewQueryMetrics(reg *telemetry.Registry) *QueryMetrics {
 // Coordinator runs coordinated searches over a fabric without an Engine
 // — the daemon-side query path of the multi-process deployment. Net is
 // typically a cluster client built over the daemon's own membership
-// view; Cfg supplies SMax, SearchFanout and ReplicationFactor (the
+// view; Cfg supplies SMax and ReplicationFactor (the
 // daemon uses the configuration the building client shipped, so
 // coordination agrees with placement). The traversal caches nothing: the
 // cluster daemon caches whole results one layer up. Traffic, when
@@ -151,6 +151,11 @@ func (e *Engine) QueryTerms(q corpus.Query) []string {
 	return out
 }
 
+// searchFanout bounds how many index nodes one lattice level contacts
+// concurrently (the α-style parallelism of Kademlia-family lookups). The
+// ranked answer is identical at any fan-out.
+const searchFanout = 4
+
 // latticeSearch is the per-query traversal state shared by Engine.Search
 // and Coordinator.Search: the fabric to probe, the failover and fan-out
 // parameters and the counters.
@@ -174,7 +179,7 @@ func newLatticeSearch(net overlay.Fabric, from overlay.Member, cfg Config, traff
 		net:      net,
 		from:     from,
 		replicas: max(cfg.ReplicationFactor, 1),
-		fanout:   max(cfg.SearchFanout, 1),
+		fanout:   searchFanout,
 		traffic:  traffic,
 	}
 	if from != nil {

@@ -344,8 +344,8 @@ func TestEqualDFDivergenceHealed(t *testing.T) {
 		t.Fatal(err)
 	}
 	members := net.Members()
-	storeA := eng.stores[members[0].ID()]
-	storeB := eng.stores[members[1].ID()]
+	storeA := eng.stores[members[0].ID()].store
+	storeB := eng.stores[members[1].ID()].store
 
 	// The interleaving: each replica received only one peer's batch.
 	const key = "w0"

@@ -29,7 +29,7 @@ type Engine struct {
 	vf     []bool // very frequent terms (f_D > Ff), excluded from keys
 
 	peers       []*Peer
-	stores      map[overlay.ID]*hdkStore
+	stores      map[overlay.ID]*StoreServer
 	concurrency int // peers indexed in parallel per round (see SetConcurrency)
 
 	traffic Traffic
@@ -98,7 +98,7 @@ func NewEngine(net overlay.Fabric, cfg Config, vocab []string, termFreqs []int) 
 		vocab:  vocab,
 		termID: make(map[string]corpus.TermID, len(vocab)),
 		vf:     make([]bool, len(vocab)),
-		stores: make(map[overlay.ID]*hdkStore),
+		stores: make(map[overlay.ID]*StoreServer),
 	}
 	for i, s := range vocab {
 		e.termID[s] = corpus.TermID(i)
@@ -113,7 +113,8 @@ func NewEngine(net overlay.Fabric, cfg Config, vocab []string, termFreqs []int) 
 }
 
 // attachStore hosts the index store for an overlay node in this process
-// and registers the index services on it — unless the member's store
+// — a StoreServer without persistence, the type every daemon runs — and
+// attaches its index services to the node, unless the member's store
 // lives in another process (overlay.RemoteStore, the hdknode daemon
 // case), where the services are already being served remotely and the
 // engine reaches them through the fabric's RPC.
@@ -121,9 +122,9 @@ func (e *Engine) attachStore(node overlay.Member) {
 	if overlay.IsRemote(node) {
 		return
 	}
-	store := newHDKStore(&e.cfg)
-	e.stores[node.ID()] = store
-	attachIndexServices(node, store, nil)
+	srv := newStoreServer(e.cfg)
+	e.stores[node.ID()] = srv
+	srv.Attach(node)
 }
 
 // classifySweepFanout bounds concurrent classification-sweep RPCs when
@@ -161,11 +162,16 @@ func (e *Engine) Network() overlay.Fabric { return e.net }
 // Traffic returns the engine's traffic counters.
 func (e *Engine) Traffic() *Traffic { return &e.traffic }
 
-// BuildIndex runs the iterative collaborative indexing: for each key size
-// s = 1..smax every peer computes and inserts its local candidates, then
-// the index nodes classify the round's keys and notify the contributors
-// of newly non-discriminative keys, which drives the next round's key
-// expansion.
+// BuildIndex runs the iterative collaborative indexing over every
+// peer's documents past its watermark: for each key size s = 1..smax
+// every peer computes and inserts its local candidates, then the index
+// nodes classify the round's keys and notify the contributors of newly
+// non-discriminative keys, which drives the next round's key expansion.
+// The first call indexes every document; a later call indexes only the
+// documents staged since via Peer.AddDocuments (the paper's incremental
+// maintenance, see Peer.generate), and the resulting global index is
+// identical to a from-scratch build over the grown collection. A call
+// with nothing staged inserts nothing.
 func (e *Engine) BuildIndex() error {
 	for s := 1; s <= e.cfg.SMax; s++ {
 		if err := e.runRound(s); err != nil {
@@ -177,7 +183,7 @@ func (e *Engine) BuildIndex() error {
 }
 
 // finishRounds resets per-peer freshness state and advances document
-// watermarks after a completed build or update.
+// watermarks after a completed build.
 func (e *Engine) finishRounds() {
 	for _, p := range e.peers {
 		for s := 1; s <= MaxKeySize; s++ {
@@ -185,37 +191,6 @@ func (e *Engine) finishRounds() {
 		}
 		p.advanceWatermark()
 	}
-}
-
-// UpdateIndex incrementally indexes the documents staged via
-// Peer.AddDocuments since the last BuildIndex/UpdateIndex: existing keys
-// receive postings from the new documents only; keys whose generation
-// was unlocked by freshly non-discriminative sub-keys (including HDKs
-// that the new documents pushed over DFmax — the paper's maintenance
-// notification rule) are built from every local document. The resulting
-// global index is identical to a from-scratch build over the grown
-// collection.
-func (e *Engine) UpdateIndex() error {
-	for s := 1; s <= e.cfg.SMax; s++ {
-		for _, p := range e.peers {
-			cands := p.generateUpdate(s)
-			n, err := p.insertAll(cands, s)
-			if err != nil {
-				return fmt.Errorf("core: update round %d: %w", s, err)
-			}
-			e.traffic.InsertedBySize[s].Add(n)
-		}
-		// Freshness of size s-1 has been consumed by this round's
-		// generation; clear it so the next update starts clean.
-		for _, p := range e.peers {
-			p.consumeFresh(s - 1)
-		}
-		if err := e.classifyAndNotify(s); err != nil {
-			return fmt.Errorf("core: update round %d: %w", s, err)
-		}
-	}
-	e.finishRounds()
-	return nil
 }
 
 // SetConcurrency sets how many peers index in parallel within a round
@@ -307,8 +282,8 @@ func (e *Engine) classifyAndNotify(s int) error {
 	sweepErrs := make([]error, len(members))
 	forEachLimit(len(members), classifySweepFanout, func(i int) {
 		m := members[i]
-		if store, ok := e.stores[m.ID()]; ok {
-			notifies[i] = store.classifySweep(s)
+		if srv, ok := e.stores[m.ID()]; ok {
+			notifies[i] = srv.store.classifySweep(s)
 			return
 		}
 		if !overlay.IsRemote(m) {
@@ -389,8 +364,8 @@ type SearchResult struct {
 // keys cannot exist), their replica chains are resolved from the
 // fabric's view, each key's reader is chosen from its chain (ReadPlan:
 // from's own copy first, then the fewest other members), and every chosen reader
-// receives a single multi-key fetch RPC — at most Config.SearchFanout
-// RPCs in flight. Found keys' bounded posting lists are unioned in
+// receives a single multi-key fetch RPC — at most searchFanout RPCs
+// in flight. Found keys' bounded posting lists are unioned in
 // candidate order (so the ranked answer is identical at any fan-out and
 // whichever replica answered) and ranked. The traversal itself (latticeSearch in
 // coordinate.go) is shared verbatim with the daemon-side hdk.search
@@ -467,8 +442,8 @@ type IndexStats struct {
 // cluster client exposes those via its StoreStats sweep).
 func (e *Engine) Stats() IndexStats {
 	st := IndexStats{PerNode: make(map[overlay.ID]int, len(e.stores))}
-	for id, store := range e.stores {
-		posts, keys := store.storedBySize(MaxKeySize)
+	for id, srv := range e.stores {
+		posts, keys := srv.StoredBySize()
 		nodeTotal := 0
 		for s := 0; s <= MaxKeySize; s++ {
 			st.StoredBySize[s] += posts[s]

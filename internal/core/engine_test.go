@@ -76,11 +76,11 @@ func testConfig(col *corpus.Collection, dfmax int) Config {
 func (e *Engine) KeyInfo(k Key) (KeyStatus, int, postings.List) {
 	canonical := k.CanonicalString(e.vocab)
 	for _, owner := range e.net.OwnersOf(canonical, e.replicas()) {
-		store, ok := e.stores[owner.ID()]
+		srv, ok := e.stores[owner.ID()]
 		if !ok {
 			continue
 		}
-		if status, df, list := store.fetch(canonical); status != StatusAbsent {
+		if status, df, list := srv.store.fetch(canonical); status != StatusAbsent {
 			return status, df, list
 		}
 	}
@@ -209,7 +209,8 @@ func hasDup(ts []corpus.TermID) bool {
 func collectIndexKeys(t *testing.T, eng *Engine) map[int]map[Key]KeyStatus {
 	t.Helper()
 	out := make(map[int]map[Key]KeyStatus)
-	for _, store := range eng.stores {
+	for _, srv := range eng.stores {
+		store := srv.store
 		store.mu.Lock()
 		for canonical, e := range store.entries {
 			k, err := eng.parseKey(canonical)

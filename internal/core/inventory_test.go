@@ -14,12 +14,11 @@ import (
 
 // inventoryStore is the fixed two-key store the inventory goldens and
 // the census fuzz seeds are cut from.
-func inventoryStore() *hdkStore {
-	cfg := storeCfg()
-	store := newHDKStore(&cfg)
-	store.insert("hdk", 1, postings.List{{Doc: 1, Score: 1}}, "peer-0")
-	store.insert("hdk\x1fndk", 2, postings.List{{Doc: 9, Score: 2}}, "peer-1")
-	return store
+func inventoryStore() *StoreServer {
+	srv := newStoreServer(storeCfg())
+	srv.store.insert("hdk", 1, postings.List{{Doc: 1, Score: 1}}, "peer-0")
+	srv.store.insert("hdk\x1fndk", 2, postings.List{{Doc: 9, Score: 2}}, "peer-1")
+	return srv
 }
 
 // TestInventoryWireGolden pins the repair inventory's bytes for a fixed
@@ -43,7 +42,7 @@ func TestInventoryWireGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attachIndexServices(node, inventoryStore(), nil)
+	inventoryStore().Attach(node)
 	call := func(svc string, req []byte) string {
 		t.Helper()
 		raw, err := net.CallService("n0", svc, req)
@@ -92,7 +91,7 @@ func TestInventoryWireGolden(t *testing.T) {
 // censusSeeds are FuzzDecodeCensus's committed seeds: the golden census,
 // an empty one, and non-canonical variants the decoder must reject.
 func censusSeeds() [][]byte {
-	copies := inventoryStore().census()
+	copies := inventoryStore().store.census()
 	valid := appendCensus(nil, copies)
 	return [][]byte{
 		valid,

@@ -21,7 +21,7 @@ import (
 // index; peer departure WITH document loss is the crash scenario
 // FailNode simulates).
 func (e *Engine) RemoveNode(node overlay.Member) error {
-	store, ok := e.stores[node.ID()]
+	srv, ok := e.stores[node.ID()]
 	if !ok {
 		return fmt.Errorf("core: node %x has no store", node.ID())
 	}
@@ -38,6 +38,7 @@ func (e *Engine) RemoveNode(node overlay.Member) error {
 	}
 	// ...then hand its entries to every new owner that lacks them (or
 	// holds a staler copy).
+	store := srv.store
 	items, err := store.exportEntries(store.keyList())
 	if err != nil {
 		return err
@@ -48,10 +49,10 @@ func (e *Engine) RemoveNode(node overlay.Member) error {
 			if !ok {
 				return fmt.Errorf("core: owner of %q has no store", it.Key)
 			}
-			if dst == store {
+			if dst == srv {
 				continue
 			}
-			if _, err := dst.importEntry(it.Key, it.Blob); err != nil {
+			if _, err := dst.store.importEntry(it.Key, it.Blob); err != nil {
 				return err
 			}
 		}

@@ -48,6 +48,32 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestParallelIncrementalBuildMatchesSerial runs the same incremental
+// wave serially and with four peers indexing at once: the updated
+// indexes must be byte-identical.
+func TestParallelIncrementalBuildMatchesSerial(t *testing.T) {
+	col := testCollection(t, 60)
+	cfg := testConfig(col, 6)
+	wave := func(concurrency int) (string, uint64) {
+		eng, _ := buildPrefixEngine(t, col, 40, 4, cfg)
+		if err := eng.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+		stageRest(t, eng, col, 40)
+		eng.SetConcurrency(concurrency)
+		if err := eng.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
+		return indexDigest(t, eng), eng.Traffic().Snapshot().InsertedTotal
+	}
+	serial, serialInserted := wave(1)
+	parallel, parallelInserted := wave(4)
+	if serial != parallel || serialInserted != parallelInserted {
+		t.Fatalf("parallel wave: digest %s, %d inserted; serial %s, %d inserted",
+			parallel, parallelInserted, serial, serialInserted)
+	}
+}
+
 func TestSetConcurrencyClamps(t *testing.T) {
 	col := testCollection(t, 20)
 	cfg := testConfig(col, 5)

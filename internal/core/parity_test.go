@@ -31,7 +31,7 @@ func indexDigest(t *testing.T, eng *Engine) string {
 		h.Write(b)
 	}
 	for _, m := range eng.net.Members() {
-		store := eng.stores[m.ID()]
+		store := eng.stores[m.ID()].store
 		write([]byte(m.Addr()))
 		for _, key := range store.keyList() {
 			blob, ok := store.exportEntry(key)
@@ -88,7 +88,7 @@ func TestBuildParityGolden(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := eng.UpdateIndex(); err != nil {
+				if err := eng.BuildIndex(); err != nil {
 					t.Fatal(err)
 				}
 			} else {

@@ -143,7 +143,8 @@ func (p *Peer) appendDocs(local *corpus.Collection) {
 	}
 }
 
-// AddDocuments stages new local documents for the next UpdateIndex call.
+// AddDocuments stages new local documents for the next Engine.BuildIndex
+// (or daemon-driven build round), which indexes them incrementally.
 // Document ids must be globally unique and larger than every id the peer
 // already holds (posting lists are ordered by doc id).
 func (p *Peer) AddDocuments(local *corpus.Collection) error {
@@ -220,7 +221,7 @@ type candSet struct {
 	cands []candidate
 	log   []candPosting
 	// sealed counts the candidates created by earlier passes into this
-	// set: the incremental update's two passes partition the candidate
+	// set: an incremental build's two passes partition the candidate
 	// space, so a later pass reaching one of them is a bug.
 	sealed int
 }
@@ -293,12 +294,12 @@ func (c *candSet) lists() []candList {
 }
 
 // candFilter selects candidates by freshness during generation.
-// candAll keeps everything (the initial build). The incremental update
-// partitions work between candNotFresh over the new documents (keys that
-// already exist in the index only need the new postings) and
-// candFreshOnly over all documents (keys whose generation was unlocked
-// by a freshly non-discriminative sub-key were never inserted and need
-// their full local posting lists).
+// candAll keeps everything (a peer's first build, and size 1). An
+// incremental build partitions work between candNotFresh over the new
+// documents (keys that already exist in the index only need the new
+// postings) and candFreshOnly over all documents (keys whose generation
+// was unlocked by a freshly non-discriminative sub-key were never
+// inserted and need their full local posting lists).
 type candFilter int
 
 const (
@@ -313,31 +314,29 @@ func (f candFilter) rejects(fresh bool) bool {
 }
 
 // generate computes this peer's local candidate keys of size s with their
-// local posting lists over all documents (the initial build). Size 1
+// local posting lists over the documents past the watermark. Size 1
 // enumerates distinct document terms; larger sizes expand known-ND keys
 // with co-window terms under redundancy filtering (every immediate
-// sub-key must be ND).
+// sub-key must be ND). A peer with nothing indexed yet, and every peer at
+// size 1, makes one pass over its new documents. Otherwise two passes
+// partition the candidate space: existing keys receive postings from the
+// new documents only, and keys unlocked by freshly-ND sub-keys (including
+// HDKs the new documents pushed over DFmax — the paper's maintenance
+// notification rule) are built from every local document. Generation
+// consumes the size-(s-1) freshness it read: that round's classification
+// finished before this round began.
 func (p *Peer) generate(s int) *candSet {
-	cands := newCandSet(p.lastCands, p.lastPosts)
-	p.generateInto(cands, s, p.docs, candAll)
-	p.lastCands, p.lastPosts = len(cands.cands), len(cands.log)
-	return cands
-}
-
-// generateUpdate computes the incremental-maintenance candidates of size
-// s: new postings for existing keys from the new documents, plus full
-// postings for keys unlocked by freshly-ND sub-keys from all documents.
-// The two passes partition the candidate space.
-func (p *Peer) generateUpdate(s int) *candSet {
 	newDocs := p.docs[p.indexedDocs:]
-	cands := newCandSet(0, 0)
-	if s == 1 {
-		p.generateInto(cands, 1, newDocs, candAll)
+	cands := newCandSet(p.lastCands, p.lastPosts)
+	if p.indexedDocs == 0 || s == 1 {
+		p.generateInto(cands, s, newDocs, candAll)
 	} else {
 		p.generateInto(cands, s, newDocs, candNotFresh)
 		cands.sealed = len(cands.cands)
 		p.generateInto(cands, s, p.docs, candFreshOnly)
 	}
+	p.consumeFresh(s - 1)
+	p.lastCands, p.lastPosts = len(cands.cands), len(cands.log)
 	return cands
 }
 

@@ -373,7 +373,7 @@ func TestRepairHealsDivergedReplica(t *testing.T) {
 	if err := eng.peers[0].AddDocuments(col.Slice(40, 60)); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.UpdateIndex(); err != nil {
+	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
 	rstats, err := eng.RepairReplicas()
@@ -391,11 +391,11 @@ func TestRepairHealsDivergedReplica(t *testing.T) {
 	// content checksum) across its whole replica set — a diverged partial
 	// replica would serve wrong scores on failover.
 	for _, m := range eng.net.Members() {
-		store := eng.stores[m.ID()]
+		store := eng.stores[m.ID()].store
 		for _, key := range store.keyList() {
 			fp, _ := store.entryFingerprint(key)
 			for _, owner := range eng.net.OwnersOf(key, eng.replicas()) {
-				ofp, ok := eng.stores[owner.ID()].entryFingerprint(key)
+				ofp, ok := eng.stores[owner.ID()].store.entryFingerprint(key)
 				if !ok || ofp != fp {
 					t.Fatalf("key %q: replica fingerprint %+v (present %v) != %+v — diverged copy survived repair",
 						key, ofp, ok, fp)
@@ -419,7 +419,7 @@ func TestUpdateIndexMaintainsReplication(t *testing.T) {
 	if err := eng.peers[0].AddDocuments(tail); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.UpdateIndex(); err != nil {
+	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
 	audit := mustAudit(t, eng)
@@ -444,8 +444,8 @@ func TestGracefulLeavePreservesReplication(t *testing.T) {
 	// A leave only promotes members into replica sets, never demotes one,
 	// and the handoff copies onto owners only: no entry may sit outside
 	// its replica set.
-	for id, store := range eng.stores {
-		for _, key := range store.keyList() {
+	for id, srv := range eng.stores {
+		for _, key := range srv.store.keyList() {
 			if !inReplicaSet(id, eng.net.OwnersOf(key, eng.replicas())) {
 				t.Fatalf("key %q resident outside its replica set after a graceful leave", key)
 			}

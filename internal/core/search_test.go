@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/overlay"
 )
 
 // searchQueries builds a deterministic query set against the collection.
@@ -80,7 +81,6 @@ func expectedSearchCost(t *testing.T, eng *Engine, q corpus.Query) (probes, rpcs
 func TestSearchBatchedRPCAccounting(t *testing.T) {
 	col := testCollection(t, 80)
 	cfg := testConfig(col, 6)
-	cfg.SearchFanout = 4
 	eng := buildEngine(t, col, 4, cfg)
 	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
@@ -127,17 +127,22 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 	}
 	nodes := eng.net.Members()
 	queries := searchQueries(t, col, 20)
+	// Engine.Search at a given fan-out: the traversal it runs, with the
+	// fan-out set directly.
+	searchAt := func(fanout int, q corpus.Query, from overlay.Member) *SearchResult {
+		t.Helper()
+		terms := eng.QueryTerms(q)
+		ls := newLatticeSearch(eng.net, from, eng.cfg, &eng.traffic)
+		ls.fanout = fanout
+		res, err := ls.run(terms, min(eng.cfg.SMax, len(terms)), 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 	for i, q := range queries {
-		eng.cfg.SearchFanout = 1
-		serial, err := eng.Search(q, nodes[i%len(nodes)], 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.cfg.SearchFanout = 8
-		parallel, err := eng.Search(q, nodes[i%len(nodes)], 20)
-		if err != nil {
-			t.Fatal(err)
-		}
+		serial := searchAt(1, q, nodes[i%len(nodes)])
+		parallel := searchAt(8, q, nodes[i%len(nodes)])
 		if !reflect.DeepEqual(serial.Results, parallel.Results) {
 			t.Fatalf("query %d: parallel results differ from serial", i)
 		}
@@ -154,7 +159,6 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 func TestConcurrentSearches(t *testing.T) {
 	col := testCollection(t, 60)
 	cfg := testConfig(col, 6)
-	cfg.SearchFanout = 4
 	eng := buildEngine(t, col, 4, cfg)
 	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
@@ -215,32 +219,6 @@ func TestConcurrentSearches(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
-	}
-}
-
-func TestSearchFanoutClamps(t *testing.T) {
-	col := testCollection(t, 30)
-	cfg := testConfig(col, 5)
-	cfg.SearchFanout = 0 // engine must still probe serially, not hang
-	eng := buildEngine(t, col, 3, cfg)
-	if err := eng.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	if got := newLatticeSearch(eng.net, nil, eng.cfg, nil).fanout; got != 1 {
-		t.Fatalf("traversal fan-out = %d with SearchFanout=0, want 1", got)
-	}
-	q := corpus.Query{Terms: col.Docs[0].Terms[:2]}
-	if _, err := eng.Search(q, eng.net.Members()[0], 5); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConfigRejectsNegativeFanout(t *testing.T) {
-	col := testCollection(t, 30)
-	cfg := testConfig(col, 5)
-	cfg.SearchFanout = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative SearchFanout accepted")
 	}
 }
 

@@ -17,8 +17,8 @@ import (
 
 // This file hosts the server side of the HDK index as a standalone unit:
 // every RPC service an index node answers, registered onto any
-// overlay.Member. The in-process Engine attaches stores through the same
-// registration, so a store served by the hdknode daemon in another OS
+// overlay.Member. The in-process Engine hosts each of its stores as a
+// StoreServer too, so a store served by the hdknode daemon in another OS
 // process and a store living inside the Engine execute literally the same
 // handler code — the cross-process deployment cannot drift from the
 // simulated one.
@@ -54,9 +54,10 @@ const (
 )
 
 // StoreServer hosts one overlay member's fraction of the global HDK
-// index outside an Engine — the daemon-side building block of the
-// multi-process deployment: cmd/hdknode creates one per process and
-// attaches it to its cluster membership identity. With persistence
+// index — the daemon-side building block of the multi-process
+// deployment (cmd/hdknode creates one per process and attaches it to its
+// cluster membership identity), and the host of every store an
+// in-process Engine keeps. With persistence
 // enabled (EnablePersistence) every index mutation is written through to
 // a durable op log and periodically compacted into a full-store
 // snapshot, so a restarted process can rebuild its exact store fraction
@@ -88,9 +89,15 @@ func NewStoreServer(cfg Config) (*StoreServer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newStoreServer(cfg), nil
+}
+
+// newStoreServer creates an empty store under an already validated
+// configuration.
+func newStoreServer(cfg Config) *StoreServer {
 	s := &StoreServer{cfg: cfg}
 	s.store = newHDKStore(&s.cfg)
-	return s, nil
+	return s
 }
 
 // EnablePersistence attaches a durable store: every subsequent mutation
@@ -203,17 +210,6 @@ func (s *StoreServer) runLogged(kind string, req []byte, body func([]byte) ([]by
 	return resp, err
 }
 
-// persistHooks couples attachIndexServices' mutating handlers to a
-// write-ahead-style op log. A nil hooks value attaches the plain
-// in-memory handlers (the Engine's in-process stores).
-type persistHooks interface {
-	runLogged(kind string, req []byte, body func([]byte) ([]byte, error)) ([]byte, error)
-}
-
-// Attach registers every index service on the member, with mutations
-// written through to the durable log when persistence is enabled.
-func (s *StoreServer) Attach(m overlay.Member) { attachIndexServices(m, s.store, s) }
-
 // Config returns the configuration the store classifies and scores with.
 func (s *StoreServer) Config() Config { return s.cfg }
 
@@ -264,20 +260,17 @@ func storeRepair(store *hdkStore, req []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// attachIndexServices registers the full index-node RPC surface for one
-// store on an overlay member. Shared by Engine.attachStore (in-process
-// stores, no persistence) and StoreServer.Attach (which threads its
-// persist hooks through, so daemon-hosted and in-proc StoreServers run
-// the same write-through code path). The three mutating services
-// (insert, classify, repair) are the ones logged; reads never touch the
-// log.
-func attachIndexServices(node overlay.Member, store *hdkStore, hooks persistHooks) {
+// Attach registers the full index-node RPC surface for the store on an
+// overlay member. Every host runs it — the daemon's StoreServer and each
+// store an in-process Engine hosts — so both execute the same handler
+// code. The three mutating services (insert, classify, repair) run
+// through runLogged, which writes them through to the durable log when
+// persistence is enabled; reads never touch the log.
+func (s *StoreServer) Attach(node overlay.Member) {
+	store := s.store
 	logged := func(kind string, body func(*hdkStore, []byte) ([]byte, error)) transport.Handler {
-		if hooks == nil {
-			return func(req []byte) ([]byte, error) { return body(store, req) }
-		}
 		return func(req []byte) ([]byte, error) {
-			return hooks.runLogged(kind, req, func(r []byte) ([]byte, error) { return body(store, r) })
+			return s.runLogged(kind, req, func(r []byte) ([]byte, error) { return body(store, r) })
 		}
 	}
 	node.Handle(SvcInsert, logged(DurableOpInsert, storeInsert))

@@ -93,7 +93,7 @@ func TestStoreServerServesEngineStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := eng.stores[m.ID()]
+	store := eng.stores[m.ID()].store
 	keys := store.keyList()
 	if len(keys) == 0 || len(census) != len(keys) {
 		t.Fatalf("census of %d copies, store holds %d keys", len(census), len(keys))

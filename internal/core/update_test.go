@@ -38,6 +38,24 @@ func buildPrefixEngine(t *testing.T, col *corpus.Collection, prefix, peers int, 
 	return eng, fullParts
 }
 
+// stageRest stages on every peer of an engine built by buildPrefixEngine
+// the rest of its round-robin share of col: the documents past the first
+// prefix.
+func stageRest(t *testing.T, eng *Engine, col *corpus.Collection, prefix int) {
+	t.Helper()
+	fullParts := col.SplitRoundRobin(len(eng.peers))
+	prefixParts := col.Slice(0, prefix).SplitRoundRobin(len(eng.peers))
+	for i, p := range eng.peers {
+		newDocs := &corpus.Collection{
+			Vocab: col.Vocab,
+			Docs:  fullParts[i].Docs[len(prefixParts[i].Docs):],
+		}
+		if err := p.AddDocuments(newDocs); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // assertEnginesEqual compares the complete global index state of two
 // engines: key populations, classifications, global dfs and posting
 // lists.
@@ -90,22 +108,13 @@ func TestUpdateIndexMatchesFromScratch(t *testing.T) {
 	}
 
 	// Incremental: build the prefix, then stage the remaining documents
-	// per peer and update.
-	inc, fullParts := buildPrefixEngine(t, col, prefix, peers, cfg)
+	// per peer and build again.
+	inc, _ := buildPrefixEngine(t, col, prefix, peers, cfg)
 	if err := inc.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	prefixParts := col.Slice(0, prefix).SplitRoundRobin(peers)
-	for i, p := range inc.peers {
-		newDocs := &corpus.Collection{
-			Vocab: col.Vocab,
-			Docs:  fullParts[i].Docs[len(prefixParts[i].Docs):],
-		}
-		if err := p.AddDocuments(newDocs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := inc.UpdateIndex(); err != nil {
+	stageRest(t, inc, col, prefix)
+	if err := inc.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -118,22 +127,13 @@ func TestUpdateReclassifiesHDKs(t *testing.T) {
 	col := testCollection(t, 60)
 	cfg := testConfig(col, 6)
 	peers := 4
-	inc, fullParts := buildPrefixEngine(t, col, 40, peers, cfg)
+	inc, _ := buildPrefixEngine(t, col, 40, peers, cfg)
 	if err := inc.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
 	before := collectIndexKeys(t, inc)
-	prefixParts := col.Slice(0, 40).SplitRoundRobin(peers)
-	for i, p := range inc.peers {
-		newDocs := &corpus.Collection{
-			Vocab: col.Vocab,
-			Docs:  fullParts[i].Docs[len(prefixParts[i].Docs):],
-		}
-		if err := p.AddDocuments(newDocs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := inc.UpdateIndex(); err != nil {
+	stageRest(t, inc, col, 40)
+	if err := inc.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
 	after := collectIndexKeys(t, inc)
@@ -162,16 +162,48 @@ func TestUpdateReclassifiesHDKs(t *testing.T) {
 	}
 }
 
+// TestBuildIndexTwiceIsNoop builds, then builds again with nothing
+// staged: the second pass must insert nothing and leave every store
+// byte-identical. A pass that ignored the peers' watermarks would
+// re-insert every document, doubling document frequencies and turning
+// HDKs into NDKs without any error.
+func TestBuildIndexTwiceIsNoop(t *testing.T) {
+	col := testCollection(t, 120)
+	cfg := testConfig(col, 12)
+	eng := buildEngine(t, col, 4, cfg)
+	if err := eng.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	digest := indexDigest(t, eng)
+	before := eng.Traffic().Snapshot()
+	if err := eng.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	after := eng.Traffic().Snapshot()
+	if n := after.InsertedTotal - before.InsertedTotal; n != 0 {
+		t.Fatalf("second BuildIndex inserted %d postings", n)
+	}
+	if got := indexDigest(t, eng); got != digest {
+		t.Fatalf("second BuildIndex changed the index digest: %s, was %s", got, digest)
+	}
+}
+
+// TestUpdateIdempotentWithoutNewDocs runs one more BuildIndex after an
+// incremental update: with nothing staged since, it changes nothing.
 func TestUpdateIdempotentWithoutNewDocs(t *testing.T) {
 	col := testCollection(t, 40)
 	cfg := testConfig(col, 5)
-	eng := buildEngine(t, col, 4, cfg)
+	eng, _ := buildPrefixEngine(t, col, 30, 4, cfg)
+	if err := eng.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	stageRest(t, eng, col, 30)
 	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
 	statsBefore := eng.Stats()
 	trafficBefore := eng.Traffic().Snapshot().InsertedTotal
-	if err := eng.UpdateIndex(); err != nil {
+	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
 	statsAfter := eng.Stats()
@@ -232,9 +264,46 @@ func TestMultipleIncrementalUpdates(t *testing.T) {
 			}
 			prev[i] = target
 		}
-		if err := inc.UpdateIndex(); err != nil {
+		if err := inc.BuildIndex(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	assertEnginesEqual(t, inc, scratch, cfg)
+}
+
+// TestPeerRoundSeamMatchesFromScratch drives the build seam a cluster
+// daemon runs under an external coordinator (IndexPeerRound per peer,
+// ClassifyRound, FinishBuild): a build of a prefix, then AddDocuments and
+// the same seam again, must equal a from-scratch build of the whole
+// collection.
+func TestPeerRoundSeamMatchesFromScratch(t *testing.T) {
+	col := testCollection(t, 60)
+	cfg := testConfig(col, 6)
+	peers := 4
+	scratch := buildEngine(t, col, peers, cfg)
+	if err := scratch.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	inc, _ := buildPrefixEngine(t, col, 40, peers, cfg)
+	seam := func() {
+		t.Helper()
+		for s := 1; s <= cfg.SMax; s++ {
+			for _, p := range inc.peers {
+				if _, err := inc.IndexPeerRound(p, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := inc.ClassifyRound(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inc.FinishBuild()
+	}
+	seam()
+	stageRest(t, inc, col, 40)
+	seam()
+	assertEnginesEqual(t, inc, scratch, cfg)
+	if got, want := indexDigest(t, inc), indexDigest(t, scratch); got != want {
+		t.Fatalf("seam-updated index digest %s, from scratch %s", got, want)
+	}
 }

@@ -461,7 +461,7 @@ func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) err
 						return fmt.Errorf("chaos %s: reference stage: %w", act, err)
 					}
 				}
-				if err := f.ref.UpdateIndex(); err != nil {
+				if err := f.ref.BuildIndex(); err != nil {
 					return fmt.Errorf("chaos %s: reference update: %w", act, err)
 				}
 				answers, err := f.answers()
@@ -475,7 +475,7 @@ func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) err
 						return fmt.Errorf("chaos %s: cluster stage: %w", act, err)
 					}
 				}
-				if err := eng.UpdateIndex(); err != nil {
+				if err := eng.BuildIndex(); err != nil {
 					return fmt.Errorf("chaos %s: cluster update: %w", act, err)
 				}
 				stable.Store(int32(v))

@@ -36,7 +36,8 @@ const (
 	// directory on its original address and waits until it serves.
 	OpRestart FaultOp = "restart"
 	// OpWave stages the next incremental document batch on every peer
-	// and runs UpdateIndex on the live cluster (Wave is the ordinal).
+	// and runs BuildIndex on the live cluster, which indexes just the
+	// staged documents (Wave is the ordinal).
 	OpWave FaultOp = "wave"
 	// OpRepair runs a full replica repair sweep through the client.
 	OpRepair FaultOp = "repair"

@@ -64,7 +64,7 @@ import (
 // failure.
 type TCPServeOpts struct {
 	ClusterOpts
-	ExtraDocs int // staged after the build via AddDocuments + UpdateIndex
+	ExtraDocs int // staged after the build via AddDocuments, then indexed by a second BuildIndex
 	Clients   int // concurrent closed-loop clients, all on addrs[0]
 	PerClient int // accepted coordinations each client must complete
 	// P99Bound caps the 99th-percentile latency of ACCEPTED load
@@ -169,7 +169,7 @@ type TCPServeReport struct {
 	ScrapedFetchRPCs    uint64 // hdk_query_fetch_rpcs_total
 	ScrapedLocalFetches uint64 // hdk_query_local_fetches_total; must be in (0, ScrapedFetchRPCs]
 
-	// Phase 7, invalidation: after AddDocuments + UpdateIndex.
+	// Phase 7, invalidation: after AddDocuments + a second BuildIndex.
 	PostUpdateCached     int // responses still served from cache (want 0)
 	PostUpdateMismatches int // coordinator vs the updated reference
 
@@ -429,10 +429,10 @@ func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i in
 			return nil, err
 		}
 	}
-	if err := eng.UpdateIndex(); err != nil {
+	if err := eng.BuildIndex(); err != nil {
 		return nil, fmt.Errorf("cluster update: %w", err)
 	}
-	if err := f.ref.UpdateIndex(); err != nil {
+	if err := f.ref.BuildIndex(); err != nil {
 		return nil, fmt.Errorf("reference update: %w", err)
 	}
 	updated, err := f.answers()

@@ -32,17 +32,6 @@ func EncodeKeyed(buf []byte, m KeyedMessage) []byte {
 	return Encode(buf, m.List)
 }
 
-// DecodeKeyed parses one keyed message and returns the bytes consumed.
-// The returned key is its own allocation (safe to retain).
-func DecodeKeyed(buf []byte) (KeyedMessage, int, error) {
-	r := wire.NewReader(buf)
-	m := readKeyed(&r)
-	if r.Err() != nil {
-		return KeyedMessage{}, 0, ErrCorrupt
-	}
-	return m, len(buf) - r.Len(), nil
-}
-
 // readKeyed reads one keyed message; after r.Share its key substrings
 // the shared copy instead of allocating.
 func readKeyed(r *wire.Reader) KeyedMessage {

@@ -15,15 +15,15 @@ func TestKeyedRoundTrip(t *testing.T) {
 		Aux:  (412 << 2) | 2,
 		List: List{{Doc: 3, Score: 1.5}, {Doc: 9, Score: 0.25}},
 	}
-	buf := EncodeKeyed(nil, in)
-	out, consumed, err := DecodeKeyed(buf)
+	buf := EncodeKeyedBatch(nil, []KeyedMessage{in})
+	if len(buf) != 1+KeyedSize(in) {
+		t.Fatalf("one-message batch is %d bytes, want 1+%d", len(buf), KeyedSize(in))
+	}
+	out, err := DecodeKeyedBatch(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if consumed != len(buf) {
-		t.Fatalf("consumed %d of %d bytes", consumed, len(buf))
-	}
-	if !reflect.DeepEqual(in, out) {
+	if len(out) != 1 || !reflect.DeepEqual(in, out[0]) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", in, out)
 	}
 }

@@ -105,50 +105,3 @@ func TestPipelineRemovesStopWords(t *testing.T) {
 		t.Errorf("stop word survived pipeline: %q", tok)
 	}
 }
-
-func TestWindowsFullCoverage(t *testing.T) {
-	terms := []string{"a1", "b2", "c3", "d4", "e5"}
-	var got [][]string
-	Windows(terms, 3, func(w []string) {
-		cp := make([]string, len(w))
-		copy(cp, w)
-		got = append(got, cp)
-	})
-	want := [][]string{{"a1", "b2", "c3"}, {"b2", "c3", "d4"}, {"c3", "d4", "e5"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Windows = %v, want %v", got, want)
-	}
-}
-
-func TestWindowsShortDocument(t *testing.T) {
-	terms := []string{"x1", "y2"}
-	count := 0
-	Windows(terms, 20, func(w []string) {
-		count++
-		if len(w) != 2 {
-			t.Errorf("short-doc window len = %d, want 2", len(w))
-		}
-	})
-	if count != 1 {
-		t.Errorf("short doc produced %d windows, want 1", count)
-	}
-}
-
-func TestWindowsDegenerate(t *testing.T) {
-	called := false
-	Windows(nil, 5, func([]string) { called = true })
-	Windows([]string{"x1"}, 0, func([]string) { called = true })
-	if called {
-		t.Error("degenerate inputs must produce no windows")
-	}
-}
-
-func BenchmarkPipelineProcess(b *testing.B) {
-	p := NewPipeline()
-	text := strings.Repeat("the scalable peer to peer retrieval of documents with highly discriminative keys ", 30)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(text)))
-	for i := 0; i < b.N; i++ {
-		p.Process(text)
-	}
-}

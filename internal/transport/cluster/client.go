@@ -126,13 +126,10 @@ type Client struct {
 	loopbackBytes atomic.Uint64
 }
 
-// policy is resolved from Options at Dial time (never zero): one
-// retry/backoff/chunking policy for every call a client makes.
+// policy is resolved from Options at Dial time (never zero): the
+// chunking policy of every ingest a client streams.
 type policy struct {
-	retryBudget    int           // transient-retry budget per RPC
-	searchAttempts int           // overload backoff attempts per search
-	backoffCap     time.Duration // cap on the overload backoff window
-	chunkTarget    int           // ingest chunk payload target, bytes
+	chunkTarget int // ingest chunk payload target, bytes
 }
 
 // Options configures a cluster client. The zero value of every field
@@ -145,13 +142,6 @@ type Options struct {
 	// members explicitly; setting both is an error.
 	Seed  string
 	Addrs []string
-	// Retries is the transient-retry budget per RPC (default 8).
-	Retries int
-	// SearchAttempts bounds how often an overload-shed search is retried
-	// with capped exponential backoff (default 5); SearchBackoffCap caps
-	// the backoff window (default 2s).
-	SearchAttempts   int
-	SearchBackoffCap time.Duration
 	// ChunkBytes is the hdk.ingest chunk payload target (default 256
 	// KiB): bigger chunks amortize per-RPC cost, smaller ones re-ship
 	// less on a mid-chunk connection loss.
@@ -164,8 +154,7 @@ const DefaultChunkBytes = 256 << 10
 
 // Dial builds the thin cluster client: it resolves the membership
 // (discovered through Seed, with the seed's repair debt, or enumerated
-// in Addrs) and fixes the client's retry, backoff and chunking policy
-// from the options.
+// in Addrs) and fixes the client's chunking policy from the options.
 func Dial(o Options) (*Client, error) {
 	if o.Transport == nil {
 		return nil, fmt.Errorf("cluster: Dial requires a Transport")
@@ -187,21 +176,7 @@ func Dial(o Options) (*Client, error) {
 
 // newClient returns a client with an empty view and the options' policy.
 func newClient(o Options) *Client {
-	c := &Client{tr: o.Transport, policy: policy{
-		retryBudget:    o.Retries,
-		searchAttempts: o.SearchAttempts,
-		backoffCap:     o.SearchBackoffCap,
-		chunkTarget:    o.ChunkBytes,
-	}}
-	if c.retryBudget <= 0 {
-		c.retryBudget = maxTransientRetries
-	}
-	if c.searchAttempts <= 0 {
-		c.searchAttempts = searchBackoffAttempts
-	}
-	if c.backoffCap <= 0 {
-		c.backoffCap = searchBackoffCap
-	}
+	c := &Client{tr: o.Transport, policy: policy{chunkTarget: o.ChunkBytes}}
 	if c.chunkTarget <= 0 {
 		c.chunkTarget = DefaultChunkBytes
 	}
@@ -308,7 +283,7 @@ func (c *Client) CallService(addr, service string, req []byte) ([]byte, error) {
 		c.loopbackBytes.Add(uint64(len(req) + len(resp)))
 		return resp, nil
 	}
-	return transport.CallRetry(c.tr, addr, overlay.EncodeEnvelope(service, req), c.retryBudget)
+	return transport.CallRetry(c.tr, addr, overlay.EncodeEnvelope(service, req), maxTransientRetries)
 }
 
 // MarkRepaired implements overlay.Fabric: every daemon in the client's
@@ -493,7 +468,7 @@ func (c *Client) trySearch(addr string, req core.SearchRequest) (*core.SearchRes
 // Overload rejections are retried with capped exponential backoff and
 // jitter honoring the daemon's retry-after hint: attempt i sleeps
 // between hint and min(hint<<i, the backoff cap). A daemon still
-// shedding after the configured attempts (Options.SearchAttempts)
+// shedding after searchBackoffAttempts attempts
 // surfaces the last *core.OverloadError to the caller.
 func (c *Client) SearchVia(addr string, req core.SearchRequest) (*core.SearchResult, bool, error) {
 	res, cached, _, err := c.search(addr, req)
@@ -505,12 +480,12 @@ func (c *Client) search(addr string, req core.SearchRequest) (*core.SearchResult
 	for attempt := 0; ; attempt++ {
 		res, cached, trace, err := c.trySearch(addr, req)
 		var ov *core.OverloadError
-		if !errors.As(err, &ov) || attempt == c.searchAttempts-1 {
+		if !errors.As(err, &ov) || attempt == searchBackoffAttempts-1 {
 			return res, cached, trace, err
 		}
 		hi := ov.RetryAfter << attempt
-		if hi > c.backoffCap {
-			hi = c.backoffCap
+		if hi > searchBackoffCap {
+			hi = searchBackoffCap
 		}
 		// Full jitter above the hint floor: never earlier than the
 		// daemon asked, spread out so shed clients don't re-arrive as

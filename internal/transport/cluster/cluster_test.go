@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -107,6 +108,45 @@ func TestConfigureIdempotentAndGuarded(t *testing.T) {
 		t.Fatal("divergent reconfiguration accepted")
 	}
 	got, err := c.Meta(servers[1].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != cfg {
+		t.Fatalf("meta = %+v, want %+v", got, cfg)
+	}
+}
+
+// TestConfigureAcceptsRetiredSearchFanout configures a daemon from a
+// payload written while the search fan-out was still a Config field, as
+// older clients send it and older data directories hold it: the retired
+// "SearchFanout" key is ignored, and the daemon serves the configuration
+// the payload otherwise carries.
+func TestConfigureAcceptsRetiredSearchFanout(t *testing.T) {
+	tr := transport.NewInProc()
+	defer tr.Close()
+	servers := startInProcServers(t, tr, 1, 1)
+	addr := servers[0].Addr()
+	cfg := testConfig(testCollection(t, 40), 1)
+	current, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := append([]byte(`{"SearchFanout":4,`), current[1:]...)
+	c, err := Dial(Options{Transport: tr, Seed: addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := c.CallService(addr, ctrlConfigure, legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := configStatusErr(addr, raw); err != nil {
+		t.Fatal(err)
+	}
+	if got := servers[0].Store().Config(); got != cfg {
+		t.Fatalf("daemon store config = %+v, want %+v", got, cfg)
+	}
+	got, err := c.Meta(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func TestClusterWarmRestartWithMissedWrites(t *testing.T) {
 	if err := survivorPeer.AddDocuments(col.Slice(100, 120)); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.UpdateIndex(); err != nil {
+	if err := eng.BuildIndex(); err != nil {
 		t.Fatalf("incremental update with a crashed member removed: %v", err)
 	}
 	postUpdate := make([][]rank.Result, len(queries))

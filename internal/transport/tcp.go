@@ -46,8 +46,6 @@ type TCP struct {
 // TCPConfig tunes the pooled transport. The zero value selects the
 // defaults below.
 type TCPConfig struct {
-	// DialTimeout bounds connection establishment (default 5s).
-	DialTimeout time.Duration
 	// CallTimeout bounds one round trip — request write through response
 	// read (default 30s; negative disables the deadline).
 	CallTimeout time.Duration
@@ -57,15 +55,12 @@ type TCPConfig struct {
 }
 
 const (
-	defaultDialTimeout    = 5 * time.Second
+	dialTimeout           = 5 * time.Second // bounds connection establishment
 	defaultCallTimeout    = 30 * time.Second
 	defaultMaxIdlePerHost = 8
 )
 
 func (c TCPConfig) withDefaults() TCPConfig {
-	if c.DialTimeout == 0 {
-		c.DialTimeout = defaultDialTimeout
-	}
 	if c.CallTimeout == 0 {
 		c.CallTimeout = defaultCallTimeout
 	}
@@ -218,7 +213,7 @@ func (t *TCP) getConn(addr string) (conn *frameConn, reused bool, err error) {
 	}
 	t.mu.Unlock()
 	dialStart := time.Now()
-	raw, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
+	raw, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, false, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
