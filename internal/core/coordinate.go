@@ -83,9 +83,9 @@ func NewQueryMetrics(reg *telemetry.Registry) *QueryMetrics {
 // Coordinator runs coordinated searches over a fabric without an Engine
 // — the daemon-side query path of the multi-process deployment. Net is
 // typically a cluster client built over the daemon's own membership
-// view; Cfg supplies SMax and ReplicationFactor (the
-// daemon uses the configuration the building client shipped, so
-// coordination agrees with placement). The traversal caches nothing: the
+// view; Cfg supplies SMax and ReplicationFactor (the daemon uses the
+// configuration the building client shipped, so coordination agrees
+// with placement). The traversal caches nothing: the
 // cluster daemon caches whole results one layer up. Traffic, when
 // non-nil, receives the global counters (nil keeps none).
 // Metrics, when non-nil, additionally receives the registry series the

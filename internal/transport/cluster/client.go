@@ -467,9 +467,9 @@ func (c *Client) trySearch(addr string, req core.SearchRequest) (*core.SearchRes
 //
 // Overload rejections are retried with capped exponential backoff and
 // jitter honoring the daemon's retry-after hint: attempt i sleeps
-// between hint and min(hint<<i, the backoff cap). A daemon still
-// shedding after searchBackoffAttempts attempts
-// surfaces the last *core.OverloadError to the caller.
+// between hint and min(hint<<i, searchBackoffCap). A daemon still
+// shedding after searchBackoffAttempts attempts surfaces the last
+// *core.OverloadError to the caller.
 func (c *Client) SearchVia(addr string, req core.SearchRequest) (*core.SearchResult, bool, error) {
 	res, cached, _, err := c.search(addr, req)
 	return res, cached, err
