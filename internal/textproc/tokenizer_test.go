@@ -105,3 +105,13 @@ func TestPipelineRemovesStopWords(t *testing.T) {
 		t.Errorf("stop word survived pipeline: %q", tok)
 	}
 }
+
+func BenchmarkPipelineProcess(b *testing.B) {
+	p := NewPipeline()
+	text := strings.Repeat("the scalable peer to peer retrieval of documents with highly discriminative keys ", 30)
+	b.ReportAllocs()
+	b.SetBytes(int64(len(text)))
+	for i := 0; i < b.N; i++ {
+		p.Process(text)
+	}
+}

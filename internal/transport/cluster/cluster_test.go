@@ -116,42 +116,65 @@ func TestConfigureIdempotentAndGuarded(t *testing.T) {
 	}
 }
 
-// TestConfigureAcceptsRetiredSearchFanout configures a daemon from a
-// payload written while the search fan-out was still a Config field, as
-// older clients send it and older data directories hold it: the retired
-// "SearchFanout" key is ignored, and the daemon serves the configuration
-// the payload otherwise carries.
+// TestConfigureAcceptsRetiredSearchFanout configures a durable daemon
+// from a payload written while the search fan-out was still a Config
+// field, as older clients send it and older data directories hold it:
+// the retired "SearchFanout" key is ignored, the daemon serves the
+// configuration the payload otherwise carries, and a current client's
+// re-send of that configuration is accepted — before and after a warm
+// restart that replays the legacy record from the data directory.
 func TestConfigureAcceptsRetiredSearchFanout(t *testing.T) {
-	tr := transport.NewInProc()
-	defer tr.Close()
-	servers := startInProcServers(t, tr, 1, 1)
-	addr := servers[0].Addr()
 	cfg := testConfig(testCollection(t, 40), 1)
 	current, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	legacy := append([]byte(`{"SearchFanout":4,`), current[1:]...)
-	c, err := Dial(Options{Transport: tr, Seed: addr})
+	dir := t.TempDir()
+
+	tr := transport.NewInProc()
+	defer tr.Close()
+	srv := newDurableServer(t, tr, "node-0", dir, 1)
+	c, err := Dial(Options{Transport: tr, Seed: srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := c.CallService(addr, ctrlConfigure, legacy)
+	raw, err := c.CallService(srv.Addr(), ctrlConfigure, legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := configStatusErr(addr, raw); err != nil {
+	if err := configStatusErr(srv.Addr(), raw); err != nil {
 		t.Fatal(err)
 	}
-	if got := servers[0].Store().Config(); got != cfg {
+	if got := srv.Store().Config(); got != cfg {
 		t.Fatalf("daemon store config = %+v, want %+v", got, cfg)
 	}
-	got, err := c.Meta(addr)
+	got, err := c.Meta(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != cfg {
 		t.Fatalf("meta = %+v, want %+v", got, cfg)
+	}
+	if err := c.Configure(cfg); err != nil {
+		t.Fatalf("current client re-sending the legacy-configured daemon's configuration: %v", err)
+	}
+
+	// Warm restart: the data directory's configuration record still
+	// carries the retired field.
+	tr.Close()
+	tr2 := transport.NewInProc()
+	defer tr2.Close()
+	restarted := newDurableServer(t, tr2, "node-0", dir, 1)
+	if got := restarted.Store().Config(); got != cfg {
+		t.Fatalf("restarted daemon store config = %+v, want %+v", got, cfg)
+	}
+	c2, err := Dial(Options{Transport: tr2, Seed: restarted.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Configure(cfg); err != nil {
+		t.Fatalf("current client configuring a daemon restarted from a legacy record: %v", err)
 	}
 }
 

@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/corpus"
 )
 
@@ -104,8 +102,12 @@ func (s *Server) handleIngest(payload []byte) ([]byte, error) {
 // sentinels. durably=false on replay (the record is already on disk).
 // Caller holds s.mu.
 func (s *Server) ingestBeginLocked(b ingestBegin, raw []byte, durably bool) (status byte, held uint64, err error) {
+	cfg, canon, err := canonicalConfig(b.Config)
+	if err != nil {
+		return 0, 0, err
+	}
 	if s.store != nil {
-		if !bytes.Equal(s.configJSON, b.Config) {
+		if !bytes.Equal(s.configJSON, canon) {
 			return cfgStatusMismatch, 0, nil
 		}
 		if s.store.Populated() {
@@ -125,14 +127,8 @@ func (s *Server) ingestBeginLocked(b ingestBegin, raw []byte, durably bool) (sta
 		// Configured but unpopulated with a different/fresh session id: a
 		// client abandoning a half-finished upload and starting over.
 		// Fall through and replace the session state.
-	} else {
-		var cfg core.Config
-		if err := json.Unmarshal(b.Config, &cfg); err != nil {
-			return 0, 0, fmt.Errorf("cluster: bad configuration: %w", err)
-		}
-		if err := cfg.Validate(); err != nil {
-			return 0, 0, err
-		}
+	} else if err := cfg.Validate(); err != nil {
+		return 0, 0, err
 	}
 	// Log-first: the begin record must be durable before the store exists
 	// and starts logging mutations (same invariant handleConfigure always

@@ -727,19 +727,24 @@ func (s *Server) handleSearch(req []byte) ([]byte, error) {
 // configuration, as a DEGENERATE hdk.ingest session: session id 0,
 // configuration only, zero chunks, committed immediately. The ingest
 // begin path is therefore the single place deciding whether
-// (re)configuration is admissible — re-sending the identical
-// configuration during bootstrap is accepted, a different one is
-// rejected with a config-mismatch status, and a populated store rejects
-// with already-built (re-running BuildIndex against it would double
-// document frequencies and silently flip HDKs to NDKs). Rejections ride
-// the response as a status byte, which the client rehydrates into
-// ErrConfigMismatch / ErrAlreadyBuilt. With durability enabled the
-// session records hit the op log before the store serves (log-first),
-// so a warm restart recreates the store before replaying its mutations.
+// (re)configuration is admissible — re-sending the same configuration
+// during bootstrap is accepted (compared in canonicalConfig form), a
+// different one is rejected with a config-mismatch status, and a
+// populated store rejects with already-built (re-running BuildIndex
+// against it would double document frequencies and silently flip HDKs
+// to NDKs). Rejections ride the response as a status byte, which the
+// client rehydrates into ErrConfigMismatch / ErrAlreadyBuilt. With
+// durability enabled the session records hit the op log before the
+// store serves (log-first), so a warm restart recreates the store
+// before replaying its mutations.
 func (s *Server) handleConfigure(payload []byte) ([]byte, error) {
+	_, canon, err := canonicalConfig(payload)
+	if err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.store != nil && bytes.Equal(s.configJSON, payload) && !s.store.Populated() {
+	if s.store != nil && bytes.Equal(s.configJSON, canon) && !s.store.Populated() {
 		return []byte{cfgStatusOK}, nil // idempotent re-send during bootstrap
 	}
 	b := ingestBegin{Session: 0, Config: payload}
@@ -761,9 +766,9 @@ func (s *Server) handleConfigure(payload []byte) ([]byte, error) {
 // configuration payload. Shared by the configure RPC and durable replay;
 // the caller holds s.mu and handles logging.
 func (s *Server) configureLocked(payload []byte) error {
-	var cfg core.Config
-	if err := json.Unmarshal(payload, &cfg); err != nil {
-		return fmt.Errorf("cluster: bad configuration: %w", err)
+	cfg, canon, err := canonicalConfig(payload)
+	if err != nil {
+		return err
 	}
 	store, err := core.NewStoreServer(cfg)
 	if err != nil {
@@ -778,8 +783,22 @@ func (s *Server) configureLocked(payload []byte) error {
 	store.OnMutation(s.invalidateSearchCache)
 	store.Attach(s) // registers services under smu, not s.mu
 	s.store = store
-	s.configJSON = append([]byte(nil), payload...)
+	s.configJSON = canon
 	return nil
+}
+
+// canonicalConfig decodes a configuration payload and re-encodes it.
+// Configurations are compared in this form, so a payload that carries a
+// retired field (an older client's, or an older data directory's
+// durable record) equals the same configuration sent by a current
+// client.
+func canonicalConfig(payload []byte) (core.Config, []byte, error) {
+	var cfg core.Config
+	if err := json.Unmarshal(payload, &cfg); err != nil {
+		return cfg, nil, fmt.Errorf("cluster: bad configuration: %w", err)
+	}
+	canon, err := json.Marshal(cfg)
+	return cfg, canon, err
 }
 
 // durableHeader contributes the configuration record at the head of
