@@ -236,21 +236,14 @@ func EncodeSearchResponseTraced(body, trace []byte) []byte {
 	return append(out, trace...)
 }
 
-// DecodeSearchResponse parses a framed hdk.search response into the
-// answer and whether the coordinator served it from its result cache.
-// A cached response carries the metrics recorded when the answer was
-// first computed — the cost of the original coordination, not of the
-// (free) cache hit. An overload frame decodes into a *OverloadError
-// (errors.Is-matchable against ErrOverloaded) carrying the daemon's
-// retry-after hint.
-func DecodeSearchResponse(resp []byte) (*SearchResult, bool, error) {
-	res, cached, _, err := DecodeSearchResponseTrace(resp)
-	return res, cached, err
-}
-
-// DecodeSearchResponseTrace is DecodeSearchResponse exposing the raw
-// trace bytes a traced frame carries (nil on untraced frames; decode
-// with telemetry.DecodeTrace).
+// DecodeSearchResponseTrace parses a framed hdk.search response into
+// the answer, whether the coordinator served it from its result cache,
+// and the raw trace bytes a traced frame carries (nil on untraced
+// frames; decode with telemetry.DecodeTrace). A cached response carries
+// the metrics recorded when the answer was first computed — the cost of
+// the original coordination, not of the (free) cache hit. An overload
+// frame decodes into a *OverloadError (errors.Is-matchable against
+// ErrOverloaded) carrying the daemon's retry-after hint.
 func DecodeSearchResponseTrace(resp []byte) (*SearchResult, bool, []byte, error) {
 	r := wire.NewReader(resp)
 	var body, trace []byte

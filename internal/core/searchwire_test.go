@@ -113,7 +113,7 @@ func TestSearchResponseRoundTrip(t *testing.T) {
 	}
 	for _, cached := range []bool{false, true} {
 		resp := EncodeSearchResponse(EncodeSearchResult(in), cached)
-		out, gotCached, err := DecodeSearchResponse(resp)
+		out, gotCached, _, err := DecodeSearchResponseTrace(resp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func TestSearchResponseRoundTrip(t *testing.T) {
 	// Scores survive bit-exactly (the parity gates compare with
 	// reflect.DeepEqual on float64s).
 	resp := EncodeSearchResponse(EncodeSearchResult(in), false)
-	out, _, _ := DecodeSearchResponse(resp)
+	out, _, _, _ := DecodeSearchResponseTrace(resp)
 	for i := range in.Results {
 		if out.Results[i].Score != in.Results[i].Score {
 			t.Fatalf("score %d not bit-exact", i)
@@ -137,7 +137,7 @@ func TestSearchResponseRoundTrip(t *testing.T) {
 
 func TestSearchResponseEmpty(t *testing.T) {
 	resp := EncodeSearchResponse(EncodeSearchResult(&SearchResult{}), false)
-	out, cached, err := DecodeSearchResponse(resp)
+	out, cached, _, err := DecodeSearchResponseTrace(resp)
 	if err != nil || cached {
 		t.Fatalf("empty response: %v cached=%v", err, cached)
 	}
@@ -159,7 +159,7 @@ func TestSearchResponseCorrupt(t *testing.T) {
 		"trailing garbage":  append(append([]byte{}, valid...), 0xaa),
 	}
 	for name, buf := range cases {
-		if _, _, err := DecodeSearchResponse(buf); !errors.Is(err, errCorruptRPC) {
+		if _, _, _, err := DecodeSearchResponseTrace(buf); !errors.Is(err, errCorruptRPC) {
 			t.Errorf("%s: got %v, want errCorruptRPC", name, err)
 		}
 	}
@@ -197,7 +197,7 @@ func TestSearchResponseTracedRoundTrip(t *testing.T) {
 		t.Fatalf("trace mangled: %+v", tr.Spans)
 	}
 	// The plain decoder must accept the traced frame too (trace ignored).
-	if out2, _, err := DecodeSearchResponse(resp); err != nil || !reflect.DeepEqual(in, out2) {
+	if out2, _, _, err := DecodeSearchResponseTrace(resp); err != nil || !reflect.DeepEqual(in, out2) {
 		t.Fatalf("plain decode of traced frame: %+v, %v", out2, err)
 	}
 	// Untraced frames surface nil trace bytes.
@@ -230,7 +230,7 @@ func TestSearchOverloadRoundTrip(t *testing.T) {
 		{5 * time.Minute, 60 * time.Second}, // capped at maxRetryAfterMS
 	}
 	for _, tc := range cases {
-		res, cached, err := DecodeSearchResponse(EncodeSearchOverloaded(tc.in))
+		res, cached, _, err := DecodeSearchResponseTrace(EncodeSearchOverloaded(tc.in))
 		if res != nil || cached {
 			t.Fatalf("hint %v: overload decoded to a result (%+v cached=%v)", tc.in, res, cached)
 		}
@@ -259,7 +259,7 @@ func TestSearchOverloadCorrupt(t *testing.T) {
 		"trailing garbage":   append(append([]byte{}, valid...), 0x00),
 	}
 	for name, buf := range cases {
-		if _, _, err := DecodeSearchResponse(buf); !errors.Is(err, errCorruptRPC) {
+		if _, _, _, err := DecodeSearchResponseTrace(buf); !errors.Is(err, errCorruptRPC) {
 			t.Errorf("%s: got %v, want errCorruptRPC", name, err)
 		}
 	}
@@ -271,12 +271,12 @@ func TestSearchResponseCorruptNeverPanics(t *testing.T) {
 		ProbedKeys: 3, FoundKeys: 2, RPCs: 2, Rounds: 2,
 	}), true)
 	for cut := 0; cut < len(valid); cut++ {
-		DecodeSearchResponse(valid[:cut]) // must not panic
+		DecodeSearchResponseTrace(valid[:cut]) // must not panic
 	}
 	for i := range valid {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0xff
-		DecodeSearchResponse(mut) // must not panic; error or garbage both fine
+		DecodeSearchResponseTrace(mut) // must not panic; error or garbage both fine
 	}
 	reqValid := EncodeSearchRequest(SearchRequest{Terms: []string{"alpha", "beta"}, K: 9, NoCache: true})
 	for cut := 0; cut < len(reqValid); cut++ {
@@ -289,12 +289,12 @@ func TestSearchResponseCorruptNeverPanics(t *testing.T) {
 	}
 	ovValid := EncodeSearchOverloaded(37 * time.Millisecond)
 	for cut := 0; cut < len(ovValid); cut++ {
-		DecodeSearchResponse(ovValid[:cut])
+		DecodeSearchResponseTrace(ovValid[:cut])
 	}
 	for i := range ovValid {
 		mut := append([]byte(nil), ovValid...)
 		mut[i] ^= 0xff
-		DecodeSearchResponse(mut)
+		DecodeSearchResponseTrace(mut)
 	}
 }
 

@@ -216,11 +216,9 @@ func (f *fixture) sweep(want [][]rank.Result) (int, error) {
 }
 
 // counterSum is the sum of the serving counters over the daemons in
-// the client's view, read through cluster.info (a view over each
-// daemon's telemetry registry).
+// the client's view, read from each daemon's telemetry snapshot.
 type counterSum struct {
 	fetchRPCs, searchRPCs, hits, misses, shed uint64
-	unrepaired                                int // daemons whose view owes a repair
 }
 
 // counters sums the serving counters of every member of the client's
@@ -228,20 +226,33 @@ type counterSum struct {
 func (f *fixture) counters() (counterSum, error) {
 	var sum counterSum
 	for _, m := range f.c.Members() {
-		info, err := cluster.FetchInfo(f.tr, m.Addr())
+		snap, err := cluster.FetchMetrics(f.tr, m.Addr())
 		if err != nil {
-			return sum, fmt.Errorf("experiments: info from %s: %w", m.Addr(), err)
+			return sum, fmt.Errorf("experiments: metrics from %s: %w", m.Addr(), err)
 		}
-		sum.fetchRPCs += info.FetchRPCs
-		sum.searchRPCs += info.SearchRPCs
-		sum.hits += info.SearchCacheHits
-		sum.misses += info.SearchCacheMisses
-		sum.shed += info.SearchRejected
-		if info.Unrepaired {
-			sum.unrepaired++
-		}
+		sum.fetchRPCs += snap.CounterSum("hdk_fetch_rpcs_total")
+		sum.searchRPCs += snap.CounterSum("hdk_search_rpcs_total")
+		sum.hits += snap.CounterSum("hdk_search_cache_hits_total")
+		sum.misses += snap.CounterSum("hdk_search_cache_misses_total")
+		sum.shed += snap.CounterSum("hdk_search_shed_total")
 	}
 	return sum, nil
+}
+
+// unrepaired counts the members of the client's view whose cluster.info
+// reports a view that owes a repair.
+func (f *fixture) unrepaired() (int, error) {
+	n := 0
+	for _, m := range f.c.Members() {
+		info, err := cluster.FetchInfo(f.tr, m.Addr())
+		if err != nil {
+			return 0, fmt.Errorf("experiments: info from %s: %w", m.Addr(), err)
+		}
+		if info.Unrepaired {
+			n++
+		}
+	}
+	return n, nil
 }
 
 // procOf maps a member address to its process index in addrs.

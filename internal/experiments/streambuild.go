@@ -253,7 +253,12 @@ func TCPIngestResume(tr transport.Transport, addrs []string, kill, restart func(
 	if err != nil {
 		return nil, fmt.Errorf("restarted daemon info: %w", err)
 	}
-	rep.Warm, rep.RestoredKeys, rep.InsertRPCs = info.Warm, info.Keys, info.InsertRPCs
+	snap, err := cluster.FetchMetrics(tr, owner.Addr())
+	if err != nil {
+		return nil, fmt.Errorf("restarted daemon metrics: %w", err)
+	}
+	keys, _ := snap.Gauge("hdk_store_keys")
+	rep.Warm, rep.RestoredKeys, rep.InsertRPCs = info.Warm, int(keys), snap.CounterSum("hdk_insert_rpcs_total")
 	rep.CatchUpStale, rep.CatchUpPulled = info.CatchUpStale, info.CatchUpPulled
 	f.progress("restart: %d/%d post-restart queries bit-identical, %d keys restored, %d insert RPCs, %d copies pulled, %d under-replicated",
 		len(f.queries)-rep.PostMismatches, len(f.queries), rep.RestoredKeys, rep.InsertRPCs, rep.CatchUpPulled, rep.UnderAfterRestart)

@@ -41,9 +41,11 @@ import (
 //  5. the daemons' registry deltas over phases 1–4 equal the
 //     client-observed fresh, cached, miss-eligible and shed responses
 //     EXACTLY;
-//  6. every /healthz answers "ok" and every /metrics exposition parses
-//     with a coordination histogram, build_info, the found-keys and
-//     local-fetches series and an idle queue depth of 0;
+//  6. every /healthz answers "ok", every /metrics answers exposition
+//     text carrying the build_info lines of the daemon's own
+//     cluster.metrics snapshot, and every snapshot holds a coordination
+//     histogram, the found-keys and local-fetches series and an idle
+//     queue depth of 0;
 //  7. an incremental update invalidates every cache and the next
 //     coordinations match the updated reference;
 //  8. with the cache off, coordinations and the client fabric keep
@@ -151,9 +153,11 @@ type TCPServeReport struct {
 	ShedDelta      uint64
 
 	// Phase 6, HTTP exposition across every daemon.
+	// The values below are read from each daemon's cluster.metrics
+	// snapshot; the HTTP endpoint is checked against that snapshot.
 	HealthOK    int     // /healthz answering 200 "ok"
-	ScrapeOK    int     // /metrics parsing as Prometheus text exposition
-	BuildInfoOK int     // hdk_build_info present in the scrape
+	ScrapeOK    int     // /metrics answering 200 exposition text that carries the snapshot's hdk_build_info lines
+	BuildInfoOK int     // hdk_build_info 1 in the snapshot
 	CoordCount  uint64  // summed coordination-histogram count
 	CoordP99    float64 // worst daemon's coordination p99 (ns); must be > 0
 	QueueDepth  float64 // summed hdk_search_queue_depth at idle; must be 0
@@ -414,7 +418,7 @@ func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i in
 	rep.ShedDelta = after.shed - before.shed
 
 	// Phase 6: scrape every daemon's HTTP endpoint.
-	scrapeCluster(httpAddrs, rep)
+	scrapeCluster(tr, addrs, httpAddrs, rep)
 	f.progress("tcpserve: scraped %d/%d endpoints, coordination p99 %.2fms over %d, %d slow-logged",
 		rep.ScrapeOK, opts.Nodes, rep.CoordP99/1e6, rep.CoordCount, rep.SlowLogged)
 
@@ -502,11 +506,10 @@ func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i in
 	// members the crash promoted, which hold no copy. Every survivor must
 	// report its view unrepaired, read primary-first until the sweep
 	// reports in, and so still coordinate every query bit-identically.
-	if after, err = f.counters(); err != nil {
+	if n, err := f.unrepaired(); err != nil {
 		return nil, err
-	}
-	if after.unrepaired != len(survivors) {
-		return nil, fmt.Errorf("experiments: %d/%d survivors report an unrepaired view after the forget", after.unrepaired, len(survivors))
+	} else if n != len(survivors) {
+		return nil, fmt.Errorf("experiments: %d/%d survivors report an unrepaired view after the forget", n, len(survivors))
 	}
 	if rep.UnrepairedMismatches, err = f.sweep(updated); err != nil {
 		return nil, fmt.Errorf("forgotten, unrepaired: %w", err)
@@ -537,11 +540,13 @@ func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i in
 		rep.RecallAfterCrash, rep.FailoversPerQuery, rep.RecallAfterRepair, rep.CopiesRepaired, rep.UnderAfterRepair)
 
 	// The survivors' serving counters and the client's pool.
+	if n, err := f.unrepaired(); err != nil {
+		return nil, err
+	} else if n != 0 {
+		return nil, fmt.Errorf("experiments: %d survivors still report an unrepaired view after the repair", n)
+	}
 	if after, err = f.counters(); err != nil {
 		return nil, err
-	}
-	if after.unrepaired != 0 {
-		return nil, fmt.Errorf("experiments: %d survivors still report an unrepaired view after the repair", after.unrepaired)
 	}
 	rep.SearchRPCs, rep.CacheHits, rep.CacheMisses = after.searchRPCs, after.hits, after.misses
 	st := tr.Stats()
@@ -748,62 +753,66 @@ func traceShapeDefects(trace *telemetry.Trace) int {
 	return defects
 }
 
-// scrapeCluster pulls /healthz and /metrics from every daemon and fills
-// the report's exposition gates (a failed scrape just leaves the
-// per-node OK counters short of Nodes, failing the gate).
-func scrapeCluster(httpAddrs []string, rep *TCPServeReport) {
+// expositionContentType is the Content-Type hdknode's /metrics answers
+// with: the Prometheus text exposition format, version 0.0.4.
+const expositionContentType = "text/plain; version=0.0.4; charset=utf-8"
+
+// scrapeCluster reads every daemon's exposition values from its
+// cluster.metrics snapshot and checks its HTTP endpoint against that
+// same daemon: /healthz must answer 200 "ok", and /metrics must answer
+// 200 with the exposition content type and a body carrying the
+// hdk_build_info lines WritePrometheus renders from the snapshot. A
+// daemon failing a check just leaves the per-node OK counters short of
+// Nodes, failing the gate.
+func scrapeCluster(tr transport.Transport, addrs, httpAddrs []string, rep *TCPServeReport) {
 	client := &http.Client{Timeout: 10 * time.Second}
-	for _, addr := range httpAddrs {
-		resp, err := client.Get("http://" + addr + "/healthz")
-		if err == nil {
-			body, rerr := io.ReadAll(io.LimitReader(resp.Body, 64))
-			resp.Body.Close()
-			if rerr == nil && resp.StatusCode == http.StatusOK && strings.TrimSpace(string(body)) == "ok" {
-				rep.HealthOK++
-			}
+	get := func(url string) (string, string, bool) {
+		resp, err := client.Get(url)
+		if err != nil {
+			return "", "", false
 		}
-		resp, err = client.Get("http://" + addr + "/metrics")
+		defer resp.Body.Close()
+		body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		return string(body), resp.Header.Get("Content-Type"), err == nil && resp.StatusCode == http.StatusOK
+	}
+	for i, addr := range httpAddrs {
+		if body, _, ok := get("http://" + addr + "/healthz"); ok && strings.TrimSpace(body) == "ok" {
+			rep.HealthOK++
+		}
+		snap, err := cluster.FetchMetrics(tr, addrs[i])
 		if err != nil {
 			continue
 		}
-		samples, perr := telemetry.ParsePrometheus(resp.Body)
-		resp.Body.Close()
-		if perr != nil {
-			continue
-		}
-		rep.ScrapeOK++
-		found, local := false, false
-		for _, s := range samples {
-			switch s.Name {
-			case "hdk_build_info":
-				if s.Value == 1 {
-					rep.BuildInfoOK++
-				}
-			case "hdk_search_queue_depth":
-				rep.QueueDepth += s.Value
-			case "hdk_search_slow_total":
-				rep.SlowLogged += uint64(s.Value)
-			case "hdk_query_probes_total":
-				rep.ScrapedProbes += uint64(s.Value)
-			case "hdk_query_found_keys_total":
-				rep.ScrapedFoundKeys += uint64(s.Value)
-				found = true
-			case "hdk_query_fetch_rpcs_total":
-				rep.ScrapedFetchRPCs += uint64(s.Value)
-			case "hdk_query_local_fetches_total":
-				rep.ScrapedLocalFetches += uint64(s.Value)
-				local = true
+		var buildInfo telemetry.Snapshot
+		for _, g := range snap.Gauges {
+			if g.Name == "hdk_build_info" && g.Value == 1 {
+				buildInfo.Gauges = append(buildInfo.Gauges, g)
 			}
 		}
-		if found {
+		if len(buildInfo.Gauges) > 0 {
+			rep.BuildInfoOK++
+			var want strings.Builder
+			buildInfo.WritePrometheus(&want)
+			if body, ctype, ok := get("http://" + addr + "/metrics"); ok && ctype == expositionContentType && strings.Contains(body, want.String()) {
+				rep.ScrapeOK++
+			}
+		}
+		depth, _ := snap.Gauge("hdk_search_queue_depth")
+		rep.QueueDepth += depth
+		rep.SlowLogged += snap.CounterSum("hdk_search_slow_total")
+		rep.ScrapedProbes += snap.CounterSum("hdk_query_probes_total")
+		rep.ScrapedFoundKeys += snap.CounterSum("hdk_query_found_keys_total")
+		rep.ScrapedFetchRPCs += snap.CounterSum("hdk_query_fetch_rpcs_total")
+		rep.ScrapedLocalFetches += snap.CounterSum("hdk_query_local_fetches_total")
+		if _, ok := snap.Counter("hdk_query_found_keys_total", telemetry.L("level", "1")); ok {
 			rep.FoundKeysExposed++
 		}
-		if local {
+		if _, ok := snap.Counter("hdk_query_local_fetches_total"); ok {
 			rep.LocalFetchesExposed++
 		}
-		q99, count := telemetry.PromHistogramQuantile(samples, "hdk_search_coordination_nanoseconds", nil, 0.99)
-		rep.CoordCount += count
-		rep.CoordP99 = max(rep.CoordP99, q99)
+		coord, _ := snap.Histogram(metricCoordination)
+		rep.CoordCount += coord.Count
+		rep.CoordP99 = max(rep.CoordP99, float64(coord.Quantile(0.99)))
 	}
 }
 

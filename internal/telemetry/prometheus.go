@@ -4,15 +4,13 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // Prometheus text exposition (format version 0.0.4) for the hdknode
-// -http /metrics endpoint, plus a minimal parser used by the telemetry
-// e2e and hdkbench to read daemon metrics back without an external
-// client library.
+// -http /metrics endpoint. Code that reads a daemon's counters reads its
+// Snapshot (cluster.metrics), not this text.
 
 // escapeLabelValue escapes a label value per the exposition format.
 func escapeLabelValue(v string) string {
@@ -100,188 +98,4 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(bw, "%s_count%s %d\n", h.Name, renderLabels(h.Labels, "", ""), h.Count)
 	}
 	return bw.Flush()
-}
-
-// PromSample is one parsed exposition line: a fully-qualified series
-// name (histogram buckets appear as name_bucket), its label set and the
-// sample value.
-type PromSample struct {
-	Name   string
-	Labels map[string]string
-	Value  float64
-}
-
-// ParsePrometheus parses text exposition output — the subset
-// WritePrometheus emits (plain samples, # comments, quoted label
-// values with backslash escapes). It exists so tests and benches can
-// assert on a daemon's /metrics body; it is not a general scraper.
-func ParsePrometheus(r io.Reader) ([]PromSample, error) {
-	var out []PromSample
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sample, err := parsePromLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: exposition line %d: %w", lineNo, err)
-		}
-		out = append(out, sample)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func parsePromLine(line string) (PromSample, error) {
-	var s PromSample
-	nameEnd := strings.IndexAny(line, "{ ")
-	if nameEnd <= 0 {
-		return s, fmt.Errorf("malformed sample %q", line)
-	}
-	s.Name = line[:nameEnd]
-	rest := line[nameEnd:]
-	if rest[0] == '{' {
-		end := -1
-		inQuote := false
-		for i := 1; i < len(rest); i++ {
-			switch {
-			case inQuote && rest[i] == '\\':
-				i++
-			case rest[i] == '"':
-				inQuote = !inQuote
-			case !inQuote && rest[i] == '}':
-				end = i
-			}
-			if end >= 0 {
-				break
-			}
-		}
-		if end < 0 {
-			return s, fmt.Errorf("unterminated label set in %q", line)
-		}
-		labels, err := parsePromLabels(rest[1:end])
-		if err != nil {
-			return s, err
-		}
-		s.Labels = labels
-		rest = rest[end+1:]
-	}
-	val := strings.TrimSpace(rest)
-	// A trailing timestamp (which WritePrometheus never emits) would
-	// appear as a second field; take the first.
-	if i := strings.IndexByte(val, ' '); i >= 0 {
-		val = val[:i]
-	}
-	f, err := strconv.ParseFloat(val, 64)
-	if err != nil {
-		return s, fmt.Errorf("bad sample value in %q: %v", line, err)
-	}
-	s.Value = f
-	return s, nil
-}
-
-func parsePromLabels(body string) (map[string]string, error) {
-	labels := make(map[string]string)
-	for len(body) > 0 {
-		eq := strings.IndexByte(body, '=')
-		if eq <= 0 || eq+1 >= len(body) || body[eq+1] != '"' {
-			return nil, fmt.Errorf("malformed label in %q", body)
-		}
-		key := strings.TrimSpace(body[:eq])
-		var val strings.Builder
-		i := eq + 2
-		closed := false
-		for i < len(body) {
-			c := body[i]
-			if c == '\\' && i+1 < len(body) {
-				switch body[i+1] {
-				case 'n':
-					val.WriteByte('\n')
-				case '\\':
-					val.WriteByte('\\')
-				case '"':
-					val.WriteByte('"')
-				default:
-					val.WriteByte(body[i+1])
-				}
-				i += 2
-				continue
-			}
-			if c == '"' {
-				closed = true
-				i++
-				break
-			}
-			val.WriteByte(c)
-			i++
-		}
-		if !closed {
-			return nil, fmt.Errorf("unterminated label value in %q", body)
-		}
-		labels[key] = val.String()
-		body = body[i:]
-		body = strings.TrimPrefix(body, ",")
-	}
-	return labels, nil
-}
-
-// PromHistogramQuantile computes quantile q from parsed exposition
-// samples of one histogram: it collects name_bucket samples whose
-// labels (minus le) match want, reconstructs the cumulative
-// distribution and returns the smallest le covering the rank. Returns
-// the observation count alongside (0 count means the series was absent
-// or empty).
-func PromHistogramQuantile(samples []PromSample, name string, want map[string]string, q float64) (float64, uint64) {
-	type bucket struct {
-		le  float64
-		cum float64
-	}
-	var buckets []bucket
-	for _, s := range samples {
-		if s.Name != name+"_bucket" {
-			continue
-		}
-		match := true
-		for k, v := range want {
-			if s.Labels[k] != v {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		le := s.Labels["le"]
-		f := 0.0
-		if le == "+Inf" {
-			f = float64(1<<63) * 4 // effectively infinite sentinel
-		} else {
-			var err error
-			if f, err = strconv.ParseFloat(le, 64); err != nil {
-				continue
-			}
-		}
-		buckets = append(buckets, bucket{le: f, cum: s.Value})
-	}
-	if len(buckets) == 0 {
-		return 0, 0
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	total := buckets[len(buckets)-1].cum
-	if total <= 0 {
-		return 0, 0
-	}
-	rank := q * total
-	for _, b := range buckets {
-		if b.cum >= rank {
-			return b.le, uint64(total)
-		}
-	}
-	return buckets[len(buckets)-1].le, uint64(total)
 }

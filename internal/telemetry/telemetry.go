@@ -6,8 +6,9 @@
 // model (one span tree per coordination) that hdksearch -trace renders.
 //
 // The registry is the single source of truth for everything the system
-// can report about itself: cluster.info counters are views over it, the
-// /metrics endpoint is a rendering of its snapshot, and hdkbench reads
+// can report about itself: every reader of a daemon's counters reads
+// its snapshot (over cluster.metrics, or in-process), the /metrics
+// endpoint is a rendering of that snapshot, and bench/run.sh reads
 // server-side latency quantiles from its histograms. All hot-path
 // instruments (Counter.Add, Histogram.Observe) are lock-free atomics;
 // the registry mutex is taken only on series registration and snapshot.

@@ -30,6 +30,15 @@ func waitQueued(t *testing.T, s *Server, want int) {
 	}
 }
 
+// checkQueueDepth reads the server's queue-depth gauge from its
+// registry snapshot.
+func checkQueueDepth(t *testing.T, s *Server, want int) {
+	t.Helper()
+	if depth, ok := s.Metrics().Snapshot().Gauge(metricSearchQueueDepth); !ok || depth != float64(want) {
+		t.Fatalf("%s = %v (present %t), want %d", metricSearchQueueDepth, depth, ok, want)
+	}
+}
+
 // TestAdmitSearchBounds drives admitSearch through its three outcomes
 // at several worker/queue sizes: immediate admission while a worker is
 // free, a bounded wait while only queue slots are free, and an
@@ -68,6 +77,9 @@ func TestAdmitSearchBounds(t *testing.T) {
 				}()
 			}
 			waitQueued(t, s, tc.workers+tc.queue)
+			// The queue-depth gauge counts the requests waiting for a
+			// worker: every queue slot, none of the running workers.
+			checkQueueDepth(t, s, tc.queue)
 			// Past workers+queue: immediate shed, positive hint.
 			rel, retry := s.admitSearch()
 			if rel != nil {
@@ -89,6 +101,7 @@ func TestAdmitSearchBounds(t *testing.T) {
 				r()
 			}
 			waitQueued(t, s, 0)
+			checkQueueDepth(t, s, 0)
 			// Idle again: the next request is admitted immediately.
 			if rel, _ := s.admitSearch(); rel == nil {
 				t.Fatal("post-drain request shed on an idle server")
@@ -167,7 +180,7 @@ func admissionCluster(t *testing.T) (tr transport.Transport, servers []*Server, 
 // TestSearchOverloadOverWire pins the shed path end to end: a daemon
 // with its worker pool saturated rejects a search over the wire with a
 // typed, errors.Is-matchable overload error carrying a positive
-// retry-after hint, counts the rejection in cluster.info, serves cache
+// retry-after hint, counts the rejection in hdk_search_shed_total, serves cache
 // hits anyway (admission guards coordination work, not cache reads),
 // and accepts again once capacity frees up.
 func TestSearchOverloadOverWire(t *testing.T) {
@@ -205,12 +218,12 @@ func TestSearchOverloadOverWire(t *testing.T) {
 		t.Fatal("cached answer diverges under saturation")
 	}
 
-	info, err := FetchInfo(tr, s.Addr())
+	snap, err := FetchMetrics(tr, s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.SearchRejected != 1 {
-		t.Fatalf("info.SearchRejected = %d, want 1", info.SearchRejected)
+	if shed := snap.CounterSum(metricSearchShed); shed != 1 {
+		t.Fatalf("%s = %d, want 1", metricSearchShed, shed)
 	}
 
 	rel()
@@ -248,11 +261,11 @@ func TestSearchViaBacksOffOnOverload(t *testing.T) {
 			s.ConfigureSearch(1, 0, -1)
 
 			rejectedAt := func() uint64 {
-				info, err := FetchInfo(tr, s.Addr())
+				snap, err := FetchMetrics(tr, s.Addr())
 				if err != nil {
 					t.Fatal(err)
 				}
-				return info.SearchRejected
+				return snap.CounterSum(metricSearchShed)
 			}
 
 			rel, _ := s.admitSearch()

@@ -80,8 +80,15 @@ func TestJoinConvergesMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Addr != "node-2" || info.Members != 4 || info.Configured {
+	if info.Addr != "node-2" || info.Configured {
 		t.Fatalf("info = %+v", info)
+	}
+	snap, err := FetchMetrics(tr, "node-2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if members, _ := snap.Gauge(metricClusterMembers); members != 4 {
+		t.Fatalf("%s = %v, want 4", metricClusterMembers, members)
 	}
 }
 

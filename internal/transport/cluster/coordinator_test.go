@@ -161,12 +161,12 @@ func TestCoordinatorResultCache(t *testing.T) {
 	if after := clusterFetchRPCs(t, tr, servers); after != fetchesBefore {
 		t.Fatalf("repeat query cost %d fetch RPCs, want 0", after-fetchesBefore)
 	}
-	info, err := FetchInfo(tr, coord)
+	snap, err := FetchMetrics(tr, coord)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.SearchCacheHits == 0 || info.SearchRPCs < 2 {
-		t.Fatalf("info counters: %+v", info)
+	if hits, rpcs := snap.CounterSum(metricSearchCacheHits), snap.CounterSum(metricSearchRPCs); hits == 0 || rpcs < 2 {
+		t.Fatalf("coordinator counters: %d cache hits, %d search RPCs", hits, rpcs)
 	}
 
 	// Any mutation served by the coordinator (an empty repair batch is
@@ -219,11 +219,11 @@ func clusterFetchRPCs(t *testing.T, tr transport.Transport, servers []*Server) u
 	t.Helper()
 	var total uint64
 	for _, s := range servers {
-		info, err := FetchInfo(tr, s.Addr())
+		snap, err := FetchMetrics(tr, s.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += info.FetchRPCs
+		total += snap.CounterSum(metricFetchRPCs)
 	}
 	return total
 }

@@ -155,7 +155,7 @@ func TestClusterWarmRestartWithMissedWrites(t *testing.T) {
 	if total := restarted.Store().KeyCount(); st.CopiesSent >= total {
 		t.Fatalf("catch-up pulled %d of %d keys — that is a full re-replication, not a delta", st.CopiesSent, total)
 	}
-	if got := restarted.InsertRPCs(); got != 0 {
+	if got, _ := restarted.Metrics().Snapshot().Counter(metricInsertRPCs); got != 0 {
 		t.Fatalf("restarted daemon served %d insert RPCs — the index was re-built, not restored", got)
 	}
 
@@ -193,8 +193,16 @@ func TestClusterWarmRestartWithMissedWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Warm || info.InsertRPCs != 0 || info.CatchUpPulled != st.CopiesSent || info.Keys == 0 {
+	if !info.Warm || info.CatchUpPulled != st.CopiesSent {
 		t.Fatalf("info after warm restart = %+v", info)
+	}
+	snap, err := FetchMetrics(ctr, victim.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserts, _ := snap.Counter(metricInsertRPCs)
+	if keys, _ := snap.Gauge(metricStoreKeys); inserts != 0 || keys == 0 {
+		t.Fatalf("metrics after warm restart: %d insert RPCs, %v keys", inserts, keys)
 	}
 }
 

@@ -248,8 +248,7 @@ func (c *Client) Ingest(addr string, src IngestSource) (IngestStats, error) {
 // build blocks at the daemon until the build's round or state moves
 // (about a second at most), so following costs one look at cluster.info
 // per change instead of a poll loop. progress, when non-nil, receives
-// every Info looked at (BuildRound advances 1..SMax; Keys grows as the
-// index fills).
+// every Info looked at (BuildRound advances 1..SMax).
 func (c *Client) BuildRemote(addr string, progress func(Info)) error {
 	for {
 		raw, err := c.CallService(addr, SvcBuild, encodeBuildStart())

@@ -131,8 +131,8 @@ type Server struct {
 	searchCache *cache.LRU[[]byte]
 
 	// metrics is the daemon's telemetry registry with the serving-path
-	// instruments pre-registered (see server_metrics.go). cluster.info
-	// is a JSON view over it; cluster.metrics ships the whole registry.
+	// instruments pre-registered (see server_metrics.go); cluster.metrics
+	// ships the whole registry.
 	metrics *serverMetrics
 
 	// Slow-query log state: the threshold in nanoseconds (0 = off) and
@@ -147,46 +147,24 @@ type Server struct {
 	stopOnce sync.Once
 }
 
-// Info is a daemon's self-description, served as JSON by cluster.info.
+// Info is a daemon's self-description, served as JSON by cluster.info:
+// identity and lifecycle state only. Its counters and gauges (RPCs
+// served, cache hits, shed searches, queue depth, resident keys,
+// members) live in the telemetry registry and are read through
+// FetchMetrics.
 type Info struct {
 	Addr       string `json:"addr"`
 	ID         string `json:"id"` // ring position, hex
 	Replicas   int    `json:"replicas"`
 	Configured bool   `json:"configured"`
-	Members    int    `json:"members"`
-	// Keys is the store's resident key count.
-	Keys int `json:"keys"`
 	// Warm reports that the store was restored from a durable data dir
 	// at startup instead of being rebuilt over the wire.
 	Warm bool `json:"warm"`
-	// InsertRPCs counts hdk.insert calls served since THIS process
-	// started — the re-index traffic meter: a warm-restarted daemon that
-	// rejoined correctly serves its restored index with zero of them.
-	InsertRPCs uint64 `json:"insert_rpcs"`
 	// CatchUpStale/CatchUpPulled summarize the warm-rejoin delta the
 	// daemon pulled from its replica peers (both 0 when nothing was
 	// missed while down).
 	CatchUpStale  int `json:"catchup_stale"`
 	CatchUpPulled int `json:"catchup_pulled"`
-	// FetchRPCs counts hdk.fetchBatch calls served since this process
-	// started — the query fetch meter: a repeat query answered from a
-	// coordinator's result cache leaves it untouched cluster-wide.
-	FetchRPCs uint64 `json:"fetch_rpcs"`
-	// SearchRPCs counts hdk.search coordinations this daemon served
-	// (cache hits included).
-	SearchRPCs uint64 `json:"search_rpcs"`
-	// SearchCacheHits/SearchCacheMisses are the daemon's query-result
-	// cache counters.
-	SearchCacheHits   uint64 `json:"search_cache_hits"`
-	SearchCacheMisses uint64 `json:"search_cache_misses"`
-	// SearchRejected counts hdk.search requests shed by admission
-	// control (worker pool and bounded queue both full); each rejection
-	// carried a retry-after hint back to the client.
-	SearchRejected uint64 `json:"search_rejected"`
-	// SearchQueueDepth is the instantaneous number of admitted
-	// coordinations waiting for a worker slot (0 on an idle or
-	// keeping-up daemon; at most the configured -search-queue).
-	SearchQueueDepth int `json:"search_queue_depth"`
 	// Unrepaired reports that the daemon's view owes a repair: it forgot
 	// a member and no sweep over its current membership has reported in,
 	// so it coordinates searches primary-first until one does.
@@ -381,10 +359,6 @@ func (s *Server) Warm() bool {
 	defer s.mu.Unlock()
 	return s.warm
 }
-
-// InsertRPCs returns the number of hdk.insert calls served by this
-// process.
-func (s *Server) InsertRPCs() uint64 { return s.metrics.insertRPCs.Value() }
 
 // CatchUp pulls the delta this daemon missed while it was down: over its
 // own membership view it runs the repair sweep restricted to deficits
@@ -582,24 +556,17 @@ func (s *Server) configured() bool {
 }
 
 func (s *Server) handleInfo() ([]byte, error) {
-	v := s.fabric.View()
+	unrepaired := s.fabric.View().Owed()
 	s.mu.Lock()
 	info := Info{
 		Addr:          s.addr,
 		ID:            fmt.Sprintf("%016x", uint64(s.id)),
 		Replicas:      s.replicas,
 		Configured:    s.store != nil,
-		Members:       v.Size(),
-		Unrepaired:    v.Owed(),
+		Unrepaired:    unrepaired,
 		Warm:          s.warm,
-		InsertRPCs:    s.metrics.insertRPCs.Value(),
 		CatchUpStale:  s.catchUp.UnderReplicated,
 		CatchUpPulled: s.catchUp.CopiesSent,
-		FetchRPCs:     s.metrics.fetchRPCs.Value(),
-		SearchRPCs:    s.metrics.searchRPCs.Value(),
-	}
-	if s.store != nil {
-		info.Keys = s.store.KeyCount()
 	}
 	if s.ingest != nil {
 		info.IngestChunks = len(s.ingest.chunks)
@@ -611,16 +578,6 @@ func (s *Server) handleInfo() ([]byte, error) {
 	// Outside mu: buildProgress takes the build lock, which nests the
 	// other way around (buildEngine acquires build.mu then mu).
 	info.BuildState, info.BuildRound, info.BuildError = s.buildProgress()
-	info.SearchCacheHits = s.metrics.cacheHits.Value()
-	info.SearchCacheMisses = s.metrics.cacheMisses.Value()
-	info.SearchRejected = s.metrics.searchShed.Value()
-	s.amu.Lock()
-	// Admitted minus running = waiting for a worker slot (clamped: the
-	// two reads are not atomic with respect to releases in flight).
-	if depth := s.searchQueued - len(s.searchSem); depth > 0 {
-		info.SearchQueueDepth = depth
-	}
-	s.amu.Unlock()
 	return json.Marshal(info)
 }
 

@@ -40,9 +40,9 @@ const (
 // serverMetrics is the daemon's telemetry registry plus the hot-path
 // instruments pre-registered on it, so serving code increments a field
 // instead of taking the registry lock per request. The registry itself
-// is the single source of truth: cluster.info renders a JSON view over
-// these same series, and cluster.metrics / the -http endpoint export
-// the full registry (coordinator- and transport-level series included).
+// is the single source of truth: cluster.metrics / the -http endpoint
+// export the full registry (coordinator- and transport-level series
+// included), and every reader of a daemon's counters reads that export.
 type serverMetrics struct {
 	reg *telemetry.Registry
 
@@ -124,8 +124,8 @@ func (s *Server) registerGauges() {
 	})
 }
 
-// Metrics returns the daemon's telemetry registry — the one cluster.info
-// and cluster.metrics render, shared with the coordinator's per-level
+// Metrics returns the daemon's telemetry registry — the one
+// cluster.metrics renders, shared with the coordinator's per-level
 // series. Callers instrument further subsystems onto it (the daemon
 // main registers its transport and durable store here) and the -http
 // endpoint serves its Prometheus exposition.

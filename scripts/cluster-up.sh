@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # cluster-up.sh — boot a localhost hdknode cluster, run one command
 # against it, tear the daemons down, and propagate the command's exit
-# code. The shared fixture for CI steps that need a real multi-process
-# cluster (coordinator bench, saturation smoke) without each step
-# re-inventing the boot/poll/teardown shell.
+# code. The fleet booter for operators and for the hand-driven checks
+# README describes (a streamed build from hdksearch -connect, a durable
+# fleet under CLUSTER_DATA_ROOT): one command line instead of a
+# hand-rolled boot/poll/teardown shell. The Go e2e tests boot their
+# daemons through cluster.Harness instead.
 #
 # Usage:
 #   cluster-up.sh BIN BASE_PORT COUNT REPLICAS [NODE_ARGS...] -- CMD [ARGS...]
