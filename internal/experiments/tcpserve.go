@@ -152,9 +152,9 @@ type TCPServeReport struct {
 	CacheMissDelta uint64
 	ShedDelta      uint64
 
-	// Phase 6, HTTP exposition across every daemon.
-	// The values below are read from each daemon's cluster.metrics
-	// snapshot; the HTTP endpoint is checked against that snapshot.
+	// Phase 6, exposition across every daemon: values read from each
+	// daemon's cluster.metrics snapshot, its HTTP endpoint checked
+	// against that snapshot.
 	HealthOK    int     // /healthz answering 200 "ok"
 	ScrapeOK    int     // /metrics answering 200 exposition text that carries the snapshot's hdk_build_info lines
 	BuildInfoOK int     // hdk_build_info 1 in the snapshot
@@ -506,10 +506,12 @@ func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i in
 	// members the crash promoted, which hold no copy. Every survivor must
 	// report its view unrepaired, read primary-first until the sweep
 	// reports in, and so still coordinate every query bit-identically.
-	if n, err := f.unrepaired(); err != nil {
+	unrepaired, err := f.unrepaired()
+	if err != nil {
 		return nil, err
-	} else if n != len(survivors) {
-		return nil, fmt.Errorf("experiments: %d/%d survivors report an unrepaired view after the forget", n, len(survivors))
+	}
+	if unrepaired != len(survivors) {
+		return nil, fmt.Errorf("experiments: %d/%d survivors report an unrepaired view after the forget", unrepaired, len(survivors))
 	}
 	if rep.UnrepairedMismatches, err = f.sweep(updated); err != nil {
 		return nil, fmt.Errorf("forgotten, unrepaired: %w", err)
@@ -540,10 +542,11 @@ func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i in
 		rep.RecallAfterCrash, rep.FailoversPerQuery, rep.RecallAfterRepair, rep.CopiesRepaired, rep.UnderAfterRepair)
 
 	// The survivors' serving counters and the client's pool.
-	if n, err := f.unrepaired(); err != nil {
+	if unrepaired, err = f.unrepaired(); err != nil {
 		return nil, err
-	} else if n != 0 {
-		return nil, fmt.Errorf("experiments: %d survivors still report an unrepaired view after the repair", n)
+	}
+	if unrepaired != 0 {
+		return nil, fmt.Errorf("experiments: %d survivors still report an unrepaired view after the repair", unrepaired)
 	}
 	if after, err = f.counters(); err != nil {
 		return nil, err

@@ -180,9 +180,9 @@ func admissionCluster(t *testing.T) (tr transport.Transport, servers []*Server, 
 // TestSearchOverloadOverWire pins the shed path end to end: a daemon
 // with its worker pool saturated rejects a search over the wire with a
 // typed, errors.Is-matchable overload error carrying a positive
-// retry-after hint, counts the rejection in hdk_search_shed_total, serves cache
-// hits anyway (admission guards coordination work, not cache reads),
-// and accepts again once capacity frees up.
+// retry-after hint, counts the rejection in hdk_search_shed_total,
+// serves cache hits anyway (admission guards coordination work, not
+// cache reads), and accepts again once capacity frees up.
 func TestSearchOverloadOverWire(t *testing.T) {
 	tr, servers, c, req := admissionCluster(t)
 	s := servers[0]
