@@ -12,8 +12,8 @@
 // deterministic corpus.DocStream one document at a time and shipped
 // over the chunked, resumable hdk.ingest session, after which one
 // daemon coordinates the whole round-synchronous index build node-side
-// (hdk.build). The client's footprint is the vocabulary plus one offer
-// window of chunks, independent of -docs.
+// (hdk.build). The client's footprint is the vocabulary plus one chunk,
+// independent of -docs.
 package main
 
 import (

@@ -85,12 +85,11 @@ func NewQueryMetrics(reg *telemetry.Registry) *QueryMetrics {
 // typically a cluster client built over the daemon's own membership
 // view; Cfg supplies SMax and ReplicationFactor (the daemon uses the
 // configuration the building client shipped, so coordination agrees
-// with placement). The traversal caches nothing: the
-// cluster daemon caches whole results one layer up. Traffic, when
-// non-nil, receives the global counters (nil keeps none).
-// Metrics, when non-nil, additionally receives the registry series the
-// live cluster is observed through: per-level probe/found/RPC/posting
-// counters, per-level latency histograms and the local-fetch counter.
+// with placement). The traversal caches nothing: the cluster daemon
+// caches whole results one layer up. Metrics, when non-nil, receives
+// the registry series the live cluster is observed through: per-level
+// probe/found/RPC/posting counters, per-level latency histograms and the
+// local-fetch counter.
 //
 // From is the coordinating member: the replica reads prefer (ReadPlan)
 // — a daemon passes its own member stub. It may be nil, which reads
@@ -104,7 +103,6 @@ type Coordinator struct {
 	Cfg     Config
 	From    overlay.Member
 	Store   *StoreServer
-	Traffic *Traffic
 	Metrics *QueryMetrics
 }
 
@@ -125,7 +123,7 @@ func (c *Coordinator) Search(terms []string, k int) (*SearchResult, error) {
 // A nil tb costs nothing on the traversal path: span attributes are
 // built only while a trace is recording.
 func (c *Coordinator) SearchTraced(terms []string, k int, tb *telemetry.TraceBuilder) (*SearchResult, error) {
-	ls := newLatticeSearch(c.Net, c.From, c.Cfg, c.Traffic)
+	ls := newLatticeSearch(c.Net, c.From, c.Cfg, nil)
 	ls.metrics = c.Metrics
 	ls.trace = tb
 	if c.Store != nil {

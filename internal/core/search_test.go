@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/overlay"
+	"repro/internal/telemetry"
 )
 
 // searchQueries builds a deterministic query set against the collection.
@@ -267,12 +268,12 @@ func TestCoordinatorTermBound(t *testing.T) {
 	if len(terms) <= maxSearchTerms {
 		t.Fatalf("vocabulary has only %d usable terms", len(terms))
 	}
-	var traffic Traffic
-	c := Coordinator{Net: eng.net, Cfg: eng.cfg, From: eng.net.Members()[0], Traffic: &traffic}
+	reg := telemetry.NewRegistry()
+	c := Coordinator{Net: eng.net, Cfg: eng.cfg, From: eng.net.Members()[0], Metrics: NewQueryMetrics(reg)}
 	if res, err := c.Search(terms, 10); err == nil {
 		t.Fatalf("%d terms coordinated: %+v", len(terms), res)
 	}
-	if probes := traffic.Snapshot().ProbeMessages; probes != 0 {
+	if probes := reg.Snapshot().CounterSum(metricQueryProbes); probes != 0 {
 		t.Fatalf("a refused query probed %d keys", probes)
 	}
 	res, err := c.Search(terms[:maxSearchTerms], 10)

@@ -169,8 +169,8 @@ func TCPIngestResume(tr transport.Transport, addrs []string, kill, restart func(
 	}
 
 	// Resume the SAME session against the restarted daemon: begin
-	// reports the durably held prefix, the digest negotiation pulls only
-	// the tail.
+	// reports the durably held prefix by digest, and the client ships
+	// only the tail.
 	st2, err := c.Ingest(victim.Addr(), cluster.ShardSource(f.col, f.cfg, session, victimRing, len(members)))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: resumed ingest: %w", err)

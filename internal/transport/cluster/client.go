@@ -42,16 +42,15 @@ import (
 
 // Control-plane service names served by every cluster daemon.
 const (
-	ctrlInfo      = "cluster.info"
-	ctrlMembers   = "cluster.members"
-	ctrlJoin      = "cluster.join"
-	ctrlAnnounce  = "cluster.announce"
-	ctrlForget    = "cluster.forget"
-	ctrlRepaired  = "cluster.repaired"
-	ctrlConfigure = "cluster.configure"
-	ctrlMeta      = "cluster.meta"
-	ctrlMetrics   = "cluster.metrics"
-	ctrlShutdown  = "cluster.shutdown"
+	ctrlInfo     = "cluster.info"
+	ctrlMembers  = "cluster.members"
+	ctrlJoin     = "cluster.join"
+	ctrlAnnounce = "cluster.announce"
+	ctrlForget   = "cluster.forget"
+	ctrlRepaired = "cluster.repaired"
+	ctrlMeta     = "cluster.meta"
+	ctrlMetrics  = "cluster.metrics"
+	ctrlShutdown = "cluster.shutdown"
 	// ctrlSearchConfig live-resizes a daemon's query-admission path
 	// (Server.ConfigureSearch over the wire).
 	ctrlSearchConfig = "cluster.searchconfig"
@@ -343,9 +342,10 @@ func (c *Client) Forget(addr string) error {
 	return c.MarkRepaired(v.Addrs())
 }
 
-// Configure ships the engine configuration to every daemon, which creates
-// its store server (idempotent: re-sending an identical configuration is
-// a no-op). Must run before BuildIndex. A daemon refusing because it is
+// Configure ships the engine configuration to every daemon as an
+// hdk.ingest begin that carries no shard; the daemon creates its store
+// server (idempotent: re-sending an identical configuration is a no-op).
+// Must run before BuildIndex. A daemon refusing because it is
 // configured differently comes back wrapped around ErrConfigMismatch;
 // one already holding a built index comes back wrapped around
 // ErrAlreadyBuilt — both errors.Is-matchable, carried as in-band status
@@ -356,30 +356,11 @@ func (c *Client) Configure(cfg core.Config) error {
 		return err
 	}
 	for _, m := range c.Members() {
-		raw, err := c.CallService(m.Addr(), ctrlConfigure, payload)
-		if err != nil {
-			return fmt.Errorf("cluster: configure %s: %w", m.Addr(), err)
-		}
-		if err := configStatusErr(m.Addr(), raw); err != nil {
+		if _, err := c.ingestBegin(m.Addr(), ingestBegin{Config: payload}); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// configStatusErr rehydrates a configure/ingest-begin status byte into
-// its typed sentinel (an empty response is a legacy OK).
-func configStatusErr(addr string, resp []byte) error {
-	if len(resp) == 0 || resp[0] == cfgStatusOK {
-		return nil
-	}
-	switch resp[0] {
-	case cfgStatusAlreadyBuilt:
-		return fmt.Errorf("cluster: %s: %w", addr, ErrAlreadyBuilt)
-	case cfgStatusMismatch:
-		return fmt.Errorf("cluster: %s: %w", addr, ErrConfigMismatch)
-	}
-	return fmt.Errorf("cluster: %s: unknown configure status %d", addr, resp[0])
 }
 
 // Meta fetches the configuration a daemon was configured with.

@@ -146,11 +146,7 @@ func TestConfigureAcceptsRetiredSearchFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := c.CallService(srv.Addr(), ctrlConfigure, legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := configStatusErr(srv.Addr(), raw); err != nil {
+	if _, err := c.ingestBegin(srv.Addr(), ingestBegin{Config: legacy}); err != nil {
 		t.Fatal(err)
 	}
 	if got := srv.Store().Config(); got != cfg {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/corpus"
@@ -12,9 +14,9 @@ import (
 // Server-side hdk.ingest session machinery: a daemon receives its corpus
 // shard as a resumable chunk stream, durably logs every acknowledged
 // chunk (log-first, so with fsync=always an acked chunk survives
-// SIGKILL), and materializes the shard at commit. The plain configure
-// broadcast is a degenerate session — session id 0, configuration only,
-// zero chunks — so the daemon has exactly ONE entry point deciding
+// SIGKILL), and materializes the shard at commit. The configure is a
+// begin that carries no shard — configuration only, zero chunks, and it
+// commits itself — so the daemon has exactly ONE entry point deciding
 // whether (re)configuration is admissible.
 
 // Typed rejections for (re)configuration and ingest admission. They
@@ -25,7 +27,8 @@ import (
 var (
 	// ErrAlreadyBuilt: the daemon's store already holds a built index.
 	// Re-running a build against it would double document frequencies
-	// and silently flip HDKs to NDKs; restart the daemons to rebuild.
+	// and silently flip HDKs to NDKs; rebuild on fresh stores (a durable
+	// daemon warm-restarts populated and is refused again).
 	ErrAlreadyBuilt = errors.New("cluster: daemon already holds a built index")
 	// ErrConfigMismatch: the daemon is configured (or mid-ingest) with a
 	// different configuration or session geometry than the request's.
@@ -44,7 +47,7 @@ const (
 // ingestSession is one upload session's server-side state. Chunks stay
 // resident after commit: they are the durable-compaction source (the
 // snapshot header re-emits the committed session so the shard survives
-// op-log truncation) and the resume negotiation's ground truth.
+// op-log truncation) and what a resumed begin reports as held.
 type ingestSession struct {
 	begin     ingestBegin
 	chunks    map[uint64][]byte // seq -> payload
@@ -71,12 +74,6 @@ func (s *Server) handleIngest(payload []byte) ([]byte, error) {
 			return nil, err
 		}
 		return encodeIngestBeginResp(status, held), nil
-	case ingestFrameOffer:
-		o, err := decodeIngestOffer(body)
-		if err != nil {
-			return nil, err
-		}
-		return s.handleIngestOffer(o)
 	case ingestFrameChunk:
 		c, err := decodeIngestChunk(body)
 		if err != nil {
@@ -97,50 +94,58 @@ func (s *Server) handleIngest(payload []byte) ([]byte, error) {
 	return nil, errCorruptFrame
 }
 
-// ingestBeginLocked opens, resumes or rejects a session. Rejections are
-// in-band statuses, not errors: the client turns them into the typed
-// sentinels. durably=false on replay (the record is already on disk).
-// Caller holds s.mu.
-func (s *Server) ingestBeginLocked(b ingestBegin, raw []byte, durably bool) (status byte, held uint64, err error) {
+// ingestBeginLocked opens, resumes or rejects a session, returning the
+// digests of the chunks it already holds (by sequence number). Rejections
+// are in-band statuses, not errors: the client turns them into the typed
+// sentinels. A begin that carries no shard is the configure: re-sent with
+// the configuration the store already has, before a build, it is a no-op
+// that leaves a streamed session still in progress in place; otherwise
+// it creates the store and commits itself. durably=false on replay (the
+// record is already on disk). Caller holds s.mu.
+func (s *Server) ingestBeginLocked(b ingestBegin, raw []byte, durably bool) (status byte, held map[uint64]uint64, err error) {
 	cfg, canon, err := canonicalConfig(b.Config)
 	if err != nil {
-		return 0, 0, err
+		return 0, nil, err
 	}
+	shardless := b.VocabSize == 0 && b.ShardDocs == 0
 	if s.store != nil {
 		if !bytes.Equal(s.configJSON, canon) {
-			return cfgStatusMismatch, 0, nil
+			return cfgStatusMismatch, nil, nil
 		}
 		if s.store.Populated() {
-			return cfgStatusAlreadyBuilt, 0, nil
+			return cfgStatusAlreadyBuilt, nil, nil
+		}
+		if shardless {
+			return cfgStatusOK, nil, nil // idempotent configure during bootstrap
 		}
 		if ses := s.ingest; ses != nil && ses.begin.Session == b.Session {
 			// Resume — committed sessions included: a client whose commit
 			// ack was lost re-runs the whole session and must ship zero
 			// chunks, not start over. The chunk geometry must match or the
-			// re-streamed shard chunks to different digests and
-			// negotiation would quietly re-ship everything.
+			// re-streamed shard chunks to different digests and the
+			// client would quietly re-ship everything.
 			if ses.begin.ChunkBytes != b.ChunkBytes || ses.begin.ShardDocs != b.ShardDocs || ses.begin.VocabSize != b.VocabSize {
-				return cfgStatusMismatch, 0, nil
+				return cfgStatusMismatch, nil, nil
 			}
-			return cfgStatusOK, uint64(len(ses.chunks)), nil
+			return cfgStatusOK, ses.digests, nil
 		}
 		// Configured but unpopulated with a different/fresh session id: a
 		// client abandoning a half-finished upload and starting over.
 		// Fall through and replace the session state.
 	} else if err := cfg.Validate(); err != nil {
-		return 0, 0, err
+		return 0, nil, err
 	}
 	// Log-first: the begin record must be durable before the store exists
-	// and starts logging mutations (same invariant handleConfigure always
-	// kept for the configure record).
+	// and starts logging mutations, so a warm restart recreates the store
+	// before replaying them.
 	if durably && s.dur != nil {
 		if err := s.dur.Append(durIngestBegin, raw); err != nil {
-			return 0, 0, fmt.Errorf("cluster: %s: persist ingest begin: %w", s.addr, err)
+			return 0, nil, fmt.Errorf("cluster: %s: persist ingest begin: %w", s.addr, err)
 		}
 	}
 	if s.store == nil {
 		if err := s.configureLocked(b.Config); err != nil {
-			return 0, 0, err
+			return 0, nil, err
 		}
 	}
 	s.ingest = &ingestSession{
@@ -148,27 +153,16 @@ func (s *Server) ingestBeginLocked(b ingestBegin, raw []byte, durably bool) (sta
 		chunks:  make(map[uint64][]byte),
 		digests: make(map[uint64]uint64),
 	}
-	return cfgStatusOK, 0, nil
-}
-
-// handleIngestOffer answers a digest window with the sequence numbers
-// this daemon wants shipped — the swarm-style negotiation that makes a
-// resumed session pull only what it is missing.
-func (s *Server) handleIngestOffer(o ingestOffer) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ses := s.ingest
-	if ses == nil || ses.begin.Session != o.Session {
-		return nil, fmt.Errorf("cluster: %s: no ingest session %d", s.addr, o.Session)
-	}
-	wants := make([]uint64, 0, len(o.Digests))
-	for i, d := range o.Digests {
-		seq := o.FirstSeq + uint64(i)
-		if have, ok := ses.digests[seq]; !ok || have != d {
-			wants = append(wants, seq)
+	if shardless {
+		// The begin record alone replays the configure, so the commit is
+		// not logged; a data dir whose configure also logged one replays
+		// it as a verified duplicate.
+		commit := ingestCommit{Session: b.Session, Digest: sessionDigest(nil)}
+		if err := s.ingestCommitLocked(commit, nil, false); err != nil {
+			return 0, nil, err
 		}
 	}
-	return encodeIngestWants(wants), nil
+	return cfgStatusOK, nil, nil
 }
 
 // ingestChunkLocked installs one chunk, logging it before the ack so an
@@ -252,13 +246,8 @@ func (s *Server) materializeLocked(ses *ingestSession) error {
 	vocab := make([]string, b.VocabSize)
 	freqs := make([]int, b.VocabSize)
 	docs := make([]corpus.Document, 0, b.ShardDocs)
-	seqs := make([]uint64, 0, len(ses.chunks))
-	for seq := range ses.chunks {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	var err error
-	for _, seq := range seqs {
+	for _, seq := range slices.Sorted(maps.Keys(ses.chunks)) {
 		payload := ses.chunks[seq]
 		if len(payload) == 0 {
 			return fmt.Errorf("cluster: %s: empty ingest chunk %d", s.addr, seq)
@@ -333,18 +322,13 @@ func (s *Server) replayIngestRecord(kind string, payload []byte) error {
 // ingestHeaderLocked re-emits the current session — begin, chunks in
 // sequence order, commit if committed — at the head of a compacted
 // snapshot, so op-log truncation can never drop the corpus shard (or a
-// half-finished session's acked chunks) the daemon still answers resume
-// negotiations from. Caller holds s.mu.
+// half-finished session's acked chunks) a resumed begin still reports. Caller holds s.mu.
 func (s *Server) ingestHeaderLocked(emit func(kind string, payload []byte) error) error {
 	ses := s.ingest
 	if err := emit(durIngestBegin, encodeIngestBegin(ses.begin)[1:]); err != nil {
 		return err
 	}
-	seqs := make([]uint64, 0, len(ses.chunks))
-	for seq := range ses.chunks {
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	seqs := slices.Sorted(maps.Keys(ses.chunks))
 	ordered := make([]uint64, 0, len(seqs))
 	for _, seq := range seqs {
 		frame := encodeIngestChunk(ingestChunk{Session: ses.begin.Session, Seq: seq, Payload: ses.chunks[seq]})

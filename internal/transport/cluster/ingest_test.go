@@ -101,8 +101,8 @@ func TestIngestRemoteBuildMatchesInProcess(t *testing.T) {
 	}
 
 	// Resume invariant, pre-build: re-running the identical session must
-	// re-ship nothing — the daemon holds every chunk and the digest
-	// negotiation skips them all.
+	// re-ship nothing — the begin reports every chunk held, and the
+	// client skips each one whose digest matches.
 	st, err := c.Ingest(members[1].Addr(), ShardSource(col, cfg, 1, 1, len(members)))
 	if err != nil {
 		t.Fatal(err)
@@ -297,6 +297,33 @@ func TestIngestShuffledChunksMatchBulkConfigure(t *testing.T) {
 // upload that ships only the missing tail — then commits, builds and
 // serves. (The SIGKILL variant over real sockets lives in the TCP e2e.)
 func TestIngestDurableResumeSkipsAckedChunks(t *testing.T) {
+	const held = 3
+	st := ingestResumedAfterRestart(t, held, -1)
+	if st.ChunksSkipped != held || st.ChunksSent != st.Chunks-held {
+		t.Fatalf("resume re-shipped acked chunks: %+v (want %d skipped)", st, held)
+	}
+}
+
+// TestIngestResumeReshipsDifferingChunk: a held, uncommitted chunk whose
+// bytes differ from the client's regenerated chunk is shipped again —
+// and it is the only held chunk that is — so the commit's session digest
+// verifies and the build succeeds.
+func TestIngestResumeReshipsDifferingChunk(t *testing.T) {
+	const held = 3
+	st := ingestResumedAfterRestart(t, held, 1)
+	if st.ChunksSkipped != held-1 || st.ChunksSent != st.Chunks-held+1 {
+		t.Fatalf("resume over a differing held chunk: %+v (want %d skipped)", st, held-1)
+	}
+}
+
+// ingestResumedAfterRestart hand-feeds a durable daemon a session's begin
+// and its first held chunks — chunk wrongSeq (when not -1) with bytes
+// that differ from the client's — then "crashes" it (transport yanked,
+// durable dir left behind), restarts it from the data dir, resumes the
+// upload through Client.Ingest and builds. It returns the resumed
+// upload's stats.
+func ingestResumedAfterRestart(t *testing.T, held, wrongSeq int) IngestStats {
+	t.Helper()
 	col := testCollection(t, 60)
 	cfg := testConfig(col, 1)
 	dir := t.TempDir()
@@ -315,8 +342,6 @@ func TestIngestDurableResumeSkipsAckedChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Hand-feed begin + the first 3 chunks, then "crash" the daemon
-	// (transport yanked, durable dir left behind).
 	src := ShardSource(col, cfg, session, 0, 1)
 	gen := &chunkGen{src: src, target: target}
 	var chunks [][]byte
@@ -327,7 +352,6 @@ func TestIngestDurableResumeSkipsAckedChunks(t *testing.T) {
 		}
 		chunks = append(chunks, p)
 	}
-	const held = 3
 	if len(chunks) <= held {
 		t.Fatalf("shard packs into %d chunks, need > %d", len(chunks), held)
 	}
@@ -344,7 +368,12 @@ func TestIngestDurableResumeSkipsAckedChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < held; j++ {
-		frame := encodeIngestChunk(ingestChunk{Session: session, Seq: uint64(j), Payload: chunks[j]})
+		payload := chunks[j]
+		if j == wrongSeq {
+			payload = append([]byte(nil), payload...)
+			payload[len(payload)-1] ^= 0xff
+		}
+		frame := encodeIngestChunk(ingestChunk{Session: session, Seq: uint64(j), Payload: payload})
 		if _, err := srv.handleIngest(frame); err != nil {
 			t.Fatal(err)
 		}
@@ -355,9 +384,9 @@ func TestIngestDurableResumeSkipsAckedChunks(t *testing.T) {
 	}
 
 	// Restart from the data dir; the replayed session must report the
-	// held chunks at begin and pull only the missing tail.
+	// held chunks at begin and pull only what it lacks.
 	tr2 := transport.NewInProc()
-	defer tr2.Close()
+	t.Cleanup(func() { tr2.Close() })
 	srv2, err := NewServer(tr2, "node-0", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -377,9 +406,6 @@ func TestIngestDurableResumeSkipsAckedChunks(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed ingest: %v", err)
 	}
-	if st.ChunksSkipped != held || st.ChunksSent != st.Chunks-held {
-		t.Fatalf("resume re-shipped acked chunks: %+v (want %d skipped)", st, held)
-	}
 	if err := c.BuildRemote("node-0", nil); err != nil {
 		t.Fatalf("build after resumed ingest: %v", err)
 	}
@@ -392,6 +418,148 @@ func TestIngestDurableResumeSkipsAckedChunks(t *testing.T) {
 	}
 	if keys, _ := srv2.Metrics().Snapshot().Gauge(metricStoreKeys); keys == 0 {
 		t.Fatal("post-resume build left the store empty")
+	}
+	return st
+}
+
+// TestIngestCallsPerUpload pins an upload's hdk.ingest cost: a fresh
+// K-chunk upload is exactly K+2 calls (begin, K chunks, commit), a
+// re-run of the committed session is 2 (begin, commit), and a configure
+// is one begin per member.
+func TestIngestCallsPerUpload(t *testing.T) {
+	col := testCollection(t, 60)
+	cfg := testConfig(col, 1)
+	tr := transport.NewInProc()
+	defer tr.Close()
+	servers := startInProcServers(t, tr, 2, 1)
+	sc := &serviceCounter{Transport: tr}
+	sc.take()
+	c, err := Dial(Options{Transport: sc, Seed: servers[0].Addr(), ChunkBytes: 2 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := servers[1].Addr()
+	ingestCalls := func() int {
+		calls, _ := sc.take()
+		total := 0
+		for _, n := range calls[SvcIngest] {
+			total += n
+		}
+		return total
+	}
+	if err := c.Configure(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := ingestCalls(); got != 2 {
+		t.Fatalf("configure of 2 members: %d hdk.ingest calls, want 2", got)
+	}
+	st, err := c.Ingest(addr, ShardSource(col, cfg, 1, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Chunks < 3 || st.ChunksSent != st.Chunks {
+		t.Fatalf("fresh upload: %+v", st)
+	}
+	if got := ingestCalls(); got != st.Chunks+2 {
+		t.Fatalf("fresh %d-chunk upload: %d hdk.ingest calls, want %d", st.Chunks, got, st.Chunks+2)
+	}
+	if st, err = c.Ingest(addr, ShardSource(col, cfg, 1, 0, 1)); err != nil || st.ChunksSent != 0 {
+		t.Fatalf("re-run of the committed session: %+v, %v", st, err)
+	}
+	if got := ingestCalls(); got != 2 {
+		t.Fatalf("re-run of the committed session: %d hdk.ingest calls, want 2", got)
+	}
+}
+
+// TestConfigureLeavesSessionInPlace: a configure commits its own
+// shardless session, so that session takes no chunk; re-sent with the
+// same configuration while a streamed session is in progress, it
+// answers OK and leaves that session's held chunks in place for the
+// upload's resume.
+func TestConfigureLeavesSessionInPlace(t *testing.T) {
+	col := testCollection(t, 60)
+	cfg := testConfig(col, 1)
+	tr := transport.NewInProc()
+	defer tr.Close()
+	srv := startInProcServers(t, tr, 1, 1)[0]
+	c, err := Dial(Options{Transport: tr, Seed: srv.Addr(), ChunkBytes: 2 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Configure(cfg); err != nil {
+		t.Fatal(err)
+	}
+	stray := encodeIngestChunk(ingestChunk{Session: 0, Seq: 0, Payload: []byte{chunkKindDocs}})
+	if _, err := srv.handleIngest(stray); err == nil {
+		t.Fatal("the configure's session took a chunk after it committed")
+	}
+	const held = 2
+	src := ShardSource(col, cfg, 5, 0, 1)
+	src.OnChunk = func(acked int) error {
+		if acked == held {
+			return errors.New("interrupted")
+		}
+		return nil
+	}
+	if _, err := c.Ingest(srv.Addr(), src); err == nil {
+		t.Fatal("interrupted upload reported success")
+	}
+	if err := c.Configure(cfg); err != nil {
+		t.Fatalf("configure during an upload: %v", err)
+	}
+	st, err := c.Ingest(srv.Addr(), ShardSource(col, cfg, 5, 0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ChunksSkipped != held || st.ChunksSent != st.Chunks-held {
+		t.Fatalf("upload resumed after a configure: %+v (want %d skipped)", st, held)
+	}
+}
+
+// TestConfigureReplaysLegacyRecordPair: a data dir holding the two
+// records a configure used to log — a shardless ingest.begin for session
+// 0 and its zero-chunk ingest.commit — replays into a configured daemon
+// that accepts the same configuration and refuses a different one.
+func TestConfigureReplaysLegacyRecordPair(t *testing.T) {
+	cfg := testConfig(testCollection(t, 40), 1)
+	cfgJSON, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	d, err := durable.Open(dir, durable.Options{Fsync: durable.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	begin := encodeIngestBegin(ingestBegin{Session: 0, Config: cfgJSON})
+	commit := encodeIngestCommit(ingestCommit{Session: 0, Chunks: 0, Digest: sessionDigest(nil)})
+	if err := d.Append(durIngestBegin, begin[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Append(durIngestCommit, commit[1:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	tr := transport.NewInProc()
+	defer tr.Close()
+	srv := newDurableServer(t, tr, "node-0", dir, 1)
+	if srv.Store() == nil || srv.Store().Config() != cfg {
+		t.Fatal("daemon restarted from a configure record pair is not configured")
+	}
+	c, err := Dial(Options{Transport: tr, Seed: srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Configure(cfg); err != nil {
+		t.Fatalf("re-sending the replayed configuration: %v", err)
+	}
+	other := cfg
+	other.DFMax++
+	if err := c.Configure(other); !errors.Is(err, ErrConfigMismatch) {
+		t.Fatalf("divergent configure after replay: err = %v, want ErrConfigMismatch", err)
 	}
 }
 

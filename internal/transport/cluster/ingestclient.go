@@ -10,16 +10,11 @@ import (
 
 // Thin-client side of the streamed build: Ingest pipes one daemon's
 // corpus shard through the chunked hdk.ingest session (never holding
-// more than an offer window of chunks in memory), and BuildRemote kicks
-// off the daemon-coordinated hdk.build and polls its progress. Together
-// they replace the fat-client path — the client that used to hold the
-// whole collection and run every round itself now holds one document at
-// a time and two RPC loops.
-
-// ingestOfferWindow is how many chunks the client generates ahead and
-// offers per negotiation round — the resident-memory bound (window ×
-// chunk target) and the resume granularity.
-const ingestOfferWindow = 32
+// more than one chunk in memory), and BuildRemote kicks off the
+// daemon-coordinated hdk.build and polls its progress. Together they
+// replace the fat-client path — the client that used to hold the whole
+// collection and run every round itself now holds one document at a
+// time and two RPC loops.
 
 // IngestSource describes one daemon's shard for Ingest. Docs yields the
 // shard's documents in ascending id order, one at a time — a corpus
@@ -95,7 +90,7 @@ type IngestStats struct {
 // ranges first, then documents, each chunk grown to the payload target.
 // The packing is a pure function of the source content and the target,
 // so a resumed client regenerates byte-identical chunks — the property
-// digest negotiation rests on.
+// skipping held chunks by digest rests on.
 type chunkGen struct {
 	src      IngestSource
 	target   int
@@ -134,10 +129,11 @@ func (g *chunkGen) next() ([]byte, bool) {
 }
 
 // Ingest streams one shard to the daemon at addr over a resumable
-// hdk.ingest session: begin (idempotent; a resumed session inherits the
-// daemon's durably held chunks), windowed digest offers pulling only the
-// chunks the daemon wants, CRC'd chunk uploads acked after the daemon's
-// durable append, and a commit that verifies the whole session by
+// hdk.ingest session: a begin (idempotent; a resumed session inherits
+// the daemon's durably held chunks, reported with their digests), then
+// each chunk in sequence order — skipped when the daemon holds it with
+// the same digest, otherwise shipped CRC'd and acked after the daemon's
+// durable append — and a commit that verifies the whole session by
 // digest before the daemon materializes the shard.
 func (c *Client) Ingest(addr string, src IngestSource) (IngestStats, error) {
 	var st IngestStats
@@ -151,93 +147,73 @@ func (c *Client) Ingest(addr string, src IngestSource) (IngestStats, error) {
 	if err != nil {
 		return st, err
 	}
-	begin := ingestBegin{
+	held, err := c.ingestBegin(addr, ingestBegin{
 		Session:    src.Session,
 		Config:     cfgJSON,
 		TotalDocs:  uint64(src.TotalDocs),
 		ShardDocs:  uint64(src.ShardDocs),
 		VocabSize:  uint64(len(src.Vocab)),
 		ChunkBytes: uint64(c.chunkTarget),
-	}
-	raw, err := c.CallService(addr, SvcIngest, encodeIngestBegin(begin))
+	})
 	if err != nil {
-		return st, fmt.Errorf("cluster: ingest begin at %s: %w", addr, err)
-	}
-	status, _, err := decodeIngestBeginResp(raw)
-	if err != nil {
-		return st, fmt.Errorf("cluster: ingest begin at %s: %w", addr, err)
-	}
-	if err := configStatusErr(addr, []byte{status}); err != nil {
 		return st, err
 	}
 
 	gen := &chunkGen{src: src, target: c.chunkTarget}
-	window := make([]ingestChunk, 0, ingestOfferWindow)
 	var digests []uint64
-	flush := func() error {
-		if len(window) == 0 {
-			return nil
-		}
-		offer := ingestOffer{Session: src.Session, FirstSeq: window[0].Seq}
-		for _, ch := range window {
-			offer.Digests = append(offer.Digests, chunkDigest(ch.Payload))
-		}
-		raw, err := c.CallService(addr, SvcIngest, encodeIngestOffer(offer))
-		if err != nil {
-			return fmt.Errorf("cluster: ingest offer at %s: %w", addr, err)
-		}
-		wants, err := decodeIngestWants(raw)
-		if err != nil {
-			return fmt.Errorf("cluster: ingest offer at %s: %w", addr, err)
-		}
-		wanted := make(map[uint64]bool, len(wants))
-		for _, seq := range wants {
-			wanted[seq] = true
-		}
-		for _, ch := range window {
-			if !wanted[ch.Seq] {
-				st.ChunksSkipped++
-				continue
-			}
-			if _, err := c.CallService(addr, SvcIngest, encodeIngestChunk(ch)); err != nil {
-				return fmt.Errorf("cluster: ingest chunk %d at %s: %w", ch.Seq, addr, err)
-			}
-			st.ChunksSent++
-			st.Bytes += uint64(len(ch.Payload))
-			if src.OnChunk != nil {
-				if err := src.OnChunk(st.ChunksSent); err != nil {
-					return fmt.Errorf("cluster: ingest to %s aborted: %w", addr, err)
-				}
-			}
-		}
-		window = window[:0]
-		return nil
-	}
-	seq := uint64(0)
-	for {
+	for seq := uint64(0); ; seq++ {
 		payload, ok := gen.next()
 		if !ok {
 			break
 		}
-		digests = append(digests, chunkDigest(payload))
-		window = append(window, ingestChunk{Session: src.Session, Seq: seq, Payload: payload})
-		seq++
-		if len(window) == ingestOfferWindow {
-			if err := flush(); err != nil {
-				return st, err
+		d := chunkDigest(payload)
+		digests = append(digests, d)
+		if have, ok := held[seq]; ok && have == d {
+			st.ChunksSkipped++
+			continue
+		}
+		chunk := ingestChunk{Session: src.Session, Seq: seq, Payload: payload}
+		if _, err := c.CallService(addr, SvcIngest, encodeIngestChunk(chunk)); err != nil {
+			return st, fmt.Errorf("cluster: ingest chunk %d at %s: %w", seq, addr, err)
+		}
+		st.ChunksSent++
+		st.Bytes += uint64(len(payload))
+		if src.OnChunk != nil {
+			if err := src.OnChunk(st.ChunksSent); err != nil {
+				return st, fmt.Errorf("cluster: ingest to %s aborted: %w", addr, err)
 			}
 		}
 	}
-	if err := flush(); err != nil {
-		return st, err
-	}
-	st.Chunks = int(seq)
+	st.Chunks = len(digests)
 	st.Docs = src.ShardDocs
-	commit := ingestCommit{Session: src.Session, Chunks: seq, Digest: sessionDigest(digests)}
+	commit := ingestCommit{Session: src.Session, Chunks: uint64(len(digests)), Digest: sessionDigest(digests)}
 	if _, err := c.CallService(addr, SvcIngest, encodeIngestCommit(commit)); err != nil {
 		return st, fmt.Errorf("cluster: ingest commit at %s: %w", addr, err)
 	}
 	return st, nil
+}
+
+// ingestBegin sends one hdk.ingest begin and returns the digests of the
+// chunks the daemon already holds for the session, by sequence number.
+// A rejection comes back as its typed sentinel.
+func (c *Client) ingestBegin(addr string, b ingestBegin) (map[uint64]uint64, error) {
+	raw, err := c.CallService(addr, SvcIngest, encodeIngestBegin(b))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: ingest begin at %s: %w", addr, err)
+	}
+	status, held, err := decodeIngestBeginResp(raw)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: ingest begin at %s: %w", addr, err)
+	}
+	switch status {
+	case cfgStatusOK:
+		return held, nil
+	case cfgStatusAlreadyBuilt:
+		return nil, fmt.Errorf("cluster: %s: %w", addr, ErrAlreadyBuilt)
+	case cfgStatusMismatch:
+		return nil, fmt.Errorf("cluster: %s: %w", addr, ErrConfigMismatch)
+	}
+	return nil, fmt.Errorf("cluster: %s: unknown ingest begin status %d", addr, status)
 }
 
 // BuildRemote asks the daemon at addr to coordinate the whole

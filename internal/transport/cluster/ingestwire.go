@@ -5,6 +5,8 @@ import (
 	"errors"
 	"hash/crc32"
 	"hash/fnv"
+	"maps"
+	"slices"
 
 	"repro/internal/corpus"
 	"repro/internal/wire"
@@ -12,7 +14,8 @@ import (
 
 // Wire codecs for the streamed build services. hdk.ingest moves one
 // daemon's corpus shard over a chunked, resumable session (versioned
-// frames, CRC'd chunks, swarm-style offer/want digest negotiation);
+// frames, CRC'd chunks keyed by sequence number; the begin response
+// reports the digest of every chunk the daemon already holds);
 // hdk.build drives the round-synchronous collaborative build on the
 // daemons themselves. Frames are deliberately self-describing and every
 // decoder validates all lengths against the remaining input — corrupt
@@ -21,8 +24,8 @@ import (
 
 // Streamed-build service names served by every cluster daemon.
 const (
-	// SvcIngest accepts corpus-shard upload frames (begin, offer,
-	// chunk, commit).
+	// SvcIngest accepts corpus-shard upload frames (begin, chunk,
+	// commit). A begin that carries no shard is the configure.
 	SvcIngest = "hdk.ingest"
 	// SvcBuild accepts build-orchestration frames (start, round,
 	// roundStatus, finish).
@@ -36,8 +39,7 @@ const ingestVersion = 1
 // hdk.ingest frame kinds (first payload byte).
 const (
 	ingestFrameBegin  = 0x01 // open or resume a session
-	ingestFrameOffer  = 0x02 // advertise a window of chunk digests
-	ingestFrameChunk  = 0x03 // ship one CRC'd chunk
+	ingestFrameChunk  = 0x03 // ship one CRC'd chunk (0x02 is retired)
 	ingestFrameCommit = 0x04 // close the session and materialize
 )
 
@@ -71,8 +73,9 @@ const (
 // errCorruptFrame is returned for malformed streamed-build frames.
 var errCorruptFrame = errors.New("cluster: corrupt ingest frame")
 
-// chunkDigest is the content digest the offer/want negotiation and the
-// session commit digest are built from (FNV-1a 64 over the payload).
+// chunkDigest is the content digest a resume compares held chunks by
+// and the session commit digest is built from (FNV-1a 64 over the
+// payload).
 func chunkDigest(payload []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(payload)
@@ -133,77 +136,37 @@ func decodeIngestBegin(body []byte) (ingestBegin, error) {
 	return b, nil
 }
 
-// begin response: configure status byte + uvarint count of chunks the
-// daemon already holds durably for this session (zero on a fresh one).
-func encodeIngestBeginResp(status byte, held uint64) []byte {
-	return binary.AppendUvarint([]byte{status}, held)
+// begin response: configure status byte, then every chunk the daemon
+// holds for the session (none on a fresh one or a rejection) as a
+// count and [uvarint seq][8-byte LE digest] pairs in ascending sequence
+// order — a resuming client ships exactly the chunks whose digest is
+// missing or differs.
+func encodeIngestBeginResp(status byte, held map[uint64]uint64) []byte {
+	buf := binary.AppendUvarint([]byte{status}, uint64(len(held)))
+	for _, seq := range slices.Sorted(maps.Keys(held)) {
+		buf = binary.AppendUvarint(buf, seq)
+		buf = binary.LittleEndian.AppendUint64(buf, held[seq])
+	}
+	return buf
 }
 
-func decodeIngestBeginResp(resp []byte) (status byte, held uint64, err error) {
+func decodeIngestBeginResp(resp []byte) (status byte, held map[uint64]uint64, err error) {
 	r := wire.NewReader(resp)
-	status, held = r.Byte(), r.Uvarint()
+	status = r.Byte()
+	n := r.Count(9) // a one-byte seq and an 8-byte digest
+	held = make(map[uint64]uint64, n)
+	var last uint64
+	for i := range n {
+		seq := r.Uvarint()
+		if i > 0 && seq <= last {
+			r.Fail() // out of order or repeated: not the canonical form
+		}
+		held[seq], last = r.Uint64LE(), seq
+	}
 	if !r.Done() {
-		return 0, 0, errCorruptFrame
+		return 0, nil, errCorruptFrame
 	}
 	return status, held, nil
-}
-
-// ingestOffer advertises one window of upcoming chunks by digest:
-// Digests[i] belongs to sequence number FirstSeq+i.
-type ingestOffer struct {
-	Session  uint64
-	FirstSeq uint64
-	Digests  []uint64
-}
-
-func encodeIngestOffer(o ingestOffer) []byte {
-	buf := []byte{ingestFrameOffer}
-	buf = binary.AppendUvarint(buf, o.Session)
-	buf = binary.AppendUvarint(buf, o.FirstSeq)
-	buf = binary.AppendUvarint(buf, uint64(len(o.Digests)))
-	for _, d := range o.Digests {
-		buf = binary.AppendUvarint(buf, d)
-	}
-	return buf
-}
-
-func decodeIngestOffer(body []byte) (ingestOffer, error) {
-	r := wire.NewReader(body)
-	var o ingestOffer
-	o.Session, o.FirstSeq = r.Uvarint(), r.Uvarint()
-	o.Digests = readUvarints(&r)
-	if !r.Done() {
-		return ingestOffer{}, errCorruptFrame
-	}
-	return o, nil
-}
-
-// offer response: the sequence numbers the daemon wants (it lacks them,
-// or holds different bytes — the latter is rejected at chunk time).
-func encodeIngestWants(wants []uint64) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(wants)))
-	for _, s := range wants {
-		buf = binary.AppendUvarint(buf, s)
-	}
-	return buf
-}
-
-func decodeIngestWants(resp []byte) ([]uint64, error) {
-	r := wire.NewReader(resp)
-	wants := readUvarints(&r)
-	if !r.Done() {
-		return nil, errCorruptFrame
-	}
-	return wants, nil
-}
-
-// readUvarints reads a count-prefixed list of uvarints.
-func readUvarints(r *wire.Reader) []uint64 {
-	out := make([]uint64, r.Count(1))
-	for i := range out {
-		out[i] = r.Uvarint()
-	}
-	return out
 }
 
 // ingestChunk ships one chunk. The CRC covers the payload; an

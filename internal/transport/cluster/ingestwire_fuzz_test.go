@@ -10,9 +10,10 @@ import (
 
 // Fuzz targets for the streamed-ingest wire protocol, grouped by the
 // three frames a hostile client controls end to end: begin (session
-// setup), chunk (the bulk payload path, CRC-framed, with the meta and
-// docs chunk payload codecs behind it) and commit (plus the small
-// control codecs: offer, wants, build round status). Every decoder here
+// setup, and the begin response a client decodes), chunk (the bulk
+// payload path, CRC-framed, with the meta and docs chunk payload codecs
+// behind it) and commit (plus the small build codecs: round size and
+// round status). Every decoder here
 // was hardened against allocation bombs in the PR4 class — the fuzz
 // bodies decode arbitrary bytes, so an unbounded prealloc or index slip
 // surfaces as an OOM or panic immediately.
@@ -28,7 +29,7 @@ func ingestBeginSeeds() [][]byte {
 	})
 	return [][]byte{
 		begin[1:], // dispatcher strips the frame byte before decode
-		encodeIngestBeginResp(1, 42),
+		encodeIngestBeginResp(cfgStatusOK, map[uint64]uint64{0: 9, 1: 8, 5: 7}),
 		{},
 		{0xff, 0xff, 0xff, 0xff},
 	}
@@ -49,12 +50,12 @@ func ingestChunkSeeds() [][]byte {
 
 func ingestCommitSeeds() [][]byte {
 	commit := encodeIngestCommit(ingestCommit{Session: 7, Chunks: 3, Digest: 0xdeadbeef})
-	offer := encodeIngestOffer(ingestOffer{Session: 7, FirstSeq: 1, Digests: []uint64{9, 8, 7}})
+	legacyConfigure := encodeIngestCommit(ingestCommit{})
 	return [][]byte{
 		commit[1:],
-		offer[1:],
-		encodeIngestWants([]uint64{1, 3}),
+		encodeBuildRound(3)[1:],
 		encodeRoundStatusResp(buildFailed, 12, "boom"),
+		legacyConfigure[1:], // the zero-chunk session-0 commit older daemons logged
 		{},
 	}
 }
@@ -74,7 +75,11 @@ func FuzzDecodeIngestBegin(f *testing.F) {
 				t.Fatal("begin encoding not stable")
 			}
 		}
-		decodeIngestBeginResp(data)
+		if status, held, err := decodeIngestBeginResp(data); err == nil {
+			if !bytes.Equal(encodeIngestBeginResp(status, held), data) {
+				t.Fatal("accepted begin response is not canonical")
+			}
+		}
 	})
 }
 
@@ -112,8 +117,6 @@ func FuzzDecodeIngestCommit(f *testing.F) {
 				t.Fatalf("commit roundtrip drifted: %+v vs %+v (%v)", c, c2, err)
 			}
 		}
-		decodeIngestOffer(data)
-		decodeIngestWants(data)
 		decodeBuildSize(data)
 		decodeRoundStatusResp(data)
 	})

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -27,24 +28,27 @@ func TestIngestWireRoundTrips(t *testing.T) {
 		t.Fatalf("begin round-trip: %+v, %v", gotBegin, err)
 	}
 
-	status, held, err := decodeIngestBeginResp(encodeIngestBeginResp(cfgStatusAlreadyBuilt, 42))
-	if err != nil || status != cfgStatusAlreadyBuilt || held != 42 {
-		t.Fatalf("begin resp round-trip: %d %d %v", status, held, err)
+	held := map[uint64]uint64{0: 1, 3: 1 << 63, 4: 0, 1 << 40: 12345}
+	status, gotHeld, err := decodeIngestBeginResp(encodeIngestBeginResp(cfgStatusOK, held))
+	if err != nil || status != cfgStatusOK || !reflect.DeepEqual(held, gotHeld) {
+		t.Fatalf("begin resp round-trip: %d %v %v", status, gotHeld, err)
 	}
-
-	offer := ingestOffer{Session: 7, FirstSeq: 96, Digests: []uint64{1, 1 << 63, 0, 12345}}
-	gotOffer, err := decodeIngestOffer(encodeIngestOffer(offer)[1:])
-	if err != nil || !reflect.DeepEqual(offer, gotOffer) {
-		t.Fatalf("offer round-trip: %+v, %v", gotOffer, err)
+	status, gotHeld, err = decodeIngestBeginResp(encodeIngestBeginResp(cfgStatusAlreadyBuilt, nil))
+	if err != nil || status != cfgStatusAlreadyBuilt || len(gotHeld) != 0 {
+		t.Fatalf("empty begin resp round-trip: %d %v %v", status, gotHeld, err)
 	}
-
-	wants := []uint64{3, 96, 1 << 40}
-	gotWants, err := decodeIngestWants(encodeIngestWants(wants))
-	if err != nil || !reflect.DeepEqual(wants, gotWants) {
-		t.Fatalf("wants round-trip: %v, %v", gotWants, err)
+	// The held chunks travel in ascending sequence order; any other
+	// order, or a repeated sequence number, is not the canonical form.
+	pair := func(buf []byte, seq uint64) []byte {
+		return binary.LittleEndian.AppendUint64(binary.AppendUvarint(buf, seq), 9)
 	}
-	if empty, err := decodeIngestWants(encodeIngestWants(nil)); err != nil || len(empty) != 0 {
-		t.Fatalf("empty wants round-trip: %v, %v", empty, err)
+	for name, resp := range map[string][]byte{
+		"descending": pair(pair([]byte{cfgStatusOK, 2}, 5), 4),
+		"repeated":   pair(pair([]byte{cfgStatusOK, 2}, 5), 5),
+	} {
+		if _, _, err := decodeIngestBeginResp(resp); err == nil {
+			t.Fatalf("begin resp with %s sequence numbers accepted", name)
+		}
 	}
 
 	chunk := ingestChunk{Session: 7, Seq: 3, Payload: []byte{chunkKindDocs, 1, 2, 3}}
@@ -145,10 +149,8 @@ func corruptionSweep(t *testing.T, name string, frame []byte, decode func([]byte
 func TestIngestWireCorruptionNeverPanics(t *testing.T) {
 	begin := encodeIngestBegin(ingestBegin{Session: 1, Config: []byte(`{}`), TotalDocs: 5, ShardDocs: 5, VocabSize: 3, ChunkBytes: 64})
 	corruptionSweep(t, "begin", begin[1:], func(b []byte) { _, _ = decodeIngestBegin(b) })
-	corruptionSweep(t, "beginResp", encodeIngestBeginResp(cfgStatusOK, 7), func(b []byte) { _, _, _ = decodeIngestBeginResp(b) })
-	offer := encodeIngestOffer(ingestOffer{Session: 1, FirstSeq: 0, Digests: []uint64{5, 6, 7}})
-	corruptionSweep(t, "offer", offer[1:], func(b []byte) { _, _ = decodeIngestOffer(b) })
-	corruptionSweep(t, "wants", encodeIngestWants([]uint64{1, 2, 3}), func(b []byte) { _, _ = decodeIngestWants(b) })
+	beginResp := encodeIngestBeginResp(cfgStatusOK, map[uint64]uint64{0: 5, 1: 6, 7: 7})
+	corruptionSweep(t, "beginResp", beginResp, func(b []byte) { _, _, _ = decodeIngestBeginResp(b) })
 	chunk := encodeIngestChunk(ingestChunk{Session: 1, Seq: 2, Payload: []byte{chunkKindMeta, 0, 1, 2}})
 	corruptionSweep(t, "chunk", chunk[1:], func(b []byte) { _, _ = decodeIngestChunk(b) })
 	commit := encodeIngestCommit(ingestCommit{Session: 1, Chunks: 3, Digest: 99})

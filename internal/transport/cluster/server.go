@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -20,11 +19,11 @@ import (
 	"repro/internal/transport"
 )
 
-// durConfigure is the cluster-owned durable record kind carrying the
-// daemon's configuration payload (the exact bytes the configuring client
-// shipped, so idempotency comparisons survive a restart). It leads every
-// snapshot and is the first op of a fresh log, so replay always knows
-// the store configuration before the first store op.
+// durConfigure is the durable record kind older daemons logged for the
+// configuration payload. Replay still reads it, and a daemon restored
+// from one — it has no ingest session — re-emits it at the head of its
+// snapshots, so replay knows the store configuration before the first
+// store op. Every other daemon's configuration rides its ingest begin.
 const durConfigure = "configure"
 
 // shutdownGrace is how long a cluster.shutdown RPC waits before
@@ -496,8 +495,6 @@ func (s *Server) dispatch(req []byte) ([]byte, error) {
 		return nil, nil
 	case ctrlRepaired:
 		return nil, s.repaired(payload)
-	case ctrlConfigure:
-		return s.handleConfigure(payload)
 	case ctrlMeta:
 		s.mu.Lock()
 		meta := s.configJSON
@@ -680,48 +677,9 @@ func (s *Server) handleSearch(req []byte) ([]byte, error) {
 	return core.EncodeSearchResponse(body, false), nil
 }
 
-// handleConfigure creates the store server from the client's engine
-// configuration, as a DEGENERATE hdk.ingest session: session id 0,
-// configuration only, zero chunks, committed immediately. The ingest
-// begin path is therefore the single place deciding whether
-// (re)configuration is admissible — re-sending the same configuration
-// during bootstrap is accepted (compared in canonicalConfig form), a
-// different one is rejected with a config-mismatch status, and a
-// populated store rejects with already-built (re-running BuildIndex
-// against it would double document frequencies and silently flip HDKs
-// to NDKs). Rejections ride the response as a status byte, which the
-// client rehydrates into ErrConfigMismatch / ErrAlreadyBuilt. With
-// durability enabled the session records hit the op log before the
-// store serves (log-first), so a warm restart recreates the store
-// before replaying its mutations.
-func (s *Server) handleConfigure(payload []byte) ([]byte, error) {
-	_, canon, err := canonicalConfig(payload)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.store != nil && bytes.Equal(s.configJSON, canon) && !s.store.Populated() {
-		return []byte{cfgStatusOK}, nil // idempotent re-send during bootstrap
-	}
-	b := ingestBegin{Session: 0, Config: payload}
-	status, _, err := s.ingestBeginLocked(b, encodeIngestBegin(b)[1:], true)
-	if err != nil {
-		return nil, err
-	}
-	if status != cfgStatusOK {
-		return []byte{status}, nil
-	}
-	commit := ingestCommit{Session: 0, Chunks: 0, Digest: sessionDigest(nil)}
-	if err := s.ingestCommitLocked(commit, encodeIngestCommit(commit)[1:], true); err != nil {
-		return nil, err
-	}
-	return []byte{cfgStatusOK}, nil
-}
-
 // configureLocked creates and attaches the store server from a
-// configuration payload. Shared by the configure RPC and durable replay;
-// the caller holds s.mu and handles logging.
+// configuration payload. Shared by the ingest begin and the replay of
+// legacy configure records; the caller holds s.mu and handles logging.
 func (s *Server) configureLocked(payload []byte) error {
 	cfg, canon, err := canonicalConfig(payload)
 	if err != nil {
@@ -762,7 +720,7 @@ func canonicalConfig(payload []byte) (core.Config, []byte, error) {
 // every compacted snapshot, keeping each generation self-contained. A
 // daemon holding an ingest session re-emits the whole session — begin,
 // every acked chunk, commit — so op-log truncation can never drop the
-// corpus shard (needed by hdk.build and resume negotiation) out from
+// corpus shard (needed by hdk.build and a resumed begin) out from
 // under the index entries that follow it. The records are staged under
 // mu and emitted outside it: emit writes through the durable store,
 // whose locks must never nest inside mu.
