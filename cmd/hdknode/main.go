@@ -2,9 +2,9 @@
 // that serves its share of the replicated global index — insert, batched
 // fetch, classification sweeps, replica repair and the cluster control
 // plane — over pooled, length-prefixed TCP. A cluster is a set of
-// hdknode processes plus a thin client (hdksearch -connect, the
-// benchmark under bench/, or examples/wikipedia -remote) that builds
-// and queries the index through them.
+// hdknode processes plus a thin client (hdksearch -connect or the
+// benchmark under bench/) that builds and queries the index through
+// them.
 //
 // Every daemon is also a query coordinator: the hdk.search RPC runs the
 // whole lattice traversal node-side against the daemon's own membership

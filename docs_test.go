@@ -5,7 +5,8 @@ package repro
 // internal package must be added to the map, and the links from
 // README.md and doc.go must survive edits. They also enforce that every
 // internal package keeps a godoc package comment and has a caller, and
-// that the map names no path that is gone.
+// that neither the map nor README.md nor doc.go names a path that is
+// gone.
 
 import (
 	"go/parser"
@@ -111,17 +112,21 @@ func TestEveryInternalPackageHasGodoc(t *testing.T) {
 	}
 }
 
-// TestArchitectureDocNamesOnlyLivePaths requires every internal/… path
-// ARCHITECTURE.md names to exist, so the map cannot go on describing a
-// deleted package or file.
+// TestArchitectureDocNamesOnlyLivePaths requires every internal/…,
+// cmd/… and examples/… path that ARCHITECTURE.md, README.md or doc.go
+// names to exist, so the docs cannot go on describing a deleted package,
+// file or program.
 func TestArchitectureDocNamesOnlyLivePaths(t *testing.T) {
-	arch, err := os.ReadFile("ARCHITECTURE.md")
-	if err != nil {
-		t.Fatalf("ARCHITECTURE.md missing: %v", err)
-	}
-	for _, path := range regexp.MustCompile(`internal/[a-z0-9_/]+(\.go)?`).FindAllString(string(arch), -1) {
-		if _, err := os.Stat(strings.TrimSuffix(path, "/")); err != nil {
-			t.Errorf("ARCHITECTURE.md names %s, which does not exist", path)
+	path := regexp.MustCompile(`\b(internal|cmd|examples)/[a-z0-9_/]+(\.go)?`)
+	for _, doc := range []string{"ARCHITECTURE.md", "README.md", "doc.go"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatalf("%s missing: %v", doc, err)
+		}
+		for _, p := range path.FindAllString(string(text), -1) {
+			if _, err := os.Stat(strings.TrimSuffix(p, "/")); err != nil {
+				t.Errorf("%s names %s, which does not exist", doc, p)
+			}
 		}
 	}
 }

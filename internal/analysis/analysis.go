@@ -2,10 +2,7 @@
 // the retrieval-cost bound, the index-size estimates built on the Zipf
 // machinery (Theorems 1-3 live in internal/zipfmodel), and the Figure 8
 // total-traffic projection comparing single-term and HDK indexing up to
-// one billion documents. It also houses the parameter-adaptation helpers
-// the paper sketches as future work ("adapt the various parameters of the
-// model in order to meet desired indexing and retrieval traffic
-// requirements").
+// one billion documents.
 package analysis
 
 import (
@@ -180,20 +177,4 @@ func EstimateIndexSize(pf []float64, w, smax int) (IndexSizeEstimate, error) {
 		est.Total += r
 	}
 	return est, nil
-}
-
-// AdviseDFMax picks the largest DFmax whose retrieval bound fits a
-// per-query posting budget — the paper's closing argument that the model
-// parameters can be adapted "taking into account available network
-// capacity".
-func AdviseDFMax(postingBudgetPerQuery float64, avgQuerySize float64, smax int) int {
-	nk := QueryKeyCountMean(avgQuerySize, smax)
-	if nk <= 0 {
-		return 0
-	}
-	df := int(postingBudgetPerQuery / nk)
-	if df < 1 {
-		df = 1
-	}
-	return df
 }

@@ -161,23 +161,3 @@ func TestEstimateIndexSizeValidation(t *testing.T) {
 		t.Errorf("smax=1 total = %g, want 1", est.Total)
 	}
 }
-
-func TestAdviseDFMax(t *testing.T) {
-	// With nk ≈ 3.92, a 1568-posting budget advises DFmax = 400 — the
-	// paper's own operating point.
-	got := AdviseDFMax(1568, 2.3, 3)
-	if got < 395 || got > 405 {
-		t.Errorf("AdviseDFMax(1568) = %d, want ~400", got)
-	}
-	if AdviseDFMax(1, 2.3, 3) != 1 {
-		t.Error("tiny budget must floor at 1")
-	}
-	if AdviseDFMax(100, 0, 3) != 0 {
-		t.Error("zero query size must yield 0")
-	}
-	// The advised DFmax respects the budget.
-	df := AdviseDFMax(2000, 3, 3)
-	if bound := RetrievalBound(3, 3, df); bound > 2000+7 {
-		t.Errorf("advised DFmax %d exceeds budget: bound %.0f", df, bound)
-	}
-}

@@ -292,17 +292,33 @@ func TestSearchFailoverUnderFlakyTransport(t *testing.T) {
 	}
 }
 
+// TestRepairRestoresCoverage crashes non-adjacent members, so every key
+// keeps a live replica, and requires one repair sweep to restore full
+// R-way coverage with zero deficit. The R = 2 case crashes a quarter of
+// the members.
 func TestRepairRestoresCoverage(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		peers, r int
+		crash    []int
+	}{
+		{"R3", 9, 3, []int{1, 4}},
+		{"R2", 8, 2, []int{1, 5}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { repairRestoresCoverage(t, tc.peers, tc.r, tc.crash) })
+	}
+}
+
+func repairRestoresCoverage(t *testing.T, peers, r int, crash []int) {
 	col := testCollection(t, 60)
 	cfg := testConfig(col, 6)
-	const peers = 9
-	eng := buildReplicatedEngine(t, col, peers, 3, cfg)
+	eng := buildReplicatedEngine(t, col, peers, r, cfg)
 	before := searchAll(t, eng, col, 15)
 
-	// Crash two non-adjacent nodes: every key keeps at least one live
-	// replica, but its current 3-member replica set has holes.
+	// Crash non-adjacent nodes: every key keeps at least one live
+	// replica, but its current r-member replica set has holes.
 	members := eng.net.Members()
-	for _, i := range []int{1, 4} {
+	for _, i := range crash {
 		if err := eng.FailNode(members[i]); err != nil {
 			t.Fatal(err)
 		}

@@ -188,42 +188,10 @@ func (p GenParams) Validate() error {
 // from the global Zipf distribution otherwise. Document lengths are
 // normally distributed around AvgDocLen (sd = AvgDocLen/4, min 4).
 //
-// Generate is a materialized NewDocStream pass, so the two produce the
-// exact same document sequence — the property the resumable ingest
-// protocol depends on (a re-streamed shard must chunk to identical
-// digests).
+// Generate is deterministic (same params, same documents), the property
+// the resumable ingest protocol depends on: a re-streamed shard must
+// chunk to identical digests.
 func Generate(p GenParams) (*Collection, error) {
-	ds, err := NewDocStream(p)
-	if err != nil {
-		return nil, err
-	}
-	col := &Collection{Vocab: ds.Vocab(), Docs: make([]Document, 0, p.NumDocs)}
-	for {
-		d, ok := ds.Next()
-		if !ok {
-			break
-		}
-		col.Docs = append(col.Docs, d)
-	}
-	return col, nil
-}
-
-// DocStream yields Generate(p)'s documents one at a time, in document-id
-// order, without ever materializing the collection — the thin ingest
-// client's corpus source: O(one document) resident memory regardless of
-// NumDocs, and deterministic (same params, same sequence), so a resumed
-// upload regenerates byte-identical chunks.
-type DocStream struct {
-	p      GenParams
-	rng    *rand.Rand
-	global *zipfmodel.Sampler
-	topics [][]TermID
-	next   int
-}
-
-// NewDocStream validates the parameters and positions a fresh stream at
-// document 0.
-func NewDocStream(p GenParams) (*DocStream, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -232,60 +200,22 @@ func NewDocStream(p GenParams) (*DocStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DocStream{
-		p:      p,
-		rng:    rng,
-		global: zipfmodel.NewSampler(dist, rng),
-		topics: makeTopics(p, rng),
-	}, nil
-}
-
-// Vocab returns the stream's vocabulary (independent of stream position).
-func (ds *DocStream) Vocab() []string { return makeVocab(ds.p.VocabSize) }
-
-// Next returns the next document, or ok=false when the stream is done.
-func (ds *DocStream) Next() (Document, bool) {
-	if ds.next >= ds.p.NumDocs {
-		return Document{}, false
-	}
-	i := ds.next
-	ds.next++
-	n := docLen(ds.rng, ds.p.AvgDocLen)
-	terms := make([]TermID, n)
-	topic := ds.topics[i%len(ds.topics)]
-	for j := 0; j < n; j++ {
-		if ds.p.NumTopics > 0 && ds.rng.Float64() < ds.p.TopicMix {
-			terms[j] = topic[ds.rng.Intn(len(topic))]
-		} else {
-			terms[j] = TermID(ds.global.Next() - 1)
+	global := zipfmodel.NewSampler(dist, rng)
+	topics := makeTopics(p, rng)
+	col := &Collection{Vocab: makeVocab(p.VocabSize), Docs: make([]Document, p.NumDocs)}
+	for i := range col.Docs {
+		terms := make([]TermID, docLen(rng, p.AvgDocLen))
+		topic := topics[i%len(topics)]
+		for j := range terms {
+			if p.NumTopics > 0 && rng.Float64() < p.TopicMix {
+				terms[j] = topic[rng.Intn(len(topic))]
+			} else {
+				terms[j] = TermID(global.Next() - 1)
+			}
 		}
+		col.Docs[i] = Document{ID: DocID(i), Terms: terms}
 	}
-	return Document{ID: DocID(i), Terms: terms}, true
-}
-
-// StreamStats runs one full generation pass and returns the collection
-// frequencies f_D(t), the document count and the total term occurrences
-// — the global statistics an engine configuration needs (Ff cutoff, BM25
-// normalization) at O(vocab) memory, for clients that stream the corpus
-// instead of holding it.
-func StreamStats(p GenParams) (freqs []int, numDocs, sampleSize int, err error) {
-	ds, err := NewDocStream(p)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	freqs = make([]int, p.VocabSize)
-	for {
-		d, ok := ds.Next()
-		if !ok {
-			break
-		}
-		numDocs++
-		sampleSize += len(d.Terms)
-		for _, t := range d.Terms {
-			freqs[t]++
-		}
-	}
-	return freqs, numDocs, sampleSize, nil
+	return col, nil
 }
 
 func docLen(rng *rand.Rand, avg int) int {

@@ -1,6 +1,9 @@
 package corpus
 
 import (
+	"errors"
+	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/zipfmodel"
@@ -108,12 +111,82 @@ func TestTermFrequenciesFollowZipf(t *testing.T) {
 	if freqs[0] < 5*freqs[100] {
 		t.Errorf("head not dominant: f[0]=%d f[100]=%d", freqs[0], freqs[100])
 	}
-	skew, _, err := zipfmodel.Fit(freqs, 3)
+	skew, _, err := fitZipf(freqs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if skew < 0.6 || skew > 1.8 {
 		t.Errorf("fitted skew %.2f outside plausible zipfian range", skew)
+	}
+}
+
+var errInsufficientData = errors.New("need at least 2 distinct frequencies to fit")
+
+// fitZipf estimates (skew, scale) from an observed frequency table by
+// ordinary least squares in log-log space: log f = log C - a·log r.
+// Frequencies are sorted descending to assign ranks. The tail where
+// f < minFreq is excluded, mirroring the paper's proof device of
+// ignoring hapax legomena.
+func fitZipf(freqs []int, minFreq int) (skew, scale float64, err error) {
+	fs := make([]int, 0, len(freqs))
+	for _, f := range freqs {
+		if f >= minFreq && f > 0 {
+			fs = append(fs, f)
+		}
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(fs)))
+	if len(fs) < 2 || fs[0] == fs[len(fs)-1] {
+		return 0, 0, errInsufficientData
+	}
+	var sx, sy, sxx, sxy float64
+	n := float64(len(fs))
+	for i, f := range fs {
+		x := math.Log(float64(i + 1))
+		y := math.Log(float64(f))
+		sx += x
+		sy += y
+		sxx += x * x
+		sxy += x * y
+	}
+	denom := n*sxx - sx*sx
+	if denom == 0 {
+		return 0, 0, errInsufficientData
+	}
+	slope := (n*sxy - sx*sy) / denom
+	intercept := (sy - slope*sx) / n
+	return -slope, math.Exp(intercept), nil
+}
+
+func TestFitRecoversSkew(t *testing.T) {
+	// Exact Zipf frequencies: the fit must recover the skew.
+	for _, a := range []float64{0.9, 1.2, 1.5} {
+		d, _ := zipfmodel.NewDist(a, 1e7, 5000)
+		freqs := make([]int, d.V)
+		for r := 1; r <= d.V; r++ {
+			freqs[r-1] = int(d.Freq(r))
+		}
+		skew, scale, err := fitZipf(freqs, 2)
+		if err != nil {
+			t.Fatalf("fit failed for a=%g: %v", a, err)
+		}
+		if math.Abs(skew-a) > 0.05 {
+			t.Errorf("fitted skew %.3f, want %.2f", skew, a)
+		}
+		if scale <= 0 {
+			t.Errorf("fitted scale %.3g, want positive", scale)
+		}
+	}
+}
+
+func TestFitInsufficientData(t *testing.T) {
+	if _, _, err := fitZipf([]int{5}, 1); err == nil {
+		t.Error("single point accepted")
+	}
+	if _, _, err := fitZipf([]int{7, 7, 7}, 1); err == nil {
+		t.Error("constant frequencies accepted")
+	}
+	if _, _, err := fitZipf(nil, 1); err == nil {
+		t.Error("empty input accepted")
 	}
 }
 

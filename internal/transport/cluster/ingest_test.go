@@ -3,6 +3,8 @@ package cluster
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/durable"
+	"repro/internal/overlay"
 	"repro/internal/transport"
 )
 
@@ -468,6 +471,76 @@ func TestIngestCallsPerUpload(t *testing.T) {
 	}
 	if got := ingestCalls(); got != 2 {
 		t.Fatalf("re-run of the committed session: %d hdk.ingest calls, want 2", got)
+	}
+}
+
+// chunkTap records the ids of the documents packed into every docs
+// chunk an hdk.ingest call ships, as the request leaves the client.
+type chunkTap struct {
+	transport.Transport
+	shipped []corpus.DocID
+}
+
+func (ct *chunkTap) Call(addr string, req []byte) ([]byte, error) {
+	if svc, payload, err := overlay.DecodeEnvelope(req); err == nil && svc == SvcIngest &&
+		len(payload) > 0 && payload[0] == ingestFrameChunk {
+		if c, err := decodeIngestChunk(payload[1:]); err == nil && len(c.Payload) > 0 && c.Payload[0] == chunkKindDocs {
+			docs, err := decodeDocsChunk(c.Payload[1:], math.MaxUint64, nil)
+			if err != nil {
+				return nil, err
+			}
+			for _, d := range docs {
+				ct.shipped = append(ct.shipped, d.ID)
+			}
+		}
+	}
+	return ct.Transport.Call(addr, req)
+}
+
+// TestIngestHoldsOneChunk pins the thin client's footprint: whenever a
+// chunk is acked, the shard iterator has yielded exactly the documents
+// packed into the chunks shipped so far, and none ahead — Ingest never
+// holds more than the chunk it is building.
+func TestIngestHoldsOneChunk(t *testing.T) {
+	col := testCollection(t, 1500)
+	cfg := testConfig(col, 1)
+	tr := transport.NewInProc()
+	defer tr.Close()
+	servers := startInProcServers(t, tr, 1, 1)
+	tap := &chunkTap{Transport: tr}
+	c, err := Dial(Options{Transport: tap, Seed: servers[0].Addr(), ChunkBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := ShardSource(col, cfg, 1, 0, 1)
+	var yielded []corpus.DocID
+	next := src.Docs
+	src.Docs = func() (corpus.Document, bool) {
+		d, ok := next()
+		if ok {
+			yielded = append(yielded, d.ID)
+		}
+		return d, ok
+	}
+	docChunks := 0
+	src.OnChunk = func(int) error {
+		if !reflect.DeepEqual(yielded, tap.shipped) {
+			return fmt.Errorf("iterator yielded %d docs, shipped chunks hold %d", len(yielded), len(tap.shipped))
+		}
+		if len(yielded) > 0 {
+			docChunks++
+		}
+		return nil
+	}
+	st, err := c.Ingest(servers[0].Addr(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Chunks < 20 || docChunks < 20 {
+		t.Fatalf("%d chunks, %d of them documents: want at least 20 of each", st.Chunks, docChunks)
+	}
+	if len(tap.shipped) != col.M() {
+		t.Fatalf("shipped %d docs, want %d", len(tap.shipped), col.M())
 	}
 }
 

@@ -12,9 +12,7 @@ import (
 // corpus shard through the chunked hdk.ingest session (never holding
 // more than one chunk in memory), and BuildRemote kicks off the
 // daemon-coordinated hdk.build and polls its progress. Together they
-// replace the fat-client path — the client that used to hold the whole
-// collection and run every round itself now holds one document at a
-// time and two RPC loops.
+// replace the fat-client path: the client runs no build round.
 
 // IngestSource describes one daemon's shard for Ingest. Docs yields the
 // shard's documents in ascending id order, one at a time — a corpus
@@ -29,8 +27,8 @@ type IngestSource struct {
 	// Config is the engine configuration every daemon must agree on.
 	Config core.Config
 	// Vocab and TermFreqs are the collection-GLOBAL vocabulary and term
-	// frequencies (corpus.StreamStats): the build's Ff cutoff and BM25
-	// statistics are global even though each daemon holds one shard.
+	// frequencies: the build's Ff cutoff and BM25 statistics are global
+	// even though each daemon holds one shard.
 	Vocab     []string
 	TermFreqs []int
 	// TotalDocs is the corpus-wide document count; ShardDocs how many
@@ -52,9 +50,7 @@ type IngestSource struct {
 // resident collection: document j goes to member j%n (the
 // SplitRoundRobin placement the in-process build uses), with the
 // collection-global vocabulary and frequencies. The iterator strides
-// over col one document at a time; a client that must not hold the
-// corpus (examples/wikipedia -stream) regenerates from a
-// corpus.DocStream instead.
+// over col one document at a time.
 func ShardSource(col *corpus.Collection, cfg core.Config, session uint64, idx, n int) IngestSource {
 	j := idx
 	return IngestSource{

@@ -1,13 +1,11 @@
 // Package zipfmodel implements the Zipf-law machinery underlying the
 // paper's scalability analysis (Section 4): the parametric rank-frequency
 // function z(r) = C(l)·r^-a, rank sampling for the synthetic corpus
-// generator, least-squares fitting of the skew parameter from observed
-// frequency distributions, and the closed-form term-occurrence
-// probabilities of Theorems 1 and 2.
+// generator, and the closed-form term-occurrence probabilities of
+// Theorems 1 and 2.
 package zipfmodel
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -115,43 +113,4 @@ func NewSampler(d *Dist, rng *rand.Rand) *Sampler {
 func (s *Sampler) Next() int {
 	u := s.rng.Float64()
 	return sort.SearchFloat64s(s.cdf, u) + 1
-}
-
-// ErrInsufficientData is returned by Fit when fewer than two distinct
-// (rank, frequency) points are available.
-var ErrInsufficientData = errors.New("zipfmodel: need at least 2 distinct frequencies to fit")
-
-// Fit estimates (skew, scale) from an observed frequency table by ordinary
-// least squares in log-log space: log f = log C - a·log r. Frequencies must
-// be positive; they are sorted descending internally to assign ranks.
-// Hapax legomena (f == 1) are down-weighted by excluding the tail where
-// f < minFreq, mirroring the paper's proof device of ignoring hapaxes.
-func Fit(freqs []int, minFreq int) (skew, scale float64, err error) {
-	fs := make([]int, 0, len(freqs))
-	for _, f := range freqs {
-		if f >= minFreq && f > 0 {
-			fs = append(fs, f)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(fs)))
-	if len(fs) < 2 || fs[0] == fs[len(fs)-1] {
-		return 0, 0, ErrInsufficientData
-	}
-	var sx, sy, sxx, sxy float64
-	n := float64(len(fs))
-	for i, f := range fs {
-		x := math.Log(float64(i + 1))
-		y := math.Log(float64(f))
-		sx += x
-		sy += y
-		sxx += x * x
-		sxy += x * y
-	}
-	denom := n*sxx - sx*sx
-	if denom == 0 {
-		return 0, 0, ErrInsufficientData
-	}
-	slope := (n*sxy - sx*sy) / denom
-	intercept := (sy - slope*sx) / n
-	return -slope, math.Exp(intercept), nil
 }

@@ -89,39 +89,6 @@ func TestSamplerMatchesDistribution(t *testing.T) {
 	}
 }
 
-func TestFitRecoversSkew(t *testing.T) {
-	// Generate exact Zipf frequencies and verify Fit recovers the skew.
-	for _, a := range []float64{0.9, 1.2, 1.5} {
-		d, _ := NewDist(a, 1e7, 5000)
-		freqs := make([]int, d.V)
-		for r := 1; r <= d.V; r++ {
-			freqs[r-1] = int(d.Freq(r))
-		}
-		skew, scale, err := Fit(freqs, 2)
-		if err != nil {
-			t.Fatalf("Fit failed for a=%g: %v", a, err)
-		}
-		if math.Abs(skew-a) > 0.05 {
-			t.Errorf("fitted skew %.3f, want %.2f", skew, a)
-		}
-		if scale <= 0 {
-			t.Errorf("fitted scale %.3g, want positive", scale)
-		}
-	}
-}
-
-func TestFitInsufficientData(t *testing.T) {
-	if _, _, err := Fit([]int{5}, 1); err == nil {
-		t.Error("single point accepted")
-	}
-	if _, _, err := Fit([]int{7, 7, 7}, 1); err == nil {
-		t.Error("constant frequencies accepted")
-	}
-	if _, _, err := Fit(nil, 1); err == nil {
-		t.Error("empty input accepted")
-	}
-}
-
 func TestTotalMassGrowsWithScale(t *testing.T) {
 	d1, _ := NewDist(1.5, 1e5, 10000)
 	d2, _ := NewDist(1.5, 1e6, 10000)
