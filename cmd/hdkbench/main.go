@@ -32,8 +32,10 @@
 // instead. -soak is the time-compressed durability variant: more waves
 // against a smaller compaction threshold cycle every daemon through
 // several snapshot generations, and the run ends with a rolling
-// restart proved byte-identical by fingerprint census. Both exit
-// nonzero unless every gate holds.
+// restart proved byte-identical by fingerprint census. Both print the
+// report as JSON (the document -json writes) and exit nonzero unless
+// every gate holds; a -replay schedule made for another fleet size is
+// refused before any daemon starts.
 package main
 
 import (
@@ -225,6 +227,9 @@ func runChaos(jsonPath, replay string, seed uint64, soak bool, progress experime
 		if err := sched.Validate(); err != nil {
 			return fmt.Errorf("replay %s: %w", replay, err)
 		}
+		if sched.Nodes != opts.Nodes {
+			return fmt.Errorf("replay %s: schedule is for %d nodes, the fleet has %d", replay, sched.Nodes, opts.Nodes)
+		}
 		opts.Replay = &sched
 	}
 
@@ -273,7 +278,11 @@ func runChaos(jsonPath, replay string, seed uint64, soak bool, progress experime
 		fmt.Fprintf(os.Stderr, "hdkbench: node logs and data kept in %s\n", workDir)
 		return err
 	}
-	rep.Fprint(os.Stdout)
+	out, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	fmt.Printf("%s\n", out)
 	if jsonPath != "" {
 		if err := experiments.WriteJSON(jsonPath, rep); err != nil {
 			return err

@@ -34,8 +34,9 @@
 // replica failover, a worker-pool admission bound and a per-node
 // query-result cache that locally served index mutations invalidate
 // (core.Coordinator + cluster.Server). Coordinated answers are verified
-// bit-identical to the in-process engine's by a CI gate against real
-// child processes.
+// bit-identical to the in-process engine's by CI gates against real
+// child processes: the serving, ingest-resume, chaos and soak scenarios
+// of internal/experiments, each a fault schedule fired by one driver.
 //
 // ARCHITECTURE.md maps the paper's sections onto the packages and walks
 // a coordinated query and an insert through the system. See README.md

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/transport"
@@ -77,7 +78,7 @@ func runChaosE2E(t *testing.T, opts ChaosOpts, compactBytes int, prefix string) 
 	if rep, err = Chaos(tr, h.Addrs(), h.Kill, restart, opts, t.Logf); err != nil {
 		t.Fatal(err)
 	}
-	rep.Fprint(os.Stderr)
+	t.Logf("report: %+v", *rep)
 	return rep
 }
 
@@ -123,4 +124,58 @@ func TestTCPSoakE2E(t *testing.T) {
 	}
 	rep := runChaosE2E(t, opts, 32<<10, "soak")
 	failOn(t, rep.Failures())
+}
+
+// TestChaosReportFailures pins the chaos and soak gates' predicate: a
+// report that passes every gate has no failures, breaking any one gate's
+// field yields exactly one message, and the soak gates apply only in
+// soak mode.
+func TestChaosReportFailures(t *testing.T) {
+	good := ChaosReport{
+		Nodes: 5, Replicas: 3, Soak: true,
+		Issued: 900, WindowedQueries: 900, MeanRecall: 1, MinRecall: 1, RecallFloor: 0.99,
+		P99Nanos: 1e6, P99BoundNanos: 2e9,
+		GenerationRollovers: 15, RolloverFloor: 3, MinNodeRollovers: 3, NodeRolloverFloor: 3,
+	}
+	if f := good.Failures(); len(f) != 0 || !good.Clean() {
+		t.Fatalf("passing report judged dirty: %q", f)
+	}
+	cases := map[string]func(*ChaosReport){
+		"nothing issued":     func(r *ChaosReport) { r.Issued = 0 },
+		"query errors":       func(r *ChaosReport) { r.Errors, r.FirstError = 1, "boom" },
+		"nothing scored":     func(r *ChaosReport) { r.WindowedQueries = 0 },
+		"recall under floor": func(r *ChaosReport) { r.MeanRecall = 0.98 },
+		"p99 over bound":     func(r *ChaosReport) { r.P99Nanos = r.P99BoundNanos + 1 },
+		"too few rollovers":  func(r *ChaosReport) { r.GenerationRollovers = 2 },
+		"final parity":       func(r *ChaosReport) { r.FinalMismatches = 1 },
+		"under-replicated":   func(r *ChaosReport) { r.UnderReplicated = 1 },
+		"node rollovers":     func(r *ChaosReport) { r.MinNodeRollovers = 2 },
+		"restore drift":      func(r *ChaosReport) { r.RestoreFingerprintMismatches = 1 },
+		"restore parity":     func(r *ChaosReport) { r.RestoreParityMismatches = 1 },
+	}
+	for name, mutate := range cases {
+		rep := good
+		mutate(&rep)
+		if f := rep.Failures(); len(f) != 1 || rep.Clean() {
+			t.Errorf("%s: %d failures %q, want exactly one", name, len(f), f)
+		}
+	}
+	chaos := good
+	chaos.Soak, chaos.MinNodeRollovers, chaos.RestoreFingerprintMismatches, chaos.RestoreParityMismatches = false, 0, 1, 1
+	if f := chaos.Failures(); len(f) != 0 {
+		t.Errorf("soak gates judged a chaos report: %q", f)
+	}
+}
+
+// TestChaosRefusesForeignFleetSize: replaying a schedule made for 7
+// daemons against the 5-process fleet is refused by name before the
+// fixture dials anything — no cluster, transport or hooks are touched.
+func TestChaosRefusesForeignFleetSize(t *testing.T) {
+	opts := DefaultChaosOpts()
+	sched := GenerateSchedule(1, 7, opts.Schedule)
+	opts.Replay = &sched
+	_, err := Chaos(nil, make([]string, opts.Nodes), nil, nil, opts, nil)
+	if err == nil || !strings.Contains(err.Error(), "schedule is for 7 nodes, the fleet has 5") {
+		t.Fatalf("7-node replay against 5 daemons: err = %v, want a refusal naming both sizes", err)
+	}
 }

@@ -6,21 +6,15 @@ import (
 	"time"
 )
 
-// This file implements the fault-schedule engine behind the chaos
-// scenario: a schedule is a FIRST-CLASS VALUE — an ordered list of
-// timestamped fault actions that is a pure function of a seed — so a
-// failing chaos run is replayed exactly by re-running the same seed
-// (`hdkbench -chaos -seed N`), and CI failure artifacts carry the
-// serialized schedule next to the node logs. Generation is a small
-// state machine that only ever emits schedules the cluster can actually
-// absorb: at most one daemon down at a time, every kill paired with a
-// restart of the same daemon, update waves and repair sweeps only while
-// the full membership is serving (an insert or inventory RPC against a
-// dead address would abort the driver mid-action, which is a harness
-// failure, not a finding), and admission resizes never aimed at the
-// daemon that is currently down. Every schedule ends with the full
-// cluster alive, so the post-chaos parity and replication audits always
-// run against complete membership.
+// This file holds the schedule the one scenario driver (drive) fires:
+// an ordered list of timestamped actions. A chaos schedule is a pure
+// function of its seed, so `hdkbench -chaos -seed N` replays a failing
+// run exactly; the serving and ingest-resume scenarios write theirs as
+// fixed sequences. Generation only emits schedules the cluster can
+// absorb — one daemon down at a time, every kill paired with a restart,
+// waves and repairs only on the full membership (an RPC to a dead
+// address would abort the driver mid-action: a harness failure, not a
+// finding), resizes never aimed at the down daemon — ending all alive.
 
 // FaultOp is one kind of fault action in a schedule.
 type FaultOp string
@@ -35,32 +29,35 @@ const (
 	// OpRestart warm-restarts the killed daemon (Node) from its data
 	// directory on its original address and waits until it serves.
 	OpRestart FaultOp = "restart"
-	// OpWave stages the next incremental document batch on every peer
-	// and runs BuildIndex on the live cluster, which indexes just the
-	// staged documents (Wave is the ordinal).
+	// OpWave stages the next document batch (Wave is the ordinal) on
+	// every peer and runs BuildIndex, which indexes just that batch.
 	OpWave FaultOp = "wave"
 	// OpRepair runs a full replica repair sweep through the client.
 	OpRepair FaultOp = "repair"
 	// OpResize live-resizes one daemon's admission path (Workers/Queue)
 	// over the cluster.searchconfig RPC.
 	OpResize FaultOp = "resize"
+	// OpForget removes the killed daemon (Node) from every membership
+	// for good; the cluster then owes a repair.
+	OpForget FaultOp = "forget"
+	// OpIngest streams every member its shard over hdk.ingest. Node's
+	// upload stops after killAfterChunks acked chunks; with Node -1 every
+	// unfinished upload resumes and the daemons run the coordinated build.
+	OpIngest FaultOp = "ingest"
 )
 
 // FaultAction is one timestamped step of a fault schedule.
 type FaultAction struct {
-	// Seq is the action's position in the schedule (0-based).
-	Seq int `json:"seq"`
-	// At is the offset from workload start at which the driver fires
-	// the action (nanoseconds on the wire).
-	At time.Duration `json:"at_nanos"`
-	// Op is the action kind.
-	Op FaultOp `json:"op"`
-	// Node is the target daemon index for kill/restart/resize, -1 for
-	// cluster-wide actions (wave, repair).
+	// Seq is the action's 0-based position; At is its offset from the
+	// start (nanoseconds on the wire).
+	Seq int           `json:"seq"`
+	At  time.Duration `json:"at_nanos"`
+	Op  FaultOp       `json:"op"`
+	// Node is the target daemon index for kill/restart/forget/resize
+	// and an interrupted ingest, -1 for cluster-wide actions.
 	Node int `json:"node"`
-	// Wave is the update-wave ordinal (OpWave only), so the driver and
-	// a replay stage exactly the same document batches in the same
-	// order.
+	// Wave is the update-wave ordinal (OpWave only): a replay stages the
+	// same document batches in the same order.
 	Wave int `json:"wave,omitempty"`
 	// Workers/Queue are the OpResize admission settings
 	// (Server.ConfigureSearch semantics).
@@ -71,7 +68,7 @@ type FaultAction struct {
 // String renders one action for progress lines and phase labels.
 func (a FaultAction) String() string {
 	switch a.Op {
-	case OpKill, OpRestart:
+	case OpKill, OpRestart, OpForget, OpIngest:
 		return fmt.Sprintf("%s(%d)", a.Op, a.Node)
 	case OpWave:
 		return fmt.Sprintf("wave(%d)", a.Wave)
@@ -83,9 +80,8 @@ func (a FaultAction) String() string {
 }
 
 // FaultSchedule is a complete, replayable fault schedule: the seed and
-// node count that generated it plus the ordered action list. It is the
-// artifact a failing chaos run serializes (WriteJSON) so CI failures
-// reproduce locally from the seed alone.
+// node count that generated it plus the ordered action list — the
+// artifact a failing chaos run serializes.
 type FaultSchedule struct {
 	Seed    uint64        `json:"seed"`
 	Nodes   int           `json:"nodes"`
@@ -112,15 +108,17 @@ func (s FaultSchedule) Horizon() time.Duration {
 	return s.Actions[len(s.Actions)-1].At
 }
 
-// Validate checks the structural invariants generation promises: a
-// replayed or hand-edited schedule that violates them would wedge the
-// driver (an update wave against a dead daemon, a restart of a live
-// one), so the driver refuses it up front.
+// Validate checks the invariants generation promises, which a replayed
+// or hand-edited schedule could break and wedge the driver with (a wave
+// against a dead daemon, a restart of a live one). A forgotten daemon is
+// gone: no later action may name it, and no wave or upload may follow.
 func (s FaultSchedule) Validate() error {
 	if s.Nodes < 2 {
 		return fmt.Errorf("experiments: schedule needs >= 2 nodes, got %d", s.Nodes)
 	}
 	down := -1
+	gone := make([]bool, s.Nodes)
+	forgot := false
 	wave := 0
 	last := time.Duration(-1)
 	for i, a := range s.Actions {
@@ -131,34 +129,42 @@ func (s FaultSchedule) Validate() error {
 			return fmt.Errorf("experiments: action %d at %v precedes %v", i, a.At, last)
 		}
 		last = a.At
+		if a.Node < -1 || a.Node >= s.Nodes || (a.Node >= 0 && gone[a.Node]) {
+			return fmt.Errorf("experiments: action %d names unavailable node %d", i, a.Node)
+		}
 		switch a.Op {
 		case OpKill:
 			if down >= 0 {
 				return fmt.Errorf("experiments: action %d kills node %d while node %d is down", i, a.Node, down)
 			}
-			if a.Node < 0 || a.Node >= s.Nodes {
+			if a.Node < 0 {
 				return fmt.Errorf("experiments: action %d kills out-of-range node %d", i, a.Node)
 			}
 			down = a.Node
-		case OpRestart:
-			if a.Node != down {
-				return fmt.Errorf("experiments: action %d restarts node %d, but down is %d", i, a.Node, down)
+		case OpRestart, OpForget:
+			if a.Node != down || down < 0 {
+				return fmt.Errorf("experiments: action %d %ss node %d, but down is %d", i, a.Op, a.Node, down)
+			}
+			if a.Op == OpForget {
+				gone[a.Node], forgot = true, true
 			}
 			down = -1
-		case OpWave:
-			if down >= 0 {
-				return fmt.Errorf("experiments: action %d runs a wave while node %d is down", i, down)
+		case OpWave, OpIngest:
+			if down >= 0 || forgot {
+				return fmt.Errorf("experiments: action %d runs %s while a node is down or forgotten", i, a)
 			}
-			if a.Wave != wave {
-				return fmt.Errorf("experiments: action %d has wave ordinal %d, want %d", i, a.Wave, wave)
+			if a.Op == OpWave {
+				if a.Wave != wave {
+					return fmt.Errorf("experiments: action %d has wave ordinal %d, want %d", i, a.Wave, wave)
+				}
+				wave++
 			}
-			wave++
 		case OpRepair:
 			if down >= 0 {
 				return fmt.Errorf("experiments: action %d repairs while node %d is down", i, down)
 			}
 		case OpResize:
-			if a.Node < 0 || a.Node >= s.Nodes || a.Node == down {
+			if a.Node < 0 || a.Node == down {
 				return fmt.Errorf("experiments: action %d resizes unavailable node %d", i, a.Node)
 			}
 			if a.Workers < 1 || a.Queue < 0 {
@@ -174,6 +180,16 @@ func (s FaultSchedule) Validate() error {
 	return nil
 }
 
+// validateFor is Validate plus the fleet check a replay needs: a
+// schedule made for another number of daemons names daemons the fleet
+// does not have, or leaves some of its daemons out.
+func (s FaultSchedule) validateFor(nodes int) error {
+	if s.Nodes != nodes {
+		return fmt.Errorf("experiments: schedule is for %d nodes, the fleet has %d", s.Nodes, nodes)
+	}
+	return s.Validate()
+}
+
 // ScheduleOpts sizes a generated schedule: exact action budgets per op
 // plus the gap range between consecutive actions. The zero value of any
 // field selects the default.
@@ -187,10 +203,8 @@ type ScheduleOpts struct {
 	MinGap, MaxGap time.Duration
 }
 
-// DefaultScheduleOpts is the CI chaos gate's budget: enough cycles of
-// each fault class to satisfy the scenario's compound-coverage gates
-// (>= 3 kill/restart cycles, >= 2 update waves) without stretching the
-// job past its timeout.
+// DefaultScheduleOpts is the CI chaos gate's budget: >= 3 kill/restart
+// cycles and >= 2 waves, without stretching the job past its timeout.
 func DefaultScheduleOpts() ScheduleOpts {
 	return ScheduleOpts{
 		Kills: 3, Waves: 2, Repairs: 1, Resizes: 2,
@@ -198,10 +212,9 @@ func DefaultScheduleOpts() ScheduleOpts {
 	}
 }
 
-// schedStream is the fixed PCG stream constant: schedule generation is
-// a pure function of (seed, nodes, opts) and nothing else, on every
-// platform and Go version (math/rand/v2's PCG is specified, unlike the
-// global source).
+// schedStream is the fixed PCG stream constant: generation is a pure
+// function of (seed, nodes, opts) on every platform and Go version
+// (math/rand/v2's PCG is specified, unlike the global source).
 const schedStream = 0x9e3779b97f4a7c15
 
 // GenerateSchedule derives the fault schedule for a seed: a constrained
@@ -210,17 +223,11 @@ const schedStream = 0x9e3779b97f4a7c15
 // N` relies on. The generated schedule always passes Validate.
 func GenerateSchedule(seed uint64, nodes int, o ScheduleOpts) FaultSchedule {
 	d := DefaultScheduleOpts()
-	if o.Kills <= 0 {
-		o.Kills = d.Kills
-	}
-	if o.Waves <= 0 {
-		o.Waves = d.Waves
-	}
-	if o.Repairs <= 0 {
-		o.Repairs = d.Repairs
-	}
-	if o.Resizes <= 0 {
-		o.Resizes = d.Resizes
+	budget := map[FaultOp]*int{OpKill: &o.Kills, OpWave: &o.Waves, OpRepair: &o.Repairs, OpResize: &o.Resizes}
+	for op, def := range map[FaultOp]int{OpKill: d.Kills, OpWave: d.Waves, OpRepair: d.Repairs, OpResize: d.Resizes} {
+		if *budget[op] <= 0 {
+			*budget[op] = def
+		}
 	}
 	if o.MinGap <= 0 {
 		o.MinGap = d.MinGap
@@ -231,65 +238,42 @@ func GenerateSchedule(seed uint64, nodes int, o ScheduleOpts) FaultSchedule {
 	r := rand.New(rand.NewPCG(seed, schedStream))
 	s := FaultSchedule{Seed: seed, Nodes: nodes}
 	at := time.Duration(0)
-	emit := func(a FaultAction) {
+	down, wave := -1, 0
+	for down >= 0 || o.Kills+o.Waves+o.Repairs+o.Resizes > 0 {
+		// While a daemon is down only resizes (of live daemons) may
+		// interleave before the restart; the restart is listed twice to
+		// bias downtime windows short — the query workload, not the
+		// schedule, is what dwells on the outage.
+		var legal []FaultOp
+		for _, op := range []FaultOp{OpKill, OpWave, OpRepair, OpResize} {
+			if *budget[op] > 0 && (down < 0 || op == OpResize) {
+				legal = append(legal, op)
+			}
+		}
+		if down >= 0 {
+			legal = append(legal, OpRestart, OpRestart)
+		}
+		a := FaultAction{Seq: len(s.Actions), Op: legal[r.IntN(len(legal))], Node: -1}
+		if b, ok := budget[a.Op]; ok {
+			*b--
+		}
+		switch a.Op {
+		case OpKill:
+			down = r.IntN(nodes)
+			a.Node = down
+		case OpRestart:
+			a.Node, down = down, -1
+		case OpWave:
+			a.Wave = wave
+			wave++
+		case OpResize:
+			for a.Node = r.IntN(nodes); a.Node == down; a.Node = r.IntN(nodes) {
+			}
+			a.Workers, a.Queue = 2+r.IntN(7), 8+r.IntN(25)
+		}
 		at += o.MinGap + time.Duration(r.Int64N(int64(o.MaxGap-o.MinGap)+1))
-		a.Seq = len(s.Actions)
 		a.At = at
 		s.Actions = append(s.Actions, a)
-	}
-	down := -1
-	wave := 0
-	for o.Kills > 0 || o.Waves > 0 || o.Repairs > 0 || o.Resizes > 0 || down >= 0 {
-		var legal []FaultOp
-		if down >= 0 {
-			// While a daemon is down only admission resizes (of live
-			// daemons) may interleave before the restart; the restart is
-			// listed twice to bias downtime windows short — the query
-			// workload, not the schedule, is what dwells on the outage.
-			if o.Resizes > 0 {
-				legal = append(legal, OpResize)
-			}
-			legal = append(legal, OpRestart, OpRestart)
-		} else {
-			if o.Kills > 0 {
-				legal = append(legal, OpKill)
-			}
-			if o.Waves > 0 {
-				legal = append(legal, OpWave)
-			}
-			if o.Repairs > 0 {
-				legal = append(legal, OpRepair)
-			}
-			if o.Resizes > 0 {
-				legal = append(legal, OpResize)
-			}
-		}
-		switch op := legal[r.IntN(len(legal))]; op {
-		case OpKill:
-			o.Kills--
-			down = r.IntN(nodes)
-			emit(FaultAction{Op: OpKill, Node: down})
-		case OpRestart:
-			emit(FaultAction{Op: OpRestart, Node: down})
-			down = -1
-		case OpWave:
-			o.Waves--
-			emit(FaultAction{Op: OpWave, Node: -1, Wave: wave})
-			wave++
-		case OpRepair:
-			o.Repairs--
-			emit(FaultAction{Op: OpRepair, Node: -1})
-		case OpResize:
-			o.Resizes--
-			target := r.IntN(nodes)
-			for target == down {
-				target = r.IntN(nodes)
-			}
-			emit(FaultAction{
-				Op: OpResize, Node: target,
-				Workers: 2 + r.IntN(7), Queue: 8 + r.IntN(25),
-			})
-		}
 	}
 	return s
 }

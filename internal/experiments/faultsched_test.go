@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -155,5 +156,48 @@ func TestScheduleArtifactRoundTrip(t *testing.T) {
 	}
 	if err := back.Validate(); err != nil {
 		t.Fatalf("round-tripped schedule invalid: %v", err)
+	}
+}
+
+// TestScheduleArtifactsReplay dry-runs the schedule artifacts a chaos
+// and a soak run wrote before the scenarios shared one driver: each must
+// decode, validate, still be what its seed generates, and fire through
+// drive against a 5-daemon fleet with stub actions — every action once,
+// in order, after a wait for its offset, with a point before, between
+// and after them. A fleet of another size is refused by name.
+func TestScheduleArtifactsReplay(t *testing.T) {
+	for name, o := range map[string]ScheduleOpts{"chaos": DefaultScheduleOpts(), "soak": DefaultSoakOpts().Schedule} {
+		raw, err := os.ReadFile(filepath.Join("testdata", name+"-schedule.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s FaultSchedule
+		if err := json.Unmarshal(raw, &s); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(s, GenerateSchedule(s.Seed, s.Nodes, o)) {
+			t.Errorf("%s: seed %d no longer generates the committed schedule", name, s.Seed)
+		}
+		var fired []FaultAction
+		var waits []time.Duration
+		points := 0
+		err = drive(s, DefaultClusterOpts().Nodes,
+			func(a FaultAction) error { fired = append(fired, a); return nil },
+			func(d time.Duration) { waits = append(waits, d) },
+			func(p int) error { points += p; return nil })
+		if err != nil || !reflect.DeepEqual(fired, s.Actions) || points != len(s.Actions)*(len(s.Actions)+1)/2 {
+			t.Errorf("%s: dry run err %v, fired %d of %d actions, points summing to %d", name, err, len(fired), len(s.Actions), points)
+		}
+		for i, d := range waits {
+			if at := s.Actions[i].At; d > at || d < at-time.Second {
+				t.Errorf("%s: action %d at %v waited %v", name, i, at, d)
+			}
+		}
+		if err := drive(s, 7, nil, nil, nil); err == nil || !strings.Contains(err.Error(), "schedule is for 5 nodes, the fleet has 7") {
+			t.Errorf("%s: a 7-daemon fleet accepted the schedule: %v", name, err)
+		}
 	}
 }

@@ -45,6 +45,6 @@ func TestTCPIngestResumeE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Fprint(os.Stderr)
+	t.Logf("report: %+v", *rep)
 	failOn(t, rep.Failures())
 }

@@ -125,25 +125,27 @@ func Fig2() *Table {
 	return t
 }
 
-// hdkColumns builds the per-DFmax column headers shared by Figures 3-7.
-func hdkColumns(r *Results, quantity string) []string {
-	cols := []string{"#docs", "#peers", "ST " + quantity}
+// hdkSeries builds a Figure 3-7 table: per step the collection and
+// network size, the ST value, and one HDK value per DFmax.
+func hdkSeries(r *Results, id, title, quantity string, st func(Step) float64, hdk func(HDKStep) float64) *Table {
+	t := &Table{ID: id, Title: title, Columns: []string{"#docs", "#peers", "ST " + quantity}}
 	for _, df := range r.Scale.DFMaxes {
-		cols = append(cols, fmt.Sprintf("HDK df=%d", df))
+		t.Columns = append(t.Columns, fmt.Sprintf("HDK df=%d", df))
 	}
-	return cols
+	for _, s := range r.Steps {
+		row := []string{fmt.Sprintf("%d", s.Docs), fmt.Sprintf("%d", s.Peers), f0(st(s))}
+		for _, h := range s.HDK {
+			row = append(row, f0(hdk(h)))
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return t
 }
 
 // Fig3 reproduces Figure 3: stored postings per peer (index size).
 func Fig3(r *Results) *Table {
-	t := &Table{ID: "fig3", Title: "Stored postings per peer (index size)", Columns: hdkColumns(r, "stored")}
-	for _, s := range r.Steps {
-		row := []string{fmt.Sprintf("%d", s.Docs), fmt.Sprintf("%d", s.Peers), f0(s.STStoredPerPeer)}
-		for _, h := range s.HDK {
-			row = append(row, f0(h.StoredPerPeer))
-		}
-		t.Rows = append(t.Rows, row)
-	}
+	t := hdkSeries(r, "fig3", "Stored postings per peer (index size)", "stored",
+		func(s Step) float64 { return s.STStoredPerPeer }, func(h HDKStep) float64 { return h.StoredPerPeer })
 	last := r.Steps[len(r.Steps)-1]
 	for _, h := range last.HDK {
 		t.Notes = append(t.Notes, fmt.Sprintf("DFmax=%d: HDK/ST stored ratio %.1fx at %d docs (paper: 13.9x at 140k, DFmax=400)",
@@ -154,15 +156,9 @@ func Fig3(r *Results) *Table {
 
 // Fig4 reproduces Figure 4: inserted postings per peer (indexing cost).
 func Fig4(r *Results) *Table {
-	t := &Table{ID: "fig4", Title: "Inserted postings per peer (indexing costs)", Columns: hdkColumns(r, "inserted")}
-	for _, s := range r.Steps {
-		// ST inserts exactly what it stores: the sweep fails otherwise.
-		row := []string{fmt.Sprintf("%d", s.Docs), fmt.Sprintf("%d", s.Peers), f0(s.STStoredPerPeer)}
-		for _, h := range s.HDK {
-			row = append(row, f0(h.InsertedPerPeer))
-		}
-		t.Rows = append(t.Rows, row)
-	}
+	// ST inserts exactly what it stores: the sweep fails otherwise.
+	t := hdkSeries(r, "fig4", "Inserted postings per peer (indexing costs)", "inserted",
+		func(s Step) float64 { return s.STStoredPerPeer }, func(h HDKStep) float64 { return h.InsertedPerPeer })
 	t.Notes = append(t.Notes, "inserted > stored for HDK: peers publish top-DFmax postings for NDKs that the index truncates")
 	return t
 }
@@ -192,14 +188,8 @@ func Fig5(r *Results) *Table {
 
 // Fig6 reproduces Figure 6: retrieved postings per query.
 func Fig6(r *Results) *Table {
-	t := &Table{ID: "fig6", Title: "Number of retrieved postings per query", Columns: hdkColumns(r, "postings/query")}
-	for _, s := range r.Steps {
-		row := []string{fmt.Sprintf("%d", s.Docs), fmt.Sprintf("%d", s.Peers), f0(s.STQueryPostings)}
-		for _, h := range s.HDK {
-			row = append(row, f0(h.QueryPostingsAvg))
-		}
-		t.Rows = append(t.Rows, row)
-	}
+	t := hdkSeries(r, "fig6", "Number of retrieved postings per query", "postings/query",
+		func(s Step) float64 { return s.STQueryPostings }, func(h HDKStep) float64 { return h.QueryPostingsAvg })
 	first, last := r.Steps[0], r.Steps[len(r.Steps)-1]
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"ST grows %.1fx across the sweep; HDK stays bounded (paper: ST linear, HDK ~constant)",
@@ -217,14 +207,8 @@ func Fig6(r *Results) *Table {
 // Fig7 reproduces Figure 7: top-20 overlap with the centralized BM25
 // reference.
 func Fig7(r *Results) *Table {
-	t := &Table{ID: "fig7", Title: "Top-20 overlap with BM25 relevance scheme [%]", Columns: hdkColumns(r, "overlap%")}
-	for _, s := range r.Steps {
-		row := []string{fmt.Sprintf("%d", s.Docs), fmt.Sprintf("%d", s.Peers), f0(s.STOverlapPercent)}
-		for _, h := range s.HDK {
-			row = append(row, f0(h.OverlapAvgPercent))
-		}
-		t.Rows = append(t.Rows, row)
-	}
+	t := hdkSeries(r, "fig7", "Top-20 overlap with BM25 relevance scheme [%]", "overlap%",
+		func(s Step) float64 { return s.STOverlapPercent }, func(h HDKStep) float64 { return h.OverlapAvgPercent })
 	t.Notes = append(t.Notes, "larger DFmax -> overlap closer to the centralized engine (the paper's quality/bandwidth trade-off)")
 	return t
 }

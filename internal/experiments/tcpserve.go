@@ -7,7 +7,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"reflect"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -20,65 +20,33 @@ import (
 	"repro/internal/transport/cluster"
 )
 
-// This file implements the serving scenario: the engine the in-process
-// experiments measure builds a cluster of hdknode OS processes over
-// pooled TCP through the client fabric, and the scenario verifies —
-// not assumes — that deployment changes nothing and that the daemons'
-// own hdk.search coordinators serve it correctly, boundedly and
-// observably. In order, against one cluster:
-//
-//  1. every daemon coordinates part of the query set to the
-//     bit-identical answer the in-process and client-fabric engines
-//     produce;
-//  2. the repeat pass is served from the result caches with ZERO fetch
-//     RPCs anywhere in the cluster;
-//  3. traced coordinations match the coordinator's own SearchResult
-//     and, level by level, the client-fabric engine searching from the
-//     same member;
-//  4. offered load past one coordinator's tiny worker pool and queue is
-//     shed with retry-after hints, accepted answers stay bit-identical
-//     with bounded p99, and one backoff cycle later nothing is shed;
-//  5. the daemons' registry deltas over phases 1–4 equal the
-//     client-observed fresh, cached, miss-eligible and shed responses
-//     EXACTLY;
-//  6. every /healthz answers "ok", every /metrics answers exposition
-//     text carrying the build_info lines of the daemon's own
-//     cluster.metrics snapshot, and every snapshot holds a coordination
-//     histogram, the found-keys and local-fetches series and an idle
-//     queue depth of 0;
-//  7. an incremental update invalidates every cache and the next
-//     coordinations match the updated reference;
-//  8. with the cache off, coordinations and the client fabric keep
-//     answering bit-identically after the owner of a probed key is
-//     SIGKILLed (zero recall loss at R=3); once the dead member is
-//     forgotten every survivor still coordinates bit-identically while
-//     the cluster owes a repair, the audit sees the deficit, and a
-//     repair sweep restores full R-way coverage.
-//
-// The CI cluster-e2e job runs this against 5 real child processes
-// started with -search-workers 2 -search-queue 2 -http 127.0.0.1:0
-// -slow-query 1ns (TestTCPServeE2E).
+// This file is the serving scenario: the engine builds a cluster of
+// hdknode processes through the client fabric, and the daemons' own
+// hdk.search coordinators must serve it correctly, boundedly and
+// observably. Its schedule is wave, SIGKILL, forget, repair, with passes
+// between: before the wave, parity, a repeat pass from the result
+// caches, traced coordinations, a flood past one coordinator's
+// admission capacity, exact counter accounting and every daemon's HTTP
+// surface; then cache invalidation, failover with zero recall loss at
+// R=3, parity while a repair is owed, and full coverage after it.
 
 // TCPServeOpts parameterizes the scenario. The daemons must run a tiny
-// -search-workers / -search-queue (the test uses 2 and 2) — the
-// scenario cannot set them over the wire, and a cluster with roomy
-// defaults never sheds, which the Rejected>0 gate turns into a loud
-// failure.
+// -search-workers / -search-queue (the test uses 2 and 2): with roomy
+// defaults nothing is shed, and the Rejected>0 gate fails.
 type TCPServeOpts struct {
 	ClusterOpts
-	ExtraDocs int // staged after the build via AddDocuments, then indexed by a second BuildIndex
-	Clients   int // concurrent closed-loop clients, all on addrs[0]
+	ExtraDocs int // the update wave's documents
+	Clients   int // concurrent flood clients, all on addrs[0]
 	PerClient int // accepted coordinations each client must complete
-	// P99Bound caps the 99th-percentile latency of ACCEPTED load
-	// requests (the successful attempt only — backoff sleeps excluded).
-	// With shedding working, accepted latency is bounded by the tiny
-	// queue, no matter how much load is offered.
+	// P99Bound caps the p99 latency of ACCEPTED flood requests (the
+	// successful attempt only): with shedding working, the tiny queue
+	// bounds it, no matter how much load is offered.
 	P99Bound time.Duration
 }
 
 // DefaultTCPServeOpts is the CI-gated configuration: a 5-process
-// cluster at R=3 hammered by 16 concurrent clients on one coordinator,
-// then an incremental update and one crash.
+// cluster at R=3 flooded by 16 concurrent clients on one coordinator,
+// then an update wave and one crash.
 func DefaultTCPServeOpts() TCPServeOpts {
 	return TCPServeOpts{
 		ClusterOpts: DefaultClusterOpts(), ExtraDocs: 30,
@@ -86,10 +54,9 @@ func DefaultTCPServeOpts() TCPServeOpts {
 	}
 }
 
-// Load client pacing: a shed request is retried with capped
-// exponential backoff above the daemon's hint; a request still shed
-// after satMaxAttempts fails the scenario (the daemon never recovered
-// capacity).
+// Flood pacing: a shed request is retried with capped exponential
+// backoff above the daemon's hint; one still shed after satMaxAttempts
+// fails the scenario (the daemon never recovered capacity).
 const (
 	satBackoffCap  = 200 * time.Millisecond
 	satMaxAttempts = 100
@@ -104,46 +71,38 @@ type TCPServeReport struct {
 	Queries  int
 	Clients  int
 
-	// Phase 1, parity: the client-fabric engine and the coordinators vs
-	// the in-process reference.
+	// Parity of the client-fabric engine and the coordinators.
 	ClientMismatches int
 	CoordMismatches  int
 
-	// Phase 2, result cache: the identical query set re-sent with
-	// identical coordinator routing.
-	RepeatCached     int    // responses flagged served-from-cache (want = Queries)
+	// The repeat pass, with identical coordinator routing.
+	RepeatCached     int    // responses served from cache (want = Queries)
 	RepeatMismatches int    // cached answers diverging from the originals
-	RepeatFetchRPCs  uint64 // cluster-wide hdk.fetchBatch delta across the pass (want 0)
+	RepeatFetchRPCs  uint64 // cluster-wide hdk.fetchBatch delta (want 0)
 
-	// Phase 3, traces: NoCache coordinations vs the coordinator's own
-	// SearchResult (rounds, RPCs, failovers) and vs the client-fabric
-	// engine searching from the coordinating member (per-level span
-	// rpcs attrs vs Traffic.FetchRPCsBySize deltas, answers).
+	// Traced NoCache coordinations (traceFaults).
 	TracedQueries    int
-	TraceMismatches  int // per-level RPC counts diverging from the engine, or trace totals from the result
-	TraceSpanDefects int // missing root/admission/rank, or fetch spans not matching rpcs
+	TraceMismatches  int
+	TraceSpanDefects int
 	ResultMismatches int // traced answers diverging from the engine's
 
-	// Phase 4, saturation: Clients x PerClient NoCache coordinations on
-	// one daemon. Rejected counts the shed attempts the clients
-	// absorbed (want > 0 — otherwise the load never saturated);
-	// MissingHint the ones without a positive retry-after hint.
-	Accepted         int
-	Rejected         uint64
-	MissingHint      int
-	LoadMismatches   int // accepted answers diverging from the reference
-	AcceptedP50Nanos int64
-	AcceptedP99Nanos int64 // the successful attempt only
-	P99BoundNanos    int64
-	// MaxRetryAfterNanos is the largest hint any rejection carried —
-	// the "one backoff cycle" the recovery pass waits before probing.
+	// The flood: Clients x PerClient NoCache coordinations on one
+	// daemon, then a serial recovery pass one backoff cycle (the largest
+	// hint) later.
+	Accepted           int
+	Rejected           uint64 // shed attempts (want > 0, or the load never saturated)
+	MissingHint        int    // rejections without a positive retry-after hint
+	LoadMismatches     int
+	AcceptedP50Nanos   int64
+	AcceptedP99Nanos   int64 // the successful attempt only
+	P99BoundNanos      int64
 	MaxRetryAfterNanos int64
-	RecoveryRejected   uint64 // serial recovery sweep requests still shed (want 0)
+	RecoveryRejected   uint64 // recovery requests still shed (want 0)
 	RecoveryMismatches int
 
-	// Phase 5, accounting: every hdk.search response the client saw over
-	// phases 1–4 by kind, against the daemons' summed registry deltas
-	// over exactly that window.
+	// Accounting: every hdk.search response the client saw before the
+	// wave, by kind, against the daemons' summed registry deltas over
+	// exactly that window.
 	FreshServed    uint64
 	CachedServed   uint64
 	MissEligible   uint64 // fresh responses to cache-eligible requests
@@ -152,55 +111,48 @@ type TCPServeReport struct {
 	CacheMissDelta uint64
 	ShedDelta      uint64
 
-	// Phase 6, exposition across every daemon: values read from each
-	// daemon's cluster.metrics snapshot, its HTTP endpoint checked
-	// against that snapshot.
-	HealthOK    int     // /healthz answering 200 "ok"
-	ScrapeOK    int     // /metrics answering 200 exposition text that carries the snapshot's hdk_build_info lines
-	BuildInfoOK int     // hdk_build_info 1 in the snapshot
-	CoordCount  uint64  // summed coordination-histogram count
-	CoordP99    float64 // worst daemon's coordination p99 (ns); must be > 0
-	QueueDepth  float64 // summed hdk_search_queue_depth at idle; must be 0
-	SlowLogged  uint64  // summed hdk_search_slow_total (daemons run -slow-query 1ns)
-	// The series the absent-probe ratio and the local/remote batch split
-	// are read from: how many daemons expose each (must be every one),
-	// and their sums — found keys out of probes, local fetch batches out
-	// of all fetch batches.
+	// Exposition: per daemon /healthz, /metrics against the daemon's own
+	// snapshot, and the snapshot's coordination (worst p99), queue,
+	// slow-query, found-keys and local-fetches series.
+	HealthOK            int
+	ScrapeOK            int
+	BuildInfoOK         int
+	CoordCount          uint64
+	CoordP99            float64
+	QueueDepth          float64
+	SlowLogged          uint64
 	FoundKeysExposed    int
 	LocalFetchesExposed int
-	ScrapedProbes       uint64 // hdk_query_probes_total
-	ScrapedFoundKeys    uint64 // hdk_query_found_keys_total; must be in (0, ScrapedProbes]
-	ScrapedFetchRPCs    uint64 // hdk_query_fetch_rpcs_total
-	ScrapedLocalFetches uint64 // hdk_query_local_fetches_total; must be in (0, ScrapedFetchRPCs]
+	ScrapedProbes       uint64
+	ScrapedFoundKeys    uint64
+	ScrapedFetchRPCs    uint64
+	ScrapedLocalFetches uint64
 
-	// Phase 7, invalidation: after AddDocuments + a second BuildIndex.
-	PostUpdateCached     int // responses still served from cache (want 0)
-	PostUpdateMismatches int // coordinator vs the updated reference
+	// After the wave: stale cache hits and parity.
+	PostUpdateCached     int
+	PostUpdateMismatches int
 
-	// Phase 8, failover: cache bypassed, one daemon SIGKILLed.
-	FailoverMismatches int // post-crash coordinations vs the updated reference
-	FailoverBatches    int // fetch batches re-sent to an alternate replica (want > 0)
-	// The same crash seen by the client fabric, whose view still lists
-	// the dead process: recall@TopK vs the updated reference (want 1).
-	RecallAfterCrash  float64
-	FailoversPerQuery float64
-	// Forget and repair: every survivor coordinating every query after
-	// the dead member is forgotten, before and after the repair sweep
-	// (want 0 each), and the audit around the sweep.
+	// After the SIGKILL: the survivors' coordinations and the failover
+	// batches they re-sent (want > 0); the client fabric's recall@TopK
+	// (want 1) and failovers.
+	FailoverMismatches int
+	FailoverBatches    int
+	RecallAfterCrash   float64
+	FailoversPerQuery  float64
+	// After the forget and after the repair sweep: every survivor
+	// coordinating every query (want 0 each), and the audits.
 	UnrepairedMismatches int
 	RepairedMismatches   int
-	UnderAfterCrash      int // under-replicated keys once the member is forgotten (want > 0)
+	UnderAfterCrash      int // want > 0
 	CopiesRepaired       int
 	RepairRPCs           int
 	UnderAfterRepair     int // want 0
 	RecallAfterRepair    float64
 
-	// The survivors' serving counters after the run.
-	SearchRPCs  uint64
-	CacheHits   uint64
-	CacheMisses uint64
-
-	// Cost of running over real sockets.
+	// The survivors' serving counters, and the cost of real sockets.
+	SearchRPCs   uint64
+	CacheHits    uint64
+	CacheMisses  uint64
 	WireMessages uint64
 	WireBytes    uint64
 	PoolDials    uint64
@@ -266,292 +218,111 @@ func (r *TCPServeReport) Clean() bool { return len(r.Failures()) == 0 }
 
 // TCPServe runs the scenario against an already-running cluster: addrs
 // are the daemon addresses and httpAddrs their observability endpoints
-// (both in start order), crash kills the process behind addrs[i]
-// (cluster.Harness.Kill for real processes). The given transport
-// carries all client traffic; pass a *transport.TCP to get pool
-// counters in the report.
+// (both in start order), crash kills the process behind addrs[i]. Pass a
+// *transport.TCP to get pool counters in the report.
 func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i int) error,
 	opts TCPServeOpts, progress Progress) (*TCPServeReport, error) {
 	if len(httpAddrs) != len(addrs) {
 		return nil, fmt.Errorf("experiments: %d rpc / %d http addresses", len(addrs), len(httpAddrs))
 	}
-	f, err := newFixture(tr, addrs, opts.ClusterOpts, opts.ExtraDocs, progress)
+	f, err := newFixture(fleet{tr: tr, addrs: addrs, kill: crash}, "tcpserve", opts.ClusterOpts, 1, opts.ExtraDocs, progress)
 	if err != nil {
 		return nil, err
 	}
-	c, queries := f.c, f.queries
-	eng, cluPeers, err := f.build("tcpserve")
-	if err != nil {
+	if err := f.build(); err != nil {
 		return nil, err
 	}
 	rep := &TCPServeReport{
 		Nodes: opts.Nodes, Replicas: opts.Replicas,
-		Docs: f.col.M(), Queries: len(queries), Clients: opts.Clients,
+		Docs: f.col.M(), Queries: len(f.queries), Clients: opts.Clients,
 		P99BoundNanos: int64(opts.P99Bound),
 	}
 
-	// The victim is the member that owns the first query's first term.
-	// Owning a key is not yet being read for it, though: a coordinator
-	// reads its own copy first and covers the rest with the fewest other
-	// members (core.ReadPlan). So the client fabric searches from a
-	// surviving member whose first-level plan for some query reads from
-	// the victim (the first level's candidates are the query's terms, so
-	// its plan is computable up front) — the query set exercises the
-	// failover path by construction instead of by coin flip.
-	victim, victimIdx, err := f.probedOwner()
-	if err != nil {
-		return nil, err
+	// The victim owns the first query's first term. A coordinator reads
+	// its own copy first and covers the rest with the fewest other
+	// members (core.ReadPlan), so owning a key is not yet being read for
+	// it: the client fabric searches from, and after the crash each query
+	// is coordinated by, a survivor whose first-level plan reads from the
+	// victim when one exists — failover by construction, not coin flip.
+	victimIdx := f.probedOwner()
+	reading := func(req core.SearchRequest) overlay.Member {
+		return f.c.CoordinatorReading(req.Terms, opts.Replicas, addrs[victimIdx])
 	}
 	var origin overlay.Member
 	for _, req := range f.requests(false) {
-		if origin = c.CoordinatorReading(req.Terms, opts.Replicas, victim.Addr()); origin != nil {
+		if origin = reading(req); origin != nil {
 			break
 		}
 	}
 	if origin == nil {
-		return nil, fmt.Errorf("experiments: no surviving member's read plan names %s — the query set cannot exercise failover", victim.Addr())
+		return nil, fmt.Errorf("experiments: no surviving member's read plan names %s — the query set cannot exercise failover", addrs[victimIdx])
+	}
+	survivors := append(append([]string(nil), addrs[:victimIdx]...), addrs[victimIdx+1:]...)
+	viaSurvivor := func(i int, req core.SearchRequest) string {
+		if m := reading(req); m != nil {
+			return m.Addr()
+		}
+		return survivors[i%len(survivors)]
 	}
 
-	// The accounting window opens after the build: every response the
-	// client observes from here through phase 4 must be mirrored
-	// exactly by the registry deltas read at its end.
-	before, err := f.counters()
-	if err != nil {
+	passes := []func() error{
+		func() error { return f.serve(httpAddrs, origin, opts, rep) },
+		func() (err error) {
+			rep.PostUpdateMismatches, rep.PostUpdateCached, _, err = f.pass(false, f.want[1], f.rotating)
+			return err
+		},
+		// The client is not told of the crash.
+		func() (err error) {
+			if rep.FailoverMismatches, _, rep.FailoverBatches, err = f.pass(true, f.want[1], viaSurvivor); err != nil {
+				return err
+			}
+			rep.RecallAfterCrash, rep.FailoversPerQuery, err = availabilityRecall(f.eng, f.queries, f.want[1], origin, opts.TopK)
+			return err
+		},
+		// Forgotten, not yet repaired: the replica sets name members the
+		// crash promoted, which hold no copy, so every survivor must report
+		// its view unrepaired and read primary-first until the sweep.
+		func() (err error) {
+			if fresh, err := cluster.MembersOf(tr, survivors[0]); err != nil || len(fresh) != len(survivors) {
+				return fmt.Errorf("post-forget discovery via %s: %d members (err %v), want %d",
+					survivors[0], len(fresh), err, len(survivors))
+			}
+			if err := f.expectUnrepaired(len(survivors)); err != nil {
+				return err
+			}
+			if rep.UnrepairedMismatches, err = f.sweep(f.want[1]); err != nil {
+				return err
+			}
+			rep.UnderAfterCrash, err = underReplicated(f.c.Audit(opts.Replicas))
+			return err
+		},
+		// Repaired: the sweep told the daemons, and they place reads again.
+		func() (err error) {
+			rep.CopiesRepaired, rep.RepairRPCs = f.repaired.CopiesSent, f.repaired.RepairRPCs
+			if rep.UnderAfterRepair, err = underReplicated(f.c.Audit(opts.Replicas)); err != nil {
+				return err
+			}
+			if rep.RecallAfterRepair, _, err = availabilityRecall(f.eng, f.queries, f.want[1], origin, opts.TopK); err != nil {
+				return err
+			}
+			if rep.RepairedMismatches, err = f.sweep(f.want[1]); err != nil {
+				return err
+			}
+			after := f.snapshot()
+			rep.SearchRPCs = sum(after, "hdk_search_rpcs_total")
+			rep.CacheHits = sum(after, "hdk_search_cache_hits_total")
+			rep.CacheMisses = sum(after, "hdk_search_cache_misses_total")
+			return f.expectUnrepaired(0)
+		},
+	}
+	sched := sequence(opts.Nodes,
+		FaultAction{Op: OpWave, Node: -1},
+		FaultAction{Op: OpKill, Node: victimIdx},
+		FaultAction{Op: OpForget, Node: victimIdx},
+		FaultAction{Op: OpRepair, Node: -1})
+	if err := drive(sched, opts.Nodes, f.fire, time.Sleep, func(p int) error { return passes[p]() }); err != nil {
 		return nil, err
 	}
-
-	// Phase 1: parity — the client-fabric engine, and a coordination by
-	// the daemon addrs[i % Nodes] so every daemon coordinates part of
-	// the set.
-	for i, q := range queries {
-		viaFabric, err := eng.Search(q, origin, opts.TopK)
-		if err != nil {
-			return nil, fmt.Errorf("fabric query %d: %w", i, err)
-		}
-		if !reflect.DeepEqual(f.want[i], viaFabric.Results) {
-			rep.ClientMismatches++
-		}
-	}
-	mismatches, cached, err := f.rotate(f.want)
-	if err != nil {
-		return nil, fmt.Errorf("coordinated: %w", err)
-	}
-	if cached > 0 {
-		return nil, fmt.Errorf("experiments: %d coordinated queries cached on a fresh cluster", cached)
-	}
-	rep.CoordMismatches = mismatches
-	rep.FreshServed += uint64(len(queries))
-	rep.MissEligible += uint64(len(queries))
-	f.progress("tcpserve: parity %d/%d fabric, %d/%d coordinated",
-		len(queries)-rep.ClientMismatches, len(queries), len(queries)-rep.CoordMismatches, len(queries))
-
-	// Phase 2: the repeat pass must be answered entirely from the
-	// coordinators' result caches — zero fetch RPCs cluster-wide.
-	cold, err := f.counters()
-	if err != nil {
-		return nil, err
-	}
-	if rep.RepeatMismatches, rep.RepeatCached, err = f.rotate(f.want); err != nil {
-		return nil, fmt.Errorf("repeat: %w", err)
-	}
-	after, err := f.counters()
-	if err != nil {
-		return nil, err
-	}
-	rep.RepeatFetchRPCs = after.fetchRPCs - cold.fetchRPCs
-	rep.CachedServed += uint64(rep.RepeatCached)
-	rep.FreshServed += uint64(len(queries) - rep.RepeatCached)
-	rep.MissEligible += uint64(len(queries) - rep.RepeatCached)
-	f.progress("tcpserve: repeat pass %d/%d cached, %d fetch RPCs", rep.RepeatCached, len(queries), rep.RepeatFetchRPCs)
-
-	// Phase 3: every query re-run traced with the cache off, each checked
-	// against the client-fabric engine's deterministic per-level
-	// counters: the engine runs the identical traversal over the
-	// identical membership from the coordinating daemon's own member
-	// (which replica a key is read from — and so how a level's keys
-	// group into batches — depends on who coordinates, core.ReadPlan),
-	// so its per-level fetch-RPC deltas are the exact ground truth for
-	// the trace's level spans.
-	origins := make(map[string]overlay.Member, opts.Nodes)
-	for _, m := range c.Members() {
-		origins[m.Addr()] = m
-	}
-	for i, req := range f.requests(true) {
-		coord := addrs[i%len(addrs)]
-		res, trace, err := c.SearchTraceVia(coord, req)
-		if err != nil {
-			return nil, fmt.Errorf("traced query %d: %w", i, err)
-		}
-		rep.FreshServed++
-		rep.TracedQueries++
-		if trace == nil {
-			rep.TraceSpanDefects++
-			continue
-		}
-		tb := eng.Traffic().Snapshot()
-		want, err := eng.Search(queries[i], origins[coord], opts.TopK)
-		if err != nil {
-			return nil, fmt.Errorf("reference query %d: %w", i, err)
-		}
-		ta := eng.Traffic().Snapshot()
-		if !reflect.DeepEqual(want.Results, res.Results) {
-			rep.ResultMismatches++
-		}
-		rep.TraceMismatches += traceLevelMismatches(trace, tb, ta) + traceResultMismatches(trace, res)
-		rep.TraceSpanDefects += traceShapeDefects(trace)
-	}
-	f.progress("tcpserve: %d traced coordinations, %d level mismatches, %d shape defects",
-		rep.TracedQueries, rep.TraceMismatches, rep.TraceSpanDefects)
-
-	// Phase 4: saturation load on addrs[0], then its recovery pass.
-	if err := saturate(f, addrs[0], opts, rep); err != nil {
-		return nil, err
-	}
-
-	// Phase 5: close the accounting window.
-	if after, err = f.counters(); err != nil {
-		return nil, err
-	}
-	rep.SearchRPCDelta = after.searchRPCs - before.searchRPCs
-	rep.CacheHitDelta = after.hits - before.hits
-	rep.CacheMissDelta = after.misses - before.misses
-	rep.ShedDelta = after.shed - before.shed
-
-	// Phase 6: scrape every daemon's HTTP endpoint.
-	scrapeCluster(tr, addrs, httpAddrs, rep)
-	f.progress("tcpserve: scraped %d/%d endpoints, coordination p99 %.2fms over %d, %d slow-logged",
-		rep.ScrapeOK, opts.Nodes, rep.CoordP99/1e6, rep.CoordCount, rep.SlowLogged)
-
-	// Phase 7: stage the extra documents on BOTH engines, update, and
-	// verify the caches were invalidated by the update's write-through
-	// mutations — fresh coordinations matching the updated reference.
-	for i, part := range splitRange(f.full, f.col.M(), f.full.M(), opts.Nodes) {
-		if err := cluPeers[i].AddDocuments(part); err != nil {
-			return nil, err
-		}
-		if err := f.refPeers[i].AddDocuments(part); err != nil {
-			return nil, err
-		}
-	}
-	if err := eng.BuildIndex(); err != nil {
-		return nil, fmt.Errorf("cluster update: %w", err)
-	}
-	if err := f.ref.BuildIndex(); err != nil {
-		return nil, fmt.Errorf("reference update: %w", err)
-	}
-	updated, err := f.answers()
-	if err != nil {
-		return nil, err
-	}
-	if rep.PostUpdateMismatches, rep.PostUpdateCached, err = f.rotate(updated); err != nil {
-		return nil, fmt.Errorf("post-update: %w", err)
-	}
-	f.progress("tcpserve: post-update %d stale-cached, %d/%d parity",
-		rep.PostUpdateCached, len(queries)-rep.PostUpdateMismatches, len(queries))
-
-	// Phase 8: crash the victim — the client is NOT told — and
-	// coordinate through the surviving daemons with the cache forced
-	// off: the traversal must fail over to the replicas and keep
-	// answering bit-identically. Each query is coordinated by a
-	// survivor whose first-level plan reads from the victim when one
-	// exists, and by the survivors in rotation otherwise.
-	var survivors []string
-	for i, a := range addrs {
-		if i != victimIdx {
-			survivors = append(survivors, a)
-		}
-	}
-	f.progress("tcpserve: crashing process %d (%s), coordinating via the %d survivors", victimIdx, victim.Addr(), len(survivors))
-	if err := crash(victimIdx); err != nil {
-		return nil, fmt.Errorf("crash process %d: %w", victimIdx, err)
-	}
-	for i, req := range f.requests(true) {
-		coord := survivors[i%len(survivors)]
-		if m := c.CoordinatorReading(req.Terms, opts.Replicas, victim.Addr()); m != nil {
-			coord = m.Addr()
-		}
-		got, _, err := c.SearchVia(coord, req)
-		if err != nil {
-			return nil, fmt.Errorf("post-crash query %d: %w", i, err)
-		}
-		if !reflect.DeepEqual(updated[i], got.Results) {
-			rep.FailoverMismatches++
-		}
-		rep.FailoverBatches += got.Failovers
-	}
-	f.progress("tcpserve: post-crash %d/%d parity, %d failover batches",
-		len(queries)-rep.FailoverMismatches, len(queries), rep.FailoverBatches)
-
-	// The client fabric meets the same crash through dead fetches and
-	// must fail over to the replicas too.
-	if rep.RecallAfterCrash, rep.FailoversPerQuery, err = availabilityRecall(eng, queries, updated, origin, opts.TopK); err != nil {
-		return nil, fmt.Errorf("post-crash fabric query: %w", err)
-	}
-
-	// Remove the dead member — from the engine's view AND from the
-	// daemons' bootstrap membership, so clients connecting later do not
-	// rediscover the dead address.
-	if err := eng.FailNode(victim); err != nil {
-		return nil, err
-	}
-	if err := c.Forget(victim.Addr()); err != nil {
-		return nil, fmt.Errorf("forget dead member: %w", err)
-	}
-	survivor := c.Members()[0].Addr()
-	if fresh, err := cluster.MembersOf(tr, survivor); err != nil || len(fresh) != opts.Nodes-1 {
-		return nil, fmt.Errorf("post-forget discovery via %s: %d members (err %v), want %d",
-			survivor, len(fresh), err, opts.Nodes-1)
-	}
-	// Forgotten but not yet repaired: the daemons' replica sets now name
-	// members the crash promoted, which hold no copy. Every survivor must
-	// report its view unrepaired, read primary-first until the sweep
-	// reports in, and so still coordinate every query bit-identically.
-	unrepaired, err := f.unrepaired()
-	if err != nil {
-		return nil, err
-	}
-	if unrepaired != len(survivors) {
-		return nil, fmt.Errorf("experiments: %d/%d survivors report an unrepaired view after the forget", unrepaired, len(survivors))
-	}
-	if rep.UnrepairedMismatches, err = f.sweep(updated); err != nil {
-		return nil, fmt.Errorf("forgotten, unrepaired: %w", err)
-	}
-
-	// Audit and repair through the ENGINE's own methods: its inventory
-	// reaches the daemon-hosted stores over the index RPCs, so the call
-	// an in-process deployment uses restores coverage here too. The
-	// sweep tells the daemons, and they place reads again.
-	if rep.UnderAfterCrash, err = underReplicated(eng.AuditReplicas()); err != nil {
-		return nil, fmt.Errorf("audit: %w", err)
-	}
-	rstats, err := eng.RepairReplicas()
-	if err != nil {
-		return nil, fmt.Errorf("repair: %w", err)
-	}
-	rep.CopiesRepaired, rep.RepairRPCs = rstats.CopiesSent, rstats.RepairRPCs
-	if rep.UnderAfterRepair, err = underReplicated(eng.AuditReplicas()); err != nil {
-		return nil, fmt.Errorf("post-repair audit: %w", err)
-	}
-	if rep.RecallAfterRepair, _, err = availabilityRecall(eng, queries, updated, origin, opts.TopK); err != nil {
-		return nil, fmt.Errorf("post-repair query: %w", err)
-	}
-	if rep.RepairedMismatches, err = f.sweep(updated); err != nil {
-		return nil, fmt.Errorf("repaired: %w", err)
-	}
-	f.progress("tcpserve: fabric recall %.4f after crash (%.2f failovers/query), %.4f after repair (%d copies shipped, %d under-replicated left)",
-		rep.RecallAfterCrash, rep.FailoversPerQuery, rep.RecallAfterRepair, rep.CopiesRepaired, rep.UnderAfterRepair)
-
-	// The survivors' serving counters and the client's pool.
-	if unrepaired, err = f.unrepaired(); err != nil {
-		return nil, err
-	}
-	if unrepaired != 0 {
-		return nil, fmt.Errorf("experiments: %d survivors still report an unrepaired view after the repair", unrepaired)
-	}
-	if after, err = f.counters(); err != nil {
-		return nil, err
-	}
-	rep.SearchRPCs, rep.CacheHits, rep.CacheMisses = after.searchRPCs, after.hits, after.misses
 	st := tr.Stats()
 	rep.WireMessages, rep.WireBytes = st.Messages, st.Bytes
 	if tcp, ok := tr.(*transport.TCP); ok {
@@ -561,96 +332,172 @@ func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i in
 	return rep, nil
 }
 
-// loadClient is one closed-loop load client's tally, merged after the
-// run.
-type loadClient struct {
-	latencies   []int64
-	rejected    uint64
-	missingHint int
-	mismatches  int
-	maxHint     time.Duration
-	err         error
+// serve runs the passes before the wave inside one accounting window:
+// every response the client observes must be mirrored exactly by the
+// registry deltas read at its end. Then it scrapes every daemon.
+func (f *fixture) serve(httpAddrs []string, origin overlay.Member, opts TCPServeOpts, rep *TCPServeReport) error {
+	n := uint64(len(f.queries))
+	before := f.snapshot()
+	for i, q := range f.queries {
+		viaFabric, err := f.eng.Search(q, origin, opts.TopK)
+		if err != nil {
+			return fmt.Errorf("fabric query %d: %w", i, err)
+		}
+		if !reflect.DeepEqual(f.want[0][i], viaFabric.Results) {
+			rep.ClientMismatches++
+		}
+	}
+	var cached int
+	var err error
+	if rep.CoordMismatches, cached, _, err = f.pass(false, f.want[0], f.rotating); err != nil {
+		return err
+	}
+	if cached > 0 {
+		return fmt.Errorf("experiments: %d coordinated queries cached on a fresh cluster", cached)
+	}
+
+	// The repeat pass must be answered entirely from the coordinators'
+	// result caches — zero fetch RPCs cluster-wide.
+	cold := sum(f.snapshot(), "hdk_fetch_rpcs_total")
+	if rep.RepeatMismatches, rep.RepeatCached, _, err = f.pass(false, f.want[0], f.rotating); err != nil {
+		return err
+	}
+	rep.RepeatFetchRPCs = sum(f.snapshot(), "hdk_fetch_rpcs_total") - cold
+	rep.CachedServed += uint64(rep.RepeatCached)
+	rep.FreshServed += 2*n - uint64(rep.RepeatCached)
+	rep.MissEligible += 2*n - uint64(rep.RepeatCached)
+
+	// Traced, cache off, each against the client-fabric engine running
+	// the identical traversal from the coordinating daemon's own member
+	// (who coordinates decides which replica a key is read from, and so
+	// how a level's keys batch): its per-level fetch-RPC deltas are the
+	// exact ground truth for the trace's level spans.
+	for i, req := range f.requests(true) {
+		coord := f.rotating(i, req)
+		res, trace, err := f.c.SearchTraceVia(coord, req)
+		if err != nil {
+			return fmt.Errorf("traced query %d: %w", i, err)
+		}
+		rep.FreshServed++
+		rep.TracedQueries++
+		m, _ := f.c.View().Member(coord)
+		tb := f.eng.Traffic().Snapshot()
+		want, err := f.eng.Search(f.queries[i], m, opts.TopK)
+		if err != nil {
+			return fmt.Errorf("reference query %d: %w", i, err)
+		}
+		if !reflect.DeepEqual(want.Results, res.Results) {
+			rep.ResultMismatches++
+		}
+		mism, defects := traceFaults(trace, res, tb, f.eng.Traffic().Snapshot())
+		rep.TraceMismatches += mism
+		rep.TraceSpanDefects += defects
+	}
+
+	if err := f.flood(f.addrs[0], opts, rep); err != nil {
+		return err
+	}
+	after := f.snapshot()
+	delta := func(counter string) uint64 { return sum(after, counter) - sum(before, counter) }
+	rep.SearchRPCDelta = delta("hdk_search_rpcs_total")
+	rep.CacheHitDelta = delta("hdk_search_cache_hits_total")
+	rep.CacheMissDelta = delta("hdk_search_cache_misses_total")
+	rep.ShedDelta = delta("hdk_search_shed_total")
+	scrape(httpAddrs, after, rep)
+	return nil
 }
 
-// saturate is phase 4. Every client hammers the coordinator at target
-// back to back with NoCache requests (a cache hit would bypass
-// admission), far past its worker+queue capacity. Shed attempts are
-// retried with capped exponential backoff above the daemon's hint
-// (full jitter, so the herd spreads out); the recorded latency is the
-// successful attempt alone. One backoff cycle after the load stops,
-// the same coordinator must accept a serial sweep of the full query set
-// without shedding a single request.
-func saturate(f *fixture, target string, opts TCPServeOpts, rep *TCPServeReport) error {
+// expectUnrepaired fails unless exactly want members of the client's
+// view report, over cluster.info, a view that owes a repair.
+func (f *fixture) expectUnrepaired(want int) error {
+	n := 0
+	for _, m := range f.c.Members() {
+		info, err := cluster.FetchInfo(f.tr, m.Addr())
+		if err != nil {
+			return err
+		}
+		if info.Unrepaired {
+			n++
+		}
+	}
+	if n != want {
+		return fmt.Errorf("experiments: %d/%d members report an unrepaired view, want %d", n, f.c.Size(), want)
+	}
+	return nil
+}
+
+// flood has every client hammer the coordinator at target back to back
+// with NoCache requests (a cache hit would bypass admission). Shed
+// attempts are retried with capped exponential backoff above the
+// daemon's hint, with full jitter so the herd spreads out. One backoff
+// cycle after the load stops, the same coordinator must accept a serial
+// pass of the query set without shedding a single request.
+func (f *fixture) flood(target string, opts TCPServeOpts, rep *TCPServeReport) error {
 	reqs := f.requests(true)
-	f.progress("tcpserve: %d clients x %d coordinations against %s", opts.Clients, opts.PerClient, target)
-	tallies := make([]loadClient, opts.Clients)
-	var wg sync.WaitGroup
-	for w := range tallies {
+	var (
+		mu        sync.Mutex // guards rep's flood tallies, latencies, maxHint and firstErr
+		latencies []int64
+		maxHint   time.Duration
+		firstErr  error
+		wg        sync.WaitGroup
+	)
+	for w := 0; w < opts.Clients; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			st := &tallies[w]
 			for j := 0; j < opts.PerClient; j++ {
 				qi := (w + j) % len(reqs)
 				for attempt := 1; ; attempt++ {
 					t0 := time.Now()
 					res, _, err := f.c.TrySearchVia(target, reqs[qi])
-					if err == nil {
-						st.latencies = append(st.latencies, time.Since(t0).Nanoseconds())
-						if !reflect.DeepEqual(f.want[qi], res.Results) {
-							st.mismatches++
+					lat := time.Since(t0).Nanoseconds()
+					var ov *core.OverloadError
+					shed := errors.As(err, &ov)
+					mu.Lock()
+					switch {
+					case err == nil:
+						latencies = append(latencies, lat)
+						if !reflect.DeepEqual(f.want[0][qi], res.Results) {
+							rep.LoadMismatches++
+						}
+					case shed:
+						rep.Rejected++
+						if ov.RetryAfter <= 0 {
+							rep.MissingHint++
+						}
+						maxHint = max(maxHint, ov.RetryAfter)
+						if attempt >= satMaxAttempts {
+							err, shed = fmt.Errorf("still shed after %d attempts", attempt), false
+						}
+					}
+					if err != nil && !shed && firstErr == nil {
+						firstErr = fmt.Errorf("client %d request %d: %w", w, j, err)
+					}
+					mu.Unlock()
+					if !shed {
+						if err != nil {
+							return
 						}
 						break
 					}
-					var ov *core.OverloadError
-					if !errors.As(err, &ov) {
-						st.err = fmt.Errorf("client %d request %d: %w", w, j, err)
-						return
-					}
-					st.rejected++
-					if ov.RetryAfter <= 0 {
-						st.missingHint++
-					}
-					st.maxHint = max(st.maxHint, ov.RetryAfter)
-					if attempt >= satMaxAttempts {
-						st.err = fmt.Errorf("client %d request %d: still shed after %d attempts", w, j, attempt)
-						return
-					}
 					hi := min(ov.RetryAfter<<min(attempt, 4), satBackoffCap)
-					sleep := ov.RetryAfter
-					if spread := int64(hi - ov.RetryAfter); spread > 0 {
-						sleep += time.Duration(rand.Int64N(spread + 1))
-					}
-					time.Sleep(sleep)
+					time.Sleep(ov.RetryAfter + time.Duration(rand.Int64N(int64(max(hi-ov.RetryAfter, 0))+1)))
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-
-	var latencies []int64
-	var maxHint time.Duration
-	for i := range tallies {
-		st := &tallies[i]
-		if st.err != nil {
-			return st.err
-		}
-		latencies = append(latencies, st.latencies...)
-		rep.Rejected += st.rejected
-		rep.MissingHint += st.missingHint
-		rep.LoadMismatches += st.mismatches
-		maxHint = max(maxHint, st.maxHint)
+	if firstErr != nil {
+		return firstErr
 	}
 	rep.Accepted = len(latencies)
 	rep.FreshServed += uint64(rep.Accepted)
 	rep.MaxRetryAfterNanos = int64(maxHint)
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
+	slices.Sort(latencies)
 	if n := len(latencies); n > 0 {
 		rep.AcceptedP50Nanos = latencies[n/2]
 		rep.AcceptedP99Nanos = latencies[n*99/100]
 	}
-	f.progress("tcpserve: %d accepted (p99 %.3fms), %d shed (max hint %v)",
-		rep.Accepted, float64(rep.AcceptedP99Nanos)/1e6, rep.Rejected, maxHint)
 
 	time.Sleep(maxHint)
 	for i, req := range reqs {
@@ -663,73 +510,62 @@ func saturate(f *fixture, target string, opts TCPServeOpts, rep *TCPServeReport)
 			return fmt.Errorf("recovery query %d: %w", i, err)
 		}
 		rep.FreshServed++
-		if !reflect.DeepEqual(f.want[i], res.Results) {
+		if !reflect.DeepEqual(f.want[0][i], res.Results) {
 			rep.RecoveryMismatches++
 		}
 	}
-	f.progress("tcpserve: recovery %d rejected, %d mismatches", rep.RecoveryRejected, rep.RecoveryMismatches)
 	return nil
 }
 
-// traceLevelMismatches compares a trace's level spans against the
-// engine's per-level fetch-RPC deltas across the reference run.
-func traceLevelMismatches(trace *telemetry.Trace, before, after core.TrafficSnapshot) int {
-	got := make(map[int]uint64)
-	for _, id := range trace.Find("level") {
+// traceFaults checks one traced coordination. mismatches counts level
+// spans whose rpcs differ from the engine's per-level fetch-RPC deltas
+// (before → after), and trace totals that differ from the coordination's
+// own result: one level per round, and rpcs, fetch spans and failovers
+// summing to its counters. defects counts structural faults: no
+// "coordinate" root, not exactly one admission and one rank span, or a
+// level whose fetch children differ from its rpcs (one span per owner
+// batch, failover waves included); a missing trace is one defect.
+func traceFaults(trace *telemetry.Trace, res *core.SearchResult, before, after core.TrafficSnapshot) (mismatches, defects int) {
+	if trace == nil || len(trace.Spans) == 0 || trace.Spans[0].Name != "coordinate" {
+		return 0, 1
+	}
+	levels, fetches := trace.Find("level"), trace.Find("fetch")
+	bySize := make(map[int]uint64)
+	var rpcs, failovers uint64
+	for _, id := range levels {
 		sp := &trace.Spans[id]
 		size, err1 := strconv.Atoi(sp.Attr("level"))
-		rpcs, err2 := strconv.ParseUint(sp.Attr("rpcs"), 10, 64)
-		if err1 != nil || err2 != nil {
-			return 1 // malformed attrs: count as one mismatch
+		r, err2 := strconv.ParseUint(sp.Attr("rpcs"), 10, 64)
+		fo, err3 := strconv.ParseUint(sp.Attr("failovers"), 10, 64)
+		if err1 != nil || err2 != nil || err3 != nil {
+			return 1, 1 // malformed attributes
 		}
-		got[size] += rpcs
+		bySize[size] += r
+		rpcs += r
+		failovers += fo
+		children := 0
+		for _, f := range fetches {
+			if trace.Spans[f].Parent == id {
+				children++
+			}
+		}
+		if uint64(children) != r {
+			defects++
+		}
 	}
-	mismatches := 0
 	for size := 1; size < len(after.FetchRPCsBySize); size++ {
-		if got[size] != after.FetchRPCsBySize[size]-before.FetchRPCsBySize[size] {
+		if bySize[size] != after.FetchRPCsBySize[size]-before.FetchRPCsBySize[size] {
 			mismatches++
 		}
 	}
-	return mismatches
-}
-
-// traceResultMismatches compares a trace against the SearchResult the
-// same coordination returned: one level span per round, and the level
-// spans' rpcs and failovers attributes and the fetch spans themselves
-// summing to the result's own counters.
-func traceResultMismatches(trace *telemetry.Trace, res *core.SearchResult) int {
-	levels := trace.Find("level")
-	var rpcs, failovers uint64
-	for _, id := range levels {
-		r, err1 := strconv.ParseUint(trace.Spans[id].Attr("rpcs"), 10, 64)
-		f, err2 := strconv.ParseUint(trace.Spans[id].Attr("failovers"), 10, 64)
-		if err1 != nil || err2 != nil {
-			return 1
-		}
-		rpcs += r
-		failovers += f
-	}
-	mismatches := 0
 	if len(levels) != res.Rounds {
 		mismatches++
 	}
-	if rpcs != uint64(res.RPCs) || len(trace.Find("fetch")) != res.RPCs {
+	if rpcs != uint64(res.RPCs) || len(fetches) != res.RPCs {
 		mismatches++
 	}
 	if failovers != uint64(res.Failovers) {
 		mismatches++
-	}
-	return mismatches
-}
-
-// traceShapeDefects checks the span tree's structure: a "coordinate"
-// root, exactly one admission and one rank span, and per level exactly
-// as many fetch child spans as the level's rpcs attribute claims (one
-// span per owner batch, failover waves included).
-func traceShapeDefects(trace *telemetry.Trace) int {
-	defects := 0
-	if len(trace.Spans) == 0 || trace.Spans[0].Name != "coordinate" {
-		return 1
 	}
 	if len(trace.Find("admission")) != 1 {
 		defects++
@@ -737,37 +573,14 @@ func traceShapeDefects(trace *telemetry.Trace) int {
 	if len(trace.Find("rank")) != 1 {
 		defects++
 	}
-	for _, id := range trace.Find("level") {
-		rpcs, err := strconv.ParseUint(trace.Spans[id].Attr("rpcs"), 10, 64)
-		if err != nil {
-			defects++
-			continue
-		}
-		fetches := 0
-		for _, f := range trace.Find("fetch") {
-			if trace.Spans[f].Parent == id {
-				fetches++
-			}
-		}
-		if uint64(fetches) != rpcs {
-			defects++
-		}
-	}
-	return defects
+	return mismatches, defects
 }
 
-// expositionContentType is the Content-Type hdknode's /metrics answers
-// with: the Prometheus text exposition format, version 0.0.4.
-const expositionContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// scrapeCluster reads every daemon's exposition values from its
-// cluster.metrics snapshot and checks its HTTP endpoint against that
-// same daemon: /healthz must answer 200 "ok", and /metrics must answer
-// 200 with the exposition content type and a body carrying the
-// hdk_build_info lines WritePrometheus renders from the snapshot. A
-// daemon failing a check just leaves the per-node OK counters short of
-// Nodes, failing the gate.
-func scrapeCluster(tr transport.Transport, addrs, httpAddrs []string, rep *TCPServeReport) {
+// scrape reads every daemon's exposition values from its snapshot
+// (snaps, in process order) and checks its HTTP endpoint, which must
+// answer in the Prometheus text format 0.0.4, against it: a daemon
+// failing a check leaves the per-node OK counters short of Nodes.
+func scrape(httpAddrs []string, snaps []telemetry.Snapshot, rep *TCPServeReport) {
 	client := &http.Client{Timeout: 10 * time.Second}
 	get := func(url string) (string, string, bool) {
 		resp, err := client.Get(url)
@@ -778,13 +591,9 @@ func scrapeCluster(tr transport.Transport, addrs, httpAddrs []string, rep *TCPSe
 		body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 		return string(body), resp.Header.Get("Content-Type"), err == nil && resp.StatusCode == http.StatusOK
 	}
-	for i, addr := range httpAddrs {
-		if body, _, ok := get("http://" + addr + "/healthz"); ok && strings.TrimSpace(body) == "ok" {
+	for i, snap := range snaps {
+		if body, _, ok := get("http://" + httpAddrs[i] + "/healthz"); ok && strings.TrimSpace(body) == "ok" {
 			rep.HealthOK++
-		}
-		snap, err := cluster.FetchMetrics(tr, addrs[i])
-		if err != nil {
-			continue
 		}
 		var buildInfo telemetry.Snapshot
 		for _, g := range snap.Gauges {
@@ -796,17 +605,12 @@ func scrapeCluster(tr transport.Transport, addrs, httpAddrs []string, rep *TCPSe
 			rep.BuildInfoOK++
 			var want strings.Builder
 			buildInfo.WritePrometheus(&want)
-			if body, ctype, ok := get("http://" + addr + "/metrics"); ok && ctype == expositionContentType && strings.Contains(body, want.String()) {
+			if body, ctype, ok := get("http://" + httpAddrs[i] + "/metrics"); ok && ctype == "text/plain; version=0.0.4; charset=utf-8" && strings.Contains(body, want.String()) {
 				rep.ScrapeOK++
 			}
 		}
 		depth, _ := snap.Gauge("hdk_search_queue_depth")
 		rep.QueueDepth += depth
-		rep.SlowLogged += snap.CounterSum("hdk_search_slow_total")
-		rep.ScrapedProbes += snap.CounterSum("hdk_query_probes_total")
-		rep.ScrapedFoundKeys += snap.CounterSum("hdk_query_found_keys_total")
-		rep.ScrapedFetchRPCs += snap.CounterSum("hdk_query_fetch_rpcs_total")
-		rep.ScrapedLocalFetches += snap.CounterSum("hdk_query_local_fetches_total")
 		if _, ok := snap.Counter("hdk_query_found_keys_total", telemetry.L("level", "1")); ok {
 			rep.FoundKeysExposed++
 		}
@@ -817,33 +621,9 @@ func scrapeCluster(tr transport.Transport, addrs, httpAddrs []string, rep *TCPSe
 		rep.CoordCount += coord.Count
 		rep.CoordP99 = max(rep.CoordP99, float64(coord.Quantile(0.99)))
 	}
-}
-
-// Fprint renders the scenario report.
-func (r *TCPServeReport) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "TCP serve — %d hdknode coordinators, R=%d, %d docs, %d queries, %d load clients\n",
-		r.Nodes, r.Replicas, r.Docs, r.Queries, r.Clients)
-	fmt.Fprintf(w, "parity: %d fabric / %d coordinated mismatches vs in-process engine | repeat %d/%d cached (%d mismatches, %d fetch RPCs)\n",
-		r.ClientMismatches, r.CoordMismatches, r.RepeatCached, r.Queries, r.RepeatMismatches, r.RepeatFetchRPCs)
-	fmt.Fprintf(w, "traces: %d coordinations, %d level mismatches, %d shape defects, %d result mismatches\n",
-		r.TracedQueries, r.TraceMismatches, r.TraceSpanDefects, r.ResultMismatches)
-	fmt.Fprintf(w, "load: accepted %d, p50 %.3fms, p99 %.3fms (bound %.0fms) | shed %d (%d without hint, max hint %.0fms) | %d mismatches | recovery %d rejected, %d mismatches\n",
-		r.Accepted, float64(r.AcceptedP50Nanos)/1e6, float64(r.AcceptedP99Nanos)/1e6, float64(r.P99BoundNanos)/1e6,
-		r.Rejected, r.MissingHint, float64(r.MaxRetryAfterNanos)/1e6, r.LoadMismatches, r.RecoveryRejected, r.RecoveryMismatches)
-	fmt.Fprintf(w, "counter parity: search %d vs %d served | hits %d vs %d | misses %d vs %d | shed %d vs %d\n",
-		r.SearchRPCDelta, r.FreshServed+r.CachedServed+r.Rejected+r.RecoveryRejected,
-		r.CacheHitDelta, r.CachedServed, r.CacheMissDelta, r.MissEligible,
-		r.ShedDelta, r.Rejected+r.RecoveryRejected)
-	fmt.Fprintf(w, "scrape: %d/%d healthz, %d/%d metrics, %d/%d build_info | coord p99 %.2fms over %d | queue %.0f | %d slow-logged\n",
-		r.HealthOK, r.Nodes, r.ScrapeOK, r.Nodes, r.BuildInfoOK, r.Nodes,
-		r.CoordP99/1e6, r.CoordCount, r.QueueDepth, r.SlowLogged)
-	fmt.Fprintf(w, "coordinator series: exposed by %d/%d and %d/%d daemons | %d/%d probes found a key | %d/%d fetch batches served by the coordinator's own store\n",
-		r.FoundKeysExposed, r.Nodes, r.LocalFetchesExposed, r.Nodes,
-		r.ScrapedFoundKeys, r.ScrapedProbes, r.ScrapedLocalFetches, r.ScrapedFetchRPCs)
-	fmt.Fprintf(w, "update: %d stale-cached, %d mismatches | failover: %d mismatches, %d re-sent batches | fabric recall %.4f (%.2f failovers/query)\n",
-		r.PostUpdateCached, r.PostUpdateMismatches, r.FailoverMismatches, r.FailoverBatches, r.RecallAfterCrash, r.FailoversPerQuery)
-	fmt.Fprintf(w, "forget: %d unrepaired mismatches, %d under-replicated | repair: %d copies over %d RPCs, %d under-replicated left, recall %.4f, %d mismatches\n",
-		r.UnrepairedMismatches, r.UnderAfterCrash, r.CopiesRepaired, r.RepairRPCs, r.UnderAfterRepair, r.RecallAfterRepair, r.RepairedMismatches)
-	fmt.Fprintf(w, "served %d coordinations, cache %d hits / %d misses | wire: %d msgs, %d payload bytes | pool: %d dials, %d reuses\n",
-		r.SearchRPCs, r.CacheHits, r.CacheMisses, r.WireMessages, r.WireBytes, r.PoolDials, r.PoolReuses)
+	rep.SlowLogged = sum(snaps, "hdk_search_slow_total")
+	rep.ScrapedProbes = sum(snaps, "hdk_query_probes_total")
+	rep.ScrapedFoundKeys = sum(snaps, "hdk_query_found_keys_total")
+	rep.ScrapedFetchRPCs = sum(snaps, "hdk_query_fetch_rpcs_total")
+	rep.ScrapedLocalFetches = sum(snaps, "hdk_query_local_fetches_total")
 }

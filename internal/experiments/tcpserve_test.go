@@ -73,7 +73,7 @@ func TestTCPServeE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Fprint(os.Stderr)
+	t.Logf("report: %+v", *rep)
 	failOn(t, rep.Failures())
 
 	// The operator-visible side of the slow-query log: at least one
