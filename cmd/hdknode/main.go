@@ -8,9 +8,9 @@
 //
 // Every daemon is also a query coordinator: the hdk.search RPC runs the
 // whole lattice traversal node-side against the daemon's own membership
-// view (replica failover included), so a thin client pays one RPC per
-// query instead of orchestrating the fan-out itself (hdksearch -connect
-// -coordinator). Coordinations are bounded by a worker pool
+// view (replica failover included), so a thin client (hdksearch
+// -connect, the benchmark) pays one RPC per query instead of
+// orchestrating the fan-out itself. Coordinations are bounded by a worker pool
 // (-search-workers) plus a bounded admission queue (-search-queue):
 // when both are full the daemon sheds the request with an explicit
 // overload rejection carrying a retry-after hint, instead of letting
@@ -27,7 +27,9 @@
 // through to an op log under the data directory (fsync policy via
 // -fsync), the log is periodically compacted into a full-store snapshot,
 // and a graceful shutdown seals the state into a fresh snapshot. A
-// restarted daemon reloads its store fraction from disk, rejoins through
+// restarted daemon reloads its store fraction from disk (refusing index
+// and search RPCs until the replay is done, so a coordinator reads the
+// keys' other replicas meanwhile), rejoins through
 // -join, pulls the delta it missed from its replica peers (a scoped
 // catch-up, not a rebuild), and only then prints its banner:
 //

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	hdksearch [-docs N] [-peers N] [-dfmax N] [-topk N] [-replicas R]
-//	hdksearch -connect HOST:PORT [-coordinator [-trace]] [-forget HOST:PORT] [-docs N] ...
+//	hdksearch -connect HOST:PORT [-trace] [-forget HOST:PORT] [-docs N] ...
 //
 // By default the peer network is simulated in-process. With -connect the
 // shell becomes the thin client of a REAL cluster: it discovers the
@@ -16,15 +16,15 @@
 // to coordinate the round-synchronous index build node-side (hdk.build)
 // — the shell never runs a build round and holds no peer state
 // (-peers is ignored — the cluster size decides; -replicas defaults to
-// the factor the daemons advertise). With -coordinator each query is
-// ONE hdk.search RPC to the -connect daemon, which runs the whole
-// lattice traversal node-side and may answer from its query-result
-// cache; without it the shell orchestrates the fan-out itself.
+// the factor the daemons advertise). Each query is then ONE hdk.search
+// RPC to the -connect daemon, which runs the whole lattice traversal
+// node-side and may answer from its query-result cache; -trace prints
+// the daemon's span tree under each answer.
 //
 // Type a query (space-separated terms from the printed sample
 // vocabulary), or one of the commands:
 //
-//	:stats   print index statistics
+//	:stats   print index statistics and the counted query work
 //	:doc N   print document N's terms
 //	:quit    exit
 package main
@@ -53,8 +53,7 @@ func main() {
 	topk := flag.Int("topk", 10, "results per query")
 	replicas := flag.Int("replicas", 1, "R-way key replication factor (searches fail over between replicas)")
 	connect := flag.String("connect", "", "address of any hdknode daemon: build and query a running multi-process cluster")
-	coordinator := flag.Bool("coordinator", false, "with -connect: send each query as ONE hdk.search RPC and let the daemon coordinate the traversal")
-	trace := flag.Bool("trace", false, "with -coordinator: ask the daemon for a per-query span tree (admission, cache, per-level fetch waves) and print it under each answer")
+	trace := flag.Bool("trace", false, "with -connect: ask the daemon for a per-query span tree (admission, cache, per-level fetch waves) and print it under each answer")
 	forget := flag.String("forget", "", "with -connect: drop this dead member's address from the cluster membership and re-replicate what it held, before building")
 	chunkBytes := flag.Int("build-chunk-bytes", 0, "with -connect: hdk.ingest chunk payload target in bytes (0 = cluster default)")
 	flag.Parse()
@@ -65,24 +64,21 @@ func main() {
 		}
 	})
 
-	if err := run(*docs, *peers, *dfmax, *topk, *replicas, *chunkBytes, *connect, *forget, *coordinator, *trace, replicasSet); err != nil {
+	if err := run(*docs, *peers, *dfmax, *topk, *replicas, *chunkBytes, *connect, *forget, *trace, replicasSet); err != nil {
 		fmt.Fprintln(os.Stderr, "hdksearch:", err)
 		os.Exit(1)
 	}
 }
 
-func run(docs, peers, dfmax, topk, replicas, chunkBytes int, connect, forget string, coordinator, trace, replicasSet bool) error {
+func run(docs, peers, dfmax, topk, replicas, chunkBytes int, connect, forget string, trace, replicasSet bool) error {
 	if forget != "" && connect == "" {
 		return fmt.Errorf("-forget requires -connect (it edits a live cluster's membership)")
 	}
 	if chunkBytes != 0 && connect == "" {
 		return fmt.Errorf("-build-chunk-bytes requires -connect (the in-process engine does not stream)")
 	}
-	if coordinator && connect == "" {
-		return fmt.Errorf("-coordinator requires -connect (daemons coordinate, the in-process engine queries directly)")
-	}
-	if trace && !coordinator {
-		return fmt.Errorf("-trace requires -coordinator (the span tree is recorded by the coordinating daemon)")
+	if trace && connect == "" {
+		return fmt.Errorf("-trace requires -connect (the span tree is recorded by the coordinating daemon)")
 	}
 	p := corpus.DefaultGenParams(docs)
 	p.AvgDocLen = 80
@@ -228,7 +224,7 @@ func run(docs, peers, dfmax, topk, replicas, chunkBytes int, connect, forget str
 		var res *core.SearchResult
 		var span *telemetry.Trace
 		cost := ""
-		if coordinator {
+		if clu != nil {
 			// One RPC: the daemon behind -connect coordinates the whole
 			// traversal and may answer straight from its result cache.
 			req := core.SearchRequest{Terms: eng.QueryTerms(q), K: topk}
@@ -296,33 +292,62 @@ func printIndexReady(eng *core.Engine, clu *cluster.Client) {
 	fmt.Printf("index ready: %d keys, %d postings stored across %d processes\n", keys, posts, len(nodeStats))
 }
 
+// printStats reports the index and the counted query work: the
+// engine's own registry in-process, the daemons' registries (every
+// client's queries, cluster-wide) over cluster.metrics in connect mode.
 func printStats(eng *core.Engine, fabric overlay.Fabric, clu *cluster.Client, tcp *transport.TCP) {
-	traffic := eng.Traffic().Snapshot()
 	if clu == nil {
 		stats := eng.Stats()
+		snap := eng.Metrics().Snapshot()
 		fmt.Printf("keys by size: 1:%d 2:%d 3:%d | stored postings %d | inserted %d\n",
 			stats.KeysBySize[1], stats.KeysBySize[2], stats.KeysBySize[3],
-			stats.StoredTotal, traffic.InsertedTotal)
+			stats.StoredTotal, snap.CounterSum("hdk_build_inserted_postings_total"))
 		if net, ok := fabric.(*overlay.Network); ok {
 			st := net.TransportStats()
 			fmt.Printf("transport: %d msgs, %d bytes\n", st.Messages, st.Bytes)
 		}
+		printQueries(snap)
+		return
+	}
+	nodeStats, err := clu.StoreStats()
+	if err != nil {
+		fmt.Printf("store stats unavailable: %v\n", err)
 	} else {
-		nodeStats, err := clu.StoreStats()
-		if err != nil {
-			fmt.Printf("store stats unavailable: %v\n", err)
-		} else {
-			for _, ns := range nodeStats {
-				fmt.Printf("  %s: %d keys, %d postings\n", ns.Addr, ns.Stats.KeysTotal(), ns.Stats.PostsTotal())
-			}
+		for _, ns := range nodeStats {
+			fmt.Printf("  %s: %d keys, %d postings\n", ns.Addr, ns.Stats.KeysTotal(), ns.Stats.PostsTotal())
 		}
-		st := clu.TransportStats()
-		ps := tcp.PoolStats()
-		fmt.Printf("transport: %d msgs, %d payload bytes | pool: %d dials, %d reuses, %d stale retries\n",
-			st.Messages, st.Bytes, ps.Dials, ps.Reuses, ps.StaleRetries)
+	}
+	var dials, reuses, stale uint64
+	snaps := make([]telemetry.Snapshot, 0, clu.Size())
+	for _, m := range clu.Members() {
+		snap, err := cluster.FetchMetrics(tcp, m.Addr())
+		if err != nil {
+			fmt.Printf("metrics of %s unavailable: %v\n", m.Addr(), err)
+			continue
+		}
+		dials += snap.CounterSum("hdk_transport_dials_total")
+		reuses += snap.CounterSum("hdk_transport_pool_reuses_total")
+		stale += snap.CounterSum("hdk_transport_stale_retries_total")
+		snaps = append(snaps, snap)
+	}
+	fmt.Printf("daemon pools: %d dials, %d reuses, %d stale retries\n", dials, reuses, stale)
+	printQueries(snaps...)
+}
+
+// printQueries sums the traversal series over registry snapshots.
+func printQueries(snaps ...telemetry.Snapshot) {
+	var probes, rpcs, rounds, failovers uint64
+	for _, snap := range snaps {
+		probes += snap.CounterSum("hdk_query_probes_total")
+		rpcs += snap.CounterSum("hdk_query_fetch_rpcs_total")
+		failovers += snap.CounterSum("hdk_query_failovers_total")
+		for size := 1; size <= core.MaxKeySize; size++ {
+			hv, _ := snap.Histogram("hdk_query_level_nanoseconds", telemetry.L("level", strconv.Itoa(size)))
+			rounds += hv.Count
+		}
 	}
 	fmt.Printf("queries: %d lattice probes answered by %d batched fetch RPCs over %d levels (%d replica failovers)\n",
-		traffic.ProbeMessages, traffic.FetchRPCs, traffic.QueryRounds, traffic.SearchFailovers)
+		probes, rpcs, rounds, failovers)
 }
 
 func printDoc(col *corpus.Collection, arg string) {

@@ -21,7 +21,8 @@
 // deadline-aware transport with per-address idle connection reuse — and
 // internal/transport/cluster provides the one-hop client fabric that
 // lets the unchanged engine build and query a cluster of separate OS
-// processes (hdksearch -connect). internal/durable
+// processes, and the thin client that streams a cluster its corpus and
+// sends it queries (hdksearch -connect). internal/durable
 // gives the daemons disk-backed stores (CRC-guarded snapshots plus an
 // append-only op log with threshold compaction), so a killed process
 // restarts warm: it restores its store fraction from its data directory,
@@ -30,13 +31,16 @@
 //
 // Every daemon is also a query coordinator: the hdk.search RPC runs the
 // engine's level-parallel lattice traversal node-side — one RPC per
-// query from a thin client (hdksearch -connect -coordinator), with
+// query from a thin client (hdksearch -connect), with
 // replica failover, a worker-pool admission bound and a per-node
 // query-result cache that locally served index mutations invalidate
 // (core.Coordinator + cluster.Server). Coordinated answers are verified
 // bit-identical to the in-process engine's by CI gates against real
 // child processes: the serving, ingest-resume, chaos and soak scenarios
 // of internal/experiments, each a fault schedule fired by one driver.
+// Every layer of a daemon counts into the daemon's one telemetry
+// registry, and an in-process engine counts the same series into its
+// own (Engine.Metrics), so both are read the same way.
 //
 // ARCHITECTURE.md maps the paper's sections onto the packages and walks
 // a coordinated query and an insert through the system. See README.md

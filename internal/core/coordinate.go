@@ -31,11 +31,11 @@ const (
 	metricQueryLocalFetches = "hdk_query_local_fetches_total"
 )
 
-// QueryMetrics is the set of registry series a coordinator emits, every
-// handle resolved once: a label-keyed registry lookup costs a sort and
-// several allocations, which the traversal would otherwise pay four
-// times per level per query. The daemon builds one at start-up and hands
-// it to every Coordinator it runs.
+// QueryMetrics is the set of registry series every traversal counts
+// into, each handle resolved once: a label-keyed registry lookup costs a
+// sort and several allocations, which the traversal would otherwise pay
+// four times per level per query. The daemon builds one at start-up and
+// hands it to every Coordinator it runs; an Engine builds its own.
 type QueryMetrics struct {
 	levels       [MaxKeySize + 1]levelMetrics // indexed by key size; [0] unused
 	failovers    *telemetry.Counter
@@ -86,10 +86,10 @@ func NewQueryMetrics(reg *telemetry.Registry) *QueryMetrics {
 // view; Cfg supplies SMax and ReplicationFactor (the daemon uses the
 // configuration the building client shipped, so coordination agrees
 // with placement). The traversal caches nothing: the cluster daemon
-// caches whole results one layer up. Metrics, when non-nil, receives
-// the registry series the live cluster is observed through: per-level
-// probe/found/RPC/posting counters, per-level latency histograms and the
-// local-fetch counter.
+// caches whole results one layer up. Metrics (required) receives the
+// registry series the live cluster is observed through: per-level
+// probe/found/RPC/posting counters, per-level latency histograms, the
+// failover and the local-fetch counters.
 //
 // From is the coordinating member: the replica reads prefer (ReadPlan)
 // — a daemon passes its own member stub. It may be nil, which reads
@@ -123,8 +123,7 @@ func (c *Coordinator) Search(terms []string, k int) (*SearchResult, error) {
 // A nil tb costs nothing on the traversal path: span attributes are
 // built only while a trace is recording.
 func (c *Coordinator) SearchTraced(terms []string, k int, tb *telemetry.TraceBuilder) (*SearchResult, error) {
-	ls := newLatticeSearch(c.Net, c.From, c.Cfg, nil)
-	ls.metrics = c.Metrics
+	ls := newLatticeSearch(c.Net, c.From, c.Cfg, c.Metrics)
 	ls.trace = tb
 	if c.Store != nil {
 		ls.store = c.Store.store
@@ -156,7 +155,7 @@ const searchFanout = 4
 
 // latticeSearch is the per-query traversal state shared by Engine.Search
 // and Coordinator.Search: the fabric to probe, the failover and fan-out
-// parameters and the counters.
+// parameters and the series it counts into.
 type latticeSearch struct {
 	net        overlay.Fabric
 	from       overlay.Member
@@ -165,20 +164,19 @@ type latticeSearch struct {
 	store      *hdkStore // from's own store, read directly (nil: over the fabric)
 	replicas   int
 	fanout     int
-	traffic    *Traffic                // nil: no global counters
-	metrics    *QueryMetrics           // nil: no registry series
+	metrics    *QueryMetrics
 	trace      *telemetry.TraceBuilder // nil: tracing off (nil-safe methods)
 
 	localFetches int // fetch batches served by self, this query
 }
 
-func newLatticeSearch(net overlay.Fabric, from overlay.Member, cfg Config, traffic *Traffic) *latticeSearch {
+func newLatticeSearch(net overlay.Fabric, from overlay.Member, cfg Config, metrics *QueryMetrics) *latticeSearch {
 	ls := &latticeSearch{
 		net:      net,
 		from:     from,
 		replicas: max(cfg.ReplicationFactor, 1),
 		fanout:   searchFanout,
-		traffic:  traffic,
+		metrics:  metrics,
 	}
 	if from != nil {
 		ls.self = from.Addr()
@@ -237,10 +235,6 @@ func (ls *latticeSearch) run(terms []string, maxSize, k int) (*SearchResult, err
 		if err := ls.probeLevel(outcomes, res, lvlSpan); err != nil {
 			return nil, err
 		}
-		if ls.traffic != nil {
-			ls.traffic.ProbesBySize[size].Add(uint64(len(outcomes)))
-			ls.traffic.FetchRPCsBySize[size].Add(uint64(res.RPCs - rpcsBefore))
-		}
 		// Accumulate in candidate-enumeration order: float score addition
 		// is order-sensitive, so this keeps parallel fan-out bit-identical
 		// to a serial probe sequence.
@@ -265,26 +259,15 @@ func (ls *latticeSearch) run(terms []string, maxSize, k int) (*SearchResult, err
 				telemetry.Num("postings", res.FetchedPosts-postsBefore))
 		}
 		ls.trace.End(lvlSpan)
-		if ls.metrics != nil {
-			lvl := &ls.metrics.levels[size]
-			lvl.probes.Add(uint64(len(outcomes)))
-			lvl.found.Add(uint64(res.FoundKeys - foundBefore))
-			lvl.fetchRPCs.Add(uint64(res.RPCs - rpcsBefore))
-			lvl.postings.Add(res.FetchedPosts - postsBefore)
-			lvl.nanos.ObserveDuration(time.Since(levelStart))
-		}
+		lvl := &ls.metrics.levels[size]
+		lvl.probes.Add(uint64(len(outcomes)))
+		lvl.found.Add(uint64(res.FoundKeys - foundBefore))
+		lvl.fetchRPCs.Add(uint64(res.RPCs - rpcsBefore))
+		lvl.postings.Add(res.FetchedPosts - postsBefore)
+		lvl.nanos.ObserveDuration(time.Since(levelStart))
 	}
-	if ls.traffic != nil {
-		ls.traffic.FetchedPosts.Add(res.FetchedPosts)
-		ls.traffic.ProbeMessages.Add(uint64(res.ProbedKeys))
-		ls.traffic.FetchRPCs.Add(uint64(res.RPCs))
-		ls.traffic.QueryRounds.Add(uint64(res.Rounds))
-		ls.traffic.SearchFailovers.Add(uint64(res.Failovers))
-	}
-	if ls.metrics != nil {
-		ls.metrics.failovers.Add(uint64(res.Failovers))
-		ls.metrics.localFetches.Add(uint64(ls.localFetches))
-	}
+	ls.metrics.failovers.Add(uint64(res.Failovers))
+	ls.metrics.localFetches.Add(uint64(ls.localFetches))
 	rankSpan := ls.trace.Start(0, "rank")
 	res.Results = rank.TopKByScore(acc, k)
 	if ls.trace != nil {

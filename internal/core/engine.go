@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,14 +14,15 @@ import (
 	"repro/internal/postings"
 	"repro/internal/rank"
 	"repro/internal/replica"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
 // Engine coordinates the HDK engine over an overlay network: it owns the
 // configuration, the per-node index stores, the participating peers and
-// the traffic accounting. The round-synchronous BuildIndex drives the
-// paper's iterative collaborative indexing; Search implements the
-// lattice-based retrieval model.
+// the registry its work is counted in. The round-synchronous BuildIndex
+// drives the paper's iterative collaborative indexing; Search implements
+// the lattice-based retrieval model.
 type Engine struct {
 	net    overlay.Fabric
 	cfg    Config
@@ -32,54 +34,20 @@ type Engine struct {
 	stores      map[overlay.ID]*StoreServer
 	concurrency int // peers indexed in parallel per round (see SetConcurrency)
 
-	traffic Traffic
+	// The registry every counted event goes to, with its handles
+	// resolved once (see Instrument).
+	reg      *telemetry.Registry
+	query    *QueryMetrics
+	inserted [MaxKeySize + 1]*telemetry.Counter // postings shipped into the index per round (all replicas); [0] unused
+	notified *telemetry.Counter                 // NDK expansion notifications sent
 }
 
-// Traffic aggregates the paper's posting/message counters. InsertedBySize
-// feeds Figure 5 (IS_s); Fetched feeds Figure 6.
-type Traffic struct {
-	InsertedBySize  [MaxKeySize + 1]atomic.Uint64 // postings shipped into the index, per key size (all replicas)
-	FetchedPosts    atomic.Uint64                 // postings shipped to querying peers
-	NotifyMessages  atomic.Uint64                 // NDK expansion notifications sent
-	ProbeMessages   atomic.Uint64                 // retrieval lattice probes issued
-	ProbesBySize    [MaxKeySize + 1]atomic.Uint64 // lattice probes per level (= key size)
-	FetchRPCs       atomic.Uint64                 // batched fetch RPCs issued by queries
-	FetchRPCsBySize [MaxKeySize + 1]atomic.Uint64 // batched fetch RPCs per level
-	QueryRounds     atomic.Uint64                 // lattice levels traversed by queries
-	SearchFailovers atomic.Uint64                 // fetch batches re-sent to an alternate replica
-}
-
-// TrafficSnapshot is a point-in-time copy of the counters.
-type TrafficSnapshot struct {
-	InsertedBySize  [MaxKeySize + 1]uint64
-	InsertedTotal   uint64
-	FetchedPosts    uint64
-	NotifyMessages  uint64
-	ProbeMessages   uint64
-	ProbesBySize    [MaxKeySize + 1]uint64
-	FetchRPCs       uint64
-	FetchRPCsBySize [MaxKeySize + 1]uint64
-	QueryRounds     uint64
-	SearchFailovers uint64
-}
-
-// Snapshot copies the counters.
-func (t *Traffic) Snapshot() TrafficSnapshot {
-	var s TrafficSnapshot
-	for i := range t.InsertedBySize {
-		s.InsertedBySize[i] = t.InsertedBySize[i].Load()
-		s.InsertedTotal += s.InsertedBySize[i]
-		s.ProbesBySize[i] = t.ProbesBySize[i].Load()
-		s.FetchRPCsBySize[i] = t.FetchRPCsBySize[i].Load()
-	}
-	s.FetchedPosts = t.FetchedPosts.Load()
-	s.NotifyMessages = t.NotifyMessages.Load()
-	s.ProbeMessages = t.ProbeMessages.Load()
-	s.FetchRPCs = t.FetchRPCs.Load()
-	s.QueryRounds = t.QueryRounds.Load()
-	s.SearchFailovers = t.SearchFailovers.Load()
-	return s
-}
+// Registry series the build emits: the paper's IS_s (Figure 5) per
+// round, and the keys named in expansion notifications.
+const (
+	metricBuildInsertedPostings = "hdk_build_inserted_postings_total"
+	metricBuildNotifyKeys       = "hdk_build_notify_keys_total"
+)
 
 // NewEngine wires an HDK engine onto an overlay. vocab maps term ids to
 // term strings; termFreqs are the global collection frequencies used to
@@ -100,6 +68,7 @@ func NewEngine(net overlay.Fabric, cfg Config, vocab []string, termFreqs []int) 
 		vf:     make([]bool, len(vocab)),
 		stores: make(map[overlay.ID]*StoreServer),
 	}
+	e.Instrument(telemetry.NewRegistry())
 	for i, s := range vocab {
 		e.termID[s] = corpus.TermID(i)
 	}
@@ -159,8 +128,23 @@ func (e *Engine) Config() Config { return e.cfg }
 // Network returns the overlay fabric the engine runs on.
 func (e *Engine) Network() overlay.Fabric { return e.net }
 
-// Traffic returns the engine's traffic counters.
-func (e *Engine) Traffic() *Traffic { return &e.traffic }
+// Metrics returns the registry the engine counts into: every search's
+// traversal series, under the names and labels a daemon's coordinator
+// exports (QueryMetrics), and the build's per-round inserted postings
+// and notified keys.
+func (e *Engine) Metrics() *telemetry.Registry { return e.reg }
+
+// Instrument points the engine's series at reg: a daemon's build engine
+// counts into the daemon's registry. Call it before the engine builds or
+// searches; counts made before it stay on the registry they were made in.
+func (e *Engine) Instrument(reg *telemetry.Registry) {
+	e.reg = reg
+	e.query = NewQueryMetrics(reg)
+	for size := 1; size <= MaxKeySize; size++ {
+		e.inserted[size] = reg.Counter(metricBuildInsertedPostings, telemetry.L("round", strconv.Itoa(size)))
+	}
+	e.notified = reg.Counter(metricBuildNotifyKeys)
+}
 
 // BuildIndex runs the iterative collaborative indexing over every
 // peer's documents past its watermark: for each key size s = 1..smax
@@ -262,7 +246,7 @@ func (e *Engine) indexPeerRound(p *Peer, s int) (PeerRoundTimes, error) {
 	if err != nil {
 		return PeerRoundTimes{}, err
 	}
-	e.traffic.InsertedBySize[s].Add(n)
+	e.inserted[s].Add(n)
 	return PeerRoundTimes{Generate: generated.Sub(start), Insert: time.Since(generated)}, nil
 }
 
@@ -339,7 +323,7 @@ func (e *Engine) classifyAndNotify(s int) error {
 				}
 				return fmt.Errorf("core: notify %s: %w", addr, err)
 			}
-			e.traffic.NotifyMessages.Add(uint64(len(keys)))
+			e.notified.Add(uint64(len(keys)))
 		}
 	}
 	return nil
@@ -375,7 +359,7 @@ func (e *Engine) Search(q corpus.Query, from overlay.Member, k int) (*SearchResu
 	// the key vocabulary, exactly like the single-term stop-word case),
 	// and render them canonically in ascending TermID order.
 	terms := e.QueryTerms(q)
-	return newLatticeSearch(e.net, from, e.cfg, &e.traffic).run(terms, min(e.cfg.SMax, len(terms)), k)
+	return newLatticeSearch(e.net, from, e.cfg, e.query).run(terms, min(e.cfg.SMax, len(terms)), k)
 }
 
 // forEachLimit invokes fn(0..n-1) from at most limit concurrent

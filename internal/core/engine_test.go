@@ -360,17 +360,17 @@ func TestInsertedAtLeastStored(t *testing.T) {
 	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	traffic := eng.Traffic().Snapshot()
+	inserted := counted(eng, metricBuildInsertedPostings)
 	stats := eng.Stats()
-	if traffic.InsertedTotal < uint64(stats.StoredTotal) {
-		t.Fatalf("inserted %d < stored %d", traffic.InsertedTotal, stats.StoredTotal)
+	if inserted < uint64(stats.StoredTotal) {
+		t.Fatalf("inserted %d < stored %d", inserted, stats.StoredTotal)
 	}
 	// NDK truncation means strictly fewer stored than inserted here
 	// (DFmax=6 guarantees truncation on this collection).
-	if traffic.InsertedTotal == uint64(stats.StoredTotal) {
+	if inserted == uint64(stats.StoredTotal) {
 		t.Error("expected NDK truncation to drop postings")
 	}
-	if traffic.NotifyMessages == 0 {
+	if counted(eng, metricBuildNotifyKeys) == 0 {
 		t.Error("no expansion notifications sent — NDKs must exist at DFmax=6")
 	}
 }

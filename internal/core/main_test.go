@@ -12,3 +12,8 @@ import (
 // worker, a store's background compaction, an unclosed overlay —
 // survives the tests.
 func TestMain(m *testing.M) { os.Exit(leakcheck.Main(m)) }
+
+// counted sums one of the engine's registry counters over its labels.
+func counted(eng *Engine, name string) uint64 {
+	return eng.Metrics().Snapshot().CounterSum(name)
+}

@@ -43,7 +43,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 		}
 	}
 	// Traffic totals commute too.
-	if parallel.Traffic().Snapshot().InsertedTotal != serial.Traffic().Snapshot().InsertedTotal {
+	if counted(parallel, metricBuildInsertedPostings) != counted(serial, metricBuildInsertedPostings) {
 		t.Fatal("inserted-posting totals differ between parallel and serial builds")
 	}
 }
@@ -64,7 +64,7 @@ func TestParallelIncrementalBuildMatchesSerial(t *testing.T) {
 		if err := eng.BuildIndex(); err != nil {
 			t.Fatal(err)
 		}
-		return indexDigest(t, eng), eng.Traffic().Snapshot().InsertedTotal
+		return indexDigest(t, eng), counted(eng, metricBuildInsertedPostings)
 	}
 	serial, serialInserted := wave(1)
 	parallel, parallelInserted := wave(4)

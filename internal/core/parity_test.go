@@ -97,15 +97,15 @@ func TestBuildParityGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			tr := eng.Traffic().Snapshot()
+			inserted, notified := counted(eng, metricBuildInsertedPostings), counted(eng, metricBuildNotifyKeys)
 			got := indexDigest(t, eng)
-			t.Logf("digest %s inserted %d notify %d keys %d", got, tr.InsertedTotal, tr.NotifyMessages, eng.Stats().KeysTotal)
+			t.Logf("digest %s inserted %d notify %d keys %d", got, inserted, notified, eng.Stats().KeysTotal)
 			if got != tc.golden {
 				t.Errorf("index digest %s, golden %s", got, tc.golden)
 			}
-			if tr.InsertedTotal != tc.goldenInserted || tr.NotifyMessages != tc.goldenNotifyMsg {
+			if inserted != tc.goldenInserted || notified != tc.goldenNotifyMsg {
 				t.Errorf("traffic (inserted %d, notify %d), golden (%d, %d)",
-					tr.InsertedTotal, tr.NotifyMessages, tc.goldenInserted, tc.goldenNotifyMsg)
+					inserted, notified, tc.goldenInserted, tc.goldenNotifyMsg)
 			}
 		})
 	}

@@ -215,7 +215,7 @@ func TestSearchInvariantUnderReaderChoice(t *testing.T) {
 	search := func(net overlay.Fabric, from overlay.Member, i int) []byte {
 		t.Helper()
 		terms := eng.QueryTerms(corpus.Query{Terms: col.Docs[i].Terms[:3]})
-		c := Coordinator{Net: net, Cfg: eng.cfg, From: from}
+		c := Coordinator{Net: net, Cfg: eng.cfg, From: from, Metrics: eng.query}
 		res, err := c.Search(terms, 10)
 		if err != nil {
 			t.Fatal(err)
@@ -369,7 +369,7 @@ func TestUnrepairedCrashReadsPrimaryFirst(t *testing.T) {
 	readerOf := func(from overlay.Member) string {
 		t.Helper()
 		tb := telemetry.StartTrace("coordinate")
-		c := Coordinator{Net: eng.net, Cfg: eng.cfg, From: from}
+		c := Coordinator{Net: eng.net, Cfg: eng.cfg, From: from, Metrics: eng.query}
 		if _, err := c.SearchTraced(probe, 20, tb); err != nil {
 			t.Fatal(err)
 		}

@@ -41,9 +41,9 @@ func TestReplicatedBuildCoverage(t *testing.T) {
 	if s3.StoredTotal != 3*s1.StoredTotal {
 		t.Fatalf("stored postings: %d at R=3 vs %d at R=1, want exactly 3x", s3.StoredTotal, s1.StoredTotal)
 	}
-	t1, t3 := single.Traffic().Snapshot(), triple.Traffic().Snapshot()
-	if t3.InsertedTotal != 3*t1.InsertedTotal {
-		t.Fatalf("insert traffic: %d at R=3 vs %d at R=1, want exactly 3x", t3.InsertedTotal, t1.InsertedTotal)
+	t1, t3 := counted(single, metricBuildInsertedPostings), counted(triple, metricBuildInsertedPostings)
+	if t3 != 3*t1 {
+		t.Fatalf("insert traffic: %d at R=3 vs %d at R=1, want exactly 3x", t3, t1)
 	}
 
 	// Replica stores must answer identically to the primary: the ranked
@@ -216,8 +216,8 @@ func TestSearchFailoverGroundTruth(t *testing.T) {
 	if got := blocker.count(); failovers != got {
 		t.Fatalf("Failovers counted %d, transport blocked %d fetch batches", failovers, got)
 	}
-	if total := eng.Traffic().Snapshot().SearchFailovers; total != uint64(failovers) {
-		t.Fatalf("Traffic.SearchFailovers %d, per-query sum %d", total, failovers)
+	if total := counted(eng, metricQueryFailovers); total != uint64(failovers) {
+		t.Fatalf("%s %d, per-query sum %d", metricQueryFailovers, total, failovers)
 	}
 }
 
@@ -328,7 +328,7 @@ func repairRestoresCoverage(t *testing.T, peers, r int, crash []int) {
 		t.Fatal("crashes left coverage intact — test proves nothing")
 	}
 
-	insertedBefore := eng.Traffic().Snapshot().InsertedTotal
+	insertedBefore := counted(eng, metricBuildInsertedPostings)
 	stats, err := eng.RepairReplicas()
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +349,7 @@ func repairRestoresCoverage(t *testing.T, peers, r int, crash []int) {
 	}
 	// ...without a rebuild: repair ships snapshots over replica.repair,
 	// never through the insert path.
-	if got := eng.Traffic().Snapshot().InsertedTotal; got != insertedBefore {
+	if got := counted(eng, metricBuildInsertedPostings); got != insertedBefore {
 		t.Fatalf("repair re-ran the build: inserted postings %d -> %d", insertedBefore, got)
 	}
 	// And the index still answers identically.

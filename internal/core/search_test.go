@@ -110,12 +110,12 @@ func TestSearchBatchedRPCAccounting(t *testing.T) {
 	if !multiKeyRPCSaved {
 		t.Fatal("no query batched several keys into one RPC — collection too sparse for the test")
 	}
-	snap := eng.Traffic().Snapshot()
-	if snap.FetchRPCs == 0 || snap.QueryRounds == 0 {
-		t.Fatalf("traffic counters not plumbed: %+v", snap)
+	rpcs, probes := counted(eng, metricQueryFetchRPCs), counted(eng, metricQueryProbes)
+	if rpcs == 0 {
+		t.Fatal("fetch-RPC series not counted")
 	}
-	if snap.FetchRPCs >= snap.ProbeMessages {
-		t.Fatalf("aggregate RPCs %d >= probes %d: batching saved nothing", snap.FetchRPCs, snap.ProbeMessages)
+	if rpcs >= probes {
+		t.Fatalf("aggregate RPCs %d >= probes %d: batching saved nothing", rpcs, probes)
 	}
 }
 
@@ -133,7 +133,7 @@ func TestSearchParallelMatchesSerial(t *testing.T) {
 	searchAt := func(fanout int, q corpus.Query, from overlay.Member) *SearchResult {
 		t.Helper()
 		terms := eng.QueryTerms(q)
-		ls := newLatticeSearch(eng.net, from, eng.cfg, &eng.traffic)
+		ls := newLatticeSearch(eng.net, from, eng.cfg, eng.query)
 		ls.fanout = fanout
 		res, err := ls.run(terms, min(eng.cfg.SMax, len(terms)), 20)
 		if err != nil {

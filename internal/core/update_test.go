@@ -175,12 +175,11 @@ func TestBuildIndexTwiceIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	digest := indexDigest(t, eng)
-	before := eng.Traffic().Snapshot()
+	before := counted(eng, metricBuildInsertedPostings)
 	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	after := eng.Traffic().Snapshot()
-	if n := after.InsertedTotal - before.InsertedTotal; n != 0 {
+	if n := counted(eng, metricBuildInsertedPostings) - before; n != 0 {
 		t.Fatalf("second BuildIndex inserted %d postings", n)
 	}
 	if got := indexDigest(t, eng); got != digest {
@@ -202,7 +201,7 @@ func TestUpdateIdempotentWithoutNewDocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	statsBefore := eng.Stats()
-	trafficBefore := eng.Traffic().Snapshot().InsertedTotal
+	trafficBefore := counted(eng, metricBuildInsertedPostings)
 	if err := eng.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +209,7 @@ func TestUpdateIdempotentWithoutNewDocs(t *testing.T) {
 	if statsBefore.StoredTotal != statsAfter.StoredTotal || statsBefore.KeysTotal != statsAfter.KeysTotal {
 		t.Fatalf("no-op update changed the index: %+v vs %+v", statsBefore, statsAfter)
 	}
-	if got := eng.Traffic().Snapshot().InsertedTotal; got != trafficBefore {
+	if got := counted(eng, metricBuildInsertedPostings); got != trafficBefore {
 		t.Fatalf("no-op update inserted %d postings", got-trafficBefore)
 	}
 }

@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -162,8 +163,8 @@ type Store struct {
 	opRecs    []Record
 	truncated int // torn log records dropped during recovery
 
-	// metrics is swapped in by Instrument (see metrics.go); nil until
-	// then, so every observation hook is a single pointer load.
+	// metrics is what the append, fsync and compaction paths record
+	// into: a private registry from Open, swapped by Instrument.
 	metrics atomic.Pointer[storeMetrics]
 }
 
@@ -179,6 +180,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{dir: dir, opt: opt.withDefaults()}
+	s.Instrument(telemetry.NewRegistry())
 
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -372,13 +374,15 @@ func (s *Store) Append(kind string, payload []byte) error {
 		return fmt.Errorf("durable: append %q: %w", kind, err)
 	}
 	s.logBytes += int64(len(buf))
-	s.observeAppend(len(buf))
+	m := s.metrics.Load()
+	m.appends.Inc()
+	m.appendBytes.Add(uint64(len(buf)))
 	if s.opt.Fsync == SyncAlways {
 		start := time.Now()
 		if err := s.log.Sync(); err != nil {
 			return fmt.Errorf("durable: sync: %w", err)
 		}
-		s.observeFsync(time.Since(start))
+		m.fsyncLat.ObserveDuration(time.Since(start))
 	}
 	return nil
 }
@@ -462,7 +466,7 @@ func (s *Store) Compact(write func(emit func(kind string, payload []byte) error)
 	os.Remove(s.snapshotPath(oldGen))
 	os.Remove(s.oplogPath(oldGen))
 	syncDir(s.dir)
-	s.observeCompaction()
+	s.metrics.Load().compactions.Inc()
 	return nil
 }
 
@@ -477,7 +481,7 @@ func (s *Store) Sync() error {
 	if err := s.log.Sync(); err != nil {
 		return err
 	}
-	s.observeFsync(time.Since(start))
+	s.metrics.Load().fsyncLat.ObserveDuration(time.Since(start))
 	return nil
 }
 

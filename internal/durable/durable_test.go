@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 func mustOpen(t *testing.T, dir string, opt Options) *Store {
@@ -459,4 +461,25 @@ func TestManyGenerations(t *testing.T) {
 		t.Fatalf("generation = %d, want 4", re.Generation())
 	}
 	assertRecords(t, re.Snapshot(), []Record{{Kind: "entry", Payload: []byte("state-3")}})
+}
+
+// TestInstrumentRepoints: a store counts its appends on a private
+// registry from Open and, after Instrument, on the registry it was given.
+func TestInstrumentRepoints(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{Fsync: SyncAlways})
+	defer s.Close()
+	if err := s.Append("op", []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	s.Instrument(reg)
+	if err := s.Append("op", []byte("b")); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	appends, _ := snap.Counter(metricAppends)
+	fsyncs, _ := snap.Histogram(metricFsyncNanos)
+	if appends != 1 || fsyncs.Count != 1 {
+		t.Fatalf("after Instrument: %d appends, %d fsyncs timed; want 1, 1", appends, fsyncs.Count)
+	}
 }

@@ -1,10 +1,6 @@
 package durable
 
-import (
-	"time"
-
-	"repro/internal/telemetry"
-)
+import "repro/internal/telemetry"
 
 // Registry series the durability path emits.
 const (
@@ -16,11 +12,10 @@ const (
 	metricGeneration  = "hdk_durable_generation"
 )
 
-// storeMetrics is the registry view of the durability path: append and
-// compaction counters plus the fsync latency histogram — the one number
-// that decides whether SyncAlways is affordable on a given disk. The
-// struct is swapped in atomically by Instrument, so an uninstrumented
-// store (unit tests, tooling) pays one nil pointer load per hook.
+// storeMetrics is the durability path's append and compaction counters
+// plus the fsync latency histogram — the one number that decides whether
+// SyncAlways is affordable on a given disk — on the registry the store
+// records into (a private one until Instrument).
 type storeMetrics struct {
 	appends     *telemetry.Counter
 	appendBytes *telemetry.Counter
@@ -28,11 +23,11 @@ type storeMetrics struct {
 	fsyncLat    *telemetry.Histogram
 }
 
-// Instrument registers the store's metrics on reg and starts recording
-// into them: per-record append counters, compaction runs, fsync latency,
-// and callback gauges for the live op-log size and snapshot generation.
-// Safe to call while the store is serving; operations observed before
-// Instrument are simply not recorded.
+// Instrument makes reg the registry the store records into: per-record
+// append counters, compaction runs, fsync latency, and callback gauges
+// for the live op-log size and snapshot generation. Safe to call while
+// the store is serving; what was counted before stays on the registry
+// it was counted in.
 func (s *Store) Instrument(reg *telemetry.Registry) {
 	m := &storeMetrics{
 		appends:     reg.Counter(metricAppends),
@@ -47,26 +42,4 @@ func (s *Store) Instrument(reg *telemetry.Registry) {
 		return float64(s.Generation())
 	})
 	s.metrics.Store(m)
-}
-
-// observeAppend records one logged op record of n bytes.
-func (s *Store) observeAppend(n int) {
-	if m := s.metrics.Load(); m != nil {
-		m.appends.Inc()
-		m.appendBytes.Add(uint64(n))
-	}
-}
-
-// observeFsync records one physical log fsync and its latency.
-func (s *Store) observeFsync(d time.Duration) {
-	if m := s.metrics.Load(); m != nil {
-		m.fsyncLat.ObserveDuration(d)
-	}
-}
-
-// observeCompaction records one completed log compaction.
-func (s *Store) observeCompaction() {
-	if m := s.metrics.Load(); m != nil {
-		m.compactions.Inc()
-	}
 }

@@ -115,7 +115,7 @@ func availabilityRun(scale Scale, col *corpus.Collection, peers, kills, r, topK 
 	run := &AvailabilityRun{
 		Replicas:         r,
 		StoredPostings:   eng.Stats().StoredTotal,
-		InsertedPostings: eng.Traffic().Snapshot().InsertedTotal,
+		InsertedPostings: eng.Metrics().Snapshot().CounterSum("hdk_build_inserted_postings_total"),
 	}
 
 	// Intact ground truth. Queries originate at ring member 0, which the

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"strconv"
 	"time"
 
 	"repro/internal/baseline"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/overlay"
 	"repro/internal/rank"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -200,6 +202,19 @@ func buildScaledEngine(col *corpus.Collection, peers int, cfg core.Config) (*cor
 	return eng, nodes, nil
 }
 
+// counterAt reads the counter series name{label="v"} of a snapshot (0
+// when the series is absent).
+func counterAt(snap telemetry.Snapshot, name, label string, v int) uint64 {
+	n, _ := snap.Counter(name, telemetry.L(label, strconv.Itoa(v)))
+	return n
+}
+
+// levelDelta is how much a per-level query counter of one registry grew
+// at lattice level size between two of its snapshots.
+func levelDelta(before, after telemetry.Snapshot, name string, size int) uint64 {
+	return counterAt(after, name, "level", size) - counterAt(before, name, "level", size)
+}
+
 // measure builds one index over the step's collection and runs the
 // shared metric pass over the query set; timed adds the wall-clock query
 // passes the HDK rows report.
@@ -214,17 +229,19 @@ func measure(col *corpus.Collection, peers int, cfg core.Config,
 		return nil, err
 	}
 	istats := eng.Stats()
-	traffic := eng.Traffic().Snapshot()
+	built := eng.Metrics().Snapshot()
 	h := &HDKStep{
 		DFMax:           cfg.DFMax,
 		Replicas:        eng.Config().ReplicationFactor,
 		StoredPerPeer:   float64(istats.StoredTotal) / float64(peers),
-		InsertedPerPeer: float64(traffic.InsertedTotal) / float64(peers),
+		InsertedPerPeer: float64(built.CounterSum("hdk_build_inserted_postings_total")) / float64(peers),
 		KeysTotal:       istats.KeysTotal,
-		NotifyMessages:  traffic.NotifyMessages,
+		NotifyMessages:  built.CounterSum("hdk_build_notify_keys_total"),
 		BuildNanos:      time.Since(buildStart).Nanoseconds(),
 	}
-	h.InsertedBySize = traffic.InsertedBySize
+	for s := 1; s <= core.MaxKeySize; s++ {
+		h.InsertedBySize[s] = counterAt(built, "hdk_build_inserted_postings_total", "round", s)
+	}
 	h.KeysBySize = istats.KeysBySize
 
 	// Metric pass (untimed): accumulates the deterministic paper metrics
@@ -253,10 +270,10 @@ func measure(col *corpus.Collection, peers int, cfg core.Config,
 	h.QueryRPCsAvg = float64(rpcs) / n
 	h.QueryFailoversAvg = float64(failovers) / n
 	h.OverlapAvgPercent = overlap / n
-	after := eng.Traffic().Snapshot()
-	for s := 0; s <= core.MaxKeySize; s++ {
-		h.QueryProbesBySize[s] = float64(after.ProbesBySize[s]-traffic.ProbesBySize[s]) / n
-		h.QueryRPCsBySize[s] = float64(after.FetchRPCsBySize[s]-traffic.FetchRPCsBySize[s]) / n
+	after := eng.Metrics().Snapshot()
+	for s := 1; s <= core.MaxKeySize; s++ {
+		h.QueryProbesBySize[s] = float64(levelDelta(built, after, "hdk_query_probes_total", s)) / n
+		h.QueryRPCsBySize[s] = float64(levelDelta(built, after, "hdk_query_fetch_rpcs_total", s)) / n
 	}
 	if !timed {
 		return h, nil

@@ -101,7 +101,7 @@ func TestDistributedSTStoredEqualsInserted(t *testing.T) {
 	// truncation) when each (term, doc) pair is unique across peers.
 	col := genCollection(t, 100)
 	st, _ := buildSTEngine(t, col, 4)
-	inserted := st.Traffic().Snapshot().InsertedTotal
+	inserted := st.Metrics().Snapshot().CounterSum("hdk_build_inserted_postings_total")
 	stats := st.Stats()
 	if inserted != uint64(stats.StoredTotal) {
 		t.Fatalf("inserted %d != stored %d", inserted, stats.StoredTotal)

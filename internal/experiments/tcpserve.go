@@ -219,11 +219,18 @@ func (r *TCPServeReport) Clean() bool { return len(r.Failures()) == 0 }
 // TCPServe runs the scenario against an already-running cluster: addrs
 // are the daemon addresses and httpAddrs their observability endpoints
 // (both in start order), crash kills the process behind addrs[i]. Pass a
-// *transport.TCP to get pool counters in the report.
+// *transport.TCP to get pool counters in the report: it records onto the
+// scenario's registry from the call on.
 func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i int) error,
 	opts TCPServeOpts, progress Progress) (*TCPServeReport, error) {
 	if len(httpAddrs) != len(addrs) {
 		return nil, fmt.Errorf("experiments: %d rpc / %d http addresses", len(addrs), len(httpAddrs))
+	}
+	// The pool counters are the scenario's own: a TCP transport records
+	// onto this registry from here on.
+	poolReg := telemetry.NewRegistry()
+	if tcp, ok := tr.(*transport.TCP); ok {
+		tcp.Instrument(poolReg)
 	}
 	f, err := newFixture(fleet{tr: tr, addrs: addrs, kill: crash}, "tcpserve", opts.ClusterOpts, 1, opts.ExtraDocs, progress)
 	if err != nil {
@@ -325,10 +332,9 @@ func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i in
 	}
 	st := tr.Stats()
 	rep.WireMessages, rep.WireBytes = st.Messages, st.Bytes
-	if tcp, ok := tr.(*transport.TCP); ok {
-		ps := tcp.PoolStats()
-		rep.PoolDials, rep.PoolReuses = ps.Dials, ps.Reuses
-	}
+	pool := poolReg.Snapshot()
+	rep.PoolDials = pool.CounterSum("hdk_transport_dials_total")
+	rep.PoolReuses = pool.CounterSum("hdk_transport_pool_reuses_total")
 	return rep, nil
 }
 
@@ -381,7 +387,7 @@ func (f *fixture) serve(httpAddrs []string, origin overlay.Member, opts TCPServe
 		rep.FreshServed++
 		rep.TracedQueries++
 		m, _ := f.c.View().Member(coord)
-		tb := f.eng.Traffic().Snapshot()
+		before := f.eng.Metrics().Snapshot()
 		want, err := f.eng.Search(f.queries[i], m, opts.TopK)
 		if err != nil {
 			return fmt.Errorf("reference query %d: %w", i, err)
@@ -389,7 +395,7 @@ func (f *fixture) serve(httpAddrs []string, origin overlay.Member, opts TCPServe
 		if !reflect.DeepEqual(want.Results, res.Results) {
 			rep.ResultMismatches++
 		}
-		mism, defects := traceFaults(trace, res, tb, f.eng.Traffic().Snapshot())
+		mism, defects := traceFaults(trace, res, before, f.eng.Metrics().Snapshot())
 		rep.TraceMismatches += mism
 		rep.TraceSpanDefects += defects
 	}
@@ -525,7 +531,7 @@ func (f *fixture) flood(target string, opts TCPServeOpts, rep *TCPServeReport) e
 // "coordinate" root, not exactly one admission and one rank span, or a
 // level whose fetch children differ from its rpcs (one span per owner
 // batch, failover waves included); a missing trace is one defect.
-func traceFaults(trace *telemetry.Trace, res *core.SearchResult, before, after core.TrafficSnapshot) (mismatches, defects int) {
+func traceFaults(trace *telemetry.Trace, res *core.SearchResult, before, after telemetry.Snapshot) (mismatches, defects int) {
 	if trace == nil || len(trace.Spans) == 0 || trace.Spans[0].Name != "coordinate" {
 		return 0, 1
 	}
@@ -553,8 +559,8 @@ func traceFaults(trace *telemetry.Trace, res *core.SearchResult, before, after c
 			defects++
 		}
 	}
-	for size := 1; size < len(after.FetchRPCsBySize); size++ {
-		if bySize[size] != after.FetchRPCsBySize[size]-before.FetchRPCsBySize[size] {
+	for size := 1; size <= core.MaxKeySize; size++ {
+		if bySize[size] != levelDelta(before, after, "hdk_query_fetch_rpcs_total", size) {
 			mismatches++
 		}
 	}

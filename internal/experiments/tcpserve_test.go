@@ -23,8 +23,9 @@ import (
 // coordinates queries (hdk.search) bit-identically to the in-process
 // and client-fabric engines; repeat queries are served from the result
 // caches with zero fetch RPCs; traced coordinations match the
-// coordinator's own SearchResult and the client-fabric engine's
-// per-level RPC counters span by span; load past one coordinator's
+// coordinator's own SearchResult and, span by span, the per-level
+// fetch-RPC deltas in the client-fabric engine's registry (the series a
+// daemon exports); load past one coordinator's
 // capacity is shed with retry-after hints, accepted answers stay
 // bit-identical with bounded p99, and nothing is shed one backoff cycle
 // after the load stops; the daemons' counter deltas equal the
@@ -36,7 +37,9 @@ import (
 // fabric keep answering through replica failover with zero recall loss
 // at R=3; once the dead member is forgotten every survivor still
 // coordinates bit-identically, and a repair sweep restores full
-// coverage. The daemons' stderr must also carry a "slow query" line.
+// coverage; the client transport, counting onto the scenario's
+// registry, dials far fewer connections than it sends RPCs. The
+// daemons' stderr must also carry a "slow query" line.
 // This is a CI cluster-e2e gate. With SERVE_LOG_DIR set, the daemons'
 // stderr is kept there (the CI artifact uploaded on failure).
 func TestTCPServeE2E(t *testing.T) {
@@ -161,11 +164,12 @@ func TestTCPServeReportFailures(t *testing.T) {
 }
 
 // TestHDKSearchTraceE2E drives the interactive shell the way an
-// operator debugging a query would: hdksearch -connect -coordinator
-// -trace against a fresh 3-daemon cluster, one query typed on stdin,
-// and the daemon's span tree printed under the answer. It asserts the
-// rendered tree carries the coordination structure (root, levels,
-// fetch waves, rank).
+// operator debugging a query would: hdksearch -connect -trace against a
+// fresh 3-daemon cluster, one query typed on stdin, the daemon's span
+// tree printed under the answer, then :stats. It asserts the rendered
+// tree carries the coordination structure (root, levels, fetch waves,
+// rank) and that :stats read the query's probes off the daemons'
+// registries.
 func TestHDKSearchTraceE2E(t *testing.T) {
 	nodeBin := hdknodeBin(t)
 	searchBin := filepath.Join(t.TempDir(), "hdksearch")
@@ -182,7 +186,7 @@ func TestHDKSearchTraceE2E(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, searchBin,
-		"-connect", h.Addrs()[0], "-coordinator", "-trace", "-docs", "120", "-dfmax", "8")
+		"-connect", h.Addrs()[0], "-trace", "-docs", "120", "-dfmax", "8")
 	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
@@ -214,7 +218,7 @@ func TestHDKSearchTraceE2E(t *testing.T) {
 			if len(terms) == 0 {
 				t.Fatal("empty sample vocabulary")
 			}
-			fmt.Fprintf(stdin, "%s\n:quit\n", strings.Join(terms[:min(2, len(terms))], " "))
+			fmt.Fprintf(stdin, "%s\n:stats\n:quit\n", strings.Join(terms[:min(2, len(terms))], " "))
 			stdin.Close()
 			queried = true
 		}
@@ -236,5 +240,8 @@ func TestHDKSearchTraceE2E(t *testing.T) {
 		if !strings.Contains(text, span) {
 			t.Errorf("span tree missing %q:\n%s", span, text)
 		}
+	}
+	if strings.Contains(text, "queries: 0 lattice probes") || !strings.Contains(text, "queries: ") {
+		t.Errorf(":stats did not count the query's probes:\n%s", text)
 	}
 }

@@ -88,6 +88,7 @@ func (s *Server) buildEngine() (*core.Engine, *core.Peer, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	eng.Instrument(s.metrics.reg)
 	peer, err := eng.AddPeer(s.self, shard)
 	if err != nil {
 		return nil, nil, err

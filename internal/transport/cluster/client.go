@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -118,11 +117,6 @@ type Client struct {
 	tr transport.Transport
 	overlay.Membership
 	policy
-
-	// Client-side loopback dispatches (peer notify handlers registered
-	// on a member stub): atomics, not a lock.
-	loopbackMsgs  atomic.Uint64
-	loopbackBytes atomic.Uint64
 }
 
 // policy is resolved from Options at Dial time (never zero): the
@@ -274,13 +268,7 @@ func (c *Client) CallService(addr, service string, req []byte) ([]byte, error) {
 		return nil, fmt.Errorf("cluster: %w: %q", transport.ErrUnknownAddress, addr)
 	}
 	if h, local := m.(*Member).localHandler(service); local {
-		resp, err := h(req)
-		if err != nil {
-			return nil, err
-		}
-		c.loopbackMsgs.Add(1)
-		c.loopbackBytes.Add(uint64(len(req) + len(resp)))
-		return resp, nil
+		return h(req)
 	}
 	return transport.CallRetry(c.tr, addr, overlay.EncodeEnvelope(service, req), maxTransientRetries)
 }
@@ -302,15 +290,6 @@ func (c *Client) MarkRepaired(swept []string) error {
 		}
 	}
 	return c.Membership.MarkRepaired(swept)
-}
-
-// TransportStats returns the traffic counters: wire traffic from the
-// underlying transport plus the client-side loopback dispatches.
-func (c *Client) TransportStats() transport.Stats {
-	st := c.tr.Stats()
-	st.Messages += c.loopbackMsgs.Load()
-	st.Bytes += c.loopbackBytes.Load()
-	return st
 }
 
 // Forget broadcasts a dead member's address to every member of THIS

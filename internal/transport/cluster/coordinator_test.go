@@ -1,12 +1,17 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
+	"strconv"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/overlay"
 	"repro/internal/replica"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -226,4 +231,103 @@ func clusterFetchRPCs(t *testing.T, tr transport.Transport, servers []*Server) u
 		total += snap.CounterSum(metricFetchRPCs)
 	}
 	return total
+}
+
+// cutTransport fails every call to one address once armed, with an
+// error the RPC layer does not retry: a dead reader still in the view,
+// so fetch batches to it fail over.
+type cutTransport struct {
+	*transport.InProc
+	cut atomic.Value // string: the unreachable address
+}
+
+func (t *cutTransport) Call(addr string, req []byte) ([]byte, error) {
+	if cut, _ := t.cut.Load().(string); cut == addr {
+		return nil, fmt.Errorf("cut: %s", addr)
+	}
+	return t.InProc.Call(addr, req)
+}
+
+// TestEngineAndDaemonCountAlike: the same queries, traversed by an
+// engine over the client fabric searching from member m and coordinated
+// by daemon m, move the two registries' traversal series identically —
+// per level and with replicas failing over around a dead reader — and
+// by exactly what the SearchResults report.
+func TestEngineAndDaemonCountAlike(t *testing.T) {
+	const peers, replicas = 4, 2
+	col := testCollection(t, 120)
+	cfg := testConfig(col, replicas)
+	tr := &cutTransport{InProc: transport.NewInProc()}
+	defer tr.Close()
+	servers := startInProcServers(t, tr, peers, replicas)
+	c, err := Dial(Options{Transport: tr, Seed: servers[0].Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := buildClusterEngine(t, c, col, cfg)
+	tr.cut.Store(servers[peers-1].Addr())
+	coord := servers[0]
+	from, _ := c.View().Member(coord.Addr())
+	queries := testQueries(col, 25)
+
+	// run answers every query with search and returns, per series, the
+	// registry's delta (per level where the series has levels) and the
+	// sum of the matching SearchResult field.
+	type tally struct {
+		delta  map[string]uint64
+		result map[string]uint64
+	}
+	run := func(reg *telemetry.Registry, search func(corpus.Query) (*core.SearchResult, error)) tally {
+		before := reg.Snapshot()
+		tl := tally{delta: map[string]uint64{}, result: map[string]uint64{}}
+		for qi, q := range queries {
+			res, err := search(q)
+			if err != nil {
+				t.Fatalf("query %d: %v", qi, err)
+			}
+			tl.result["hdk_query_probes_total"] += uint64(res.ProbedKeys)
+			tl.result["hdk_query_found_keys_total"] += uint64(res.FoundKeys)
+			tl.result["hdk_query_fetch_rpcs_total"] += uint64(res.RPCs)
+			tl.result["hdk_query_postings_total"] += res.FetchedPosts
+			tl.result["hdk_query_failovers_total"] += uint64(res.Failovers)
+		}
+		after := reg.Snapshot()
+		delta := func(name string, labels ...telemetry.Label) uint64 {
+			a, _ := after.Counter(name, labels...)
+			b, _ := before.Counter(name, labels...)
+			return a - b
+		}
+		for name := range tl.result {
+			if name == "hdk_query_failovers_total" {
+				tl.delta[name] = delta(name)
+				continue
+			}
+			for size := 1; size <= core.MaxKeySize; size++ {
+				d := delta(name, telemetry.L("level", strconv.Itoa(size)))
+				tl.delta[fmt.Sprintf("%s{level=%d}", name, size)] = d
+				tl.delta[name] += d
+			}
+		}
+		tl.delta["hdk_query_local_fetches_total"] = delta("hdk_query_local_fetches_total")
+		return tl
+	}
+	viaEngine := run(eng.Metrics(), func(q corpus.Query) (*core.SearchResult, error) {
+		return eng.Search(q, from, 10)
+	})
+	viaDaemon := run(coord.Metrics(), func(q corpus.Query) (*core.SearchResult, error) {
+		res, _, err := c.SearchVia(coord.Addr(), core.SearchRequest{Terms: eng.QueryTerms(q), K: 10, NoCache: true})
+		return res, err
+	})
+	if viaEngine.result["hdk_query_failovers_total"] == 0 {
+		t.Fatal("no fetch batch failed over — the cut reader was never chosen")
+	}
+	if !reflect.DeepEqual(viaEngine.delta, viaDaemon.delta) {
+		t.Errorf("registry deltas differ:\nengine %v\ndaemon %v", viaEngine.delta, viaDaemon.delta)
+	}
+	for name, want := range viaEngine.result {
+		if viaEngine.delta[name] != want || viaDaemon.result[name] != want {
+			t.Errorf("%s: engine counted %d, daemon results sum to %d, engine results to %d",
+				name, viaEngine.delta[name], viaDaemon.result[name], want)
+		}
+	}
 }

@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/durable"
+	"repro/internal/overlay"
+	"repro/internal/postings"
 	"repro/internal/rank"
 	"repro/internal/transport"
 )
@@ -287,5 +289,82 @@ func TestClusterPersistShutdownSealsSnapshot(t *testing.T) {
 	}
 	if got := srv2.Store().Config(); got != cfg {
 		t.Fatalf("restored configuration %+v, want %+v", got, cfg)
+	}
+}
+
+// TestReplayRefusesIndexRPCs restarts a durable daemon and calls it from
+// inside its own replay, after the first store record: the store's
+// services are attached by then but hold a prefix of the log, so a fetch
+// must be refused (a coordinator then fails over to the next replica)
+// rather than answered "absent", and hdk.search must be refused rather
+// than wait out the replay. Once EnableDurability returns the daemon
+// answers exactly as before the restart.
+func TestReplayRefusesIndexRPCs(t *testing.T) {
+	col := testCollection(t, 60)
+	cfg := testConfig(col, 1)
+	dir := t.TempDir()
+	tr := transport.NewInProc()
+	defer tr.Close()
+	s := newDurableServer(t, tr, "node-0", dir, 1)
+	c, err := Dial(Options{Transport: tr, Seed: s.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := buildClusterEngine(t, c, col, cfg)
+	req := core.SearchRequest{Terms: eng.QueryTerms(testQueries(col, 1)[0]), K: 10, NoCache: true}
+	want, _, err := c.SearchVia(s.Addr(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PersistShutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	tr2 := transport.NewInProc()
+	defer tr2.Close()
+	d, err := durable.Open(dir, durable.Options{Fsync: durable.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewServer(tr2, "node-0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.PersistShutdown()
+	call := func(service string, payload []byte) error {
+		_, err := tr2.Call(s2.Addr(), overlay.EncodeEnvelope(service, payload))
+		return err
+	}
+	replayed := 0
+	replayedHook = func(int) {
+		if replayed++; replayed > 1 {
+			return
+		}
+		if err := call(core.SvcFetchBatch, postings.EncodeKeyList(nil, req.Terms)); err == nil {
+			// Stop here: hdk.search would then wait on the replay's lock.
+			t.Error("hdk.fetchBatch answered from a half-replayed store")
+			return
+		}
+		if err := call(core.SvcSearch, core.EncodeSearchRequest(req)); err == nil {
+			t.Error("hdk.search answered mid-replay")
+		}
+	}
+	defer func() { replayedHook = nil }()
+	if err := s2.EnableDurability(d); err != nil {
+		t.Fatal(err)
+	}
+	if replayed == 0 {
+		t.Fatal("the restart replayed no store record")
+	}
+	c2, err := Dial(Options{Transport: tr2, Seed: s2.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := c2.SearchVia(s2.Addr(), req)
+	if err != nil {
+		t.Fatalf("search after replay: %v", err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("after replay %+v, before the restart %+v", got, want)
 	}
 }

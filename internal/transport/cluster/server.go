@@ -86,6 +86,12 @@ type Server struct {
 	fabric *Client
 	self   *Member
 
+	// replaying is set while EnableDurability replays the data directory:
+	// the store's services are attached by then, but hold only a prefix
+	// of the log, so dispatch refuses every index, search, ingest and
+	// build RPC until it clears.
+	replaying atomic.Bool
+
 	mu         sync.Mutex
 	store      *core.StoreServer
 	configJSON []byte
@@ -313,10 +319,15 @@ func (s *Server) Shutdown() { s.stopOnce.Do(func() { close(s.done) }) }
 // recovered: a "configure" record recreates the store server (with
 // persistence enabled, so replayed state keeps persisting), and every
 // further record replays through core.StoreServer. Call once, before the
-// daemon serves index traffic (it listens already, but the harness and
-// operators gate clients on the post-recovery banner). After a recovery
-// with index state the daemon reports Warm through cluster.info.
+// daemon joins. It listens already, and a live coordinator may reach it
+// mid-replay: until the replay is done every index service, hdk.search,
+// hdk.ingest and hdk.build answer with an error, which sends a fetch on
+// to the key's next replica instead of reading a half-restored store.
+// After a recovery with index state the daemon reports Warm through
+// cluster.info.
 func (s *Server) EnableDurability(d *durable.Store) error {
+	s.replaying.Store(true)
+	defer s.replaying.Store(false)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.store != nil {
@@ -345,6 +356,9 @@ func (s *Server) EnableDurability(d *durable.Store) error {
 		}
 		if err := s.store.ReplayRecord(rec.Kind, rec.Payload); err != nil {
 			return fmt.Errorf("cluster: %s: replay %s record: %w", s.addr, rec.Kind, err)
+		}
+		if replayedHook != nil {
+			replayedHook(i)
 		}
 	}
 	d.DropRecovery()
@@ -519,6 +533,11 @@ func (s *Server) dispatch(req []byte) ([]byte, error) {
 		// connection-reset error at the client.
 		time.AfterFunc(shutdownGrace, s.Shutdown)
 		return nil, nil
+	}
+	if s.replaying.Load() {
+		return nil, fmt.Errorf("cluster: node %s: %q refused: replaying its data directory", s.addr, service)
+	}
+	switch service {
 	case core.SvcSearch:
 		return s.handleSearch(payload)
 	case SvcIngest:
@@ -778,6 +797,10 @@ func FetchMetrics(tr transport.Transport, addr string) (telemetry.Snapshot, erro
 	}
 	return telemetry.DecodeSnapshot(raw)
 }
+
+// replayedHook, when set (tests only), runs after each store record
+// EnableDurability replays, with the daemon still replaying.
+var replayedHook func(record int)
 
 // Compile-time check: the server is an overlay member (store attachment
 // target).

@@ -268,7 +268,7 @@ func TestTCPOversizedResponseIsAnErrorFrame(t *testing.T) {
 	if _, err := tr.Call(addr, []byte("after")); err != nil {
 		t.Fatalf("call after oversized response: %v", err)
 	}
-	if ps := tr.PoolStats(); ps.Dials != 1 || ps.StaleRetries != 0 {
+	if ps := pool(tr); ps.Dials != 1 || ps.StaleRetries != 0 {
 		t.Fatalf("pool stats %+v, want 1 dial and no stale retry (the conn must survive)", ps)
 	}
 }
@@ -289,13 +289,13 @@ func TestTCPOversizedRequestIsRefusedBeforeCheckout(t *testing.T) {
 	if _, err := tr.Call(addr, []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
-	before := tr.PoolStats()
+	before := pool(tr)
 
 	_, err = tr.Call(addr, make([]byte, MaxFrameSize+1))
 	if err == nil || !strings.Contains(err.Error(), "exceeds frame limit") {
 		t.Fatalf("oversized request: err = %v, want a frame-limit error", err)
 	}
-	if after := tr.PoolStats(); after != before {
+	if after := pool(tr); after != before {
 		t.Fatalf("pool stats moved: %+v -> %+v", before, after)
 	}
 	if n := tr.IdleConns(); n != 1 {

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // TCP is a Transport over real TCP sockets using length-prefixed frames:
@@ -33,13 +35,8 @@ type TCP struct {
 	closed    bool
 	wg        sync.WaitGroup
 
-	dials       atomic.Uint64
-	reuses      atomic.Uint64
-	staleRetry  atomic.Uint64
-	idleDropped atomic.Uint64
-
-	// metrics is nil until Instrument; hooks load it atomically so the
-	// hot path costs one pointer load when telemetry is off.
+	// metrics is what every hook records into: instruments on a private
+	// registry from construction, swapped by Instrument.
 	metrics atomic.Pointer[tcpMetrics]
 }
 
@@ -75,34 +72,14 @@ func NewTCP() *TCP { return NewTCPConfig(TCPConfig{}) }
 
 // NewTCPConfig returns a pooled TCP transport with the given limits.
 func NewTCPConfig(cfg TCPConfig) *TCP {
-	return &TCP{
+	t := &TCP{
 		cfg:      cfg.withDefaults(),
 		idle:     make(map[string][]*frameConn),
 		inflight: make(map[*frameConn]struct{}),
 		accepted: make(map[net.Conn]struct{}),
 	}
-}
-
-// PoolStats reports connection-pool behavior: how many TCP connections
-// were dialed, how many calls reused an idle pooled connection, how many
-// calls transparently re-dialed after a stale pooled connection failed,
-// and how many idle connections were dropped because the per-host idle
-// limit was reached.
-type PoolStats struct {
-	Dials        uint64
-	Reuses       uint64
-	StaleRetries uint64
-	IdleDropped  uint64
-}
-
-// PoolStats returns cumulative pool counters.
-func (t *TCP) PoolStats() PoolStats {
-	return PoolStats{
-		Dials:        t.dials.Load(),
-		Reuses:       t.reuses.Load(),
-		StaleRetries: t.staleRetry.Load(),
-		IdleDropped:  t.idleDropped.Load(),
-	}
+	t.Instrument(telemetry.NewRegistry())
+	return t
 }
 
 // MaxFrameSize bounds a single request or response payload (64 MiB), a
@@ -207,8 +184,7 @@ func (t *TCP) getConn(addr string) (conn *frameConn, reused bool, err error) {
 		t.idle[addr] = free[:len(free)-1]
 		t.inflight[conn] = struct{}{}
 		t.mu.Unlock()
-		t.reuses.Add(1)
-		t.observeReuse()
+		t.metrics.Load().reuses.Inc()
 		return conn, true, nil
 	}
 	t.mu.Unlock()
@@ -217,7 +193,7 @@ func (t *TCP) getConn(addr string) (conn *frameConn, reused bool, err error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	t.observeDial(time.Since(dialStart))
+	dialed := time.Since(dialStart)
 	conn = newFrameConn(raw)
 	t.mu.Lock()
 	if t.closed {
@@ -229,7 +205,9 @@ func (t *TCP) getConn(addr string) (conn *frameConn, reused bool, err error) {
 	}
 	t.inflight[conn] = struct{}{}
 	t.mu.Unlock()
-	t.dials.Add(1)
+	m := t.metrics.Load()
+	m.dials.Inc()
+	m.dialLat.ObserveDuration(dialed)
 	return conn, false, nil
 }
 
@@ -271,8 +249,7 @@ func (t *TCP) putConn(addr string, conn *frameConn) {
 	delete(t.inflight, conn)
 	if t.closed || len(t.idle[addr]) >= t.cfg.MaxIdlePerHost {
 		t.mu.Unlock()
-		t.idleDropped.Add(1)
-		t.observeIdleDropped()
+		t.metrics.Load().idleDropped.Inc()
 		conn.Close()
 		return
 	}
@@ -370,8 +347,7 @@ func (t *TCP) Call(addr string, req []byte) ([]byte, error) {
 			// equally stale, so drop them all and dial fresh rather than
 			// popping the next dead one.
 			t.dropIdle(addr)
-			t.staleRetry.Add(1)
-			t.observeStaleRetry()
+			t.metrics.Load().staleRetries.Inc()
 			continue
 		}
 		t.observeCall(0, err)

@@ -19,11 +19,9 @@ const (
 	metricIdleConns     = "hdk_transport_idle_conns"
 )
 
-// tcpMetrics is the registry view of the pool counters plus the two
-// latency histograms only the transport can measure. The struct is
-// swapped in atomically by Instrument so an uninstrumented transport
-// (every in-process test, the fat client) pays one nil pointer load
-// per hook.
+// tcpMetrics is the pool's counters plus the two latency histograms
+// only the transport can measure, on the registry the transport records
+// into (a private one until Instrument).
 type tcpMetrics struct {
 	dials        *telemetry.Counter
 	reuses       *telemetry.Counter
@@ -34,12 +32,12 @@ type tcpMetrics struct {
 	callLat      *telemetry.Histogram
 }
 
-// Instrument registers the transport's metrics on reg and starts
-// recording into them: dial and end-to-end call latency histograms,
-// pool behavior counters (mirroring PoolStats), and callback gauges for
-// the live in-flight call and idle connection counts. Safe to call
-// while the transport is serving; calls observed before Instrument are
-// simply not recorded.
+// Instrument makes reg the registry the transport records into: dial
+// and end-to-end call latency histograms, the pool's dial, reuse,
+// stale-retry and idle-drop counters, and callback gauges for the live
+// in-flight call and idle connection counts. Safe to call while the
+// transport is serving; what was counted before stays on the registry
+// it was counted in.
 func (t *TCP) Instrument(reg *telemetry.Registry) {
 	m := &tcpMetrics{
 		dials:        reg.Counter(metricDials),
@@ -61,43 +59,14 @@ func (t *TCP) Instrument(reg *telemetry.Registry) {
 	t.metrics.Store(m)
 }
 
-// observeDial records one fresh dial and its latency.
-func (t *TCP) observeDial(d time.Duration) {
-	if m := t.metrics.Load(); m != nil {
-		m.dials.Inc()
-		m.dialLat.ObserveDuration(d)
-	}
-}
-
 // observeCall records one completed Call: its end-to-end latency on
 // success (pool checkout and any stale-retry re-dial included — the
 // latency a caller actually experienced), or the error counter.
 func (t *TCP) observeCall(d time.Duration, err error) {
 	m := t.metrics.Load()
-	if m == nil {
-		return
-	}
 	if err != nil {
 		m.callErrors.Inc()
 		return
 	}
 	m.callLat.ObserveDuration(d)
-}
-
-func (t *TCP) observeReuse() {
-	if m := t.metrics.Load(); m != nil {
-		m.reuses.Inc()
-	}
-}
-
-func (t *TCP) observeStaleRetry() {
-	if m := t.metrics.Load(); m != nil {
-		m.staleRetries.Inc()
-	}
-}
-
-func (t *TCP) observeIdleDropped() {
-	if m := t.metrics.Load(); m != nil {
-		m.idleDropped.Inc()
-	}
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // echoServer binds an echo handler on an ephemeral port of ts and returns
@@ -34,7 +36,7 @@ func TestTCPPoolReuseSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ps := tr.PoolStats()
+	ps := pool(tr)
 	if ps.Dials != 1 {
 		t.Fatalf("Dials = %d, want 1 (sequential calls must reuse one connection)", ps.Dials)
 	}
@@ -87,7 +89,7 @@ func TestTCPPoolConcurrent(t *testing.T) {
 			if got := tr.Stats().Messages; got != total {
 				t.Fatalf("Messages = %d, want %d", got, total)
 			}
-			ps := tr.PoolStats()
+			ps := pool(tr)
 			// A conn dropped at a full pool (only possible when maxIdle <
 			// workers) is the one way a worker comes back to an empty pool.
 			if ps.Dials > uint64(tc.workers)+ps.IdleDropped {
@@ -132,7 +134,7 @@ func TestTCPHandlerErrorKeepsConnectionPooled(t *testing.T) {
 			t.Fatalf("call %d: resp = %q, want %q", i, resp, req)
 		}
 	}
-	if ps := tr.PoolStats(); ps.Dials != 1 {
+	if ps := pool(tr); ps.Dials != 1 {
 		t.Fatalf("Dials = %d, want 1 (handler errors must not burn the connection)", ps.Dials)
 	}
 	// Failed calls are not accounted, matching InProc.
@@ -168,7 +170,7 @@ func TestTCPCallTimeout(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("timeout took %v, deadline not applied", elapsed)
 	}
-	if ps := tr.PoolStats(); ps.StaleRetries != 0 {
+	if ps := pool(tr); ps.StaleRetries != 0 {
 		t.Fatalf("StaleRetries = %d, want 0 (timeouts must never re-send)", ps.StaleRetries)
 	}
 	close(block)
@@ -176,7 +178,7 @@ func TestTCPCallTimeout(t *testing.T) {
 	if _, err := tr.Call(addr, []byte("fast")); err != nil {
 		t.Fatalf("call after timeout: %v", err)
 	}
-	if ps := tr.PoolStats(); ps.Dials < 2 {
+	if ps := pool(tr); ps.Dials < 2 {
 		t.Fatalf("Dials = %d, want >= 2 (timed-out conn must be discarded)", ps.Dials)
 	}
 }
@@ -209,7 +211,7 @@ func TestTCPServerRestartMidPool(t *testing.T) {
 			}
 		}()
 	}
-	for client.PoolStats().Dials < warmConns { // all four callers are conn-holding
+	for pool(client).Dials < warmConns { // all four callers are conn-holding
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
@@ -235,7 +237,7 @@ func TestTCPServerRestartMidPool(t *testing.T) {
 	if string(resp) != "gen2" {
 		t.Fatalf("resp = %q, want gen2", resp)
 	}
-	if ps := client.PoolStats(); ps.StaleRetries == 0 {
+	if ps := pool(client); ps.StaleRetries == 0 {
 		t.Fatalf("StaleRetries = 0, want >= 1 after restart (stats: %+v)", ps)
 	}
 }
@@ -420,5 +422,38 @@ func TestTCPInflightTrackingBalanced(t *testing.T) {
 	cli.mu.Unlock()
 	if n != 0 {
 		t.Fatalf("%d connections stuck in the in-flight set", n)
+	}
+}
+
+// TestTCPInstrumentRepoints: the transport counts on a private registry
+// from construction and, after Instrument, on the registry it was given
+// — each call in exactly one of them.
+func TestTCPInstrumentRepoints(t *testing.T) {
+	tr := NewTCP()
+	defer tr.Close()
+	addr := echoServer(t, tr)
+	call := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := tr.Call(addr, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	call(2)
+	if ps := pool(tr); ps.Dials != 1 || ps.Reuses != 1 {
+		t.Fatalf("before Instrument: %+v, want 1 dial and 1 reuse", ps)
+	}
+	reg := telemetry.NewRegistry()
+	tr.Instrument(reg)
+	call(3)
+	snap := reg.Snapshot()
+	dials, _ := snap.Counter(metricDials)
+	reuses, _ := snap.Counter(metricPoolReuses)
+	calls, _ := snap.Histogram(metricCallNanos)
+	if dials != 0 || reuses != 3 || calls.Count != 3 {
+		t.Fatalf("after Instrument: %d dials, %d reuses, %d calls timed; want 0, 3, 3", dials, reuses, calls.Count)
+	}
+	if idle, _ := snap.Gauge(metricIdleConns); idle != 1 {
+		t.Fatalf("idle-conns gauge %v, want 1", idle)
 	}
 }
