@@ -38,8 +38,8 @@
 //
 // The daemon prints "hdknode listening on <addr>" once bound AND ready
 // to serve (the cluster harness and shell scripts parse this), then
-// serves until SIGINT/SIGTERM or a cluster.shutdown RPC, draining
-// in-flight connections before exiting.
+// serves until SIGINT/SIGTERM, draining in-flight connections before
+// exiting.
 package main
 
 import (
@@ -162,12 +162,7 @@ func run(listen, join string, replicas int, callTimeout time.Duration, dataDir, 
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case s := <-sig:
-		fmt.Fprintf(os.Stderr, "hdknode %s: %v, shutting down\n", srv.Addr(), s)
-	case <-srv.Done():
-		fmt.Fprintf(os.Stderr, "hdknode %s: shutdown requested, exiting\n", srv.Addr())
-	}
+	fmt.Fprintf(os.Stderr, "hdknode %s: %v, shutting down\n", srv.Addr(), <-sig)
 	// Graceful exit: seal the durable state (log compacted into a fresh
 	// snapshot) before tearing the transport down. SIGKILL skips this,
 	// which is exactly what the op log is for.

@@ -207,7 +207,7 @@ func run(docs, peers, dfmax, topk, replicas, chunkBytes int, connect, forget str
 		case line == ":quit":
 			return nil
 		case line == ":stats":
-			printStats(eng, fabric, clu, tcp)
+			printStats(eng, clu, tcp)
 			continue
 		case strings.HasPrefix(line, ":doc "):
 			printDoc(col, strings.TrimPrefix(line, ":doc "))
@@ -295,17 +295,13 @@ func printIndexReady(eng *core.Engine, clu *cluster.Client) {
 // printStats reports the index and the counted query work: the
 // engine's own registry in-process, the daemons' registries (every
 // client's queries, cluster-wide) over cluster.metrics in connect mode.
-func printStats(eng *core.Engine, fabric overlay.Fabric, clu *cluster.Client, tcp *transport.TCP) {
+func printStats(eng *core.Engine, clu *cluster.Client, tcp *transport.TCP) {
 	if clu == nil {
 		stats := eng.Stats()
 		snap := eng.Metrics().Snapshot()
 		fmt.Printf("keys by size: 1:%d 2:%d 3:%d | stored postings %d | inserted %d\n",
 			stats.KeysBySize[1], stats.KeysBySize[2], stats.KeysBySize[3],
 			stats.StoredTotal, snap.CounterSum("hdk_build_inserted_postings_total"))
-		if net, ok := fabric.(*overlay.Network); ok {
-			st := net.TransportStats()
-			fmt.Printf("transport: %d msgs, %d bytes\n", st.Messages, st.Bytes)
-		}
 		printQueries(snap)
 		return
 	}

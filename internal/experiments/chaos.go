@@ -73,11 +73,13 @@ func DefaultSoakOpts() ChaosOpts {
 // the p99 gate reads (registered by the server's instrumentation).
 const metricCoordination = "hdk_search_coordination_nanoseconds"
 
-// ChaosPhase is one inter-action interval of the run: the action that
-// closed it ("drain" for the tail), the queries the workload completed
+// ChaosPhase is one inter-action interval of the run: its label ("start"
+// before the first action, the action that opened it, "drain" after the
+// last), the daemons down during it, the queries the workload completed
 // in it and the merged coordination p99 of exactly that interval.
 type ChaosPhase struct {
 	Action   string `json:"action"`
+	Down     []int  `json:"down,omitempty"`
 	Queries  int    `json:"queries"`
 	P99Nanos int64  `json:"p99_nanos"`
 }
@@ -317,6 +319,7 @@ func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) err
 	// restarts' clamped deltas instead of subtracting end-start across a
 	// counter reset.
 	var overall telemetry.HistogramValue
+	points := schedulePoints(sched)
 	for p := 0; p+1 < len(snaps); p++ {
 		var merged telemetry.HistogramValue
 		for n := 0; n < opts.Nodes; n++ {
@@ -324,11 +327,10 @@ func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) err
 			prev, _ := snaps[p][n].Histogram(metricCoordination)
 			merged = merged.Merge(cur.Sub(prev))
 		}
-		label := "drain"
-		if p < len(sched.Actions) {
-			label = sched.Actions[p].String()
-		}
-		rep.Phases = append(rep.Phases, ChaosPhase{Action: label, Queries: perPhase[p], P99Nanos: int64(merged.Quantile(0.99))})
+		rep.Phases = append(rep.Phases, ChaosPhase{
+			Action: points[p].Label, Down: points[p].Down,
+			Queries: perPhase[p], P99Nanos: int64(merged.Quantile(0.99)),
+		})
 		overall = overall.Merge(merged)
 	}
 	rep.P99Nanos = int64(overall.Quantile(0.99))

@@ -77,6 +77,43 @@ func drive(sched FaultSchedule, nodes int, fire func(FaultAction) error, sleep f
 	}
 }
 
+// schedPoint is what a schedule alone says of one point drive runs at:
+// its label and the nodes down during it.
+type schedPoint struct {
+	Label string
+	Down  []int // killed and not yet restarted, ascending; nil if none
+}
+
+// schedulePoints names the len(sched.Actions)+1 points drive runs at
+// for a valid schedule: point 0 is "start", point p is labelled by
+// action p-1, which opened it, and the point after the last action is
+// "drain". The window after a kill(n) is therefore kill(n), with n down
+// until its restart.
+func schedulePoints(sched FaultSchedule) []schedPoint {
+	pts := make([]schedPoint, len(sched.Actions)+1)
+	pts[0].Label = "start"
+	down := make([]bool, sched.Nodes)
+	for i, act := range sched.Actions {
+		switch act.Op {
+		case OpKill:
+			down[act.Node] = true
+		case OpRestart:
+			down[act.Node] = false
+		}
+		pt := &pts[i+1]
+		pt.Label = act.String()
+		for n, d := range down {
+			if d {
+				pt.Down = append(pt.Down, n)
+			}
+		}
+	}
+	if n := len(sched.Actions); n > 0 {
+		pts[n].Label = "drain"
+	}
+	return pts
+}
+
 // sequence is a schedule whose actions fire back to back, in order.
 func sequence(nodes int, acts ...FaultAction) FaultSchedule {
 	for i := range acts {

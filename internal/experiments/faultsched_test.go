@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -195,6 +196,37 @@ func TestScheduleArtifactsReplay(t *testing.T) {
 			if at := s.Actions[i].At; d > at || d < at-time.Second {
 				t.Errorf("%s: action %d at %v waited %v", name, i, at, d)
 			}
+		}
+		// Point p+1 is the window action p opened: after a kill(n), n is
+		// down and the window is labelled kill(n) until the restart(n).
+		pts := schedulePoints(s)
+		if len(pts) != len(s.Actions)+1 || pts[0].Label != "start" || pts[0].Down != nil || pts[len(s.Actions)].Label != "drain" {
+			t.Errorf("%s: %d points for %d actions, first %+v, last %+v", name, len(pts), len(s.Actions), pts[0], pts[len(pts)-1])
+		}
+		kills := 0
+		for i, a := range s.Actions {
+			if a.Op != OpKill {
+				continue
+			}
+			kills++
+			r := slices.IndexFunc(s.Actions[i:], func(b FaultAction) bool { return b.Op == OpRestart && b.Node == a.Node })
+			if r < 0 {
+				t.Fatalf("%s: %s is never restarted", name, a)
+			}
+			if pts[i+1].Label != a.String() {
+				t.Errorf("%s: the window after %s is labelled %q", name, a, pts[i+1].Label)
+			}
+			for p := i + 1; p <= i+r; p++ {
+				if !slices.Equal(pts[p].Down, []int{a.Node}) {
+					t.Errorf("%s: point %d (%s) between %s and its restart lists %v down", name, p, pts[p].Label, a, pts[p].Down)
+				}
+			}
+			if pts[i+r+1].Down != nil {
+				t.Errorf("%s: point %d after restart(%d) lists %v down", name, i+r+1, a.Node, pts[i+r+1].Down)
+			}
+		}
+		if kills != o.Kills {
+			t.Errorf("%s: checked %d kill windows, the schedule budgets %d", name, kills, o.Kills)
 		}
 		if err := drive(s, 7, nil, nil, nil); err == nil || !strings.Contains(err.Error(), "schedule is for 5 nodes, the fleet has 7") {
 			t.Errorf("%s: a 7-daemon fleet accepted the schedule: %v", name, err)

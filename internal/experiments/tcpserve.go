@@ -219,15 +219,15 @@ func (r *TCPServeReport) Clean() bool { return len(r.Failures()) == 0 }
 // TCPServe runs the scenario against an already-running cluster: addrs
 // are the daemon addresses and httpAddrs their observability endpoints
 // (both in start order), crash kills the process behind addrs[i]. Pass a
-// *transport.TCP to get pool counters in the report: it records onto the
-// scenario's registry from the call on.
+// *transport.TCP to get pool and wire counters in the report: it records
+// onto the scenario's registry from the call on.
 func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i int) error,
 	opts TCPServeOpts, progress Progress) (*TCPServeReport, error) {
 	if len(httpAddrs) != len(addrs) {
 		return nil, fmt.Errorf("experiments: %d rpc / %d http addresses", len(addrs), len(httpAddrs))
 	}
-	// The pool counters are the scenario's own: a TCP transport records
-	// onto this registry from here on.
+	// The pool and wire counters are the scenario's own: a TCP transport
+	// records onto this registry from here on.
 	poolReg := telemetry.NewRegistry()
 	if tcp, ok := tr.(*transport.TCP); ok {
 		tcp.Instrument(poolReg)
@@ -330,9 +330,10 @@ func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i in
 	if err := drive(sched, opts.Nodes, f.fire, time.Sleep, func(p int) error { return passes[p]() }); err != nil {
 		return nil, err
 	}
-	st := tr.Stats()
-	rep.WireMessages, rep.WireBytes = st.Messages, st.Bytes
 	pool := poolReg.Snapshot()
+	calls, _ := pool.Histogram("hdk_transport_call_nanoseconds")
+	rep.WireMessages = calls.Count
+	rep.WireBytes = pool.CounterSum("hdk_transport_request_bytes_total") + pool.CounterSum("hdk_transport_response_bytes_total")
 	rep.PoolDials = pool.CounterSum("hdk_transport_dials_total")
 	rep.PoolReuses = pool.CounterSum("hdk_transport_pool_reuses_total")
 	return rep, nil

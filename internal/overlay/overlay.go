@@ -94,9 +94,6 @@ func (n *Network) AddNode(addr string) (*Node, error) {
 	return node, nil
 }
 
-// TransportStats exposes the underlying traffic counters.
-func (n *Network) TransportStats() transport.Stats { return n.tr.Stats() }
-
 // maxTransientRetries bounds re-sends of calls dropped by the network
 // (transport.ErrTransient). Handler errors are never retried: the remote
 // rejected the request, re-sending cannot help.

@@ -172,15 +172,14 @@ func (s *Server) handleBuildRound(size int) error {
 	return nil
 }
 
-// waitBuild blocks until ch fires, buildWaitCap passes or the daemon
-// shuts down. Callers hold no lock.
-func (s *Server) waitBuild(ch <-chan struct{}) {
+// waitBuild blocks until ch fires or buildWaitCap passes. Callers hold
+// no lock.
+func waitBuild(ch <-chan struct{}) {
 	t := time.NewTimer(buildWaitCap)
 	defer t.Stop()
 	select {
 	case <-ch:
 	case <-t.C:
-	case <-s.done:
 	}
 }
 
@@ -197,7 +196,7 @@ func (s *Server) handleBuildRoundStatus(size int) ([]byte, error) {
 	b.mu.Unlock()
 	state, msg := byte(buildIdle), ""
 	if r != nil {
-		s.waitBuild(r.done)
+		waitBuild(r.done)
 		b.mu.Lock()
 		state, msg = r.state, r.err
 		if state == buildDone && !r.reported {
@@ -252,7 +251,7 @@ func (s *Server) handleBuildStart() ([]byte, error) {
 	running := b.coordState == buildRunning
 	b.mu.Unlock()
 	if running {
-		s.waitBuild(b.coordMoved)
+		waitBuild(b.coordMoved)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -281,12 +281,11 @@ func TestRoundStatusWaiterEndsWithoutCaller(t *testing.T) {
 // releases every follower.
 func TestBuildStartFollowsWithoutPolling(t *testing.T) {
 	b := &serverBuild{coordState: buildRunning, coordMoved: make(chan struct{}, 1)}
-	s := &Server{done: make(chan struct{})}
 	woke := make(chan time.Duration, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
 			start := time.Now()
-			s.waitBuild(b.coordMoved)
+			waitBuild(b.coordMoved)
 			woke <- time.Since(start)
 		}()
 	}

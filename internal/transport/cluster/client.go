@@ -49,7 +49,6 @@ const (
 	ctrlRepaired = "cluster.repaired"
 	ctrlMeta     = "cluster.meta"
 	ctrlMetrics  = "cluster.metrics"
-	ctrlShutdown = "cluster.shutdown"
 	// ctrlSearchConfig live-resizes a daemon's query-admission path
 	// (Server.ConfigureSearch over the wire).
 	ctrlSearchConfig = "cluster.searchconfig"
@@ -378,12 +377,6 @@ func (c *Client) ConfigureSearchVia(addr string, workers, queue, cache int) erro
 		return fmt.Errorf("cluster: configure search at %s: %w", addr, err)
 	}
 	return nil
-}
-
-// Shutdown asks one daemon to exit gracefully.
-func (c *Client) Shutdown(addr string) error {
-	_, err := c.CallService(addr, ctrlShutdown, nil)
-	return err
 }
 
 // Search overload backoff: how many attempts SearchVia makes against a

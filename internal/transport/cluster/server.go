@@ -26,16 +26,6 @@ import (
 // store op. Every other daemon's configuration rides its ingest begin.
 const durConfigure = "configure"
 
-// shutdownGrace is how long a cluster.shutdown RPC waits before
-// signaling Done, so the (local loopback) response write beats the
-// transport teardown. This is a timer, not a happens-after edge: under
-// extreme scheduling delay the client can still see a connection reset
-// for a shutdown that succeeded — a cosmetic error with no state at
-// risk, accepted in exchange for keeping the transport handler contract
-// free of post-write hooks. Signal-based shutdown (what the harness and
-// operators use) does not involve this path.
-const shutdownGrace = 200 * time.Millisecond
-
 // Search coordination defaults: how many hdk.search coordinations one
 // daemon runs concurrently, how many more may wait in the bounded
 // admission queue before the daemon sheds requests with an explicit
@@ -59,7 +49,7 @@ const searchRetryAfter = 25 * time.Millisecond
 // identity plus its share of the replicated index. It implements
 // overlay.Member, so core.StoreServer.Attach registers the exact same
 // index handlers the in-process engine uses; the control services
-// (membership, configuration, shutdown) are built in.
+// (membership, configuration, metrics) are built in.
 //
 // The daemon's membership is its coordination fabric: one *Client whose
 // overlay.View every join, announce, forget and repaired notice moves
@@ -147,9 +137,6 @@ type Server struct {
 
 	smu      sync.RWMutex
 	services map[string]transport.Handler
-
-	done     chan struct{}
-	stopOnce sync.Once
 }
 
 // Info is a daemon's self-description, served as JSON by cluster.info:
@@ -206,7 +193,6 @@ func NewServer(tr transport.Transport, listen string, replicas int) (*Server, er
 		searchQueueCap: defaultSearchQueue,
 		searchCache:    cache.NewLRU[[]byte](defaultSearchCache),
 		metrics:        newServerMetrics(),
-		done:           make(chan struct{}),
 	}
 	// Registry before Listen: the transport delivers traffic the moment
 	// it binds, and every handler assumes the instruments exist.
@@ -307,13 +293,6 @@ func (s *Server) invalidateSearchCache() {
 	s.searchCache.Clear()
 	s.cmu.Unlock()
 }
-
-// Done is closed when a shutdown was requested (cluster.shutdown RPC or
-// Shutdown call); the daemon main waits on it.
-func (s *Server) Done() <-chan struct{} { return s.done }
-
-// Shutdown signals Done. Closing the transport is the caller's job.
-func (s *Server) Shutdown() { s.stopOnce.Do(func() { close(s.done) }) }
 
 // EnableDurability attaches a durable data store and replays whatever it
 // recovered: a "configure" record recreates the store server (with
@@ -525,13 +504,6 @@ func (s *Server) dispatch(req []byte) ([]byte, error) {
 			return nil, fmt.Errorf("cluster: %s: bad search config: %w", s.addr, err)
 		}
 		s.ConfigureSearch(sc.Workers, sc.Queue, sc.Cache)
-		return nil, nil
-	case ctrlShutdown:
-		// Signal Done only after this response frame has had time to
-		// flush: the daemon main closes the transport on Done, and
-		// closing first would turn a successful shutdown into a
-		// connection-reset error at the client.
-		time.AfterFunc(shutdownGrace, s.Shutdown)
 		return nil, nil
 	}
 	if s.replaying.Load() {

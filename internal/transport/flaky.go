@@ -57,9 +57,6 @@ func (f *Flaky) Call(addr string, req []byte) ([]byte, error) {
 // Close implements Transport.
 func (f *Flaky) Close() error { return f.inner.Close() }
 
-// Stats implements Transport (delivered traffic only).
-func (f *Flaky) Stats() Stats { return f.inner.Stats() }
-
 // Dropped returns the number of injected failures.
 func (f *Flaky) Dropped() uint64 {
 	f.mu.Lock()

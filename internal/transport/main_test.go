@@ -20,3 +20,12 @@ func pool(t *TCP) poolStats {
 	m := t.metrics.Load()
 	return poolStats{m.dials.Value(), m.reuses.Value(), m.staleRetries.Value(), m.idleDropped.Value()}
 }
+
+// wireStats is a transport's completed round trips and their payload
+// bytes, read off the registry it records into.
+type wireStats struct{ Calls, RequestBytes, ResponseBytes uint64 }
+
+func wire(t *TCP) wireStats {
+	m := t.metrics.Load()
+	return wireStats{m.callLat.Count(), m.requestBytes.Value(), m.responseBytes.Value()}
+}

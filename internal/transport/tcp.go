@@ -20,11 +20,9 @@ import (
 // idle reuse, so a multi-process deployment pays the dial cost once per
 // (caller, owner) pair instead of once per RPC; concurrent callers to the
 // same address each check out their own connection. A frame costs one
-// write and normally one read per side (see frameConn). Stats accounting
-// matches InProc exactly (payload bytes both directions, one message per
-// Call), keeping the paper's traffic analysis comparable across fabrics.
+// write and normally one read per side (see frameConn). Every round trip
+// counts into the registry the transport records into (see Instrument).
 type TCP struct {
-	counters
 	cfg TCPConfig
 
 	mu        sync.Mutex
@@ -301,30 +299,28 @@ func (t *TCP) roundTrip(conn *frameConn, req []byte) ([]byte, error) {
 // siblings) on a call that can never succeed.
 func (t *TCP) Call(addr string, req []byte) ([]byte, error) {
 	if len(req) > MaxFrameSize {
-		err := fmt.Errorf("transport: call %s: request of %d bytes exceeds frame limit", addr, len(req))
-		t.observeCall(0, err)
-		return nil, err
+		t.metrics.Load().callErrors.Inc()
+		return nil, fmt.Errorf("transport: call %s: request of %d bytes exceeds frame limit", addr, len(req))
 	}
 	callStart := time.Now()
 	for attempt := 0; ; attempt++ {
 		conn, reused, err := t.getConn(addr)
 		if err != nil {
-			t.observeCall(0, err)
+			t.metrics.Load().callErrors.Inc()
 			return nil, err
 		}
 		resp, err := t.roundTrip(conn, req)
 		if err == nil {
 			t.putConn(addr, conn)
-			t.account(len(req), len(resp))
-			t.observeCall(time.Since(callStart), nil)
+			t.observeRoundTrip(time.Since(callStart), len(req), len(resp))
 			return resp, nil
 		}
-		if _, remote := err.(errRemote); remote {
+		if e, remote := err.(errRemote); remote {
 			// The remote rejected the request; the connection is fine.
 			// Handler errors are answers, not transport failures, so the
 			// round trip still counts as a completed call.
 			t.putConn(addr, conn)
-			t.observeCall(time.Since(callStart), nil)
+			t.observeRoundTrip(time.Since(callStart), len(req), len(e.msg))
 			return nil, err
 		}
 		t.release(conn)
@@ -350,7 +346,7 @@ func (t *TCP) Call(addr string, req []byte) ([]byte, error) {
 			t.metrics.Load().staleRetries.Inc()
 			continue
 		}
-		t.observeCall(0, err)
+		t.metrics.Load().callErrors.Inc()
 		return nil, fmt.Errorf("transport: call %s: %w", addr, err)
 	}
 }
@@ -399,11 +395,6 @@ func (t *TCP) IdleConns() int {
 	}
 	return n
 }
-
-// FrameOverhead is the per-message framing cost in bytes (status byte on
-// the response + two 4-byte length prefixes), reported so byte accounting
-// can separate protocol payload from wire overhead.
-const FrameOverhead = 1 + 4 + 4
 
 const (
 	frameHeaderSize = 5

@@ -86,8 +86,8 @@ func TestTCPPoolConcurrent(t *testing.T) {
 			wg.Wait()
 
 			total := uint64(tc.workers * tc.calls)
-			if got := tr.Stats().Messages; got != total {
-				t.Fatalf("Messages = %d, want %d", got, total)
+			if got := wire(tr).Calls; got != total {
+				t.Fatalf("Calls = %d, want %d", got, total)
 			}
 			ps := pool(tr)
 			// A conn dropped at a full pool (only possible when maxIdle <
@@ -137,9 +137,9 @@ func TestTCPHandlerErrorKeepsConnectionPooled(t *testing.T) {
 	if ps := pool(tr); ps.Dials != 1 {
 		t.Fatalf("Dials = %d, want 1 (handler errors must not burn the connection)", ps.Dials)
 	}
-	// Failed calls are not accounted, matching InProc.
-	if got := tr.Stats().Messages; got != 3 {
-		t.Fatalf("Messages = %d, want 3", got)
+	// A handler error is an answered round trip: all five count.
+	if got := wire(tr).Calls; got != 5 {
+		t.Fatalf("Calls = %d, want 5", got)
 	}
 }
 
@@ -242,42 +242,40 @@ func TestTCPServerRestartMidPool(t *testing.T) {
 	}
 }
 
-// TestTCPStatsParityWithInProc runs the same call sequence over both
-// transports and requires identical Stats: the paper's byte accounting
-// must not depend on the fabric.
-func TestTCPStatsParityWithInProc(t *testing.T) {
-	handler := func(req []byte) ([]byte, error) {
+// TestTCPCountsRoundTrips pins the transport's wire series on one call
+// sequence: every answered round trip — handler errors included — is
+// one timed call and counts its request and response payload bytes; a
+// call that never reached a handler is a call error and counts no bytes.
+func TestTCPCountsRoundTrips(t *testing.T) {
+	tr := NewTCP()
+	defer tr.Close()
+	reg := telemetry.NewRegistry()
+	tr.Instrument(reg)
+	addr, err := tr.Listen("127.0.0.1:0", func(req []byte) ([]byte, error) {
 		if len(req) == 0 {
 			return nil, errors.New("empty")
 		}
 		return append(req, req...), nil
-	}
-	reqs := [][]byte{[]byte("a"), []byte("longer-payload"), nil, []byte("x"), {}, []byte("final")}
-
-	runSeq := func(tr Transport, addr string) Stats {
-		for _, r := range reqs {
-			tr.Call(addr, r) // errors (empty payloads) intentionally included
-		}
-		return tr.Stats()
-	}
-
-	inproc := NewInProc()
-	defer inproc.Close()
-	if _, err := inproc.Listen("n", handler); err != nil {
-		t.Fatal(err)
-	}
-	ipStats := runSeq(inproc, "n")
-
-	tcp := NewTCP()
-	defer tcp.Close()
-	addr, err := tcp.Listen("127.0.0.1:0", handler)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcpStats := runSeq(tcp, addr)
+	for _, r := range [][]byte{[]byte("a"), []byte("longer-payload"), nil, []byte("x"), {}, []byte("final")} {
+		tr.Call(addr, r) // the empty payloads are answered with the handler's error
+	}
+	if _, err := tr.Call("127.0.0.1:1", []byte("unreachable")); err == nil {
+		t.Fatal("dial to closed port succeeded")
+	}
 
-	if ipStats != tcpStats {
-		t.Fatalf("stats diverge: inproc %+v, tcp %+v", ipStats, tcpStats)
+	snap := reg.Snapshot()
+	calls, _ := snap.Histogram(metricCallNanos)
+	errs, _ := snap.Counter(metricCallErrors)
+	reqBytes, _ := snap.Counter(metricRequestBytes)
+	respBytes, _ := snap.Counter(metricResponseBytes)
+	// Requests 1+14+0+1+0+5; responses 2+28+5+2+5+10 ("empty" twice).
+	if calls.Count != 6 || errs != 1 || reqBytes != 21 || respBytes != 52 {
+		t.Fatalf("%d calls, %d call errors, %d request bytes, %d response bytes; want 6, 1, 21, 52",
+			calls.Count, errs, reqBytes, respBytes)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package transport provides the messaging substrate for the P2P overlay:
 // a request/response abstraction with two implementations — a
-// deterministic in-process network with exact byte/message accounting
-// (used by the experiments, which measure traffic rather than wall-clock
-// throughput) and a pooled TCP transport with length-prefixed frames,
+// deterministic in-process network of direct function calls (used by the
+// experiments, whose traffic the engine's registry counts) and a pooled
+// TCP transport with length-prefixed frames,
 // which carries every RPC between hdknode daemons and their clients:
 // store fetches and inserts, streamed ingest and build, hdk.search,
 // membership and repair. ARCHITECTURE.md ("The TCP frame path") has the
@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Handler processes one request and returns the response payload.
@@ -28,32 +27,6 @@ type Transport interface {
 	Call(addr string, req []byte) ([]byte, error)
 	// Close releases all listeners.
 	Close() error
-	// Stats returns cumulative traffic counters.
-	Stats() Stats
-}
-
-// Stats are cumulative traffic counters. Bytes counts payload bytes in
-// both directions (requests + responses), the quantity the paper's
-// analysis tracks; framing overhead is reported separately by the TCP
-// transport via FrameOverhead.
-type Stats struct {
-	Messages uint64 // number of Call invocations
-	Bytes    uint64 // request + response payload bytes
-}
-
-// counters is an embeddable atomic stats block.
-type counters struct {
-	messages atomic.Uint64
-	bytes    atomic.Uint64
-}
-
-func (c *counters) account(reqLen, respLen int) {
-	c.messages.Add(1)
-	c.bytes.Add(uint64(reqLen + respLen))
-}
-
-func (c *counters) Stats() Stats {
-	return Stats{Messages: c.messages.Load(), Bytes: c.bytes.Load()}
 }
 
 // ErrUnknownAddress is returned by Call for an unregistered address.
@@ -82,10 +55,9 @@ func CallRetry(t Transport, addr string, req []byte, attempts int) ([]byte, erro
 var ErrClosed = errors.New("transport: closed")
 
 // InProc is an in-process Transport: calls are direct function
-// invocations, so experiments measure exactly the traffic the protocol
-// generates with zero noise. Safe for concurrent use.
+// invocations, so the traffic the protocol generates is all there is —
+// the engine's registry counts it. Safe for concurrent use.
 type InProc struct {
-	counters
 	mu       sync.RWMutex
 	handlers map[string]Handler
 	closed   bool
@@ -126,7 +98,6 @@ func (t *InProc) Call(addr string, req []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.account(len(req), len(resp))
 	return resp, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -37,14 +38,6 @@ func testTransportBasics(t *testing.T, tr Transport, addrHint func(i int) string
 	} else if !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("error %q does not carry handler message", err)
 	}
-
-	st := tr.Stats()
-	if st.Messages != 1 {
-		t.Fatalf("Messages = %d, want 1 (failed calls not accounted)", st.Messages)
-	}
-	if want := uint64(len("hi") + len("echo:hi")); st.Bytes != want {
-		t.Fatalf("Bytes = %d, want %d", st.Bytes, want)
-	}
 }
 
 func TestInProcBasics(t *testing.T) {
@@ -57,6 +50,11 @@ func TestTCPBasics(t *testing.T) {
 	tr := NewTCP()
 	defer tr.Close()
 	testTransportBasics(t, tr, func(int) string { return "127.0.0.1:0" })
+	// The handler error is an answered round trip: "x" out, "boom" back.
+	want := wireStats{Calls: 2, RequestBytes: uint64(len("hi") + len("x")), ResponseBytes: uint64(len("echo:hi") + len("boom"))}
+	if got := wire(tr); got != want {
+		t.Fatalf("wire = %+v, want %+v", got, want)
+	}
 }
 
 func TestInProcUnknownAddress(t *testing.T) {
@@ -93,7 +91,11 @@ func TestInProcClosed(t *testing.T) {
 func TestInProcConcurrentCalls(t *testing.T) {
 	tr := NewInProc()
 	defer tr.Close()
-	tr.Listen("svc", func(req []byte) ([]byte, error) { return req, nil })
+	var served atomic.Uint64
+	tr.Listen("svc", func(req []byte) ([]byte, error) {
+		served.Add(1)
+		return req, nil
+	})
 	var wg sync.WaitGroup
 	const workers, calls = 8, 200
 	for w := 0; w < workers; w++ {
@@ -101,16 +103,21 @@ func TestInProcConcurrentCalls(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < calls; i++ {
-				if _, err := tr.Call("svc", []byte{byte(i)}); err != nil {
+				resp, err := tr.Call("svc", []byte{byte(i)})
+				if err != nil {
 					t.Error(err)
+					return
+				}
+				if len(resp) != 1 || resp[0] != byte(i) {
+					t.Errorf("resp = %v, want [%d]", resp, byte(i))
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if got := tr.Stats().Messages; got != workers*calls {
-		t.Fatalf("Messages = %d, want %d", got, workers*calls)
+	if got := served.Load(); got != workers*calls {
+		t.Fatalf("handler ran %d times, want %d", got, workers*calls)
 	}
 }
 
