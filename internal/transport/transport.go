@@ -2,10 +2,9 @@
 // a request/response abstraction with two implementations — a
 // deterministic in-process network of direct function calls (used by the
 // experiments, whose traffic the engine's registry counts) and a pooled
-// TCP transport with length-prefixed frames,
-// which carries every RPC between hdknode daemons and their clients:
-// store fetches and inserts, streamed ingest and build, hdk.search,
-// membership and repair. ARCHITECTURE.md ("The TCP frame path") has the
+// TCP transport with length-prefixed frames, which carries every RPC
+// between hdknode daemons and their clients: store fetches and inserts,
+// streamed ingest and build, hdk.search, membership and repair. ARCHITECTURE.md ("The TCP frame path") has the
 // frame format and the two rules its hot path keeps.
 package transport
 
@@ -55,8 +54,9 @@ func CallRetry(t Transport, addr string, req []byte, attempts int) ([]byte, erro
 var ErrClosed = errors.New("transport: closed")
 
 // InProc is an in-process Transport: calls are direct function
-// invocations, so the traffic the protocol generates is all there is —
-// the engine's registry counts it. Safe for concurrent use.
+// invocations with no network in between. It counts nothing; the
+// engine's registry counts the protocol's traffic. Safe for concurrent
+// use.
 type InProc struct {
 	mu       sync.RWMutex
 	handlers map[string]Handler
