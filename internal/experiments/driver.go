@@ -78,34 +78,32 @@ func drive(sched FaultSchedule, nodes int, fire func(FaultAction) error, sleep f
 }
 
 // schedPoint is what a schedule alone says of one point drive runs at:
-// its label and the nodes down during it.
+// its label and the node down during it.
 type schedPoint struct {
 	Label string
-	Down  []int // killed and not yet restarted, ascending; nil if none
+	Down  []int // the one node killed and not yet restarted or forgotten; nil if none
 }
 
 // schedulePoints names the len(sched.Actions)+1 points drive runs at
 // for a valid schedule: point 0 is "start", point p is labelled by
 // action p-1, which opened it, and the point after the last action is
 // "drain". The window after a kill(n) is therefore kill(n), with n down
-// until its restart.
+// until its restart or forget, which ends the down window as in
+// Validate.
 func schedulePoints(sched FaultSchedule) []schedPoint {
 	pts := make([]schedPoint, len(sched.Actions)+1)
 	pts[0].Label = "start"
-	down := make([]bool, sched.Nodes)
+	down := -1
 	for i, act := range sched.Actions {
 		switch act.Op {
 		case OpKill:
-			down[act.Node] = true
-		case OpRestart:
-			down[act.Node] = false
+			down = act.Node
+		case OpRestart, OpForget:
+			down = -1
 		}
-		pt := &pts[i+1]
-		pt.Label = act.String()
-		for n, d := range down {
-			if d {
-				pt.Down = append(pt.Down, n)
-			}
+		pts[i+1].Label = act.String()
+		if down >= 0 {
+			pts[i+1].Down = []int{down}
 		}
 	}
 	if n := len(sched.Actions); n > 0 {

@@ -233,3 +233,23 @@ func TestScheduleArtifactsReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedulePointsForget: TCPServe's kill(n) then forget(n) lists n
+// down only in the kill window; forget ends it, as in Validate.
+func TestSchedulePointsForget(t *testing.T) {
+	s := serveSchedule(5, 2)
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	got := schedulePoints(s)
+	want := []schedPoint{
+		{Label: "start"},
+		{Label: s.Actions[0].String()},
+		{Label: s.Actions[1].String(), Down: []int{2}},
+		{Label: s.Actions[2].String()},
+		{Label: "drain"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("points %+v, want %+v", got, want)
+	}
+}

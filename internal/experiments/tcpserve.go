@@ -322,12 +322,7 @@ func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i in
 			return f.expectUnrepaired(0)
 		},
 	}
-	sched := sequence(opts.Nodes,
-		FaultAction{Op: OpWave, Node: -1},
-		FaultAction{Op: OpKill, Node: victimIdx},
-		FaultAction{Op: OpForget, Node: victimIdx},
-		FaultAction{Op: OpRepair, Node: -1})
-	if err := drive(sched, opts.Nodes, f.fire, time.Sleep, func(p int) error { return passes[p]() }); err != nil {
+	if err := drive(serveSchedule(opts.Nodes, victimIdx), opts.Nodes, f.fire, time.Sleep, func(p int) error { return passes[p]() }); err != nil {
 		return nil, err
 	}
 	pool := poolReg.Snapshot()
@@ -633,4 +628,14 @@ func scrape(httpAddrs []string, snaps []telemetry.Snapshot, rep *TCPServeReport)
 	rep.ScrapedFoundKeys = sum(snaps, "hdk_query_found_keys_total")
 	rep.ScrapedFetchRPCs = sum(snaps, "hdk_query_fetch_rpcs_total")
 	rep.ScrapedLocalFetches = sum(snaps, "hdk_query_local_fetches_total")
+}
+
+// serveSchedule is TCPServe's schedule: one wave, then the victim is
+// killed, forgotten, and its keys repaired onto the survivors.
+func serveSchedule(nodes, victim int) FaultSchedule {
+	return sequence(nodes,
+		FaultAction{Op: OpWave, Node: -1},
+		FaultAction{Op: OpKill, Node: victim},
+		FaultAction{Op: OpForget, Node: victim},
+		FaultAction{Op: OpRepair, Node: -1})
 }

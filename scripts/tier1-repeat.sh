@@ -7,8 +7,8 @@
 #   scripts/tier1-repeat.sh        # 30 runs
 #   scripts/tier1-repeat.sh 10
 #
-# A failing run's full output is kept under TIER1_LOG_DIR (default: a
-# fresh directory under $TMPDIR), whose path is printed at the end.
+# A failing run's full output is kept in a fresh directory under
+# $TMPDIR (default /tmp), whose path is printed at the end.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,8 +17,7 @@ if ! [[ "$runs" =~ ^[1-9][0-9]*$ ]]; then
   echo "usage: scripts/tier1-repeat.sh [N]   (N >= 1)" >&2
   exit 2
 fi
-logdir="${TIER1_LOG_DIR:-$(mktemp -d "${TMPDIR:-/tmp}/tier1-repeat.XXXXXX")}"
-mkdir -p "$logdir"
+logdir=$(mktemp -d "${TMPDIR:-/tmp}/tier1-repeat.XXXXXX")
 
 failed=0
 for i in $(seq 1 "$runs"); do
