@@ -11,37 +11,27 @@ import (
 // experiments without extra flags still run.
 func TestRunRejectsIgnoredFlags(t *testing.T) {
 	cases := []struct {
-		experiment, replicas string
-		set                  []string
-		want                 string
+		experiment, replicas, want string
 	}{
-		{"fig8", "", []string{"kill"}, "-kill"},
-		{"fig2", "", []string{"kill"}, "-kill"},
-		{"table2", "", []string{"kill"}, "-kill"},
-		{"fig3", "", []string{"kill"}, "-kill"},
-		{"all", "", []string{"kill"}, "-kill"},
-		{"table2", "1,2", []string{"replicas"}, "-replicas"},
-		{"fig2", "2", []string{"replicas"}, "-replicas"},
-		{"fig8", "3", []string{"replicas"}, "-replicas"},
-		{"fig7", "", []string{"seed"}, "-seed"},
-		{"avail", "", []string{"replay"}, "-replay"},
-		{"fig8", "", nil, ""},
-		{"table2", "", []string{"scale"}, ""},
+		{"table2", "1,2", "-replicas"},
+		{"fig2", "2", "-replicas"},
+		{"fig8", "3", "-replicas"},
+		{"fig3", "1", "-replicas"},
+		{"all", "1", "-replicas"},
+		{"nosuch", "", "unknown experiment"},
+		{"fig8", "", ""},
+		{"table2", "", ""},
 	}
 	for _, c := range cases {
-		set := make(map[string]bool)
-		for _, name := range c.set {
-			set[name] = true
-		}
-		err := run("small", c.experiment, c.replicas, "", "", 0.5, 1, false, false, true, set)
+		err := run("small", c.experiment, c.replicas, "")
 		if c.want == "" {
 			if err != nil {
-				t.Errorf("-experiment %s with %v: %v", c.experiment, c.set, err)
+				t.Errorf("-experiment %s -replicas %q: %v", c.experiment, c.replicas, err)
 			}
 			continue
 		}
 		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("-experiment %s with %v: err = %v, want a rejection naming %s", c.experiment, c.set, err, c.want)
+			t.Errorf("-experiment %s -replicas %q: err = %v, want a rejection naming %s", c.experiment, c.replicas, err, c.want)
 		}
 	}
 }

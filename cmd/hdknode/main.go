@@ -59,7 +59,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:0", "host:port to serve on (port 0 binds an ephemeral port)")
 	join := flag.String("join", "", "address of any existing cluster member to join through")
 	replicas := flag.Int("replicas", 1, "replication factor this cluster is intended to run at (advertised to clients)")
-	callTimeout := flag.Duration("call-timeout", 30*time.Second, "per-RPC deadline for outbound calls (join/announce)")
 	dataDir := flag.String("data", "", "durable data directory (empty: index lives in RAM only)")
 	fsync := flag.String("fsync", "always", "op-log fsync policy with -data: always|batch|never")
 	compactBytes := flag.Int64("compact-bytes", 0, "op-log size triggering snapshot compaction (0: 4 MiB default, <0: only on shutdown)")
@@ -70,13 +69,13 @@ func main() {
 	slowQuery := flag.Duration("slow-query", 0, "log coordinations slower than this to stderr, rate-limited to one line/s (0: disabled)")
 	flag.Parse()
 
-	if err := run(*listen, *join, *replicas, *callTimeout, *dataDir, *fsync, *compactBytes, *searchWorkers, *searchQueue, *searchCache, *httpAddr, *slowQuery); err != nil {
+	if err := run(*listen, *join, *replicas, *dataDir, *fsync, *compactBytes, *searchWorkers, *searchQueue, *searchCache, *httpAddr, *slowQuery); err != nil {
 		fmt.Fprintln(os.Stderr, "hdknode:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, join string, replicas int, callTimeout time.Duration, dataDir, fsync string, compactBytes int64, searchWorkers, searchQueue, searchCache int, httpAddr string, slowQuery time.Duration) error {
+func run(listen, join string, replicas int, dataDir, fsync string, compactBytes int64, searchWorkers, searchQueue, searchCache int, httpAddr string, slowQuery time.Duration) error {
 	var dur *durable.Store
 	if dataDir != "" {
 		policy, err := durable.ParsePolicy(fsync)
@@ -88,7 +87,7 @@ func run(listen, join string, replicas int, callTimeout time.Duration, dataDir, 
 		}
 	}
 
-	tr := transport.NewTCPConfig(transport.TCPConfig{CallTimeout: callTimeout})
+	tr := transport.NewTCP()
 	srv, err := cluster.NewServer(tr, listen, replicas)
 	if err != nil {
 		return err

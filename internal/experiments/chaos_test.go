@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -14,52 +16,45 @@ import (
 
 // runChaosE2E boots a real durable hdknode cluster with a deliberately
 // small -compact-bytes (so the waves' op-log growth forces generation
-// rollovers mid-chaos) and runs the chaos scenario against it. With
-// CHAOS_ARTIFACT_DIR set (CI), the daemons' per-node logs tee there
-// live, and a failing run leaves the serialized fault schedule and the
-// full report next to them — seed + action list, enough to replay the
-// exact run locally with `hdkbench -chaos -seed N`. CHAOS_SEED
-// overrides the schedule seed for such replays under `go test`.
+// rollovers mid-chaos) and runs the chaos scenario against it. It is the
+// only driver of the chaos and soak scenarios: scripts/chaos-replay.sh
+// runs this test too. CHAOS_REPLAY replays a run: its value is a
+// schedule seed, or the path of a schedule artifact fired verbatim
+// (chaosSchedule). With CHAOS_ARTIFACT_DIR set (CI), the daemons'
+// per-node logs tee there live, their data directories live there as
+// <prefix>-data, and the report is written there as <prefix>-report.json;
+// a failing run also leaves the schedule that fired as
+// <prefix>-schedule.json and keeps the data directories.
 func runChaosE2E(t *testing.T, opts ChaosOpts, compactBytes int, prefix string) *ChaosReport {
 	t.Helper()
 	bin := hdknodeBin(t)
-	if seed := os.Getenv("CHAOS_SEED"); seed != "" {
-		n, err := strconv.ParseUint(seed, 10, 64)
-		if err != nil {
-			t.Fatalf("CHAOS_SEED %q: %v", seed, err)
-		}
-		opts.ScheduleSeed = n
+	sched, err := chaosSchedule(opts, os.Getenv("CHAOS_REPLAY"))
+	if err != nil {
+		t.Fatalf("CHAOS_REPLAY: %v", err)
 	}
+	opts.Replay = &sched
 
 	artDir := os.Getenv("CHAOS_ARTIFACT_DIR")
-	if artDir != "" {
+	dataRoot := filepath.Join(artDir, prefix+"-data")
+	if artDir == "" {
+		dataRoot = filepath.Join(t.TempDir(), "data")
+	} else {
 		if err := os.MkdirAll(artDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-	}
-	var rep *ChaosReport
-	sched := GenerateSchedule(opts.ScheduleSeed, opts.Nodes, opts.Schedule)
-	t.Cleanup(func() {
-		if !t.Failed() || artDir == "" {
-			return
-		}
-		// The replay artifact: schedule first (always available), the
-		// full report when the run got far enough to produce one.
-		if err := WriteJSON(filepath.Join(artDir, prefix+"-schedule.json"), sched); err != nil {
-			t.Logf("write schedule artifact: %v", err)
-		}
-		if rep != nil {
-			if err := WriteJSON(filepath.Join(artDir, prefix+"-report.json"), rep); err != nil {
-				t.Logf("write report artifact: %v", err)
+		t.Cleanup(func() {
+			if !t.Failed() {
+				os.RemoveAll(dataRoot)
+				return
 			}
-		}
-	})
-
-	h := &cluster.Harness{
-		Bin: bin, Stderr: os.Stderr,
-		DataRoot: filepath.Join(t.TempDir(), "data"), Fsync: "always",
-		LogDir: artDir,
+			if err := WriteJSON(filepath.Join(artDir, prefix+"-schedule.json"), sched); err != nil {
+				t.Logf("write schedule artifact: %v", err)
+			}
+			t.Logf("node logs, data and %s-schedule.json kept in %s", prefix, artDir)
+		})
 	}
+
+	h := &cluster.Harness{Bin: bin, Stderr: os.Stderr, DataRoot: dataRoot, LogDir: artDir}
 	if err := h.Start(opts.Nodes, opts.Replicas, "-compact-bytes", fmt.Sprint(compactBytes)); err != nil {
 		t.Fatal(err)
 	}
@@ -74,12 +69,45 @@ func runChaosE2E(t *testing.T, opts ChaosOpts, compactBytes int, prefix string) 
 		// Readiness re-poll: the next action must not race the rejoin.
 		return h.AwaitMembers(opts.Nodes)
 	}
-	var err error
-	if rep, err = Chaos(tr, h.Addrs(), h.Kill, restart, opts, t.Logf); err != nil {
+	rep, err := Chaos(tr, h.Addrs(), h.Kill, restart, opts, t.Logf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("report: %+v", *rep)
+	out, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("report:\n%s", out)
+	if artDir != "" {
+		if err := os.WriteFile(filepath.Join(artDir, prefix+"-report.json"), append(out, '\n'), 0o644); err != nil {
+			t.Errorf("write report artifact: %v", err)
+		}
+	}
 	return rep
+}
+
+// chaosSchedule resolves the schedule a chaos or soak run fires. An
+// empty replay generates it from opts; otherwise replay is a seed to
+// generate it from, or the path of a schedule artifact to fire verbatim.
+// A schedule made for another fleet size is refused here, before any
+// daemon is spawned.
+func chaosSchedule(opts ChaosOpts, replay string) (FaultSchedule, error) {
+	seed, err := opts.ScheduleSeed, error(nil)
+	if replay != "" {
+		seed, err = strconv.ParseUint(replay, 10, 64)
+	}
+	if err == nil {
+		return GenerateSchedule(seed, opts.Nodes, opts.Schedule), nil
+	}
+	raw, err := os.ReadFile(replay)
+	if err != nil {
+		return FaultSchedule{}, fmt.Errorf("%q is neither a seed nor a readable schedule file: %w", replay, err)
+	}
+	var sched FaultSchedule
+	if err := json.Unmarshal(raw, &sched); err != nil {
+		return sched, fmt.Errorf("%s: %w", replay, err)
+	}
+	return sched, sched.validateFor(opts.Nodes)
 }
 
 // TestTCPChaosE2E is the CI chaos gate: a 5-process durable cluster
@@ -177,5 +205,55 @@ func TestChaosRefusesForeignFleetSize(t *testing.T) {
 	_, err := Chaos(nil, make([]string, opts.Nodes), nil, nil, opts, nil)
 	if err == nil || !strings.Contains(err.Error(), "schedule is for 7 nodes, the fleet has 5") {
 		t.Fatalf("7-node replay against 5 daemons: err = %v, want a refusal naming both sizes", err)
+	}
+}
+
+// TestChaosReplaySource pins the resolver behind CHAOS_REPLAY without
+// starting a process: a seed generates GenerateSchedule's schedule, a
+// committed artifact is fired exactly as written, an artifact made for
+// another fleet size is refused by name, and a value that is neither a
+// number nor a readable file is an error.
+func TestChaosReplaySource(t *testing.T) {
+	opts := DefaultChaosOpts()
+	got, err := chaosSchedule(opts, "7")
+	if err != nil || !reflect.DeepEqual(got, GenerateSchedule(7, opts.Nodes, opts.Schedule)) {
+		t.Errorf("seed 7: err %v, schedule seed %d, want GenerateSchedule(7)", err, got.Seed)
+	}
+	if got, err := chaosSchedule(opts, ""); err != nil || !reflect.DeepEqual(got, GenerateSchedule(opts.ScheduleSeed, opts.Nodes, opts.Schedule)) {
+		t.Errorf("no replay: err %v, schedule seed %d, want the default seed's schedule", err, got.Seed)
+	}
+
+	artifact := filepath.Join("testdata", "chaos-schedule.json")
+	raw, err := os.ReadFile(artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want FaultSchedule
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	got, err = chaosSchedule(opts, artifact)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: err %v, want the committed schedule verbatim", artifact, err)
+	}
+	if out, _ := json.MarshalIndent(got, "", "  "); string(append(out, '\n')) != string(raw) {
+		t.Errorf("%s: the resolved schedule does not re-encode to the committed bytes", artifact)
+	}
+
+	want.Nodes = 7
+	foreign, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "seven.json")
+	if err := os.WriteFile(path, foreign, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := chaosSchedule(opts, path); err == nil || !strings.Contains(err.Error(), "schedule is for 7 nodes, the fleet has 5") {
+		t.Errorf("7-node artifact: err = %v, want a refusal naming both sizes", err)
+	}
+
+	if _, err := chaosSchedule(opts, filepath.Join(t.TempDir(), "missing.json")); err == nil {
+		t.Error("a value that is neither a seed nor a file was accepted")
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // This file holds the schedule the one scenario driver (drive) fires:
 // an ordered list of timestamped actions. A chaos schedule is a pure
-// function of its seed, so `hdkbench -chaos -seed N` replays a failing
+// function of its seed, so `CHAOS_REPLAY=N` replays a failing
 // run exactly; the serving and ingest-resume scenarios write theirs as
 // fixed sequences. Generation only emits schedules the cluster can
 // absorb — one daemon down at a time, every kill paired with a restart,
@@ -219,8 +219,8 @@ const schedStream = 0x9e3779b97f4a7c15
 
 // GenerateSchedule derives the fault schedule for a seed: a constrained
 // random interleaving of the budgeted actions. Identical inputs yield
-// byte-identical schedules — the replay contract `hdkbench -chaos -seed
-// N` relies on. The generated schedule always passes Validate.
+// byte-identical schedules — the replay contract `CHAOS_REPLAY=N` relies
+// on. The generated schedule always passes Validate.
 func GenerateSchedule(seed uint64, nodes int, o ScheduleOpts) FaultSchedule {
 	d := DefaultScheduleOpts()
 	budget := map[FaultOp]*int{OpKill: &o.Kills, OpWave: &o.Waves, OpRepair: &o.Repairs, OpResize: &o.Resizes}

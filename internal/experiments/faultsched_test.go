@@ -13,7 +13,7 @@ import (
 
 // TestScheduleDeterministicReplay is the replay contract: the same
 // (seed, nodes, opts) must yield a byte-identical schedule — that is
-// what makes `hdkbench -chaos -seed N` reproduce a CI failure exactly.
+// what makes `CHAOS_REPLAY=N` reproduce a CI failure exactly.
 func TestScheduleDeterministicReplay(t *testing.T) {
 	opts := DefaultScheduleOpts()
 	a := GenerateSchedule(42, 5, opts)

@@ -33,7 +33,7 @@ func TestTCPIngestResumeE2E(t *testing.T) {
 	}
 	opts := DefaultClusterOpts()
 
-	h := &cluster.Harness{Bin: bin, Stderr: os.Stderr, DataRoot: dataRoot, Fsync: "always"}
+	h := &cluster.Harness{Bin: bin, Stderr: os.Stderr, DataRoot: dataRoot}
 	if err := h.Start(opts.Nodes, opts.Replicas); err != nil {
 		t.Fatal(err)
 	}

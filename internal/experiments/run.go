@@ -137,7 +137,7 @@ func runStep(scale Scale, full *corpus.Collection, peers int, progress Progress)
 
 	// HDK engines, one per DFmax.
 	for _, dfmax := range scale.DFMaxes {
-		h, err := measure(col, peers, hdkConfig(scale, col, dfmax, scale.Replicas), queries, reference, true)
+		h, err := measure(col, peers, hdkConfig(scale, col, dfmax, 1), queries, reference, true)
 		if err != nil {
 			return nil, err
 		}
@@ -149,16 +149,14 @@ func runStep(scale Scale, full *corpus.Collection, peers int, progress Progress)
 }
 
 // hdkConfig maps the scale onto the engine configuration at one DFmax,
-// with the replication factor override when replicas > 0.
+// keeping replicas copies of each key (the sweep runs at 1).
 func hdkConfig(scale Scale, col *corpus.Collection, dfmax, replicas int) core.Config {
 	cfg := core.DefaultConfig(rank.CollectionStats{NumDocs: col.M(), AvgDocLen: col.AvgDocLen()})
 	cfg.DFMax = dfmax
 	cfg.SMax = scale.SMax
 	cfg.Window = scale.Window
 	cfg.Ff = scale.Ff
-	if replicas > 0 {
-		cfg.ReplicationFactor = replicas
-	}
+	cfg.ReplicationFactor = replicas
 	return cfg
 }
 
@@ -166,8 +164,7 @@ func hdkConfig(scale Scale, col *corpus.Collection, dfmax, replicas int) core.Co
 // series of Figures 3, 4, 6 and 7) as a special case of the HDK model:
 // with smax 1 every key is one term, and with DFmax at the collection
 // size and no very-frequent cutoff every term is discriminative, so its
-// full posting list sits on the peer responsible for it. It keeps a
-// single copy whatever the sweep's replication factor.
+// full posting list sits on the peer responsible for it.
 func singleTermConfig(col *corpus.Collection) core.Config {
 	cfg := core.DefaultConfig(rank.CollectionStats{NumDocs: col.M(), AvgDocLen: col.AvgDocLen()})
 	cfg.SMax = 1

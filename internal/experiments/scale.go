@@ -30,10 +30,7 @@ type Scale struct {
 	Ff          int   // paper: 100,000
 	NumQueries  int   // paper: 3,000
 	MinHits     int   // paper: >20
-	// Replicas is the R-way key replication factor for the HDK engines
-	// (internal/replica); 0 keeps the engine default (single copy).
-	Replicas int
-	Seed     int64
+	Seed        int64
 }
 
 // MaxDocs returns the largest collection size the scale reaches.
@@ -67,9 +64,6 @@ func (s Scale) Validate() error {
 	}
 	if s.Window < 2 || s.SMax < 1 {
 		return fmt.Errorf("experiments: bad window/smax")
-	}
-	if s.Replicas < 0 {
-		return fmt.Errorf("experiments: negative replication factor %d", s.Replicas)
 	}
 	return nil
 }
@@ -113,7 +107,8 @@ func SmallScale() Scale {
 	}
 }
 
-// MediumScale is the default for cmd/hdkbench: a few minutes end-to-end.
+// MediumScale takes a few minutes end-to-end (cmd/hdkbench's default is
+// SmallScale).
 func MediumScale() Scale {
 	return Scale{
 		Name:        "medium",

@@ -21,8 +21,8 @@
 //     (the Transport interface, its TCP/InProc/Flaky implementations,
 //     and the replica Inventory), or any CallService method;
 //   - an RPC-backed method on the cluster Client: *Via, plus the
-//     explicit set (Configure, Meta, Forget, StoreStats, Ingest,
-//     BuildRemote, Audit);
+//     explicit set (Configure, Forget, StoreStats, Ingest, BuildRemote,
+//     Audit);
 //   - any exported method on the replica Repairer (Sweep, CatchUp,
 //     Audit all fan out RPCs).
 package nonetunderlock
@@ -47,7 +47,7 @@ var Analyzer = &analysis.Analyzer{
 // rpcClientMethods are the cluster.Client methods that perform RPCs but
 // do not end in Via.
 var rpcClientMethods = map[string]bool{
-	"Configure": true, "Meta": true, "Forget": true,
+	"Configure": true, "Forget": true,
 	"StoreStats": true, "Ingest": true, "BuildRemote": true, "Audit": true,
 }
 

@@ -47,7 +47,6 @@ const (
 	ctrlAnnounce = "cluster.announce"
 	ctrlForget   = "cluster.forget"
 	ctrlRepaired = "cluster.repaired"
-	ctrlMeta     = "cluster.meta"
 	ctrlMetrics  = "cluster.metrics"
 	// ctrlSearchConfig live-resizes a daemon's query-admission path
 	// (Server.ConfigureSearch over the wire).
@@ -339,17 +338,6 @@ func (c *Client) Configure(cfg core.Config) error {
 		}
 	}
 	return nil
-}
-
-// Meta fetches the configuration a daemon was configured with.
-func (c *Client) Meta(addr string) (core.Config, error) {
-	var cfg core.Config
-	raw, err := c.CallService(addr, ctrlMeta, nil)
-	if err != nil {
-		return cfg, err
-	}
-	err = json.Unmarshal(raw, &cfg)
-	return cfg, err
 }
 
 // searchConfig is the cluster.searchconfig payload: a live resize of a

@@ -27,11 +27,9 @@ type Harness struct {
 	// Stderr, when non-nil, receives every daemon's stderr (test logs).
 	Stderr *os.File
 	// DataRoot, when non-empty, gives each daemon a durable data
-	// directory under it ("node0", "node1", ...).
+	// directory under it ("node0", "node1", ...) with -fsync always, the
+	// SIGKILL-proof setting restart tests need.
 	DataRoot string
-	// Fsync overrides the daemons' -fsync policy (DataRoot only;
-	// default "always", the SIGKILL-proof setting restart tests need).
-	Fsync string
 	// LogDir, when non-empty, tees each daemon's stdout and stderr into
 	// LogDir/node<i>.log (appending across restarts, so one file tells
 	// a daemon's whole multi-incarnation story) — the artifact a chaos
@@ -64,11 +62,7 @@ func (h *Harness) nodeArgs(i int, listen, join string) []string {
 		args = append(args, "-join", join)
 	}
 	if dir := h.NodeDataDir(i); dir != "" {
-		fsync := h.Fsync
-		if fsync == "" {
-			fsync = "always"
-		}
-		args = append(args, "-data", dir, "-fsync", fsync)
+		args = append(args, "-data", dir, "-fsync", "always")
 	}
 	return append(args, h.extra...)
 }

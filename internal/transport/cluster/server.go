@@ -488,14 +488,6 @@ func (s *Server) dispatch(req []byte) ([]byte, error) {
 		return nil, nil
 	case ctrlRepaired:
 		return nil, s.repaired(payload)
-	case ctrlMeta:
-		s.mu.Lock()
-		meta := s.configJSON
-		s.mu.Unlock()
-		if meta == nil {
-			return nil, fmt.Errorf("cluster: %s not configured", s.addr)
-		}
-		return meta, nil
 	case ctrlMetrics:
 		return telemetry.EncodeSnapshot(s.metrics.reg.Snapshot()), nil
 	case ctrlSearchConfig:

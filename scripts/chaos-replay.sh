@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# chaos-replay.sh — reproduce a chaos/soak CI failure locally. Rebuilds
-# hdknode, then fires the exact fault schedule the failing run used:
-# either regenerated from its seed (schedules are a pure function of
-# the seed) or loaded verbatim from the serialized fault-schedule.json
-# the CI job uploaded next to the node logs.
+# chaos-replay.sh — reproduce a chaos/soak CI failure locally. Runs the
+# CI gate itself (TestTCPChaosE2E, or TestTCPSoakE2E with -soak) with the
+# command the CI step runs, firing the exact fault schedule the failing
+# run used: either regenerated from its seed (schedules are a pure
+# function of the seed) or loaded verbatim from the serialized
+# <prefix>-schedule.json the CI job uploaded next to the node logs.
 #
 # Usage:
 #   chaos-replay.sh SEED [-soak]
@@ -14,41 +15,47 @@
 #   scripts/chaos-replay.sh 7 -soak      # replay a soak run at seed 7
 #   scripts/chaos-replay.sh chaos-schedule.json   # fire a CI artifact
 #
-# Exit code is hdkbench's: nonzero when any gate fails, in which case
-# the node logs, data directories and schedule are kept under a temp
-# directory hdkbench names on stderr.
+# Exit code is the test's: nonzero when any gate fails, in which case
+# the node logs, data directories, report and schedule are kept in the
+# directory printed on stderr. On success that directory is removed.
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
-    sed -n '2,17p' "$0" >&2
+    sed -n '2,16p' "$0" >&2
     exit 2
 fi
 
 what=$1
 shift
-mode=-chaos
+test=TestTCPChaosE2E
 for arg in "$@"; do
     case "$arg" in
-    -soak) mode=-soak ;;
+    -soak) test=TestTCPSoakE2E ;;
     *)
         echo "chaos-replay.sh: unknown argument $arg" >&2
         exit 2
         ;;
     esac
 done
+# The test runs in its package directory: an artifact path must not be
+# relative to the caller's.
+if [[ -f "$what" ]]; then
+    what=$(cd "$(dirname "$what")" && pwd)/$(basename "$what")
+fi
 
 cd "$(dirname "$0")/.."
 bindir=$(mktemp -d)
+artdir=$(mktemp -d)
 trap 'rm -rf "$bindir"' EXIT
 go build -o "$bindir/hdknode" ./cmd/hdknode
-go build -o "$bindir/hdkbench" ./cmd/hdkbench
-export HDKNODE_BIN="$bindir/hdknode"
 
-source=(-seed "$what")
-if [[ -f "$what" ]]; then
-    source=(-replay "$what")
-fi
-# A child, not exec: the EXIT trap must still run to remove the binaries.
+# A child, not exec: the EXIT trap must still run to remove the binary.
 status=0
-"$bindir/hdkbench" "$mode" "${source[@]}" || status=$?
+HDKNODE_BIN="$bindir/hdknode" CHAOS_REPLAY="$what" CHAOS_ARTIFACT_DIR="$artdir" \
+    go test -race -count=1 -v -run "^$test\$" ./internal/experiments || status=$?
+if [[ $status -eq 0 ]]; then
+    rm -rf "$artdir"
+else
+    echo "chaos-replay.sh: node logs, data, report and schedule kept in $artdir" >&2
+fi
 exit "$status"
