@@ -34,9 +34,6 @@ import (
 	"repro/internal/experiments"
 )
 
-// availKillFrac is the share of nodes the avail experiment crashes.
-const availKillFrac = 0.2
-
 func main() {
 	scaleName := flag.String("scale", "small", "experiment scale: small, medium or paper")
 	experiment := flag.String("experiment", "all", "artifact to print: all, table1, table2, fig2..fig8, avail")
@@ -119,7 +116,7 @@ func run(scaleName, experiment, replicas, jsonPath string) error {
 		if len(rlist) == 0 {
 			rlist = []int{1, 3}
 		}
-		rep, err := experiments.Availability(scale, availKillFrac, rlist, progress)
+		rep, err := experiments.Availability(scale, rlist, progress)
 		if err != nil {
 			return err
 		}

@@ -48,18 +48,18 @@ type AvailabilityReport struct {
 	Runs     []AvailabilityRun
 }
 
+// availKillFrac is the share of nodes the availability experiment crashes.
+const availKillFrac = 0.2
+
 // Availability builds the HDK index over the scale's largest network at
 // each given replication factor, records every query's intact top-K
-// answer, crashes killFrac of the nodes (spread around the ring, so
+// answer, crashes availKillFrac of the nodes (spread around the ring, so
 // consecutive-replica wipeouts don't conflate the measurement), and
 // re-measures recall — first without repair (pure failover), then after
 // a RepairReplicas sweep.
-func Availability(scale Scale, killFrac float64, replicas []int, progress Progress) (*AvailabilityReport, error) {
+func Availability(scale Scale, replicas []int, progress Progress) (*AvailabilityReport, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, err
-	}
-	if killFrac <= 0 || killFrac >= 1 {
-		return nil, fmt.Errorf("experiments: kill fraction %g outside (0,1)", killFrac)
 	}
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("experiments: no replication factors")
@@ -68,9 +68,9 @@ func Availability(scale Scale, killFrac float64, replicas []int, progress Progre
 		progress = nopProgress
 	}
 	peers := scale.PeerSteps[len(scale.PeerSteps)-1]
-	kills := int(float64(peers) * killFrac)
+	kills := int(float64(peers) * availKillFrac)
 	if kills < 1 {
-		return nil, fmt.Errorf("experiments: kill fraction %g removes no node from %d peers", killFrac, peers)
+		return nil, fmt.Errorf("experiments: kill fraction %g removes no node from %d peers", availKillFrac, peers)
 	}
 	const topK = 10
 
@@ -87,11 +87,11 @@ func Availability(scale Scale, killFrac float64, replicas []int, progress Progre
 		return nil, fmt.Errorf("query generation: %w", err)
 	}
 	progress("availability: %d peers, kill %d (%.0f%%), %d queries, R in %v",
-		peers, kills, 100*killFrac, len(queries), replicas)
+		peers, kills, 100*availKillFrac, len(queries), replicas)
 
 	rep := &AvailabilityReport{
 		Scale: scale.Name, Peers: peers, Killed: kills,
-		Queries: len(queries), TopK: topK, KillFrac: killFrac,
+		Queries: len(queries), TopK: topK, KillFrac: availKillFrac,
 	}
 	for _, r := range replicas {
 		run, err := availabilityRun(scale, col, peers, kills, r, topK, queries, progress)

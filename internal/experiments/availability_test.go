@@ -28,7 +28,7 @@ func availScale() Scale {
 // while R=1 measurably loses results; repair then restores full R-way
 // coverage, verified by the store sweep — with no rebuild.
 func TestAvailabilityAcceptance(t *testing.T) {
-	rep, err := Availability(availScale(), 0.20, []int{1, 3}, nil)
+	rep, err := Availability(availScale(), []int{1, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +85,7 @@ func TestAvailabilityAcceptance(t *testing.T) {
 }
 
 func TestAvailabilityRejectsBadParams(t *testing.T) {
-	if _, err := Availability(availScale(), 0, []int{1}, nil); err == nil {
-		t.Error("zero kill fraction accepted")
-	}
-	if _, err := Availability(availScale(), 0.2, nil, nil); err == nil {
+	if _, err := Availability(availScale(), nil, nil); err == nil {
 		t.Error("empty replica list accepted")
 	}
 }

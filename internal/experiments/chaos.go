@@ -30,11 +30,9 @@ type ChaosOpts struct {
 	WaveDocs int // documents staged per update wave
 	Workers  int // concurrent closed-loop query workers
 
-	// ScheduleSeed + Schedule generate the fault schedule unless Replay
-	// is set, which is fired verbatim (the CI-artifact reproduction path).
-	ScheduleSeed uint64
-	Schedule     ScheduleOpts
-	Replay       *FaultSchedule
+	// Schedule sizes the fault schedule GenerateSchedule derives for a
+	// run; Chaos fires the schedule it is handed, generated or replayed.
+	Schedule ScheduleOpts
 
 	// Gates: mean windowed recall@TopK, merged coordination p99, and
 	// cluster-wide generation rollovers (proof compactions interleaved).
@@ -52,8 +50,7 @@ type ChaosOpts struct {
 func DefaultChaosOpts() ChaosOpts {
 	return ChaosOpts{
 		ClusterOpts: DefaultClusterOpts(), WaveDocs: 25, Workers: 4,
-		ScheduleSeed: 1,
-		RecallFloor:  0.99, P99Bound: 2 * time.Second, MinRollovers: 1,
+		RecallFloor: 0.99, P99Bound: 2 * time.Second, MinRollovers: 1,
 	}
 }
 
@@ -173,14 +170,11 @@ const chaosWorkerErrBudget = 25
 // cluster: addrs are the daemon addresses (start order), kill(i)
 // SIGKILLs the process behind addrs[i], and restart(i) brings it back ON
 // THE SAME ADDRESS from its data directory, returning once membership
-// has converged. The daemons should run with a small -compact-bytes so
-// the waves force the generation rollovers the scenario gates on.
+// has converged. sched is the fault schedule fired verbatim. The daemons
+// should run with a small -compact-bytes so the waves force the
+// generation rollovers the scenario gates on.
 func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) error,
-	opts ChaosOpts, progress Progress) (*ChaosReport, error) {
-	sched := GenerateSchedule(opts.ScheduleSeed, opts.Nodes, opts.Schedule)
-	if opts.Replay != nil {
-		sched = *opts.Replay
-	}
+	sched FaultSchedule, opts ChaosOpts, progress Progress) (*ChaosReport, error) {
 	// Refused before the fixture dials anything.
 	if err := sched.validateFor(opts.Nodes); err != nil {
 		return nil, err

@@ -27,12 +27,11 @@ import (
 // <prefix>-schedule.json and keeps the data directories.
 func runChaosE2E(t *testing.T, opts ChaosOpts, compactBytes int, prefix string) *ChaosReport {
 	t.Helper()
-	bin := hdknodeBin(t)
 	sched, err := chaosSchedule(opts, os.Getenv("CHAOS_REPLAY"))
 	if err != nil {
 		t.Fatalf("CHAOS_REPLAY: %v", err)
 	}
-	opts.Replay = &sched
+	bin := hdknodeBin(t)
 
 	artDir := os.Getenv("CHAOS_ARTIFACT_DIR")
 	dataRoot := filepath.Join(artDir, prefix+"-data")
@@ -69,7 +68,7 @@ func runChaosE2E(t *testing.T, opts ChaosOpts, compactBytes int, prefix string) 
 		// Readiness re-poll: the next action must not race the rejoin.
 		return h.AwaitMembers(opts.Nodes)
 	}
-	rep, err := Chaos(tr, h.Addrs(), h.Kill, restart, opts, t.Logf)
+	rep, err := Chaos(tr, h.Addrs(), h.Kill, restart, sched, opts, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +86,12 @@ func runChaosE2E(t *testing.T, opts ChaosOpts, compactBytes int, prefix string) 
 }
 
 // chaosSchedule resolves the schedule a chaos or soak run fires. An
-// empty replay generates it from opts; otherwise replay is a seed to
-// generate it from, or the path of a schedule artifact to fire verbatim.
-// A schedule made for another fleet size is refused here, before any
-// daemon is spawned.
+// empty replay generates it from opts at seed 1; otherwise replay is a
+// seed to generate it from, or the path of a schedule artifact to fire
+// verbatim. A schedule made for another fleet size is refused here,
+// before any daemon is spawned.
 func chaosSchedule(opts ChaosOpts, replay string) (FaultSchedule, error) {
-	seed, err := opts.ScheduleSeed, error(nil)
+	seed, err := uint64(1), error(nil)
 	if replay != "" {
 		seed, err = strconv.ParseUint(replay, 10, 64)
 	}
@@ -201,8 +200,7 @@ func TestChaosReportFailures(t *testing.T) {
 func TestChaosRefusesForeignFleetSize(t *testing.T) {
 	opts := DefaultChaosOpts()
 	sched := GenerateSchedule(1, 7, opts.Schedule)
-	opts.Replay = &sched
-	_, err := Chaos(nil, make([]string, opts.Nodes), nil, nil, opts, nil)
+	_, err := Chaos(nil, make([]string, opts.Nodes), nil, nil, sched, opts, nil)
 	if err == nil || !strings.Contains(err.Error(), "schedule is for 7 nodes, the fleet has 5") {
 		t.Fatalf("7-node replay against 5 daemons: err = %v, want a refusal naming both sizes", err)
 	}
@@ -219,8 +217,8 @@ func TestChaosReplaySource(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, GenerateSchedule(7, opts.Nodes, opts.Schedule)) {
 		t.Errorf("seed 7: err %v, schedule seed %d, want GenerateSchedule(7)", err, got.Seed)
 	}
-	if got, err := chaosSchedule(opts, ""); err != nil || !reflect.DeepEqual(got, GenerateSchedule(opts.ScheduleSeed, opts.Nodes, opts.Schedule)) {
-		t.Errorf("no replay: err %v, schedule seed %d, want the default seed's schedule", err, got.Seed)
+	if got, err := chaosSchedule(opts, ""); err != nil || !reflect.DeepEqual(got, GenerateSchedule(1, opts.Nodes, opts.Schedule)) {
+		t.Errorf("no replay: err %v, schedule seed %d, want seed 1's schedule", err, got.Seed)
 	}
 
 	artifact := filepath.Join("testdata", "chaos-schedule.json")

@@ -14,6 +14,12 @@
 #   scripts/chaos-replay.sh 1            # replay the default chaos gate
 #   scripts/chaos-replay.sh 7 -soak      # replay a soak run at seed 7
 #   scripts/chaos-replay.sh chaos-schedule.json   # fire a CI artifact
+#   SOAK_SCALE=4 scripts/chaos-replay.sh 1 -soak  # replay a nightly soak
+#
+# The nightly long-haul soak runs with SOAK_SCALE=4: a seed replay of its
+# failure needs the same SOAK_SCALE to regenerate its schedule. The test
+# runs under the nightly job's -timeout 50m, so a 4x replay is not cut
+# at go test's default 10 minutes.
 #
 # Exit code is the test's: nonzero when any gate fails, in which case
 # the node logs, data directories, report and schedule are kept in the
@@ -21,7 +27,7 @@
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
-    sed -n '2,16p' "$0" >&2
+    sed -n '2,22p' "$0" >&2
     exit 2
 fi
 
@@ -44,15 +50,11 @@ if [[ -f "$what" ]]; then
 fi
 
 cd "$(dirname "$0")/.."
-bindir=$(mktemp -d)
+# The test builds hdknode itself unless HDKNODE_BIN names a binary.
 artdir=$(mktemp -d)
-trap 'rm -rf "$bindir"' EXIT
-go build -o "$bindir/hdknode" ./cmd/hdknode
-
-# A child, not exec: the EXIT trap must still run to remove the binary.
 status=0
-HDKNODE_BIN="$bindir/hdknode" CHAOS_REPLAY="$what" CHAOS_ARTIFACT_DIR="$artdir" \
-    go test -race -count=1 -v -run "^$test\$" ./internal/experiments || status=$?
+CHAOS_REPLAY="$what" CHAOS_ARTIFACT_DIR="$artdir" \
+    go test -race -count=1 -timeout 50m -v -run "^$test\$" ./internal/experiments || status=$?
 if [[ $status -eq 0 ]]; then
     rm -rf "$artdir"
 else
