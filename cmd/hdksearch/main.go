@@ -5,21 +5,22 @@
 //
 // Usage:
 //
-//	hdksearch [-docs N] [-peers N] [-dfmax N] [-topk N] [-replicas R]
-//	hdksearch -connect HOST:PORT [-trace] [-forget HOST:PORT] [-docs N] ...
+//	hdksearch [-docs N] [-peers N] [-dfmax N] [-topk N] [-replicas R] [-trace]
+//	hdksearch -connect HOST:PORT [-forget HOST:PORT] [-docs N] ...
 //
-// By default the peer network is simulated in-process. With -connect the
-// shell becomes the thin client of a REAL cluster: it discovers the
-// hdknode daemons behind the given address, streams each daemon its
-// corpus shard over the chunked resumable hdk.ingest session
-// (-build-chunk-bytes sets the chunk payload target), and asks a daemon
-// to coordinate the round-synchronous index build node-side (hdk.build)
-// — the shell never runs a build round and holds no peer state
-// (-peers is ignored — the cluster size decides; -replicas defaults to
-// the factor the daemons advertise). Each query is then ONE hdk.search
-// RPC to the -connect daemon, which runs the whole lattice traversal
-// node-side and may answer from its query-result cache; -trace prints
-// the daemon's span tree under each answer.
+// The shell is the thin client of a cluster of daemons. With -connect
+// it discovers the hdknode processes behind the given address (-peers
+// is ignored — the cluster size decides; -replicas defaults to the
+// factor the daemons advertise); without it, it first starts -peers
+// in-process daemons (cluster.Server on one in-process transport) and
+// then runs the same code against them. It streams each daemon its
+// corpus shard over the chunked resumable hdk.ingest session and asks a
+// daemon to coordinate the round-synchronous index build node-side
+// (hdk.build) — the shell never runs a build round and holds no peer
+// state. Each query is then ONE hdk.search RPC to that daemon, which
+// runs the whole lattice traversal node-side and may answer from its
+// query-result cache; -trace prints the daemon's span tree under each
+// answer.
 //
 // Type a query (space-separated terms from the printed sample
 // vocabulary), or one of the commands:
@@ -39,7 +40,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/overlay"
 	"repro/internal/rank"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -48,14 +48,13 @@ import (
 
 func main() {
 	docs := flag.Int("docs", 400, "number of synthetic documents")
-	peers := flag.Int("peers", 8, "number of peers (in-process mode only)")
+	peers := flag.Int("peers", 8, "number of in-process daemons to start (without -connect)")
 	dfmax := flag.Int("dfmax", 12, "DFmax discriminative threshold")
 	topk := flag.Int("topk", 10, "results per query")
 	replicas := flag.Int("replicas", 1, "R-way key replication factor (searches fail over between replicas)")
 	connect := flag.String("connect", "", "address of any hdknode daemon: build and query a running multi-process cluster")
-	trace := flag.Bool("trace", false, "with -connect: ask the daemon for a per-query span tree (admission, cache, per-level fetch waves) and print it under each answer")
+	trace := flag.Bool("trace", false, "ask the coordinating daemon for a per-query span tree (admission, cache, per-level fetch waves) and print it under each answer")
 	forget := flag.String("forget", "", "with -connect: drop this dead member's address from the cluster membership and re-replicate what it held, before building")
-	chunkBytes := flag.Int("build-chunk-bytes", 0, "with -connect: hdk.ingest chunk payload target in bytes (0 = cluster default)")
 	flag.Parse()
 	replicasSet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -64,21 +63,15 @@ func main() {
 		}
 	})
 
-	if err := run(*docs, *peers, *dfmax, *topk, *replicas, *chunkBytes, *connect, *forget, *trace, replicasSet); err != nil {
+	if err := run(*docs, *peers, *dfmax, *topk, *replicas, *connect, *forget, *trace, replicasSet); err != nil {
 		fmt.Fprintln(os.Stderr, "hdksearch:", err)
 		os.Exit(1)
 	}
 }
 
-func run(docs, peers, dfmax, topk, replicas, chunkBytes int, connect, forget string, trace, replicasSet bool) error {
+func run(docs, peers, dfmax, topk, replicas int, connect, forget string, trace, replicasSet bool) error {
 	if forget != "" && connect == "" {
 		return fmt.Errorf("-forget requires -connect (it edits a live cluster's membership)")
-	}
-	if chunkBytes != 0 && connect == "" {
-		return fmt.Errorf("-build-chunk-bytes requires -connect (the in-process engine does not stream)")
-	}
-	if trace && connect == "" {
-		return fmt.Errorf("-trace requires -connect (the span tree is recorded by the coordinating daemon)")
 	}
 	p := corpus.DefaultGenParams(docs)
 	p.AvgDocLen = 80
@@ -87,104 +80,78 @@ func run(docs, peers, dfmax, topk, replicas, chunkBytes int, connect, forget str
 		return err
 	}
 
-	var (
-		fabric overlay.Fabric
-		clu    *cluster.Client
-		tcp    *transport.TCP
-	)
-	if connect != "" {
-		tcp = transport.NewTCP()
-		defer tcp.Close()
-		if !replicasSet {
-			info, err := cluster.FetchInfo(tcp, connect)
-			if err != nil {
-				return fmt.Errorf("connect %s: %w", connect, err)
-			}
-			replicas = info.Replicas
+	tr, seed, daemons, err := boot(connect, peers, replicas)
+	if err != nil {
+		return err
+	}
+	defer tr.Close()
+	if !replicasSet {
+		info, err := cluster.FetchInfo(tr, seed)
+		if err != nil {
+			return fmt.Errorf("connect %s: %w", seed, err)
 		}
-		if clu, err = cluster.Dial(cluster.Options{Transport: tcp, Seed: connect, ChunkBytes: chunkBytes}); err != nil {
+		replicas = info.Replicas
+	}
+	clu, err := cluster.Dial(cluster.Options{Transport: tr, Seed: seed})
+	if err != nil {
+		return err
+	}
+	if forget != "" {
+		// Operator cleanup: a crashed daemon stays in the grow-only
+		// bootstrap membership until someone forgets it.
+		if m, ok := clu.View().Member(forget); !ok || !clu.RemoveNode(m.ID()) {
+			return fmt.Errorf("forget %s: not in the cluster membership", forget)
+		}
+		if err := clu.Forget(forget); err != nil {
 			return err
 		}
-		if forget != "" {
-			// Operator cleanup: a crashed daemon stays in the grow-only
-			// bootstrap membership until someone forgets it.
-			if !clu.RemoveNode(overlay.HashNode(forget)) {
-				return fmt.Errorf("forget %s: not in the cluster membership", forget)
-			}
-			if err := clu.Forget(forget); err != nil {
-				return err
-			}
-			// The replica sets the dead member belonged to are one copy
-			// short (unless someone already swept), and the daemons read
-			// primary-first until a sweep over the new membership says
-			// they are whole.
-			st, err := clu.Repairer(replicas).Repair()
-			if err != nil {
-				return fmt.Errorf("repair after forgetting %s: %w", forget, err)
-			}
-			fmt.Printf("forgot dead member %s on all live daemons; repair sweep shipped %d copies\n", forget, st.CopiesSent)
+		// The replica sets the dead member belonged to are one copy
+		// short (unless someone already swept), and the daemons read
+		// primary-first until a sweep over the new membership says
+		// they are whole.
+		st, err := clu.Repairer(replicas).Repair()
+		if err != nil {
+			return fmt.Errorf("repair after forgetting %s: %w", forget, err)
 		}
-		peers = clu.Size()
-		fabric = clu
-		fmt.Printf("connected to %d hdknode processes via %s\n", peers, connect)
-	} else {
-		net := overlay.NewNetwork(transport.NewInProc())
-		for i := 0; i < peers; i++ {
-			if _, err := net.AddNode(fmt.Sprintf("peer-%d", i)); err != nil {
-				return err
-			}
-		}
-		fabric = net
+		fmt.Printf("forgot dead member %s on all live daemons; repair sweep shipped %d copies\n", forget, st.CopiesSent)
 	}
+	peers = clu.Size()
+	fmt.Printf("connected to %d %s via %s\n", peers, daemons, seed)
 
 	cfg := core.DefaultConfig(rank.CollectionStats{NumDocs: col.M(), AvgDocLen: col.AvgDocLen()})
 	cfg.DFMax = dfmax
 	cfg.Window = 10
 	cfg.ReplicationFactor = replicas
-	eng, err := core.NewEngine(fabric, cfg, col.Vocab, col.TermFrequencies())
+	// A query-only view (global vocabulary and statistics, no peers):
+	// it renders each query's terms for hdk.search.
+	eng, err := core.NewEngine(clu, cfg, col.Vocab, col.TermFrequencies())
 	if err != nil {
 		return err
 	}
-	members := fabric.Members()
-	if clu != nil {
-		// Streamed coordinator-side build: ship each daemon its shard
-		// over hdk.ingest (document j to ring member j%n — the same
-		// placement the in-process path uses), then let a daemon
-		// coordinate the round-synchronous build. The shell holds one
-		// document at a time and runs zero rounds; the engine above is a
-		// query-only view (global vocabulary and statistics, no peers).
-		fmt.Printf("streaming %d docs to %d hdknode processes (DFmax=%d, w=%d, smax=%d, R=%d, %d-byte chunks)...\n",
-			col.M(), peers, cfg.DFMax, cfg.Window, cfg.SMax, cfg.ReplicationFactor, clu.ChunkTarget())
-		for i, m := range members {
-			st, err := clu.Ingest(m.Addr(), cluster.ShardSource(col, cfg, 1, i, peers))
-			if err != nil {
-				return err
-			}
-			fmt.Printf("  %s: %d docs in %d chunks (%d shipped, %d already held)\n",
-				m.Addr(), st.Docs, st.Chunks, st.ChunksSent, st.ChunksSkipped)
-		}
-		lastRound := -1
-		if err := clu.BuildRemote(connect, func(info cluster.Info) {
-			if info.BuildRound > 0 && info.BuildRound != lastRound {
-				lastRound = info.BuildRound
-				fmt.Printf("  build round %d/%d\n", info.BuildRound, cfg.SMax)
-			}
-		}); err != nil {
+	// Streamed coordinator-side build: ship each daemon its shard over
+	// hdk.ingest (document j to ring member j%n), then let the seed
+	// daemon coordinate the round-synchronous build. The shell holds one
+	// document at a time and runs zero rounds.
+	fmt.Printf("streaming %d docs to %d %s (DFmax=%d, w=%d, smax=%d, R=%d, %d-byte chunks)...\n",
+		col.M(), peers, daemons, cfg.DFMax, cfg.Window, cfg.SMax, cfg.ReplicationFactor, clu.ChunkTarget())
+	for i, m := range clu.Members() {
+		st, err := clu.Ingest(m.Addr(), cluster.ShardSource(col, cfg, 1, i, peers))
+		if err != nil {
 			return err
 		}
-	} else {
-		for i, part := range col.SplitRoundRobin(peers) {
-			if _, err := eng.AddPeer(members[i], part); err != nil {
-				return err
-			}
-		}
-		fmt.Printf("indexing %d docs over %d peers (DFmax=%d, w=%d, smax=%d, R=%d)...\n",
-			col.M(), peers, cfg.DFMax, cfg.Window, cfg.SMax, cfg.ReplicationFactor)
-		if err := eng.BuildIndex(); err != nil {
-			return err
-		}
+		fmt.Printf("  %s: %d docs in %d chunks (%d shipped, %d already held)\n",
+			m.Addr(), st.Docs, st.Chunks, st.ChunksSent, st.ChunksSkipped)
 	}
-	printIndexReady(eng, clu)
+	lastRound := -1
+	if err := clu.BuildRemote(seed, func(info cluster.Info) {
+		if info.BuildRound > 0 && info.BuildRound != lastRound {
+			lastRound = info.BuildRound
+			fmt.Printf("  build round %d/%d\n", info.BuildRound, cfg.SMax)
+		}
+	}); err != nil {
+		return err
+	}
+	printIndexReady(clu)
 	fmt.Printf("sample vocabulary: %s\n", strings.Join(col.Vocab[40:52], " "))
 	fmt.Println(`type a query, ":stats", ":doc N" or ":quit"`)
 
@@ -193,7 +160,6 @@ func run(docs, peers, dfmax, topk, replicas, chunkBytes int, connect, forget str
 		termID[s] = corpus.TermID(i)
 	}
 
-	origin := members[0]
 	sc := bufio.NewScanner(os.Stdin)
 	for {
 		fmt.Print("> ")
@@ -207,7 +173,7 @@ func run(docs, peers, dfmax, topk, replicas, chunkBytes int, connect, forget str
 		case line == ":quit":
 			return nil
 		case line == ":stats":
-			printStats(eng, clu, tcp)
+			printStats(clu, tr)
 			continue
 		case strings.HasPrefix(line, ":doc "):
 			printDoc(col, strings.TrimPrefix(line, ":doc "))
@@ -221,27 +187,23 @@ func run(docs, peers, dfmax, topk, replicas, chunkBytes int, connect, forget str
 			fmt.Println("no known terms in query")
 			continue
 		}
+		// One RPC: the seed daemon coordinates the whole traversal and
+		// may answer straight from its result cache.
 		var res *core.SearchResult
 		var span *telemetry.Trace
 		cost := ""
-		if clu != nil {
-			// One RPC: the daemon behind -connect coordinates the whole
-			// traversal and may answer straight from its result cache.
-			req := core.SearchRequest{Terms: eng.QueryTerms(q), K: topk}
-			if trace {
-				res, span, err = clu.SearchTraceVia(connect, req)
-				if err == nil && span == nil {
-					cost = " [coordinator cache]"
-				}
-			} else {
-				var cached bool
-				res, cached, err = clu.SearchVia(connect, req)
-				if cached {
-					cost = " [coordinator cache]"
-				}
+		req := core.SearchRequest{Terms: eng.QueryTerms(q), K: topk}
+		if trace {
+			res, span, err = clu.SearchTraceVia(seed, req)
+			if err == nil && span == nil {
+				cost = " [coordinator cache]"
 			}
 		} else {
-			res, err = eng.Search(q, origin, topk)
+			var cached bool
+			res, cached, err = clu.SearchVia(seed, req)
+			if cached {
+				cost = " [coordinator cache]"
+			}
 		}
 		if err != nil {
 			return err
@@ -258,6 +220,29 @@ func run(docs, peers, dfmax, topk, replicas, chunkBytes int, connect, forget str
 	return sc.Err()
 }
 
+// boot returns the transport the shell talks over, the seed daemon it
+// dials and coordinates through, and what to call the daemons: the
+// hdknode process behind -connect over TCP or, without -connect,
+// peer-0 of peers freshly started in-process daemons (peer-0, peer-1,
+// ... on one in-process transport, each joined through peer-0).
+func boot(connect string, peers, replicas int) (transport.Transport, string, string, error) {
+	if connect != "" {
+		return transport.NewTCP(), connect, "hdknode processes", nil
+	}
+	tr := transport.NewInProc()
+	for i := 0; i < peers; i++ {
+		s, err := cluster.NewServer(tr, fmt.Sprintf("peer-%d", i), replicas)
+		if err == nil && i > 0 {
+			err = s.Join("peer-0")
+		}
+		if err != nil {
+			tr.Close()
+			return nil, "", "", err
+		}
+	}
+	return tr, "peer-0", "in-process daemons", nil
+}
+
 func parseQuery(line string, termID map[string]corpus.TermID) (corpus.Query, []string) {
 	var q corpus.Query
 	var unknown []string
@@ -271,14 +256,9 @@ func parseQuery(line string, termID map[string]corpus.TermID) (corpus.Query, []s
 	return q, unknown
 }
 
-// printIndexReady reports the resident index size: from the engine's own
-// stores in-process, from the daemons' stores over RPC in connect mode.
-func printIndexReady(eng *core.Engine, clu *cluster.Client) {
-	if clu == nil {
-		stats := eng.Stats()
-		fmt.Printf("index ready: %d keys, %d postings stored\n", stats.KeysTotal, stats.StoredTotal)
-		return
-	}
+// printIndexReady reports the resident index size, summed over the
+// daemons' stores.
+func printIndexReady(clu *cluster.Client) {
 	nodeStats, err := clu.StoreStats()
 	if err != nil {
 		fmt.Printf("index ready (store stats unavailable: %v)\n", err)
@@ -292,48 +272,21 @@ func printIndexReady(eng *core.Engine, clu *cluster.Client) {
 	fmt.Printf("index ready: %d keys, %d postings stored across %d processes\n", keys, posts, len(nodeStats))
 }
 
-// printStats reports the index and the counted query work: the
-// engine's own registry in-process, the daemons' registries (every
-// client's queries, cluster-wide) over cluster.metrics in connect mode.
-func printStats(eng *core.Engine, clu *cluster.Client, tcp *transport.TCP) {
-	if clu == nil {
-		stats := eng.Stats()
-		snap := eng.Metrics().Snapshot()
-		fmt.Printf("keys by size: 1:%d 2:%d 3:%d | stored postings %d | inserted %d\n",
-			stats.KeysBySize[1], stats.KeysBySize[2], stats.KeysBySize[3],
-			stats.StoredTotal, snap.CounterSum("hdk_build_inserted_postings_total"))
-		printQueries(snap)
-		return
-	}
-	nodeStats, err := clu.StoreStats()
-	if err != nil {
-		fmt.Printf("store stats unavailable: %v\n", err)
-	} else {
-		for _, ns := range nodeStats {
-			fmt.Printf("  %s: %d keys, %d postings\n", ns.Addr, ns.Stats.KeysTotal(), ns.Stats.PostsTotal())
-		}
-	}
-	var dials, reuses, stale uint64
-	snaps := make([]telemetry.Snapshot, 0, clu.Size())
+// printStats reports the index and the counted work, summed over the
+// daemons' stores and registries (every client's queries, cluster-wide,
+// over cluster.metrics).
+func printStats(clu *cluster.Client, tr transport.Transport) {
+	var inserted, dials, reuses, stale, probes, rpcs, rounds, failovers uint64
 	for _, m := range clu.Members() {
-		snap, err := cluster.FetchMetrics(tcp, m.Addr())
+		snap, err := cluster.FetchMetrics(tr, m.Addr())
 		if err != nil {
 			fmt.Printf("metrics of %s unavailable: %v\n", m.Addr(), err)
 			continue
 		}
+		inserted += snap.CounterSum("hdk_build_inserted_postings_total")
 		dials += snap.CounterSum("hdk_transport_dials_total")
 		reuses += snap.CounterSum("hdk_transport_pool_reuses_total")
 		stale += snap.CounterSum("hdk_transport_stale_retries_total")
-		snaps = append(snaps, snap)
-	}
-	fmt.Printf("daemon pools: %d dials, %d reuses, %d stale retries\n", dials, reuses, stale)
-	printQueries(snaps...)
-}
-
-// printQueries sums the traversal series over registry snapshots.
-func printQueries(snaps ...telemetry.Snapshot) {
-	var probes, rpcs, rounds, failovers uint64
-	for _, snap := range snaps {
 		probes += snap.CounterSum("hdk_query_probes_total")
 		rpcs += snap.CounterSum("hdk_query_fetch_rpcs_total")
 		failovers += snap.CounterSum("hdk_query_failovers_total")
@@ -342,6 +295,24 @@ func printQueries(snaps ...telemetry.Snapshot) {
 			rounds += hv.Count
 		}
 	}
+	nodeStats, err := clu.StoreStats()
+	if err != nil {
+		fmt.Printf("store stats unavailable: %v\n", err)
+	} else {
+		var sum core.StoreStats
+		for _, ns := range nodeStats {
+			for size := range sum.KeysBySize {
+				sum.KeysBySize[size] += ns.Stats.KeysBySize[size]
+				sum.PostsBySize[size] += ns.Stats.PostsBySize[size]
+			}
+		}
+		fmt.Printf("keys by size: 1:%d 2:%d 3:%d | stored postings %d | inserted %d\n",
+			sum.KeysBySize[1], sum.KeysBySize[2], sum.KeysBySize[3], sum.PostsTotal(), inserted)
+		for _, ns := range nodeStats {
+			fmt.Printf("  %s: %d keys, %d postings\n", ns.Addr, ns.Stats.KeysTotal(), ns.Stats.PostsTotal())
+		}
+	}
+	fmt.Printf("daemon pools: %d dials, %d reuses, %d stale retries\n", dials, reuses, stale)
 	fmt.Printf("queries: %d lattice probes answered by %d batched fetch RPCs over %d levels (%d replica failovers)\n",
 		probes, rpcs, rounds, failovers)
 }

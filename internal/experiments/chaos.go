@@ -70,10 +70,12 @@ func DefaultSoakOpts() ChaosOpts {
 // the p99 gate reads (registered by the server's instrumentation).
 const metricCoordination = "hdk_search_coordination_nanoseconds"
 
-// ChaosPhase is one inter-action interval of the run: its label ("start"
-// before the first action, the action that opened it, "drain" after the
-// last), the daemons down during it, the queries the workload completed
-// in it and the merged coordination p99 of exactly that interval.
+// ChaosPhase is one inter-action interval of the run, from the moment
+// one action starts to fire to the moment the next one does: its label
+// ("start" before the first action, the action that opened it, "drain"
+// from the last one on), the daemons down during it, the queries the
+// workload completed in it and the merged coordination p99 of exactly
+// that interval.
 type ChaosPhase struct {
 	Action   string `json:"action"`
 	Down     []int  `json:"down,omitempty"`
@@ -282,17 +284,27 @@ func Chaos(tr transport.Transport, addrs []string, kill, restart func(i int) err
 		}()
 	}
 
-	// Fire the schedule while the workload runs. snaps[p] is every
-	// daemon's registry when phase p began, so phase p's delta is
-	// snaps[p+1] - snaps[p]; a daemon that is down reads as zero, and
-	// Sub's clamp attributes its post-restart observations to the phase
-	// they happened in.
+	// Fire the schedule while the workload runs. Phase 0 begins now and
+	// phase p just before action p-1 starts to fire, so what an action
+	// sets off while it runs (a wave's whole cluster update, a daemon's
+	// restart) counts in the phase it labels. snaps[p] is every daemon's
+	// registry when phase p began, so phase p's delta is snaps[p+1] -
+	// snaps[p]; a daemon that is down reads as zero, and Sub's clamp
+	// attributes its post-restart observations to the phase they
+	// happened in.
 	var snaps [][]telemetry.Snapshot
+	begin := func() {
+		snaps = append(snaps, f.snapshot())
+		phase.Store(int32(len(snaps) - 1))
+	}
 	f.progress("chaos: schedule seed %d — %d actions over %v (%d kills, %d waves, %d repairs, %d resizes)",
 		sched.Seed, len(sched.Actions), sched.Horizon(), rep.Kills, rep.Waves, rep.Repairs, rep.Resizes)
-	err = drive(sched, opts.Nodes, f.fire, time.Sleep, func(p int) error {
-		snaps = append(snaps, f.snapshot())
-		phase.Store(int32(p))
+	begin()
+	fire := func(act FaultAction) error {
+		begin()
+		return f.fire(act)
+	}
+	err = drive(sched, opts.Nodes, fire, time.Sleep, func(p int) error {
 		if p == len(sched.Actions) {
 			time.Sleep(300 * time.Millisecond) // drain: the healed cluster's phase gets traffic too
 		}

@@ -21,10 +21,12 @@ import (
 // runs this test too. CHAOS_REPLAY replays a run: its value is a
 // schedule seed, or the path of a schedule artifact fired verbatim
 // (chaosSchedule). With CHAOS_ARTIFACT_DIR set (CI), the daemons'
-// per-node logs tee there live, their data directories live there as
-// <prefix>-data, and the report is written there as <prefix>-report.json;
-// a failing run also leaves the schedule that fired as
-// <prefix>-schedule.json and keeps the data directories.
+// per-node logs tee there live as <prefix>-logs/node<i>.log (one
+// directory per fleet, so the chaos and soak runs sharing the artifact
+// directory never append to one file), their data directories live
+// there as <prefix>-data, and the report is written there as
+// <prefix>-report.json; a failing run also leaves the schedule that
+// fired as <prefix>-schedule.json and keeps the data directories.
 func runChaosE2E(t *testing.T, opts ChaosOpts, compactBytes int, prefix string) *ChaosReport {
 	t.Helper()
 	sched, err := chaosSchedule(opts, os.Getenv("CHAOS_REPLAY"))
@@ -35,10 +37,12 @@ func runChaosE2E(t *testing.T, opts ChaosOpts, compactBytes int, prefix string) 
 
 	artDir := os.Getenv("CHAOS_ARTIFACT_DIR")
 	dataRoot := filepath.Join(artDir, prefix+"-data")
+	logDir := ""
 	if artDir == "" {
 		dataRoot = filepath.Join(t.TempDir(), "data")
 	} else {
-		if err := os.MkdirAll(artDir, 0o755); err != nil {
+		logDir = filepath.Join(artDir, prefix+"-logs")
+		if err := os.MkdirAll(logDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() {
@@ -53,7 +57,7 @@ func runChaosE2E(t *testing.T, opts ChaosOpts, compactBytes int, prefix string) 
 		})
 	}
 
-	h := &cluster.Harness{Bin: bin, Stderr: os.Stderr, DataRoot: dataRoot, LogDir: artDir}
+	h := &cluster.Harness{Bin: bin, Stderr: os.Stderr, DataRoot: dataRoot, LogDir: logDir}
 	if err := h.Start(opts.Nodes, opts.Replicas, "-compact-bytes", fmt.Sprint(compactBytes)); err != nil {
 		t.Fatal(err)
 	}

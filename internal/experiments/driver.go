@@ -77,19 +77,20 @@ func drive(sched FaultSchedule, nodes int, fire func(FaultAction) error, sleep f
 	}
 }
 
-// schedPoint is what a schedule alone says of one point drive runs at:
-// its label and the node down during it.
+// schedPoint is what a schedule alone says of one window between its
+// actions: its label and the node down during it.
 type schedPoint struct {
 	Label string
-	Down  []int // the one node killed and not yet restarted or forgotten; nil if none
+	Down  []int // the one node killed and not yet back from its restart or forgotten; nil if none
 }
 
-// schedulePoints names the len(sched.Actions)+1 points drive runs at
-// for a valid schedule: point 0 is "start", point p is labelled by
-// action p-1, which opened it, and the point after the last action is
-// "drain". The window after a kill(n) is therefore kill(n), with n down
-// until its restart or forget, which ends the down window as in
-// Validate.
+// schedulePoints names the len(sched.Actions)+1 windows of a valid
+// schedule as Chaos measures them, each opened by an action starting to
+// fire: window 0 is "start", window p is labelled by action p-1, which
+// opened it, and the one the last action opens is "drain". The window a
+// kill(n) opens is therefore kill(n), with n down through its restart(n)
+// window, since n is still down while it restarts; forget(n) ends the
+// down window, as in Validate.
 func schedulePoints(sched FaultSchedule) []schedPoint {
 	pts := make([]schedPoint, len(sched.Actions)+1)
 	pts[0].Label = "start"
@@ -98,12 +99,15 @@ func schedulePoints(sched FaultSchedule) []schedPoint {
 		switch act.Op {
 		case OpKill:
 			down = act.Node
-		case OpRestart, OpForget:
+		case OpForget:
 			down = -1
 		}
 		pts[i+1].Label = act.String()
 		if down >= 0 {
 			pts[i+1].Down = []int{down}
+		}
+		if act.Op == OpRestart {
+			down = -1
 		}
 	}
 	if n := len(sched.Actions); n > 0 {

@@ -4,7 +4,8 @@
 # command the CI step runs, firing the exact fault schedule the failing
 # run used: either regenerated from its seed (schedules are a pure
 # function of the seed) or loaded verbatim from the serialized
-# <prefix>-schedule.json the CI job uploaded next to the node logs.
+# <prefix>-schedule.json the CI job uploaded next to the <prefix>-logs/
+# node logs.
 #
 # Usage:
 #   chaos-replay.sh SEED [-soak]
@@ -22,12 +23,13 @@
 # at go test's default 10 minutes.
 #
 # Exit code is the test's: nonzero when any gate fails, in which case
-# the node logs, data directories, report and schedule are kept in the
-# directory printed on stderr. On success that directory is removed.
+# the node logs (<prefix>-logs/node<i>.log), data directories, report
+# and schedule are kept in the directory printed on stderr. On success
+# that directory is removed.
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then
-    sed -n '2,22p' "$0" >&2
+    sed -n '2,23p' "$0" >&2
     exit 2
 fi
 
