@@ -6,7 +6,8 @@
 // Usage:
 //
 //	hdksearch [-docs N] [-peers N] [-dfmax N] [-topk N] [-replicas R] [-trace]
-//	hdksearch -connect HOST:PORT [-forget HOST:PORT] [-docs N] ...
+//	hdksearch -connect HOST:PORT [-docs N] ...
+//	hdksearch -connect HOST:PORT -forget HOST:PORT [-replicas R]
 //
 // The shell is the thin client of a cluster of daemons. With -connect
 // it discovers the hdknode processes behind the given address (-peers
@@ -21,6 +22,12 @@
 // runs the whole lattice traversal node-side and may answer from its
 // query-result cache; -trace prints the daemon's span tree under each
 // answer.
+//
+// With -forget the shell is a one-shot operator command instead: it
+// drops a dead member from every live daemon's membership, runs the
+// repair sweep if the seed daemon then reports its view unrepaired (a
+// fleet that never built owes nothing), prints what the sweep shipped
+// and exits. Nothing is ingested, built or queried.
 //
 // Type a query (space-separated terms from the printed sample
 // vocabulary), or one of the commands:
@@ -54,7 +61,7 @@ func main() {
 	replicas := flag.Int("replicas", 1, "R-way key replication factor (searches fail over between replicas)")
 	connect := flag.String("connect", "", "address of any hdknode daemon: build and query a running multi-process cluster")
 	trace := flag.Bool("trace", false, "ask the coordinating daemon for a per-query span tree (admission, cache, per-level fetch waves) and print it under each answer")
-	forget := flag.String("forget", "", "with -connect: drop this dead member's address from the cluster membership and re-replicate what it held, before building")
+	forget := flag.String("forget", "", "with -connect: drop this dead member's address from the cluster membership, re-replicate what it held if the fleet was built, and exit")
 	flag.Parse()
 	replicasSet := false
 	flag.Visit(func(f *flag.Flag) {
@@ -73,25 +80,11 @@ func run(docs, peers, dfmax, topk, replicas int, connect, forget string, trace, 
 	if forget != "" && connect == "" {
 		return fmt.Errorf("-forget requires -connect (it edits a live cluster's membership)")
 	}
-	p := corpus.DefaultGenParams(docs)
-	p.AvgDocLen = 80
-	col, err := corpus.Generate(p)
-	if err != nil {
-		return err
-	}
-
 	tr, seed, daemons, err := boot(connect, peers, replicas)
 	if err != nil {
 		return err
 	}
 	defer tr.Close()
-	if !replicasSet {
-		info, err := cluster.FetchInfo(tr, seed)
-		if err != nil {
-			return fmt.Errorf("connect %s: %w", seed, err)
-		}
-		replicas = info.Replicas
-	}
 	clu, err := cluster.Dial(cluster.Options{Transport: tr, Seed: seed})
 	if err != nil {
 		return err
@@ -105,15 +98,35 @@ func run(docs, peers, dfmax, topk, replicas int, connect, forget string, trace, 
 		if err := clu.Forget(forget); err != nil {
 			return err
 		}
+	}
+	info, err := cluster.FetchInfo(tr, seed)
+	if err != nil {
+		return fmt.Errorf("connect %s: %w", seed, err)
+	}
+	if !replicasSet {
+		replicas = info.Replicas
+	}
+	if forget != "" {
 		// The replica sets the dead member belonged to are one copy
-		// short (unless someone already swept), and the daemons read
-		// primary-first until a sweep over the new membership says
-		// they are whole.
-		st, err := clu.Repairer(replicas).Repair()
-		if err != nil {
-			return fmt.Errorf("repair after forgetting %s: %w", forget, err)
+		// short, and the daemons read primary-first until a sweep over
+		// the new membership says they are whole. A fleet that never
+		// built treated the forget as a leave and owes nothing.
+		copies := 0
+		if info.Unrepaired {
+			st, err := clu.Repairer(replicas).Repair()
+			if err != nil {
+				return fmt.Errorf("repair after forgetting %s: %w", forget, err)
+			}
+			copies = st.CopiesSent
 		}
-		fmt.Printf("forgot dead member %s on all live daemons; repair sweep shipped %d copies\n", forget, st.CopiesSent)
+		fmt.Printf("forgot dead member %s on all %d live daemons; repair sweep shipped %d copies\n", forget, clu.Size(), copies)
+		return nil
+	}
+	p := corpus.DefaultGenParams(docs)
+	p.AvgDocLen = 80
+	col, err := corpus.Generate(p)
+	if err != nil {
+		return err
 	}
 	peers = clu.Size()
 	fmt.Printf("connected to %d %s via %s\n", peers, daemons, seed)
@@ -151,7 +164,7 @@ func run(docs, peers, dfmax, topk, replicas int, connect, forget string, trace, 
 	}); err != nil {
 		return err
 	}
-	printIndexReady(clu)
+	printIndexReady(clu, daemons)
 	fmt.Printf("sample vocabulary: %s\n", strings.Join(col.Vocab[40:52], " "))
 	fmt.Println(`type a query, ":stats", ":doc N" or ":quit"`)
 
@@ -257,8 +270,8 @@ func parseQuery(line string, termID map[string]corpus.TermID) (corpus.Query, []s
 }
 
 // printIndexReady reports the resident index size, summed over the
-// daemons' stores.
-func printIndexReady(clu *cluster.Client) {
+// daemons' stores; daemons names what was counted.
+func printIndexReady(clu *cluster.Client, daemons string) {
 	nodeStats, err := clu.StoreStats()
 	if err != nil {
 		fmt.Printf("index ready (store stats unavailable: %v)\n", err)
@@ -269,7 +282,7 @@ func printIndexReady(clu *cluster.Client) {
 		posts += ns.Stats.PostsTotal()
 		keys += ns.Stats.KeysTotal()
 	}
-	fmt.Printf("index ready: %d keys, %d postings stored across %d processes\n", keys, posts, len(nodeStats))
+	fmt.Printf("index ready: %d keys, %d postings stored across %d %s\n", keys, posts, len(nodeStats), daemons)
 }
 
 // printStats reports the index and the counted work, summed over the

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"strconv"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -20,7 +19,6 @@ import (
 // HDKStep is one (network size, DFmax) measurement.
 type HDKStep struct {
 	DFMax             int
-	Replicas          int // effective replication factor (1 = single copy)
 	StoredPerPeer     float64
 	InsertedPerPeer   float64
 	InsertedBySize    [core.MaxKeySize + 1]uint64
@@ -31,11 +29,8 @@ type HDKStep struct {
 	QueryRPCsAvg      float64                      // batched fetch RPCs per query (<= probes)
 	QueryProbesBySize [core.MaxKeySize + 1]float64 // per-level probes per query
 	QueryRPCsBySize   [core.MaxKeySize + 1]float64 // per-level batched RPCs per query
-	QueryFailoversAvg float64                      // replica failovers per query
 	OverlapAvgPercent float64                      // Figure 7
 	NotifyMessages    uint64
-	BuildNanos        int64   // wall-clock build time
-	QueryNanosAvg     float64 // wall-clock ns per query
 }
 
 // Step is one experimental run (one network size) with all engines
@@ -121,7 +116,7 @@ func runStep(scale Scale, full *corpus.Collection, peers int, progress Progress)
 	step.CentralizedTop20 = len(reference)
 
 	// Distributed single-term baseline (singleTermConfig).
-	st, err := measure(col, peers, singleTermConfig(col), queries, reference, false)
+	st, err := measure(col, peers, singleTermConfig(col), queries, reference)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +132,7 @@ func runStep(scale Scale, full *corpus.Collection, peers int, progress Progress)
 
 	// HDK engines, one per DFmax.
 	for _, dfmax := range scale.DFMaxes {
-		h, err := measure(col, peers, hdkConfig(scale, col, dfmax, 1), queries, reference, true)
+		h, err := measure(col, peers, hdkConfig(scale, col, dfmax, 1), queries, reference)
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +172,7 @@ func singleTermConfig(col *corpus.Collection) core.Config {
 // in-process ring of peers members, the round-robin document split, and
 // all-cores build concurrency (the final index is provably identical to
 // a serial build — merges commute; tested in core). BuildIndex is left
-// to the caller, which times it.
+// to the caller.
 func buildScaledEngine(col *corpus.Collection, peers int, cfg core.Config) (*core.Engine, []overlay.Member, error) {
 	net := overlay.NewNetwork(transport.NewInProc())
 	for i := 0; i < peers; i++ {
@@ -213,15 +208,13 @@ func levelDelta(before, after telemetry.Snapshot, name string, size int) uint64 
 }
 
 // measure builds one index over the step's collection and runs the
-// shared metric pass over the query set; timed adds the wall-clock query
-// passes the HDK rows report.
+// shared metric pass over the query set.
 func measure(col *corpus.Collection, peers int, cfg core.Config,
-	queries []corpus.Query, reference [][]rank.Result, timed bool) (*HDKStep, error) {
+	queries []corpus.Query, reference [][]rank.Result) (*HDKStep, error) {
 	eng, nodes, err := buildScaledEngine(col, peers, cfg)
 	if err != nil {
 		return nil, err
 	}
-	buildStart := time.Now()
 	if err := eng.BuildIndex(); err != nil {
 		return nil, err
 	}
@@ -229,23 +222,20 @@ func measure(col *corpus.Collection, peers int, cfg core.Config,
 	built := eng.Metrics().Snapshot()
 	h := &HDKStep{
 		DFMax:           cfg.DFMax,
-		Replicas:        eng.Config().ReplicationFactor,
 		StoredPerPeer:   float64(istats.StoredTotal) / float64(peers),
 		InsertedPerPeer: float64(built.CounterSum("hdk_build_inserted_postings_total")) / float64(peers),
 		KeysTotal:       istats.KeysTotal,
 		NotifyMessages:  built.CounterSum("hdk_build_notify_keys_total"),
-		BuildNanos:      time.Since(buildStart).Nanoseconds(),
 	}
 	for s := 1; s <= core.MaxKeySize; s++ {
 		h.InsertedBySize[s] = counterAt(built, "hdk_build_inserted_postings_total", "round", s)
 	}
 	h.KeysBySize = istats.KeysBySize
 
-	// Metric pass (untimed): accumulates the deterministic paper metrics
-	// plus the overlap scoring, whose per-query cost must not pollute the
-	// wall-clock measurement below.
+	// Metric pass: accumulates the deterministic paper metrics plus the
+	// overlap scoring.
 	var fetched uint64
-	var probes, rpcs, failovers int
+	var probes, rpcs int
 	var overlap float64
 	for i, q := range queries {
 		res, err := eng.Search(q, nodes[i%peers], 20)
@@ -255,7 +245,6 @@ func measure(col *corpus.Collection, peers int, cfg core.Config,
 		fetched += res.FetchedPosts
 		probes += res.ProbedKeys
 		rpcs += res.RPCs
-		failovers += res.Failovers
 		overlap += rank.Overlap(reference[i], res.Results, 20)
 	}
 	if len(queries) == 0 {
@@ -265,35 +254,12 @@ func measure(col *corpus.Collection, peers int, cfg core.Config,
 	h.QueryPostingsAvg = float64(fetched) / n
 	h.QueryProbesAvg = float64(probes) / n
 	h.QueryRPCsAvg = float64(rpcs) / n
-	h.QueryFailoversAvg = float64(failovers) / n
 	h.OverlapAvgPercent = overlap / n
 	after := eng.Metrics().Snapshot()
 	for s := 1; s <= core.MaxKeySize; s++ {
 		h.QueryProbesBySize[s] = float64(levelDelta(built, after, "hdk_query_probes_total", s)) / n
 		h.QueryRPCsBySize[s] = float64(levelDelta(built, after, "hdk_query_fetch_rpcs_total", s)) / n
 	}
-	if !timed {
-		return h, nil
-	}
-	// Wall clock is the one nondeterministic metric the bench regression
-	// gate checks; on small configs the whole sweep lasts a few
-	// milliseconds, so a single GC or scheduler stall lands as a phantom
-	// 10x "regression". Two identical timing-only passes (queries are
-	// read-only and deterministic), keeping the faster, filter exactly
-	// those one-off stalls.
-	var queryNanos int64
-	for pass := 0; pass < 2; pass++ {
-		start := time.Now()
-		for i, q := range queries {
-			if _, err := eng.Search(q, nodes[i%peers], 20); err != nil {
-				return nil, err
-			}
-		}
-		if d := time.Since(start).Nanoseconds(); pass == 0 || d < queryNanos {
-			queryNanos = d
-		}
-	}
-	h.QueryNanosAvg = float64(queryNanos) / n
 	return h, nil
 }
 

@@ -1,16 +1,12 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"reflect"
-	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -22,45 +18,17 @@ import (
 
 // This file is the serving scenario: the engine builds a cluster of
 // hdknode processes through the client fabric, and the daemons' own
-// hdk.search coordinators must serve it correctly, boundedly and
-// observably. Its schedule is wave, SIGKILL, forget, repair, with passes
-// between: before the wave, parity, a repeat pass from the result
-// caches, traced coordinations, a flood past one coordinator's
-// admission capacity, exact counter accounting and every daemon's HTTP
+// hdk.search coordinators must serve it correctly and observably. Its
+// schedule is wave, SIGKILL, forget, repair, with passes between: before
+// the wave, parity, a repeat pass from the result caches, traced
+// coordinations, exact counter accounting and every daemon's HTTP
 // surface; then cache invalidation, failover with zero recall loss at
 // R=3, parity while a repair is owed, and full coverage after it.
+// Admission (bounded queue, shedding with a retry-after hint) is proven
+// by construction in the cluster package's admission tests, not here.
 
-// TCPServeOpts parameterizes the scenario. The daemons must run a tiny
-// -search-workers / -search-queue (the test uses 2 and 2): with roomy
-// defaults nothing is shed, and the Rejected>0 gate fails.
-type TCPServeOpts struct {
-	ClusterOpts
-	ExtraDocs int // the update wave's documents
-	Clients   int // concurrent flood clients, all on addrs[0]
-	PerClient int // accepted coordinations each client must complete
-	// P99Bound caps the p99 latency of ACCEPTED flood requests (the
-	// successful attempt only): with shedding working, the tiny queue
-	// bounds it, no matter how much load is offered.
-	P99Bound time.Duration
-}
-
-// DefaultTCPServeOpts is the CI-gated configuration: a 5-process
-// cluster at R=3 flooded by 16 concurrent clients on one coordinator,
-// then an update wave and one crash.
-func DefaultTCPServeOpts() TCPServeOpts {
-	return TCPServeOpts{
-		ClusterOpts: DefaultClusterOpts(), ExtraDocs: 30,
-		Clients: 16, PerClient: 12, P99Bound: 2 * time.Second,
-	}
-}
-
-// Flood pacing: a shed request is retried with capped exponential
-// backoff above the daemon's hint; one still shed after satMaxAttempts
-// fails the scenario (the daemon never recovered capacity).
-const (
-	satBackoffCap  = 200 * time.Millisecond
-	satMaxAttempts = 100
-)
+// serveWaveDocs is the size of the scenario's one update wave.
+const serveWaveDocs = 30
 
 // TCPServeReport is the scenario's measurement; Failures lists the
 // gates it misses.
@@ -69,7 +37,6 @@ type TCPServeReport struct {
 	Replicas int
 	Docs     int
 	Queries  int
-	Clients  int
 
 	// Parity of the client-fabric engine and the coordinators.
 	ClientMismatches int
@@ -85,20 +52,6 @@ type TCPServeReport struct {
 	TraceMismatches  int
 	TraceSpanDefects int
 	ResultMismatches int // traced answers diverging from the engine's
-
-	// The flood: Clients x PerClient NoCache coordinations on one
-	// daemon, then a serial recovery pass one backoff cycle (the largest
-	// hint) later.
-	Accepted           int
-	Rejected           uint64 // shed attempts (want > 0, or the load never saturated)
-	MissingHint        int    // rejections without a positive retry-after hint
-	LoadMismatches     int
-	AcceptedP50Nanos   int64
-	AcceptedP99Nanos   int64 // the successful attempt only
-	P99BoundNanos      int64
-	MaxRetryAfterNanos int64
-	RecoveryRejected   uint64 // recovery requests still shed (want 0)
-	RecoveryMismatches int
 
 	// Accounting: every hdk.search response the client saw before the
 	// wave, by kind, against the daemons' summed registry deltas over
@@ -172,20 +125,12 @@ func (r *TCPServeReport) Failures() []string {
 	g.check(r.TraceMismatches == 0, "%d traced coordinations diverged from the engine's per-level RPC counters", r.TraceMismatches)
 	g.check(r.TraceSpanDefects == 0, "%d span trees were structurally defective", r.TraceSpanDefects)
 	g.check(r.ResultMismatches == 0, "%d traced answers diverged from the engine's", r.ResultMismatches)
-	// Bounded serving.
-	g.check(r.Rejected > 0, "no request was shed — the load never saturated the daemon (queue too roomy?)")
-	g.check(r.MissingHint == 0, "%d rejections carried no positive retry-after hint", r.MissingHint)
-	g.check(r.LoadMismatches == 0, "%d accepted answers diverged from the in-process reference", r.LoadMismatches)
-	g.check(r.AcceptedP99Nanos <= r.P99BoundNanos, "accepted p99 %.3fms exceeds the %.0fms bound — admission is queueing, not shedding", float64(r.AcceptedP99Nanos)/1e6, float64(r.P99BoundNanos)/1e6)
-	g.check(r.RecoveryRejected == 0, "%d recovery requests still shed one backoff cycle after the load stopped", r.RecoveryRejected)
-	g.check(r.RecoveryMismatches == 0, "%d recovery answers diverged from the reference", r.RecoveryMismatches)
 	// Exact counter parity: the registry agrees with the client.
-	overloads := r.Rejected + r.RecoveryRejected
-	served := r.FreshServed + r.CachedServed + overloads
-	g.check(r.SearchRPCDelta == served, "search RPC delta %d, want %d (fresh %d + cached %d + shed %d)", r.SearchRPCDelta, served, r.FreshServed, r.CachedServed, overloads)
+	served := r.FreshServed + r.CachedServed
+	g.check(r.SearchRPCDelta == served, "search RPC delta %d, want %d (fresh %d + cached %d)", r.SearchRPCDelta, served, r.FreshServed, r.CachedServed)
 	g.check(r.CacheHitDelta == r.CachedServed, "cache hit delta %d, client saw %d cached responses", r.CacheHitDelta, r.CachedServed)
 	g.check(r.CacheMissDelta == r.MissEligible, "cache miss delta %d, client sent %d miss-eligible requests", r.CacheMissDelta, r.MissEligible)
-	g.check(r.ShedDelta == overloads, "shed delta %d, client observed %d overloads", r.ShedDelta, overloads)
+	g.check(r.ShedDelta == 0, "shed delta %d, the client observed no overload", r.ShedDelta)
 	// Exposition gates.
 	g.check(r.HealthOK == r.Nodes && r.ScrapeOK == r.Nodes && r.BuildInfoOK == r.Nodes, "scrape: %d/%d healthz, %d/%d metrics, %d/%d build_info", r.HealthOK, r.Nodes, r.ScrapeOK, r.Nodes, r.BuildInfoOK, r.Nodes)
 	g.check(r.CoordCount > 0 && r.CoordP99 > 0, "coordination histogram empty in the scrapes: count %d, p99 %.0f", r.CoordCount, r.CoordP99)
@@ -218,11 +163,13 @@ func (r *TCPServeReport) Clean() bool { return len(r.Failures()) == 0 }
 
 // TCPServe runs the scenario against an already-running cluster: addrs
 // are the daemon addresses and httpAddrs their observability endpoints
-// (both in start order), crash kills the process behind addrs[i]. Pass a
-// *transport.TCP to get pool and wire counters in the report: it records
-// onto the scenario's registry from the call on.
+// (both in start order), crash kills the process behind addrs[i], and
+// opts is the fleet's shape (the CI gate runs DefaultClusterOpts). Every
+// pass is serial, so nothing may be shed: the accounting window expects
+// zero overloads. Pass a *transport.TCP to get pool and wire counters in
+// the report: it records onto the scenario's registry from the call on.
 func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i int) error,
-	opts TCPServeOpts, progress Progress) (*TCPServeReport, error) {
+	opts ClusterOpts, progress Progress) (*TCPServeReport, error) {
 	if len(httpAddrs) != len(addrs) {
 		return nil, fmt.Errorf("experiments: %d rpc / %d http addresses", len(addrs), len(httpAddrs))
 	}
@@ -232,7 +179,7 @@ func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i in
 	if tcp, ok := tr.(*transport.TCP); ok {
 		tcp.Instrument(poolReg)
 	}
-	f, err := newFixture(fleet{tr: tr, addrs: addrs, kill: crash}, "tcpserve", opts.ClusterOpts, 1, opts.ExtraDocs, progress)
+	f, err := newFixture(fleet{tr: tr, addrs: addrs, kill: crash}, "tcpserve", opts, 1, serveWaveDocs, progress)
 	if err != nil {
 		return nil, err
 	}
@@ -241,8 +188,7 @@ func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i in
 	}
 	rep := &TCPServeReport{
 		Nodes: opts.Nodes, Replicas: opts.Replicas,
-		Docs: f.col.M(), Queries: len(f.queries), Clients: opts.Clients,
-		P99BoundNanos: int64(opts.P99Bound),
+		Docs: f.col.M(), Queries: len(f.queries),
 	}
 
 	// The victim owns the first query's first term. A coordinator reads
@@ -273,7 +219,7 @@ func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i in
 	}
 
 	passes := []func() error{
-		func() error { return f.serve(httpAddrs, origin, opts, rep) },
+		func() error { return f.serve(httpAddrs, origin, rep) },
 		func() (err error) {
 			rep.PostUpdateMismatches, rep.PostUpdateCached, _, err = f.pass(false, f.want[1], f.rotating)
 			return err
@@ -337,11 +283,11 @@ func TCPServe(tr transport.Transport, addrs, httpAddrs []string, crash func(i in
 // serve runs the passes before the wave inside one accounting window:
 // every response the client observes must be mirrored exactly by the
 // registry deltas read at its end. Then it scrapes every daemon.
-func (f *fixture) serve(httpAddrs []string, origin overlay.Member, opts TCPServeOpts, rep *TCPServeReport) error {
+func (f *fixture) serve(httpAddrs []string, origin overlay.Member, rep *TCPServeReport) error {
 	n := uint64(len(f.queries))
 	before := f.snapshot()
 	for i, q := range f.queries {
-		viaFabric, err := f.eng.Search(q, origin, opts.TopK)
+		viaFabric, err := f.eng.Search(q, origin, f.TopK)
 		if err != nil {
 			return fmt.Errorf("fabric query %d: %w", i, err)
 		}
@@ -384,7 +330,7 @@ func (f *fixture) serve(httpAddrs []string, origin overlay.Member, opts TCPServe
 		rep.TracedQueries++
 		m, _ := f.c.View().Member(coord)
 		before := f.eng.Metrics().Snapshot()
-		want, err := f.eng.Search(f.queries[i], m, opts.TopK)
+		want, err := f.eng.Search(f.queries[i], m, f.TopK)
 		if err != nil {
 			return fmt.Errorf("reference query %d: %w", i, err)
 		}
@@ -396,9 +342,6 @@ func (f *fixture) serve(httpAddrs []string, origin overlay.Member, opts TCPServe
 		rep.TraceSpanDefects += defects
 	}
 
-	if err := f.flood(f.addrs[0], opts, rep); err != nil {
-		return err
-	}
 	after := f.snapshot()
 	delta := func(counter string) uint64 { return sum(after, counter) - sum(before, counter) }
 	rep.SearchRPCDelta = delta("hdk_search_rpcs_total")
@@ -424,97 +367,6 @@ func (f *fixture) expectUnrepaired(want int) error {
 	}
 	if n != want {
 		return fmt.Errorf("experiments: %d/%d members report an unrepaired view, want %d", n, f.c.Size(), want)
-	}
-	return nil
-}
-
-// flood has every client hammer the coordinator at target back to back
-// with NoCache requests (a cache hit would bypass admission). Shed
-// attempts are retried with capped exponential backoff above the
-// daemon's hint, with full jitter so the herd spreads out. One backoff
-// cycle after the load stops, the same coordinator must accept a serial
-// pass of the query set without shedding a single request.
-func (f *fixture) flood(target string, opts TCPServeOpts, rep *TCPServeReport) error {
-	reqs := f.requests(true)
-	var (
-		mu        sync.Mutex // guards rep's flood tallies, latencies, maxHint and firstErr
-		latencies []int64
-		maxHint   time.Duration
-		firstErr  error
-		wg        sync.WaitGroup
-	)
-	for w := 0; w < opts.Clients; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < opts.PerClient; j++ {
-				qi := (w + j) % len(reqs)
-				for attempt := 1; ; attempt++ {
-					t0 := time.Now()
-					res, _, err := f.c.TrySearchVia(target, reqs[qi])
-					lat := time.Since(t0).Nanoseconds()
-					var ov *core.OverloadError
-					shed := errors.As(err, &ov)
-					mu.Lock()
-					switch {
-					case err == nil:
-						latencies = append(latencies, lat)
-						if !reflect.DeepEqual(f.want[0][qi], res.Results) {
-							rep.LoadMismatches++
-						}
-					case shed:
-						rep.Rejected++
-						if ov.RetryAfter <= 0 {
-							rep.MissingHint++
-						}
-						maxHint = max(maxHint, ov.RetryAfter)
-						if attempt >= satMaxAttempts {
-							err, shed = fmt.Errorf("still shed after %d attempts", attempt), false
-						}
-					}
-					if err != nil && !shed && firstErr == nil {
-						firstErr = fmt.Errorf("client %d request %d: %w", w, j, err)
-					}
-					mu.Unlock()
-					if !shed {
-						if err != nil {
-							return
-						}
-						break
-					}
-					hi := min(ov.RetryAfter<<min(attempt, 4), satBackoffCap)
-					time.Sleep(ov.RetryAfter + time.Duration(rand.Int64N(int64(max(hi-ov.RetryAfter, 0))+1)))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	rep.Accepted = len(latencies)
-	rep.FreshServed += uint64(rep.Accepted)
-	rep.MaxRetryAfterNanos = int64(maxHint)
-	slices.Sort(latencies)
-	if n := len(latencies); n > 0 {
-		rep.AcceptedP50Nanos = latencies[n/2]
-		rep.AcceptedP99Nanos = latencies[n*99/100]
-	}
-
-	time.Sleep(maxHint)
-	for i, req := range reqs {
-		res, _, err := f.c.TrySearchVia(target, req)
-		if errors.Is(err, core.ErrOverloaded) {
-			rep.RecoveryRejected++
-			continue
-		}
-		if err != nil {
-			return fmt.Errorf("recovery query %d: %w", i, err)
-		}
-		rep.FreshServed++
-		if !reflect.DeepEqual(f.want[0][i], res.Results) {
-			rep.RecoveryMismatches++
-		}
 	}
 	return nil
 }

@@ -3,11 +3,13 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/rank"
 	"repro/internal/transport"
 )
 
@@ -158,8 +160,10 @@ func TestConfigureSearchResizeDoesNotStrand(t *testing.T) {
 }
 
 // admissionCluster boots a configured 2-daemon in-proc cluster with a
-// built index and returns a ready search request for it.
-func admissionCluster(t *testing.T) (tr transport.Transport, servers []*Server, c *Client, req core.SearchRequest) {
+// built index and returns NoCache search requests for it, each with the
+// answer the client-fabric engine gives serially: the lattice traversal
+// run by the client, not by a daemon's coordinator.
+func admissionCluster(t *testing.T) (tr transport.Transport, servers []*Server, c *Client, reqs []core.SearchRequest, want [][]rank.Result) {
 	t.Helper()
 	col := testCollection(t, 60)
 	cfg := testConfig(col, 1)
@@ -172,9 +176,15 @@ func admissionCluster(t *testing.T) (tr transport.Transport, servers []*Server, 
 		t.Fatal(err)
 	}
 	eng := buildClusterEngine(t, c, col, cfg)
-	q := testQueries(col, 1)[0]
-	req = core.SearchRequest{Terms: eng.QueryTerms(q), K: 10, NoCache: true}
-	return inproc, servers, c, req
+	for _, q := range testQueries(col, 4) {
+		res, err := eng.Search(q, c.Members()[0], 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs = append(reqs, core.SearchRequest{Terms: eng.QueryTerms(q), K: 10, NoCache: true})
+		want = append(want, res.Results)
+	}
+	return inproc, servers, c, reqs, want
 }
 
 // TestSearchOverloadOverWire pins the shed path end to end: a daemon
@@ -184,7 +194,8 @@ func admissionCluster(t *testing.T) (tr transport.Transport, servers []*Server, 
 // serves cache hits anyway (admission guards coordination work, not
 // cache reads), and accepts again once capacity frees up.
 func TestSearchOverloadOverWire(t *testing.T) {
-	tr, servers, c, req := admissionCluster(t)
+	tr, servers, c, reqs, _ := admissionCluster(t)
+	req := reqs[0]
 	s := servers[0]
 	s.ConfigureSearch(1, 0, -1)
 
@@ -256,7 +267,8 @@ func TestSearchViaBacksOffOnOverload(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, servers, c, req := admissionCluster(t)
+			tr, servers, c, reqs, _ := admissionCluster(t)
+			req := reqs[0]
 			s := servers[0]
 			s.ConfigureSearch(1, 0, -1)
 
@@ -307,10 +319,13 @@ func TestSearchViaBacksOffOnOverload(t *testing.T) {
 // TestSearchConfigureSearchRace hammers SearchVia from concurrent
 // clients while ConfigureSearch keeps resizing the worker pool, the
 // admission queue and the result cache — the scenario the release-
-// closure design exists for. Run under -race this doubles as a data-
-// race check; in any mode it must neither deadlock nor strand permits.
+// closure design exists for. Every answer a client receives, fresh or
+// cached, must equal the client-fabric engine's serial answer to the
+// same query: concurrent coordination changes nothing a query returns.
+// Run under -race this doubles as a data-race check; in any mode it
+// must neither deadlock nor strand permits.
 func TestSearchConfigureSearchRace(t *testing.T) {
-	_, servers, c, req := admissionCluster(t)
+	_, servers, c, reqs, want := admissionCluster(t)
 	addrs := []string{servers[0].Addr(), servers[1].Addr()}
 
 	const clients = 4
@@ -320,14 +335,19 @@ func TestSearchConfigureSearchRace(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			r := req
 			for j := 0; j < 25; j++ {
+				qi := (w + j) % len(reqs)
+				r := reqs[qi]
 				r.NoCache = j%2 == 0
-				_, _, err := c.SearchVia(addrs[(w+j)%len(addrs)], r)
+				res, _, err := c.SearchVia(addrs[(w+j)%len(addrs)], r)
 				// A shed under a tiny transient queue is legitimate;
 				// anything else is a bug.
 				if err != nil && !errors.Is(err, core.ErrOverloaded) {
 					errs[w] = err
+					return
+				}
+				if err == nil && !reflect.DeepEqual(want[qi], res.Results) {
+					errs[w] = fmt.Errorf("query %d answered %v, want %v", qi, res.Results, want[qi])
 					return
 				}
 			}
@@ -362,7 +382,8 @@ func TestSearchConfigureSearchRace(t *testing.T) {
 // grown back), keep-current sentinels must leave settings untouched,
 // and a malformed payload must be rejected.
 func TestConfigureSearchViaOverWire(t *testing.T) {
-	_, servers, c, req := admissionCluster(t)
+	_, servers, c, reqs, _ := admissionCluster(t)
+	req := reqs[0]
 	s := servers[0]
 
 	if err := c.ConfigureSearchVia(s.Addr(), 1, 0, -1); err != nil {
