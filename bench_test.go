@@ -1,6 +1,6 @@
 // Repository-level benchmarks: one per table and figure of the paper's
-// evaluation, plus ablations for the engine's main design choices
-// (redundancy filtering, NDK storage, window size, maximal key size).
+// evaluation, plus sweeps of the model's window size and maximal key
+// size.
 // Each figure bench regenerates its artifact from a shared, memoized
 // experiment sweep and reports the headline quantities as custom metrics,
 // so `go test -bench=.` doubles as the reproduction harness at bench
@@ -215,8 +215,8 @@ func buildAblation(b *testing.B, mutate func(*core.Config)) *core.Engine {
 }
 
 // BenchmarkAblationRedundancyFiltering measures the full index build with
-// the intrinsically-discriminative prune on, reporting the key count to
-// compare against the off variant.
+// the paper's redundancy filtering, reporting the key count (ARCHITECTURE
+// §3 records what the build gave without the filter).
 func BenchmarkAblationRedundancyFiltering(b *testing.B) {
 	var keys int
 	for i := 0; i < b.N; i++ {
@@ -227,40 +227,6 @@ func BenchmarkAblationRedundancyFiltering(b *testing.B) {
 		keys = eng.Stats().KeysTotal
 	}
 	b.ReportMetric(float64(keys), "keys")
-}
-
-// BenchmarkAblationRedundancyFilteringOff is the same build without the
-// prune — the key-set blow-up the filter exists to prevent.
-func BenchmarkAblationRedundancyFilteringOff(b *testing.B) {
-	var keys int
-	for i := 0; i < b.N; i++ {
-		eng := buildAblation(b, func(c *core.Config) { c.DisableRedundancyFiltering = true })
-		if err := eng.BuildIndex(); err != nil {
-			b.Fatal(err)
-		}
-		keys = eng.Stats().KeysTotal
-	}
-	b.ReportMetric(float64(keys), "keys")
-}
-
-// BenchmarkAblationNDKStorage quantifies the storage the top-DFmax NDK
-// lists cost (their retrieval value shows up in Figure 7).
-func BenchmarkAblationNDKStorage(b *testing.B) {
-	var with, without int
-	for i := 0; i < b.N; i++ {
-		e1 := buildAblation(b, nil)
-		if err := e1.BuildIndex(); err != nil {
-			b.Fatal(err)
-		}
-		with = e1.Stats().StoredTotal
-		e2 := buildAblation(b, func(c *core.Config) { c.DisableNDKStorage = true })
-		if err := e2.BuildIndex(); err != nil {
-			b.Fatal(err)
-		}
-		without = e2.Stats().StoredTotal
-	}
-	b.ReportMetric(float64(with), "stored-with-ndk")
-	b.ReportMetric(float64(without), "stored-without-ndk")
 }
 
 // BenchmarkAblationWindow sweeps the proximity window: larger windows

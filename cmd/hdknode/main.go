@@ -10,11 +10,11 @@
 // whole lattice traversal node-side against the daemon's own membership
 // view (replica failover included), so a thin client (hdksearch
 // -connect, the benchmark) pays one RPC per query instead of
-// orchestrating the fan-out itself. Coordinations are bounded by a worker pool
-// (-search-workers) plus a bounded admission queue (-search-queue):
-// when both are full the daemon sheds the request with an explicit
-// overload rejection carrying a retry-after hint, instead of letting
-// p99 grow without limit. Repeat queries are answered from a per-node
+// orchestrating the fan-out itself. Coordinations are bounded by a pool
+// of 8 workers plus an admission queue 32 deep: when both are full the
+// daemon sheds the request with an explicit overload rejection carrying
+// a retry-after hint, instead of letting p99 grow without limit (the
+// cluster.searchconfig RPC resizes both on a live daemon). Repeat queries are answered from a per-node
 // query-result LRU (-search-cache) that every locally served index
 // mutation invalidates.
 //
@@ -62,20 +62,18 @@ func main() {
 	dataDir := flag.String("data", "", "durable data directory (empty: index lives in RAM only)")
 	fsync := flag.String("fsync", "always", "op-log fsync policy with -data: always|batch|never")
 	compactBytes := flag.Int64("compact-bytes", 0, "op-log size triggering snapshot compaction (0: 4 MiB default, <0: only on shutdown)")
-	searchWorkers := flag.Int("search-workers", 0, "concurrent hdk.search coordinations this daemon runs (0: default 8)")
-	searchQueue := flag.Int("search-queue", -1, "hdk.search requests allowed to wait for a worker before the daemon sheds with an overload rejection (-1: default 32, 0: shed when all workers busy)")
 	searchCache := flag.Int("search-cache", -1, "query-result cache entries (-1: default 1024, 0: disable result caching)")
 	httpAddr := flag.String("http", "", "host:port for the observability endpoint (/metrics, /healthz, /debug/pprof); empty: disabled, port 0 binds an ephemeral port")
 	slowQuery := flag.Duration("slow-query", 0, "log coordinations slower than this to stderr, rate-limited to one line/s (0: disabled)")
 	flag.Parse()
 
-	if err := run(*listen, *join, *replicas, *dataDir, *fsync, *compactBytes, *searchWorkers, *searchQueue, *searchCache, *httpAddr, *slowQuery); err != nil {
+	if err := run(*listen, *join, *replicas, *dataDir, *fsync, *compactBytes, *searchCache, *httpAddr, *slowQuery); err != nil {
 		fmt.Fprintln(os.Stderr, "hdknode:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, join string, replicas int, dataDir, fsync string, compactBytes int64, searchWorkers, searchQueue, searchCache int, httpAddr string, slowQuery time.Duration) error {
+func run(listen, join string, replicas int, dataDir, fsync string, compactBytes int64, searchCache int, httpAddr string, slowQuery time.Duration) error {
 	var dur *durable.Store
 	if dataDir != "" {
 		policy, err := durable.ParsePolicy(fsync)
@@ -92,7 +90,7 @@ func run(listen, join string, replicas int, dataDir, fsync string, compactBytes 
 	if err != nil {
 		return err
 	}
-	srv.ConfigureSearch(searchWorkers, searchQueue, searchCache)
+	srv.ConfigureSearch(0, -1, searchCache)
 	srv.SetSlowQueryLog(slowQuery)
 	// One registry per daemon: the server pre-registers the serving-path
 	// instruments; the transport and durable store record onto the same

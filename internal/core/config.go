@@ -7,8 +7,7 @@ import (
 )
 
 // Config carries the HDK model parameters (Table 2 of the paper) plus the
-// global ranking statistics and the ablation switches used by the
-// extension benchmarks.
+// global ranking statistics.
 type Config struct {
 	// DFMax is the document-frequency threshold separating discriminative
 	// from non-discriminative keys (paper: 400 and 500).
@@ -33,14 +32,6 @@ type Config struct {
 	// Stats are the collection-wide statistics used for scoring
 	// (distributed via gossip in the prototype lineage; precomputed here).
 	Stats rank.CollectionStats
-
-	// DisableRedundancyFiltering switches off the intrinsically-
-	// discriminative check during candidate generation, for the ablation
-	// that quantifies how much redundancy filtering shrinks the key set.
-	DisableRedundancyFiltering bool
-	// DisableNDKStorage stops the index from keeping top-DFmax postings
-	// for NDKs, for the ablation that quantifies their retrieval value.
-	DisableNDKStorage bool
 }
 
 // DefaultConfig returns the paper's Table 2 parameterization for a

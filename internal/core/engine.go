@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -30,9 +31,8 @@ type Engine struct {
 	termID map[string]corpus.TermID
 	vf     []bool // very frequent terms (f_D > Ff), excluded from keys
 
-	peers       []*Peer
-	stores      map[overlay.ID]*StoreServer
-	concurrency int // peers indexed in parallel per round (see SetConcurrency)
+	peers  []*Peer
+	stores map[overlay.ID]*StoreServer
 
 	// The registry every counted event goes to, with its handles
 	// resolved once (see Instrument).
@@ -177,19 +177,12 @@ func (e *Engine) finishRounds() {
 	}
 }
 
-// SetConcurrency sets how many peers index in parallel within a round
-// (default 1, fully serial). The final index is identical at any level:
-// documents are disjoint across peers, so every store merge commutes.
-func (e *Engine) SetConcurrency(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.concurrency = n
-}
-
+// runRound indexes up to GOMAXPROCS peers in parallel. The final index is
+// identical at any degree of parallelism: documents are disjoint across
+// peers, so every store merge commutes.
 func (e *Engine) runRound(s int) error {
 	errs := make([]error, len(e.peers))
-	forEachLimit(len(e.peers), e.concurrency, func(i int) {
+	forEachLimit(len(e.peers), runtime.GOMAXPROCS(0), func(i int) {
 		_, errs[i] = e.indexPeerRound(e.peers[i], s)
 	})
 	for _, err := range errs {

@@ -554,46 +554,6 @@ func TestSearchDuplicateAndVFTerms(t *testing.T) {
 	}
 }
 
-func TestAblationRedundancyFiltering(t *testing.T) {
-	col := testCollection(t, 50)
-	cfg := testConfig(col, 5)
-	run := func(disable bool) int {
-		c := cfg
-		c.DisableRedundancyFiltering = disable
-		eng := buildEngine(t, col, 4, c)
-		if err := eng.BuildIndex(); err != nil {
-			t.Fatal(err)
-		}
-		return eng.Stats().KeysTotal
-	}
-	with := run(false)
-	without := run(true)
-	if without <= with {
-		t.Fatalf("redundancy filtering ablation: %d keys without filter <= %d with", without, with)
-	}
-}
-
-func TestAblationNDKStorage(t *testing.T) {
-	col := testCollection(t, 50)
-	cfg := testConfig(col, 5)
-	cfg.DisableNDKStorage = true
-	eng := buildEngine(t, col, 4, cfg)
-	if err := eng.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	got := collectIndexKeys(t, eng)
-	for s := 1; s <= cfg.SMax; s++ {
-		for k, st := range got[s] {
-			if st != StatusNDK {
-				continue
-			}
-			if _, _, list := eng.KeyInfo(k); len(list) != 0 {
-				t.Fatalf("NDK %v stores %d postings with storage disabled", k.Terms(), len(list))
-			}
-		}
-	}
-}
-
 func TestEngineValidation(t *testing.T) {
 	net := overlay.NewNetwork(transport.NewInProc())
 	net.AddNode("n0")

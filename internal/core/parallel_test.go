@@ -9,24 +9,29 @@ import (
 	"time"
 )
 
+// withProcs runs fn with GOMAXPROCS at n, the number of peers each build
+// round indexes at once.
+func withProcs(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	col := testCollection(t, 60)
 	cfg := testConfig(col, 6)
 
-	serial := buildEngine(t, col, 4, cfg)
-	if err := serial.BuildIndex(); err != nil {
-		t.Fatal(err)
+	build := func(procs int) *Engine {
+		eng := buildEngine(t, col, 4, cfg)
+		withProcs(procs, func() {
+			if err := eng.BuildIndex(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return eng
 	}
-	want := serial.Stats()
-	wantKeys := collectIndexKeys(t, serial)
-
-	parallel := buildEngine(t, col, 4, cfg)
-	parallel.SetConcurrency(4)
-	if err := parallel.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	got := parallel.Stats()
-	gotKeys := collectIndexKeys(t, parallel)
+	serial, parallel := build(1), build(4)
+	want, got := serial.Stats(), parallel.Stats()
+	wantKeys, gotKeys := collectIndexKeys(t, serial), collectIndexKeys(t, parallel)
 
 	if got.StoredTotal != want.StoredTotal || got.KeysTotal != want.KeysTotal {
 		t.Fatalf("parallel stored/keys %d/%d, serial %d/%d",
@@ -54,16 +59,17 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 func TestParallelIncrementalBuildMatchesSerial(t *testing.T) {
 	col := testCollection(t, 60)
 	cfg := testConfig(col, 6)
-	wave := func(concurrency int) (string, uint64) {
+	wave := func(procs int) (digest string, inserted uint64) {
 		eng, _ := buildPrefixEngine(t, col, 40, 4, cfg)
 		if err := eng.BuildIndex(); err != nil {
 			t.Fatal(err)
 		}
 		stageRest(t, eng, col, 40)
-		eng.SetConcurrency(concurrency)
-		if err := eng.BuildIndex(); err != nil {
-			t.Fatal(err)
-		}
+		withProcs(procs, func() {
+			if err := eng.BuildIndex(); err != nil {
+				t.Fatal(err)
+			}
+		})
 		return indexDigest(t, eng), counted(eng, metricBuildInsertedPostings)
 	}
 	serial, serialInserted := wave(1)
@@ -71,16 +77,6 @@ func TestParallelIncrementalBuildMatchesSerial(t *testing.T) {
 	if serial != parallel || serialInserted != parallelInserted {
 		t.Fatalf("parallel wave: digest %s, %d inserted; serial %s, %d inserted",
 			parallel, parallelInserted, serial, serialInserted)
-	}
-}
-
-func TestSetConcurrencyClamps(t *testing.T) {
-	col := testCollection(t, 20)
-	cfg := testConfig(col, 5)
-	eng := buildEngine(t, col, 2, cfg)
-	eng.SetConcurrency(-3) // must clamp to 1, not panic or deadlock
-	if err := eng.BuildIndex(); err != nil {
-		t.Fatal(err)
 	}
 }
 

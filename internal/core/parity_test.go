@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"repro/internal/corpus"
@@ -45,27 +46,24 @@ func indexDigest(t *testing.T, eng *Engine) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestBuildParityGolden builds a 3-peer, R = 2 in-process index at smax 3
-// under every combination of the two ablation switches, plus one
-// incremental update, and compares the full index digest with the golden
-// recorded on the parent commit: a generation shortcut that drops,
-// duplicates, rescoring-reorders or misclassifies a single candidate
-// changes the digest.
+// TestBuildParityGolden builds a 3-peer, R = 2 in-process index at smax 3,
+// once in one pass and once as a build plus an incremental update, and
+// compares the full index digest with the golden recorded from a serial
+// build: a generation shortcut that drops, duplicates, rescoring-reorders
+// or misclassifies a single candidate changes the digest. GOMAXPROCS is
+// raised to the peer count so all three peers index each round at once,
+// whatever the host's core count.
 func TestBuildParityGolden(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
 	col := testCollection(t, 240)
 	cases := []struct {
 		name            string
-		noRedundancy    bool
-		noNDKStorage    bool
 		incremental     bool
 		golden          string
 		goldenInserted  uint64
 		goldenNotifyMsg uint64
 	}{
 		{name: "plain", golden: "cc4dd4afb202218623bc05255d91c62e931066e31234a7a0862c0977defe49e9", goldenInserted: 142370, goldenNotifyMsg: 9600},
-		{name: "no-redundancy-filtering", noRedundancy: true, golden: "783595712beecb6c65c44ea2fc76dde5340fe734c3ad486ae1a60100c556dadb", goldenInserted: 225474, goldenNotifyMsg: 9600},
-		{name: "no-ndk-storage", noNDKStorage: true, golden: "cabe02da01933edb347637e522e61094c1f7d31d6471bc9fa79a513f9d0f177d", goldenInserted: 142370, goldenNotifyMsg: 9600},
-		{name: "both-ablations", noRedundancy: true, noNDKStorage: true, golden: "b353b40bffa48bcfd52a761f7e95b1c1977a28d893a233537e7dc1634a9fc7c7", goldenInserted: 225474, goldenNotifyMsg: 9600},
 		{name: "incremental", incremental: true, golden: "cc4dd4afb202218623bc05255d91c62e931066e31234a7a0862c0977defe49e9", goldenInserted: 142370, goldenNotifyMsg: 9348},
 	}
 	for _, tc := range cases {
@@ -73,8 +71,6 @@ func TestBuildParityGolden(t *testing.T) {
 			cfg := testConfig(col, 6)
 			cfg.SMax = 3
 			cfg.ReplicationFactor = 2
-			cfg.DisableRedundancyFiltering = tc.noRedundancy
-			cfg.DisableNDKStorage = tc.noNDKStorage
 			var eng *Engine
 			if tc.incremental {
 				base := &corpus.Collection{Vocab: col.Vocab, Docs: col.Docs[:180]}

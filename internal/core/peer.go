@@ -359,25 +359,22 @@ func (p *Peer) generateInto(cands *candSet, s int, docs []docState, filter candF
 // generatePairs builds size-2 candidates: pairs of ND single terms
 // co-occurring within a window. Each in-window pair is visited exactly
 // once, when its right member enters the sliding window (the counting
-// device of the paper's Theorem 3 proof). Under the redundancy-filtering
-// ablation one ND member suffices. A pair is "fresh" when either member
-// turned ND since the last round — exactly the pairs that do not exist
-// in the index yet.
+// device of the paper's Theorem 3 proof). A pair is "fresh" when either
+// member turned ND since the last round — exactly the pairs that do not
+// exist in the index yet.
 func (p *Peer) generatePairs(cands *candSet, docs []docState, filter candFilter) {
 	w := p.eng.cfg.Window
-	oneSuffices := p.eng.cfg.DisableRedundancyFiltering
 	p.mu.Lock()
 	nd1, fresh1 := p.nd.terms, p.fresh.terms
 	p.mu.Unlock()
 	for i := range docs {
 		ds := &docs[i]
 		for j, t := range ds.terms {
-			tND := nd1.has(t)
-			if !tND && !oneSuffices {
+			if !nd1.has(t) {
 				continue
 			}
 			for _, u := range ds.terms[max(0, j-w+1):j] {
-				if u == t || !(nd1.has(u) || tND && oneSuffices) {
+				if u == t || !nd1.has(u) {
 					continue
 				}
 				if filter.rejects(fresh1.has(t) || fresh1.has(u)) {
@@ -396,12 +393,7 @@ func (p *Peer) generatePairs(cands *candSet, docs []docState, filter candFilter)
 // "fresh" when any immediate sub-key turned ND since the last round.
 func (p *Peer) generateExtensions(cands *candSet, s int, docs []docState, filter candFilter) {
 	w := p.eng.cfg.Window
-	x := extender{
-		cands:   cands,
-		need:    s - 1,
-		filter:  filter,
-		noPrune: p.eng.cfg.DisableRedundancyFiltering,
-	}
+	x := extender{cands: cands, need: s - 1, filter: filter}
 	p.mu.Lock()
 	nd1 := p.nd.terms
 	x.ndPrev, x.freshPrev = p.nd.keys[s-1], p.fresh.keys[s-1]
@@ -412,13 +404,13 @@ func (p *Peer) generateExtensions(cands *candSet, s int, docs []docState, filter
 	for i := range docs {
 		x.ds = &docs[i]
 		for j, c := range x.ds.terms {
-			if !nd1.has(c) && !x.noPrune {
+			if !nd1.has(c) {
 				continue
 			}
 			// Distinct candidate co-terms in the lookback window.
 			x.lookback = x.lookback[:0]
 			for _, u := range x.ds.terms[max(0, j-w+1):j] {
-				if u != c && (nd1.has(u) || x.noPrune) && !slices.Contains(x.lookback, u) {
+				if u != c && nd1.has(u) && !slices.Contains(x.lookback, u) {
 					x.lookback = append(x.lookback, u)
 				}
 			}
@@ -441,7 +433,6 @@ type extender struct {
 	need              int
 	ndPrev, freshPrev map[Key]bool
 	filter            candFilter
-	noPrune           bool
 }
 
 func (x *extender) extend(base Key, start int) {
@@ -457,19 +448,14 @@ func (x *extender) extend(base Key, start int) {
 	cand := base.Extend(x.c)
 	// Redundancy filtering: every immediate sub-key must be ND (base is
 	// known to be), and one that turned ND since the last round makes the
-	// candidate fresh. Under the ablation only the base must be ND, and
-	// freshness follows the base alone.
+	// candidate fresh.
 	wantFresh, fresh := x.filter != candAll, false
-	if x.noPrune {
-		fresh = wantFresh && x.freshPrev[base]
-	} else {
-		for i := 0; i < cand.Size(); i++ {
-			sub := cand.Drop(i)
-			if sub != base && !x.ndPrev[sub] {
-				return
-			}
-			fresh = fresh || wantFresh && x.freshPrev[sub]
+	for i := 0; i < cand.Size(); i++ {
+		sub := cand.Drop(i)
+		if sub != base && !x.ndPrev[sub] {
+			return
 		}
+		fresh = fresh || wantFresh && x.freshPrev[sub]
 	}
 	if x.filter.rejects(fresh) {
 		return

@@ -131,9 +131,7 @@ func (s *hdkStore) insertBatch(contributor string, batch []postings.KeyedMessage
 		}
 		e.df += len(m.List)
 		if e.classified && e.status == StatusNDK {
-			if !s.cfg.DisableNDKStorage {
-				e.list = postings.Union(e.list, m.List).TopK(s.cfg.DFMax)
-			}
+			e.list = postings.Union(e.list, m.List).TopK(s.cfg.DFMax)
 		} else {
 			e.list = postings.UnionInPlace(e.list, m.List)
 		}
@@ -147,14 +145,13 @@ func (s *hdkStore) insertBatch(contributor string, batch []postings.KeyedMessage
 
 // classifySweep classifies every not-yet-classified entry of the given
 // size (df <= DFmax becomes an HDK keeping its full posting list;
-// anything above becomes an NDK truncated to its top-DFmax postings, or
-// dropped entirely under the NDK-storage ablation) and RE-classifies
-// already-classified HDKs whose df grew past DFmax through incremental
-// insertion — the paper's maintenance rule: "if any of the inserted HDKs
-// become globally non-discriminative, [the network] notifies the peers
-// that have submitted such key". It returns, per newly non-discriminative
-// key, the contributors to notify (sorted; shared with the entry, so
-// read-only).
+// anything above becomes an NDK truncated to its top-DFmax postings) and
+// RE-classifies already-classified HDKs whose df grew past DFmax through
+// incremental insertion — the paper's maintenance rule: "if any of the
+// inserted HDKs become globally non-discriminative, [the network]
+// notifies the peers that have submitted such key". It returns, per newly
+// non-discriminative key, the contributors to notify (sorted; shared with
+// the entry, so read-only).
 func (s *hdkStore) classifySweep(size int) map[string][]string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -178,11 +175,7 @@ func (s *hdkStore) classifySweep(size int) map[string][]string {
 		}
 		e.sumOK = false
 		e.status = StatusNDK
-		if s.cfg.DisableNDKStorage {
-			e.list = nil
-		} else {
-			e.list = e.list.TopK(s.cfg.DFMax)
-		}
+		e.list = e.list.TopK(s.cfg.DFMax)
 		notify[key] = e.contributors
 	}
 	return notify

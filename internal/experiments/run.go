@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"strconv"
 
 	"repro/internal/baseline"
@@ -169,10 +168,8 @@ func singleTermConfig(col *corpus.Collection) core.Config {
 }
 
 // buildScaledEngine assembles the engine for one measurement: an
-// in-process ring of peers members, the round-robin document split, and
-// all-cores build concurrency (the final index is provably identical to
-// a serial build — merges commute; tested in core). BuildIndex is left
-// to the caller.
+// in-process ring of peers members and the round-robin document split.
+// BuildIndex is left to the caller.
 func buildScaledEngine(col *corpus.Collection, peers int, cfg core.Config) (*core.Engine, []overlay.Member, error) {
 	net := overlay.NewNetwork(transport.NewInProc())
 	for i := 0; i < peers; i++ {
@@ -190,7 +187,6 @@ func buildScaledEngine(col *corpus.Collection, peers int, cfg core.Config) (*cor
 			return nil, nil, err
 		}
 	}
-	eng.SetConcurrency(runtime.NumCPU())
 	return eng, nodes, nil
 }
 

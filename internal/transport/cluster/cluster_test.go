@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -168,6 +170,70 @@ func TestConfigureAcceptsRetiredSearchFanout(t *testing.T) {
 	if err := c2.Configure(cfg); err != nil {
 		t.Fatalf("current client configuring a daemon restarted from a legacy record: %v", err)
 	}
+}
+
+// TestConfigureRefusesRetiredModelSwitches covers the two Config fields
+// that once switched redundancy filtering and NDK storage off. A payload
+// that sets one is refused by name and leaves the daemon unconfigured,
+// also across a restart from its data directory. A payload shaped as
+// older clients and data directories send it, with both fields false,
+// canonicalizes to the bytes a current client sends, so the daemon
+// accepts the current client's configuration as the same one.
+func TestConfigureRefusesRetiredModelSwitches(t *testing.T) {
+	cfg := testConfig(testCollection(t, 40), 1)
+	current, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("set-is-refused", func(t *testing.T) {
+		dir := t.TempDir()
+		tr := transport.NewInProc()
+		defer tr.Close()
+		srv := newDurableServer(t, tr, "node-0", dir, 1)
+		c, err := Dial(Options{Transport: tr, Seed: srv.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := append([]byte(`{"DisableNDKStorage":true,`), current[1:]...)
+		_, err = c.ingestBegin(srv.Addr(), ingestBegin{Config: payload})
+		if err == nil || !strings.Contains(err.Error(), "DisableNDKStorage") {
+			t.Fatalf("begin with DisableNDKStorage set: err = %v, want a refusal naming the field", err)
+		}
+		if srv.Store() != nil {
+			t.Fatal("daemon configured from a refused payload")
+		}
+		tr.Close()
+		tr2 := transport.NewInProc()
+		defer tr2.Close()
+		if restarted := newDurableServer(t, tr2, "node-0", dir, 1); restarted.Store() != nil {
+			t.Fatal("daemon restarted from its data directory is configured by a refused payload")
+		}
+	})
+
+	t.Run("false-is-accepted", func(t *testing.T) {
+		older := append(bytes.Clone(current[:len(current)-1]), `,"DisableRedundancyFiltering":false,"DisableNDKStorage":false}`...)
+		got, canon, err := canonicalConfig(older)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != cfg || !bytes.Equal(canon, current) {
+			t.Fatalf("older payload canonicalizes to %s, want %s", canon, current)
+		}
+		tr := transport.NewInProc()
+		defer tr.Close()
+		srv := startInProcServers(t, tr, 1, 1)[0]
+		c, err := Dial(Options{Transport: tr, Seed: srv.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ingestBegin(srv.Addr(), ingestBegin{Config: older}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Configure(cfg); err != nil {
+			t.Fatalf("current client re-sending an older client's configuration: %v", err)
+		}
+	})
 }
 
 // buildReferenceEngine builds the classic in-process engine over a Chord

@@ -29,9 +29,10 @@ const durConfigure = "configure"
 // Search coordination defaults: how many hdk.search coordinations one
 // daemon runs concurrently, how many more may wait in the bounded
 // admission queue before the daemon sheds requests with an explicit
-// overload rejection, and how many query results its LRU holds. All
-// operator-tunable via ConfigureSearch (cmd/hdknode: -search-workers,
-// -search-queue, -search-cache).
+// overload rejection, and how many query results its LRU holds.
+// ConfigureSearch changes them: cmd/hdknode sets the cache size
+// (-search-cache), and the cluster.searchconfig RPC resizes all three on
+// a live daemon.
 const (
 	defaultSearchWorkers = 8
 	defaultSearchQueue   = 32
@@ -231,7 +232,7 @@ func (s *Server) Replicas() int { return s.replicas }
 // overload rejection, and cacheCap the query-result LRU. workers < 1
 // keeps the default; queue 0 sheds as soon as every worker is busy and
 // queue < 0 keeps the default; cacheCap 0 disables result caching and
-// cacheCap < 0 keeps the default (mirroring cmd/hdknode's flags).
+// cacheCap < 0 keeps the default (as cmd/hdknode's -search-cache does).
 //
 // Safe to call while serving: in-flight coordinations release the
 // semaphore they acquired (admitSearch hands out a release closure over
@@ -689,14 +690,28 @@ func (s *Server) configureLocked(payload []byte) error {
 // Configurations are compared in this form, so a payload that carries a
 // retired field (an older client's, or an older data directory's
 // durable record) equals the same configuration sent by a current
-// client.
+// client. A retired field that switched part of the model off is
+// accepted only while it is false, the one model there is now; set, it
+// asks for an index this daemon cannot build, and is refused by name.
 func canonicalConfig(payload []byte) (core.Config, []byte, error) {
-	var cfg core.Config
-	if err := json.Unmarshal(payload, &cfg); err != nil {
-		return cfg, nil, fmt.Errorf("cluster: bad configuration: %w", err)
+	var p struct {
+		core.Config
+		DisableRedundancyFiltering, DisableNDKStorage bool // retired
 	}
-	canon, err := json.Marshal(cfg)
-	return cfg, canon, err
+	if err := json.Unmarshal(payload, &p); err != nil {
+		return p.Config, nil, fmt.Errorf("cluster: bad configuration: %w", err)
+	}
+	refuse := func(field string) error {
+		return fmt.Errorf("cluster: configuration sets the retired field %s: a daemon builds only the paper's model", field)
+	}
+	switch {
+	case p.DisableRedundancyFiltering:
+		return p.Config, nil, refuse("DisableRedundancyFiltering")
+	case p.DisableNDKStorage:
+		return p.Config, nil, refuse("DisableNDKStorage")
+	}
+	canon, err := json.Marshal(p.Config)
+	return p.Config, canon, err
 }
 
 // durableHeader contributes the configuration record at the head of

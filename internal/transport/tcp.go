@@ -23,7 +23,8 @@ import (
 // write and normally one read per side (see frameConn). Every round trip
 // counts into the registry the transport records into (see Instrument).
 type TCP struct {
-	cfg TCPConfig
+	callTimeout time.Duration // bounds one round trip, request write through response read
+	maxIdle     int           // idle connections kept per remote address
 
 	mu        sync.Mutex
 	listeners []net.Listener
@@ -38,43 +39,25 @@ type TCP struct {
 	metrics atomic.Pointer[tcpMetrics]
 }
 
-// TCPConfig tunes the pooled transport. The zero value selects the
-// defaults below.
-type TCPConfig struct {
-	// CallTimeout bounds one round trip — request write through response
-	// read (default 30s; negative disables the deadline).
-	CallTimeout time.Duration
-	// MaxIdlePerHost bounds the idle connections kept per remote address
-	// (default 8; negative disables pooling entirely).
-	MaxIdlePerHost int
-}
-
 const (
-	dialTimeout           = 5 * time.Second // bounds connection establishment
-	defaultCallTimeout    = 30 * time.Second
-	defaultMaxIdlePerHost = 8
+	dialTimeout    = 5 * time.Second  // bounds connection establishment
+	callTimeout    = 30 * time.Second // bounds one round trip
+	maxIdlePerHost = 8                // idle connections pooled per remote address
 )
 
-func (c TCPConfig) withDefaults() TCPConfig {
-	if c.CallTimeout == 0 {
-		c.CallTimeout = defaultCallTimeout
-	}
-	if c.MaxIdlePerHost == 0 {
-		c.MaxIdlePerHost = defaultMaxIdlePerHost
-	}
-	return c
-}
+// NewTCP returns a pooled TCP transport.
+func NewTCP() *TCP { return newTCP(callTimeout, maxIdlePerHost) }
 
-// NewTCP returns a pooled TCP transport with default timeouts.
-func NewTCP() *TCP { return NewTCPConfig(TCPConfig{}) }
-
-// NewTCPConfig returns a pooled TCP transport with the given limits.
-func NewTCPConfig(cfg TCPConfig) *TCP {
+// newTCP returns a pooled TCP transport with the given round-trip bound
+// and idle pool size; the package's tests use it for short deadlines and
+// small pools.
+func newTCP(timeout time.Duration, maxIdle int) *TCP {
 	t := &TCP{
-		cfg:      cfg.withDefaults(),
-		idle:     make(map[string][]*frameConn),
-		inflight: make(map[*frameConn]struct{}),
-		accepted: make(map[net.Conn]struct{}),
+		callTimeout: timeout,
+		maxIdle:     maxIdle,
+		idle:        make(map[string][]*frameConn),
+		inflight:    make(map[*frameConn]struct{}),
+		accepted:    make(map[net.Conn]struct{}),
 	}
 	t.Instrument(telemetry.NewRegistry())
 	return t
@@ -169,8 +152,8 @@ func (t *TCP) handleConn(conn net.Conn, h Handler) {
 // getConn checks out a pooled idle connection for addr or dials a fresh
 // one, registering it as in flight either way so Close can reach it
 // (an untracked checked-out conn would survive Close and block its
-// caller until CallTimeout). reused reports which source the connection
-// came from.
+// caller until the call timeout). reused reports which source the
+// connection came from.
 func (t *TCP) getConn(addr string) (conn *frameConn, reused bool, err error) {
 	t.mu.Lock()
 	if t.closed {
@@ -236,16 +219,11 @@ func (t *TCP) dropIdle(addr string) {
 
 // putConn returns a healthy connection to the idle pool (clearing its
 // in-flight registration in the same critical section), or closes it
-// when the pool is full, pooling is disabled, or the transport closed.
+// when the pool is full or the transport closed.
 func (t *TCP) putConn(addr string, conn *frameConn) {
-	if t.cfg.MaxIdlePerHost < 0 {
-		t.release(conn)
-		conn.Close()
-		return
-	}
 	t.mu.Lock()
 	delete(t.inflight, conn)
-	if t.closed || len(t.idle[addr]) >= t.cfg.MaxIdlePerHost {
+	if t.closed || len(t.idle[addr]) >= t.maxIdle {
 		t.mu.Unlock()
 		t.metrics.Load().idleDropped.Inc()
 		conn.Close()
@@ -267,10 +245,8 @@ func (e errRemote) Error() string { return "transport: remote error: " + e.msg }
 // The deadline is not cleared afterwards: nothing touches an idle pooled
 // conn, and the next roundTrip re-arms it before its first I/O.
 func (t *TCP) roundTrip(conn *frameConn, req []byte) ([]byte, error) {
-	if t.cfg.CallTimeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(t.cfg.CallTimeout)); err != nil {
-			return nil, err
-		}
+	if err := conn.SetDeadline(time.Now().Add(t.callTimeout)); err != nil {
+		return nil, err
 	}
 	if err := conn.writeFrame(statusOK, req); err != nil {
 		return nil, err
@@ -355,7 +331,7 @@ func (t *TCP) Call(addr string, req []byte) ([]byte, error) {
 // pooled idle connection AND every client connection currently checked
 // out by an in-flight Call — a call blocked on a stalled or dead server
 // fails immediately with a closed-connection error instead of holding
-// its fd and the caller hostage until CallTimeout — then waits for
+// its fd and the caller hostage until the call timeout — then waits for
 // in-flight server goroutines to drain.
 func (t *TCP) Close() error {
 	t.mu.Lock()

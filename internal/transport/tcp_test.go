@@ -60,7 +60,7 @@ func TestTCPPoolConcurrent(t *testing.T) {
 		{"16x25-small-pool", 16, 25, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr := NewTCPConfig(TCPConfig{MaxIdlePerHost: tc.maxIdle})
+			tr := newTCP(callTimeout, tc.maxIdle)
 			defer tr.Close()
 			addr := echoServer(t, tr)
 
@@ -99,7 +99,7 @@ func TestTCPPoolConcurrent(t *testing.T) {
 				t.Fatalf("Dials+Reuses = %d, want >= %d", ps.Dials+ps.Reuses, total)
 			}
 			if got := tr.IdleConns(); got > tc.maxIdle {
-				t.Fatalf("IdleConns = %d, want <= MaxIdlePerHost %d", got, tc.maxIdle)
+				t.Fatalf("IdleConns = %d, want <= the pool size %d", got, tc.maxIdle)
 			}
 		})
 	}
@@ -144,7 +144,7 @@ func TestTCPHandlerErrorKeepsConnectionPooled(t *testing.T) {
 }
 
 func TestTCPCallTimeout(t *testing.T) {
-	tr := NewTCPConfig(TCPConfig{CallTimeout: 80 * time.Millisecond})
+	tr := newTCP(80*time.Millisecond, maxIdlePerHost)
 	defer tr.Close()
 	block := make(chan struct{})
 	addr, err := tr.Listen("127.0.0.1:0", func(req []byte) ([]byte, error) {
@@ -300,7 +300,7 @@ func TestTCPCloseDrainsPool(t *testing.T) {
 }
 
 func TestTCPMaxIdlePerHost(t *testing.T) {
-	tr := NewTCPConfig(TCPConfig{MaxIdlePerHost: 1})
+	tr := newTCP(callTimeout, 1)
 	defer tr.Close()
 	addr := echoServer(t, tr)
 
@@ -329,9 +329,9 @@ func TestTCPMaxIdlePerHost(t *testing.T) {
 // TestTCPCloseUnblocksInFlightCall is the shutdown-leak regression: a
 // Call blocked on a stalled server holds a client connection that Close
 // used to be unable to see (it only drained idle and accepted conns), so
-// the fd leaked and the caller stayed blocked until CallTimeout — 30s by
-// default. Close must close checked-out connections too, failing the
-// call immediately.
+// the fd leaked and the caller stayed blocked until the call timeout
+// (30s). Close must close checked-out connections too, failing the call
+// immediately.
 func TestTCPCloseUnblocksInFlightCall(t *testing.T) {
 	// Server on its own transport: a handler that stalls until released.
 	srv := NewTCP()
@@ -349,10 +349,10 @@ func TestTCPCloseUnblocksInFlightCall(t *testing.T) {
 	}
 	defer close(release)
 
-	// Client with a CallTimeout far beyond the test: if Close does not
+	// Client with a call timeout far beyond the test: if Close does not
 	// unblock the call, the test times out instead of sneaking past via
 	// the deadline.
-	cli := NewTCPConfig(TCPConfig{CallTimeout: 10 * time.Minute})
+	cli := newTCP(10*time.Minute, maxIdlePerHost)
 	callDone := make(chan error, 1)
 	go func() {
 		_, err := cli.Call(addr, []byte("stall"))

@@ -17,7 +17,7 @@
 #   COUNT      number of daemons
 #   REPLICAS   -replicas passed to every daemon
 #   NODE_ARGS  extra flags appended to every daemon's command line
-#              (e.g. -search-workers 2 -search-queue 2)
+#              (e.g. -search-cache 0 -slow-query 1ms)
 #   CMD        run once every daemon is ready
 #
 # With CLUSTER_HTTP_OFFSET=<n> in the environment, every daemon also
